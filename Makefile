@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-json loadtest vet fuzz examples experiments quick clean
+.PHONY: all build test test-race bench bench-check bench-json loadtest vet fuzz examples experiments quick clean
 
 all: build vet test
 
@@ -28,6 +28,12 @@ ifdef BENCHOUT
 else
 	$(GO) test $(BENCHFLAGS) ./...
 endif
+
+# The repository benchmark (benchmark/, BENCHMARK.json) is a nested module
+# that `go test ./...` does not enter; it calls internal/core entry points
+# by name, so build and test it against the tree.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable benchmark snapshot for regression tracking: runs the
 # internal/perf suite and writes BENCH_<date>.json (committed snapshots

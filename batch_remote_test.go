@@ -90,9 +90,6 @@ func TestQueryBatchRemoteOneRoundTrip(t *testing.T) {
 	if distinct == 0 || distinct >= refs {
 		t.Fatalf("dedup counters tell no story: %d distinct of %d refs", distinct, refs)
 	}
-	if got := counterValue(reg, "secndp_batch_bisections_total"); got != 0 {
-		t.Fatalf("clean batch recorded %d bisections", got)
-	}
 	// The per-query series must stay comparable with the fan-out path.
 	if got := counterValue(reg, "secndp_queries_verified_total"); got != n {
 		t.Fatalf("verified counter = %d, want %d", got, n)

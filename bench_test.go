@@ -11,6 +11,7 @@ package secndp
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -154,7 +155,7 @@ func BenchmarkQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tab.Query(ndp, idx, w); err != nil {
+		if _, err := tab.QueryCtx(context.Background(), ndp, idx, w, core.QueryOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

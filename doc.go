@@ -8,10 +8,12 @@
 // The package itself is the public facade. An Engine owns the secret key
 // and version discipline; Engine.CreateTable provisions an encrypted table
 // through a pluggable Backend and returns a Table handle; Table.Query runs
-// the weighted-sum protocol through the concurrent query engine — NDP
-// ciphertext sums, OTP share regeneration, and tag-pad sums overlapped,
-// with the pad loop sharded across a worker pool (the software analogue of
-// the paper's multiple OTP engines, §V-C2):
+// the weighted-sum protocol through the one query engine — NDP ciphertext
+// sums, OTP share regeneration and tag-pad dot, joined and MAC-checked.
+// A small query against an in-process NDP runs inline on the caller's
+// goroutine; a remote or cluster table, or a pad walk of 128 KiB or more,
+// overlaps the NDP exchange with a pad walk sharded across a worker pool
+// (the software analogue of the paper's multiple OTP engines, §V-C2):
 //
 //	eng, _ := secndp.New(key, secndp.WithParallelism(8), secndp.WithPadCache(1024))
 //	mem := secndp.NewMemory()

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // BatchRequest is one pooling query of a batch.
 type BatchRequest struct {
@@ -16,22 +13,6 @@ type BatchRequest struct {
 type BatchResult struct {
 	Res []uint64
 	Err error
-}
-
-// QueryBatch runs many verified queries concurrently — the software
-// counterpart of the paper's multiple NDP PU registers letting several
-// pooling operations be in flight at once (§V). The NDP implementation
-// must be safe for concurrent use (HonestNDP and remote.Client are).
-// workers ≤ 0 selects GOMAXPROCS. It is QueryBatchCtx without
-// cancellation or a pad cache.
-func (t *Table) QueryBatch(ndp NDP, reqs []BatchRequest, workers int) []BatchResult {
-	return t.QueryBatchCtx(context.Background(), ndp, reqs, QueryOptions{Workers: workers, Verify: true})
-}
-
-// QueryBatchUnverified is QueryBatch over the encryption-only path
-// (Algorithm 4 without Algorithm 5) for tables without tags.
-func (t *Table) QueryBatchUnverified(ndp NDP, reqs []BatchRequest, workers int) []BatchResult {
-	return t.QueryBatchCtx(context.Background(), ndp, reqs, QueryOptions{Workers: workers})
 }
 
 // FirstError returns the first non-nil error of a batch, annotated with

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -28,12 +29,12 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 			reqs[i].Weights[k] = 1 + rng.Uint64()%8
 		}
 	}
-	batch := tab.QueryBatch(ndp, reqs, 8)
+	batch := tab.QueryBatchCtx(context.Background(), ndp, reqs, QueryOptions{Workers: 8, Verify: true})
 	if err := FirstError(batch); err != nil {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {
-		want, err := tab.QueryVerified(ndp, req.Idx, req.Weights)
+		want, err := referenceQuery(tab, ndp, req.Idx, req.Weights, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func TestQueryBatchPropagatesVerificationErrors(t *testing.T) {
 		{Idx: []int{6, 7}, Weights: []uint64{1, 1}}, // corrupted
 		{Idx: []int{2, 3}, Weights: []uint64{1, 1}},
 	}
-	out := tab.QueryBatch(ndp, reqs, 2)
+	out := tab.QueryBatchCtx(context.Background(), ndp, reqs, QueryOptions{Workers: 2, Verify: true})
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Errorf("clean requests failed: %v %v", out[0].Err, out[2].Err)
 	}
@@ -83,7 +84,7 @@ func TestQueryBatchUnverified(t *testing.T) {
 		{Idx: []int{0}, Weights: []uint64{3}},
 		{Idx: []int{1, 2}, Weights: []uint64{1, 1}},
 	}
-	out := tab.QueryBatchUnverified(ndp, reqs, 0) // workers = GOMAXPROCS
+	out := tab.QueryBatchCtx(context.Background(), ndp, reqs, QueryOptions{}) // workers = GOMAXPROCS
 	if err := FirstError(out); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestQueryBatchEmpty(t *testing.T) {
 	s := newTestScheme(t)
 	geo := mkGeometry(memory.TagNone, 4, 32, 32)
 	tab, _ := s.OpenTable(geo, 1)
-	out := tab.QueryBatch(&HonestNDP{Mem: memory.NewSpace()}, nil, 4)
+	out := tab.QueryBatchCtx(context.Background(), &HonestNDP{Mem: memory.NewSpace()}, nil, QueryOptions{Workers: 4, Verify: true})
 	if len(out) != 0 {
 		t.Error("empty batch produced results")
 	}

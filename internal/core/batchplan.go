@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -24,10 +23,9 @@ import (
 //     one per distinct row.
 //  2. One NDP exchange. The whole batch rides a single BatchNDP call
 //     (one wire round-trip for remote NDPs) instead of N.
-//  3. Aggregated verification. Instead of B independent checksum
-//     recomputations, one random linear combination of all results is
-//     checked against the combined tags (§IV-F linearity); bisection
-//     isolates individual failures on the rare mismatch.
+//
+// Verification stays per request: each joined result's checksum is compared
+// with its own combined tag, exactly as QueryCtx does.
 
 // BatchStats reports how much coalescing one QueryBatchCtx call achieved.
 // Populated when QueryOptions.Stats is non-nil.
@@ -43,9 +41,6 @@ type BatchStats struct {
 	// path; the fan-out path leaves it 0 — its per-request calls are
 	// counted by the transport, not here).
 	WireOps int
-	// Bisections counts aggregate-verify splits performed to isolate
-	// failing sub-requests (0 when the whole batch verifies clean).
-	Bisections int
 	// Pipelined reports whether the coalesced pipeline served the batch
 	// (false: per-request fan-out, e.g. the NDP lacks batch support).
 	Pipelined bool
@@ -175,7 +170,7 @@ func planBatch(reqs []BatchRequest, skip []bool, numRows int) batchPlan {
 	off := 0
 	for i := range plan.rows {
 		c := int(counts[i])
-		plan.rows[i].uses = arena[off:off:off+c]
+		plan.rows[i].uses = arena[off : off : off+c]
 		off += c
 	}
 	// Pass 2: fill the lists. Requests are scanned one at a time, so a
@@ -385,11 +380,11 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 
 // queryBatchPipelined serves the whole batch as one coalesced operation:
 // one BatchNDP exchange running concurrently with one deduplicated OTP
-// sweep, then one aggregated verification. A non-nil error is a
+// sweep, then the per-request verification. A non-nil error is a
 // batch-level failure (transport trouble) and means nothing was decided —
 // the caller falls back to per-request fan-out. Per-sub-request problems
 // land in the returned BatchResult.Err slots with errors byte-identical
-// to the serial path's.
+// to QueryCtx's.
 func (t *Table) queryBatchPipelined(ctx context.Context, bn BatchNDP, reqs []BatchRequest, opts QueryOptions) ([]BatchResult, error) {
 	out := make([]BatchResult, len(reqs))
 	if opts.Verify && t.geo.Layout.Placement == memory.TagNone {
@@ -485,99 +480,20 @@ func (t *Table) queryBatchPipelined(ctx context.Context, bn BatchNDP, reqs []Bat
 		}
 	}
 	if opts.Verify {
-		t.verifyBatchAggregate(out, checked, combined, opts.Stats)
+		t.verifyBatch(out, checked, combined)
 	}
 	return out, nil
 }
 
-// verifyBatchAggregate runs Algorithm 5's MAC check over a whole batch at
-// once. Draw an independent uniform nonzero coefficient r_i per
-// sub-request and test the single identity
-//
-//	Σ_i r_i·(h(res_i) − (C_Tres_i + E_Tres_i))  ==  0   over F_q,
-//
-// which by the checksum's linearity equals h(Σ r_i·res_i) − Σ r_i·tag_i —
-// one scalar compare for the whole batch instead of B equality checks,
-// with soundness degraded only to ≤ B·m/q: a forged batch survives only
-// if the adversary's per-request checksum errors happen to cancel under
-// coefficients drawn after the results were fixed (union bound over B
-// requests of the m/q single-check bound; q = 2^127−1, so the slack is
-// negligible).
-//
-// On aggregate mismatch the range bisects — each half rechecked under the
-// same coefficients — until the failing sub-request(s) are isolated; a
-// singleton aggregate is an exact check because r_i is invertible. Failing
-// requests get the same ErrVerification sentinel the serial path returns.
-func (t *Table) verifyBatchAggregate(out []BatchResult, checked []int, combined []field.Elem, stats *BatchStats) {
-	n := len(checked)
-	if n == 0 {
-		return
-	}
-	fail := func(pos int) {
-		out[checked[pos]] = BatchResult{Err: ErrVerification}
-	}
-	// Memoize each sub-request's checksum defect δ_i = h(res_i) − (C_T+E_T)_i
-	// in one pass over the results. Every aggregate — the whole batch, each
-	// bisection half, each singleton — is then the O(range) scalar sum
-	// Σ r_i·δ_i, never a re-scan of the result vectors: by the checksum's
-	// linearity this is the same quantity as h(Σ r_i·res_i) − Σ r_i·combined_i.
-	deltas := make([]field.Elem, n)
-	clean := true
+// verifyBatch runs Algorithm 5's MAC check for every joined sub-request:
+// request i passes iff its checksum defect h(res_i) − (C_Tres_i + E_Tres_i)
+// is zero over F_q — the same exact compare, with the same m/q per-request
+// soundness, as QueryCtx makes. Failing requests get the same
+// ErrVerification sentinel QueryCtx returns.
+func (t *Table) verifyBatch(out []BatchResult, checked []int, combined []field.Elem) {
 	for pos, ri := range checked {
-		deltas[pos] = field.Sub(t.resultChecksum(out[ri].Res), combined[pos])
-		clean = clean && deltas[pos].IsZero()
-	}
-	if clean {
-		// Every defect is zero, so Σ r_i·δ_i = 0 holds for any coefficient
-		// draw — the aggregate accepts with certainty and no randomness is
-		// spent. This is the common case: honest NDP, untampered memory.
-		return
-	}
-	coeffs := make([]field.Elem, n)
-	rb := make([]byte, 16*n)
-	if _, err := rand.Read(rb); err != nil {
-		// No randomness, no aggregation: exact per-request checks.
-		for pos := range checked {
-			if !deltas[pos].IsZero() {
-				fail(pos)
-			}
+		if !t.resultChecksum(out[ri].Res).Equal(combined[pos]) {
+			out[ri] = BatchResult{Err: ErrVerification}
 		}
-		return
-	}
-	for i := range coeffs {
-		coeffs[i] = field.FromBytes(rb[16*i : 16*i+16])
-		if coeffs[i].IsZero() {
-			coeffs[i] = field.One
-		}
-	}
-	aggOK := func(lo, hi int) bool {
-		acc := field.Zero
-		for i := lo; i < hi; i++ {
-			acc = field.Add(acc, field.Mul(coeffs[i], deltas[i]))
-		}
-		return acc.IsZero()
-	}
-	// Both sides of the identity are additive over sub-ranges, so if an
-	// aggregate fails at least one of its halves fails: bisection always
-	// terminates at the corrupted request(s).
-	var bisect func(lo, hi int)
-	bisect = func(lo, hi int) {
-		if hi-lo == 1 {
-			fail(lo)
-			return
-		}
-		if stats != nil {
-			stats.Bisections++
-		}
-		mid := (lo + hi) / 2
-		if !aggOK(lo, mid) {
-			bisect(lo, mid)
-		}
-		if !aggOK(mid, hi) {
-			bisect(mid, hi)
-		}
-	}
-	if !aggOK(0, n) {
-		bisect(0, n)
 	}
 }

@@ -17,10 +17,10 @@ type plainNDP struct{ NDP }
 
 func TestPlanBatchDedupAndCoalesce(t *testing.T) {
 	reqs := []BatchRequest{
-		{Idx: []int{3, 7, 3}, Weights: []uint64{2, 5, 9}},  // 3 repeats within the request
-		{Idx: []int{7, 1}, Weights: []uint64{4, 1}},        // 7 shared with request 0
-		{Idx: []int{3}, Weights: []uint64{6}},              // 3 shared again
-		{Idx: []int{9, 9}, Weights: []uint64{1, 1}},        // skipped
+		{Idx: []int{3, 7, 3}, Weights: []uint64{2, 5, 9}}, // 3 repeats within the request
+		{Idx: []int{7, 1}, Weights: []uint64{4, 1}},       // 7 shared with request 0
+		{Idx: []int{3}, Weights: []uint64{6}},             // 3 shared again
+		{Idx: []int{9, 9}, Weights: []uint64{1, 1}},       // skipped
 	}
 	skip := []bool{false, false, false, true}
 	// numRows=16 exercises the pooled dense slot table, 0 the map lookup;
@@ -67,12 +67,14 @@ func TestPlanBatchCarrySplits(t *testing.T) {
 // TestBatchPipelinedMatchesFanout is the equivalence oracle: a
 // duplicate-heavy batch (plus empty and malformed sub-requests) must
 // produce byte-identical results and errors through the coalesced pipeline
-// and the per-request fan-out.
+// and the per-request fan-out — unverified, and verified under every tag
+// placement.
 func TestBatchPipelinedMatchesFanout(t *testing.T) {
-	for _, verify := range []bool{false, true} {
+	for _, pl := range []memory.TagPlacement{memory.TagNone, memory.TagSep, memory.TagColoc, memory.TagECC} {
+		verify := pl != memory.TagNone
 		s := newTestScheme(t)
 		mem := memory.NewSpace()
-		geo := mkGeometry(memory.TagSep, 32, 32, 32)
+		geo := mkGeometry(pl, 32, 32, 32)
 		rng := rand.New(rand.NewSource(61))
 		rows := boundedRows(rng, 32, 32, 1<<20)
 		tab, err := s.EncryptTable(mem, geo, 1, rows)
@@ -91,9 +93,9 @@ func TestBatchPipelinedMatchesFanout(t *testing.T) {
 			}
 			reqs[i] = BatchRequest{Idx: idx, Weights: w}
 		}
-		reqs[4] = BatchRequest{}                                             // empty: zero-vector result
-		reqs[9] = BatchRequest{Idx: []int{99}, Weights: []uint64{1}}         // out of range
-		reqs[13] = BatchRequest{Idx: []int{1, 2}, Weights: []uint64{1}}      // length mismatch
+		reqs[4] = BatchRequest{}                                                        // empty: zero-vector result
+		reqs[9] = BatchRequest{Idx: []int{99}, Weights: []uint64{1}}                    // out of range
+		reqs[13] = BatchRequest{Idx: []int{1, 2}, Weights: []uint64{1}}                 // length mismatch
 		reqs[17] = BatchRequest{Idx: []int{3, 3}, Weights: []uint64{math.MaxUint64, 9}} // carry split
 
 		opts := QueryOptions{Workers: 4, Verify: verify}
@@ -103,39 +105,38 @@ func TestBatchPipelinedMatchesFanout(t *testing.T) {
 		pipe := tab.QueryBatchCtx(context.Background(), ndp, reqs, optsP)
 		fan := tab.QueryBatchCtx(context.Background(), plainNDP{ndp}, reqs, opts)
 		if !stats.Pipelined || stats.WireOps != 1 {
-			t.Fatalf("verify=%v: batch did not pipeline: %+v", verify, stats)
+			t.Fatalf("%v: batch did not pipeline: %+v", pl, stats)
 		}
 		if stats.DistinctRows >= stats.RowRefs {
-			t.Fatalf("verify=%v: no dedup on a duplicate-heavy batch: %+v", verify, stats)
+			t.Fatalf("%v: no dedup on a duplicate-heavy batch: %+v", pl, stats)
 		}
 		for i := range reqs {
 			pe, fe := pipe[i].Err, fan[i].Err
 			if (pe == nil) != (fe == nil) {
-				t.Fatalf("verify=%v request %d: pipelined err %v, fanout err %v", verify, i, pe, fe)
+				t.Fatalf("%v request %d: pipelined err %v, fanout err %v", pl, i, pe, fe)
 			}
 			if pe != nil {
 				if pe.Error() != fe.Error() {
-					t.Fatalf("verify=%v request %d: error text diverged: %q vs %q", verify, i, pe, fe)
+					t.Fatalf("%v request %d: error text diverged: %q vs %q", pl, i, pe, fe)
 				}
 				continue
 			}
 			if len(pipe[i].Res) != len(fan[i].Res) {
-				t.Fatalf("verify=%v request %d: result width diverged", verify, i)
+				t.Fatalf("%v request %d: result width diverged", pl, i)
 			}
 			for j := range pipe[i].Res {
 				if pipe[i].Res[j] != fan[i].Res[j] {
-					t.Fatalf("verify=%v request %d col %d: %d != %d",
-						verify, i, j, pipe[i].Res[j], fan[i].Res[j])
+					t.Fatalf("%v request %d col %d: %d != %d",
+						pl, i, j, pipe[i].Res[j], fan[i].Res[j])
 				}
 			}
 		}
 	}
 }
 
-// TestBatchBisectionIsolatesFailures corrupts rows touched by a known
-// subset of requests and checks the aggregate-then-bisect path blames
-// exactly those requests.
-func TestBatchBisectionIsolatesFailures(t *testing.T) {
+// TestBatchVerifyIsolatesFailures corrupts rows touched by a known subset
+// of requests and checks the pipelined batch blames exactly those requests.
+func TestBatchVerifyIsolatesFailures(t *testing.T) {
 	s := newTestScheme(t)
 	mem := memory.NewSpace()
 	geo := mkGeometry(memory.TagSep, 24, 32, 32)
@@ -173,9 +174,6 @@ func TestBatchBisectionIsolatesFailures(t *testing.T) {
 	if !stats.Pipelined {
 		t.Fatal("batch did not pipeline")
 	}
-	if stats.Bisections == 0 {
-		t.Fatal("corrupted batch verified without bisecting")
-	}
 	for i := range reqs {
 		if bad[i] {
 			if !errors.Is(out[i].Err, ErrVerification) {
@@ -195,30 +193,6 @@ func TestBatchBisectionIsolatesFailures(t *testing.T) {
 				t.Fatalf("clean request %d col %d mismatch", i, j)
 			}
 		}
-	}
-}
-
-// TestBatchAggregateVerifyCleanSkipsBisection: an honest batch must verify
-// with zero bisections — one aggregate check for the whole batch.
-func TestBatchAggregateVerifyCleanSkipsBisection(t *testing.T) {
-	s := newTestScheme(t)
-	mem := memory.NewSpace()
-	geo := mkGeometry(memory.TagColoc, 16, 32, 32)
-	rng := rand.New(rand.NewSource(63))
-	rows := boundedRows(rng, 16, 32, 1<<20)
-	tab, _ := s.EncryptTable(mem, geo, 1, rows)
-	reqs := make([]BatchRequest, 12)
-	for i := range reqs {
-		reqs[i] = BatchRequest{Idx: []int{rng.Intn(16), rng.Intn(16)}, Weights: []uint64{1, 2}}
-	}
-	var stats BatchStats
-	out := tab.QueryBatchCtx(context.Background(), &HonestNDP{Mem: mem}, reqs,
-		QueryOptions{Verify: true, Stats: &stats})
-	if err := FirstError(out); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Bisections != 0 {
-		t.Fatalf("clean batch bisected %d times", stats.Bisections)
 	}
 }
 
@@ -254,8 +228,7 @@ func TestBatchFanoutWhenNoBatchSupport(t *testing.T) {
 }
 
 // TestChecksumRowFieldMatchesUint: on lifted uint64 coefficients the
-// field-element polynomial must agree with the uint64 form — the identity
-// the aggregated verifier rests on.
+// field-element polynomial must agree with the uint64 form.
 func TestChecksumRowFieldMatchesUint(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	for _, cnt := range []int{1, 2, 3, 4, 6} {

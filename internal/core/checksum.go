@@ -108,10 +108,7 @@ func checksumRowPow(powers []field.Elem, elems []uint64) field.Elem {
 //
 //	Σ_i r_i · h(P_i)  =  checksumRowField(seeds, Σ_i r_i·lift(P_i))
 //
-// with the inner sum taken per column in F_q. This identity is what lets
-// the batch verifier check one random linear combination of a whole
-// batch's results against the combined tags instead of m multiplications
-// per request (aggregated verification; see batchplan.go).
+// with the inner sum taken per column in F_q.
 func checksumRowField(seeds []field.Elem, elems []field.Elem) field.Elem {
 	switch len(seeds) {
 	case 0:

@@ -1,18 +1,20 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"secndp/internal/memory"
 )
 
-// These tests pin the fused verified-query fast path (one keystream walk
+// These tests pin the engine's verified hot path (one keystream walk
 // producing data pads and tag pads, pooled scratch, batched tag-pad
-// encryption) to the reference protocol: the composition of the serial
-// Query and Verify entry points, which exercise the original one-row-at-
-// a-time kernels.
+// encryption) to the reference protocol: referenceQuery and the unfused
+// Verify entry point, which exercise the one-row-at-a-time kernels.
 
 // hotpathTable builds an encrypted table plus honest NDP for one placement.
 func hotpathTable(t testing.TB, placement memory.TagPlacement, n, m int, we uint, seed int64) (*Table, *HonestNDP, [][]uint64) {
@@ -32,9 +34,10 @@ func hotpathTable(t testing.TB, placement memory.TagPlacement, n, m int, we uint
 	return tab, &HonestNDP{Mem: mem}, rows
 }
 
-// TestQueryVerifiedMatchesQueryPlusVerify is the fast-path oracle: for
-// every tag placement the fused QueryVerified must return exactly what the
-// unfused composition (Query, then Verify with the NDP's tag sum) accepts.
+// TestQueryVerifiedMatchesQueryPlusVerify is the hot-path oracle: for
+// every tag placement QueryVerified must return exactly what the unfused
+// composition (the reference's Algorithm 4, then Verify with the NDP's tag
+// sum) accepts.
 func TestQueryVerifiedMatchesQueryPlusVerify(t *testing.T) {
 	placements := map[string]memory.TagPlacement{
 		"coloc": memory.TagColoc,
@@ -57,7 +60,7 @@ func TestQueryVerifiedMatchesQueryPlusVerify(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}
-				want, err := tab.Query(ndp, idx, w)
+				want, err := referenceQuery(tab, ndp, idx, w, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -85,10 +88,10 @@ func TestQueryVerifiedMatchesQueryPlusVerify(t *testing.T) {
 }
 
 // TestQueryVerifiedConcurrentHammer runs many verified queries through the
-// pooled fast path at once and checks every result against a serial
-// reference computed up front. Under -race this proves the pooled scratch
-// buffers (byte, uint64, and field-element pools shared by all entry
-// points) are never aliased across concurrent queries.
+// one engine at once — both shapes, cache on and off — and checks every
+// result against the serial reference computed up front. Under -race this
+// proves the pooled scratch and the shared pad cache are never aliased
+// across concurrent queries.
 func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 	tab, ndp, _ := hotpathTable(t, memory.TagSep, 128, 32, 32, 60)
 	rng := rand.New(rand.NewSource(61))
@@ -107,12 +110,13 @@ func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 			qs[i].idx[k] = rng.Intn(128)
 			qs[i].w[k] = 1 + rng.Uint64()%8
 		}
-		ref, err := tab.QueryVerified(ndp, qs[i].idx, qs[i].w)
+		ref, err := referenceQuery(tab, ndp, qs[i].idx, qs[i].w, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		qs[i].ref = ref
 	}
+	cache := NewPadCache(32)
 	const workers, iters = 8, 25
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
@@ -120,18 +124,23 @@ func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			// Goroutines alternate shapes and cache use, so inline and
+			// overlapped queries contend for the same pools and cache.
+			engine := shapes[g%2].dress(ndp)
+			opts := QueryOptions{Workers: 2, Verify: true}
+			if g%4 >= 2 {
+				opts.Cache = cache
+			}
 			for it := 0; it < iters; it++ {
 				qq := &qs[(g*iters+it)%queries]
-				got, err := tab.QueryVerified(ndp, qq.idx, qq.w)
+				got, err := tab.QueryCtx(context.Background(), engine, qq.idx, qq.w, opts)
 				if err != nil {
 					errCh <- err
 					return
 				}
-				for j := range qq.ref {
-					if got[j] != qq.ref[j] {
-						t.Errorf("worker %d iter %d col %d: %d != %d", g, it, j, got[j], qq.ref[j])
-						return
-					}
+				if !slices.Equal(got, qq.ref) {
+					t.Errorf("worker %d iter %d: engine diverges from reference", g, it)
+					return
 				}
 			}
 		}(g)
@@ -145,9 +154,14 @@ func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 
 // TestQueryVerifiedSteadyStateAllocs is the pool leak check: once the
 // scratch pools are warm, a verified query must stay within the CI gate's
-// allocation budget (the result vector, its decrypted copy, and pool
-// bookkeeping — far under the 100-alloc gate).
+// allocation budget (the NDP's sum vector, the result vector, and pool
+// bookkeeping — far under the 100-alloc gate), and a query abandoned to
+// cancellation, on either shape, must hand its scratch back: a leaked
+// buffer shows up as the pool allocating a fresh one on every call.
 func TestQueryVerifiedSteadyStateAllocs(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation perturbs allocation counts")
+	}
 	tab, ndp, _ := hotpathTable(t, memory.TagSep, 256, 64, 32, 70)
 	rng := rand.New(rand.NewSource(71))
 	idx := make([]int, 128)
@@ -156,18 +170,32 @@ func TestQueryVerifiedSteadyStateAllocs(t *testing.T) {
 		idx[k] = rng.Intn(256)
 		w[k] = 1 + rng.Uint64()%8
 	}
-	// Warm the pools.
-	for i := 0; i < 4; i++ {
-		if _, err := tab.QueryVerified(ndp, idx, w); err != nil {
-			t.Fatal(err)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts := QueryOptions{Workers: 1, Verify: true}
+	for _, shape := range shapes {
+		engine := shape.dress(ndp)
+		// Warm the pools.
+		for i := 0; i < 4; i++ {
+			if _, err := tab.QueryCtx(context.Background(), engine, idx, w, opts); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := tab.QueryVerified(ndp, idx, w); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := tab.QueryCtx(context.Background(), engine, idx, w, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("%s: steady-state verified query allocates %.1f/op, want <= 16 (pool leak?)", shape.name, allocs)
 		}
-	})
-	if allocs > 16 {
-		t.Errorf("steady-state QueryVerified allocates %.1f/op, want <= 16 (pool leak?)", allocs)
+		abandoned := testing.AllocsPerRun(50, func() {
+			if _, err := tab.QueryCtx(cancelled, engine, idx, w, opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled query: %v", err)
+			}
+		})
+		if abandoned > allocs {
+			t.Errorf("%s: cancelled query allocates %.1f/op against %.1f/op when it completes (scratch not returned?)", shape.name, abandoned, allocs)
+		}
 	}
 }

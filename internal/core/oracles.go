@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"secndp/internal/field"
@@ -72,7 +73,7 @@ func (o *WSOracle) Verify(msg MACMessage, version uint64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	eres, err := t.OTPWeightedSum(o.idx, o.weights)
+	eres, err := t.OTPWeightedSumCtx(context.TODO(), o.idx, o.weights, QueryOptions{Workers: 1})
 	if err != nil {
 		return false, err
 	}

@@ -13,18 +13,20 @@ import (
 	"secndp/internal/telemetry"
 )
 
-// This file is the concurrent query engine: the software counterpart of the
-// paper's multiple OTP engines running ahead of the NDP (§V-C2). Pad
-// regeneration — the per-row AES loop that dominates the trusted side — is
-// sharded across a worker pool, and one query's three halves (NDP ciphertext
-// sums, OTP share sums, tag-pad sums) execute concurrently instead of
-// back-to-back.
+// This file is the query engine: the one function body, QueryCtx, that
+// joins an NDP answer with an OTP share and checks the MAC, plus the plan
+// that picks its shape. The stages are always the same — NDP exchange, OTP
+// walk, tag dot, join — and a query runs them either inline on the
+// caller's goroutine or overlapped, the software counterpart of the paper's
+// OTP engines running ahead of the NDP response (§V-C2): the exchange in
+// the background while the walk is sharded across a worker pool.
 
-// QueryOptions tunes one query or batch through the concurrent engine.
-// The zero value selects GOMAXPROCS workers, no cache, no verification.
+// QueryOptions tunes one query or batch through the engine. The zero value
+// selects GOMAXPROCS workers, no cache, no verification.
 type QueryOptions struct {
-	// Workers is the OTP-side parallelism (goroutines sharding the pad
-	// loop). <= 0 selects GOMAXPROCS.
+	// Workers is the OTP-side parallelism: the shards of an overlapped
+	// query's pad walk (an inline query runs one) and the goroutines of a
+	// batch. <= 0 selects GOMAXPROCS.
 	Workers int
 	// Cache, when non-nil, serves hot rows' pads without AES regeneration.
 	// The cache must be dedicated to this table and version.
@@ -32,20 +34,23 @@ type QueryOptions struct {
 	// Verify runs Algorithm 5 (encrypted-MAC check) after Algorithm 4.
 	Verify bool
 	// Phases, when non-nil, receives the query's per-phase wall-clock
-	// breakdown. The phases overlap in real time (the NDP round trip runs
-	// concurrently with the OTP and tag halves), so they do not sum to the
-	// query's total latency — each is that half's own elapsed time.
+	// breakdown. An inline query runs its phases back to back; on an
+	// overlapped one the NDP round trip runs concurrently with the pad
+	// walk and the tag dot, so there the phases do not sum to the query's
+	// total latency.
 	Phases *PhaseTimes
 	// Stats, when non-nil, receives batch-coalescing counters from
 	// QueryBatchCtx (ignored by single-query entry points).
 	Stats *BatchStats
 }
 
-// PhaseTimes is one query's anatomy: how long each architectural half
-// took. Pad is the OTP-share regeneration + accumulate, NDP the untrusted
-// round trip (ciphertext sums, plus tag sums when verifying), Tag the
-// tag-pad field sum, Verify the final join (share addition, checksum
-// recompute, MAC compare). Phases that did not run stay zero.
+// PhaseTimes is one query's anatomy: how long each architectural phase
+// took. Pad is the OTP walk (pad regeneration + accumulate; on a verified
+// query without a pad cache the tag pads come out of the same keystream
+// pass), NDP the untrusted round trip (ciphertext sums, plus tag sums when
+// verifying), Tag the tag-pad field dot, Verify the final join (share
+// addition, checksum recompute, MAC compare). Phases that did not run stay
+// zero.
 type PhaseTimes struct {
 	Pad, NDP, Tag, Verify time.Duration
 }
@@ -64,168 +69,131 @@ func (o QueryOptions) workerCount(items int) int {
 	return w
 }
 
-// ctxCheckStride bounds how many rows a worker processes between
+// ctxCheckStride bounds how many rows a walk processes between
 // cancellation checks.
 const ctxCheckStride = 64
 
-// otpWeightedSumRange accumulates weights[k]·pad(idx[k]) for k in [lo,hi)
-// into acc — one worker's shard of OTPWeightedSum. The uncached path is the
-// fused generate-unpack-multiply-accumulate kernel, allocation-free in the
-// steady state; only cache misses that must populate the cache materialize
-// an unpacked pad vector.
-func (t *Table) otpWeightedSumRange(ctx context.Context, idx []int, weights []uint64, lo, hi int, cache *PadCache, acc []uint64) error {
-	we := t.geo.Params.We
-	var buf []byte // staging for cache insertion; unused on the fused path
-	if cache != nil {
-		bp, b := getByteScratch(t.geo.Params.RowBytes())
-		defer putByteScratch(bp)
-		buf = b
+// inlinePadBytes is the planner's one constant: a query whose pad walk
+// covers fewer bytes than this (len(idx)·RowBytes) runs inline when its NDP
+// is in-process. Sized on a 2-vCPU box with one caller on a 65 536 × 256 B
+// TagSep table, verified, inline vs overlapped:
+//
+//	   80 rows ( 20 KiB)    32 µs vs   46 µs
+//	  256 rows ( 64 KiB)    97 µs vs  106 µs
+//	  512 rows (128 KiB)   197 µs vs  176 µs
+//	1 024 rows (256 KiB)   417 µs vs  399 µs
+//	4 096 rows (  1 MiB)  2.01 ms vs 1.49 ms
+//
+// Below the crossover (64–128 KiB) the goroutine wake-ups cost more than
+// the overlap saves; under load every core already has a caller and inline
+// always wins, so the constant sits at the top of that range.
+const inlinePadBytes = 128 << 10
+
+// overlapped is the plan step: it reports whether a query over n rows runs
+// the overlapped shape — NDP exchange in the background, pad walk sharded —
+// rather than inline. A blocking transport (ContextNDP: remote.Client,
+// ReliableClient, cluster.NDP) always overlaps, so the pad walk hides
+// behind the round trip; an in-process NDP overlaps only once the walk is
+// long enough to pay for the hand-offs.
+func (t *Table) overlapped(ndp NDP, n int) bool {
+	if _, transport := ndp.(ContextNDP); transport {
+		return true
 	}
-	for k := lo; k < hi; k++ {
-		if (k-lo)%ctxCheckStride == 0 && ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+	return n*t.geo.Params.RowBytes() >= inlinePadBytes
+}
+
+// phase is one architectural phase of a query being measured: its child
+// span (nil when untraced) and, when the caller asked for PhaseTimes, its
+// start time.
+type phase struct {
+	span *telemetry.ActiveSpan
+	t0   time.Time
+}
+
+func startPhase(span *telemetry.ActiveSpan, timed bool) phase {
+	p := phase{span: span}
+	if timed {
+		p.t0 = time.Now()
+	}
+	return p
+}
+
+// end closes the phase's span, recording err under class, and returns the
+// elapsed time (zero when untimed).
+func (p phase) end(err error, class string) (d time.Duration) {
+	if !p.t0.IsZero() {
+		d = time.Since(p.t0)
+	}
+	p.span.EndErr(err, class)
+	return d
+}
+
+// otpShards runs otpWalk over the whole index list in `shards` contiguous
+// shards: one on the caller's goroutine when shards is 1, otherwise a
+// goroutine each, accumulating partial shares that merge into acc with
+// ring additions (addition commutes with the sharding, so the result is
+// bit-identical for any shard count). Tag pads land in disjoint ranges of
+// tagPads and need no merge. acc and tagPads are as for otpWalk.
+func (t *Table) otpShards(ctx context.Context, idx []int, weights []uint64, shards int, cache *PadCache, acc []uint64, tagPads []byte) error {
+	if shards <= 1 {
+		return t.otpWalk(ctx, idx, weights, 0, len(idx), cache, acc, tagPads)
+	}
+	chunk := (len(idx) + shards - 1) / shards
+	// Shard 0 accumulates straight into acc, the others into one zeroed slab.
+	partials := make([]uint64, (shards-1)*len(acc))
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for s := 0; s*chunk < len(idx); s++ {
+		part := acc
+		if s > 0 && acc != nil {
+			part = partials[(s-1)*len(acc) : s*len(acc)]
 		}
-		i := idx[k]
-		if cache != nil {
-			pads, ok := cache.get(i)
-			if !ok {
-				t.scheme.gen.PadsInto(buf, otp.DomainData, t.geo.Layout.RowAddr(i), t.version)
-				pads = t.r.UnpackElems(buf)
-				cache.put(i, pads)
-			}
-			t.r.ScaleAccum(acc, weights[k], pads)
-			continue
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = t.otpWalk(ctx, idx, weights, s*chunk, min((s+1)*chunk, len(idx)), cache, part, tagPads)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		t.scheme.gen.PadScaleAccum(acc, weights[k], we, otp.DomainData, t.geo.Layout.RowAddr(i), t.version)
+	}
+	for off := 0; off < len(partials); off += len(acc) {
+		t.r.AddVec(acc, acc, partials[off:off+len(acc)])
 	}
 	return nil
 }
 
-// OTPWeightedSumCtx is OTPWeightedSum through the worker pool: the index
-// list is split into contiguous shards, each worker accumulates its partial
-// share vector, and the partials merge with ring additions (addition
-// commutes with the sharding, so the result is bit-identical to the serial
-// path). opts.Verify is ignored.
+// OTPWeightedSumCtx computes the processor's data share E_res[j] =
+// Σ_k weights[k]·E[idx[k]][j] mod 2^we (Algorithm 4 lines 8–14) through
+// otpShards with opts.workerCount shards. opts.Verify is ignored.
 func (t *Table) OTPWeightedSumCtx(ctx context.Context, idx []int, weights []uint64, opts QueryOptions) ([]uint64, error) {
 	if len(idx) != len(weights) {
 		return nil, fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
 	}
 	acc := make([]uint64, t.geo.Params.M)
-	if len(idx) == 0 {
-		return acc, nil
-	}
-	w := opts.workerCount(len(idx))
-	if w == 1 {
-		if err := t.otpWeightedSumRange(ctx, idx, weights, 0, len(idx), opts.Cache, acc); err != nil {
-			return nil, err
-		}
-		return acc, nil
-	}
-	chunk := (len(idx) + w - 1) / w
-	partials := make([][]uint64, 0, w)
-	tokens := make([]*[]uint64, 0, w)
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for s := 0; s < w; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		if lo >= hi {
-			break
-		}
-		tok, part := getU64Zeroed(t.geo.Params.M)
-		partials = append(partials, part)
-		tokens = append(tokens, tok)
-		wg.Add(1)
-		go func(s, lo, hi int, part []uint64) {
-			defer wg.Done()
-			errs[s] = t.otpWeightedSumRange(ctx, idx, weights, lo, hi, opts.Cache, part)
-		}(s, lo, hi, part)
-	}
-	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil {
-		for _, part := range partials {
-			t.r.AddVec(acc, acc, part)
-		}
-	}
-	for _, tok := range tokens {
-		putU64Scratch(tok)
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	if err := t.otpShards(ctx, idx, weights, opts.workerCount(len(idx)), opts.Cache, acc, nil); err != nil {
+		return nil, err
 	}
 	return acc, nil
 }
 
-// TagPadSumCtx is TagPadSum through the worker pool, merging partial field
-// sums with field additions. Tag pads are one AES block per row (no cache:
-// regeneration is as cheap as a lookup).
+// TagPadSumCtx computes the processor's share of the result MAC, E_Tres =
+// Σ_k weights[k]·E_T[idx[k]] mod q (Algorithm 5 lines 11–14): the tag pads
+// staged through otpShards, then one tagDot. Tag pads are one AES block
+// per row (no cache: regeneration is as cheap as a lookup).
 func (t *Table) TagPadSumCtx(ctx context.Context, idx []int, weights []uint64, opts QueryOptions) (field.Elem, error) {
 	if len(idx) != len(weights) {
 		return field.Zero, fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
 	}
-	// Each worker walks its shard in ctxCheckStride-row chunks through the
-	// batched kernel (gathered multi-block tag-pad encryption + vectorized
-	// field accumulation), checking for cancellation between chunks.
-	sumRange := func(lo, hi int) (field.Elem, error) {
-		acc := field.Zero
-		for k := lo; k < hi; k += ctxCheckStride {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return field.Zero, err
-				}
-			}
-			end := k + ctxCheckStride
-			if end > hi {
-				end = hi
-			}
-			acc = field.Add(acc, t.tagPadSumRange(idx, weights, k, end))
-		}
-		return acc, nil
+	tp, tagPads := getByteScratch(len(idx) * otp.BlockBytes)
+	defer putByteScratch(tp)
+	if err := t.otpShards(ctx, idx, weights, opts.workerCount(len(idx)), nil, nil, tagPads); err != nil {
+		return field.Zero, err
 	}
-	w := opts.workerCount(len(idx))
-	if w <= 1 {
-		return sumRange(0, len(idx))
-	}
-	chunk := (len(idx) + w - 1) / w
-	parts := make([]field.Elem, w)
-	errs := make([]error, w)
-	var wg sync.WaitGroup
-	for s := 0; s < w; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			parts[s], errs[s] = sumRange(lo, hi)
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	acc := field.Zero
-	for s := range parts {
-		if errs[s] != nil {
-			return field.Zero, errs[s]
-		}
-		acc = field.Add(acc, parts[s])
-	}
-	return acc, nil
+	return tagDot(tagPads, weights), nil
 }
 
 // ndpOutputs collects what one query needs from the NDP side.
@@ -236,16 +204,21 @@ type ndpOutputs struct {
 	dur   time.Duration // round-trip elapsed; set only when phases are recorded
 }
 
-// runNDP executes the ciphertext-side half of a query, preferring the
-// context-aware transport when the NDP offers one and converting panics
-// (the legacy transport's failure mode) into errors.
-func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uint64, verify bool) (out ndpOutputs) {
+// runNDP executes the ciphertext-side half of a query under its "ndp"
+// child span (whose context threads down into the cluster and wire layers,
+// so their spans nest under it), preferring the context-aware transport
+// when the NDP offers one and converting panics (the legacy transport's
+// failure mode) into errors.
+func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uint64, verify, timed bool) (out ndpOutputs) {
+	ctx, span := telemetry.SpanFromContext(ctx).StartChild(ctx, "ndp")
+	ph := startPhase(span, timed)
 	defer func() {
 		if r := recover(); r != nil {
 			out.err = fmt.Errorf("core: ndp failed: %v", r)
 		}
+		out.dur = ph.end(out.err, telemetry.ErrClassTransport)
 	}()
-	if cn, ok := ndp.(ContextNDP); ok && ctx != nil {
+	if cn, ok := ndp.(ContextNDP); ok {
 		out.cres, out.err = cn.WeightedSumContext(ctx, geo, idx, weights)
 		if out.err == nil && verify {
 			out.cTres, out.err = cn.TagSumContext(ctx, geo, idx, weights)
@@ -259,15 +232,19 @@ func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uin
 	return
 }
 
-// QueryCtx runs the weighted-summation protocol with every independent half
-// overlapped: the NDP computes its ciphertext sums in the background while
-// the worker pool regenerates the OTP shares and tag pads, mirroring the
-// paper's pipeline where the OTP engines run ahead of the NDP response
-// (§V-C2). With opts.Verify the encrypted-MAC check of Algorithm 5 runs on
-// the joined result; a rejected result returns ErrVerification.
+// QueryCtx runs the weighted-summation protocol of Algorithm 4 against an
+// NDP — the NDP computes over ciphertext while the processor computes over
+// its OTP shares, and the two shares are added — and, with opts.Verify,
+// the encrypted-MAC check of Algorithm 5 on the joined result; a rejected
+// result returns ErrVerification. It is the only place the two halves
+// meet: every single-query entry point, the batch fan-out and the
+// cluster's fault localization land here.
 //
-// The serial Query / QueryVerified methods remain as the reference
-// implementation; QueryCtx computes bit-identical results.
+// The shape is planned per call (see overlapped): a small query against an
+// in-process NDP runs NDP call, OTP walk, tag dot and join back to back on
+// the caller's goroutine; a transport or a long walk puts the NDP exchange
+// in the background and shards the walk over opts.Workers. Both shapes
+// compute bit-identical results.
 func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint64, opts QueryOptions) ([]uint64, error) {
 	if err := t.checkQuery(idx, weights); err != nil {
 		return nil, err
@@ -278,115 +255,76 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	pt := opts.Phases
-	// Architectural-phase child spans when the context carries a trace;
-	// nil span (the common untraced path) makes every call below a
-	// nil-check no-op. The NDP half's child context threads down into
-	// the cluster and wire layers, so their spans nest under "ndp".
+	// Architectural-phase child spans when the context carries a trace; a
+	// nil span (the common untraced path) makes every span call a no-op.
 	span := telemetry.SpanFromContext(ctx)
+	timed := opts.Phases != nil
+	var times PhaseTimes
+	if timed {
+		defer func() { *opts.Phases = times }()
+	}
 
-	// Ciphertext side in the background.
-	ndpCh := make(chan ndpOutputs, 1)
-	go func() {
-		nctx, nspan := ctx, (*telemetry.ActiveSpan)(nil)
-		if span != nil {
-			nctx, nspan = span.StartChild(ctx, "ndp")
-		}
-		var t0 time.Time
-		if pt != nil {
-			t0 = time.Now()
-		}
-		out := runNDP(nctx, ndp, t.geo, idx, weights, opts.Verify)
-		if pt != nil {
-			out.dur = time.Since(t0)
-		}
-		nspan.EndErr(out.err, telemetry.ErrClassTransport)
-		ndpCh <- out
-	}()
+	shards := 1
+	var nd ndpOutputs
+	var ndpCh chan ndpOutputs
+	if t.overlapped(ndp, len(idx)) {
+		shards = opts.workerCount(len(idx))
+		ndpCh = make(chan ndpOutputs, 1)
+		go func() { ndpCh <- runNDP(ctx, ndp, t.geo, idx, weights, opts.Verify, timed) }()
+	} else if nd = runNDP(ctx, ndp, t.geo, idx, weights, opts.Verify, timed); nd.err != nil {
+		times.NDP = nd.dur
+		return nil, nd.err
+	}
 
-	// Processor side: OTP shares and tag pads, each through the pool.
-	var (
-		eTres   field.Elem
-		tagErr  error
-		tagDone chan struct{}
-	)
+	// Processor side. The OTP share accumulates into the result vector,
+	// which the join below completes in place.
+	res := make([]uint64, t.geo.Params.M)
+	var tagPads []byte
 	if opts.Verify {
-		tagDone = make(chan struct{})
-		go func() {
-			// pt.Tag is written before close(tagDone) and read after
-			// <-tagDone; the channel orders the accesses.
-			defer close(tagDone)
-			tspan := span.Child("tag")
-			var t0 time.Time
-			if pt != nil {
-				t0 = time.Now()
-			}
-			eTres, tagErr = t.TagPadSumCtx(ctx, idx, weights, opts)
-			if pt != nil {
-				pt.Tag = time.Since(t0)
-			}
-			tspan.EndErr(tagErr, telemetry.ErrClassCanceled)
-		}()
+		tp, b := getByteScratch(len(idx) * otp.BlockBytes)
+		defer putByteScratch(tp)
+		tagPads = b
 	}
-	pspan := span.Child("pad")
-	var padT0 time.Time
-	if pt != nil {
-		padT0 = time.Now()
+	ph := startPhase(span.Child("pad"), timed)
+	err := t.otpShards(ctx, idx, weights, shards, opts.Cache, res, tagPads)
+	times.Pad = ph.end(err, telemetry.ErrClassCanceled)
+	var eTres field.Elem
+	if opts.Verify && err == nil {
+		ph = startPhase(span.Child("tag"), timed)
+		eTres = tagDot(tagPads, weights)
+		times.Tag = ph.end(nil, "")
 	}
-	eres, err := t.OTPWeightedSumCtx(ctx, idx, weights, opts)
-	if pt != nil {
-		pt.Pad = time.Since(padT0)
+	if ndpCh != nil {
+		nd = <-ndpCh
 	}
-	pspan.EndErr(err, telemetry.ErrClassCanceled)
-	if opts.Verify {
-		<-tagDone
-	}
-	nd := <-ndpCh
-	if pt != nil {
-		pt.NDP = nd.dur
-	}
+	times.NDP = nd.dur
 	if err != nil {
 		return nil, err
-	}
-	if opts.Verify && tagErr != nil {
-		return nil, tagErr
 	}
 	if nd.err != nil {
 		return nil, nd.err
 	}
-	if len(nd.cres) != t.geo.Params.M {
-		return nil, fmt.Errorf("core: ndp returned %d columns, want %d", len(nd.cres), t.geo.Params.M)
+	if len(nd.cres) != len(res) {
+		return nil, fmt.Errorf("core: ndp returned %d columns, want %d", len(nd.cres), len(res))
 	}
 
-	vspan := span.Child("verify")
-	var verT0 time.Time
-	if pt != nil {
-		verT0 = time.Now()
+	ph = startPhase(span.Child("verify"), timed)
+	t.r.AddVec(res, nd.cres, res)
+	if opts.Verify && !t.resultChecksum(res).Equal(field.Add(nd.cTres, eTres)) {
+		err = ErrVerification
 	}
-	res := t.Decrypt(nd.cres, eres)
-	if opts.Verify {
-		if !t.Checksum(res).Equal(field.Add(nd.cTres, eTres)) {
-			if pt != nil {
-				pt.Verify = time.Since(verT0)
-			}
-			vspan.EndErr(ErrVerification, telemetry.ErrClassVerify)
-			return nil, ErrVerification
-		}
+	times.Verify = ph.end(err, telemetry.ErrClassVerify)
+	if err != nil {
+		return nil, err
 	}
-	if pt != nil {
-		pt.Verify = time.Since(verT0)
-	}
-	vspan.End()
 	return res, nil
 }
 
 // QueryBatchCtx runs many queries as one coalesced batch when the NDP
 // supports it: one wire exchange for every sub-request's ciphertext and
 // tag sums, each distinct row's OTP pad generated once and scattered to
-// all requesters, and a single aggregated tag verification over the whole
-// batch (bisecting to isolate failures). Per-request results and errors
-// are byte-identical to running QueryCtx per request.
+// all requesters, then each joined result's own MAC check. Per-request
+// results and errors are byte-identical to running QueryCtx per request.
 //
 // NDPs without batch support — or a batch-level transport failure — fall
 // back to the request-level worker pool, which still shares one pad cache

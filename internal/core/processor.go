@@ -16,30 +16,88 @@ import (
 // padRow regenerates the OTP share of row i — the processor's arithmetic
 // share of the secret, recomputed from (key, address, version) with zero
 // memory traffic. This is what makes SecNDP cheaper than classic MPC: the
-// TEE's share never needs to be stored or fetched. Hot paths use the fused
-// kernels instead of materializing this vector; padRow remains for the
-// pad cache, which stores rows in unpacked form.
+// TEE's share never needs to be stored or fetched. The engine's otpWalk
+// never materializes this vector; padRow is the one-row-at-a-time form the
+// test oracles compare it against.
 func (t *Table) padRow(i int) []uint64 {
 	addr := t.geo.Layout.RowAddr(i)
 	raw := t.scheme.gen.Pads(otp.DomainData, addr, t.version, t.geo.Params.RowBytes()/otp.BlockBytes)
 	return t.r.UnpackElems(raw)
 }
 
-// OTPWeightedSum computes E_res[j] = Σ_k weights[k] · E[idx[k]][j] mod 2^we
-// (Algorithm 4 lines 8–14) — the OTP PU mirroring the NDP's operation on
-// the processor's shares. Each row goes through the fused
-// generate-unpack-multiply-accumulate kernel: the pad keystream is consumed
-// as it is produced, never stored or unpacked into a vector.
-func (t *Table) OTPWeightedSum(idx []int, weights []uint64) ([]uint64, error) {
-	if len(idx) != len(weights) {
-		return nil, fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
+// otpWalk is the one OTP routine every query shape runs — the OTP PU
+// mirroring the NDP's operation on the processor's shares. Over idx[lo:hi]
+// it accumulates weights[k]·pad(idx[k]) mod 2^we into acc (Algorithm 4
+// lines 8–14; acc == nil skips the data share) and stages row k's tag pad
+// E_T[idx[k]] at tagPads[16k:] (Algorithm 5 line 12; tagPads == nil skips
+// the tags), in ctxCheckStride-row chunks with a cancellation check
+// between them. Without a pad cache a verified walk is the fused kernel —
+// data pads and tag pads out of one keystream pass — and an unverified one
+// the generate-scale-accumulate kernel; neither materializes a pad vector.
+// With a cache, hits skip AES regeneration and misses populate it.
+func (t *Table) otpWalk(ctx context.Context, idx []int, weights []uint64, lo, hi int, cache *PadCache, acc []uint64, tagPads []byte) error {
+	gen, we := t.scheme.gen, t.geo.Params.We
+	var buf []byte // staging for cache insertion
+	if cache != nil && acc != nil {
+		bp, b := getByteScratch(t.geo.Params.RowBytes())
+		defer putByteScratch(bp)
+		buf = b
 	}
-	acc := make([]uint64, t.geo.Params.M)
-	we := t.geo.Params.We
-	for k, i := range idx {
-		t.scheme.gen.PadScaleAccum(acc, weights[k], we, otp.DomainData, t.geo.Layout.RowAddr(i), t.version)
+	var addrBuf [ctxCheckStride]uint64
+	for k := lo; k < hi; k += ctxCheckStride {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		end := min(k+ctxCheckStride, hi)
+		addrs := addrBuf[:end-k]
+		for j := range addrs {
+			addrs[j] = t.geo.Layout.RowAddr(idx[k+j])
+		}
+		var tags []byte
+		if tagPads != nil {
+			tags = tagPads[k*otp.BlockBytes : end*otp.BlockBytes]
+		}
+		switch {
+		case acc == nil:
+			gen.TagPads(tags, addrs, t.version)
+		case cache != nil:
+			for j, addr := range addrs {
+				pads, ok := cache.get(idx[k+j])
+				if !ok {
+					gen.PadsInto(buf, otp.DomainData, addr, t.version)
+					pads = t.r.UnpackElems(buf)
+					cache.put(idx[k+j], pads)
+				}
+				t.r.ScaleAccum(acc, weights[k+j], pads)
+			}
+			if tags != nil {
+				gen.TagPads(tags, addrs, t.version)
+			}
+		case tags != nil:
+			gen.PadTagScaleAccum(acc, we, weights[k:end], addrs, t.version, tags)
+		default:
+			for j, addr := range addrs {
+				gen.PadScaleAccum(acc, weights[k+j], we, otp.DomainData, addr, t.version)
+			}
+		}
 	}
-	return acc, nil
+	return nil
+}
+
+// tagDot computes E_Tres = Σ_k weights[k]·E_T[k] mod q (Algorithm 5 lines
+// 11–14), the processor's share of the result MAC, over the tag pads an
+// otpWalk staged: one vectorized field dot per ctxCheckStride pads.
+func tagDot(tagPads []byte, weights []uint64) field.Elem {
+	var elems [ctxCheckStride]field.Elem
+	var acc field.Acc
+	for k := 0; k < len(weights); k += len(elems) {
+		n := min(len(elems), len(weights)-k)
+		for j := 0; j < n; j++ {
+			elems[j] = field.FromBytes(tagPads[(k+j)*otp.BlockBytes:])
+		}
+		acc.ScaleAccum(elems[:n], weights[k:k+n])
+	}
+	return acc.Sum()
 }
 
 // OTPWeightedSumElem is the scalar element-indexed form matching
@@ -59,45 +117,6 @@ func (t *Table) OTPWeightedSumElem(idx, jdx []int, weights []uint64) (uint64, er
 		acc += weights[k] * pad
 	}
 	return t.r.Reduce(acc), nil
-}
-
-// TagPadSum computes E_Tres = Σ_k weights[k] · E_T[idx[k]] mod q
-// (Algorithm 5 lines 11–14), the processor's share of the result MAC.
-// The tag pads for the whole index set are generated by one gathered
-// multi-block encryption walk and combined through the vectorized field
-// kernel, instead of one serialized block encryption and one reduced
-// multiply per row.
-func (t *Table) TagPadSum(idx []int, weights []uint64) (field.Elem, error) {
-	if len(idx) != len(weights) {
-		return field.Zero, fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
-	}
-	return t.tagPadSumRange(idx, weights, 0, len(idx)), nil
-}
-
-// tagPadSumRange is TagPadSum over idx[lo:hi] with validated inputs,
-// using pooled scratch throughout. Shared by the serial path and the
-// worker-pool shards of TagPadSumCtx.
-func (t *Table) tagPadSumRange(idx []int, weights []uint64, lo, hi int) field.Elem {
-	n := hi - lo
-	if n <= 0 {
-		return field.Zero
-	}
-	ap, addrs := getU64Scratch(n)
-	for k := 0; k < n; k++ {
-		addrs[k] = t.geo.Layout.RowAddr(idx[lo+k])
-	}
-	bp, pads := getByteScratch(n * otp.BlockBytes)
-	t.scheme.gen.TagPads(pads, addrs, t.version)
-	putU64Scratch(ap)
-	ep, elems := getElemScratch(n)
-	for k := 0; k < n; k++ {
-		elems[k] = field.FromBytes(pads[k*otp.BlockBytes:])
-	}
-	putByteScratch(bp)
-	var acc field.Acc
-	acc.ScaleAccum(elems, weights[lo:hi])
-	putElemScratch(ep)
-	return acc.Sum()
 }
 
 // Decrypt adds the two arithmetic shares: res = C_res ⊕ E_res (Algorithm 4
@@ -123,7 +142,7 @@ func (t *Table) Verify(idx []int, weights []uint64, res []uint64, cTres field.El
 	if t.geo.Layout.Placement == memory.TagNone {
 		return false, ErrNoTags
 	}
-	eTres, err := t.TagPadSum(idx, weights)
+	eTres, err := t.TagPadSumCtx(context.TODO(), idx, weights, QueryOptions{Workers: 1})
 	if err != nil {
 		return false, err
 	}
@@ -140,72 +159,10 @@ func (t *Table) DecryptRow(mem *memory.Space, i int) []uint64 {
 	return res
 }
 
-// Query runs the full weighted-summation protocol of Algorithm 4 against
-// an NDP: the NDP computes over ciphertext while the processor computes
-// over its OTP shares, and the two shares are added. No verification.
-func (t *Table) Query(ndp NDP, idx []int, weights []uint64) ([]uint64, error) {
-	if err := t.checkQuery(idx, weights); err != nil {
-		return nil, err
-	}
-	cres := ndp.WeightedSum(t.geo, idx, weights)
-	// A failed transport's legacy wrapper returns nil instead of panicking;
-	// reject any wrong-shaped response rather than decrypting garbage.
-	if len(cres) != t.geo.Params.M {
-		return nil, fmt.Errorf("core: ndp returned %d columns, want %d", len(cres), t.geo.Params.M)
-	}
-	eres, err := t.OTPWeightedSum(idx, weights)
-	if err != nil {
-		return nil, err
-	}
-	return t.Decrypt(cres, eres), nil
-}
-
-// QueryVerified runs Algorithm 4 followed by Algorithm 5: the weighted
-// summation plus the encrypted-MAC check. Returns ErrVerification if the
-// result is rejected.
+// QueryVerified runs Algorithm 4 followed by Algorithm 5 on the caller's
+// goroutine: QueryCtx with one worker, verification on, no cancellation.
 func (t *Table) QueryVerified(ndp NDP, idx []int, weights []uint64) ([]uint64, error) {
-	if err := t.checkQuery(idx, weights); err != nil {
-		return nil, err
-	}
-	if t.geo.Layout.Placement == memory.TagNone {
-		return nil, fmt.Errorf("%w; use Query", ErrNoTags)
-	}
-	cres := ndp.WeightedSum(t.geo, idx, weights)
-	if len(cres) != t.geo.Params.M {
-		return nil, fmt.Errorf("core: ndp returned %d columns, want %d", len(cres), t.geo.Params.M)
-	}
-	cTres := ndp.TagSum(t.geo, idx, weights)
-
-	// Fused OTP half: the data-pad share (Algorithm 4's E_res) and every
-	// row's tag pad (Algorithm 5's E_Ti) come out of one pass through the
-	// keystream engine, staged entirely in pooled scratch.
-	n := len(idx)
-	ap, addrs := getU64Scratch(n)
-	for k, i := range idx {
-		addrs[k] = t.geo.Layout.RowAddr(i)
-	}
-	tp, tagPads := getByteScratch(n * otp.BlockBytes)
-	ep, eres := getU64Zeroed(t.geo.Params.M)
-	t.scheme.gen.PadTagScaleAccum(eres, t.geo.Params.We, weights, addrs, t.version, tagPads)
-	putU64Scratch(ap)
-	res := t.Decrypt(cres, eres)
-	putU64Scratch(ep)
-
-	// E_Tres = Σ_k w_k·E_T[idx_k] through the vectorized field kernel.
-	lp, elems := getElemScratch(n)
-	for k := 0; k < n; k++ {
-		elems[k] = field.FromBytes(tagPads[k*otp.BlockBytes:])
-	}
-	putByteScratch(tp)
-	var tacc field.Acc
-	tacc.ScaleAccum(elems, weights)
-	eTres := tacc.Sum()
-	putElemScratch(lp)
-
-	if !t.Checksum(res).Equal(field.Add(cTres, eTres)) {
-		return nil, ErrVerification
-	}
-	return res, nil
+	return t.QueryCtx(context.Background(), ndp, idx, weights, QueryOptions{Workers: 1, Verify: true})
 }
 
 func (t *Table) checkQuery(idx []int, weights []uint64) error {
@@ -213,9 +170,9 @@ func (t *Table) checkQuery(idx []int, weights []uint64) error {
 }
 
 // checkQuery validates one (idx, weights) query against a geometry. It is
-// shared by the per-request path, the batch planner (which must reject
-// malformed sub-requests with errors byte-identical to the serial path),
-// and HonestNDP's batched entry point.
+// shared by QueryCtx, the batch planner (which must reject malformed
+// sub-requests with errors byte-identical to QueryCtx's), and HonestNDP's
+// batched entry point.
 func checkQuery(geo Geometry, idx []int, weights []uint64) error {
 	if len(idx) != len(weights) {
 		return fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
@@ -266,11 +223,4 @@ func (t *Table) QueryElemCtx(ctx context.Context, ndp NDP, idx, jdx []int, weigh
 		return 0, err
 	}
 	return t.r.Add(cres, eres), nil
-}
-
-// QueryElem is QueryElemCtx without a context.
-//
-// Deprecated: use QueryElemCtx.
-func (t *Table) QueryElem(ndp NDP, idx, jdx []int, weights []uint64) (uint64, error) {
-	return t.QueryElemCtx(context.Background(), ndp, idx, jdx, weights)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -53,7 +54,7 @@ func TestQueryMatchesPlaintext(t *testing.T) {
 			idx[k] = rng.Intn(100)
 			w[k] = rng.Uint64() // arbitrary ring weights: wrap-around is fine without verification
 		}
-		got, err := tab.Query(ndp, idx, w)
+		got, err := queryUnverified(tab, ndp, idx, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +78,7 @@ func TestQueryRepeatedIndices(t *testing.T) {
 	ndp := &HonestNDP{Mem: mem}
 	idx := []int{2, 2, 2}
 	w := []uint64{1, 1, 1}
-	got, err := tab.Query(ndp, idx, w)
+	got, err := queryUnverified(tab, ndp, idx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +97,13 @@ func TestQueryValidation(t *testing.T) {
 	rows := randRows(rand.New(rand.NewSource(12)), geo.ringOf(), 4, 32)
 	tab, _ := s.EncryptTable(mem, geo, 1, rows)
 	ndp := &HonestNDP{Mem: mem}
-	if _, err := tab.Query(ndp, []int{0, 1}, []uint64{1}); err == nil {
+	if _, err := queryUnverified(tab, ndp, []int{0, 1}, []uint64{1}); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := tab.Query(ndp, []int{4}, []uint64{1}); err == nil {
+	if _, err := queryUnverified(tab, ndp, []int{4}, []uint64{1}); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if _, err := tab.Query(ndp, []int{-1}, []uint64{1}); err == nil {
+	if _, err := queryUnverified(tab, ndp, []int{-1}, []uint64{1}); err == nil {
 		t.Error("negative index accepted")
 	}
 }
@@ -467,7 +468,7 @@ func TestVerifiedQueryMultiSubstringChecksum(t *testing.T) {
 	}
 }
 
-func TestQueryElemWrapper(t *testing.T) {
+func TestQueryElemCtxMatchesPlaintext(t *testing.T) {
 	s := newTestScheme(t)
 	mem := memory.NewSpace()
 	geo := mkGeometry(memory.TagNone, 8, 32, 32)
@@ -475,19 +476,20 @@ func TestQueryElemWrapper(t *testing.T) {
 	rows := randRows(rng, geo.ringOf(), 8, 32)
 	tab, _ := s.EncryptTable(mem, geo, 1, rows)
 	ndp := &HonestNDP{Mem: mem}
-	got, err := tab.QueryElem(ndp, []int{1, 3}, []int{5, 9}, []uint64{2, 7})
+	ctx := context.Background()
+	got, err := tab.QueryElemCtx(ctx, ndp, []int{1, 3}, []int{5, 9}, []uint64{2, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := geo.ringOf()
 	want := r.Reduce(2*rows[1][5] + 7*rows[3][9])
 	if got != want {
-		t.Errorf("QueryElem = %d, want %d", got, want)
+		t.Errorf("QueryElemCtx = %d, want %d", got, want)
 	}
-	if _, err := tab.QueryElem(ndp, []int{1}, []int{0, 1}, []uint64{1}); err == nil {
+	if _, err := tab.QueryElemCtx(ctx, ndp, []int{1}, []int{0, 1}, []uint64{1}); err == nil {
 		t.Error("jdx length mismatch accepted")
 	}
-	if _, err := tab.QueryElem(ndp, []int{9}, []int{0}, []uint64{1}); err == nil {
+	if _, err := tab.QueryElemCtx(ctx, ndp, []int{9}, []int{0}, []uint64{1}); err == nil {
 		t.Error("row out of range accepted")
 	}
 }

@@ -42,9 +42,9 @@ type Table struct {
 	seeds   []field.Elem // checksum seed substrings s_0..s_{cnt-1}
 	// ckPows caches the checksum power table for length-M rows, built
 	// lazily on first use and shared by every consumer — the single-query
-	// verifier, the batch verifier's aggregated check and bisection
-	// leaves, and table encryption all hash against one table instead of
-	// recomputing (or eagerly paying for) the M power-update Muls.
+	// verifier, the batch verifier and table encryption all hash against
+	// one table instead of recomputing (or eagerly paying for) the M
+	// power-update Muls.
 	ckPows atomic.Pointer[[]field.Elem]
 }
 

@@ -1,16 +1,13 @@
 package core
 
-import (
-	"sync"
-
-	"secndp/internal/field"
-)
+import "sync"
 
 // Pooled scratch for the query hot paths. The verified query path used to
 // allocate two fresh buffers per row on the NDP side (the raw ciphertext
 // read and its unpacked element vector) plus per-worker staging on the OTP
-// side — ~3 allocations per referenced row. Reusing pooled scratch brings
-// a verified query down to a handful of allocations regardless of the
+// side — ~3 allocations per referenced row. Reusing pooled scratch (and
+// fixed ctxCheckStride-sized stack buffers in the OTP walk) brings a
+// verified query down to a handful of allocations regardless of the
 // pooling factor.
 
 var byteScratch = sync.Pool{New: func() any { s := make([]byte, 0, 512); return &s }}
@@ -50,21 +47,6 @@ func getU64Zeroed(n int) (*[]uint64, []uint64) {
 }
 
 func putU64Scratch(p *[]uint64) { u64Scratch.Put(p) }
-
-var elemScratch = sync.Pool{New: func() any { s := make([]field.Elem, 0, 64); return &s }}
-
-// getElemScratch returns a pooled field-element slice of length n
-// (contents undefined) and the pool token to return via putElemScratch —
-// staging for gathered tag pads on the verified query path.
-func getElemScratch(n int) (*[]field.Elem, []field.Elem) {
-	p := elemScratch.Get().(*[]field.Elem)
-	if cap(*p) < n {
-		*p = make([]field.Elem, n)
-	}
-	return p, (*p)[:n]
-}
-
-func putElemScratch(p *[]field.Elem) { elemScratch.Put(p) }
 
 // slotScratch pools the batch planner's dense row→slot table. Invariant:
 // every pooled table is all −1 over its full length; planBatch resets the

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"secndp"
 	"secndp/internal/core"
 	"secndp/internal/field"
 	"secndp/internal/memenc"
@@ -110,6 +111,17 @@ func suite(quick bool) ([]func() (string, testing.BenchmarkResult), error) {
 		return nil, err
 	}
 	ndp := &core.HonestNDP{Mem: mem}
+	// The same rows behind the public facade, engine defaults: what a
+	// production caller's Table.Query costs over core's QueryCtx.
+	eng, err := secndp.New([]byte(benchKey))
+	if err != nil {
+		return nil, err
+	}
+	facade, err := eng.CreateTable(context.Background(), secndp.LocalBackend(secndp.NewMemory()),
+		secndp.TableSpec{Name: "perf-suite", Rows: numRows, Cols: m, ElemBits: we}, rows)
+	if err != nil {
+		return nil, err
+	}
 	idx := make([]int, batch)
 	weights := make([]uint64, batch)
 	for k := range idx {
@@ -229,7 +241,7 @@ func suite(quick bool) ([]func() (string, testing.BenchmarkResult), error) {
 		}),
 		bench("core/otp_weighted_sum_serial", int64(batch*rowBytes), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := tab.OTPWeightedSum(idx, weights); err != nil {
+				if _, err := tab.OTPWeightedSumCtx(context.Background(), idx, weights, core.QueryOptions{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -241,14 +253,32 @@ func suite(quick bool) ([]func() (string, testing.BenchmarkResult), error) {
 				}
 			}
 		}),
+		bench("secndp/query_verified", int64(batch*rowBytes), func(b *testing.B) {
+			req := secndp.Request{Idx: idx, Weights: weights}
+			for i := 0; i < b.N; i++ {
+				if _, err := facade.Query(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}),
+		bench("secndp/query_unverified", int64(batch*rowBytes), func(b *testing.B) {
+			req := secndp.Request{Idx: idx, Weights: weights, Unverified: true}
+			for i := 0; i < b.N; i++ {
+				if _, err := facade.Query(context.Background(), req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}),
 		bench("core/query_verified_traced", int64(batch*rowBytes), func(b *testing.B) {
-			// The same verified query with hierarchical tracing live: a
-			// root span per operation, phase children recorded by QueryCtx,
-			// and the trace store absorbing every tree. The bench-smoke
-			// gate holds this within 5% of the untraced query_verified
-			// bound — tracing must stay cheap enough to leave always-on.
+			// The same verified query through the same engine (QueryVerified
+			// is a one-line call into QueryCtx) with hierarchical tracing
+			// live: a root span per operation, phase children recorded by
+			// QueryCtx, and the trace store absorbing every tree. The
+			// bench-smoke gate holds this within 5% of the untraced
+			// query_verified bound — tracing must stay cheap enough to
+			// leave always-on.
 			traceReg := telemetry.NewRegistry()
-			opts := core.QueryOptions{Verify: true}
+			opts := core.QueryOptions{Workers: 1, Verify: true}
 			for i := 0; i < b.N; i++ {
 				ctx, span := traceReg.StartSpan(context.Background(), "bench_query")
 				if _, err := tab.QueryCtx(ctx, ndp, idx, weights, opts); err != nil {

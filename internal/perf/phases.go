@@ -39,7 +39,6 @@ type PhaseReport struct {
 	BatchRowRefs      uint64      `json:"batch_row_refs"`
 	BatchDistinctRows uint64      `json:"batch_distinct_rows"`
 	BatchWireOps      uint64      `json:"batch_wire_ops"`
-	BatchBisections   uint64      `json:"batch_bisections"`
 	Phases            []PhaseStat `json:"phases"`
 }
 
@@ -209,7 +208,6 @@ func phaseStage(quick bool, reg *telemetry.Registry) (*PhaseReport, error) {
 		BatchRowRefs:      counterVal(snap, "secndp_batch_rowrefs_total"),
 		BatchDistinctRows: counterVal(snap, "secndp_batch_distinct_rows_total"),
 		BatchWireOps:      counterVal(snap, "secndp_batch_wire_ops_total"),
-		BatchBisections:   counterVal(snap, "secndp_batch_bisections_total"),
 	}
 	for p := 0; p < telemetry.NumPhases; p++ {
 		name := telemetry.Phase(p).String()

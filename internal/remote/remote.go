@@ -584,14 +584,18 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 			return err
 		}
 		if n > maxVectorLen {
-			return fail("blob too large")
-		}
-		if addr > otp.MaxAddr {
-			return fail(fmt.Sprintf("address %#x beyond the physical address space", addr))
+			// Not worth draining, and a statusErr with the payload unread
+			// would have the next op byte parsed out of ciphertext: drop
+			// the connection. Client.WriteBlobContext never sends one.
+			s.mRejects.Inc()
+			return fmt.Errorf("remote: blob of %d bytes exceeds limit", n)
 		}
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return err
+		}
+		if addr > otp.MaxAddr {
+			return fail(fmt.Sprintf("address %#x beyond the physical address space", addr))
 		}
 		s.mu.Lock()
 		s.mem.Write(addr, buf)
@@ -603,12 +607,12 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		if err != nil {
 			return err
 		}
-		if addr > otp.MaxAddr {
-			return fail(fmt.Sprintf("address %#x beyond the physical address space", addr))
-		}
 		buf := make([]byte, memory.TagBytes)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return err
+		}
+		if addr > otp.MaxAddr {
+			return fail(fmt.Sprintf("address %#x beyond the physical address space", addr))
 		}
 		s.mu.Lock()
 		s.mem.WriteECC(addr, buf)
@@ -1104,8 +1108,22 @@ func (c *Client) PingContext(ctx context.Context) error {
 }
 
 // WriteBlobContext provisions ciphertext bytes into the server's memory
-// (the initialization transfer of Figure 4's T0 step).
+// (the initialization transfer of Figure 4's T0 step). A blob longer than
+// the server's maxVectorLen frame limit goes as successive writes at
+// increasing addresses; one that fits is exactly one exchange.
 func (c *Client) WriteBlobContext(ctx context.Context, addr uint64, data []byte) error {
+	for len(data) > maxVectorLen {
+		if err := c.writeBlob(ctx, addr, data[:maxVectorLen]); err != nil {
+			return err
+		}
+		addr, data = addr+maxVectorLen, data[maxVectorLen:]
+	}
+	return c.writeBlob(ctx, addr, data)
+}
+
+// writeBlob is one opWriteBlob exchange; len(data) must not exceed
+// maxVectorLen.
+func (c *Client) writeBlob(ctx context.Context, addr uint64, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	done, err := c.arm(ctx)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -67,7 +68,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		w := []uint64{1, 2, 3}
 		var got []uint64
 		if placement == memory.TagNone {
-			got, err = tab.Query(ndp, idx, w)
+			got, err = tab.QueryCtx(context.Background(), ndp, idx, w, core.QueryOptions{})
 		} else {
 			got, err = tab.QueryVerified(ndp, idx, w)
 		}

@@ -130,8 +130,12 @@ type config struct {
 type Option func(*config)
 
 // WithParallelism fixes the worker count of the OTP-side pad generator
-// (the software analogue of the paper's multiple OTP engines, §V-C2).
-// n <= 0 — the default — selects GOMAXPROCS.
+// (the software analogue of the paper's multiple OTP engines, §V-C2). It
+// applies to batches and to single queries the engine runs overlapped —
+// remote and cluster tables, and local queries whose pad walk reaches the
+// inline threshold (128 KiB of rows); smaller local queries run on the
+// caller's goroutine whatever n is. n <= 0 — the default — selects
+// GOMAXPROCS.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.workers = n }
 }
@@ -756,9 +760,8 @@ func (t *Table) queryElemFallback(ctx context.Context, st *tableState, req Reque
 // QueryBatch runs many requests as one coalesced batch whenever the NDP
 // supports it (detected by a cached capability probe): a single NDP
 // exchange answers every request's ciphertext and tag sums, each distinct
-// row's OTP pad is generated once and shared across requests, and one
-// aggregated MAC check verifies the whole batch — bisecting to isolate the
-// failing request(s) on a rejection, so per-request errors are unchanged.
+// row's OTP pad is generated once and shared across requests, and every
+// joined result gets its own MAC check, so per-request errors are unchanged.
 // Requests that cannot coalesce (element-indexed, mixed verification
 // settings, or an NDP without batch support) run through the per-request
 // worker pool instead, still sharing the table's pad cache.

@@ -40,22 +40,25 @@ func WithTelemetry(reg *Telemetry) Option {
 }
 
 // Timing is one query's anatomy: the wall-clock total plus each
-// architectural phase's own elapsed time. Pad, NDP, and Tag run
-// concurrently (the paper's OTP engines run ahead of the NDP, §V-C2), so
-// the phases deliberately do not sum to Total. Phases that did not run
-// are zero; Fallback is non-zero exactly when the result was recomputed
-// from the TEE mirror. Timing is always populated — no registry needed.
+// architectural phase's own elapsed time. A small query on a local table
+// runs inline — NDP, then Pad, then Tag, then Verify, back to back — so
+// its phases sum to just under Total. A remote or cluster table, or a
+// long pad walk, overlaps NDP with Pad and Tag (the paper's OTP engines
+// run ahead of the NDP, §V-C2), and there the phases deliberately do not
+// sum to Total. Phases that did not run are zero; Fallback is non-zero
+// exactly when the result was recomputed from the TEE mirror. Timing is
+// always populated — no registry needed.
 type Timing struct {
 	// Total is the query's end-to-end latency inside the facade.
 	Total time.Duration
-	// Pad is the OTP-share half: pad regeneration fused with the weighted
-	// accumulate (Algorithm 4's trusted side).
+	// Pad is the OTP walk: pad regeneration fused with the weighted
+	// accumulate (Algorithm 4's trusted side). On a verified query without
+	// a pad cache the tag pads come out of the same keystream walk.
 	Pad time.Duration
 	// NDP is the untrusted half's round trip: ciphertext sums (plus tag
 	// sums when verifying) and, for remote tables, the transport.
 	NDP time.Duration
-	// Tag is the tag-pad regeneration and field sum (Algorithm 5's
-	// trusted side), overlapped with Pad and NDP.
+	// Tag is the tag-pad field dot (Algorithm 5's trusted side).
 	Tag time.Duration
 	// Verify is the join: share addition (decrypt), checksum recompute,
 	// and the encrypted-MAC compare.
@@ -104,7 +107,6 @@ type engineTelemetry struct {
 	batchRowRefs   *telemetry.Counter
 	batchDistinct  *telemetry.Counter
 	batchWireOps   *telemetry.Counter
-	batchBisects   *telemetry.Counter
 
 	queryHist *telemetry.Histogram
 	batchHist *telemetry.Histogram
@@ -147,8 +149,6 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 			"Distinct rows across pipelined batches, after cross-request dedup; the pad dedup hit ratio is 1 - distinct/rowrefs."),
 		batchWireOps: reg.Counter("secndp_batch_wire_ops_total",
 			"NDP exchanges used by pipelined batches (1 per batch when coalescing holds)."),
-		batchBisects: reg.Counter("secndp_batch_bisections_total",
-			"Aggregate-verification bisection splits performed to isolate failing sub-requests."),
 		queryHist: reg.Histogram("secndp_query_seconds",
 			"End-to-end query latency.", nil),
 		batchHist: reg.Histogram("secndp_batch_seconds",
@@ -281,7 +281,6 @@ func (et *engineTelemetry) recordBatch(start time.Time, stats core.BatchStats, n
 	et.batchRowRefs.Add(uint64(stats.RowRefs))
 	et.batchDistinct.Add(uint64(stats.DistinctRows))
 	et.batchWireOps.Add(uint64(stats.WireOps))
-	et.batchBisects.Add(uint64(stats.Bisections))
 	et.queries.Add(uint64(nOK + nErr))
 	et.queryErrors.Add(uint64(nErr))
 	et.verified.Add(uint64(nVerified))
