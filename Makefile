@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-check bench-json loadtest vet fuzz examples experiments quick clean
+.PHONY: all build test test-race serve-check bench bench-check bench-json loadtest vet fuzz examples experiments quick clean
 
 all: build vet test
 
@@ -17,6 +17,15 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The serving layer's gate: vet, the package twice under the race
+# detector (the coalescer's drain loop, its invariant hammer, Close with
+# work in flight), and the root package's tests that drive the stack
+# through serve (TestServeChaosReplicaKill).
+serve-check:
+	$(GO) vet ./internal/serve
+	$(GO) test -race -count=2 ./internal/serve
+	$(GO) test -run 'Serve' -race .
 
 # One parameterized bench entry point: `make bench` prints to stdout;
 # `make bench BENCHOUT=file.txt` also tees the artifact; BENCHFLAGS

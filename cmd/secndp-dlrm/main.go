@@ -47,7 +47,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "synthetic table contents seed")
 		shards   = flag.Int("shards", 0, "spin up an in-process loopback NDP cluster with this many shards (0 = local backend)")
 		ndpAddrs = flag.String("ndp", "", "comma-separated external NDP shard addresses (overrides -shards)")
-		window   = flag.Duration("window", 200*time.Microsecond, "coalescing batch window")
 		maxBatch = flag.Int("max-batch", 256, "coalescer size trigger (rows per batch)")
 		inflight = flag.Int("max-inflight", 256, "admission: max lookups in flight")
 		maxQueue = flag.Int("max-queue", 0, "admission: max queued lookups (0 = 4x max-inflight)")
@@ -69,7 +68,6 @@ func main() {
 	}
 
 	svc, cleanup, err := buildService(*tables, *rows, *cols, *seed, *shards, *ndpAddrs, serve.Config{
-		Window:      *window,
 		MaxBatch:    *maxBatch,
 		MaxInflight: *inflight,
 		MaxQueue:    *maxQueue,

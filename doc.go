@@ -80,9 +80,10 @@
 // A Table is safe for concurrent use, but each Query is still one
 // caller's request. For serving many users against shared tables —
 // the DLRM embedding-serving shape — internal/serve layers cross-user
-// batch coalescing (concurrent lookups merge into one QueryBatch per
-// ~200µs window, so a hot row is fetched and verified once per window,
-// not once per user), a bounded epoch-keyed cache of verified rows that
+// batch coalescing (lookups that arrive while a table's batch is on the
+// wire merge into its next QueryBatch, so a hot row is fetched and
+// verified once per batch, not once per user; an idle table fetches at
+// once), a bounded epoch-keyed cache of verified rows that
 // Reencrypt and Reshard invalidate by construction, and admission
 // control that sheds overload with a typed error instead of queueing
 // without bound. cmd/secndp-dlrm exposes it over HTTP and

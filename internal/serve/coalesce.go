@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -10,11 +11,14 @@ import (
 )
 
 // coalescer merges concurrent users' cache-missing row fetches for one
-// table into facade QueryBatch calls. Two triggers flush the forming
-// batch: the batch window elapsing (bounding the latency a lone row
-// waits for company) and the batch size cap (bounding batch latency
-// under load — a full batch flushes immediately, and the next arrival
-// starts a new one).
+// table into facade QueryBatch calls by group commit: an idle table
+// fetches at once, and rows that arrive while a batch is on the wire
+// form the next batch, which leaves the moment the first returns. Batch
+// size follows load — 1 when idle, large at saturation — with no clock.
+//
+// Invariant: queued non-empty ⇒ exactly one drain goroutine is alive
+// (running, under mu). Every waiter is therefore woken without a timer
+// and without a flush on Close.
 //
 // A row requested while an identical (row, epoch) fetch is pending —
 // queued or already on the wire — joins it instead of fetching again:
@@ -27,144 +31,129 @@ type coalescer struct {
 
 	mu      sync.Mutex
 	pending map[int]*rowFetch
-	queued  []*rowFetch
-	timer   *time.Timer // window timer for the forming batch, if armed
-	// gen guards the window timer: each flush bumps it, so a timer that
-	// fires after its batch already flushed is a no-op.
-	gen uint64
+	queued  []*rowFetch   // the forming batch
+	done    chan struct{} // the forming batch's channel; nil while queued is empty
+	running bool          // a drain goroutine is alive
+
+	// reqs is the drain goroutine's request framing, reused from batch to
+	// batch: running admits one drain goroutine at a time and mu orders
+	// one's exit before the next one's start.
+	reqs []secndp.Request
 }
 
-// rowFetch is one distinct (row, epoch) fetch in a batch. Waiters select
-// on done; the flush goroutine fills the result fields before closing it
-// (the channel close publishes them).
+// rowFetch is one distinct (row, epoch) fetch. done is its batch's
+// channel, shared by every row of the batch; the fetching goroutine fills
+// the result — the row as it goes into the cache, or err — before closing
+// it (the close publishes them).
 type rowFetch struct {
 	row   int
+	idx   [1]int // row again, as the Idx of its unit-weight request
 	epoch uint64
 	done  chan struct{}
 
-	vals     []uint64
-	verified bool
-	degraded bool
-	err      error
+	rowEntry
+	err error
 }
 
 func newCoalescer(svc *Service, ts *tableServe) *coalescer {
-	return &coalescer{
-		svc:     svc,
-		ts:      ts,
-		pending: make(map[int]*rowFetch),
-	}
+	return &coalescer{svc: svc, ts: ts, pending: make(map[int]*rowFetch)}
 }
 
-// enqueue registers fetches for the given rows under one epoch,
-// returning one rowFetch per input row (duplicates within rows share a
-// fetch). It never blocks on the NDP — batches run on their own
-// goroutines — so a multi-bag request can enqueue against every table
-// before awaiting any.
-func (co *coalescer) enqueue(rows []int, epoch uint64) []*rowFetch {
-	out := make([]*rowFetch, len(rows))
+// enqueue registers fetches for rows under one epoch and appends one
+// rowFetch per input row to dst (duplicates within rows share a fetch).
+// It never blocks on the NDP — batches run on the drain goroutine — so a
+// multi-bag request can enqueue against every table before awaiting any.
+func (co *coalescer) enqueue(dst []*rowFetch, rows []int, epoch uint64) []*rowFetch {
 	co.mu.Lock()
-	for i, row := range rows {
+	for _, row := range rows {
 		if rf := co.pending[row]; rf != nil && rf.epoch == epoch {
 			// Join the pending fetch — queued or already in flight; same
 			// epoch means its result is exactly this request's row.
 			co.svc.met.joins.inc()
-			out[i] = rf
+			dst = append(dst, rf)
 			continue
 		}
-		rf := &rowFetch{row: row, epoch: epoch, done: make(chan struct{})}
+		if co.done == nil {
+			co.done = make(chan struct{})
+		}
+		rf := &rowFetch{row: row, idx: [1]int{row}, epoch: epoch, done: co.done}
 		co.pending[row] = rf
 		co.queued = append(co.queued, rf)
-		out[i] = rf
+		dst = append(dst, rf)
 		if len(co.queued) >= co.svc.cfg.MaxBatch {
+			// Size trigger: a full batch leaves on its own goroutine rather
+			// than queue behind the one on the wire, which also bounds how
+			// far one-in-flight-per-table can throttle a slow NDP.
 			co.svc.met.sizeFlushes.inc()
-			co.flushLocked()
-		} else if len(co.queued) == 1 {
-			co.armLocked()
+			batch, done := co.takeLocked()
+			co.svc.wg.Add(1)
+			go func() {
+				defer co.svc.wg.Done()
+				co.run(batch, done, nil)
+			}()
 		}
 	}
+	if len(co.queued) > 0 && !co.running {
+		co.running = true
+		co.svc.wg.Add(1)
+		go co.drain()
+	}
 	co.mu.Unlock()
-	return out
+	return dst
 }
 
-// armLocked starts the window timer for a freshly started batch. The
-// captured generation makes the timer batch-specific: if a size trigger
-// (or Close) flushed the batch first, the timer finds gen advanced and
-// does nothing.
-func (co *coalescer) armLocked() {
-	gen := co.gen
-	co.svc.wg.Add(1)
-	co.timer = time.AfterFunc(co.svc.cfg.Window, func() {
-		defer co.svc.wg.Done()
+// takeLocked detaches the forming batch.
+func (co *coalescer) takeLocked() ([]*rowFetch, chan struct{}) {
+	batch, done := co.queued, co.done
+	co.queued, co.done = nil, nil
+	return batch, done
+}
+
+// drain runs the table's batches one after another until none is queued.
+// The yield is load-bearing: a freshly spawned goroutine sits in its
+// spawner's runnext slot and would otherwise take its batch before any
+// other already-runnable lookup has enqueued. Yielding sends it to the
+// back of the run queue, so the batch is every lookup runnable right now;
+// on an idle process it costs one scheduler pass.
+func (co *coalescer) drain() {
+	defer co.svc.wg.Done()
+	for {
+		runtime.Gosched()
 		co.mu.Lock()
-		if co.gen == gen && len(co.queued) > 0 {
-			co.svc.met.windowFlushes.inc()
-			co.flushLocked()
+		batch, done := co.takeLocked()
+		if len(batch) == 0 {
+			co.running = false
+			co.mu.Unlock()
+			return
 		}
 		co.mu.Unlock()
-	})
-}
-
-// flushLocked hands the queued batch to a flush goroutine and resets the
-// forming state. Flushed fetches stay in pending until their results
-// land, so late arrivals still join in-flight work.
-func (co *coalescer) flushLocked() {
-	batch := co.queued
-	co.queued = nil
-	co.gen++
-	if co.timer != nil {
-		// A stopped timer never runs its callback, so its wg hold is ours
-		// to release; if Stop loses the race the fired callback sees the
-		// bumped gen, does nothing, and releases the hold itself.
-		if co.timer.Stop() {
-			co.svc.wg.Done()
-		}
-		co.timer = nil
+		co.svc.met.windowFlushes.inc()
+		co.reqs = co.run(batch, done, co.reqs[:0])
 	}
-	co.svc.met.batches.inc()
-	co.svc.met.rowsFetched.add(uint64(len(batch)))
-	co.svc.wg.Add(1)
-	go co.run(batch)
-}
-
-// flushNow force-flushes the forming batch (Close path).
-func (co *coalescer) flushNow() {
-	co.mu.Lock()
-	if len(co.queued) > 0 {
-		co.flushLocked()
-	}
-	co.mu.Unlock()
 }
 
 // run executes one batch: every distinct row fetched as a unit-weight
 // single-row request, so the facade's batched pipeline generates each
-// row's pads once and verifies the whole batch with one aggregated MAC
-// check. Runs under the service context — one waiter's cancellation
-// never aborts a batch other users share.
-func (co *coalescer) run(batch []*rowFetch) {
-	defer co.svc.wg.Done()
+// row's pads once. Runs under the service context — one waiter's
+// cancellation never aborts a batch other users share. reqs is framing
+// scratch, returned for reuse.
+func (co *coalescer) run(batch []*rowFetch, done chan struct{}, reqs []secndp.Request) []secndp.Request {
 	start := time.Now()
-	reqs := make([]secndp.Request, len(batch))
-	rows := make([]int, len(batch))
-	one := []uint64{1}
-	for i, rf := range batch {
-		rows[i] = rf.row
-		reqs[i] = secndp.Request{Idx: rows[i : i+1], Weights: one}
+	co.svc.met.batches.inc()
+	co.svc.met.rowsFetched.add(uint64(len(batch)))
+	for _, rf := range batch {
+		reqs = append(reqs, secndp.Request{Idx: rf.idx[:], Weights: unitWeight})
 	}
 	res, err := co.ts.tab.QueryBatch(co.svc.baseCtx, reqs)
 	for i, rf := range batch {
 		if i < len(res) && res[i].Values != nil {
-			rf.vals = res[i].Values
-			rf.verified = res[i].Verified
-			rf.degraded = res[i].Degraded
+			rf.rowEntry = rowEntry{vals: res[i].Values, verified: res[i].Verified, degraded: res[i].Degraded}
 			// Populate the cache before waking waiters so a hot row is
 			// servable the instant its fetch lands. The entry is keyed
 			// under the epoch the fetch was *enqueued* at: if the table
 			// rotated mid-fetch these values are pre-rotation and must
 			// not be visible to post-rotation epochs.
-			co.ts.cache.put(rf.row, rf.epoch, rowEntry{
-				vals: res[i].Values, verified: res[i].Verified, degraded: res[i].Degraded,
-			})
+			co.ts.cache.put(rf.row, rf.epoch, rf.rowEntry)
 		} else {
 			cause := err
 			if cause == nil {
@@ -172,16 +161,25 @@ func (co *coalescer) run(batch []*rowFetch) {
 			}
 			rf.err = fmt.Errorf("serve: fetch row %d: %w", rf.row, cause)
 		}
-		close(rf.done)
 	}
+	close(done)
 	co.svc.met.observeBatch(time.Since(start))
 	// Retire the completed fetches from pending — unless a newer fetch
-	// for the same row (different epoch) already replaced them.
+	// for the same row (different epoch) already replaced them — and
+	// leave the emptied slice for the next forming batch.
 	co.mu.Lock()
-	for _, rf := range batch {
+	for i, rf := range batch {
 		if co.pending[rf.row] == rf {
 			delete(co.pending, rf.row)
 		}
+		batch[i] = nil
+	}
+	if cap(co.queued) == 0 {
+		co.queued = batch[:0]
 	}
 	co.mu.Unlock()
+	return reqs
 }
+
+// unitWeight is every coalesced request's weight vector; never written.
+var unitWeight = []uint64{1}

@@ -23,7 +23,7 @@ func (c *counter) value() uint64 { return c.v.Load() }
 // counter answers one capacity-planning question: shed vs lookups is
 // the overload rate, joins vs rowsFetched the coalescing factor,
 // cacheHits vs cacheMisses the hot-row hit rate, windowFlushes vs
-// sizeFlushes whether batches fill before their window expires.
+// sizeFlushes whether batches reach MaxBatch behind the one on the wire.
 type metrics struct {
 	lookups       counter // lookup requests entering admission
 	lookupErrors  counter // lookups failed for any non-shed reason
@@ -36,8 +36,8 @@ type metrics struct {
 	joins         counter // row refs that joined an already-pending fetch
 	rowsFetched   counter // distinct rows sent to the NDP
 	batches       counter // coalesced QueryBatch calls issued
-	windowFlushes counter
-	sizeFlushes   counter
+	windowFlushes counter // batches taken by the drain loop (the name predates it)
+	sizeFlushes   counter // batches detached at MaxBatch
 
 	lookupHist *telemetry.Histogram // nil-safe
 	batchHist  *telemetry.Histogram
@@ -59,7 +59,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m.joins.tel = reg.Counter("secndp_serve_coalesce_joins_total", "row refs joining an already-pending fetch")
 	m.rowsFetched.tel = reg.Counter("secndp_serve_rows_fetched_total", "distinct rows fetched from the NDP")
 	m.batches.tel = reg.Counter("secndp_serve_batches_total", "coalesced QueryBatch calls issued")
-	m.windowFlushes.tel = reg.Counter("secndp_serve_flush_window_total", "batches flushed by window expiry")
+	m.windowFlushes.tel = reg.Counter("secndp_serve_flush_window_total", "batches taken by the drain loop (idle flush or backlog behind a batch on the wire)")
 	m.sizeFlushes.tel = reg.Counter("secndp_serve_flush_size_total", "batches flushed by size trigger")
 	m.lookupHist = reg.Histogram("secndp_serve_lookup_seconds", "end-to-end lookup latency", nil)
 	m.batchHist = reg.Histogram("secndp_serve_batch_seconds", "coalesced batch NDP latency", nil)
@@ -82,10 +82,15 @@ type Stats struct {
 	CoalesceJoins uint64
 	RowsFetched   uint64
 	Batches       uint64
+	// WindowFlushes counts batches taken by the coalescer's drain loop —
+	// at once on an idle table, or as the backlog behind a batch on the
+	// wire. There is no window any more; the name stays because the
+	// repository benchmark reads it.
 	WindowFlushes uint64
-	SizeFlushes   uint64
-	Inflight      int64
-	QueueDepth    int64
+	// SizeFlushes counts batches detached because they reached MaxBatch.
+	SizeFlushes uint64
+	Inflight    int64
+	QueueDepth  int64
 }
 
 // CoalescingFactor is the number of row references satisfied per row
@@ -152,7 +157,6 @@ func (s *Service) debugState() any {
 		"cache_hit_rate":    st.CacheHitRate(),
 		"tables":            tables,
 		"config": map[string]any{
-			"window":       s.cfg.Window.String(),
 			"max_batch":    s.cfg.MaxBatch,
 			"max_inflight": s.cfg.MaxInflight,
 			"max_queue":    s.cfg.MaxQueue,

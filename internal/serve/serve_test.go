@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"secndp"
+	"secndp/internal/remote/faultproxy"
 	"secndp/internal/serve"
 )
 
@@ -49,6 +51,26 @@ type harness struct {
 
 func newHarness(t *testing.T, nTables, rows, cols int, seed int64, cfg serve.Config) *harness {
 	t.Helper()
+	return newHarnessOn(t, nTables, rows, cols, seed, cfg, func() secndp.Backend {
+		return secndp.LocalBackend(secndp.NewMemory())
+	})
+}
+
+// newGatedHarness is a one-table harness whose NDP fetches can be held
+// at a gate (open at return): what pins a batch "on the wire" now that
+// there is no window to hold it in.
+func newGatedHarness(t *testing.T, rows, cols int, seed int64, cfg serve.Config) (*harness, *faultproxy.Gate) {
+	t.Helper()
+	gate := faultproxy.NewGate(secndp.NewMemory())
+	// Open before Service.Close waits on its goroutines (cleanups run in
+	// reverse), so a failed test cannot leave a fetch parked.
+	h := newHarnessOn(t, 1, rows, cols, seed, cfg, func() secndp.Backend { return secndp.RemoteBackend(gate) })
+	t.Cleanup(gate.Open)
+	return h, gate
+}
+
+func newHarnessOn(t *testing.T, nTables, rows, cols int, seed int64, cfg serve.Config, backend func() secndp.Backend) *harness {
+	t.Helper()
 	eng, err := secndp.New(testKey, secndp.WithPadCache(256))
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +81,7 @@ func newHarness(t *testing.T, nTables, rows, cols int, seed int64, cfg serve.Con
 	for ti := 0; ti < nTables; ti++ {
 		plain := testRows(rng, rows, cols, 1<<20)
 		name := "emb" + string(rune('0'+ti))
-		tab, err := eng.CreateTable(context.Background(), secndp.LocalBackend(secndp.NewMemory()),
+		tab, err := eng.CreateTable(context.Background(), backend(),
 			secndp.TableSpec{Name: name, Rows: rows, Cols: cols}, plain)
 		if err != nil {
 			t.Fatal(err)
@@ -73,6 +95,56 @@ func newHarness(t *testing.T, nTables, rows, cols int, seed int64, cfg serve.Con
 		h.names = append(h.names, name)
 	}
 	return h
+}
+
+// eventually spins (yielding, never sleeping) until cond holds; the
+// deadline only turns a hang into a failure.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+type lookupOut struct {
+	res serve.BagResult
+	err error
+}
+
+// lookupAsync runs one lookup on its own goroutine.
+func (h *harness) lookupAsync(ctx context.Context, bag serve.Bag) <-chan lookupOut {
+	c := make(chan lookupOut, 1)
+	go func() {
+		res, err := h.svc.Lookup(ctx, bag)
+		c <- lookupOut{res, err}
+	}()
+	return c
+}
+
+// pin shuts the gate and parks one lookup's batch (row 0) on the wire,
+// so whatever is enqueued next queues behind it.
+func (h *harness) pin(gate *faultproxy.Gate) <-chan lookupOut {
+	gate.Shut()
+	c := h.lookupAsync(context.Background(), serve.Bag{Table: h.names[0], Idx: []int{0}})
+	gate.AwaitParked(1)
+	return c
+}
+
+// queued waits until the first table's forming batch holds n rows and
+// joins row references have joined a pending fetch.
+func (h *harness) queued(t *testing.T, n int, joins uint64) {
+	t.Helper()
+	eventually(t, "lookups to enqueue behind the pinned batch", func() bool {
+		q, running := h.svc.CoalescerState(h.names[0])
+		if q > 0 && !running {
+			t.Fatalf("invariant broken: %d rows queued and no drain goroutine", q)
+		}
+		return q == n && h.svc.Stats().CoalesceJoins == joins
+	})
 }
 
 func (h *harness) check(t *testing.T, ti int, bag serve.Bag, res serve.BagResult) {
@@ -90,7 +162,7 @@ func (h *harness) check(t *testing.T, ti int, bag serve.Bag, res serve.BagResult
 // plaintext oracle and to direct Table.Query, across random bags,
 // weights, and repeat traffic that exercises the cache.
 func TestServeEquivalence(t *testing.T) {
-	h := newHarness(t, 2, 64, 16, 1, serve.Config{Window: 50 * time.Microsecond})
+	h := newHarness(t, 2, 64, 16, 1, serve.Config{})
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 40; trial++ {
 		ti := rng.Intn(2)
@@ -131,7 +203,7 @@ func TestServeEquivalence(t *testing.T) {
 // and one LookupBags call spanning every table returns per-bag results
 // in order under a single admission slot.
 func TestServeNilWeightsAndMultiTable(t *testing.T) {
-	h := newHarness(t, 4, 32, 8, 3, serve.Config{Window: 50 * time.Microsecond})
+	h := newHarness(t, 4, 32, 8, 3, serve.Config{})
 	bags := make([]serve.Bag, 4)
 	for ti := range bags {
 		bags[ti] = serve.Bag{Table: h.names[ti], Idx: []int{1, 5, 5, 17}}
@@ -151,12 +223,16 @@ func TestServeNilWeightsAndMultiTable(t *testing.T) {
 // TestServeCoalescing: concurrent users hammering a small hot set (with
 // the result cache disabled so every reference reaches the coalescer)
 // must share fetches — the coalescing factor strictly exceeds 1 and
-// every result still matches the oracle.
+// every result still matches the oracle. A gated fetch of the whole hot
+// set stays on the wire until every user's first lookup has joined it
+// (what a 2 ms window used to arrange); after that the users run free.
 func TestServeCoalescing(t *testing.T) {
-	h := newHarness(t, 1, 64, 16, 4, serve.Config{
-		Window:    2 * time.Millisecond,
+	h, gate := newGatedHarness(t, 64, 16, 4, serve.Config{
 		CacheRows: -1, // isolate coalescing from caching
 	})
+	gate.Shut()
+	hot := h.lookupAsync(context.Background(), serve.Bag{Table: h.names[0], Idx: []int{0, 1, 2, 3, 4, 5, 6, 7}})
+	gate.AwaitParked(1)
 	const users = 32
 	var wg sync.WaitGroup
 	errc := make(chan error, users)
@@ -183,29 +259,167 @@ func TestServeCoalescing(t *testing.T) {
 			}
 		}(u)
 	}
+	h.queued(t, 0, 2*users) // every user's two rows joined the fetch on the wire
+	gate.Open()
 	wg.Wait()
+	if o := <-hot; o.err != nil {
+		t.Fatal(o.err)
+	}
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
 	}
 	st := h.svc.Stats()
-	if st.CoalesceJoins == 0 {
-		t.Fatal("32 users on an 8-row hot set produced zero coalesce joins")
+	if st.CoalesceJoins < 2*users {
+		t.Fatalf("%d coalesce joins, want at least the %d pinned ones", st.CoalesceJoins, 2*users)
 	}
 	if f := st.CoalescingFactor(); f <= 1 {
 		t.Fatalf("coalescing factor %.2f, want > 1", f)
 	}
 }
 
-// TestServeWindowVsSizeTrigger races the two flush triggers under -race:
-// a tiny MaxBatch forces size flushes while lone stragglers flush by
-// window, concurrently, and every lookup still completes correctly.
-func TestServeWindowVsSizeTrigger(t *testing.T) {
-	h := newHarness(t, 1, 64, 16, 5, serve.Config{
-		Window:    100 * time.Microsecond,
-		MaxBatch:  2, // size trigger fires constantly
+// TestServeGroupCommit is the flush rule, deterministically: with one
+// batch held on the wire, every lookup that arrives forms the next
+// batch, and that batch leaves — whole, once — when the first returns.
+func TestServeGroupCommit(t *testing.T) {
+	h, gate := newGatedHarness(t, 64, 16, 11, serve.Config{CacheRows: -1})
+	pinned := h.pin(gate)
+	// Nine lookups behind the pinned batch: 12 distinct rows, 3 row
+	// references that join a row already queued, 1 that joins the pinned
+	// fetch itself.
+	bags := [][]int{{1, 2}, {3}, {4, 5, 6}, {2, 7}, {8}, {9, 1}, {10, 11}, {12, 0}, {3}}
+	outs := make([]<-chan lookupOut, len(bags))
+	for i, idx := range bags {
+		outs[i] = h.lookupAsync(context.Background(), serve.Bag{Table: h.names[0], Idx: idx})
+	}
+	h.queued(t, 12, 4)
+	if st := h.svc.Stats(); st.Batches != 1 {
+		t.Fatalf("%d batches while the first is on the wire, want 1", st.Batches)
+	}
+	gate.Open()
+	if o := <-pinned; o.err != nil {
+		t.Fatal(o.err)
+	}
+	for i, c := range outs {
+		o := <-c
+		if o.err != nil {
+			t.Fatalf("lookup %d: %v", i, o.err)
+		}
+		if !o.res.Verified {
+			t.Fatalf("lookup %d unverified", i)
+		}
+		h.check(t, 0, serve.Bag{Idx: bags[i]}, o.res)
+	}
+	st := h.svc.Stats()
+	if st.Batches != 2 || st.RowsFetched != 13 {
+		t.Fatalf("%d batches fetching %d rows, want 2 batches and 13 rows: the backlog must leave as one batch", st.Batches, st.RowsFetched)
+	}
+	if st.WindowFlushes != 2 || st.SizeFlushes != 0 {
+		t.Fatalf("drain/size flushes %d/%d, want 2/0", st.WindowFlushes, st.SizeFlushes)
+	}
+}
+
+// TestServeIdleFlushAndInvariant: a lone lookup on an idle service goes
+// out at once as a batch of its own and leaves no drain goroutine
+// behind; then 16 users x 4 tables hammer the service under -race,
+// checking after every lookup that no table ever has rows queued
+// without a drain goroutine alive.
+func TestServeIdleFlushAndInvariant(t *testing.T) {
+	h := newHarness(t, 4, 64, 16, 12, serve.Config{CacheRows: 32})
+	idle := func() {
+		t.Helper()
+		for _, name := range h.names {
+			eventually(t, "the drain goroutine of "+name+" to exit", func() bool {
+				q, running := h.svc.CoalescerState(name)
+				return q == 0 && !running
+			})
+		}
+	}
+	bag := serve.Bag{Table: h.names[0], Idx: []int{5}}
+	res, err := h.svc.Lookup(context.Background(), bag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.check(t, 0, bag, res)
+	if st := h.svc.Stats(); st.Batches != 1 || st.RowsFetched != 1 {
+		t.Fatalf("lone lookup: %d batches, %d rows, want 1 and 1", st.Batches, st.RowsFetched)
+	}
+	idle()
+
+	const users = 16
+	var wg sync.WaitGroup
+	errc := make(chan error, users)
+	for u := 0; u < users; u++ {
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(300 + u)))
+			for i := 0; i < 20; i++ {
+				bags := make([]serve.Bag, len(h.names))
+				for ti, name := range h.names {
+					bags[ti] = serve.Bag{Table: name, Idx: []int{rng.Intn(64), rng.Intn(64), rng.Intn(8)}}
+				}
+				out, err := h.svc.LookupBags(context.Background(), bags)
+				if err != nil {
+					errc <- err
+					return
+				}
+				for ti, name := range h.names {
+					want := plainSum(h.plains[ti], bags[ti].Idx, nil, 16, 0xFFFFFFFF)
+					for j := range want {
+						if out[ti].Values[j] != want[j] {
+							errc <- errors.New("value mismatch under the hammer")
+							return
+						}
+					}
+					if q, running := h.svc.CoalescerState(name); q > 0 && !running {
+						errc <- errors.New("invariant broken: rows queued and no drain goroutine")
+						return
+					}
+				}
+			}
+		}(u)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	idle()
+}
+
+// TestServeDrainVsSizeTrigger: a forming batch that reaches MaxBatch
+// while another is on the wire leaves on its own goroutine instead of
+// queueing behind it; the remainder leaves with the drain loop. Then the
+// two paths race under -race and every lookup still completes correctly.
+func TestServeDrainVsSizeTrigger(t *testing.T) {
+	h, gate := newGatedHarness(t, 64, 16, 5, serve.Config{
+		MaxBatch:  2,
 		CacheRows: -1,
 	})
+	pinned := h.pin(gate)
+	// Three rows behind the pinned batch: {1,2} fill a batch and detach,
+	// {3} stays queued for the drain loop.
+	bag := serve.Bag{Table: h.names[0], Idx: []int{1, 2, 3}}
+	behind := h.lookupAsync(context.Background(), bag)
+	gate.AwaitParked(2)
+	h.queued(t, 1, 0)
+	if st := h.svc.Stats(); st.SizeFlushes != 1 || st.Batches != 2 {
+		t.Fatalf("behind a pinned batch: %d size flushes, %d batches, want 1 and 2", st.SizeFlushes, st.Batches)
+	}
+	gate.Open()
+	if o := <-pinned; o.err != nil {
+		t.Fatal(o.err)
+	}
+	o := <-behind
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	h.check(t, 0, bag, o.res)
+	if st := h.svc.Stats(); st.SizeFlushes != 1 || st.WindowFlushes != 2 || st.Batches != 3 {
+		t.Fatalf("size/drain flushes %d/%d over %d batches, want 1/2 over 3", st.SizeFlushes, st.WindowFlushes, st.Batches)
+	}
+
 	const users = 16
 	var wg sync.WaitGroup
 	errc := make(chan error, users)
@@ -215,7 +429,7 @@ func TestServeWindowVsSizeTrigger(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(200 + u)))
 			for i := 0; i < 10; i++ {
-				idx := []int{rng.Intn(64)}
+				idx := []int{rng.Intn(64), rng.Intn(64), rng.Intn(64)}
 				res, err := h.svc.Lookup(context.Background(), serve.Bag{Table: h.names[0], Idx: idx})
 				if err != nil {
 					errc <- err
@@ -236,118 +450,97 @@ func TestServeWindowVsSizeTrigger(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	st := h.svc.Stats()
-	if st.SizeFlushes == 0 {
-		t.Error("MaxBatch=2 under 16 users never size-flushed")
-	}
-	// A lone trailing lookup must flush by window, not hang.
-	res, err := h.svc.Lookup(context.Background(), serve.Bag{Table: h.names[0], Idx: []int{63}})
+	// A lone trailing lookup leaves with the drain loop, not the size
+	// trigger, and does not hang.
+	before := h.svc.Stats()
+	lone := serve.Bag{Table: h.names[0], Idx: []int{63}}
+	res, err := h.svc.Lookup(context.Background(), lone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := plainSum(h.plains[0], []int{63}, nil, 16, 0xFFFFFFFF)
-	if res.Values[0] != want[0] {
-		t.Fatal("window-flushed straggler mismatch")
-	}
-	if h.svc.Stats().WindowFlushes == 0 {
-		t.Error("lone lookup never window-flushed")
+	h.check(t, 0, lone, res)
+	after := h.svc.Stats()
+	if after.WindowFlushes != before.WindowFlushes+1 || after.SizeFlushes != before.SizeFlushes {
+		t.Errorf("lone lookup: drain flushes %d -> %d, size flushes %d -> %d; want +1 and +0",
+			before.WindowFlushes, after.WindowFlushes, before.SizeFlushes, after.SizeFlushes)
 	}
 }
 
-// TestServeCancelMidCoalesce: a user canceling mid-window abandons only
-// its own wait — the batch it joined still runs under the service
-// context and the other user in the same batch gets a correct result.
+// TestServeCancelMidCoalesce: a user canceling while its rows wait in a
+// forming batch abandons only its own wait — the batch still runs under
+// the service context, and the other user in the same batch, who also
+// joined the canceled user's row fetch, gets a correct result. A batch
+// held on the wire keeps both users in one forming batch (what a 30 ms
+// window used to).
 func TestServeCancelMidCoalesce(t *testing.T) {
-	h := newHarness(t, 1, 64, 16, 6, serve.Config{
-		Window:    30 * time.Millisecond, // long window: both users land in one batch
-		CacheRows: -1,
-	})
+	h, gate := newGatedHarness(t, 64, 16, 6, serve.Config{CacheRows: -1})
+	pinned := h.pin(gate)
 	cctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	var cancelErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, cancelErr = h.svc.Lookup(cctx, serve.Bag{Table: h.names[0], Idx: []int{1}})
-	}()
-	// Second user joins the same forming batch, then the first cancels.
-	time.Sleep(2 * time.Millisecond)
-	type out struct {
-		res serve.BagResult
-		err error
-	}
-	done := make(chan out, 1)
-	go func() {
-		res, err := h.svc.Lookup(context.Background(), serve.Bag{Table: h.names[0], Idx: []int{2}})
-		done <- out{res, err}
-	}()
-	time.Sleep(2 * time.Millisecond)
+	canceled := h.lookupAsync(cctx, serve.Bag{Table: h.names[0], Idx: []int{1}})
+	h.queued(t, 1, 0)
+	bag := serve.Bag{Table: h.names[0], Idx: []int{1, 2}}
+	survivor := h.lookupAsync(context.Background(), bag)
+	h.queued(t, 2, 1)
 	cancel()
-	wg.Wait()
-	if !errors.Is(cancelErr, context.Canceled) {
-		t.Fatalf("canceled lookup returned %v, want context.Canceled", cancelErr)
+	if o := <-canceled; !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("canceled lookup returned %v, want context.Canceled", o.err)
 	}
-	o := <-done
+	if q, _ := h.svc.CoalescerState(h.names[0]); q != 2 {
+		t.Fatalf("%d rows queued after the cancel, want 2: a waiter leaving must not take its row along", q)
+	}
+	gate.Open()
+	if o := <-pinned; o.err != nil {
+		t.Fatal(o.err)
+	}
+	o := <-survivor
 	if o.err != nil {
 		t.Fatalf("surviving user in the canceled user's batch failed: %v", o.err)
 	}
-	want := plainSum(h.plains[0], []int{2}, nil, 16, 0xFFFFFFFF)
-	for j := range want {
-		if o.res.Values[j] != want[j] {
-			t.Fatal("surviving user got wrong values")
-		}
-	}
+	h.check(t, 0, bag, o.res)
 	if !o.res.Verified {
 		t.Fatal("surviving user lost verification")
+	}
+	if st := h.svc.Stats(); st.Batches != 2 {
+		t.Fatalf("%d batches, want 2: both users' rows in one", st.Batches)
 	}
 }
 
 // TestServeShedsTyped: with one admission slot and a one-deep queue,
 // a burst beyond capacity sheds immediately with ErrOverloaded —
 // errors.Is-matchable, no unbounded queueing — while admitted lookups
-// complete correctly.
+// complete correctly. The gate holds the admitted lookup's fetch on the
+// wire (what a 50 ms window used to), so the envelope stays full until
+// the last of the burst has been turned away.
 func TestServeShedsTyped(t *testing.T) {
-	h := newHarness(t, 1, 64, 16, 7, serve.Config{
-		Window:      50 * time.Millisecond, // holds the admitted lookup in its window
+	h, gate := newGatedHarness(t, 64, 16, 7, serve.Config{
 		MaxInflight: 1,
 		MaxQueue:    1,
 		CacheRows:   -1,
 	})
+	gate.Shut()
 	const burst = 6
 	errs := make(chan error, burst)
-	var wg sync.WaitGroup
 	for u := 0; u < burst; u++ {
-		wg.Add(1)
 		go func(u int) {
-			defer wg.Done()
 			_, err := h.svc.Lookup(context.Background(), serve.Bag{Table: h.names[0], Idx: []int{u % 64}})
 			errs <- err
 		}(u)
 	}
-	wg.Wait()
-	close(errs)
-	var ok, shed, other int
-	for err := range errs {
-		switch {
-		case err == nil:
-			ok++
-		case errors.Is(err, serve.ErrOverloaded):
-			shed++
-		default:
-			other++
+	// One lookup holds the slot with its fetch parked, one waits in the
+	// queue; the other four can only have been shed.
+	for i := 0; i < burst-2; i++ {
+		if err := <-errs; !errors.Is(err, serve.ErrOverloaded) {
+			t.Fatalf("lookup returned %v with the envelope full, want ErrOverloaded", err)
 		}
 	}
-	if other != 0 {
-		t.Fatalf("%d lookups failed with non-shed errors", other)
+	if st := h.svc.Stats(); st.Shed != burst-2 {
+		t.Fatalf("Stats.Shed = %d, want %d", st.Shed, burst-2)
 	}
-	if shed == 0 {
-		t.Fatalf("burst of %d over capacity 2 shed nothing (ok=%d)", burst, ok)
-	}
-	if ok == 0 {
-		t.Fatal("every lookup shed; admitted ones should have completed")
-	}
-	if st := h.svc.Stats(); st.Shed != uint64(shed) {
-		t.Fatalf("Stats.Shed = %d, want %d", st.Shed, shed)
+	gate.Open()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("admitted lookup failed: %v", err)
+		}
 	}
 }
 
@@ -356,7 +549,7 @@ func TestServeShedsTyped(t *testing.T) {
 // epoch bump invalidates the entry and the next lookup returns the
 // post-rotation plaintext.
 func TestServeCacheNeverServesPreRotationRows(t *testing.T) {
-	h := newHarness(t, 1, 16, 8, 8, serve.Config{Window: 50 * time.Microsecond})
+	h := newHarness(t, 1, 16, 8, 8, serve.Config{})
 	ctx := context.Background()
 	bag := serve.Bag{Table: h.names[0], Idx: []int{3, 7}}
 
@@ -430,31 +623,222 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
-// TestServeClose: Close flushes pending windows (no waiter hangs),
-// subsequent lookups fail ErrClosed, and Close is idempotent.
+// TestServeClose: Close with a batch on the wire and rows queued behind
+// it wakes every waiter and returns once the coalescer's goroutines are
+// gone — without a flush, because queued rows always have a drain
+// goroutine. Subsequent lookups fail ErrClosed, and Close is idempotent.
 func TestServeClose(t *testing.T) {
-	h := newHarness(t, 1, 16, 8, 10, serve.Config{
-		Window:    200 * time.Millisecond, // would hang a waiter if Close didn't flush
-		CacheRows: -1,
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := h.svc.Lookup(context.Background(), serve.Bag{Table: h.names[0], Idx: []int{1}})
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	start := time.Now()
-	h.svc.Close()
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Fatalf("Close took %v; should flush, not wait out the window", d)
+	h, gate := newGatedHarness(t, 16, 8, 10, serve.Config{CacheRows: -1})
+	waiters := []<-chan lookupOut{h.pin(gate)}
+	for _, idx := range [][]int{{1}, {2, 3}, {1, 4}} {
+		waiters = append(waiters, h.lookupAsync(context.Background(), serve.Bag{Table: h.names[0], Idx: idx}))
 	}
-	select {
-	case <-done: // completed or canceled — either way, not hung
-	case <-time.After(time.Second):
-		t.Fatal("waiter hung across Close")
+	h.queued(t, 4, 1)
+	h.svc.Close() // the gate is still shut: only the canceled service context frees the fetch
+	for i, c := range waiters {
+		if o := <-c; !errors.Is(o.err, context.Canceled) {
+			t.Fatalf("waiter %d across Close: %v, want the service context's cancellation", i, o.err)
+		}
+	}
+	if q, running := h.svc.CoalescerState(h.names[0]); q != 0 || running {
+		t.Fatalf("after Close: %d rows queued, drain goroutine alive = %v", q, running)
 	}
 	if _, err := h.svc.Lookup(context.Background(), serve.Bag{Table: h.names[0], Idx: []int{1}}); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("post-Close lookup: %v, want ErrClosed", err)
 	}
 	h.svc.Close() // idempotent
+}
+
+// TestServeAllocBudgets pins the allocation diet that pays for the
+// smaller batches an idle table now sends. Warm: a 4-bag lookup served
+// from the cache allocates its result slice and four value vectors and
+// nothing else. Cold: a 4-bag, 32-row lookup on LocalBackend with the
+// cache off — four drain goroutines, four facade batches of 28
+// allocations each — reads 149 where the window-timer coalescer read 262
+// (warm: 5 against 10), this same test body run at both commits.
+func TestServeAllocBudgets(t *testing.T) {
+	lookup := func(h *harness) func() {
+		bags := make([]serve.Bag, len(h.names))
+		for ti, name := range h.names {
+			bags[ti] = serve.Bag{Table: name, Idx: []int{1, 9, 17, 25, 33, 41, 49, 57}}
+		}
+		return func() {
+			if _, err := h.svc.LookupBags(context.Background(), bags); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	warm := lookup(newHarness(t, 4, 64, 16, 13, serve.Config{}))
+	warm()
+	if n := testing.AllocsPerRun(200, warm); n > 6 {
+		t.Errorf("warm-cache 4-bag lookup: %.1f allocations, budget 6", n)
+	}
+	cold := lookup(newHarness(t, 4, 64, 16, 13, serve.Config{CacheRows: -1}))
+	cold()
+	if n := testing.AllocsPerRun(200, cold); n > 180 {
+		t.Errorf("cold 4-bag lookup: %.1f allocations, budget 180", n)
+	}
+}
+
+// TestServeOverflowedBagIsNotVerified is ROADMAP 1a's reproduction: an
+// 8x16 32-bit table whose elements are all 2^31, bag {0,1} at unit
+// weights. The sum is exactly 2^32: Table.Query rejects it, and
+// serve.Lookup — which returned Verified: true and sixteen zeros — must
+// too, cold and again with both rows in the cache. One row alone is fine.
+func TestServeOverflowedBagIsNotVerified(t *testing.T) {
+	ctx := context.Background()
+	eng, err := secndp.New(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := make([][]uint64, 8)
+	for i := range plain {
+		plain[i] = make([]uint64, 16)
+		for j := range plain[i] {
+			plain[i][j] = 1 << 31
+		}
+	}
+	tab, err := eng.CreateTable(ctx, secndp.LocalBackend(secndp.NewMemory()), secndp.TableSpec{Rows: 8, Cols: 16}, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tab.Close)
+	svc := serve.New(serve.Config{})
+	t.Cleanup(svc.Close)
+	if err := svc.AddTable("emb", tab); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tab.Query(ctx, secndp.Request{Idx: []int{0, 1}, Weights: []uint64{1, 1}}); !errors.Is(err, secndp.ErrVerification) {
+		t.Fatalf("Table.Query over the overflowing bag: %v, want ErrVerification", err)
+	}
+	for _, pass := range []string{"cold", "cached"} {
+		res, err := svc.Lookup(ctx, serve.Bag{Table: "emb", Idx: []int{0, 1}})
+		if !errors.Is(err, secndp.ErrVerification) {
+			t.Fatalf("%s serve.Lookup over the overflowing bag: %+v, %v; want ErrVerification", pass, res, err)
+		}
+	}
+	res, err := svc.Lookup(ctx, serve.Bag{Table: "emb", Idx: []int{0}})
+	if err != nil || !res.Verified || res.Values[0] != 1<<31 || res.CacheHits != 1 {
+		t.Fatalf("single cached row: %+v, %v", res, err)
+	}
+}
+
+// TestServeOverflowMatchesQuery: a bag whose integer sum reaches 2^we
+// must not come back Verified — serve folds unit-weight rows TEE-side,
+// so the weighted sum itself never passes under a MAC, and the fold has
+// to reject what a direct query's checksum would. Random bags, about
+// half of them overflowing, get the same outcome — the same values, or
+// an error matching ErrVerification — from serve.Lookup, Table.Query and
+// Table.QueryBatch, on LocalBackend and on a 2-shard loopback cluster,
+// cold and from the row cache.
+func TestServeOverflowMatchesQuery(t *testing.T) {
+	const rows, cols = 32, 16
+	shards := make([]secndp.ShardSpec, 2)
+	for i := range shards {
+		srv := secndp.NewServer(secndp.NewMemory())
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		shards[i] = secndp.ShardSpec{Addr: addr}
+	}
+	backends := map[string]func() secndp.Backend{
+		"local":   func() secndp.Backend { return secndp.LocalBackend(secndp.NewMemory()) },
+		"cluster": func() secndp.Backend { return secndp.ClusterBackend(shards...) },
+	}
+	for name, backend := range backends {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			eng, err := secndp.New(testKey, secndp.WithTransport(secndp.TransportConfig{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Rows 0 and 1 are the issue's reproduction (every element
+			// 2^31, so {0,1} sums to exactly 2^32); the rest are random
+			// 32-bit values, large enough that a few rows overflow.
+			rng := rand.New(rand.NewSource(14))
+			plain := testRows(rng, rows, cols, 1<<32)
+			for j := 0; j < cols; j++ {
+				plain[0][j], plain[1][j] = 1<<31, 1<<31
+			}
+			tab, err := eng.CreateTable(ctx, backend(), secndp.TableSpec{Rows: rows, Cols: cols}, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tab.Close)
+			svc := serve.New(serve.Config{})
+			t.Cleanup(svc.Close)
+			if err := svc.AddTable("emb", tab); err != nil {
+				t.Fatal(err)
+			}
+
+			// outcome is nil values for a verification reject.
+			outcome := func(who string, vals []uint64, verified bool, err error) []uint64 {
+				t.Helper()
+				switch {
+				case err == nil && verified:
+					return vals
+				case errors.Is(err, secndp.ErrVerification):
+					return nil
+				}
+				t.Fatalf("%s: verified=%v err=%v, want a verified result or ErrVerification", who, verified, err)
+				return nil
+			}
+			var overflowed, clean int
+			for trial := 0; trial < 200; trial++ {
+				var idx []int
+				var w []uint64
+				switch {
+				case trial == 0:
+					idx = []int{0, 1} // unit weights, nil Weights
+				default:
+					n := 1 + rng.Intn(4)
+					idx, w = make([]int, n), make([]uint64, n)
+					for k := range idx {
+						idx[k] = rng.Intn(rows)
+						w[k] = 1
+						if rng.Intn(3) == 0 {
+							w[k] = rng.Uint64() >> uint(rng.Intn(64)) // up to 64-bit weights: high product words
+						}
+					}
+					if rng.Intn(4) == 0 {
+						idx[0], w[0] = 2+rng.Intn(rows-2), 0 // a zero weight contributes nothing
+					}
+				}
+				req := secndp.Request{Idx: idx, Weights: w}
+				if w == nil {
+					req.Weights = []uint64{1, 1} // serve reads nil as all ones; the facade wants them spelled out
+				}
+				qr, qerr := tab.Query(ctx, req)
+				want := outcome("Table.Query", qr.Values, qr.Verified, qerr)
+				br, berr := tab.QueryBatch(ctx, []secndp.Request{req})
+				gotBatch := outcome("Table.QueryBatch", br[0].Values, br[0].Verified, berr)
+				for pass, label := range []string{"serve.Lookup cold", "serve.Lookup cached"} {
+					sr, serr := svc.Lookup(ctx, serve.Bag{Table: "emb", Idx: idx, Weights: w})
+					got := outcome(label, sr.Values, sr.Verified, serr)
+					if (got == nil) != (want == nil) || (gotBatch == nil) != (want == nil) {
+						t.Fatalf("trial %d idx %v w %v: rejected by Query=%v QueryBatch=%v %s=%v",
+							trial, idx, w, want == nil, gotBatch == nil, label, got == nil)
+					}
+					for j := range want {
+						if got[j] != want[j] || gotBatch[j] != want[j] {
+							t.Fatalf("trial %d col %d: Query %d, QueryBatch %d, %s %d", trial, j, want[j], gotBatch[j], label, got[j])
+						}
+					}
+					if pass == 1 && serr == nil && sr.CacheHits != len(idx) {
+						t.Fatalf("trial %d: second lookup hit %d of %d rows", trial, sr.CacheHits, len(idx))
+					}
+				}
+				if want == nil {
+					overflowed++
+				} else {
+					clean++
+				}
+			}
+			if overflowed < 20 || clean < 20 {
+				t.Fatalf("%d overflowing and %d clean bags: the draw no longer covers both", overflowed, clean)
+			}
+		})
+	}
 }

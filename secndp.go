@@ -771,9 +771,8 @@ func (t *Table) queryElemFallback(ctx context.Context, st *tableState, req Reque
 // errors.Is(err, ErrVerification) detects a rejected result anywhere in
 // the batch.
 func (t *Table) QueryBatch(ctx context.Context, reqs []Request) ([]Result, error) {
-	out := make([]Result, len(reqs))
 	if len(reqs) == 0 {
-		return out, nil
+		return []Result{}, nil
 	}
 	if t.eng.tel != nil {
 		t.eng.tel.batches.Inc()

@@ -80,7 +80,6 @@ func TestServeChaosReplicaKill(t *testing.T) {
 	t.Cleanup(tab.Close)
 
 	svc := serve.New(serve.Config{
-		Window:    500 * time.Microsecond,
 		CacheRows: -1, // every lookup reaches the cluster: maximum chaos exposure
 	})
 	t.Cleanup(svc.Close)
@@ -93,8 +92,7 @@ func TestServeChaosReplicaKill(t *testing.T) {
 		idx []int
 		err error
 	}
-	var mu sync.Mutex
-	var outcomes []outcome
+	outc := make(chan outcome)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -103,34 +101,35 @@ func TestServeChaosReplicaKill(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(910 + g)))
 			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
 				n := 1 + rng.Intn(4)
 				idx := make([]int, n)
 				for k := range idx {
 					idx[k] = rng.Intn(rows)
 				}
 				res, err := svc.Lookup(context.Background(), serve.Bag{Table: "emb", Idx: idx})
-				mu.Lock()
-				outcomes = append(outcomes, outcome{res, idx, err})
-				mu.Unlock()
+				select {
+				case outc <- outcome{res, idx, err}:
+				case <-stop:
+					return
+				}
 			}
 		}(g)
 	}
-
-	time.Sleep(20 * time.Millisecond)
+	// The load is paced by its own completions, not by a clock: 50
+	// lookups against the healthy pair, the kill, 200 more across it.
+	var outcomes []outcome
+	collect := func(n int) {
+		for i := 0; i < n; i++ {
+			outcomes = append(outcomes, <-outc)
+		}
+	}
+	collect(50)
 	proxy.SetSchedule(dropAll{})
 	proxy.BreakConns()
-	time.Sleep(60 * time.Millisecond)
+	collect(200)
 	close(stop)
 	wg.Wait()
 
-	if len(outcomes) == 0 {
-		t.Fatal("no lookups completed")
-	}
 	for i, o := range outcomes {
 		if o.err != nil {
 			if errors.Is(o.err, serve.ErrOverloaded) {
