@@ -2,15 +2,33 @@
 
 GO ?= go
 
-.PHONY: all build test test-race serve-check bench bench-check bench-json loadtest vet fuzz examples experiments quick clean
+.PHONY: all build test test-race serve-check bench bench-check bench-json loadtest vet inline-check gather-check fuzz examples experiments quick clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
 
-vet:
+# vet also cross-vets the packages that carry amd64 assembly for arm64, so
+# their build-tagged fallbacks (memory/prefetch_other.go, and core, which
+# calls through it) cannot stop compiling unnoticed; the standard library
+# cross-compiles offline.
+vet: inline-check
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/memory ./internal/core
+
+# memory.Layout.RowAddr must stay inlinable. As a call it copies the Layout
+# through the stack, and the copy's store-forward stall waits for the
+# previous row's cache miss: every per-row caller (otpWalk, otpBatch,
+# EncryptTableFrom, DecryptRow, Reencrypt) then runs at memory latency.
+inline-check:
+	$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline Layout.RowAddr'
+
+# The NDP gather must overlap its cache misses: rows that miss the cache
+# may cost at most 3x rows that hit it (internal/perf/gather_test.go holds
+# the bound and the readings behind it).
+gather-check:
+	$(GO) test -run 'TestGatherColdOverWarm' -count=1 -v ./internal/perf
 
 test:
 	$(GO) test ./...
@@ -69,6 +87,7 @@ loadtest:
 # fuzzing accepts exactly one target per invocation).
 FUZZTIME ?= 5s
 fuzz:
+	$(GO) test -run xxx -fuzz '^FuzzSpanMatchesReadInto$$' -fuzztime $(FUZZTIME) ./internal/memory
 	$(GO) test -run xxx -fuzz '^FuzzDotUint64$$' -fuzztime $(FUZZTIME) ./internal/field
 	$(GO) test -run xxx -fuzz '^FuzzScaleAccum$$' -fuzztime $(FUZZTIME) ./internal/field
 	$(GO) test -run xxx -fuzz '^FuzzReadGeometry$$' -fuzztime $(FUZZTIME) ./internal/remote

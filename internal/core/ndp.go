@@ -60,52 +60,142 @@ type HonestNDP struct {
 
 var _ NDP = (*HonestNDP)(nil)
 
-// WeightedSum implements NDP. The whole gather runs under one read view
-// (one lock acquisition instead of one per row) and each row folds into
-// the accumulator straight from its ciphertext bytes — no unpack pass, no
-// element scratch.
+// gatherAhead is how many rows a gather resolves — and so how many cache
+// misses it puts in flight — before it folds the first of them. The
+// target is the core's memory-level parallelism: ten to twelve line-fill
+// buffers on current x86 cores, against four data lines plus one tag line
+// per 256-byte row, so eight rows already keep every buffer busy and the
+// hardware queues the rest: cold rows cost 466 ns at 1, 320 at 2, and
+// 190–220 at 4, 8, 16 and 32 alike (DESIGN.md §11). It also has to divide
+// ctxCheckStride, which keeps the batch walk's cancellation cadence.
+const gatherAhead = 8
+
+// gather is the one row walk of the software NDP: for count requests, in
+// groups of gatherAhead, resolve → prefetch → accumulate. Pass 1 asks at
+// for request k's row (and byte offset into it), range-checks it,
+// computes its addresses from the hoisted base and stride, and resolves
+// dataLen bytes of row data and, with tags, the row's tag to spans of the
+// backing pages (memory.View.Span), which prefetches their lines; nothing
+// in it waits on memory, so the group's misses overlap. Pass 2 hands each
+// request's data and tag to fold, reading into pooled scratch where a
+// span was nil (a row straddling a page, a never-written page, the ECC
+// side band). The slices fold receives are read-only and dead once it
+// returns. dataLen 0 gathers tags alone. The only error is ctx's, checked
+// every ctxCheckStride requests; the NDP methods that carry no context
+// pass context.TODO() and have none to handle.
+//
+// Pass 1 must not call anything that takes the Layout by value and is not
+// inlined: the copy's store-forward stall waits for the previous row's
+// miss and serialises the walk (see memory.Layout.RowAddr). An
+// out-of-range row panics with RowAddr's own value, which runNDP and the
+// cluster's callBatch recover.
+func (n *HonestNDP) gather(ctx context.Context, geo Geometry, count, dataLen int, tags bool,
+	at func(k int) (row int, off uint64), fold func(k int, data, tag []byte)) error {
+	lay := geo.Layout
+	numRows, base, stride := lay.NumRows, lay.Base, lay.RowStride()
+	// A tag lives at tagBase + row·tagStride; in the ECC side band that
+	// is its key (the row's data address) and there is no page to span.
+	var tagBase, tagStride uint64
+	ecc := false
+	if tags {
+		switch lay.Placement {
+		case memory.TagColoc:
+			tagBase, tagStride = base+uint64(lay.RowBytes), stride
+		case memory.TagSep:
+			tagBase, tagStride = lay.TagBase, memory.TagBytes
+		case memory.TagECC:
+			tagBase, tagStride, ecc = base, stride, true
+		default:
+			panic("core: tag gather with no tag placement")
+		}
+	}
+	bp, scratch := getByteScratch(dataLen + memory.TagBytes)
+	defer putByteScratch(bp)
+	rowBuf, tagBuf := scratch[:dataLen], scratch[dataLen:]
+	var err error
+	n.Mem.View(func(v *memory.View) {
+		var data, tag [gatherAhead][]byte
+		var dataAddr, tagAddr [gatherAhead]uint64
+		for lo := 0; lo < count; lo += gatherAhead {
+			if lo%ctxCheckStride == 0 {
+				if err = ctx.Err(); err != nil {
+					return
+				}
+			}
+			g := min(gatherAhead, count-lo)
+			for j := 0; j < g; j++ {
+				row, off := at(lo + j)
+				if uint(row) >= uint(numRows) {
+					lay.RowAddr(row) // panics
+				}
+				if dataLen > 0 {
+					dataAddr[j] = base + uint64(row)*stride + off
+					data[j] = v.Span(dataAddr[j], dataLen)
+				}
+				if tags {
+					tagAddr[j] = tagBase + uint64(row)*tagStride
+					if !ecc {
+						tag[j] = v.Span(tagAddr[j], memory.TagBytes)
+					}
+				}
+			}
+			for j := 0; j < g; j++ {
+				d, t := data[j], tag[j]
+				if d == nil && dataLen > 0 {
+					v.ReadInto(rowBuf, dataAddr[j])
+					d = rowBuf
+				}
+				if t == nil && tags {
+					if ecc {
+						v.ReadECCInto(tagBuf, tagAddr[j])
+					} else {
+						v.ReadInto(tagBuf, tagAddr[j])
+					}
+					t = tagBuf
+				}
+				fold(lo+j, d, t)
+			}
+		}
+	})
+	return err
+}
+
+// WeightedSum implements NDP. Each row folds into the accumulator
+// straight from its ciphertext bytes — no unpack pass, no element scratch.
 func (n *HonestNDP) WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64 {
 	r := geo.ringOf()
 	acc := make([]uint64, geo.Params.M)
-	bp, rowBuf := getByteScratch(geo.Layout.RowBytes)
-	n.Mem.View(func(v *memory.View) {
-		for k, i := range idx {
-			geo.Layout.ReadRowIntoView(v, i, rowBuf)
-			r.ScaleAccumBytes(acc, weights[k], rowBuf)
-		}
-	})
-	putByteScratch(bp)
+	n.gather(context.TODO(), geo, len(idx), geo.Layout.RowBytes, false,
+		func(k int) (int, uint64) { return idx[k], 0 },
+		func(k int, data, _ []byte) { r.ScaleAccumBytes(acc, weights[k], data) })
 	return acc
 }
 
-// WeightedSumElem implements NDP.
+// WeightedSumElem implements NDP: the same walk over one element per
+// request instead of one row.
 func (n *HonestNDP) WeightedSumElem(geo Geometry, idx, jdx []int, weights []uint64) uint64 {
 	r := geo.ringOf()
-	eb := uint64(r.Bytes())
+	eb := r.Bytes()
 	var acc uint64
-	for k, i := range idx {
-		addr := geo.Layout.RowAddr(i) + uint64(jdx[k])*eb
-		raw := n.Mem.Read(addr, int(eb))
-		var e uint64
-		for b := range raw {
-			e |= uint64(raw[b]) << (8 * b)
-		}
-		acc += weights[k] * e
-	}
+	n.gather(context.TODO(), geo, len(idx), eb, false,
+		func(k int) (int, uint64) { return idx[k], uint64(jdx[k] * eb) },
+		func(k int, data, _ []byte) {
+			var e uint64
+			for b, x := range data {
+				e |= uint64(x) << (8 * b)
+			}
+			acc += weights[k] * e
+		})
 	return r.Reduce(acc)
 }
 
-// TagSum implements NDP. Tags are gathered under one read view and
-// combined with the deferred-reduction accumulator.
+// TagSum implements NDP. Tags are combined with the deferred-reduction
+// accumulator.
 func (n *HonestNDP) TagSum(geo Geometry, idx []int, weights []uint64) field.Elem {
 	var acc field.Acc
-	var tb [memory.TagBytes]byte
-	n.Mem.View(func(v *memory.View) {
-		for k, i := range idx {
-			geo.Layout.ReadTagIntoView(v, i, tb[:])
-			acc.AddMulUint64(field.FromBytes(tb[:]), weights[k])
-		}
-	})
+	n.gather(context.TODO(), geo, len(idx), 0, true,
+		func(k int) (int, uint64) { return idx[k], 0 },
+		func(k int, _, tag []byte) { acc.AddMulUint64(field.FromBytes(tag), weights[k]) })
 	return acc.Sum()
 }
 
@@ -179,55 +269,43 @@ func (n *HonestNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs 
 			next++
 		}
 	}
-	bp, rowBuf := getByteScratch(geo.Layout.RowBytes)
 	up, row := getU64Scratch(m)
-	defer putByteScratch(bp)
 	defer putU64Scratch(up)
 	var tagAccs []field.Acc
 	if verify {
 		tagAccs = make([]field.Acc, len(reqs))
 	}
-	var tb [memory.TagBytes]byte
-	// The whole plan walk runs under one read view; the callback cannot
-	// return an error, so cancellation is captured in loopErr.
-	var loopErr error
-	n.Mem.View(func(v *memory.View) {
-		for pi := range plan.rows {
-			if pi%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					loopErr = err
-					return
-				}
-			}
+	// A row's data and tag resolve in the same pass, so the tag line is in
+	// flight with the data it verifies.
+	err := n.gather(ctx, geo, len(plan.rows), geo.Layout.RowBytes, verify,
+		func(pi int) (int, uint64) { return plan.rows[pi].row, 0 },
+		func(pi int, data, tag []byte) {
 			pr := &plan.rows[pi]
-			geo.Layout.ReadRowIntoView(v, pr.row, rowBuf)
 			var ct field.Elem
 			if verify {
-				geo.Layout.ReadTagIntoView(v, pr.row, tb[:])
-				ct = field.FromBytes(tb[:])
+				ct = field.FromBytes(tag)
 			}
 			if len(pr.uses) == 1 {
 				// Single-use row: fold ciphertext bytes straight into the
 				// requester's accumulator, skipping the unpack pass.
 				u := pr.uses[0]
-				r.ScaleAccumBytes(out[u.req].Sums, u.weight, rowBuf)
+				r.ScaleAccumBytes(out[u.req].Sums, u.weight, data)
 				if verify {
 					tagAccs[u.req].AddMulUint64(ct, u.weight)
 				}
-				continue
+				return
 			}
 			// Shared row: unpack once, scatter into every requester.
-			r.UnpackElemsInto(row, rowBuf)
+			r.UnpackElemsInto(row, data)
 			for _, u := range pr.uses {
 				r.ScaleAccum(out[u.req].Sums, u.weight, row)
 				if verify {
 					tagAccs[u.req].AddMulUint64(ct, u.weight)
 				}
 			}
-		}
-	})
-	if loopErr != nil {
-		return nil, loopErr
+		})
+	if err != nil {
+		return nil, err
 	}
 	if verify {
 		for i := range out {

@@ -69,6 +69,9 @@ func (l Layout) Validate() error {
 	if l.NumRows < 0 || l.RowBytes <= 0 {
 		return fmt.Errorf("memory: invalid layout dimensions n=%d rowBytes=%d", l.NumRows, l.RowBytes)
 	}
+	if l.Placement < TagNone || l.Placement > TagECC {
+		return fmt.Errorf("memory: unknown tag placement %d", int(l.Placement))
+	}
 	if l.Placement == TagECC {
 		lines := (l.RowBytes + CacheLineBytes - 1) / CacheLineBytes
 		if lines*ECCBytesPerLine < TagBytes {
@@ -87,10 +90,23 @@ func (l Layout) RowStride() uint64 {
 	return uint64(l.RowBytes)
 }
 
+// rowRange is the panic value of an out-of-range row index. Panicking
+// with this small typed value, formatted only if someone prints it, keeps
+// RowAddr under the compiler's inlining budget (`make inline-check`). As
+// a call it copied the Layout through the stack with 8-byte stores and
+// 16-byte reloads, a store-forward miss that cannot complete until every
+// older load — the previous row's cache miss — has retired, so per-row
+// callers paid the memory latency once per row.
+type rowRange struct{ row, numRows int }
+
+func (e rowRange) Error() string {
+	return fmt.Sprintf("memory: row %d out of range [0,%d)", e.row, e.numRows)
+}
+
 // RowAddr returns the physical address of row i's data.
 func (l Layout) RowAddr(i int) uint64 {
 	if i < 0 || i >= l.NumRows {
-		panic(fmt.Sprintf("memory: row %d out of range [0,%d)", i, l.NumRows))
+		panic(rowRange{i, l.NumRows})
 	}
 	return l.Base + uint64(i)*l.RowStride()
 }
@@ -104,7 +120,7 @@ func (l Layout) TagAddr(i int) uint64 {
 		return l.RowAddr(i) + uint64(l.RowBytes)
 	case TagSep:
 		if i < 0 || i >= l.NumRows {
-			panic(fmt.Sprintf("memory: row %d out of range [0,%d)", i, l.NumRows))
+			panic(rowRange{i, l.NumRows})
 		}
 		return l.TagBase + uint64(i)*TagBytes
 	default:
@@ -200,28 +216,4 @@ func (l Layout) LinesPerRowFetch(i int) int {
 		lines++ // separate fetch for the tag line
 	}
 	return lines
-}
-
-// ReadRowIntoView is ReadRowInto through an open read view — the NDP row
-// loops gather hundreds of rows under one lock acquisition.
-func (l Layout) ReadRowIntoView(v *View, i int, dst []byte) {
-	if len(dst) != l.RowBytes {
-		panic("memory: ReadRowIntoView size mismatch")
-	}
-	v.ReadInto(dst, l.RowAddr(i))
-}
-
-// ReadTagIntoView is ReadTagInto through an open read view.
-func (l Layout) ReadTagIntoView(v *View, i int, dst []byte) {
-	if len(dst) != TagBytes {
-		panic("memory: ReadTagIntoView size mismatch")
-	}
-	switch l.Placement {
-	case TagColoc, TagSep:
-		v.ReadInto(dst, l.TagAddr(i))
-	case TagECC:
-		v.ReadECCInto(dst, l.RowAddr(i))
-	default:
-		panic("memory: ReadTagIntoView with no tag placement")
-	}
 }

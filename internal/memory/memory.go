@@ -7,6 +7,17 @@
 // The space is sparse (page-granular allocation) so multi-gigabyte
 // embedding-table address ranges can be modeled without resident memory,
 // and it counts traffic for the energy model.
+//
+// There are two ways to read it. Space.Read/ReadInto (and View.ReadInto
+// under a held read lock) copy, cross page boundaries and return zeros for
+// memory never written: the general path. View.Span is the NDP gather's
+// path: the bytes in place, as a slice of the backing page, with a
+// prefetch issued for each of their cache lines (prefetch_amd64.s; a
+// no-op elsewhere) so that a reader who resolves a group of rows before
+// touching any overlaps their cache misses, as the ranks of an NDP DIMM
+// overlap theirs. Span declines (nil) what a page slice cannot express
+// and counts the bytes it hands out exactly as the copy path would, so
+// the traffic figures do not depend on which path served a read.
 package memory
 
 import (
@@ -143,6 +154,29 @@ type View struct {
 func (v *View) ReadInto(dst []byte, addr uint64) {
 	v.bytesRead += uint64(len(dst))
 	v.s.readIntoLocked(dst, addr)
+}
+
+// Span returns the n bytes at addr as a slice of the backing page — no
+// copy — counted as read traffic exactly as ReadInto counts them, after
+// issuing one prefetch per 64-byte line so that a caller resolving
+// several spans before touching any has their cache misses in flight
+// together. The slice is read-only by contract and valid until the view
+// closes. Span returns nil, counting nothing, when the range crosses a
+// page boundary (pages are not contiguous) or the page was never written
+// (there is no backing to point at); the caller then takes the ReadInto
+// copy path, which handles both.
+func (v *View) Span(addr uint64, n int) []byte {
+	off := addr & (PageSize - 1)
+	if n <= 0 || off+uint64(n) > PageSize {
+		return nil
+	}
+	p := v.s.pages[addr-off]
+	if p == nil {
+		return nil
+	}
+	prefetchLines(&p[off], n)
+	v.bytesRead += uint64(n)
+	return p[off : off+uint64(n) : off+uint64(n)]
 }
 
 // ReadECCInto fetches the side-band tag for dataAddr (zeros if absent),

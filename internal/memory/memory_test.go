@@ -216,6 +216,13 @@ func TestLayoutValidateDimensions(t *testing.T) {
 	if err := (Layout{Placement: TagNone, NumRows: 1, RowBytes: 0}).Validate(); err == nil {
 		t.Error("zero row bytes accepted")
 	}
+	// A placement off the end of the enum (a geometry off the wire) has no
+	// tag address: the NDP's tag gather would panic on it.
+	for _, p := range []TagPlacement{-1, TagECC + 1, 0x30} {
+		if err := (Layout{Placement: p, NumRows: 1, RowBytes: 128}).Validate(); err == nil {
+			t.Errorf("placement %d accepted", int(p))
+		}
+	}
 }
 
 func TestLayoutRowTagIO(t *testing.T) {
@@ -314,22 +321,24 @@ func TestLayoutViewReadsMatch(t *testing.T) {
 		l.WriteRow(s, i, row)
 		l.WriteTag(s, i, tag)
 	}
+	// Rows and tags here sit inside one written page each, so the NDP's
+	// zero-copy read (View.Span at the layout's addresses) must resolve
+	// and agree with the locked copying reads.
 	gotRows := make([][]byte, 4)
 	gotTags := make([][]byte, 4)
 	s.View(func(v *View) {
 		for i := 0; i < 4; i++ {
-			gotRows[i] = make([]byte, 32)
-			l.ReadRowIntoView(v, i, gotRows[i])
-			gotTags[i] = make([]byte, TagBytes)
-			l.ReadTagIntoView(v, i, gotTags[i])
+			// A span dies with the view: copy it out.
+			gotRows[i] = bytes.Clone(v.Span(l.RowAddr(i), l.RowBytes))
+			gotTags[i] = bytes.Clone(v.Span(l.TagAddr(i), TagBytes))
 		}
 	})
 	for i := 0; i < 4; i++ {
-		if !bytes.Equal(gotRows[i], l.ReadRow(s, i)) {
-			t.Fatalf("row %d: view read diverges from locked read", i)
+		if gotRows[i] == nil || !bytes.Equal(gotRows[i], l.ReadRow(s, i)) {
+			t.Fatalf("row %d: view span %v diverges from locked read", i, gotRows[i])
 		}
-		if !bytes.Equal(gotTags[i], l.ReadTag(s, i)) {
-			t.Fatalf("tag %d: view read diverges from locked read", i)
+		if gotTags[i] == nil || !bytes.Equal(gotTags[i], l.ReadTag(s, i)) {
+			t.Fatalf("tag %d: view span %v diverges from locked read", i, gotTags[i])
 		}
 	}
 }

@@ -42,16 +42,17 @@ type Result struct {
 // containers, and comparing reports across them is meaningless without
 // both recorded.
 type Report struct {
-	Date       string       `json:"date"`
-	GoVersion  string       `json:"go_version"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
-	NumCPU     int          `json:"num_cpu"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Quick      bool         `json:"quick,omitempty"`
-	Results    []Result     `json:"results"`
-	Phases     *PhaseReport `json:"phases,omitempty"`
-	Serve      *ServeReport `json:"serve,omitempty"`
+	Date       string        `json:"date"`
+	GoVersion  string        `json:"go_version"`
+	GOOS       string        `json:"goos"`
+	GOARCH     string        `json:"goarch"`
+	NumCPU     int           `json:"num_cpu"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Quick      bool          `json:"quick,omitempty"`
+	Results    []Result      `json:"results"`
+	Phases     *PhaseReport  `json:"phases,omitempty"`
+	Serve      *ServeReport  `json:"serve,omitempty"`
+	Gather     *GatherReport `json:"gather,omitempty"`
 }
 
 // WriteJSON writes the report as indented JSON.
@@ -351,7 +352,12 @@ func suite(quick bool) ([]func() (string, testing.BenchmarkResult), error) {
 			}
 		}),
 	}
+	benches = append(benches, gatherBenches()...)
 	return append(benches, clusterBenches(quick)...), nil
+}
+
+func nsPerOp(r testing.BenchmarkResult) float64 {
+	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
 // Run executes the suite and assembles the report. quick shrinks the table
@@ -399,7 +405,7 @@ func Run(quick bool, reg *telemetry.Registry) (Report, error) {
 		}
 		res := Result{
 			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			NsPerOp:     nsPerOp(r),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			Iterations:  r.N,
@@ -410,5 +416,6 @@ func Run(quick bool, reg *telemetry.Registry) (Report, error) {
 		rep.Results = append(rep.Results, res)
 		publishResult(reg, res)
 	}
+	rep.Gather = gatherReport(rep.Results)
 	return rep, nil
 }
