@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race serve-check bench bench-check bench-json loadtest vet inline-check gather-check fuzz examples experiments quick clean
+.PHONY: all build test test-race serve-check batch-check bench bench-check bench-json loadtest vet inline-check gather-check fuzz examples experiments quick clean
 
 all: build vet test
 
@@ -44,6 +44,18 @@ serve-check:
 	$(GO) vet ./internal/serve
 	$(GO) test -race -count=2 ./internal/serve
 	$(GO) test -run 'Serve' -race .
+
+# The batch wire path's gate: vet, cluster and remote twice under the race
+# detector (sub-batches sharing one SplitBatch arena across shard
+# goroutines, replies decoded in place from the read buffer), and the root
+# tests that pin its allocation budget and its answers under concurrent
+# callers. The budget itself holds only without -race (see race_test.go),
+# so it also runs once plainly.
+batch-check:
+	$(GO) vet ./internal/cluster ./internal/remote
+	$(GO) test -race -count=2 ./internal/cluster/... ./internal/remote/...
+	$(GO) test -run 'TestBatchCluster' -race .
+	$(GO) test -run 'TestBatchClusterAllocBudget' -count=1 .
 
 # One parameterized bench entry point: `make bench` prints to stdout;
 # `make bench BENCHOUT=file.txt` also tees the artifact; BENCHFLAGS

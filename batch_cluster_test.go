@@ -1,0 +1,131 @@
+package secndp
+
+import (
+	"context"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// The batch wire path between cluster and remote partitions a batch into
+// shared arenas and decodes shard replies in place. These tests pin its
+// allocation budget at the batch_cluster benchmark's shape and its
+// correctness under concurrent callers sharing one cluster.
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// newBatchCluster provisions a rows×cols 32-bit Ver-sep table over
+// numShards loopback servers with the engine's default transport, as the
+// benchmark does.
+func newBatchCluster(t *testing.T, numShards, rows, cols int, seed int64) (*Table, [][]uint64) {
+	t.Helper()
+	specs := make([]ShardSpec, numShards)
+	for i := range specs {
+		srv := NewServer(NewMemory())
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		specs[i] = ShardSpec{Addr: addr}
+	}
+	eng, err := New(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testRows(rand.New(rand.NewSource(seed)), rows, cols, 1<<20)
+	tab, err := eng.CreateTable(context.Background(), ClusterBackend(specs...),
+		TableSpec{Rows: rows, Cols: cols, ElemBits: 32, Tags: TagsSeparate}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tab.Close() })
+	return tab, data
+}
+
+func uniformBatch(rng *rand.Rand, bags, bagRows, rows int) []Request {
+	reqs := make([]Request, bags)
+	for i := range reqs {
+		idx := make([]int, bagRows)
+		w := make([]uint64, bagRows)
+		for k := range idx {
+			idx[k] = rng.Intn(rows)
+			w[k] = 1 + uint64(rng.Intn(8))
+		}
+		reqs[i] = Request{Idx: idx, Weights: w}
+	}
+	return reqs
+}
+
+// TestBatchClusterAllocBudget: one verified 64×8 batch over 4 shards of a
+// 16 384 × 64 table — the batch_cluster op — counting every allocation in
+// the process, servers included. Before the arena split and in-place
+// decode it read 1 281.
+func TestBatchClusterAllocBudget(t *testing.T) {
+	const rows, budget = 16384, 200
+	tab, _ := newBatchCluster(t, 4, rows, 64, 250)
+	reqs := uniformBatch(rand.New(rand.NewSource(251)), 64, 8, rows)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		out, err := tab.QueryBatch(ctx, reqs)
+		if err != nil || !out[0].Verified {
+			t.Fatalf("batch failed: %v", err)
+		}
+	})
+	t.Logf("%.0f allocs per 64×8 batch", allocs)
+	if raceEnabled {
+		return // correctness only: see race_test.go
+	}
+	if allocs > budget {
+		t.Fatalf("%.0f allocs per 64×8 batch over 4 shards, budget %d", allocs, budget)
+	}
+}
+
+// TestBatchClusterConcurrentCallers: 8 goroutines share one 4-shard
+// cluster; their batches mix a zero-row request, a request wholly on one
+// shard and duplicate rows within a request. Every answer must equal the
+// plaintext oracle and be verified. Run under -race by make batch-check.
+func TestBatchClusterConcurrentCallers(t *testing.T) {
+	const rows, cols, callers, rounds = 256, 16, 8, 6
+	tab, data := newBatchCluster(t, 4, rows, cols, 252)
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(260 + c)))
+			for round := 0; round < rounds; round++ {
+				reqs := uniformBatch(rng, 12, 1+rng.Intn(8), rows)
+				reqs[0] = Request{} // zero rows: the empty sum
+				// Range sharding puts rows [64,128) on shard 1 alone.
+				reqs[1] = Request{Idx: []int{64, 100, 127}, Weights: []uint64{3, 1, 4}}
+				r := rng.Intn(rows)
+				reqs[2] = Request{Idx: []int{r, 7, r, r}, Weights: []uint64{1, 2, 3, 5}}
+				out, err := tab.QueryBatch(context.Background(), reqs)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range reqs {
+					want := plainSum(data, reqs[i].Idx, reqs[i].Weights, cols, 0xFFFFFFFF)
+					if !out[i].Verified {
+						t.Errorf("caller %d round %d request %d: not verified", c, round, i)
+					}
+					for j := range want {
+						if out[i].Values[j] != want[j] {
+							t.Errorf("caller %d round %d request %d col %d: %d != %d", c, round, i, j, out[i].Values[j], want[j])
+							break
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}

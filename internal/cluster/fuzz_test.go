@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
+
+	"secndp/internal/core"
 )
 
 // FuzzShardSplit drives the shard-map planner with arbitrary geometries
 // and index lists and checks the partition invariants that the gather's
 // correctness rests on: every (idx, weight) pair lands on exactly one
 // sub-query, on its owning shard, in original relative order — so the
-// per-shard partials re-add to the unsharded sum by linearity.
+// per-shard partials re-add to the unsharded sum by linearity. Split and
+// SplitBatch (on the same pairs cut into a batch, empty requests
+// included) must also equal the test-only reference partitions below.
 func FuzzShardSplit(f *testing.F) {
 	f.Add(64, 4, 0, uint64(1), []byte{0, 1, 2, 3, 62, 63})
 	f.Add(100, 7, 1, uint64(9), []byte{50, 50, 50, 0, 99})
@@ -97,7 +102,110 @@ func FuzzShardSplit(f *testing.F) {
 		if seen != numRows {
 			t.Fatalf("runs cover %d of %d rows", seen, numRows)
 		}
+
+		if !reflect.DeepEqual(subs, referenceSplit(m, idx, weights)) {
+			t.Fatalf("Split differs from the reference partition")
+		}
+		// Cut the same pairs into a batch: a byte ≡ 0 mod 7 closes the
+		// current request and is dropped, so adjacent cuts make empty
+		// requests.
+		var reqs []core.BatchRequest
+		var cur core.BatchRequest
+		for k, b := range raw {
+			if b%7 == 0 {
+				reqs = append(reqs, cur)
+				cur = core.BatchRequest{}
+				continue
+			}
+			cur.Idx = append(cur.Idx, idx[k])
+			cur.Weights = append(cur.Weights, weights[k])
+		}
+		reqs = append(reqs, cur)
+		checkSplitBatch(t, m, reqs)
 	})
+}
+
+// checkSplitBatch holds SplitBatch to the per-request Split it replaced
+// (referenceSplitBatch) and to the invariants the gather relies on.
+func checkSplitBatch(t *testing.T, m *Map, reqs []core.BatchRequest) {
+	t.Helper()
+	got := m.SplitBatch(reqs)
+	want := referenceSplitBatch(m, reqs)
+	if len(got) != len(want) {
+		t.Fatalf("SplitBatch: %d shards, reference %d", len(got), len(want))
+	}
+	for si := range got {
+		g, w := got[si], want[si]
+		if g.Shard != w.Shard || !reflect.DeepEqual(g.Origin, w.Origin) || len(g.Reqs) != len(w.Reqs) {
+			t.Fatalf("sub-batch %d: shard %d origins %v, reference shard %d origins %v", si, g.Shard, g.Origin, w.Shard, w.Origin)
+		}
+		for j := range g.Reqs {
+			if j > 0 && g.Origin[j] <= g.Origin[j-1] {
+				t.Fatalf("shard %d: origins not increasing: %v", g.Shard, g.Origin)
+			}
+			gr := g.Reqs[j]
+			if cap(gr.Idx) != len(gr.Idx) || cap(gr.Weights) != len(gr.Weights) {
+				t.Fatalf("shard %d sub-request %d: len/cap %d/%d idx, %d/%d weights",
+					g.Shard, j, len(gr.Idx), cap(gr.Idx), len(gr.Weights), cap(gr.Weights))
+			}
+			if !reflect.DeepEqual(gr, w.Reqs[j]) {
+				t.Fatalf("shard %d sub-request %d (origin %d): %v, reference %v", g.Shard, j, g.Origin[j], gr, w.Reqs[j])
+			}
+			for _, i := range gr.Idx {
+				if m.Shard(i) != g.Shard {
+					t.Fatalf("row %d on shard %d, owned by %d", i, g.Shard, m.Shard(i))
+				}
+			}
+		}
+	}
+}
+
+// referenceSplit is the allocation-per-shard partition Split used before
+// it became SplitBatch's one-request case: count per shard, then append
+// each pair to its shard's sub-query in input order.
+func referenceSplit(m *Map, idx []int, weights []uint64) []SubQuery {
+	if len(idx) == 0 {
+		return nil
+	}
+	counts := make([]int, m.numShards)
+	for _, i := range idx {
+		counts[m.Shard(i)]++
+	}
+	var subs []SubQuery
+	slot := make([]int, m.numShards)
+	for s, c := range counts {
+		slot[s] = len(subs)
+		if c > 0 {
+			subs = append(subs, SubQuery{Shard: s, Idx: make([]int, 0, c), Weights: make([]uint64, 0, c)})
+		}
+	}
+	for k, i := range idx {
+		sub := &subs[slot[m.Shard(i)]]
+		sub.Idx = append(sub.Idx, i)
+		sub.Weights = append(sub.Weights, weights[k])
+	}
+	return subs
+}
+
+// referenceSplitBatch is the per-request SplitBatch: each request's
+// referenceSplit, concatenated per shard.
+func referenceSplitBatch(m *Map, reqs []core.BatchRequest) []SubBatch {
+	perShard := make([]SubBatch, m.numShards)
+	for ri := range reqs {
+		for _, sub := range referenceSplit(m, reqs[ri].Idx, reqs[ri].Weights) {
+			b := &perShard[sub.Shard]
+			b.Reqs = append(b.Reqs, core.BatchRequest{Idx: sub.Idx, Weights: sub.Weights})
+			b.Origin = append(b.Origin, ri)
+		}
+	}
+	var out []SubBatch
+	for s := range perShard {
+		if len(perShard[s].Reqs) > 0 {
+			perShard[s].Shard = s
+			out = append(out, perShard[s])
+		}
+	}
+	return out
 }
 
 // FuzzReshardPlan drives the reshard planner with arbitrary old/new map

@@ -175,38 +175,15 @@ type SubQuery struct {
 // order. Every pair lands on exactly one sub-query, so the per-shard
 // partial sums re-add to the unsharded result by linearity. len(idx)
 // must equal len(weights) and every index must be in range (callers
-// validate with checkQuery first).
+// validate with checkQuery first). It is SplitBatch's one-request case.
 func (m *Map) Split(idx []int, weights []uint64) []SubQuery {
-	if len(idx) != len(weights) {
-		panic(fmt.Sprintf("cluster: %d indices vs %d weights", len(idx), len(weights)))
-	}
-	if len(idx) == 0 {
+	batch := m.SplitBatch([]core.BatchRequest{{Idx: idx, Weights: weights}})
+	if len(batch) == 0 {
 		return nil
 	}
-	counts := make([]int, m.numShards)
-	for _, i := range idx {
-		counts[m.Shard(i)]++
-	}
-	subs := make([]SubQuery, 0, m.numShards)
-	slot := make([]int, m.numShards) // shard → index into subs, or -1
-	for s := range slot {
-		slot[s] = -1
-	}
-	for s, c := range counts {
-		if c == 0 {
-			continue
-		}
-		slot[s] = len(subs)
-		subs = append(subs, SubQuery{
-			Shard:   s,
-			Idx:     make([]int, 0, c),
-			Weights: make([]uint64, 0, c),
-		})
-	}
-	for k, i := range idx {
-		sub := &subs[slot[m.Shard(i)]]
-		sub.Idx = append(sub.Idx, i)
-		sub.Weights = append(sub.Weights, weights[k])
+	subs := make([]SubQuery, len(batch))
+	for s, b := range batch {
+		subs[s] = SubQuery{Shard: b.Shard, Idx: b.Reqs[0].Idx, Weights: b.Reqs[0].Weights}
 	}
 	return subs
 }
@@ -278,24 +255,86 @@ type SubBatch struct {
 // (its sum is the empty sum — zero). Only shards with at least one
 // sub-request are returned, in increasing shard order, so each shard's
 // sub-batch rides one BatchNDP exchange and reuses the per-shard
-// batch-plan dedup machinery unmodified.
+// batch-plan dedup machinery unmodified. Within a sub-batch, Origin is
+// increasing and each sub-request keeps its pairs' relative order.
+//
+// The partition makes a fixed handful of allocations whatever the batch
+// size: pass 1 counts rows and sub-requests per shard, pass 2 fills one
+// index arena, one weight arena, one sub-request array and one origin
+// array shared by every shard, each shard's part contiguous. Every
+// sub-request's Idx/Weights is capped (len == cap), so an append by a
+// caller reallocates instead of overwriting its neighbour.
 func (m *Map) SplitBatch(reqs []core.BatchRequest) []SubBatch {
-	perShard := make([][]core.BatchRequest, m.numShards)
-	origins := make([][]int, m.numShards)
+	// Per-shard scratch: rowAt/reqAt hold pass 1's counts, then the next
+	// free arena slot; seen marks the last request (1-based) that touched
+	// the shard; begin is where that request's rows start; touched lists
+	// the current request's shards in first-touch order.
+	ns := m.numShards
+	scratch := make([]int, 5*ns)
+	rowAt, reqAt, seen := scratch[:ns], scratch[ns:2*ns], scratch[2*ns:3*ns]
+	begin, touched := scratch[3*ns:4*ns], scratch[4*ns:4*ns]
+
+	rows, subs, shards := 0, 0, 0
 	for ri := range reqs {
-		subs := m.Split(reqs[ri].Idx, reqs[ri].Weights)
-		for _, sub := range subs {
-			perShard[sub.Shard] = append(perShard[sub.Shard],
-				core.BatchRequest{Idx: sub.Idx, Weights: sub.Weights})
-			origins[sub.Shard] = append(origins[sub.Shard], ri)
+		idx := reqs[ri].Idx
+		if len(idx) != len(reqs[ri].Weights) {
+			panic(fmt.Sprintf("cluster: %d indices vs %d weights", len(idx), len(reqs[ri].Weights)))
 		}
+		for _, i := range idx {
+			s := m.Shard(i)
+			rowAt[s]++
+			if seen[s] != ri+1 {
+				if reqAt[s] == 0 {
+					shards++
+				}
+				seen[s] = ri + 1
+				reqAt[s]++
+				subs++
+			}
+		}
+		rows += len(idx)
 	}
-	out := make([]SubBatch, 0, m.numShards)
-	for s := range perShard {
-		if len(perShard[s]) == 0 {
-			continue
+	if subs == 0 {
+		return nil
+	}
+
+	idxArena := make([]int, rows)
+	wArena := make([]uint64, rows)
+	reqArena := make([]core.BatchRequest, subs)
+	origin := make([]int, subs)
+	out := make([]SubBatch, 0, shards)
+	rowOff, reqOff := 0, 0
+	for s := 0; s < ns; s++ {
+		nr, nq := rowAt[s], reqAt[s]
+		if nq > 0 {
+			end := reqOff + nq
+			out = append(out, SubBatch{Shard: s, Reqs: reqArena[reqOff:end:end], Origin: origin[reqOff:end:end]})
 		}
-		out = append(out, SubBatch{Shard: s, Reqs: perShard[s], Origin: origins[s]})
+		rowAt[s], reqAt[s], seen[s] = rowOff, reqOff, 0
+		rowOff += nr
+		reqOff += nq
+	}
+
+	for ri := range reqs {
+		weights := reqs[ri].Weights
+		touched = touched[:0]
+		for k, i := range reqs[ri].Idx {
+			s := m.Shard(i)
+			if seen[s] != ri+1 {
+				seen[s] = ri + 1
+				begin[s] = rowAt[s]
+				touched = append(touched, s)
+			}
+			idxArena[rowAt[s]] = i
+			wArena[rowAt[s]] = weights[k]
+			rowAt[s]++
+		}
+		for _, s := range touched {
+			lo, hi := begin[s], rowAt[s]
+			reqArena[reqAt[s]] = core.BatchRequest{Idx: idxArena[lo:hi:hi], Weights: wArena[lo:hi:hi]}
+			origin[reqAt[s]] = ri
+			reqAt[s]++
+		}
 	}
 	return out
 }

@@ -101,7 +101,7 @@ func FuzzClientResponse(f *testing.F) {
 			return
 		}
 		// Exercise both response shapes over the remaining bytes.
-		readSumResponse(bufio.NewReader(bytes.NewReader(data[1:])))
+		readSumResponse(bufio.NewReader(bytes.NewReader(data[1:])), 2)
 		readTagResponse(bufio.NewReader(bytes.NewReader(data[1:])))
 	})
 }
@@ -219,11 +219,12 @@ func FuzzReadBatchRequest(f *testing.F) {
 // FuzzReadBatchResponse feeds arbitrary bytes to the client-side batch
 // reply parser — the path a malicious or fault-corrupted server controls.
 func FuzzReadBatchResponse(f *testing.F) {
-	f.Add(uint16(0), false, []byte{})
-	f.Add(uint16(1), false, []byte{statusOK, 0x02, 0x07, 0x09})
-	f.Add(uint16(1), false, []byte{statusErr, 0x03, 'b', 'a', 'd'})
-	f.Add(uint16(2), true, []byte{statusOK, 0x01, 0x05})
-	f.Add(uint16(1), false, []byte{0x42}) // corrupt sub-status byte
+	f.Add(uint16(0), uint8(0), false, []byte{})
+	f.Add(uint16(1), uint8(2), false, []byte{statusOK, 0x02, 0x07, 0x09})
+	f.Add(uint16(1), uint8(3), false, []byte{statusOK, 0x02, 0x07, 0x09}) // wrong length: per-sub error
+	f.Add(uint16(1), uint8(2), false, []byte{statusErr, 0x03, 'b', 'a', 'd'})
+	f.Add(uint16(2), uint8(1), true, []byte{statusOK, 0x01, 0x05})
+	f.Add(uint16(1), uint8(1), false, []byte{0x42}) // corrupt sub-status byte
 	{
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
@@ -232,16 +233,21 @@ func FuzzReadBatchResponse(f *testing.F) {
 			{Err: io.ErrUnexpectedEOF},
 		}, true)
 		w.Flush()
-		f.Add(uint16(2), true, buf.Bytes())
+		f.Add(uint16(2), uint8(3), true, buf.Bytes())
 	}
-	f.Fuzz(func(t *testing.T, count uint16, verify bool, data []byte) {
+	f.Fuzz(func(t *testing.T, count uint16, m uint8, verify bool, data []byte) {
 		n := int(count) % (maxBatchSubs + 2) // cover the in-range and over-limit shapes
-		res, err := readBatchResponse(bufio.NewReader(bytes.NewReader(data)), n, verify)
+		res, err := readBatchResponse(bufio.NewReader(bytes.NewReader(data)), n, int(m), verify)
 		if err != nil {
 			return
 		}
 		if len(res) != n {
 			t.Fatalf("parsed %d sub-results for a batch of %d", len(res), n)
+		}
+		for i := range res {
+			if res[i].Err == nil && len(res[i].Sums) != int(m) {
+				t.Fatalf("sub-result %d: %d sums accepted for %d columns", i, len(res[i].Sums), m)
+			}
 		}
 		// Whatever parsed must re-serialize and re-parse to the same shape.
 		var buf bytes.Buffer
@@ -250,7 +256,7 @@ func FuzzReadBatchResponse(f *testing.F) {
 			t.Fatal(err)
 		}
 		w.Flush()
-		res2, err := readBatchResponse(bufio.NewReader(bytes.NewReader(buf.Bytes())), n, verify)
+		res2, err := readBatchResponse(bufio.NewReader(bytes.NewReader(buf.Bytes())), n, int(m), verify)
 		if err != nil {
 			t.Fatalf("re-read of serialized batch response failed: %v", err)
 		}

@@ -114,6 +114,39 @@ func readUvarint(r *bufio.Reader) (uint64, error) {
 	return binary.ReadUvarint(r)
 }
 
+// readUvarints fills dst with consecutive uvarints, decoding in place from
+// the reader's buffer (Peek, then Discard what was consumed) instead of one
+// ReadByte call per byte. A value that straddles the end of the buffer, or
+// is malformed, is read with binary.ReadUvarint, so the bytes consumed and
+// the errors returned (io.EOF, io.ErrUnexpectedEOF, overflow) are exactly a
+// readUvarint loop's.
+func readUvarints(r *bufio.Reader, dst []uint64) error {
+	for k := 0; k < len(dst); {
+		buf, _ := r.Peek(r.Buffered())
+		off := 0
+		for k < len(dst) {
+			v, n := binary.Uvarint(buf[off:])
+			if n <= 0 {
+				break
+			}
+			dst[k] = v
+			k++
+			off += n
+		}
+		r.Discard(off)
+		if k == len(dst) {
+			break
+		}
+		v, err := binary.ReadUvarint(r)
+		if err != nil {
+			return err
+		}
+		dst[k] = v
+		k++
+	}
+	return nil
+}
+
 func writeGeometry(w *bufio.Writer, g core.Geometry) error {
 	_, err := w.Write(appendGeometry(nil, g))
 	return err
@@ -267,11 +300,14 @@ func writeBatchResponse(w *bufio.Writer, res []core.NDPBatchResult, verify bool)
 }
 
 // readBatchResponse parses an opBatch reply's payload for a batch of count
-// sub-requests. Per-sub-request server errors land in NDPBatchResult.Err
-// (as *serverError); a non-nil returned error is a transport/framing
-// failure.
-func readBatchResponse(r *bufio.Reader, count int, verify bool) ([]core.NDPBatchResult, error) {
+// sub-requests over a geometry of m columns. Per-sub-request server errors
+// land in NDPBatchResult.Err (as *serverError), and so does a sub-result
+// whose length is not m; a non-nil returned error is a transport/framing
+// failure. Every sub-result's sums share one count×m slab sized from the
+// client's own geometry.
+func readBatchResponse(r *bufio.Reader, count, m int, verify bool) ([]core.NDPBatchResult, error) {
 	res := make([]core.NDPBatchResult, count)
+	slab := make([]uint64, count*m)
 	for i := range res {
 		status, err := r.ReadByte()
 		if err != nil {
@@ -292,11 +328,15 @@ func readBatchResponse(r *bufio.Reader, count int, verify bool) ([]core.NDPBatch
 			}
 			res[i].Err = &serverError{msg: string(msg)}
 		case statusOK:
-			sums, err := readSumResponse(r)
-			if err != nil {
+			sums := slab[i*m : (i+1)*m : (i+1)*m]
+			switch err := readSums(r, sums); err.(type) {
+			case nil:
+				res[i].Sums = sums
+			case *serverError: // a wrong-length sub-result, already drained
+				res[i].Err = err
+			default:
 				return nil, err
 			}
-			res[i].Sums = sums
 			if verify {
 				if res[i].Tag, err = readTagResponse(r); err != nil {
 					return nil, err
@@ -849,33 +889,58 @@ func readStatus(r *bufio.Reader) error {
 	return &serverError{msg: string(msg)}
 }
 
-// readSumResponse parses a WeightedSum reply's payload (after the status
-// byte): a length-prefixed vector of ring elements.
-func readSumResponse(r *bufio.Reader) ([]uint64, error) {
+// readSums parses a length-prefixed vector of ring elements into dst,
+// whose length is the geometry's column count M: the client sizes its
+// buffers from the geometry it sent, never from a count the server sent.
+// A reply of any other length is drained value by value — nothing is
+// allocated and the stream stays in sync — and reported as a
+// *serverError; a malformed, truncated or oversized one is a transport
+// error.
+func readSums(r *bufio.Reader, dst []uint64) error {
 	n, err := readUvarint(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > maxVectorLen {
-		return nil, fmt.Errorf("remote: oversized response (%d values)", n)
+		return fmt.Errorf("remote: oversized response (%d values)", n)
 	}
-	res := make([]uint64, n)
-	for k := range res {
-		if res[k], err = readUvarint(r); err != nil {
-			return nil, err
+	if n == uint64(len(dst)) {
+		return readUvarints(r, dst)
+	}
+	for k := uint64(0); k < n; k++ {
+		if _, err := readUvarint(r); err != nil {
+			return err
 		}
+	}
+	return &serverError{msg: fmt.Sprintf("answered %d sums for %d columns", n, len(dst))}
+}
+
+// readSumResponse parses a WeightedSum reply's payload (after the status
+// byte) for a geometry of m columns.
+func readSumResponse(r *bufio.Reader, m int) ([]uint64, error) {
+	res := make([]uint64, m)
+	if err := readSums(r, res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
 // readTagResponse parses a TagSum reply's payload: one 16-byte field
-// element.
+// element, decoded in place from the reader's buffer. A short read fails
+// as io.ReadFull would: io.EOF with no bytes, io.ErrUnexpectedEOF with some.
 func readTagResponse(r *bufio.Reader) (field.Elem, error) {
-	var b [16]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
+	const n = 16
+	b, err := r.Peek(n)
+	if err != nil {
+		r.Discard(len(b))
+		if len(b) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return field.Zero, err
 	}
-	return field.FromBytes(b[:]), nil
+	e := field.FromBytes(b)
+	r.Discard(n)
+	return e, nil
 }
 
 func (c *Client) roundTrip(send func() error) error {
@@ -963,7 +1028,7 @@ func (c *Client) weightedSumLocked(ctx context.Context, geo core.Geometry, idx [
 	if err := c.sendFrame(); err != nil {
 		return nil, err
 	}
-	return readSumResponse(c.r)
+	return readSumResponse(c.r, geo.Params.M)
 }
 
 // WeightedSum implements core.NDP over the wire. The error-free signature
@@ -1044,7 +1109,7 @@ func (c *Client) batchLocked(ctx context.Context, geo core.Geometry, reqs []core
 	if err := c.sendFrame(); err != nil {
 		return nil, err
 	}
-	return readBatchResponse(c.r, len(reqs), verify)
+	return readBatchResponse(c.r, len(reqs), geo.Params.M, verify)
 }
 
 // CapabilitiesContext asks the server which optional operations it
