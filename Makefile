@@ -10,12 +10,13 @@ build:
 	$(GO) build ./...
 
 # vet also cross-vets the packages that carry amd64 assembly for arm64, so
-# their build-tagged fallbacks (memory/prefetch_other.go, and core, which
-# calls through it) cannot stop compiling unnoticed; the standard library
+# their build-tagged fallbacks (memory/prefetch_other.go,
+# ring/accum_other.go, otp/ctr_fallback.go, and core, which calls through
+# them) cannot stop compiling unnoticed; the standard library
 # cross-compiles offline.
 vet: inline-check
 	$(GO) vet ./...
-	GOARCH=arm64 $(GO) vet ./internal/memory ./internal/core
+	GOARCH=arm64 $(GO) vet ./internal/memory ./internal/core ./internal/ring ./internal/otp
 
 # memory.Layout.RowAddr must stay inlinable. As a call it copies the Layout
 # through the stack, and the copy's store-forward stall waits for the
@@ -102,6 +103,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzSpanMatchesReadInto$$' -fuzztime $(FUZZTIME) ./internal/memory
 	$(GO) test -run xxx -fuzz '^FuzzDotUint64$$' -fuzztime $(FUZZTIME) ./internal/field
 	$(GO) test -run xxx -fuzz '^FuzzScaleAccum$$' -fuzztime $(FUZZTIME) ./internal/field
+	$(GO) test -run xxx -fuzz '^FuzzScaleAccumBytes$$' -fuzztime $(FUZZTIME) ./internal/ring
 	$(GO) test -run xxx -fuzz '^FuzzReadGeometry$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz '^FuzzReadQuery$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz '^FuzzClientResponse$$' -fuzztime $(FUZZTIME) ./internal/remote

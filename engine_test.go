@@ -2,8 +2,12 @@ package secndp
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
+
+	"secndp/internal/core"
+	"secndp/internal/field"
 )
 
 // TestQueryReachesFusedWalk: a verified Table.Query on a LocalBackend
@@ -45,8 +49,9 @@ func TestQueryReachesFusedWalk(t *testing.T) {
 }
 
 // TestQueryAllocationBudget: a verified 80-row Table.Query on LocalBackend
-// — the benchmark's sls_local operation — allocates at most 8 objects
-// (29 before the engine ran small queries inline).
+// — the benchmark's sls_local operation — allocates at most 4 objects
+// (29 before the engine ran small queries inline, 5 before its NDP half
+// became one gather walk).
 func TestQueryAllocationBudget(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation perturbs allocation counts")
@@ -72,8 +77,60 @@ func TestQueryAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8 {
-		t.Errorf("verified 80-row Table.Query allocates %.1f objects/op, want <= 8", allocs)
+	if raceEnabled {
+		return // correctness only: see race_test.go
+	}
+	if allocs > 4 {
+		t.Errorf("verified 80-row Table.Query allocates %.1f objects/op, want <= 4", allocs)
+	}
+}
+
+// tagForgingNDP overrides only TagSum and sumCorruptingNDP only
+// WeightedSum; each inherits everything else, the one-walk gather
+// included, from the HonestNDP it embeds.
+type tagForgingNDP struct{ core.HonestNDP }
+
+func (f *tagForgingNDP) TagSum(geo core.Geometry, idx []int, w []uint64) field.Elem {
+	return field.Add(f.HonestNDP.TagSum(geo, idx, w), field.One)
+}
+
+type sumCorruptingNDP struct{ core.HonestNDP }
+
+func (c *sumCorruptingNDP) WeightedSum(geo core.Geometry, idx []int, w []uint64) []uint64 {
+	res := c.HonestNDP.WeightedSum(geo, idx, w)
+	res[0] ^= 1
+	return res
+}
+
+// TestQueryReachesOverridingLocalNDP: a verified Table.Query on
+// LocalBackend gathers its sums and tag in one walk only when the NDP is
+// exactly the in-process HonestNDP. An NDP that embeds HonestNDP and
+// overrides one method is asked through that method, so a forged tag or a
+// corrupted sum is rejected.
+func TestQueryReachesOverridingLocalNDP(t *testing.T) {
+	eng, err := New(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := testRows(rand.New(rand.NewSource(93)), 64, 32, 1<<16)
+	tab, err := eng.CreateTable(context.Background(), LocalBackend(NewMemory()), TableSpec{Rows: 64, Cols: 32}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	req := Request{Idx: []int{3, 9, 27, 9}, Weights: []uint64{2, 1, 5, 3}}
+	st := tab.state.Load()
+	honest := st.ndp.(*core.HonestNDP)
+	for name, ndp := range map[string]core.NDP{
+		"forged TagSum":         &tagForgingNDP{*honest},
+		"corrupted WeightedSum": &sumCorruptingNDP{*honest},
+	} {
+		swapped := *st
+		swapped.ndp = ndp
+		tab.state.Store(&swapped)
+		if _, err := tab.Query(context.Background(), req); !errors.Is(err, ErrVerification) {
+			t.Errorf("%s: got %v, want ErrVerification", name, err)
+		}
 	}
 }
 

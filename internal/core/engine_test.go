@@ -218,8 +218,10 @@ func (c *cancellingNDP) WeightedSum(geo Geometry, idx []int, w []uint64) []uint6
 
 // TestQueryCtxCancellationBothShapes: a context cancelled before the call,
 // and one cancelled from inside the NDP, come back as ctx.Err() from both
-// shapes. (TestQueryVerifiedSteadyStateAllocs checks the abandoned queries
-// return their pooled scratch.)
+// shapes, and the one cancelled before the call reads no row: the inline
+// verified gather checks the context before its first row.
+// (TestQueryVerifiedSteadyStateAllocs checks the abandoned queries return
+// their pooled scratch.)
 func TestQueryCtxCancellationBothShapes(t *testing.T) {
 	tab, honest, _ := hotpathTable(t, memory.TagSep, 256, 64, 32, 82)
 	rng := rand.New(rand.NewSource(83))
@@ -234,8 +236,12 @@ func TestQueryCtxCancellationBothShapes(t *testing.T) {
 			opts := QueryOptions{Workers: workers, Verify: true}
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
+			honest.Mem.ResetStats()
 			if _, err := tab.QueryCtx(ctx, shape.dress(honest), idx, w, opts); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s, workers=%d, pre-cancelled context: got %v", shape.name, workers, err)
+			}
+			if st := honest.Mem.Stats(); st.BytesRead != 0 {
+				t.Errorf("%s, workers=%d, pre-cancelled context: the NDP read %d bytes", shape.name, workers, st.BytesRead)
 			}
 			ctx, cancel = context.WithCancel(context.Background())
 			slow := &cancellingNDP{HonestNDP: *honest, cancel: cancel}

@@ -163,12 +163,32 @@ func (n *HonestNDP) gather(ctx context.Context, geo Geometry, count, dataLen int
 // WeightedSum implements NDP. Each row folds into the accumulator
 // straight from its ciphertext bytes — no unpack pass, no element scratch.
 func (n *HonestNDP) WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64 {
+	acc, _, _ := n.weightedTagSum(context.TODO(), geo, idx, weights, false)
+	return acc
+}
+
+// weightedTagSum is WeightedSum and, with tags, TagSum in one walk: each
+// row's tag resolves beside its data, as in WeightedTagSumBatch, instead
+// of a second gather over the same rows. runNDP calls it directly for a
+// verified query whose NDP is exactly *HonestNDP; an NDP that embeds
+// HonestNDP to override a method keeps going through the NDP interface.
+// The only error is ctx's.
+func (n *HonestNDP) weightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, tags bool) ([]uint64, field.Elem, error) {
 	r := geo.ringOf()
 	acc := make([]uint64, geo.Params.M)
-	n.gather(context.TODO(), geo, len(idx), geo.Layout.RowBytes, false,
+	var tagAcc field.Acc
+	err := n.gather(ctx, geo, len(idx), geo.Layout.RowBytes, tags,
 		func(k int) (int, uint64) { return idx[k], 0 },
-		func(k int, data, _ []byte) { r.ScaleAccumBytes(acc, weights[k], data) })
-	return acc
+		func(k int, data, tag []byte) {
+			r.ScaleAccumBytes(acc, weights[k], data)
+			if tags {
+				tagAcc.AddMulUint64(field.FromBytes(tag), weights[k])
+			}
+		})
+	if err != nil {
+		return nil, field.Zero, err
+	}
+	return acc, tagAcc.Sum(), nil
 }
 
 // WeightedSumElem implements NDP: the same walk over one element per

@@ -225,6 +225,12 @@ func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uin
 		}
 		return
 	}
+	// An exact type match, so a wrapper that embeds HonestNDP to override
+	// WeightedSum or TagSum is still asked through those methods.
+	if h, ok := ndp.(*HonestNDP); ok && verify {
+		out.cres, out.cTres, out.err = h.weightedTagSum(ctx, geo, idx, weights, true)
+		return
+	}
 	out.cres = ndp.WeightedSum(geo, idx, weights)
 	if verify {
 		out.cTres = ndp.TagSum(geo, idx, weights)

@@ -1,6 +1,10 @@
 package otp
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"secndp/internal/ring"
+)
 
 // Fused pad-apply kernels: generate the keystream for a run of chunks and
 // apply it to we-bit ring elements in one pass, without materializing an
@@ -12,7 +16,9 @@ import "encoding/binary"
 //
 // Element semantics match package ring exactly: elements are little-endian
 // we-bit lanes, arithmetic is mod 2^we. we must be one of 8, 16, 32, 64
-// (the widths core.Params admits).
+// (the widths core.Params admits). The multiply-accumulate is ring's own
+// Ring.ScaleAccumBytes run over the keystream bytes — the kernel the NDP
+// runs over ciphertext, so both halves of a query share one.
 
 // laneMask returns 2^we − 1 for the supported widths.
 func laneMask(we uint) uint64 {
@@ -30,41 +36,6 @@ func laneMask(we uint) uint64 {
 func elemBytes(n int, we uint) int {
 	laneMask(we)
 	return n * int(we) / 8
-}
-
-// scaleAccumKS computes acc[j] += w·lane_j(ks) mod 2^we in one pass over
-// the keystream bytes.
-func scaleAccumKS(acc []uint64, w uint64, we uint, ks []byte) {
-	switch we {
-	case 8:
-		_ = ks[len(acc)-1]
-		for j := range acc {
-			acc[j] = (acc[j] + w*uint64(ks[j])) & 0xFF
-		}
-	case 16:
-		_ = ks[len(acc)*2-1]
-		for j := range acc {
-			acc[j] = (acc[j] + w*uint64(binary.LittleEndian.Uint16(ks[j*2:]))) & 0xFFFF
-		}
-	case 32:
-		_ = ks[len(acc)*4-1]
-		j := 0
-		for ; j+1 < len(acc); j += 2 {
-			e := binary.LittleEndian.Uint64(ks[j*4:])
-			acc[j] = (acc[j] + w*(e&0xFFFFFFFF)) & 0xFFFFFFFF
-			acc[j+1] = (acc[j+1] + w*(e>>32)) & 0xFFFFFFFF
-		}
-		for ; j < len(acc); j++ {
-			acc[j] = (acc[j] + w*uint64(binary.LittleEndian.Uint32(ks[j*4:]))) & 0xFFFFFFFF
-		}
-	case 64:
-		_ = ks[len(acc)*8-1]
-		for j := range acc {
-			acc[j] += w * binary.LittleEndian.Uint64(ks[j*8:])
-		}
-	default:
-		panic("otp: fused kernels require an element width in {8,16,32,64}")
-	}
 }
 
 // addUnpackKS computes dst[j] = lane_j(ct) + lane_j(ks) mod 2^we — fused
@@ -134,7 +105,7 @@ func (g *Generator) PadScaleAccum(acc []uint64, w uint64, we uint, d Domain, add
 	}
 	p, ks := getScratch(n)
 	g.PadsInto(ks, d, addr, version)
-	scaleAccumKS(acc, w, we, ks)
+	ring.MustNew(we).ScaleAccumBytes(acc, w, ks)
 	putScratch(p)
 }
 
@@ -180,7 +151,7 @@ func (k *Keystream) ScaleAccum(acc []uint64, w uint64, we uint) {
 	}
 	p, ks := getScratch(n)
 	k.PadsInto(ks)
-	scaleAccumKS(acc, w, we, ks)
+	ring.MustNew(we).ScaleAccumBytes(acc, w, ks)
 	putScratch(p)
 }
 

@@ -17,7 +17,8 @@ func refPads(g *Generator, d Domain, addr, version uint64, n int) []byte {
 }
 
 // refUnpack decodes little-endian we-bit lanes — mirrors ring.UnpackElems
-// without importing it (otp must stay dependency-free below ring).
+// without calling into ring, so the reference shares no code with the
+// ring kernel the fused paths accumulate through.
 func refUnpack(data []byte, we uint) []uint64 {
 	eb := int(we) / 8
 	out := make([]uint64, len(data)/eb)

@@ -1,5 +1,7 @@
 package otp
 
+import "secndp/internal/ring"
+
 // Fused tag+pad generation. The verified query path needs, per referenced
 // row, both the row's data pads (Algorithm 4's OTP share) and its tag pad
 // (Algorithm 5's E_{T_i}) — previously two passes: a CTR keystream run per
@@ -64,17 +66,18 @@ func (g *Generator) PadTagScaleAccum(acc []uint64, we uint, weights, addrs []uin
 	if len(addrs) == 0 || rowBytes == 0 {
 		return
 	}
+	r := ring.MustNew(we)
 	if !g.native {
 		// Fallback: per-row keystream run + single-block tag encryption
 		// through the existing engines.
 		p, ks := getScratch(rowBytes)
-		for r, addr := range addrs {
+		for k, addr := range addrs {
 			g.PadsInto(ks, DomainData, addr, version)
-			scaleAccumKS(acc, weights[r], we, ks)
+			r.ScaleAccumBytes(acc, weights[k], ks)
 			in := counterBlock(DomainTag, addr, version)
 			var out [BlockBytes]byte
 			g.blockEncrypt(&out, &in)
-			copy(tagPads[r*BlockBytes:], out[:])
+			copy(tagPads[k*BlockBytes:], out[:])
 		}
 		putScratch(p)
 		return
@@ -85,11 +88,11 @@ func (g *Generator) PadTagScaleAccum(acc []uint64, we uint, weights, addrs []uin
 	// gathered into the caller's tagPads buffer as the walk passes, then
 	// the whole gather is encrypted in place by one eight-way ECB run.
 	p, ks := getScratch(rowBytes)
-	for r, addr := range addrs {
+	for k, addr := range addrs {
 		g.PadsInto(ks, DomainData, addr, version)
-		scaleAccumKS(acc, weights[r], we, ks)
+		r.ScaleAccumBytes(acc, weights[k], ks)
 		tin := counterBlock(DomainTag, addr, version)
-		copy(tagPads[r*BlockBytes:], tin[:])
+		copy(tagPads[k*BlockBytes:], tin[:])
 	}
 	putScratch(p)
 	encryptBlocks(&g.rk[0], &tagPads[0], &tagPads[0], len(addrs))

@@ -118,21 +118,28 @@ func NewGenerator(key []byte) (*Generator, error) {
 // block counter by one per 16 bytes, which is precisely the chunk-index
 // step. The index is 34 bits, so stepping through the whole 38-bit address
 // space never carries into the version bytes.
+//
+// Bytes 0..7 are one big-endian word, D<<62 | (addr&0xF)<<56 | v, so the
+// block is two 64-bit stores; both range checks share one outlined cold
+// call, so the panic formatting stays out of this body.
 func counterBlock(d Domain, addr, version uint64) [BlockBytes]byte {
+	if addr > MaxAddr || version > MaxVersion {
+		counterRangePanic(addr, version)
+	}
+	var in [BlockBytes]byte
+	binary.BigEndian.PutUint64(in[0:8], uint64(d)<<62|(addr&0xF)<<56|version)
+	binary.BigEndian.PutUint64(in[8:16], addr>>4)
+	return in
+}
+
+// counterRangePanic reports the counter-block input that is out of range.
+//
+//go:noinline
+func counterRangePanic(addr, version uint64) {
 	if addr > MaxAddr {
 		panic(fmt.Sprintf("otp: address %#x exceeds the %d-bit physical address space", addr, 38))
 	}
-	if version > MaxVersion {
-		panic(fmt.Sprintf("otp: version %#x exceeds %d bits", version, 56))
-	}
-	var in [BlockBytes]byte
-	in[0] = byte(d)<<6 | byte(addr&0xF)
-	in[1] = byte(version >> 48)
-	in[2] = byte(version >> 40)
-	in[3] = byte(version >> 32)
-	binary.BigEndian.PutUint32(in[4:8], uint32(version))
-	binary.BigEndian.PutUint64(in[8:16], addr>>4)
-	return in
+	panic(fmt.Sprintf("otp: version %#x exceeds %d bits", version, 56))
 }
 
 // Block returns the 128-bit OTP block E(K, D‖addr‖v). addr is the starting

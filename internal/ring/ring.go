@@ -152,6 +152,9 @@ func (r Ring) ScaleAccum(dst []uint64, w uint64, v []uint64) {
 // the NDP's row loop needs neither an unpacked scratch vector nor a second
 // pass over the row. len(data) must equal len(dst) × element bytes, and
 // the width must be byte-aligned (the packed widths core.Params admits).
+// It is the multiply-accumulate of both query halves: the NDP folds
+// ciphertext rows with it and package otp folds pad keystream with it
+// (accum.go has the kernel).
 func (r Ring) ScaleAccumBytes(dst []uint64, w uint64, data []byte) {
 	eb := r.Bytes()
 	if uint(eb)*8 != r.we {
@@ -160,32 +163,11 @@ func (r Ring) ScaleAccumBytes(dst []uint64, w uint64, data []byte) {
 	if len(data) != len(dst)*eb {
 		panic("ring: ScaleAccumBytes size mismatch")
 	}
-	mask := r.mask
-	switch eb {
-	case 1:
-		for j := range dst {
-			dst[j] = (dst[j] + w*uint64(data[j])) & mask
-		}
-	case 2:
-		for j := range dst {
-			dst[j] = (dst[j] + w*uint64(binary.LittleEndian.Uint16(data[j*2:]))) & mask
-		}
-	case 4:
-		// One 64-bit load feeds two lanes.
-		j := 0
-		for ; j+1 < len(dst); j += 2 {
-			e := binary.LittleEndian.Uint64(data[j*4:])
-			dst[j] = (dst[j] + w*(e&0xFFFFFFFF)) & mask
-			dst[j+1] = (dst[j+1] + w*(e>>32)) & mask
-		}
-		for ; j < len(dst); j++ {
-			dst[j] = (dst[j] + w*uint64(binary.LittleEndian.Uint32(data[j*4:]))) & mask
-		}
-	case 8:
-		for j := range dst {
-			dst[j] = (dst[j] + w*binary.LittleEndian.Uint64(data[j*8:])) & mask
-		}
+	if useAccumAsm && eb < 8 {
+		n := scaleAccumAsm(dst, w, data, eb)
+		dst, data = dst[n:], data[n*eb:]
 	}
+	scaleAccumBytesGeneric(dst, w, data, eb, r.mask)
 }
 
 // Dot returns the inner product of a and b mod 2^we.
