@@ -62,7 +62,9 @@ func (b localBackend) createTable(ctx context.Context, e *Engine, spec TableSpec
 		return nil, err
 	}
 	e.tel.recordOp("encrypt", start, nil)
-	return e.newTable(tab, &core.HonestNDP{Mem: b.mem}, region, nil), nil
+	t := e.newTable(tab, &core.HonestNDP{Mem: b.mem}, region, nil)
+	t.local = b.mem
+	return t, nil
 }
 
 // RemoteBackend encrypts locally and ships only ciphertext and tags to

@@ -85,28 +85,30 @@ func TestQueryAllocationBudget(t *testing.T) {
 	}
 }
 
-// tagForgingNDP overrides only TagSum and sumCorruptingNDP only
-// WeightedSum; each inherits everything else, the one-walk gather
-// included, from the HonestNDP it embeds.
+// tagForgingNDP forges the tag half of WeightedTagSum and
+// sumCorruptingNDP corrupts its sum half; each inherits everything else
+// from the HonestNDP it embeds.
 type tagForgingNDP struct{ core.HonestNDP }
 
-func (f *tagForgingNDP) TagSum(geo core.Geometry, idx []int, w []uint64) field.Elem {
-	return field.Add(f.HonestNDP.TagSum(geo, idx, w), field.One)
+func (f *tagForgingNDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	res, tag, err := f.HonestNDP.WeightedTagSum(ctx, geo, idx, w, verify)
+	return res, field.Add(tag, field.One), err
 }
 
 type sumCorruptingNDP struct{ core.HonestNDP }
 
-func (c *sumCorruptingNDP) WeightedSum(geo core.Geometry, idx []int, w []uint64) []uint64 {
-	res := c.HonestNDP.WeightedSum(geo, idx, w)
-	res[0] ^= 1
-	return res
+func (c *sumCorruptingNDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	res, tag, err := c.HonestNDP.WeightedTagSum(ctx, geo, idx, w, verify)
+	if err == nil {
+		res[0] ^= 1
+	}
+	return res, tag, err
 }
 
 // TestQueryReachesOverridingLocalNDP: a verified Table.Query on
-// LocalBackend gathers its sums and tag in one walk only when the NDP is
-// exactly the in-process HonestNDP. An NDP that embeds HonestNDP and
-// overrides one method is asked through that method, so a forged tag or a
-// corrupted sum is rejected.
+// LocalBackend asks its NDP through the core.NDP contract, so an NDP that
+// embeds HonestNDP and overrides WeightedTagSum is asked through that
+// override, and a forged tag or a corrupted sum is rejected.
 func TestQueryReachesOverridingLocalNDP(t *testing.T) {
 	eng, err := New(testKey)
 	if err != nil {
@@ -122,8 +124,8 @@ func TestQueryReachesOverridingLocalNDP(t *testing.T) {
 	st := tab.state.Load()
 	honest := st.ndp.(*core.HonestNDP)
 	for name, ndp := range map[string]core.NDP{
-		"forged TagSum":         &tagForgingNDP{*honest},
-		"corrupted WeightedSum": &sumCorruptingNDP{*honest},
+		"forged tag":    &tagForgingNDP{*honest},
+		"corrupted sum": &sumCorruptingNDP{*honest},
 	} {
 		swapped := *st
 		swapped.ndp = ndp

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -94,17 +95,20 @@ func (e *env) query() error {
 // corruptedNDP flips the low bit of the first result column.
 type corruptedNDP struct{ core.HonestNDP }
 
-func (c *corruptedNDP) WeightedSum(g core.Geometry, idx []int, w []uint64) []uint64 {
-	res := c.HonestNDP.WeightedSum(g, idx, w)
-	res[0] ^= 1
-	return res
+func (c *corruptedNDP) WeightedTagSum(ctx context.Context, g core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	res, tag, err := c.HonestNDP.WeightedTagSum(ctx, g, idx, w, verify)
+	if err == nil {
+		res[0] ^= 1
+	}
+	return res, tag, err
 }
 
 // forgingNDP perturbs the returned tag share.
 type forgingNDP struct{ core.HonestNDP }
 
-func (f *forgingNDP) TagSum(g core.Geometry, idx []int, w []uint64) field.Elem {
-	return field.Add(f.HonestNDP.TagSum(g, idx, w), field.One)
+func (f *forgingNDP) WeightedTagSum(ctx context.Context, g core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	res, tag, err := f.HonestNDP.WeightedTagSum(ctx, g, idx, w, verify)
+	return res, field.Add(tag, field.One), err
 }
 
 func main() {

@@ -250,6 +250,54 @@ func TestFaultElementQueryOverRemote(t *testing.T) {
 	}
 }
 
+// TestElementQueryColumnOutOfRange: an element query naming a column
+// outside the row — M, negative, or far past the row — is refused with
+// ErrIndexRange before any NDP reads outside the row, on every backend,
+// and the table answers a valid element query afterwards. Over a cluster
+// this once panicked a scatter goroutine and killed the process.
+func TestElementQueryColumnOutOfRange(t *testing.T) {
+	eng, err := New(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localRows := testRows(rand.New(rand.NewSource(109)), 64, 16, 1<<20)
+	local, err := eng.CreateTable(context.Background(), LocalBackend(NewMemory()), TableSpec{Rows: 64, Cols: 16}, localRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	remote := newFaultHarness(t, 110, fastTransport())
+	cluster := newClusterHarness(t, 2, 160, nil)
+	for _, c := range []struct {
+		name string
+		tab  *Table
+		rows [][]uint64
+		idx  []int // spans both shards of the cluster
+	}{
+		{"local", local, localRows, []int{2, 40}},
+		{"remote", remote.tab, remote.rows, []int{2, 20}},
+		{"cluster", cluster.tab, cluster.rows, []int{2, 40}},
+	} {
+		m := len(c.rows[0])
+		for _, col := range []int{m, -1, 1 << 20} {
+			_, err := c.tab.Query(context.Background(), Request{Idx: c.idx, Cols: []int{3, col}, Weights: []uint64{5, 1}})
+			if !errors.Is(err, ErrIndexRange) {
+				t.Errorf("%s, column %d: got %v, want ErrIndexRange", c.name, col, err)
+			}
+		}
+		if c.name == "remote" {
+			continue // no element op on the wire and no mirror to serve one
+		}
+		res, err := c.tab.Query(context.Background(), Request{Idx: c.idx, Cols: []int{3, m - 1}, Weights: []uint64{5, 1}})
+		if err != nil {
+			t.Fatalf("%s: valid element query after the refusals: %v", c.name, err)
+		}
+		if want := (5*c.rows[c.idx[0]][3] + c.rows[c.idx[1]][m-1]) & 0xFFFFFFFF; res.Values[0] != want {
+			t.Fatalf("%s: element value %d != %d", c.name, res.Values[0], want)
+		}
+	}
+}
+
 func TestFaultBatchPartialFailure(t *testing.T) {
 	// One tampered row poisons only the requests that touch it: siblings
 	// return correct values, the aggregate error names the failed request,

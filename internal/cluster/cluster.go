@@ -16,8 +16,7 @@ import (
 )
 
 // NDP is the scatter-gather near-data processor over a cluster of
-// shards: it implements core.NDP (plus the Context, Batch, and Elem
-// extensions), so the whole trusted-side machinery — the concurrent
+// shards: it implements core.NDP, so the whole trusted-side machinery — the concurrent
 // query engine, the batched pipeline's pad dedup, the aggregated
 // verification — runs over a cluster exactly as it runs over one
 // server. Each call splits its index list by the shard map, issues the
@@ -407,130 +406,63 @@ func (n *NDP) gather(ctx context.Context, run func(ctx context.Context, top *top
 	}
 }
 
-// callSum invokes one replica's weighted sum, preferring the
-// context-aware transport and converting legacy panics into errors.
-func callSum(ctx context.Context, sh core.NDP, geo core.Geometry, idx []int, weights []uint64) (res []uint64, err error) {
+// guarded runs fn, converting a panic out of it — a misbehaving replica
+// or a malformed mirror read — into an error naming what failed.
+func guarded(what string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: shard ndp failed: %v", r)
+			err = fmt.Errorf("cluster: %s failed: %v", what, r)
 		}
 	}()
-	if cn, ok := sh.(core.ContextNDP); ok {
-		return cn.WeightedSumContext(ctx, geo, idx, weights)
-	}
-	return sh.WeightedSum(geo, idx, weights), nil
+	return fn()
 }
 
-func callTag(ctx context.Context, sh core.NDP, geo core.Geometry, idx []int, weights []uint64) (res field.Elem, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: shard ndp failed: %v", r)
-		}
-	}()
-	if cn, ok := sh.(core.ContextNDP); ok {
-		return cn.TagSumContext(ctx, geo, idx, weights)
+// scatter is the one scatter-gather step every operation runs: it issues
+// count sub-operations concurrently, one goroutine each, op(ctx, si, g)
+// running sub-operation si against its shard's (shardOf(si)) replica group
+// g, which fails over across the shard's replicas. Only a sub-operation
+// whose every replica refused is recomputed as op(ctx, si, mirror) from
+// the TEE mirror when one is attached, noting the fill on the context
+// flag; without a mirror an exhausted shard fails the gather. kind names
+// the per-shard child spans.
+func (n *NDP) scatter(ctx context.Context, top *topology, kind string, count int, shardOf func(si int) int,
+	op func(ctx context.Context, si int, nd core.NDP) error) error {
+	if count == 0 {
+		return nil
 	}
-	return sh.TagSum(geo, idx, weights), nil
-}
-
-// sumSubs scatters the sub-queries concurrently and gathers the ring sum
-// of the partials. Each sub-query fails over across its shard's
-// replicas; only a shard whose every replica refused is recomputed from
-// the mirror when one is attached (noting the fill on the context
-// flag). Without a mirror an exhausted shard fails the gather.
-func (n *NDP) sumSubs(ctx context.Context, top *topology, geo core.Geometry, subs []SubQuery) ([]uint64, error) {
-	r, err := ring.New(geo.Params.We)
-	if err != nil {
-		return nil, err
-	}
-	acc := make([]uint64, geo.Params.M)
-	if len(subs) == 0 {
-		return acc, nil
-	}
-	partials := make([][]uint64, len(subs))
-	errs := make([]error, len(subs))
+	errs := make([]error, count)
 	var wg sync.WaitGroup
-	for si := range subs {
+	for si := range count {
+		s := shardOf(si)
 		wg.Add(1)
-		go func(si int) {
+		go func() {
 			defer wg.Done()
-			sub := subs[si]
-			sctx, sspan := subSpan(ctx, "sum", sub.Shard)
+			sctx, sspan := subSpan(ctx, kind, s)
 			start := time.Now()
-			partials[si], errs[si] = top.groups[sub.Shard].Sum(sctx, geo, sub.Idx, sub.Weights)
-			top.observe(sub.Shard, time.Since(start), errs[si], n.failures)
+			errs[si] = op(sctx, si, top.groups[s])
+			top.observe(s, time.Since(start), errs[si], n.failures)
 			sspan.EndErr(errs[si], telemetry.ErrClassTransport)
-		}(si)
+		}()
 	}
 	wg.Wait()
 	n.noteGather()
-	for si := range subs {
-		sub := subs[si]
-		if errs[si] != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			if n.mirror == nil {
-				return nil, fmt.Errorf("cluster: shard %d: %w", sub.Shard, errs[si])
-			}
-			p, ferr := mirrorSum(n.mirror, geo, sub.Idx, sub.Weights)
-			if ferr != nil {
-				return nil, fmt.Errorf("cluster: shard %d: %w (mirror fill failed: %v)", sub.Shard, errs[si], ferr)
-			}
-			n.noteFill(ctx, sub.Shard)
-			partials[si] = p
+	for si, err := range errs {
+		if err == nil {
+			continue
 		}
-		if len(partials[si]) != geo.Params.M {
-			return nil, fmt.Errorf("cluster: shard %d returned %d columns, want %d", sub.Shard, len(partials[si]), geo.Params.M)
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
-		r.AddVec(acc, acc, partials[si])
-	}
-	return acc, nil
-}
-
-// tagSubs is sumSubs for the tag half: the per-shard tag partials add in
-// F_q to the unsharded tag sum.
-func (n *NDP) tagSubs(ctx context.Context, top *topology, geo core.Geometry, subs []SubQuery) (field.Elem, error) {
-	acc := field.Zero
-	if len(subs) == 0 {
-		return acc, nil
-	}
-	partials := make([]field.Elem, len(subs))
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	for si := range subs {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sub := subs[si]
-			sctx, sspan := subSpan(ctx, "tag", sub.Shard)
-			start := time.Now()
-			partials[si], errs[si] = top.groups[sub.Shard].Tag(sctx, geo, sub.Idx, sub.Weights)
-			top.observe(sub.Shard, time.Since(start), errs[si], n.failures)
-			sspan.EndErr(errs[si], telemetry.ErrClassTransport)
-		}(si)
-	}
-	wg.Wait()
-	n.noteGather()
-	for si := range subs {
-		sub := subs[si]
-		if errs[si] != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return field.Zero, cerr
-			}
-			if n.mirror == nil {
-				return field.Zero, fmt.Errorf("cluster: shard %d: %w", sub.Shard, errs[si])
-			}
-			p, ferr := mirrorTag(n.mirror, geo, sub.Idx, sub.Weights)
-			if ferr != nil {
-				return field.Zero, fmt.Errorf("cluster: shard %d: %w (mirror fill failed: %v)", sub.Shard, errs[si], ferr)
-			}
-			n.noteFill(ctx, sub.Shard)
-			partials[si] = p
+		s := shardOf(si)
+		if n.mirror == nil {
+			return fmt.Errorf("cluster: shard %d: %w", s, err)
 		}
-		acc = field.Add(acc, partials[si])
+		if ferr := guarded("mirror fill", func() error { return op(ctx, si, n.mirror) }); ferr != nil {
+			return fmt.Errorf("cluster: shard %d: %w (mirror fill failed: %v)", s, err, ferr)
+		}
+		n.noteFill(ctx, s)
 	}
-	return acc, nil
+	return nil
 }
 
 func (n *NDP) noteFill(ctx context.Context, shard int) {
@@ -542,189 +474,92 @@ func (n *NDP) noteFill(ctx context.Context, shard int) {
 	}
 }
 
-// mirrorSum recomputes one shard's data partial from the TEE mirror. The
-// mirror holds the same ciphertext bytes the shard does, so the filled
-// partial is exactly what an honest shard would have returned — the
-// gathered result still decrypts and verifies unchanged.
-func mirrorSum(mir *core.HonestNDP, geo core.Geometry, idx []int, weights []uint64) (res []uint64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: mirror fill failed: %v", r)
+// WeightedTagSum implements core.NDP by scatter-gathering the query across
+// the owning shards — data and tag partials in one exchange per shard —
+// and re-adding the partials: ring additions for the sums, field
+// additions for the tags.
+func (n *NDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
+	r, err := ring.New(geo.Params.We)
+	if err != nil {
+		return nil, field.Zero, err
+	}
+	var acc []uint64
+	var tag field.Elem
+	err = n.gather(ctx, func(ctx context.Context, top *topology) error {
+		subs := top.smap.Split(idx, weights)
+		sums := make([][]uint64, len(subs))
+		tags := make([]field.Elem, len(subs))
+		err := n.scatter(ctx, top, "sum", len(subs), func(si int) int { return subs[si].Shard },
+			func(ctx context.Context, si int, nd core.NDP) (err error) {
+				sums[si], tags[si], err = nd.WeightedTagSum(ctx, geo, subs[si].Idx, subs[si].Weights, verify)
+				return err
+			})
+		if err != nil {
+			return err
 		}
-	}()
-	return mir.WeightedSum(geo, idx, weights), nil
-}
-
-func mirrorTag(mir *core.HonestNDP, geo core.Geometry, idx []int, weights []uint64) (res field.Elem, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: mirror fill failed: %v", r)
+		acc, tag = make([]uint64, geo.Params.M), field.Zero
+		for si, p := range sums {
+			if len(p) != geo.Params.M {
+				return fmt.Errorf("cluster: shard %d returned %d columns, want %d", subs[si].Shard, len(p), geo.Params.M)
+			}
+			r.AddVec(acc, acc, p)
+			tag = field.Add(tag, tags[si])
 		}
-	}()
-	return mir.TagSum(geo, idx, weights), nil
-}
-
-func mirrorElem(mir *core.HonestNDP, geo core.Geometry, idx, jdx []int, weights []uint64) (res uint64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: mirror fill failed: %v", r)
-		}
-	}()
-	return mir.WeightedSumElem(geo, idx, jdx, weights), nil
-}
-
-// WeightedSumContext implements core.ContextNDP by scatter-gathering the
-// query across the owning shards.
-func (n *NDP) WeightedSumContext(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) ([]uint64, error) {
-	var res []uint64
-	err := n.gather(ctx, func(ctx context.Context, top *topology) error {
-		var gerr error
-		res, gerr = n.sumSubs(ctx, top, geo, top.smap.Split(idx, weights))
-		return gerr
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, field.Zero, err
 	}
-	return res, nil
+	return acc, tag, nil
 }
 
-// TagSumContext implements core.ContextNDP.
-func (n *NDP) TagSumContext(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) (field.Elem, error) {
-	var res field.Elem
-	err := n.gather(ctx, func(ctx context.Context, top *topology) error {
-		var gerr error
-		res, gerr = n.tagSubs(ctx, top, geo, top.smap.Split(idx, weights))
-		return gerr
-	})
-	if err != nil {
-		return field.Zero, err
-	}
-	return res, nil
-}
-
-// WeightedSum implements core.NDP; like other transport-backed NDPs its
-// legacy failure mode is a panic (the query engine converts it).
-func (n *NDP) WeightedSum(geo core.Geometry, idx []int, weights []uint64) []uint64 {
-	res, err := n.WeightedSumContext(context.Background(), geo, idx, weights)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// TagSum implements core.NDP.
-func (n *NDP) TagSum(geo core.Geometry, idx []int, weights []uint64) field.Elem {
-	res, err := n.TagSumContext(context.Background(), geo, idx, weights)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// WeightedSumElemContext implements core.ElemNDP: the element-indexed
-// scalar Σ_k w_k·C[i_k][j_k] split by owning shard, each shard's
-// partial computed with replica failover (see ReplicaGroup.Elem for the
+// WeightedSumElem implements core.NDP: the element-indexed scalar Σ_k
+// w_k·C[i_k][j_k] split by owning shard, each shard's partial computed
+// with replica failover (see ReplicaGroup.WeightedSumElem for the
 // whole-row fetch it rides on), exhausted shards filled from the mirror
 // like any other partial. By linearity the reassembled scalar is
-// byte-identical to the single-NDP element sum.
-func (n *NDP) WeightedSumElemContext(ctx context.Context, geo core.Geometry, idx, jdx []int, weights []uint64) (uint64, error) {
-	if len(jdx) != len(idx) {
-		return 0, fmt.Errorf("cluster: %d columns for %d rows", len(jdx), len(idx))
+// byte-identical to the single-NDP element sum. Columns are range-checked
+// before any shard is asked.
+func (n *NDP) WeightedSumElem(ctx context.Context, geo core.Geometry, idx, jdx []int, weights []uint64) (uint64, error) {
+	if len(jdx) != len(idx) || len(weights) != len(idx) {
+		return 0, fmt.Errorf("cluster: %d rows, %d columns, %d weights", len(idx), len(jdx), len(weights))
+	}
+	for _, j := range jdx {
+		if j < 0 || j >= geo.Params.M {
+			return 0, fmt.Errorf("%w: column %d not in [0,%d)", core.ErrIndexRange, j, geo.Params.M)
+		}
 	}
 	r, err := ring.New(geo.Params.We)
 	if err != nil {
 		return 0, err
 	}
 	var res uint64
-	gerr := n.gather(ctx, func(ctx context.Context, top *topology) error {
+	err = n.gather(ctx, func(ctx context.Context, top *topology) error {
 		subs := top.smap.splitElem(idx, jdx, weights)
 		partials := make([]uint64, len(subs))
-		errs := make([]error, len(subs))
-		var wg sync.WaitGroup
-		for si := range subs {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				sub := subs[si]
-				sctx, sspan := subSpan(ctx, "elem", sub.Shard)
-				start := time.Now()
-				partials[si], errs[si] = top.groups[sub.Shard].Elem(sctx, geo, sub.Idx, sub.Jdx, sub.Weights)
-				top.observe(sub.Shard, time.Since(start), errs[si], n.failures)
-				sspan.EndErr(errs[si], telemetry.ErrClassTransport)
-			}(si)
+		err := n.scatter(ctx, top, "elem", len(subs), func(si int) int { return subs[si].Shard },
+			func(ctx context.Context, si int, nd core.NDP) (err error) {
+				sub := &subs[si]
+				partials[si], err = nd.WeightedSumElem(ctx, geo, sub.Idx, sub.Jdx, sub.Weights)
+				return err
+			})
+		if err != nil {
+			return err
 		}
-		wg.Wait()
-		n.noteGather()
 		var acc uint64
-		for si := range subs {
-			sub := subs[si]
-			if errs[si] != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-				if n.mirror == nil {
-					return fmt.Errorf("cluster: shard %d: %w", sub.Shard, errs[si])
-				}
-				p, ferr := mirrorElem(n.mirror, geo, sub.Idx, sub.Jdx, sub.Weights)
-				if ferr != nil {
-					return fmt.Errorf("cluster: shard %d: %w (mirror fill failed: %v)", sub.Shard, errs[si], ferr)
-				}
-				n.noteFill(ctx, sub.Shard)
-				partials[si] = p
-			}
-			acc += partials[si]
+		for _, p := range partials {
+			acc += p
 		}
 		res = r.Reduce(acc)
 		return nil
 	})
-	if gerr != nil {
-		return 0, gerr
+	if err != nil {
+		return 0, err
 	}
 	return res, nil
 }
 
-// WeightedSumElem implements core.NDP via the context form; its legacy
-// failure mode is a panic (the query engine converts it).
-func (n *NDP) WeightedSumElem(geo core.Geometry, idx, jdx []int, weights []uint64) uint64 {
-	res, err := n.WeightedSumElemContext(context.Background(), geo, idx, jdx, weights)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// SupportsBatch implements core.BatchNDP: true only when every replica
-// of every shard answers batches, so a sub-batch never needs a
-// per-shard fallback path regardless of which replica serves it.
-func (n *NDP) SupportsBatch(ctx context.Context) bool {
-	top := n.cur.Load()
-	for _, g := range top.groups {
-		if !g.SupportsBatch(ctx) {
-			return false
-		}
-	}
-	return true
-}
-
-func callBatch(ctx context.Context, bn core.BatchNDP, geo core.Geometry, reqs []core.BatchRequest, verify bool) (res []core.NDPBatchResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: shard ndp failed: %v", r)
-		}
-	}()
-	return bn.WeightedTagSumBatch(ctx, geo, reqs, verify)
-}
-
-func mirrorBatch(ctx context.Context, mir *core.HonestNDP, geo core.Geometry, reqs []core.BatchRequest, verify bool) (res []core.NDPBatchResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("cluster: mirror fill failed: %v", r)
-		}
-	}()
-	return mir.WeightedTagSumBatch(ctx, geo, reqs, verify)
-}
-
-// WeightedTagSumBatch implements core.BatchNDP: the batch splits into
+// WeightedTagSumBatch implements core.NDP: the batch splits into
 // per-shard sub-batches (each running the shard's own batch-plan dedup),
 // the sub-batches ride one concurrent exchange per touched shard — with
 // replica failover per sub-batch — and each original request's answer
@@ -759,43 +594,18 @@ func (n *NDP) batchSubs(ctx context.Context, top *topology, geo core.Geometry, r
 		out[i].Sums = slab[i*m : (i+1)*m : (i+1)*m]
 	}
 	subs := top.smap.SplitBatch(reqs)
-	if len(subs) == 0 {
-		return out, nil
-	}
 	results := make([][]core.NDPBatchResult, len(subs))
-	errs := make([]error, len(subs))
-	var wg sync.WaitGroup
-	for si := range subs {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			sub := subs[si]
-			sctx, sspan := subSpan(ctx, "batch", sub.Shard)
-			start := time.Now()
-			results[si], errs[si] = top.groups[sub.Shard].Batch(sctx, geo, sub.Reqs, verify)
-			top.observe(sub.Shard, time.Since(start), errs[si], n.failures)
-			sspan.EndErr(errs[si], telemetry.ErrClassTransport)
-		}(si)
+	err = n.scatter(ctx, top, "batch", len(subs), func(si int) int { return subs[si].Shard },
+		func(ctx context.Context, si int, nd core.NDP) (err error) {
+			results[si], err = nd.WeightedTagSumBatch(ctx, geo, subs[si].Reqs, verify)
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	n.noteGather()
 	for si := range subs {
-		sub := subs[si]
+		sub := &subs[si]
 		res := results[si]
-		if errs[si] != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			if n.mirror == nil {
-				return nil, fmt.Errorf("cluster: shard %d: %w", sub.Shard, errs[si])
-			}
-			filled, ferr := mirrorBatch(ctx, n.mirror, geo, sub.Reqs, verify)
-			if ferr != nil {
-				return nil, fmt.Errorf("cluster: shard %d: %w (mirror fill failed: %v)", sub.Shard, errs[si], ferr)
-			}
-			n.noteFill(ctx, sub.Shard)
-			res = filled
-		}
 		if len(res) != len(sub.Reqs) {
 			return nil, fmt.Errorf("cluster: shard %d answered %d of %d sub-requests", sub.Shard, len(res), len(sub.Reqs))
 		}
@@ -821,9 +631,4 @@ func (n *NDP) batchSubs(ctx context.Context, top *topology, geo core.Geometry, r
 	return out, nil
 }
 
-var (
-	_ core.NDP        = (*NDP)(nil)
-	_ core.ContextNDP = (*NDP)(nil)
-	_ core.BatchNDP   = (*NDP)(nil)
-	_ core.ElemNDP    = (*NDP)(nil)
-)
+var _ core.NDP = (*NDP)(nil)

@@ -129,7 +129,7 @@ func TestClusterEquivalence(t *testing.T) {
 			for q := 0; q < 10; q++ {
 				idx, weights := randQuery(rng, 64, 1+rng.Intn(20))
 
-				got, err := cnd.WeightedSumContext(ctx, fx.geo, idx, weights)
+				got, _, err := cnd.WeightedTagSum(ctx, fx.geo, idx, weights, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +140,7 @@ func TestClusterEquivalence(t *testing.T) {
 					}
 				}
 
-				gotTag, err := cnd.TagSumContext(ctx, fx.geo, idx, weights)
+				_, gotTag, err := cnd.WeightedTagSum(ctx, fx.geo, idx, weights, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -213,28 +213,19 @@ func TestClusterBatchEquivalence(t *testing.T) {
 	}
 }
 
-// failNDP fails every operation the way a dead transport does: context
-// calls return errors, legacy calls panic.
+// failNDP fails every operation the way a dead transport does.
 type failNDP struct{}
 
-func (failNDP) WeightedSum(core.Geometry, []int, []uint64) []uint64 {
-	panic("failNDP: down")
+var errFailNDP = errors.New("failNDP: down")
+
+func (failNDP) WeightedTagSum(context.Context, core.Geometry, []int, []uint64, bool) ([]uint64, field.Elem, error) {
+	return nil, field.Zero, errFailNDP
 }
-func (failNDP) WeightedSumElem(core.Geometry, []int, []int, []uint64) uint64 {
-	panic("failNDP: down")
+func (failNDP) WeightedSumElem(context.Context, core.Geometry, []int, []int, []uint64) (uint64, error) {
+	return 0, errFailNDP
 }
-func (failNDP) TagSum(core.Geometry, []int, []uint64) field.Elem {
-	panic("failNDP: down")
-}
-func (failNDP) WeightedSumContext(context.Context, core.Geometry, []int, []uint64) ([]uint64, error) {
-	return nil, errors.New("failNDP: down")
-}
-func (failNDP) TagSumContext(context.Context, core.Geometry, []int, []uint64) (field.Elem, error) {
-	return field.Zero, errors.New("failNDP: down")
-}
-func (failNDP) SupportsBatch(context.Context) bool { return true }
 func (failNDP) WeightedTagSumBatch(context.Context, core.Geometry, []core.BatchRequest, bool) ([]core.NDPBatchResult, error) {
-	return nil, errors.New("failNDP: down")
+	return nil, errFailNDP
 }
 
 // TestMirrorFill kills one shard: with the mirror attached the gather
@@ -282,7 +273,7 @@ func TestMirrorFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = bare.WeightedSumContext(context.Background(), fx.geo, idx, weights)
+	_, _, err = bare.WeightedTagSum(context.Background(), fx.geo, idx, weights, false)
 	if err == nil || !strings.Contains(err.Error(), "shard 2") {
 		t.Fatalf("mirrorless gather: %v", err)
 	}
@@ -376,7 +367,7 @@ func TestClusterTelemetry(t *testing.T) {
 	}
 	cnd.Instrument(reg)
 	idx, weights := []int{0, 63}, []uint64{1, 1}
-	if _, err := cnd.WeightedSumContext(context.Background(), fx.geo, idx, weights); err != nil {
+	if _, _, err := cnd.WeightedTagSum(context.Background(), fx.geo, idx, weights, false); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

@@ -27,7 +27,9 @@ import (
 // just failed is skipped for a cooldown window instead of paying its
 // full retry/backoff latency on every query, and the first replica to
 // answer becomes the new preferred one (stickiness keeps a healthy
-// cluster on one connection per shard). Safe for concurrent use.
+// cluster on one connection per shard). A group is itself a core.NDP, so
+// the cluster's scatter asks a group and the TEE mirror the same way.
+// Safe for concurrent use.
 type ReplicaGroup struct {
 	shard    int
 	replicas []core.NDP
@@ -242,11 +244,11 @@ func (g *ReplicaGroup) failure(r int) {
 	}
 }
 
-// do runs op against the replicas in preference order until one succeeds.
-// Failures beyond the first replica count as failovers; when every
-// replica refuses, the joined error carries each replica's failure. A
-// canceled context aborts between attempts — the caller's budget, not a
-// replica fault.
+// do runs op against the replicas in preference order until one succeeds;
+// a panic out of op counts as that replica's failure. Failures beyond the
+// first replica count as failovers; when every replica refuses, the joined
+// error carries each replica's failure. A canceled context aborts between
+// attempts — the caller's budget, not a replica fault.
 //
 // When ctx carries an active trace span, each replica attempt runs under
 // its own child span (the ctx handed to op carries it, so a wire client
@@ -276,7 +278,7 @@ func (g *ReplicaGroup) do(ctx context.Context, op func(ctx context.Context, rep 
 			actx, aspan = span.StartChild(ctx, fmt.Sprintf("replica%d", r))
 		}
 		g.inflight[r].Add(1)
-		err := op(actx, g.replicas[r])
+		err := guarded("shard ndp", func() error { return op(actx, g.replicas[r]) })
 		g.inflight[r].Add(-1)
 		if err == nil {
 			aspan.End()
@@ -293,45 +295,30 @@ func (g *ReplicaGroup) do(ctx context.Context, op func(ctx context.Context, rep 
 	return fmt.Errorf("cluster: shard %d: every replica failed: %w", g.shard, errors.Join(errs...))
 }
 
-// Sum scatter-calls the shard's weighted sum with failover.
-func (g *ReplicaGroup) Sum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) ([]uint64, error) {
+// WeightedTagSum implements core.NDP: the shard's weighted sum (and, with
+// verify, tag sum) with failover.
+func (g *ReplicaGroup) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
 	var res []uint64
+	var tag field.Elem
 	err := g.do(ctx, func(ctx context.Context, rep core.NDP) error {
 		var err error
-		res, err = callSum(ctx, rep, geo, idx, weights)
+		res, tag, err = rep.WeightedTagSum(ctx, geo, idx, weights, verify)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, field.Zero, err
 	}
-	return res, nil
+	return res, tag, nil
 }
 
-// Tag is Sum for the tag half.
-func (g *ReplicaGroup) Tag(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) (field.Elem, error) {
-	var res field.Elem
-	err := g.do(ctx, func(ctx context.Context, rep core.NDP) error {
-		var err error
-		res, err = callTag(ctx, rep, geo, idx, weights)
-		return err
-	})
-	if err != nil {
-		return field.Zero, err
-	}
-	return res, nil
-}
-
-// Batch runs a sub-batch with failover. Batches are pure reads, so a
-// replay against the next replica returns byte-identical partials.
-func (g *ReplicaGroup) Batch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
+// WeightedTagSumBatch implements core.NDP: a sub-batch with failover.
+// Batches are pure reads, so a replay against the next replica returns
+// byte-identical partials.
+func (g *ReplicaGroup) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	var res []core.NDPBatchResult
 	err := g.do(ctx, func(ctx context.Context, rep core.NDP) error {
-		bn, ok := rep.(core.BatchNDP)
-		if !ok {
-			return fmt.Errorf("cluster: shard %d replica has no batch support", g.shard)
-		}
 		var err error
-		res, err = callBatch(ctx, bn, geo, reqs, verify)
+		res, err = rep.WeightedTagSumBatch(ctx, geo, reqs, verify)
 		return err
 	})
 	if err != nil {
@@ -340,83 +327,50 @@ func (g *ReplicaGroup) Batch(ctx context.Context, geo core.Geometry, reqs []core
 	return res, nil
 }
 
-// Elem computes the shard's element-indexed partial Σ_k w_k·C[i_k][j_k]
-// with failover. The wire protocol has no element op, so the group
-// fetches each referenced row as a unit-weight whole-row sum — one
-// batched exchange when the replica supports batches, per-row sums
-// otherwise — and assembles the scalar on the trusted side; by
-// linearity the result is byte-identical to what an honest NDP's
-// element op would return. The fetch runs wholly against one replica
-// and fails over as a unit.
-func (g *ReplicaGroup) Elem(ctx context.Context, geo core.Geometry, idx, jdx []int, weights []uint64) (uint64, error) {
-	var res uint64
-	err := g.do(ctx, func(ctx context.Context, rep core.NDP) error {
-		var err error
-		res, err = elemViaRows(ctx, rep, geo, idx, jdx, weights)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res, nil
-}
-
-// elemViaRows fetches each referenced row (weight 1) from one replica and
-// reduces the element picks in the ring.
-func elemViaRows(ctx context.Context, rep core.NDP, geo core.Geometry, idx, jdx []int, weights []uint64) (uint64, error) {
+// WeightedSumElem implements core.NDP: the shard's element-indexed partial
+// Σ_k w_k·C[i_k][j_k] with failover. The wire protocol has no element op,
+// so the group fetches each referenced row as a unit-weight whole-row sum
+// in one batched exchange and assembles the scalar on the trusted side;
+// by linearity the result is byte-identical to what an honest NDP's
+// element op would return. The fetch runs wholly against one replica and
+// fails over as a unit.
+func (g *ReplicaGroup) WeightedSumElem(ctx context.Context, geo core.Geometry, idx, jdx []int, weights []uint64) (uint64, error) {
 	r, err := ring.New(geo.Params.We)
 	if err != nil {
 		return 0, err
 	}
-	var acc uint64
-	if bn, ok := rep.(core.BatchNDP); ok && bn.SupportsBatch(ctx) {
-		reqs := make([]core.BatchRequest, len(idx))
-		rows := make([]int, len(idx))
-		ones := make([]uint64, len(idx))
-		for k := range idx {
-			rows[k] = idx[k]
-			ones[k] = 1
-			reqs[k] = core.BatchRequest{Idx: rows[k : k+1], Weights: ones[k : k+1]}
-		}
-		res, err := callBatch(ctx, bn, geo, reqs, false)
-		if err != nil {
-			return 0, err
-		}
-		if len(res) != len(idx) {
-			return 0, fmt.Errorf("cluster: row fetch answered %d of %d rows", len(res), len(idx))
-		}
-		for k := range res {
-			if res[k].Err != nil {
-				return 0, res[k].Err
-			}
-			if len(res[k].Sums) != geo.Params.M {
-				return 0, fmt.Errorf("cluster: row fetch returned %d columns, want %d", len(res[k].Sums), geo.Params.M)
-			}
-			acc += weights[k] * res[k].Sums[jdx[k]]
-		}
-		return r.Reduce(acc), nil
-	}
+	reqs := make([]core.BatchRequest, len(idx))
+	ones := make([]uint64, len(idx))
 	for k := range idx {
-		row, err := callSum(ctx, rep, geo, idx[k:k+1], []uint64{1})
-		if err != nil {
-			return 0, err
-		}
-		if len(row) != geo.Params.M {
-			return 0, fmt.Errorf("cluster: row fetch returned %d columns, want %d", len(row), geo.Params.M)
-		}
-		acc += weights[k] * row[jdx[k]]
+		ones[k] = 1
+		reqs[k] = core.BatchRequest{Idx: idx[k : k+1], Weights: ones[k : k+1]}
 	}
-	return r.Reduce(acc), nil
+	var res uint64
+	err = g.do(ctx, func(ctx context.Context, rep core.NDP) error {
+		rows, err := rep.WeightedTagSumBatch(ctx, geo, reqs, false)
+		if err != nil {
+			return err
+		}
+		if len(rows) != len(idx) {
+			return fmt.Errorf("cluster: row fetch answered %d of %d rows", len(rows), len(idx))
+		}
+		var acc uint64
+		for k := range rows {
+			if rows[k].Err != nil {
+				return rows[k].Err
+			}
+			if len(rows[k].Sums) != geo.Params.M {
+				return fmt.Errorf("cluster: row fetch returned %d columns, want %d", len(rows[k].Sums), geo.Params.M)
+			}
+			acc += weights[k] * rows[k].Sums[jdx[k]]
+		}
+		res = r.Reduce(acc)
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return res, nil
 }
 
-// SupportsBatch reports whether every replica can serve batches — the
-// group must be able to fail a sub-batch over to any replica.
-func (g *ReplicaGroup) SupportsBatch(ctx context.Context) bool {
-	for _, rep := range g.replicas {
-		bn, ok := rep.(core.BatchNDP)
-		if !ok || !bn.SupportsBatch(ctx) {
-			return false
-		}
-	}
-	return true
-}
+var _ core.NDP = (*ReplicaGroup)(nil)

@@ -16,9 +16,8 @@ import (
 	"secndp/internal/telemetry"
 )
 
-// flakyNDP wraps an honest shard behind a kill switch. It speaks the
-// context interfaces so failures surface as errors (the wire client's
-// behavior) rather than panics.
+// flakyNDP wraps an honest shard behind a kill switch: a dead replica
+// fails every operation with an error, as the wire client does.
 type flakyNDP struct {
 	inner *core.HonestNDP
 	dead  atomic.Bool
@@ -26,48 +25,33 @@ type flakyNDP struct {
 
 var errReplicaDead = errors.New("replica dead")
 
-func (f *flakyNDP) WeightedSumContext(_ context.Context, geo core.Geometry, idx []int, w []uint64) ([]uint64, error) {
+func (f *flakyNDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	if f.dead.Load() {
+		return nil, field.Zero, errReplicaDead
+	}
+	return f.inner.WeightedTagSum(ctx, geo, idx, w, verify)
+}
+
+func (f *flakyNDP) WeightedSumElem(ctx context.Context, geo core.Geometry, idx, jdx []int, w []uint64) (uint64, error) {
+	if f.dead.Load() {
+		return 0, errReplicaDead
+	}
+	return f.inner.WeightedSumElem(ctx, geo, idx, jdx, w)
+}
+
+func (f *flakyNDP) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	if f.dead.Load() {
 		return nil, errReplicaDead
 	}
-	return f.inner.WeightedSum(geo, idx, w), nil
-}
-
-func (f *flakyNDP) TagSumContext(_ context.Context, geo core.Geometry, idx []int, w []uint64) (field.Elem, error) {
-	if f.dead.Load() {
-		return field.Zero, errReplicaDead
-	}
-	return f.inner.TagSum(geo, idx, w), nil
-}
-
-func (f *flakyNDP) WeightedSum(geo core.Geometry, idx []int, w []uint64) []uint64 {
-	if f.dead.Load() {
-		panic(errReplicaDead)
-	}
-	return f.inner.WeightedSum(geo, idx, w)
-}
-
-func (f *flakyNDP) WeightedSumElem(geo core.Geometry, idx, jdx []int, w []uint64) uint64 {
-	if f.dead.Load() {
-		panic(errReplicaDead)
-	}
-	return f.inner.WeightedSumElem(geo, idx, jdx, w)
-}
-
-func (f *flakyNDP) TagSum(geo core.Geometry, idx []int, w []uint64) field.Elem {
-	if f.dead.Load() {
-		panic(errReplicaDead)
-	}
-	return f.inner.TagSum(geo, idx, w)
+	return f.inner.WeightedTagSumBatch(ctx, geo, reqs, verify)
 }
 
 // fakeNDP is an identity-only replica for exercising the failover order;
 // its ops are never reached (tests drive do() with a recording op).
-type fakeNDP struct{ id int }
-
-func (f *fakeNDP) WeightedSum(core.Geometry, []int, []uint64) []uint64          { return nil }
-func (f *fakeNDP) WeightedSumElem(core.Geometry, []int, []int, []uint64) uint64 { return 0 }
-func (f *fakeNDP) TagSum(core.Geometry, []int, []uint64) field.Elem             { return field.Zero }
+type fakeNDP struct {
+	core.NDP
+	id int
+}
 
 func newFakeGroup(t *testing.T, n int, cooldown time.Duration) *ReplicaGroup {
 	t.Helper()
@@ -239,7 +223,7 @@ func TestGroupFailoverEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := fx.shards[0]
+	oracle := fx.shards[0].(*core.HonestNDP)
 	rng := rand.New(rand.NewSource(97))
 	ctx := context.Background()
 	for round := 0; round < 3; round++ {
@@ -248,7 +232,7 @@ func TestGroupFailoverEquivalence(t *testing.T) {
 			reps[round-1].dead.Store(true)
 		}
 		idx, w := randQuery(rng, 64, 6)
-		sum, err := g.Sum(ctx, fx.geo, idx, w)
+		sum, _, err := g.WeightedTagSum(ctx, fx.geo, idx, w, false)
 		if err != nil {
 			t.Fatalf("round %d: Sum: %v", round, err)
 		}
@@ -258,7 +242,7 @@ func TestGroupFailoverEquivalence(t *testing.T) {
 				t.Fatalf("round %d: Sum[%d] = %d, want %d", round, j, sum[j], want[j])
 			}
 		}
-		tag, err := g.Tag(ctx, fx.geo, idx, w)
+		_, tag, err := g.WeightedTagSum(ctx, fx.geo, idx, w, true)
 		if err != nil {
 			t.Fatalf("round %d: Tag: %v", round, err)
 		}
@@ -269,17 +253,17 @@ func TestGroupFailoverEquivalence(t *testing.T) {
 		for k := range jdx {
 			jdx[k] = rng.Intn(16)
 		}
-		el, err := g.Elem(ctx, fx.geo, idx, jdx, w)
+		el, err := g.WeightedSumElem(ctx, fx.geo, idx, jdx, w)
 		if err != nil {
 			t.Fatalf("round %d: Elem: %v", round, err)
 		}
-		if want := oracle.WeightedSumElem(fx.geo, idx, jdx, w); el != want {
+		if want, _ := oracle.WeightedSumElem(ctx, fx.geo, idx, jdx, w); el != want {
 			t.Fatalf("round %d: Elem = %d, want %d", round, el, want)
 		}
 	}
 	// All three dead: total failure surfaces as an error.
 	reps[2].dead.Store(true)
-	if _, err := g.Sum(ctx, fx.geo, []int{0}, []uint64{1}); err == nil {
+	if _, _, err := g.WeightedTagSum(ctx, fx.geo, []int{0}, []uint64{1}, false); err == nil {
 		t.Fatal("Sum succeeded with every replica dead")
 	}
 }
@@ -302,7 +286,7 @@ func TestGroupTelemetry(t *testing.T) {
 	g.instrument(reg, "shard0_", failovers)
 
 	reps[0].dead.Store(true)
-	if _, err := g.Sum(context.Background(), fx.geo, []int{1}, []uint64{1}); err != nil {
+	if _, _, err := g.WeightedTagSum(context.Background(), fx.geo, []int{1}, []uint64{1}, false); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -360,7 +344,7 @@ func TestReplicatedEquivalence(t *testing.T) {
 		}
 		idx, w := randQuery(rng, 64, 9)
 		ictx, flag := WithFlag(ctx)
-		sum, err := cnd.WeightedSumContext(ictx, fx.geo, idx, w)
+		sum, _, err := cnd.WeightedTagSum(ictx, fx.geo, idx, w, false)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -370,7 +354,7 @@ func TestReplicatedEquivalence(t *testing.T) {
 				t.Fatalf("round %d: col %d: %d != %d", round, j, sum[j], want[j])
 			}
 		}
-		tag, err := cnd.TagSumContext(ictx, fx.geo, idx, w)
+		_, tag, err := cnd.WeightedTagSum(ictx, fx.geo, idx, w, true)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

@@ -254,7 +254,7 @@ type SubBatch struct {
 // one row there; a request referencing no rows at all appears nowhere
 // (its sum is the empty sum — zero). Only shards with at least one
 // sub-request are returned, in increasing shard order, so each shard's
-// sub-batch rides one BatchNDP exchange and reuses the per-shard
+// sub-batch rides one WeightedTagSumBatch exchange and reuses the per-shard
 // batch-plan dedup machinery unmodified. Within a sub-batch, Origin is
 // increasing and each sub-request keeps its pairs' relative order.
 //

@@ -215,7 +215,7 @@ func assertClusterOracle(t *testing.T, fx *fixture, cnd *NDP, seed int64) {
 	ctx := context.Background()
 	for q := 0; q < 4; q++ {
 		idx, w := randQuery(rng, 64, 7)
-		sum, err := cnd.WeightedSumContext(ctx, fx.geo, idx, w)
+		sum, _, err := cnd.WeightedTagSum(ctx, fx.geo, idx, w, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func assertClusterOracle(t *testing.T, fx *fixture, cnd *NDP, seed int64) {
 				t.Fatalf("col %d: %d != %d", j, sum[j], want[j])
 			}
 		}
-		tag, err := cnd.TagSumContext(ctx, fx.geo, idx, w)
+		_, tag, err := cnd.WeightedTagSum(ctx, fx.geo, idx, w, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestReshardStaleGatherReissue(t *testing.T) {
 	hold := make(chan struct{})
 	held := make(chan struct{})
 	var once sync.Once
-	slow := &gatedNDP{inner: groups[1].Replica(0), gate: func() {
+	slow := &gatedNDP{NDP: groups[1].Replica(0), gate: func() {
 		once.Do(func() {
 			close(held)
 			<-hold
@@ -351,7 +351,7 @@ func TestReshardStaleGatherReissue(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		s, err := cnd.WeightedSumContext(context.Background(), fx.geo, idx, w)
+		s, _, err := cnd.WeightedTagSum(context.Background(), fx.geo, idx, w, false)
 		done <- res{s, err}
 	}()
 	<-held
@@ -388,22 +388,12 @@ func TestReshardStaleGatherReissue(t *testing.T) {
 }
 
 // gatedNDP delays the first weighted-sum call via gate, then delegates.
-// It deliberately implements only the legacy interface so the cluster's
-// panic-recovering callers drive it.
 type gatedNDP struct {
-	inner core.NDP
-	gate  func()
+	core.NDP
+	gate func()
 }
 
-func (g *gatedNDP) WeightedSum(geo core.Geometry, idx []int, w []uint64) []uint64 {
+func (g *gatedNDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
 	g.gate()
-	return g.inner.WeightedSum(geo, idx, w)
-}
-
-func (g *gatedNDP) WeightedSumElem(geo core.Geometry, idx, jdx []int, w []uint64) uint64 {
-	return g.inner.WeightedSumElem(geo, idx, jdx, w)
-}
-
-func (g *gatedNDP) TagSum(geo core.Geometry, idx []int, w []uint64) field.Elem {
-	return g.inner.TagSum(geo, idx, w)
+	return g.NDP.WeightedTagSum(ctx, geo, idx, w, verify)
 }

@@ -21,7 +21,7 @@ import (
 //     generated once, and the shared pad is scattered into every
 //     requester's accumulator — turning B×L AES pad generations into
 //     one per distinct row.
-//  2. One NDP exchange. The whole batch rides a single BatchNDP call
+//  2. One NDP exchange. The whole batch rides a single WeightedTagSumBatch call
 //     (one wire round-trip for remote NDPs) instead of N.
 //
 // Verification stays per request: each joined result's checksum is compared
@@ -379,13 +379,13 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 }
 
 // queryBatchPipelined serves the whole batch as one coalesced operation:
-// one BatchNDP exchange running concurrently with one deduplicated OTP
+// one NDP batch exchange running concurrently with one deduplicated OTP
 // sweep, then the per-request verification. A non-nil error is a
 // batch-level failure (transport trouble) and means nothing was decided —
 // the caller falls back to per-request fan-out. Per-sub-request problems
 // land in the returned BatchResult.Err slots with errors byte-identical
 // to QueryCtx's.
-func (t *Table) queryBatchPipelined(ctx context.Context, bn BatchNDP, reqs []BatchRequest, opts QueryOptions) ([]BatchResult, error) {
+func (t *Table) queryBatchPipelined(ctx context.Context, ndp NDP, reqs []BatchRequest, opts QueryOptions) ([]BatchResult, error) {
 	out := make([]BatchResult, len(reqs))
 	if opts.Verify && t.geo.Layout.Placement == memory.TagNone {
 		for i := range out {
@@ -434,7 +434,7 @@ func (t *Table) queryBatchPipelined(ctx context.Context, bn BatchNDP, reqs []Bat
 			}
 			ch <- o
 		}()
-		o.res, o.err = bn.WeightedTagSumBatch(ctx, t.geo, valid, opts.Verify)
+		o.res, o.err = ndp.WeightedTagSumBatch(ctx, t.geo, valid, opts.Verify)
 	}()
 
 	accs, tags, accRelease, otpErr := t.otpBatch(ctx, plan, skip, opts.Verify, opts)

@@ -11,9 +11,13 @@ import (
 	"secndp/internal/memory"
 )
 
-// plainNDP hides the batch entry points of an NDP so tests can force the
-// fan-out path: the wrapper's method set is exactly core.NDP.
+// plainNDP fails the batch entry point of an NDP so tests can force the
+// fan-out path.
 type plainNDP struct{ NDP }
+
+func (plainNDP) WeightedTagSumBatch(context.Context, Geometry, []BatchRequest, bool) ([]NDPBatchResult, error) {
+	return nil, errors.ErrUnsupported
+}
 
 func TestPlanBatchDedupAndCoalesce(t *testing.T) {
 	reqs := []BatchRequest{
@@ -196,8 +200,8 @@ func TestBatchVerifyIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestBatchFanoutWhenNoBatchSupport: an NDP without the batch interface
-// must still be served, with stats reporting the fan-out path.
+// TestBatchFanoutWhenNoBatchSupport: an NDP whose batch op fails must
+// still be served, with stats reporting the fan-out path.
 func TestBatchFanoutWhenNoBatchSupport(t *testing.T) {
 	s := newTestScheme(t)
 	mem := memory.NewSpace()

@@ -46,7 +46,10 @@ func referenceQuery(tab *Table, ndp NDP, idx []int, w []uint64, verify bool) ([]
 	if err := tab.checkQuery(idx, w); err != nil {
 		return nil, err
 	}
-	cres := ndp.WeightedSum(tab.geo, idx, w)
+	cres, ctag, err := ndp.WeightedTagSum(context.Background(), tab.geo, idx, w, verify)
+	if err != nil {
+		return nil, err
+	}
 	if len(cres) != tab.geo.Params.M {
 		return nil, fmt.Errorf("reference: ndp returned %d columns", len(cres))
 	}
@@ -55,7 +58,7 @@ func referenceQuery(tab *Table, ndp NDP, idx []int, w []uint64, verify bool) ([]
 		res[j] = tab.r.Reduce(res[j] + cres[j])
 	}
 	if verify {
-		mac := field.Add(ndp.TagSum(tab.geo, idx, w), referenceTagPadSum(tab, idx, w))
+		mac := field.Add(ctag, referenceTagPadSum(tab, idx, w))
 		if !checksumRowNaive(tab.seeds, res).Equal(mac) {
 			return nil, ErrVerification
 		}
@@ -68,27 +71,13 @@ func queryUnverified(tab *Table, ndp NDP, idx []int, w []uint64) ([]uint64, erro
 	return tab.QueryCtx(context.Background(), ndp, idx, w, QueryOptions{})
 }
 
-// transportNDP dresses an in-process NDP as a blocking transport
-// (ContextNDP), which the planner always runs overlapped.
+// transportNDP dresses an in-process NDP as something other than
+// *HonestNDP — a transport, to the planner — which always runs overlapped.
 type transportNDP struct{ NDP }
 
-func (n transportNDP) WeightedSumContext(ctx context.Context, geo Geometry, idx []int, w []uint64) ([]uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return n.WeightedSum(geo, idx, w), nil
-}
-
-func (n transportNDP) TagSumContext(ctx context.Context, geo Geometry, idx []int, w []uint64) (field.Elem, error) {
-	if err := ctx.Err(); err != nil {
-		return field.Zero, err
-	}
-	return n.TagSum(geo, idx, w), nil
-}
-
 // shapes dresses an in-process NDP so the planner runs each of QueryCtx's
-// two shapes on the small queries these tests issue: as it is (inline) and
-// as a transport (overlapped).
+// two shapes on the small queries these tests issue: as it is (inline, for
+// a *HonestNDP) and as a transport (overlapped).
 var shapes = []struct {
 	name  string
 	dress func(NDP) NDP
@@ -167,16 +156,15 @@ type replayNDP struct {
 	idx []int
 }
 
-func (r *replayNDP) WeightedSum(geo Geometry, _ []int, w []uint64) []uint64 {
-	return r.HonestNDP.WeightedSum(geo, r.idx, w)
-}
-
-func (r *replayNDP) TagSum(geo Geometry, _ []int, w []uint64) field.Elem {
-	return r.HonestNDP.TagSum(geo, r.idx, w)
+func (r *replayNDP) WeightedTagSum(ctx context.Context, geo Geometry, _ []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	return r.HonestNDP.WeightedTagSum(ctx, geo, r.idx, w, verify)
 }
 
 // TestMaliciousNDPRejectedOnBothShapes: corrupting, forging and replaying
-// NDP doubles get ErrVerification from the inline and the overlapped shape.
+// NDP doubles get ErrVerification in either dress, and the honest NDP
+// passes in both shapes. A double is never *HonestNDP, so the planner runs
+// it overlapped either way; the inline shape meets malicious memory under
+// the honest NDP in TestGatherSeesTamper.
 func TestMaliciousNDPRejectedOnBothShapes(t *testing.T) {
 	tab, honest, _ := hotpathTable(t, memory.TagSep, 64, 32, 32, 81)
 	idx := []int{3, 9, 27, 9}
@@ -205,15 +193,15 @@ func TestMaliciousNDPRejectedOnBothShapes(t *testing.T) {
 }
 
 // cancellingNDP is a slow NDP whose caller gives up mid-exchange: it
-// cancels the query's context from inside WeightedSum, then answers.
+// cancels the query's context from inside WeightedTagSum, then answers.
 type cancellingNDP struct {
 	HonestNDP
 	cancel context.CancelFunc
 }
 
-func (c *cancellingNDP) WeightedSum(geo Geometry, idx []int, w []uint64) []uint64 {
+func (c *cancellingNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
 	c.cancel()
-	return c.HonestNDP.WeightedSum(geo, idx, w)
+	return c.HonestNDP.WeightedTagSum(ctx, geo, idx, w, verify)
 }
 
 // TestQueryCtxCancellationBothShapes: a context cancelled before the call,

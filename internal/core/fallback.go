@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"secndp/internal/memory"
 )
@@ -54,14 +53,11 @@ func (t *Table) LocalWeightedSumElem(ctx context.Context, mirror *memory.Space, 
 	if err := t.checkQuery(idx, weights); err != nil {
 		return 0, err
 	}
-	if len(jdx) != len(idx) {
-		return 0, fmt.Errorf("core: %d column indices vs %d rows", len(jdx), len(idx))
+	if err := checkCols(t.geo, idx, jdx); err != nil {
+		return 0, err
 	}
 	var acc uint64
 	for k, i := range idx {
-		if jdx[k] < 0 || jdx[k] >= t.geo.Params.M {
-			return 0, fmt.Errorf("%w: column %d not in [0,%d)", ErrIndexRange, jdx[k], t.geo.Params.M)
-		}
 		if k%ctxCheckStride == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return 0, err

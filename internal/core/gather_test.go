@@ -111,12 +111,16 @@ func TestGatherMatchesCopyPath(t *testing.T) {
 						for k := range jdx {
 							jdx[k] = rng.Intn(sh.m)
 						}
-						if got, want := honest.WeightedSumElem(g, idx, jdx, w), ref.WeightedSumElem(g, idx, jdx, w); got != want {
-							t.Fatalf("%d of %d rows: WeightedSumElem %d, copy path %d", n, g.Layout.NumRows, got, want)
+						if got, err := honest.WeightedSumElem(context.Background(), g, idx, jdx, w); err != nil || got != ref.WeightedSumElem(g, idx, jdx, w) {
+							t.Fatalf("%d of %d rows: WeightedSumElem %d (%v), copy path %d", n, g.Layout.NumRows, got, err, ref.WeightedSumElem(g, idx, jdx, w))
 						}
 						if verify {
 							if got, want := honest.TagSum(g, idx, w), ref.TagSum(g, idx, w); !got.Equal(want) {
 								t.Fatalf("%d of %d rows: TagSum diverges from the copy path", n, g.Layout.NumRows)
+							}
+							sums, tag, err := honest.WeightedTagSum(context.Background(), g, idx, w, true)
+							if err != nil || !slices.Equal(sums, ref.WeightedSum(g, idx, w)) || !tag.Equal(ref.TagSum(g, idx, w)) {
+								t.Fatalf("%d of %d rows: WeightedTagSum diverges from the copy path (%v)", n, g.Layout.NumRows, err)
 							}
 						}
 					}
@@ -236,7 +240,9 @@ func TestGatherTrafficInvariant(t *testing.T) {
 			check("batch", wantBus/pf*d, wantECC/pf*d)
 
 			jdx := make([]int, pf)
-			honest.WeightedSumElem(tab.geo, idx, jdx, w)
+			if _, err := honest.WeightedSumElem(context.Background(), tab.geo, idx, jdx, w); err != nil {
+				t.Fatal(err)
+			}
 			check("element query", pf*4, 0)
 		})
 	}
@@ -322,8 +328,8 @@ func shifted(idx []int, by int) []int {
 	return out
 }
 
-func (s shiftNDP) WeightedSum(geo Geometry, idx []int, w []uint64) []uint64 {
-	return s.HonestNDP.WeightedSum(geo, shifted(idx, geo.Layout.NumRows), w)
+func (s shiftNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	return s.HonestNDP.WeightedTagSum(ctx, geo, shifted(idx, geo.Layout.NumRows), w, verify)
 }
 
 func (s shiftNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
@@ -332,13 +338,13 @@ func (s shiftNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []
 	return s.HonestNDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
 }
 
-// panicBatchNDP answers a batch through shiftNDP's single-query gather, so
+// batchPanicNDP answers a batch through shiftNDP's single-query gather, so
 // the gather's panic crosses the batch entry point; the per-request
 // fan-out the engine then falls back to meets the same panic in runNDP.
-type panicBatchNDP struct{ shiftNDP }
+type batchPanicNDP struct{ shiftNDP }
 
-func (p panicBatchNDP) WeightedTagSumBatch(_ context.Context, geo Geometry, reqs []BatchRequest, _ bool) ([]NDPBatchResult, error) {
-	p.WeightedSum(geo, reqs[0].Idx, reqs[0].Weights)
+func (p batchPanicNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
+	p.WeightedTagSum(ctx, geo, reqs[0].Idx, reqs[0].Weights, verify)
 	return nil, nil
 }
 
@@ -352,10 +358,12 @@ func TestGatherRowOutOfRange(t *testing.T) {
 	idx, w := randQuery(rng, 20, 64, 4)
 	const text = "out of range [0,64)"
 
+	ctx, cols := context.Background(), make([]int, len(idx))
 	for name, call := range map[string]func(){
 		"WeightedSum":     func() { honest.WeightedSum(tab.geo, shifted(idx, 64), w) },
 		"TagSum":          func() { honest.TagSum(tab.geo, shifted(idx, 64), w) },
-		"WeightedSumElem": func() { honest.WeightedSumElem(tab.geo, shifted(idx, 64), make([]int, len(idx)), w) },
+		"WeightedTagSum":  func() { honest.WeightedTagSum(ctx, tab.geo, shifted(idx, 64), w, true) },
+		"WeightedSumElem": func() { honest.WeightedSumElem(ctx, tab.geo, shifted(idx, 64), cols, w) },
 		"negative":        func() { honest.WeightedSum(tab.geo, shifted(idx, -100), w) },
 	} {
 		func() {
@@ -380,7 +388,7 @@ func TestGatherRowOutOfRange(t *testing.T) {
 	if out[1].Err != nil {
 		t.Errorf("batch, good sub-request: %v", out[1].Err)
 	}
-	for i, r := range tab.QueryBatchCtx(context.Background(), panicBatchNDP{shiftNDP{honest}}, reqs, opts) {
+	for i, r := range tab.QueryBatchCtx(context.Background(), batchPanicNDP{shiftNDP{honest}}, reqs, opts) {
 		if r.Err == nil || !strings.Contains(r.Err.Error(), text) {
 			t.Errorf("batch over a panicking NDP, request %d: got %v, want an error naming the range", i, r.Err)
 		}

@@ -7,47 +7,36 @@ import (
 	"secndp/internal/memory"
 )
 
-// NDP is the untrusted near-data processing unit's compute interface: the
+// NDP is the untrusted near-data processing unit's compute contract: the
 // operations a Rank-NDP PU performs over ciphertext resident in its memory
 // (Figure 4, the right-hand column of Algorithms 4 and 5). Implementations
-// see only public geometry and ciphertext bytes — no key, no plaintext.
+// see only public geometry and ciphertext bytes — no key, no plaintext —
+// and need no change to the NDP's own protocol (§IV-D): HonestNDP in
+// process, remote.Client and remote.ReliableClient over the wire, and
+// cluster.NDP over a sharded fleet all implement it.
 //
-// The interface exists so tests and examples can substitute a malicious
-// NDP (returning corrupted results) for the honest one; the paper's threat
-// model explicitly allows NDP PUs to "return a malicious computation
-// result" (§II).
+// Every method takes a context and returns an error, so a hung or failing
+// transport surfaces as an error instead of blocking or panicking; an
+// implementation that cannot serve an operation at all returns an error
+// wrapping errors.ErrUnsupported. The NDP is untrusted: the paper's threat
+// model lets it "return a malicious computation result" (§II), so callers
+// check every answer's shape and verify its MAC, and tests substitute
+// malicious implementations by overriding the method they attack.
 type NDP interface {
-	// WeightedSum returns C_res[j] = Σ_k weights[k] · C[idx[k]][j] mod 2^we
-	// for all columns j — the SLS / pooling operation over ciphertext.
-	WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64
+	// WeightedTagSum returns C_res[j] = Σ_k weights[k] · C[idx[k]][j] mod
+	// 2^we for all columns j — the SLS / pooling operation over ciphertext
+	// — and, when verify is set, the NDP's half of Algorithm 5, C_Tres =
+	// Σ_k weights[k] · C_T[idx[k]] mod q (field.Zero otherwise). verify
+	// must not be set for geometries without tag placement.
+	WeightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error)
 	// WeightedSumElem returns the scalar Σ_k weights[k] · C[idx[k]][jdx[k]]
 	// mod 2^we — Algorithm 4's element-indexed form.
-	WeightedSumElem(geo Geometry, idx, jdx []int, weights []uint64) uint64
-	// TagSum returns C_Tres = Σ_k weights[k] · C_T[idx[k]] mod q — the
-	// NDP's half of Algorithm 5.
-	TagSum(geo Geometry, idx []int, weights []uint64) field.Elem
-}
-
-// ContextNDP is an optional extension of NDP for transports that support
-// cancellation and per-call deadlines (remote clients). The concurrent
-// query engine prefers these methods when present, so a hung NDP server
-// cannot block the trusted side past its context deadline; in-process
-// implementations need not bother.
-type ContextNDP interface {
-	NDP
-	WeightedSumContext(ctx context.Context, geo Geometry, idx []int, weights []uint64) ([]uint64, error)
-	TagSumContext(ctx context.Context, geo Geometry, idx []int, weights []uint64) (field.Elem, error)
-}
-
-// ElemNDP is an optional extension of NDP for implementations that can
-// serve the element-indexed sum with cancellation and error returns.
-// QueryElemCtx prefers it over the legacy panic-on-failure
-// WeightedSumElem; the cluster NDP implements it with per-shard replica
-// failover (the wire protocol has no element op, so remote shards serve
-// it via whole-row fetches assembled on the trusted side).
-type ElemNDP interface {
-	NDP
-	WeightedSumElemContext(ctx context.Context, geo Geometry, idx, jdx []int, weights []uint64) (uint64, error)
+	WeightedSumElem(ctx context.Context, geo Geometry, idx, jdx []int, weights []uint64) (uint64, error)
+	// WeightedTagSumBatch answers every sub-request as WeightedTagSum
+	// would, in one exchange. A non-nil error means the whole batch failed
+	// (transport trouble, no batch support) and decided nothing; problems
+	// with one sub-request land in its NDPBatchResult.Err instead.
+	WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error)
 }
 
 // HonestNDP is the faithful NDP implementation operating on an untrusted
@@ -81,14 +70,14 @@ const gatherAhead = 8
 // span was nil (a row straddling a page, a never-written page, the ECC
 // side band). The slices fold receives are read-only and dead once it
 // returns. dataLen 0 gathers tags alone. The only error is ctx's, checked
-// every ctxCheckStride requests; the NDP methods that carry no context
-// pass context.TODO() and have none to handle.
+// every ctxCheckStride requests; WeightedSum and TagSum, which carry no
+// context, have none to handle.
 //
 // Pass 1 must not call anything that takes the Layout by value and is not
 // inlined: the copy's store-forward stall waits for the previous row's
 // miss and serialises the walk (see memory.Layout.RowAddr). An
-// out-of-range row panics with RowAddr's own value, which runNDP and the
-// cluster's callBatch recover.
+// out-of-range row panics with RowAddr's own value, which runNDP, the
+// batch pipeline and the cluster's replica and mirror calls recover.
 func (n *HonestNDP) gather(ctx context.Context, geo Geometry, count, dataLen int, tags bool,
 	at func(k int) (row int, off uint64), fold func(k int, data, tag []byte)) error {
 	lay := geo.Layout
@@ -160,28 +149,19 @@ func (n *HonestNDP) gather(ctx context.Context, geo Geometry, count, dataLen int
 	return err
 }
 
-// WeightedSum implements NDP. Each row folds into the accumulator
-// straight from its ciphertext bytes — no unpack pass, no element scratch.
-func (n *HonestNDP) WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64 {
-	acc, _, _ := n.weightedTagSum(context.TODO(), geo, idx, weights, false)
-	return acc
-}
-
-// weightedTagSum is WeightedSum and, with tags, TagSum in one walk: each
-// row's tag resolves beside its data, as in WeightedTagSumBatch, instead
-// of a second gather over the same rows. runNDP calls it directly for a
-// verified query whose NDP is exactly *HonestNDP; an NDP that embeds
-// HonestNDP to override a method keeps going through the NDP interface.
-// The only error is ctx's.
-func (n *HonestNDP) weightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, tags bool) ([]uint64, field.Elem, error) {
+// WeightedTagSum implements NDP in one walk: each row folds into the
+// accumulator straight from its ciphertext bytes — no unpack pass, no
+// element scratch — and, with verify, its tag resolves beside its data, as
+// in WeightedTagSumBatch. The only error is ctx's.
+func (n *HonestNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
 	r := geo.ringOf()
 	acc := make([]uint64, geo.Params.M)
 	var tagAcc field.Acc
-	err := n.gather(ctx, geo, len(idx), geo.Layout.RowBytes, tags,
+	err := n.gather(ctx, geo, len(idx), geo.Layout.RowBytes, verify,
 		func(k int) (int, uint64) { return idx[k], 0 },
 		func(k int, data, tag []byte) {
 			r.ScaleAccumBytes(acc, weights[k], data)
-			if tags {
+			if verify {
 				tagAcc.AddMulUint64(field.FromBytes(tag), weights[k])
 			}
 		})
@@ -191,13 +171,30 @@ func (n *HonestNDP) weightedTagSum(ctx context.Context, geo Geometry, idx []int,
 	return acc, tagAcc.Sum(), nil
 }
 
+// WeightedSum is WeightedTagSum's data half without a context.
+func (n *HonestNDP) WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64 {
+	acc, _, _ := n.WeightedTagSum(context.Background(), geo, idx, weights, false)
+	return acc
+}
+
+// TagSum is WeightedTagSum's tag half without a context, C_Tres = Σ_k
+// weights[k] · C_T[idx[k]] mod q: a walk over the tags alone, which is what
+// re-encryption's per-row MAC check needs.
+func (n *HonestNDP) TagSum(geo Geometry, idx []int, weights []uint64) field.Elem {
+	var acc field.Acc
+	n.gather(context.Background(), geo, len(idx), 0, true,
+		func(k int) (int, uint64) { return idx[k], 0 },
+		func(k int, _, tag []byte) { acc.AddMulUint64(field.FromBytes(tag), weights[k]) })
+	return acc.Sum()
+}
+
 // WeightedSumElem implements NDP: the same walk over one element per
-// request instead of one row.
-func (n *HonestNDP) WeightedSumElem(geo Geometry, idx, jdx []int, weights []uint64) uint64 {
+// request instead of one row. The columns are the caller's to check.
+func (n *HonestNDP) WeightedSumElem(ctx context.Context, geo Geometry, idx, jdx []int, weights []uint64) (uint64, error) {
 	r := geo.ringOf()
 	eb := r.Bytes()
 	var acc uint64
-	n.gather(context.TODO(), geo, len(idx), eb, false,
+	err := n.gather(ctx, geo, len(idx), eb, false,
 		func(k int) (int, uint64) { return idx[k], uint64(jdx[k] * eb) },
 		func(k int, data, _ []byte) {
 			var e uint64
@@ -206,17 +203,10 @@ func (n *HonestNDP) WeightedSumElem(geo Geometry, idx, jdx []int, weights []uint
 			}
 			acc += weights[k] * e
 		})
-	return r.Reduce(acc)
-}
-
-// TagSum implements NDP. Tags are combined with the deferred-reduction
-// accumulator.
-func (n *HonestNDP) TagSum(geo Geometry, idx []int, weights []uint64) field.Elem {
-	var acc field.Acc
-	n.gather(context.TODO(), geo, len(idx), 0, true,
-		func(k int) (int, uint64) { return idx[k], 0 },
-		func(k int, _, tag []byte) { acc.AddMulUint64(field.FromBytes(tag), weights[k]) })
-	return acc.Sum()
+	if err != nil {
+		return 0, err
+	}
+	return r.Reduce(acc), nil
 }
 
 // NDPBatchResult is one sub-request's answer from a batched NDP call.
@@ -228,35 +218,7 @@ type NDPBatchResult struct {
 	Err  error
 }
 
-// BatchNDP is an optional extension of NDP for implementations that can
-// answer a whole batch of weighted-sum (+ tag-sum) queries in one
-// exchange. Remote transports implement it with a single wire round-trip
-// (opBatch); HonestNDP answers in-process while deduplicating ciphertext
-// row reads shared across sub-requests. The batched query pipeline
-// (QueryBatchCtx) probes for this interface and falls back to per-request
-// fan-out when it is absent or SupportsBatch reports false.
-type BatchNDP interface {
-	NDP
-	// SupportsBatch reports whether the implementation can serve
-	// WeightedTagSumBatch. Remote clients answer this with a cached
-	// capability probe of the server; a false result is sticky for the
-	// connection.
-	SupportsBatch(ctx context.Context) bool
-	// WeightedTagSumBatch answers every sub-request: Sums[j] =
-	// Σ_k w_k·C[idx_k][j] mod 2^we, and, when verify is set, Tag =
-	// Σ_k w_k·C_T[idx_k] mod q. A non-nil error means the whole batch
-	// failed (transport trouble); per-sub-request problems land in the
-	// corresponding NDPBatchResult.Err instead. verify must not be set
-	// for geometries without tag placement.
-	WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error)
-}
-
-var _ BatchNDP = (*HonestNDP)(nil)
-
-// SupportsBatch implements BatchNDP.
-func (n *HonestNDP) SupportsBatch(context.Context) bool { return true }
-
-// WeightedTagSumBatch implements BatchNDP. Distinct rows referenced by
+// WeightedTagSumBatch implements NDP. Distinct rows referenced by
 // several sub-requests are read and unpacked once and scattered into every
 // requester's accumulator — the untrusted half of the cross-request dedup
 // that the trusted side mirrors for pad generation.

@@ -91,12 +91,12 @@ const inlinePadBytes = 128 << 10
 
 // overlapped is the plan step: it reports whether a query over n rows runs
 // the overlapped shape — NDP exchange in the background, pad walk sharded —
-// rather than inline. A blocking transport (ContextNDP: remote.Client,
-// ReliableClient, cluster.NDP) always overlaps, so the pad walk hides
-// behind the round trip; an in-process NDP overlaps only once the walk is
-// long enough to pay for the hand-offs.
+// rather than inline. Only the in-process HonestNDP runs inline, and only
+// while the walk is too short to pay for the hand-offs; every other NDP —
+// a transport (remote.Client, ReliableClient, cluster.NDP) or a wrapper —
+// overlaps, so the pad walk hides behind its round trip.
 func (t *Table) overlapped(ndp NDP, n int) bool {
-	if _, transport := ndp.(ContextNDP); transport {
+	if _, inProcess := ndp.(*HonestNDP); !inProcess {
 		return true
 	}
 	return n*t.geo.Params.RowBytes() >= inlinePadBytes
@@ -206,9 +206,8 @@ type ndpOutputs struct {
 
 // runNDP executes the ciphertext-side half of a query under its "ndp"
 // child span (whose context threads down into the cluster and wire layers,
-// so their spans nest under it), preferring the context-aware transport
-// when the NDP offers one and converting panics (the legacy transport's
-// failure mode) into errors.
+// so their spans nest under it), converting a panic out of the NDP into an
+// error.
 func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uint64, verify, timed bool) (out ndpOutputs) {
 	ctx, span := telemetry.SpanFromContext(ctx).StartChild(ctx, "ndp")
 	ph := startPhase(span, timed)
@@ -218,23 +217,7 @@ func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uin
 		}
 		out.dur = ph.end(out.err, telemetry.ErrClassTransport)
 	}()
-	if cn, ok := ndp.(ContextNDP); ok {
-		out.cres, out.err = cn.WeightedSumContext(ctx, geo, idx, weights)
-		if out.err == nil && verify {
-			out.cTres, out.err = cn.TagSumContext(ctx, geo, idx, weights)
-		}
-		return
-	}
-	// An exact type match, so a wrapper that embeds HonestNDP to override
-	// WeightedSum or TagSum is still asked through those methods.
-	if h, ok := ndp.(*HonestNDP); ok && verify {
-		out.cres, out.cTres, out.err = h.weightedTagSum(ctx, geo, idx, weights, true)
-		return
-	}
-	out.cres = ndp.WeightedSum(geo, idx, weights)
-	if verify {
-		out.cTres = ndp.TagSum(geo, idx, weights)
-	}
+	out.cres, out.cTres, out.err = ndp.WeightedTagSum(ctx, geo, idx, weights, verify)
 	return
 }
 
@@ -326,16 +309,16 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 	return res, nil
 }
 
-// QueryBatchCtx runs many queries as one coalesced batch when the NDP
-// supports it: one wire exchange for every sub-request's ciphertext and
-// tag sums, each distinct row's OTP pad generated once and scattered to
-// all requesters, then each joined result's own MAC check. Per-request
+// QueryBatchCtx runs many queries as one coalesced batch: one NDP exchange
+// for every sub-request's ciphertext and tag sums, each distinct row's OTP
+// pad generated once and scattered to all requesters, then each joined
+// result's own MAC check. Per-request
 // results and errors are byte-identical to running QueryCtx per request.
 //
-// NDPs without batch support — or a batch-level transport failure — fall
-// back to the request-level worker pool, which still shares one pad cache
-// across the batch. Cancellation marks the remaining requests with
-// ctx.Err().
+// A batch-level NDP error — transport trouble, or an NDP that cannot batch
+// — falls back to the request-level worker pool, which still shares one
+// pad cache across the batch. Cancellation marks the remaining requests
+// with ctx.Err().
 func (t *Table) QueryBatchCtx(ctx context.Context, ndp NDP, reqs []BatchRequest, opts QueryOptions) []BatchResult {
 	if len(reqs) == 0 {
 		return make([]BatchResult, 0)
@@ -346,13 +329,10 @@ func (t *Table) QueryBatchCtx(ctx context.Context, ndp NDP, reqs []BatchRequest,
 	if opts.Stats != nil {
 		*opts.Stats = BatchStats{Requests: len(reqs)}
 	}
-	if bn, ok := ndp.(BatchNDP); ok && bn.SupportsBatch(ctx) {
-		if out, err := t.queryBatchPipelined(ctx, bn, reqs, opts); err == nil {
-			return out
-		}
-		// Batch-level failure (transport trouble, capability raced away):
-		// the fan-out path re-runs everything per request.
+	if out, err := t.queryBatchPipelined(ctx, ndp, reqs, opts); err == nil {
+		return out
 	}
+	// Batch-level failure: the fan-out path re-runs everything per request.
 	if opts.Stats != nil {
 		opts.Stats.Pipelined = false
 	}

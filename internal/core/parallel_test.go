@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"secndp/internal/field"
 	"secndp/internal/memory"
 )
 
@@ -153,10 +154,10 @@ func TestQueryCtxCancelled(t *testing.T) {
 	}
 }
 
-// panickyNDP simulates a legacy transport failing mid-query.
+// panickyNDP simulates an NDP crashing mid-query.
 type panickyNDP struct{ HonestNDP }
 
-func (p *panickyNDP) WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64 {
+func (p *panickyNDP) WeightedTagSum(context.Context, Geometry, []int, []uint64, bool) ([]uint64, field.Elem, error) {
 	panic("transport lost")
 }
 
@@ -333,8 +334,8 @@ func TestQueryBatchCtxSharedCache(t *testing.T) {
 // oobNDP returns a result vector of the wrong width.
 type oobNDP struct{ HonestNDP }
 
-func (o *oobNDP) WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64 {
-	return make([]uint64, 3)
+func (o *oobNDP) WeightedTagSum(context.Context, Geometry, []int, []uint64, bool) ([]uint64, field.Elem, error) {
+	return make([]uint64, 3), field.Zero, nil
 }
 
 func TestQueryCtxRejectsWrongWidthResult(t *testing.T) {

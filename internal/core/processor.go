@@ -103,15 +103,15 @@ func tagDot(tagPads []byte, weights []uint64) field.Elem {
 // OTPWeightedSumElem is the scalar element-indexed form matching
 // NDP.WeightedSumElem.
 func (t *Table) OTPWeightedSumElem(idx, jdx []int, weights []uint64) (uint64, error) {
-	if len(idx) != len(weights) || len(jdx) != len(weights) {
+	if len(idx) != len(weights) {
 		return 0, fmt.Errorf("core: index/weight length mismatch")
+	}
+	if err := checkCols(t.geo, idx, jdx); err != nil {
+		return 0, err
 	}
 	eb := uint64(t.r.Bytes())
 	var acc uint64
 	for k, i := range idx {
-		if jdx[k] < 0 || jdx[k] >= t.geo.Params.M {
-			return 0, fmt.Errorf("%w: column %d not in [0,%d)", ErrIndexRange, jdx[k], t.geo.Params.M)
-		}
 		elemAddr := t.geo.Layout.RowAddr(i) + uint64(jdx[k])*eb
 		pad := t.scheme.gen.ElemPad(elemAddr, t.version, t.geo.Params.We)
 		acc += weights[k] * pad
@@ -185,12 +185,26 @@ func checkQuery(geo Geometry, idx []int, weights []uint64) error {
 	return nil
 }
 
+// checkCols validates an element query's column indices: one per row, each
+// in [0, M).
+func checkCols(geo Geometry, idx, jdx []int) error {
+	if len(jdx) != len(idx) {
+		return fmt.Errorf("core: %d column indices vs %d rows", len(jdx), len(idx))
+	}
+	for _, j := range jdx {
+		if j < 0 || j >= geo.Params.M {
+			return fmt.Errorf("%w: column %d not in [0,%d)", ErrIndexRange, j, geo.Params.M)
+		}
+	}
+	return nil
+}
+
 // QueryElemCtx runs the element-indexed weighted summation of the
 // appendix's Algorithm 4 — the scalar Σ_k weights[k]·P[idx[k]][jdx[k]] —
 // through the NDP. No verification applies: the paper's tags authenticate
 // whole-row linear combinations (Algorithm 5 operates per column over
-// full rows). NDP panics (the legacy transport failure mode) are
-// converted into errors.
+// full rows). Rows and columns are range-checked before the NDP is asked
+// anything; a panic out of the NDP is converted into an error.
 func (t *Table) QueryElemCtx(ctx context.Context, ndp NDP, idx, jdx []int, weights []uint64) (v uint64, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -198,25 +212,17 @@ func (t *Table) QueryElemCtx(ctx context.Context, ndp NDP, idx, jdx []int, weigh
 	if err := t.checkQuery(idx, weights); err != nil {
 		return 0, err
 	}
-	if len(jdx) != len(idx) {
-		return 0, fmt.Errorf("core: %d column indices vs %d rows", len(jdx), len(idx))
+	if err := checkCols(t.geo, idx, jdx); err != nil {
+		return 0, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: ndp failed: %v", r)
 		}
 	}()
-	var cres uint64
-	if en, ok := ndp.(ElemNDP); ok {
-		// Context-aware element path: cancellable, error-returning, and —
-		// for the cluster NDP — carrying per-shard replica failover, so a
-		// dead replica retries a sibling instead of failing the query.
-		cres, err = en.WeightedSumElemContext(ctx, t.geo, idx, jdx, weights)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		cres = ndp.WeightedSumElem(t.geo, idx, jdx, weights)
+	cres, err := ndp.WeightedSumElem(ctx, t.geo, idx, jdx, weights)
+	if err != nil {
+		return 0, err
 	}
 	eres, err := t.OTPWeightedSumElem(idx, jdx, weights)
 	if err != nil {

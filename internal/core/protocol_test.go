@@ -130,7 +130,10 @@ func TestQueryElemMatchesPlaintext(t *testing.T) {
 			want += w[k] * rows[idx[k]][jdx[k]]
 		}
 		want = r.Reduce(want)
-		cres := ndp.WeightedSumElem(geo, idx, jdx, w)
+		cres, err := ndp.WeightedSumElem(context.Background(), geo, idx, jdx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
 		eres, err := tab.OTPWeightedSumElem(idx, jdx, w)
 		if err != nil {
 			t.Fatal(err)
@@ -309,20 +312,18 @@ type maliciousNDP struct {
 	flipTag    bool
 }
 
-func (m *maliciousNDP) WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64 {
-	res := m.HonestNDP.WeightedSum(geo, idx, weights)
+func (m *maliciousNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
+	res, tag, err := m.HonestNDP.WeightedTagSum(ctx, geo, idx, weights, verify)
+	if err != nil {
+		return nil, field.Zero, err
+	}
 	if m.flipResult {
 		res[0] ^= 1
 	}
-	return res
-}
-
-func (m *maliciousNDP) TagSum(geo Geometry, idx []int, weights []uint64) field.Elem {
-	tag := m.HonestNDP.TagSum(geo, idx, weights)
 	if m.flipTag {
 		tag = field.Add(tag, field.One)
 	}
-	return tag
+	return res, tag, nil
 }
 
 func TestVerifyRejectsMaliciousNDPResult(t *testing.T) {

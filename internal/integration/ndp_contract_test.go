@@ -1,0 +1,240 @@
+package integration
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"secndp/internal/cluster"
+	"secndp/internal/core"
+	"secndp/internal/field"
+	"secndp/internal/memory"
+	"secndp/internal/remote"
+	"secndp/internal/remote/faultproxy"
+)
+
+// This file is the conformance suite for core.NDP: every implementation —
+// in process, over the wire, fault-tolerant, gated, and sharded — runs the
+// same cases against the same encrypted table and the plaintext oracle.
+
+const (
+	contractRows = 64
+	contractCols = 16
+)
+
+// contractNDP is one implementation under test. elem reports whether it
+// serves the element op; one that does not must say errors.ErrUnsupported.
+type contractNDP struct {
+	name string
+	nd   core.NDP
+	elem bool
+}
+
+// contractServer starts an NDP server over empty memory and returns its
+// address.
+func contractServer(t *testing.T) string {
+	t.Helper()
+	srv := remote.NewServer(memory.NewSpace())
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr
+}
+
+// contractClient dials a fresh server and ships it the table image's rows
+// in runs, each a [lo, hi) row range.
+func contractClient(t *testing.T, geo core.Geometry, image *memory.Space, runs [][2]int) *remote.Client {
+	t.Helper()
+	c, err := remote.Dial(contractServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for _, run := range runs {
+		if err := cluster.ShipRun(context.Background(), geo, image, run[0], run[1], c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// contractCluster builds a cluster of numShards replica groups of
+// numReplicas wire clients, each replica holding only its shard's rows.
+func contractCluster(t *testing.T, geo core.Geometry, image *memory.Space, numShards, numReplicas int) *cluster.NDP {
+	t.Helper()
+	smap, err := cluster.NewMap(contractRows, numShards, cluster.RangeSharding, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := make([]*cluster.ReplicaGroup, numShards)
+	for s := range groups {
+		reps := make([]core.NDP, numReplicas)
+		for r := range reps {
+			reps[r] = contractClient(t, geo, image, smap.Runs(s))
+		}
+		if groups[s], err = cluster.NewGroup(s, reps, cluster.GroupConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cnd, err := cluster.NewReplicated(smap, groups, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cnd
+}
+
+func contractImpls(t *testing.T, geo core.Geometry, image *memory.Space) []contractNDP {
+	t.Helper()
+	reliable, err := remote.DialReliable(context.Background(), contractServer(t), remote.ReliableConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reliable.Close() })
+	gate := faultproxy.NewGate(memory.NewSpace())
+	for _, w := range []cluster.BlobWriter{reliable, gate} {
+		if err := cluster.ShipRun(context.Background(), geo, image, 0, contractRows, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return []contractNDP{
+		{"HonestNDP", &core.HonestNDP{Mem: image}, true},
+		{"remote.Client", contractClient(t, geo, image, [][2]int{{0, contractRows}}), false},
+		{"ReliableClient", reliable, false},
+		{"faultproxy.Gate", gate, true},
+		{"cluster 1x1", contractCluster(t, geo, image, 1, 1), true},
+		{"cluster 2x2", contractCluster(t, geo, image, 2, 2), true},
+	}
+}
+
+// TestNDPContractConformance: for every core.NDP implementation,
+// WeightedTagSum equals a one-request WeightedTagSumBatch, which decrypts
+// to the plaintext sum and whose tag verifies (verify on and off);
+// WeightedSumElem decrypts to the plaintext element sum or is
+// errors.ErrUnsupported; every method returns the context's error under a
+// pre-cancelled context; and an out-of-range row or column through the
+// engine comes back as ErrIndexRange, never as a panic.
+func TestNDPContractConformance(t *testing.T) {
+	scheme, err := core.NewScheme(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := core.Geometry{
+		Layout: memory.Layout{
+			Placement: memory.TagSep, Base: 0x10000, TagBase: 0x400000,
+			NumRows: contractRows, RowBytes: contractCols * 4,
+		},
+		Params: core.Params{We: 32, M: contractCols},
+	}
+	rng := rand.New(rand.NewSource(27))
+	rows := make([][]uint64, contractRows)
+	for i := range rows {
+		rows[i] = make([]uint64, contractCols)
+		for j := range rows[i] {
+			rows[i][j] = rng.Uint64() % (1 << 20)
+		}
+	}
+	image := memory.NewSpace()
+	tab, err := scheme.EncryptTable(image, geo, 1, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows on both shards of the 2-shard cluster, one repeated.
+	idx := []int{3, 40, 17, 63, 40}
+	w := []uint64{2, 7, 1, 5, 3}
+	jdx := []int{0, 15, 8, 3, 9}
+	want := make([]uint64, contractCols)
+	var wantElem uint64
+	for k, i := range idx {
+		for j := range want {
+			want[j] = (want[j] + w[k]*rows[i][j]) & 0xFFFFFFFF
+		}
+		wantElem = (wantElem + w[k]*rows[i][jdx[k]]) & 0xFFFFFFFF
+	}
+	ctx := context.Background()
+	eres, err := tab.OTPWeightedSumCtx(ctx, idx, w, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eElem, err := tab.OTPWeightedSumElem(idx, jdx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+
+	for _, impl := range contractImpls(t, geo, image) {
+		t.Run(impl.name, func(t *testing.T) {
+			nd := impl.nd
+			for _, verify := range []bool{false, true} {
+				sums, tag, err := nd.WeightedTagSum(ctx, geo, idx, w, verify)
+				if err != nil {
+					t.Fatalf("verify=%v: WeightedTagSum: %v", verify, err)
+				}
+				batch, err := nd.WeightedTagSumBatch(ctx, geo, []core.BatchRequest{{Idx: idx, Weights: w}}, verify)
+				if err != nil || len(batch) != 1 || batch[0].Err != nil {
+					t.Fatalf("verify=%v: WeightedTagSumBatch: %v %+v", verify, err, batch)
+				}
+				if !slices.Equal(sums, batch[0].Sums) || !tag.Equal(batch[0].Tag) {
+					t.Fatalf("verify=%v: WeightedTagSum and a one-request batch disagree", verify)
+				}
+				if res := tab.Decrypt(sums, eres); !slices.Equal(res, want) {
+					t.Fatalf("verify=%v: decrypted sums diverge from the plaintext", verify)
+				}
+				if !verify {
+					if !tag.Equal(field.Zero) {
+						t.Fatal("unverified WeightedTagSum returned a tag")
+					}
+					continue
+				}
+				if ok, err := tab.Verify(idx, w, tab.Decrypt(sums, eres), tag); err != nil || !ok {
+					t.Fatalf("tag does not verify: %v", err)
+				}
+				if got, err := tab.QueryCtx(ctx, nd, idx, w, core.QueryOptions{Verify: true}); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("verified query: %v", err)
+				}
+			}
+
+			switch v, err := nd.WeightedSumElem(ctx, geo, idx, jdx, w); {
+			case !impl.elem:
+				if !errors.Is(err, errors.ErrUnsupported) {
+					t.Errorf("WeightedSumElem on a transport without the op: got %v, want errors.ErrUnsupported", err)
+				}
+			case err != nil:
+				t.Errorf("WeightedSumElem: %v", err)
+			case (v+eElem)&0xFFFFFFFF != wantElem:
+				t.Errorf("WeightedSumElem decrypts to %d, want %d", (v+eElem)&0xFFFFFFFF, wantElem)
+			}
+
+			if _, _, err := nd.WeightedTagSum(cancelled, geo, idx, w, true); !errors.Is(err, context.Canceled) {
+				t.Errorf("WeightedTagSum under a cancelled context: %v", err)
+			}
+			if _, err := nd.WeightedSumElem(cancelled, geo, idx, jdx, w); !errors.Is(err, context.Canceled) {
+				t.Errorf("WeightedSumElem under a cancelled context: %v", err)
+			}
+			if _, err := nd.WeightedTagSumBatch(cancelled, geo, []core.BatchRequest{{Idx: idx, Weights: w}}, true); !errors.Is(err, context.Canceled) {
+				t.Errorf("WeightedTagSumBatch under a cancelled context: %v", err)
+			}
+
+			bad := []int{3, contractRows}
+			if _, err := tab.QueryCtx(ctx, nd, bad, w[:2], core.QueryOptions{Verify: true}); !errors.Is(err, core.ErrIndexRange) {
+				t.Errorf("query over row %d: %v", contractRows, err)
+			}
+			out := tab.QueryBatchCtx(ctx, nd, []core.BatchRequest{{Idx: bad, Weights: w[:2]}, {Idx: idx, Weights: w}}, core.QueryOptions{Verify: true})
+			if !errors.Is(out[0].Err, core.ErrIndexRange) || out[1].Err != nil || !slices.Equal(out[1].Res, want) {
+				t.Errorf("batch with row %d: %v, sibling %v", contractRows, out[0].Err, out[1].Err)
+			}
+			for _, cols := range [][]int{{0, contractCols}, {-1, 0}} {
+				if _, err := tab.QueryElemCtx(ctx, nd, idx[:2], cols, w[:2]); !errors.Is(err, core.ErrIndexRange) {
+					t.Errorf("element query over columns %v: %v", cols, err)
+				}
+			}
+			if _, err := tab.QueryElemCtx(ctx, nd, bad, jdx[:2], w[:2]); !errors.Is(err, core.ErrIndexRange) {
+				t.Errorf("element query over row %d: %v", contractRows, err)
+			}
+		})
+	}
+}

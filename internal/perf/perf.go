@@ -10,6 +10,7 @@ package perf
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -64,10 +65,16 @@ func (r Report) WriteJSON(w io.Writer) error {
 
 const benchKey = "0123456789abcdef"
 
-// batchBlindNDP hides an NDP's batch entry points, forcing QueryBatchCtx
+// batchBlindNDP fails an NDP's batch entry point, forcing QueryBatchCtx
 // onto the per-request fan-out — the baseline the coalesced pipeline is
 // measured against.
 type batchBlindNDP struct{ core.NDP }
+
+var errBatchBlind = fmt.Errorf("perf: batch hidden: %w", errors.ErrUnsupported)
+
+func (batchBlindNDP) WeightedTagSumBatch(context.Context, core.Geometry, []core.BatchRequest, bool) ([]core.NDPBatchResult, error) {
+	return nil, errBatchBlind
+}
 
 // suite builds the benchmark list over a shared fixture. Table geometry
 // matches the repository's reference workload: 32-bit elements, 64

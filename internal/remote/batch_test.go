@@ -106,9 +106,9 @@ func TestRemoteBatchPerSubErrors(t *testing.T) {
 	}
 	reqs := []core.BatchRequest{
 		{Idx: []int{0, 3}, Weights: []uint64{1, 2}},
-		{Idx: []int{99}, Weights: []uint64{1}},     // out of range
-		{Idx: []int{1, 2}, Weights: []uint64{1}},   // length mismatch
-		{},                                         // empty: valid, zero sums
+		{Idx: []int{99}, Weights: []uint64{1}},   // out of range
+		{Idx: []int{1, 2}, Weights: []uint64{1}}, // length mismatch
+		{},                                       // empty: valid, zero sums
 		{Idx: []int{5}, Weights: []uint64{7}},
 	}
 	res, err := client.WeightedTagSumBatch(context.Background(), geo, reqs, true)
@@ -206,9 +206,6 @@ func TestReliableBatchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rc.SupportsBatch(context.Background()) {
-		t.Fatal("reliable client does not report batch support against a batch-capable server")
-	}
 	for round := 0; round < 2; round++ {
 		reqs := []core.BatchRequest{
 			{Idx: []int{1, 5, 1}, Weights: []uint64{2, 3, 4}},
@@ -227,9 +224,9 @@ func TestReliableBatchEndToEnd(t *testing.T) {
 	if got := opCount(reg, "batch"); got != 2 {
 		t.Fatalf("server served %d batch ops, want 2", got)
 	}
-	// SupportsBatch may probe on a fresh pooled connection per client, but
-	// the cached answer must keep the probe count bounded by connections,
-	// not by batches.
+	// Each pooled connection probes the server's capabilities before its
+	// first batch, but the cached answer must keep the probe count bounded
+	// by connections, not by batches.
 	if caps := opCount(reg, "caps"); caps > opCount(reg, "ping")+2 {
 		t.Fatalf("capability probe not cached: %d caps ops", caps)
 	}

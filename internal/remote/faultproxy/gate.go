@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"secndp/internal/core"
-	"secndp/internal/field"
 	"secndp/internal/memory"
 )
 
@@ -63,7 +62,7 @@ func (g *Gate) AwaitParked(n int) {
 	g.mu.Unlock()
 }
 
-// WeightedTagSumBatch implements core.BatchNDP, parking while the gate
+// WeightedTagSumBatch implements core.NDP, parking while the gate
 // is shut.
 func (g *Gate) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	g.mu.Lock()
@@ -88,16 +87,6 @@ func (g *Gate) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs 
 		}
 	}
 	return g.HonestNDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
-}
-
-// WeightedSumContext implements core.ContextNDP.
-func (g *Gate) WeightedSumContext(_ context.Context, geo core.Geometry, idx []int, weights []uint64) ([]uint64, error) {
-	return g.WeightedSum(geo, idx, weights), nil
-}
-
-// TagSumContext implements core.ContextNDP.
-func (g *Gate) TagSumContext(_ context.Context, geo core.Geometry, idx []int, weights []uint64) (field.Elem, error) {
-	return g.TagSum(geo, idx, weights), nil
 }
 
 // WriteBlobContext stores provisioned ciphertext.

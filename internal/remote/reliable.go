@@ -19,7 +19,7 @@ import (
 // backoff and jitter for the idempotent operations, and a circuit Breaker
 // that stops hammering a dead server and probes it back to life.
 //
-// It satisfies Transport (and so core.NDP / core.ContextNDP), making it a
+// It satisfies Transport (and so core.NDP), making it a
 // drop-in replacement for a single *Client everywhere the trusted engine
 // talks to an NDP. Errors surface typed: ErrRetriesExhausted when every
 // attempt failed, ErrCircuitOpen when the breaker is rejecting calls, and
@@ -32,11 +32,6 @@ type ReliableClient struct {
 
 	attempts atomic.Uint64
 	retries  atomic.Uint64
-
-	// Batch capability across the pool: 0 unprobed, 1 supported, 2 not.
-	// Connections share one server, so one definitive probe answers for
-	// all of them.
-	batchCap atomic.Int32
 
 	// Registry mirrors of the fault-tolerance counters: atomic so
 	// Instrument may land while operations are in flight (a nil load is a
@@ -78,12 +73,7 @@ type ReliableConfig struct {
 	Breaker BreakerConfig
 }
 
-var (
-	_ Transport       = (*ReliableClient)(nil)
-	_ core.NDP        = (*ReliableClient)(nil)
-	_ core.ContextNDP = (*ReliableClient)(nil)
-	_ core.BatchNDP   = (*ReliableClient)(nil)
-)
+var _ Transport = (*ReliableClient)(nil)
 
 // NewReliable builds the fault-tolerant client without touching the
 // network; the first operation dials lazily (useful when the server comes
@@ -190,34 +180,31 @@ func (rc *ReliableClient) do(ctx context.Context, op string, fn func(context.Con
 	return fmt.Errorf("remote: %s: %w after %d attempts: %w", op, ErrRetriesExhausted, rc.retry.MaxAttempts, last)
 }
 
-// WeightedSumContext implements core.ContextNDP with retry, reconnect, and
-// breaker protection. Safe to retry: a pure read over ciphertext.
-func (rc *ReliableClient) WeightedSumContext(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) ([]uint64, error) {
+// WeightedTagSum implements core.NDP with retry, reconnect, and breaker
+// protection. Safe to retry: a pure read over ciphertext and tags.
+func (rc *ReliableClient) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
 	var res []uint64
-	err := rc.do(ctx, "WeightedSum", func(ctx context.Context, c *Client) error {
+	var tag field.Elem
+	err := rc.do(ctx, "WeightedTagSum", func(ctx context.Context, c *Client) error {
 		var err error
-		res, err = c.WeightedSumContext(ctx, geo, idx, weights)
+		res, tag, err = c.WeightedTagSum(ctx, geo, idx, weights, verify)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, field.Zero, err
 	}
-	return res, nil
+	return res, tag, nil
 }
 
-// TagSumContext implements core.ContextNDP with retry, reconnect, and
-// breaker protection. Safe to retry: a pure read over encrypted tags.
-func (rc *ReliableClient) TagSumContext(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) (field.Elem, error) {
-	var tag field.Elem
-	err := rc.do(ctx, "TagSum", func(ctx context.Context, c *Client) error {
-		var err error
-		tag, err = c.TagSumContext(ctx, geo, idx, weights)
-		return err
-	})
-	if err != nil {
-		return field.Zero, err
+// WeightedSumElem implements core.NDP: the wire protocol has no element op
+// (see Client), so it returns an error wrapping errors.ErrUnsupported
+// without a wire attempt; engines with a TEE mirror serve element queries
+// via local fallback instead.
+func (rc *ReliableClient) WeightedSumElem(ctx context.Context, _ core.Geometry, _, _ []int, _ []uint64) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	return tag, nil
+	return 0, errNoElemOp
 }
 
 // WriteBlobContext provisions ciphertext with retry. Idempotent: a replay
@@ -240,7 +227,7 @@ func (rc *ReliableClient) WriteECCContext(ctx context.Context, dataAddr uint64, 
 	})
 }
 
-// WeightedTagSumBatch implements core.BatchNDP with retry, reconnect, and
+// WeightedTagSumBatch implements core.NDP with retry, reconnect, and
 // breaker protection. Safe to retry: a pure read over ciphertext and tags.
 func (rc *ReliableClient) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	var res []core.NDPBatchResult
@@ -255,66 +242,11 @@ func (rc *ReliableClient) WeightedTagSumBatch(ctx context.Context, geo core.Geom
 	return res, nil
 }
 
-// SupportsBatch implements core.BatchNDP. The first call probes the server
-// over a pooled connection and the definitive answer is cached for the
-// client's lifetime (all connections in the pool reach the same server);
-// probe transport failures leave it unprobed and report false — the next
-// batch attempt will re-probe.
-func (rc *ReliableClient) SupportsBatch(ctx context.Context) bool {
-	switch rc.batchCap.Load() {
-	case 1:
-		return true
-	case 2:
-		return false
-	}
-	var caps uint64
-	err := rc.do(ctx, "Caps", func(ctx context.Context, c *Client) error {
-		var err error
-		caps, err = c.CapabilitiesContext(ctx)
-		return err
-	})
-	if err != nil {
-		return false
-	}
-	if caps&capBatch != 0 {
-		rc.batchCap.Store(1)
-		return true
-	}
-	rc.batchCap.Store(2)
-	return false
-}
-
 // PingContext round-trips a no-op through the retry layer.
 func (rc *ReliableClient) PingContext(ctx context.Context) error {
 	return rc.do(ctx, "Ping", func(ctx context.Context, c *Client) error {
 		return c.PingContext(ctx)
 	})
-}
-
-// WeightedSum implements core.NDP; as with Client, the error-free
-// signature returns nil on failure and the core query paths reject it.
-func (rc *ReliableClient) WeightedSum(geo core.Geometry, idx []int, weights []uint64) []uint64 {
-	res, err := rc.WeightedSumContext(context.Background(), geo, idx, weights)
-	if err != nil {
-		return nil
-	}
-	return res
-}
-
-// TagSum implements core.NDP; field.Zero on failure (rejected by the MAC
-// check downstream).
-func (rc *ReliableClient) TagSum(geo core.Geometry, idx []int, weights []uint64) field.Elem {
-	tag, err := rc.TagSumContext(context.Background(), geo, idx, weights)
-	if err != nil {
-		return field.Zero
-	}
-	return tag
-}
-
-// WeightedSumElem is not part of the wire protocol (see Client); engines
-// with a TEE mirror serve element queries via local fallback instead.
-func (rc *ReliableClient) WeightedSumElem(geo core.Geometry, idx, jdx []int, weights []uint64) uint64 {
-	panic("remote: WeightedSumElem not supported over the wire")
 }
 
 // TransportStats is a snapshot of the fault-tolerance counters.

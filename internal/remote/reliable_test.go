@@ -155,7 +155,7 @@ func TestReliableServerRejectionNotRetried(t *testing.T) {
 	geo := testGeometry(memory.TagNone, 4, 32)
 	before := rc.Stats().Attempts
 	// TagSum on a tag-less geometry: a semantic statusErr rejection.
-	if _, err := rc.TagSumContext(context.Background(), geo, []int{0}, []uint64{1}); err == nil {
+	if _, _, err := rc.WeightedTagSum(context.Background(), geo, []int{0}, []uint64{1}, true); err == nil {
 		t.Fatal("tag-less TagSum accepted")
 	}
 	if got := rc.Stats().Attempts - before; got != 1 {

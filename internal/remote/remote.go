@@ -708,16 +708,13 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 
 // ---- client -----------------------------------------------------------------
 
-// Client talks to a remote NDP server and implements core.NDP (and
-// core.ContextNDP), so a core.Table can run queries against a different
-// process. The *Context methods carry per-call deadlines: the context's
-// deadline (or, absent one, the default set by SetCallTimeout) is applied
-// to the connection, so a hung server cannot block the trusted side
-// forever. The legacy deadline-free signatures remain as thin wrappers;
-// because the core.NDP interface methods carry no error return, a failed
-// legacy call returns a zero value and records the error (see Err) — the
-// core query paths reject the zero values via their column-count check and
-// verification rather than consuming them silently.
+// Client talks to a remote NDP server and implements core.NDP, so a
+// core.Table can run queries against a different process. Every call
+// carries a per-call deadline: the context's deadline (or, absent one, the
+// default set by SetCallTimeout) is applied to the connection, so a hung
+// server cannot block the trusted side forever. The wire protocol has no
+// element op: WeightedSumElem returns an error wrapping
+// errors.ErrUnsupported.
 //
 // After a transport-level failure (timeout, short read) the wire stream
 // may be desynchronized, so the connection is marked unusable and every
@@ -741,16 +738,9 @@ type Client struct {
 	// (the server either answered opCaps or rejected it as unknown).
 	capsKnown bool
 	caps      uint64
-
-	errMu   sync.Mutex
-	lastErr error
 }
 
-var (
-	_ core.NDP        = (*Client)(nil)
-	_ core.ContextNDP = (*Client)(nil)
-	_ core.BatchNDP   = (*Client)(nil)
-)
+var _ core.NDP = (*Client)(nil)
 
 // Dial connects to a server.
 func Dial(addr string) (*Client, error) {
@@ -769,8 +759,7 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 }
 
 // SetCallTimeout sets the default per-call deadline applied when a call's
-// context carries none (and used by the legacy deadline-free wrappers).
-// Zero, the initial value, means no deadline.
+// context carries none. Zero, the initial value, means no deadline.
 func (c *Client) SetCallTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.timeout = d
@@ -787,20 +776,6 @@ func (c *Client) Usable() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fatal == nil
-}
-
-// Err returns the most recent error swallowed by an error-free legacy
-// wrapper (WeightedSum, TagSum), or nil. It does not clear the record.
-func (c *Client) Err() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return c.lastErr
-}
-
-func (c *Client) setErr(err error) {
-	c.errMu.Lock()
-	c.lastErr = err
-	c.errMu.Unlock()
 }
 
 // serverError is a statusErr response from the server. The stream stays in
@@ -953,10 +928,12 @@ func (c *Client) roundTrip(send func() error) error {
 	return readStatus(c.r)
 }
 
-// ensureCapsLocked runs the capability probe if no definitive answer is
-// cached yet, mirroring CapabilitiesContext's caching rules: a legacy
-// server's statusErr caches "no capabilities"; a transport failure
-// caches nothing (the operation about to be sent will surface it).
+// ensureCapsLocked runs the capability probe (opCaps) if no definitive
+// answer is cached yet: the answer is cached per connection, a legacy
+// server's statusErr ("unknown op" — the probe frame is a bare op byte
+// precisely so a legacy server rejects it without stream desync) caches
+// "no capabilities", and a transport failure caches nothing (the
+// operation about to be sent will surface it).
 // Caller holds c.mu with the connection armed.
 func (c *Client) ensureCapsLocked() {
 	if c.capsKnown {
@@ -1010,17 +987,26 @@ func (c *Client) sendFrame() error {
 	return readStatus(c.r)
 }
 
-// WeightedSumContext implements core.ContextNDP over the wire.
-func (c *Client) WeightedSumContext(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) ([]uint64, error) {
+// WeightedTagSum implements core.NDP over the wire: the opWeightedSum
+// exchange and, with verify, the opTagSum exchange after it, under one
+// armed deadline.
+func (c *Client) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	done, err := c.arm(ctx)
 	if err != nil {
-		return nil, err
+		return nil, field.Zero, err
 	}
 	defer done()
 	res, err := c.weightedSumLocked(ctx, geo, idx, weights)
-	return res, c.finish(ctx, err)
+	tag := field.Zero
+	if err == nil && verify {
+		tag, err = c.tagSumLocked(ctx, geo, idx, weights)
+	}
+	if err = c.finish(ctx, err); err != nil {
+		return nil, field.Zero, err
+	}
+	return res, tag, nil
 }
 
 func (c *Client) weightedSumLocked(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) ([]uint64, error) {
@@ -1031,38 +1017,6 @@ func (c *Client) weightedSumLocked(ctx context.Context, geo core.Geometry, idx [
 	return readSumResponse(c.r, geo.Params.M)
 }
 
-// WeightedSum implements core.NDP over the wire. The error-free signature
-// cannot surface failures, so a failed call returns nil (recorded via Err);
-// the core query paths turn that into a typed "ndp returned 0 columns"
-// error instead of a silent wrong result.
-func (c *Client) WeightedSum(geo core.Geometry, idx []int, weights []uint64) []uint64 {
-	res, err := c.WeightedSumContext(context.Background(), geo, idx, weights)
-	if err != nil {
-		c.setErr(fmt.Errorf("remote: WeightedSum: %w", err))
-		return nil
-	}
-	return res
-}
-
-// WeightedSumElem is not part of the wire protocol; element-granular
-// queries are composed client-side from WeightedSum when needed.
-func (c *Client) WeightedSumElem(geo core.Geometry, idx, jdx []int, weights []uint64) uint64 {
-	panic("remote: WeightedSumElem not supported over the wire")
-}
-
-// TagSumContext implements core.ContextNDP over the wire.
-func (c *Client) TagSumContext(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) (field.Elem, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	done, err := c.arm(ctx)
-	if err != nil {
-		return field.Zero, err
-	}
-	defer done()
-	tag, err := c.tagSumLocked(ctx, geo, idx, weights)
-	return tag, c.finish(ctx, err)
-}
-
 func (c *Client) tagSumLocked(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) (field.Elem, error) {
 	c.frame = appendQuery(appendGeometry(append(c.traceFrameLocked(ctx), opTagSum), geo), idx, weights)
 	if err := c.sendFrame(); err != nil {
@@ -1071,24 +1025,31 @@ func (c *Client) tagSumLocked(ctx context.Context, geo core.Geometry, idx []int,
 	return readTagResponse(c.r)
 }
 
-// TagSum implements core.NDP over the wire. The error-free signature
-// cannot surface failures, so a failed call returns field.Zero (recorded
-// via Err); a query verifying against it is rejected by the MAC check
-// rather than silently accepted.
-func (c *Client) TagSum(geo core.Geometry, idx []int, weights []uint64) field.Elem {
-	tag, err := c.TagSumContext(context.Background(), geo, idx, weights)
-	if err != nil {
-		c.setErr(fmt.Errorf("remote: TagSum: %w", err))
-		return field.Zero
+// The operations a connection cannot carry. errNoElemOp is WeightedSumElem's
+// answer: element-granular queries are served by the cluster's whole-row
+// fetches or the TEE mirror instead. errNoBatchOp answers a batch to a
+// server that advertises no opBatch; nothing was sent, so it is a
+// serverError, which neither poisons the connection nor draws a retry.
+var (
+	errNoElemOp  = fmt.Errorf("remote: no element op on the wire: %w", errors.ErrUnsupported)
+	errNoBatchOp = fmt.Errorf("%w (%w)", &serverError{msg: "no batch op"}, errors.ErrUnsupported)
+)
+
+// WeightedSumElem implements core.NDP: the wire protocol has no element
+// op, so it returns an error wrapping errors.ErrUnsupported.
+func (c *Client) WeightedSumElem(ctx context.Context, _ core.Geometry, _, _ []int, _ []uint64) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	return tag
+	return 0, errNoElemOp
 }
 
-// WeightedTagSumBatch implements core.BatchNDP over the wire: the whole
+// WeightedTagSumBatch implements core.NDP over the wire: the whole
 // batch's ciphertext sums (and, when verify is set, tag sums) in one
 // round trip. Per-sub-request server errors land in the corresponding
 // NDPBatchResult.Err; a non-nil returned error is batch-level (server
-// rejection or transport failure) and decided nothing.
+// rejection, transport failure, or a server that advertises no batch op)
+// and decided nothing.
 func (c *Client) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	if len(reqs) > maxBatchSubs {
 		return nil, fmt.Errorf("remote: batch of %d sub-requests exceeds limit", len(reqs))
@@ -1105,6 +1066,12 @@ func (c *Client) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, req
 }
 
 func (c *Client) batchLocked(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
+	// A server without opBatch would read the frame's payload as further
+	// ops, so the cached capability probe gates the send.
+	c.ensureCapsLocked()
+	if c.capsKnown && c.caps&capBatch == 0 {
+		return nil, errNoBatchOp
+	}
 	c.frame = appendBatchRequest(append(c.traceFrameLocked(ctx), opBatch), geo, reqs, verify)
 	if err := c.sendFrame(); err != nil {
 		return nil, err
@@ -1112,49 +1079,11 @@ func (c *Client) batchLocked(ctx context.Context, geo core.Geometry, reqs []core
 	return readBatchResponse(c.r, len(reqs), geo.Params.M, verify)
 }
 
-// CapabilitiesContext asks the server which optional operations it
-// supports. The answer is cached per connection once definitive: a
-// statusErr ("unknown op") from a legacy server counts as "no optional
-// capabilities" — the probe frame is a bare op byte precisely so a legacy
-// server rejects it without stream desync. Transport failures are returned
-// and not cached.
-func (c *Client) CapabilitiesContext(ctx context.Context) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.capsKnown {
-		return c.caps, nil
-	}
-	done, err := c.arm(ctx)
-	if err != nil {
-		return 0, err
-	}
-	defer done()
-	caps, err := c.capsLocked()
-	if err = c.finish(ctx, err); err != nil {
-		var se *serverError
-		if errors.As(err, &se) {
-			c.caps, c.capsKnown = 0, true
-			return 0, nil
-		}
-		return 0, err
-	}
-	c.caps, c.capsKnown = caps, true
-	return caps, nil
-}
-
 func (c *Client) capsLocked() (uint64, error) {
 	if err := c.roundTrip(func() error { return c.w.WriteByte(opCaps) }); err != nil {
 		return 0, err
 	}
 	return readUvarint(c.r)
-}
-
-// SupportsBatch implements core.BatchNDP: whether the server answers
-// opBatch, per the cached capability probe. False on probe transport
-// failure (the batch path would fail the same way).
-func (c *Client) SupportsBatch(ctx context.Context) bool {
-	caps, err := c.CapabilitiesContext(ctx)
-	return err == nil && caps&capBatch != 0
 }
 
 // PingContext performs a no-op round trip — the health check used by the
@@ -1243,12 +1172,12 @@ func (c *Client) WriteECC(dataAddr uint64, tag []byte) error {
 }
 
 // Transport is the client-side contract the trusted engine needs from an
-// NDP connection: the context-aware compute operations plus the
-// provisioning writes. It is satisfied by *Client (one connection, fails
+// NDP connection: the compute operations of core.NDP plus the provisioning
+// writes. It is satisfied by *Client (one connection, fails
 // fast once poisoned) and *ReliableClient (reconnecting pool + retry +
 // circuit breaker).
 type Transport interface {
-	core.ContextNDP
+	core.NDP
 	WriteBlobContext(ctx context.Context, addr uint64, data []byte) error
 	WriteECCContext(ctx context.Context, dataAddr uint64, tag []byte) error
 	Close() error

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -199,12 +200,9 @@ func TestRemoteServerRejectsBadQueries(t *testing.T) {
 	_, _, addr := startServer(t)
 	client := dial(t, addr)
 	geo := testGeometry(memory.TagNone, 4, 32)
-	// The legacy error-free wrapper returns nil and records the rejection.
-	if res := client.WeightedSum(geo, []int{99}, []uint64{1}); res != nil {
-		t.Fatalf("out-of-range remote query returned %v, want nil", res)
-	}
-	if err := client.Err(); err == nil {
-		t.Fatal("rejected query left no recorded error")
+	var se *serverError
+	if res, _, err := client.WeightedTagSum(context.Background(), geo, []int{99}, []uint64{1}, false); !errors.As(err, &se) || res != nil {
+		t.Fatalf("out-of-range remote query returned %v, %v; want a server error", res, err)
 	}
 	// A server-reported rejection keeps the stream usable.
 	if !client.Usable() {
@@ -222,13 +220,15 @@ func TestRemoteWriteECCValidation(t *testing.T) {
 
 func TestClientWeightedSumElemUnsupported(t *testing.T) {
 	_, _, addr := startServer(t)
-	client := dial(t, addr)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("WeightedSumElem did not panic")
+	geo := testGeometry(memory.TagNone, 4, 32)
+	for name, c := range map[string]core.NDP{
+		"client":   dial(t, addr),
+		"reliable": dialReliable(t, addr, ReliableConfig{Retry: fastRetry()}),
+	} {
+		if _, err := c.WeightedSumElem(context.Background(), geo, []int{0}, []int{0}, []uint64{1}); !errors.Is(err, errors.ErrUnsupported) {
+			t.Errorf("%s: WeightedSumElem = %v, want errors.ErrUnsupported", name, err)
 		}
-	}()
-	client.WeightedSumElem(testGeometry(memory.TagNone, 4, 32), []int{0}, []int{0}, []uint64{1})
+	}
 }
 
 func TestRemoteColocPlacement(t *testing.T) {

@@ -335,6 +335,9 @@ type Table struct {
 	// reencMu serializes Reencrypt; queries stay lock-free.
 	reencMu sync.Mutex
 
+	// local, set for LocalBackend tables, is the untrusted memory the
+	// table lives in: the memory Reencrypt rewrites in place.
+	local *Memory
 	// mirror, when non-nil, is the TEE-held ciphertext image enabling
 	// local fallback recomputation (WithFallback + a remote or cluster
 	// backend).
@@ -457,8 +460,7 @@ func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) error {
 	t.reencMu.Lock()
 	defer t.reencMu.Unlock()
 	st := t.state.Load()
-	hndp, local := st.ndp.(*core.HonestNDP)
-	if !local || t.cnd != nil {
+	if t.local == nil {
 		return errors.New("secndp: Reencrypt requires a local-backend table (online remote/cluster rotation is not yet supported)")
 	}
 	if err := ctx.Err(); err != nil {
@@ -472,9 +474,9 @@ func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) error {
 	}
 	var newTab *core.Table
 	if newRows == nil {
-		newTab, err = st.tab.Reencrypt(hndp.Mem, newV)
+		newTab, err = st.tab.Reencrypt(t.local, newV)
 	} else {
-		newTab, err = t.eng.scheme.EncryptTable(hndp.Mem, st.tab.Geometry(), newV, newRows)
+		newTab, err = t.eng.scheme.EncryptTable(t.local, st.tab.Geometry(), newV, newRows)
 	}
 	if err != nil {
 		t.eng.tel.recordOp("reencrypt", start, err)
@@ -702,17 +704,12 @@ func (t *Table) queryElem(ctx context.Context, req Request) (Result, error) {
 	st := t.state.Load()
 	start := time.Now()
 	rctx, span := t.eng.tel.startSpan(ctx, "query_elem")
-	// Plain remote transports have no element op on the wire; with a
-	// mirror the TEE serves element queries locally instead of failing
-	// them. Cluster backends are exempt: their NDP serves element sums
-	// over the wire (whole-row fetches with per-shard replica failover,
-	// core.ElemNDP), so a healthy cluster answers un-Degraded and a dead
-	// replica costs a failover, not a mirror trip.
-	if t.mirror != nil && t.cnd == nil {
-		if _, isRemote := st.ndp.(core.ContextNDP); isRemote {
-			return t.queryElemFallback(ctx, st, req, start, span, nil)
-		}
-	}
+	// A plain remote transport has no element op on the wire: its NDP
+	// answers errors.ErrUnsupported, and with a mirror the TEE serves the
+	// query locally (Degraded) below. Cluster backends serve element sums
+	// over the wire (whole-row fetches with per-shard replica failover), so
+	// a healthy cluster answers un-Degraded and a dead replica costs a
+	// failover, not a mirror trip.
 	qctx, cflag := t.clusterCtx(rctx)
 	v, err := st.tab.QueryElemCtx(qctx, st.ndp, req.Idx, req.Cols, req.Weights)
 	if err == nil {
@@ -740,9 +737,7 @@ func (t *Table) queryElemFallback(ctx context.Context, st *tableState, req Reque
 	v, err := st.tab.LocalWeightedSumElem(ctx, t.mirror, req.Idx, req.Cols, req.Weights)
 	fbDur := time.Since(fb)
 	if err != nil {
-		if cause != nil {
-			err = fmt.Errorf("secndp: fallback failed: %w (ndp: %w)", err, cause)
-		}
+		err = fmt.Errorf("secndp: fallback failed: %w (ndp: %w)", err, cause)
 		fspan.EndErr(err, classifyErr(err))
 		span.EndErr(err, classifyErr(err))
 		t.eng.tel.recordQuery("query", start, timingFrom(core.PhaseTimes{}, fbDur, time.Since(start)), false, false, span.Trace(), err)
@@ -757,14 +752,13 @@ func (t *Table) queryElemFallback(ctx context.Context, st *tableState, req Reque
 	return res, nil
 }
 
-// QueryBatch runs many requests as one coalesced batch whenever the NDP
-// supports it (detected by a cached capability probe): a single NDP
+// QueryBatch runs many requests as one coalesced batch: a single NDP
 // exchange answers every request's ciphertext and tag sums, each distinct
 // row's OTP pad is generated once and shared across requests, and every
 // joined result gets its own MAC check, so per-request errors are unchanged.
-// Requests that cannot coalesce (element-indexed, mixed verification
-// settings, or an NDP without batch support) run through the per-request
-// worker pool instead, still sharing the table's pad cache.
+// Requests that cannot coalesce (element-indexed, or mixed verification
+// settings) run through the per-request worker pool instead, still sharing
+// the table's pad cache; so does a batch the NDP fails as a whole.
 //
 // The results align with the requests; the error aggregates every
 // per-request failure (annotated with its index), so
@@ -787,14 +781,10 @@ func (t *Table) QueryBatch(ctx context.Context, reqs []Request) ([]Result, error
 }
 
 // queryBatchCoalesced routes a uniform batch through the core pipeline.
-// ok = false means the batch cannot coalesce (shape or capability) and the
-// caller should fan out.
+// ok = false means the batch cannot coalesce (its shape) and the caller
+// should fan out.
 func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Result, error, bool) {
 	st := t.state.Load()
-	bn, isBatch := st.ndp.(core.BatchNDP)
-	if !isBatch {
-		return nil, nil, false
-	}
 	unverified := reqs[0].Unverified
 	for i := range reqs {
 		if reqs[i].Cols != nil || reqs[i].Unverified != unverified {
@@ -804,9 +794,6 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 	verify, err := t.resolveVerify(st, unverified)
 	if err != nil {
 		return nil, nil, false // fan-out reports the policy error per request
-	}
-	if !bn.SupportsBatch(ctx) {
-		return nil, nil, false
 	}
 
 	start := time.Now()

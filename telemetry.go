@@ -140,7 +140,7 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 		batchPipelined: reg.Counter("secndp_batch_pipelined_total",
 			"QueryBatch calls served by the coalesced one-round-trip pipeline."),
 		batchFanout: reg.Counter("secndp_batch_fanout_total",
-			"QueryBatch calls served by per-request fan-out (no batch support, mixed request shapes, or pipeline failure)."),
+			"QueryBatch calls served by per-request fan-out because their requests cannot coalesce (element-indexed, or mixed verification settings)."),
 		batchSubs: reg.Counter("secndp_batch_subrequests_total",
 			"Sub-requests carried by pipelined QueryBatch calls."),
 		batchRowRefs: reg.Counter("secndp_batch_rowrefs_total",
