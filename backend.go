@@ -17,8 +17,7 @@ import (
 
 // This file is the provisioning redesign: one Engine.CreateTable entry
 // point over a pluggable Backend — local untrusted memory, one remote
-// NDP server, or a sharded cluster of them. The legacy Encrypt /
-// Provision methods survive as thin deprecated wrappers in secndp.go.
+// NDP server, or a sharded cluster of them.
 
 // Backend selects where a table's ciphertext lives and which NDP serves
 // its queries. The set of backends is closed (the interface has an
@@ -552,8 +551,7 @@ func (t *Table) Reshard(ctx context.Context, backend *Cluster) error {
 // spec.Tags) under a freshly allocated version, placed where the
 // backend dictates, and the returned Table routes queries to the
 // backend's NDP — in-process, one remote server, or a scatter-gather
-// cluster. The context bounds every transfer. CreateTable subsumes the
-// former Encrypt / Provision pair.
+// cluster. The context bounds every transfer.
 func (e *Engine) CreateTable(ctx context.Context, backend Backend, spec TableSpec, rows [][]uint64) (*Table, error) {
 	if backend == nil {
 		return nil, errors.New("secndp: nil backend")

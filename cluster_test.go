@@ -329,62 +329,6 @@ func TestClusterTamperedShardIsLocalized(t *testing.T) {
 	}
 }
 
-// TestClusterDeprecatedWrappers: the pre-Backend entry points still
-// compile and work as thin wrappers over CreateTable.
-func TestClusterDeprecatedWrappers(t *testing.T) {
-	eng, err := New(testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(180))
-	rows := testRows(rng, 8, 16, 1<<20)
-
-	mem := NewMemory()
-	tab, err := eng.Encrypt(mem, TableSpec{Rows: 8, Cols: 16}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tab.Close()
-	res, err := tab.Query(context.Background(), Request{Idx: []int{1, 7}, Weights: []uint64{2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := plainSum(rows, []int{1, 7}, []uint64{2, 3}, 16, 0xFFFFFFFF)
-	for j := range want {
-		if res.Values[j] != want[j] {
-			t.Fatalf("Encrypt wrapper: col %d: %d != %d", j, res.Values[j], want[j])
-		}
-	}
-
-	srvMem := NewMemory()
-	srv := NewServer(srvMem)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	rc, err := DialReliableNDP(context.Background(), addr, fastTransport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	rtab, err := eng.Provision(context.Background(), rc, TableSpec{Rows: 8, Cols: 16}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rtab.Close()
-	res, err = rtab.Query(context.Background(), Request{Idx: []int{0, 5}, Weights: []uint64{1, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = plainSum(rows, []int{0, 5}, []uint64{1, 1}, 16, 0xFFFFFFFF)
-	for j := range want {
-		if res.Values[j] != want[j] {
-			t.Fatalf("Provision wrapper: col %d: %d != %d", j, res.Values[j], want[j])
-		}
-	}
-}
-
 // TestClusterCallerOwnedTransport: a ShardSpec.Transport is used as-is
 // and survives Table.Close (the caller keeps ownership).
 func TestClusterCallerOwnedTransport(t *testing.T) {

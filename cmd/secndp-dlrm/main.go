@@ -206,7 +206,7 @@ func buildService(tables, rows, cols int, seed int64, shards int, ndpAddrs strin
 		}
 	}
 
-	opts := []secndp.Option{secndp.WithPadCache(rows)}
+	var opts []secndp.Option
 	if cfg.Registry != nil {
 		opts = append(opts, secndp.WithTelemetry(cfg.Registry))
 	}

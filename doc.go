@@ -15,7 +15,7 @@
 // overlaps the NDP exchange with a pad walk sharded across a worker pool
 // (the software analogue of the paper's multiple OTP engines, §V-C2):
 //
-//	eng, _ := secndp.New(key, secndp.WithParallelism(8), secndp.WithPadCache(1024))
+//	eng, _ := secndp.New(key, secndp.WithParallelism(8))
 //	mem := secndp.NewMemory()
 //	tab, _ := eng.CreateTable(ctx, secndp.LocalBackend(mem), secndp.TableSpec{Rows: n, Cols: m}, rows)
 //	res, err := tab.Query(ctx, secndp.Request{Idx: idx, Weights: w})
@@ -35,9 +35,6 @@
 //   - ClusterBackend(shards...) — shard the table's rows across several
 //     NDP servers and scatter-gather queries over them, with one
 //     aggregated verification covering each whole gather (see below).
-//
-// The legacy Engine.Encrypt and Engine.Provision methods survive as thin
-// deprecated wrappers over CreateTable with LocalBackend and RemoteBackend.
 //
 // # Clusters
 //
@@ -140,7 +137,7 @@
 // The repository layout behind the facade:
 //
 //   - internal/core — the SecNDP scheme itself (Algorithms 1–8) and the
-//     concurrent query engine (parallel.go, padcache.go).
+//     concurrent query engine (parallel.go, batchplan.go).
 //   - internal/cluster — the shard map and scatter-gather NDP behind
 //     ClusterBackend.
 //   - internal/{ring,field,otp,memory} — the crypto and memory substrates.

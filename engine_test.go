@@ -11,7 +11,7 @@ import (
 )
 
 // TestQueryReachesFusedWalk: a verified Table.Query on a LocalBackend
-// table (no pad cache) runs the fused keystream walk — data pads and tag
+// table runs the fused keystream walk — data pads and tag
 // pads out of one pass. The OTP engine counters show it: the fused kernel
 // costs one engine run per row plus at most one tag-pad gather per 64
 // rows, where separate pad and tag passes sharded over four workers (what

@@ -28,7 +28,6 @@ func main() {
 	reg := secndp.NewTelemetry()
 	eng, err := secndp.New([]byte("an AES-128 key!!"),
 		secndp.WithParallelism(4), // shard the OTP pad loop across 4 workers
-		secndp.WithPadCache(1024), // cache hot rows' pads (DLRM-style reuse)
 		secndp.WithTelemetry(reg))
 	if err != nil {
 		log.Fatal(err)

@@ -11,7 +11,7 @@ import (
 	"secndp/internal/remote/faultproxy"
 )
 
-// The fault-injection suite drives the full facade — Engine, Provision,
+// The fault-injection suite drives the full facade — Engine, CreateTable,
 // Query — through a chaos TCP proxy sitting between the trusted side and
 // the NDP server, exercising every failure class the fault-tolerance
 // layer claims to absorb. The universal invariant: a query either returns

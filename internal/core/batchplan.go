@@ -212,11 +212,10 @@ const batchTileRows = 512
 
 // otpBatch computes every sub-request's OTP share vector (and, when
 // verifying, tag-pad field sum) from a deduplicated plan: each distinct
-// row's pad is generated once — through the PadCache when one is
-// configured — and scattered to all requesters. Generation parallelizes
-// across the worker pool tile by tile; the scatter is serial (it is pure
-// multiply-accumulate, orders of magnitude cheaper than the AES
-// generation it follows).
+// row's pad is generated once, into a pooled per-tile arena, and scattered
+// to all requesters. Generation parallelizes across the worker pool tile by
+// tile; the scatter is serial (it is pure multiply-accumulate, orders of
+// magnitude cheaper than the AES generation it follows).
 // otpBatch additionally returns a release callback that recycles the
 // accumulator arena; the caller must invoke it once every accs[i] has been
 // consumed (and must not touch accs afterwards).
@@ -260,15 +259,8 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 		tag  field.Elem
 	}
 	entries := make([]padEntry, nTile)
-	var arena []uint64
-	if opts.Cache == nil {
-		// Without a cache, pads live in a pooled per-tile arena. With a
-		// cache they live in cache-owned slices (the cache retains what
-		// it is handed, so misses must allocate fresh).
-		ap, a := getU64Scratch(nTile * m)
-		defer putU64Scratch(ap)
-		arena = a
-	}
+	ap, arena := getU64Scratch(nTile * m)
+	defer putU64Scratch(ap)
 
 	genRange := func(tile, lo, hi int, fused bool) error {
 		bp, buf := getByteScratch(t.geo.Params.RowBytes())
@@ -284,16 +276,7 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 			if verify {
 				entries[s].tag = field.FromBytes(padBytes(t.scheme.gen.TagPad(addr, t.version)))
 			}
-			switch {
-			case opts.Cache != nil:
-				pads, ok := opts.Cache.get(pr.row)
-				if !ok {
-					t.scheme.gen.PadsInto(buf, otp.DomainData, addr, t.version)
-					pads = t.r.UnpackElems(buf)
-					opts.Cache.put(pr.row, pads)
-				}
-				entries[s].pads = pads
-			case fused && len(pr.uses) == 1:
+			if fused && len(pr.uses) == 1 {
 				// A row only one sub-request references gains nothing from
 				// staging: the fused generate-scale-accumulate kernel runs
 				// straight into that requester's accumulator, skipping the
@@ -306,7 +289,7 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 				t.scheme.gen.PadScaleAccum(accs[u.req], u.weight, t.geo.Params.We,
 					otp.DomainData, addr, t.version)
 				entries[s].pads = nil
-			default:
+			} else {
 				dst := arena[s*m : (s+1)*m]
 				t.scheme.gen.PadsInto(buf, otp.DomainData, addr, t.version)
 				t.r.UnpackElemsInto(dst, buf)

@@ -126,6 +126,11 @@ func TestReencryptRoundTrip(t *testing.T) {
 	if identical {
 		t.Error("old handle still decrypts after re-encryption (pads reused?)")
 	}
+	// Querying through the old handle pairs dead-version pads with the new
+	// ciphertext; the MAC check must reject it, not return garbage.
+	if _, err := t1.QueryVerified(&HonestNDP{Mem: mem}, []int{0, 7}, []uint64{1, 2}); !errors.Is(err, ErrVerification) {
+		t.Errorf("stale handle after re-encryption: err = %v, want ErrVerification", err)
+	}
 }
 
 func TestReencryptRejectsSameVersion(t *testing.T) {

@@ -88,8 +88,8 @@ var shapes = []struct {
 
 // TestPlannerBoundaryEquivalence: for row counts straddling inlinePadBytes
 // (512 rows of 256 B) and the ctxCheckStride chunking, every tag placement,
-// cache off and on, one worker and four, in-process and transport NDP,
-// QueryCtx equals referenceQuery byte for byte, verified and unverified.
+// one worker and four, in-process and transport NDP, QueryCtx equals
+// referenceQuery byte for byte, verified and unverified.
 func TestPlannerBoundaryEquivalence(t *testing.T) {
 	placements := map[string]memory.TagPlacement{
 		"none": memory.TagNone, "coloc": memory.TagColoc, "sep": memory.TagSep, "ecc": memory.TagECC,
@@ -128,18 +128,13 @@ func TestPlannerBoundaryEquivalence(t *testing.T) {
 					for _, shape := range shapes {
 						ndp := shape.dress(honest)
 						for _, workers := range []int{1, 4} {
-							for _, cache := range []*PadCache{nil, NewPadCache(128)} {
-								// Twice, so a cache answers once cold and once warm.
-								for pass := 0; pass < 2; pass++ {
-									got, err := tab.QueryCtx(context.Background(), ndp, idx, w,
-										QueryOptions{Workers: workers, Cache: cache, Verify: verify})
-									if err != nil {
-										t.Fatalf("%d rows verify=%v %T workers=%d cache=%v: %v", n, verify, ndp, workers, cache != nil, err)
-									}
-									if !slices.Equal(got, want) {
-										t.Fatalf("%d rows verify=%v %T workers=%d cache=%v: engine diverges from reference", n, verify, ndp, workers, cache != nil)
-									}
-								}
+							got, err := tab.QueryCtx(context.Background(), ndp, idx, w,
+								QueryOptions{Workers: workers, Verify: verify})
+							if err != nil {
+								t.Fatalf("%d rows verify=%v %T workers=%d: %v", n, verify, ndp, workers, err)
+							}
+							if !slices.Equal(got, want) {
+								t.Fatalf("%d rows verify=%v %T workers=%d: engine diverges from reference", n, verify, ndp, workers)
 							}
 						}
 					}

@@ -88,10 +88,9 @@ func TestQueryVerifiedMatchesQueryPlusVerify(t *testing.T) {
 }
 
 // TestQueryVerifiedConcurrentHammer runs many verified queries through the
-// one engine at once — both shapes, cache on and off — and checks every
-// result against the serial reference computed up front. Under -race this
-// proves the pooled scratch and the shared pad cache are never aliased
-// across concurrent queries.
+// one engine at once — both shapes — and checks every result against the
+// serial reference computed up front. Under -race this proves the pooled
+// scratch is never aliased across concurrent queries.
 func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 	tab, ndp, _ := hotpathTable(t, memory.TagSep, 128, 32, 32, 60)
 	rng := rand.New(rand.NewSource(61))
@@ -116,7 +115,6 @@ func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 		}
 		qs[i].ref = ref
 	}
-	cache := NewPadCache(32)
 	const workers, iters = 8, 25
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
@@ -124,13 +122,10 @@ func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Goroutines alternate shapes and cache use, so inline and
-			// overlapped queries contend for the same pools and cache.
+			// Goroutines alternate shapes, so inline and overlapped queries
+			// contend for the same pools.
 			engine := shapes[g%2].dress(ndp)
 			opts := QueryOptions{Workers: 2, Verify: true}
-			if g%4 >= 2 {
-				opts.Cache = cache
-			}
 			for it := 0; it < iters; it++ {
 				qq := &qs[(g*iters+it)%queries]
 				got, err := tab.QueryCtx(context.Background(), engine, qq.idx, qq.w, opts)

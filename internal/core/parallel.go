@@ -22,15 +22,12 @@ import (
 // the background while the walk is sharded across a worker pool.
 
 // QueryOptions tunes one query or batch through the engine. The zero value
-// selects GOMAXPROCS workers, no cache, no verification.
+// selects GOMAXPROCS workers and no verification.
 type QueryOptions struct {
 	// Workers is the OTP-side parallelism: the shards of an overlapped
 	// query's pad walk (an inline query runs one) and the goroutines of a
 	// batch. <= 0 selects GOMAXPROCS.
 	Workers int
-	// Cache, when non-nil, serves hot rows' pads without AES regeneration.
-	// The cache must be dedicated to this table and version.
-	Cache *PadCache
 	// Verify runs Algorithm 5 (encrypted-MAC check) after Algorithm 4.
 	Verify bool
 	// Phases, when non-nil, receives the query's per-phase wall-clock
@@ -46,11 +43,10 @@ type QueryOptions struct {
 
 // PhaseTimes is one query's anatomy: how long each architectural phase
 // took. Pad is the OTP walk (pad regeneration + accumulate; on a verified
-// query without a pad cache the tag pads come out of the same keystream
-// pass), NDP the untrusted round trip (ciphertext sums, plus tag sums when
-// verifying), Tag the tag-pad field dot, Verify the final join (share
-// addition, checksum recompute, MAC compare). Phases that did not run stay
-// zero.
+// query the tag pads come out of the same keystream pass), NDP the
+// untrusted round trip (ciphertext sums, plus tag sums when verifying), Tag
+// the tag-pad field dot, Verify the final join (share addition, checksum
+// recompute, MAC compare). Phases that did not run stay zero.
 type PhaseTimes struct {
 	Pad, NDP, Tag, Verify time.Duration
 }
@@ -134,9 +130,9 @@ func (p phase) end(err error, class string) (d time.Duration) {
 // ring additions (addition commutes with the sharding, so the result is
 // bit-identical for any shard count). Tag pads land in disjoint ranges of
 // tagPads and need no merge. acc and tagPads are as for otpWalk.
-func (t *Table) otpShards(ctx context.Context, idx []int, weights []uint64, shards int, cache *PadCache, acc []uint64, tagPads []byte) error {
+func (t *Table) otpShards(ctx context.Context, idx []int, weights []uint64, shards int, acc []uint64, tagPads []byte) error {
 	if shards <= 1 {
-		return t.otpWalk(ctx, idx, weights, 0, len(idx), cache, acc, tagPads)
+		return t.otpWalk(ctx, idx, weights, 0, len(idx), acc, tagPads)
 	}
 	chunk := (len(idx) + shards - 1) / shards
 	// Shard 0 accumulates straight into acc, the others into one zeroed slab.
@@ -151,7 +147,7 @@ func (t *Table) otpShards(ctx context.Context, idx []int, weights []uint64, shar
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[s] = t.otpWalk(ctx, idx, weights, s*chunk, min((s+1)*chunk, len(idx)), cache, part, tagPads)
+			errs[s] = t.otpWalk(ctx, idx, weights, s*chunk, min((s+1)*chunk, len(idx)), part, tagPads)
 		}()
 	}
 	wg.Wait()
@@ -174,7 +170,7 @@ func (t *Table) OTPWeightedSumCtx(ctx context.Context, idx []int, weights []uint
 		return nil, fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
 	}
 	acc := make([]uint64, t.geo.Params.M)
-	if err := t.otpShards(ctx, idx, weights, opts.workerCount(len(idx)), opts.Cache, acc, nil); err != nil {
+	if err := t.otpShards(ctx, idx, weights, opts.workerCount(len(idx)), acc, nil); err != nil {
 		return nil, err
 	}
 	return acc, nil
@@ -182,15 +178,14 @@ func (t *Table) OTPWeightedSumCtx(ctx context.Context, idx []int, weights []uint
 
 // TagPadSumCtx computes the processor's share of the result MAC, E_Tres =
 // Σ_k weights[k]·E_T[idx[k]] mod q (Algorithm 5 lines 11–14): the tag pads
-// staged through otpShards, then one tagDot. Tag pads are one AES block
-// per row (no cache: regeneration is as cheap as a lookup).
+// staged through otpShards, then one tagDot.
 func (t *Table) TagPadSumCtx(ctx context.Context, idx []int, weights []uint64, opts QueryOptions) (field.Elem, error) {
 	if len(idx) != len(weights) {
 		return field.Zero, fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
 	}
 	tp, tagPads := getByteScratch(len(idx) * otp.BlockBytes)
 	defer putByteScratch(tp)
-	if err := t.otpShards(ctx, idx, weights, opts.workerCount(len(idx)), nil, nil, tagPads); err != nil {
+	if err := t.otpShards(ctx, idx, weights, opts.workerCount(len(idx)), nil, tagPads); err != nil {
 		return field.Zero, err
 	}
 	return tagDot(tagPads, weights), nil
@@ -275,7 +270,7 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 		tagPads = b
 	}
 	ph := startPhase(span.Child("pad"), timed)
-	err := t.otpShards(ctx, idx, weights, shards, opts.Cache, res, tagPads)
+	err := t.otpShards(ctx, idx, weights, shards, res, tagPads)
 	times.Pad = ph.end(err, telemetry.ErrClassCanceled)
 	var eTres field.Elem
 	if opts.Verify && err == nil {
@@ -316,9 +311,8 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 // results and errors are byte-identical to running QueryCtx per request.
 //
 // A batch-level NDP error — transport trouble, or an NDP that cannot batch
-// — falls back to the request-level worker pool, which still shares one
-// pad cache across the batch. Cancellation marks the remaining requests
-// with ctx.Err().
+// — falls back to the request-level worker pool. Cancellation marks the
+// remaining requests with ctx.Err().
 func (t *Table) QueryBatchCtx(ctx context.Context, ndp NDP, reqs []BatchRequest, opts QueryOptions) []BatchResult {
 	if len(reqs) == 0 {
 		return make([]BatchResult, 0)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"secndp/internal/field"
@@ -171,163 +170,6 @@ func TestQueryCtxRecoversNDPPanic(t *testing.T) {
 	_, err := tab.QueryCtx(context.Background(), bad, []int{0}, []uint64{1}, QueryOptions{})
 	if err == nil {
 		t.Fatal("panicking NDP did not surface as an error")
-	}
-}
-
-func TestPadCacheHitsAndEviction(t *testing.T) {
-	s := newTestScheme(t)
-	geo := mkGeometry(memory.TagSep, 256, 32, 32)
-	tab, err := s.OpenTable(geo, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewPadCache(32)
-	idx := make([]int, 64)
-	w := make([]uint64, 64)
-	for k := range idx {
-		idx[k] = k % 8 // 8 hot rows, heavy reuse
-		w[k] = uint64(k + 1)
-	}
-	want := referencePadSum(tab, idx, w)
-	for round := 0; round < 3; round++ {
-		got, err := tab.OTPWeightedSumCtx(context.Background(), idx, w,
-			QueryOptions{Workers: 2, Cache: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("round %d col %d: cached path diverged: %d != %d", round, j, got[j], want[j])
-			}
-		}
-	}
-	hits, misses := cache.Stats()
-	if hits == 0 {
-		t.Error("hot-row workload produced no cache hits")
-	}
-	if misses == 0 {
-		t.Error("cold cache produced no misses")
-	}
-	if cache.Len() > 32 {
-		t.Errorf("cache holds %d rows, cap 32", cache.Len())
-	}
-
-	// Sweep far more distinct rows than capacity: eviction must bound Len.
-	sweep := make([]int, 256)
-	sw := make([]uint64, 256)
-	for k := range sweep {
-		sweep[k] = k
-		sw[k] = 1
-	}
-	wantSweep := referencePadSum(tab, sweep, sw)
-	gotSweep, err := tab.OTPWeightedSumCtx(context.Background(), sweep, sw,
-		QueryOptions{Workers: 1, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range wantSweep {
-		if gotSweep[j] != wantSweep[j] {
-			t.Fatalf("sweep col %d: %d != %d", j, gotSweep[j], wantSweep[j])
-		}
-	}
-	if cache.Len() > 32 {
-		t.Errorf("after sweep cache holds %d rows, cap 32", cache.Len())
-	}
-}
-
-func TestPadCacheNilSafe(t *testing.T) {
-	var c *PadCache
-	if _, ok := c.get(3); ok {
-		t.Error("nil cache reported a hit")
-	}
-	c.put(3, []uint64{1})
-	if c.Len() != 0 {
-		t.Error("nil cache has nonzero length")
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Error("nil cache has nonzero stats")
-	}
-	if NewPadCache(0) != nil {
-		t.Error("NewPadCache(0) should be nil (disabled)")
-	}
-}
-
-func TestPadCacheConcurrent(t *testing.T) {
-	s := newTestScheme(t)
-	geo := mkGeometry(memory.TagSep, 64, 32, 32)
-	tab, _ := s.OpenTable(geo, 1)
-	cache := NewPadCache(16)
-	idx := make([]int, 128)
-	w := make([]uint64, 128)
-	rng := rand.New(rand.NewSource(35))
-	for k := range idx {
-		idx[k] = rng.Intn(64)
-		w[k] = rng.Uint64()
-	}
-	want := referencePadSum(tab, idx, w)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := tab.OTPWeightedSumCtx(context.Background(), idx, w,
-				QueryOptions{Workers: 2, Cache: cache})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Errorf("concurrent cached query diverged at col %d", j)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestQueryBatchCtxSharedCache(t *testing.T) {
-	s := newTestScheme(t)
-	mem := memory.NewSpace()
-	geo := mkGeometry(memory.TagSep, 32, 32, 32)
-	rng := rand.New(rand.NewSource(36))
-	rows := boundedRows(rng, 32, 32, 1<<20)
-	tab, _ := s.EncryptTable(mem, geo, 1, rows)
-	ndp := &HonestNDP{Mem: mem}
-	cache := NewPadCache(32)
-	reqs := make([]BatchRequest, 24)
-	for i := range reqs {
-		pf := 1 + rng.Intn(8)
-		idx := make([]int, pf)
-		w := make([]uint64, pf)
-		for k := range idx {
-			idx[k] = rng.Intn(8) // shared hot set across the batch
-			w[k] = 1 + rng.Uint64()%4
-		}
-		reqs[i] = BatchRequest{Idx: idx, Weights: w}
-	}
-	// Within one batch the pipeline dedups shared rows before touching
-	// the cache (each distinct row is generated at most once), so hits
-	// only appear across batches: the first run populates, the second
-	// must be served from cache.
-	for run := 0; run < 2; run++ {
-		out := tab.QueryBatchCtx(context.Background(), ndp, reqs,
-			QueryOptions{Workers: 4, Cache: cache, Verify: true})
-		if err := FirstError(out); err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range out {
-			want := plainWeightedSum(geo, rows, reqs[i].Idx, reqs[i].Weights)
-			for j := range want {
-				if r.Res[j] != want[j] {
-					t.Fatalf("run %d request %d col %d mismatch", run, i, j)
-				}
-			}
-		}
-	}
-	if hits, _ := cache.Stats(); hits == 0 {
-		t.Error("repeated batch over a hot row set produced no cache hits")
 	}
 }
 

@@ -31,18 +31,11 @@ func (t *Table) padRow(i int) []uint64 {
 // lines 8–14; acc == nil skips the data share) and stages row k's tag pad
 // E_T[idx[k]] at tagPads[16k:] (Algorithm 5 line 12; tagPads == nil skips
 // the tags), in ctxCheckStride-row chunks with a cancellation check
-// between them. Without a pad cache a verified walk is the fused kernel —
-// data pads and tag pads out of one keystream pass — and an unverified one
-// the generate-scale-accumulate kernel; neither materializes a pad vector.
-// With a cache, hits skip AES regeneration and misses populate it.
-func (t *Table) otpWalk(ctx context.Context, idx []int, weights []uint64, lo, hi int, cache *PadCache, acc []uint64, tagPads []byte) error {
+// between them. A verified walk is the fused kernel — data pads and tag
+// pads out of one keystream pass — and an unverified one the
+// generate-scale-accumulate kernel; neither materializes a pad vector.
+func (t *Table) otpWalk(ctx context.Context, idx []int, weights []uint64, lo, hi int, acc []uint64, tagPads []byte) error {
 	gen, we := t.scheme.gen, t.geo.Params.We
-	var buf []byte // staging for cache insertion
-	if cache != nil && acc != nil {
-		bp, b := getByteScratch(t.geo.Params.RowBytes())
-		defer putByteScratch(bp)
-		buf = b
-	}
 	var addrBuf [ctxCheckStride]uint64
 	for k := lo; k < hi; k += ctxCheckStride {
 		if err := ctx.Err(); err != nil {
@@ -60,19 +53,6 @@ func (t *Table) otpWalk(ctx context.Context, idx []int, weights []uint64, lo, hi
 		switch {
 		case acc == nil:
 			gen.TagPads(tags, addrs, t.version)
-		case cache != nil:
-			for j, addr := range addrs {
-				pads, ok := cache.get(idx[k+j])
-				if !ok {
-					gen.PadsInto(buf, otp.DomainData, addr, t.version)
-					pads = t.r.UnpackElems(buf)
-					cache.put(idx[k+j], pads)
-				}
-				t.r.ScaleAccum(acc, weights[k+j], pads)
-			}
-			if tags != nil {
-				gen.TagPads(tags, addrs, t.version)
-			}
 		case tags != nil:
 			gen.PadTagScaleAccum(acc, we, weights[k:end], addrs, t.version, tags)
 		default:

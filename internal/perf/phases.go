@@ -22,16 +22,13 @@ type PhaseStat struct {
 }
 
 // PhaseReport is the per-phase query breakdown emitted into the
-// regression JSON: a small scripted workload — local queries with
-// pad-cache reuse, remote queries over a loopback NDP server, one
-// degraded query after the server dies — summarized phase by phase from
-// one telemetry snapshot.
+// regression JSON: a small scripted workload — repeated local queries,
+// remote queries over a loopback NDP server, one degraded query after the
+// server dies — summarized phase by phase from one telemetry snapshot.
 type PhaseReport struct {
 	Queries           uint64      `json:"queries"`
 	Verified          uint64      `json:"verified"`
 	Degraded          uint64      `json:"degraded"`
-	CacheHits         uint64      `json:"cache_hits"`
-	CacheMisses       uint64      `json:"cache_misses"`
 	TransportAttempts uint64      `json:"transport_attempts"`
 	TransportRetries  uint64      `json:"transport_retries"`
 	BatchPipelined    uint64      `json:"batch_pipelined"`
@@ -54,8 +51,8 @@ func counterVal(s telemetry.Snapshot, name string) uint64 {
 // phaseStage drives the scripted workload through the facade with the
 // given registry attached and distills the snapshot into a PhaseReport.
 // The workload covers every phase: pad/NDP/tag/verify on the happy path,
-// pad-cache hits via repeated rows, transport attempts over a real
-// loopback server, and one fallback after the server is closed.
+// transport attempts over a real loopback server, and one fallback after
+// the server is closed.
 func phaseStage(quick bool, reg *telemetry.Registry) (*PhaseReport, error) {
 	rows, batch := 1024, 128
 	if quick {
@@ -66,7 +63,6 @@ func phaseStage(quick bool, reg *telemetry.Registry) (*PhaseReport, error) {
 
 	eng, err := secndp.New([]byte(benchKey),
 		secndp.WithTelemetry(reg),
-		secndp.WithPadCache(rows),
 		secndp.WithFallback(1))
 	if err != nil {
 		return nil, err
@@ -87,8 +83,7 @@ func phaseStage(quick bool, reg *telemetry.Registry) (*PhaseReport, error) {
 	}
 	req := secndp.Request{Idx: idx, Weights: weights}
 
-	// Local table: repeated requests over the same rows so the pad cache
-	// reports both misses (first pass) and hits (subsequent passes).
+	// Local table: the in-process happy path.
 	local, err := eng.CreateTable(ctx, secndp.LocalBackend(secndp.NewMemory()), secndp.TableSpec{
 		Name: "perf-phases-local", Rows: rows, Cols: cols,
 	}, data)
@@ -199,8 +194,6 @@ func phaseStage(quick bool, reg *telemetry.Registry) (*PhaseReport, error) {
 		Queries:           counterVal(snap, "secndp_queries_total"),
 		Verified:          counterVal(snap, "secndp_queries_verified_total"),
 		Degraded:          counterVal(snap, "secndp_queries_degraded_total"),
-		CacheHits:         counterVal(snap, "secndp_padcache_hits_total"),
-		CacheMisses:       counterVal(snap, "secndp_padcache_misses_total"),
 		TransportAttempts: counterVal(snap, "secndp_transport_attempts_total"),
 		TransportRetries:  counterVal(snap, "secndp_transport_retries_total"),
 		BatchPipelined:    counterVal(snap, "secndp_batch_pipelined_total"),

@@ -169,7 +169,6 @@ func newServeFixture(quick bool) (*serveFixture, error) {
 		specs[i] = secndp.ShardSpec{Addr: addr}
 	}
 	eng, err := secndp.New([]byte(benchKey),
-		secndp.WithPadCache(f.spec.RowsPerTable),
 		secndp.WithTransport(secndp.TransportConfig{
 			Retry: secndp.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond,
 				MaxDelay: 5 * time.Millisecond},

@@ -13,8 +13,8 @@ import (
 // post-rotation lookups can never observe pre-rotation plaintext, with
 // no invalidation broadcast needed.
 //
-// Sharding mirrors internal/core's pad cache: 16 independent LRU shards
-// so concurrent users on different rows rarely contend on one lock.
+// Sharding: 16 independent LRU shards so concurrent users on different
+// rows rarely contend on one lock.
 type rowCache struct {
 	shards [cacheShards]cacheShard
 	// perShard <= 0 disables the cache entirely (gets miss, puts drop).

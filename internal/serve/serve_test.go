@@ -71,7 +71,7 @@ func newGatedHarness(t *testing.T, rows, cols int, seed int64, cfg serve.Config)
 
 func newHarnessOn(t *testing.T, nTables, rows, cols int, seed int64, cfg serve.Config, backend func() secndp.Backend) *harness {
 	t.Helper()
-	eng, err := secndp.New(testKey, secndp.WithPadCache(256))
+	eng, err := secndp.New(testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,6 +649,9 @@ func TestServeClose(t *testing.T) {
 	h.svc.Close() // idempotent
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // TestServeAllocBudgets pins the allocation diet that pays for the
 // smaller batches an idle table now sends. Warm: a 4-bag lookup served
 // from the cache allocates its result slice and four value vectors and
@@ -675,7 +678,11 @@ func TestServeAllocBudgets(t *testing.T) {
 	}
 	cold := lookup(newHarness(t, 4, 64, 16, 13, serve.Config{CacheRows: -1}))
 	cold()
-	if n := testing.AllocsPerRun(200, cold); n > 180 {
+	n := testing.AllocsPerRun(200, cold)
+	if raceEnabled {
+		return // the cold path's pad arenas are pooled: see race_test.go
+	}
+	if n > 180 {
 		t.Errorf("cold 4-bag lookup: %.1f allocations, budget 180", n)
 	}
 }

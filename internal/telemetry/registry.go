@@ -12,8 +12,8 @@
 // Snapshot semantics: every exported value is loaded with one atomic read,
 // so a snapshot never observes a torn value, but distinct metrics (and
 // distinct stripes of one counter) are read at slightly different
-// instants. Under concurrent recording two related counters — pad-cache
-// hits and misses, say — may be mutually skewed by the handful of
+// instants. Under concurrent recording two related counters — queries
+// and verified queries, say — may be mutually skewed by the handful of
 // operations in flight during the read. Each value is exact for some
 // moment in its own history and monotone counters never run backwards;
 // ratios derived from one snapshot are accurate to within the in-flight

@@ -76,32 +76,9 @@ func BenchmarkQueryCtxParallel8(b *testing.B) {
 	}
 }
 
-// BenchmarkPadCacheHotRows measures the cache's payoff on DLRM-like skew:
-// the same 64 hot rows dominate every query, so after warmup nearly every
-// pad comes from the cache instead of AES regeneration.
-func BenchmarkPadCacheHotRows(b *testing.B) {
-	tab, _, _ := benchParQuery(b)
-	rng := rand.New(rand.NewSource(44))
-	idx := make([]int, benchParBatch)
-	w := make([]uint64, benchParBatch)
-	for k := range idx {
-		idx[k] = rng.Intn(64)
-		w[k] = 1 + uint64(rng.Intn(16))
-	}
-	ctx := context.Background()
-	cache := core.NewPadCache(128)
-	opts := core.QueryOptions{Workers: 1, Cache: cache}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tab.OTPWeightedSumCtx(ctx, idx, w, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFacadeQuery exercises the public entry point end to end.
 func BenchmarkFacadeQuery(b *testing.B) {
-	eng, err := New(benchKey, WithParallelism(8), WithPadCache(256))
+	eng, err := New(benchKey, WithParallelism(8))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -141,7 +118,7 @@ func BenchmarkFacadeQuery(b *testing.B) {
 // query, not per row.
 func benchQueryParallel(b *testing.B, opts ...Option) {
 	b.Helper()
-	eng, err := New(benchKey, append([]Option{WithParallelism(8), WithPadCache(256)}, opts...)...)
+	eng, err := New(benchKey, append([]Option{WithParallelism(8)}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,11 +8,11 @@ import (
 
 // The rotation suite pins Table.Reencrypt and the serving-epoch
 // contract: rotation rewrites the untrusted memory under a fresh
-// version, discards the pad cache, and bumps Epoch so derived caches
-// (the serving layer's hot-row cache) invalidate.
+// version and bumps Epoch so derived caches (the serving layer's hot-row
+// cache) invalidate.
 
 func TestReencryptSameContents(t *testing.T) {
-	eng, err := New(testKey, WithPadCache(64))
+	eng, err := New(testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,10 +44,6 @@ func TestReencryptSameContents(t *testing.T) {
 	if e := tab.Epoch(); e != e0+1 {
 		t.Fatalf("epoch %d after Reencrypt, want %d", e, e0+1)
 	}
-	// Pad cache rebuilt: the old version's pads must be gone.
-	if hits, misses := tab.CacheStats(); hits+misses != 0 {
-		t.Fatalf("pad cache carried %d hits/%d misses across rotation", hits, misses)
-	}
 	res, err := tab.Query(context.Background(), req)
 	if err != nil {
 		t.Fatalf("post-rotation query: %v", err)
@@ -63,7 +59,7 @@ func TestReencryptSameContents(t *testing.T) {
 }
 
 func TestReencryptNewContents(t *testing.T) {
-	eng, _ := New(testKey, WithPadCache(64))
+	eng, _ := New(testKey)
 	mem := NewMemory()
 	rng := rand.New(rand.NewSource(310))
 	rows := testRows(rng, 16, 8, 1<<20)

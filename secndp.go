@@ -64,7 +64,7 @@ type Server = remote.Server
 func NewServer(mem *Memory) *Server { return remote.NewServer(mem) }
 
 // RemoteNDP is a single client connection to a remote NDP server. Its
-// calls honor context deadlines (see Engine.Provision and Table.Query),
+// calls honor context deadlines (see Engine.CreateTable and Table.Query),
 // but one transport failure poisons the connection for good — production
 // callers want ReliableNDP.
 type RemoteNDP = remote.Client
@@ -119,7 +119,6 @@ const (
 
 type config struct {
 	workers         int
-	cacheRows       int
 	verify          verifyMode
 	fallbackVerifyN int                 // 0 = TEE fallback disabled
 	telemetry       *telemetry.Registry // nil = telemetry disabled
@@ -140,25 +139,18 @@ func WithParallelism(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithPadCache grants each table a bounded cache of `rows` hot-row pad
-// vectors, so skewed access patterns (DLRM embedding reuse) skip AES
-// regeneration. rows <= 0 — the default — disables caching.
-func WithPadCache(rows int) Option {
-	return func(c *config) { c.cacheRows = rows }
-}
-
-// WithFallback enables TEE-side graceful degradation for provisioned
-// tables: Provision keeps the encrypted staging image as a trusted
-// in-TEE mirror, and when the transport fails (circuit open, retries
-// exhausted, connection loss) — or verification rejects results
+// WithFallback enables TEE-side graceful degradation for remote and
+// cluster tables: CreateTable keeps the encrypted staging image as a
+// trusted in-TEE mirror, and when the transport fails (circuit open,
+// retries exhausted, connection loss) — or verification rejects results
 // verifyFailures consecutive times (<= 0 selects 3) — the query is
 // recomputed locally by decrypting the mirror, exactly the paper's
 // trusted-processor baseline (Figure 4(b)). Such results carry
 // Result.Degraded = true; they are computed wholly inside the TEE, so
 // they are at least as trustworthy as a verified NDP result even though
-// no MAC check runs. The cost is one in-TEE copy of each provisioned
-// table's ciphertext. Tables made with Encrypt are unaffected: their
-// memory is the adversary's, so it can never serve as a trusted mirror.
+// no MAC check runs. The cost is one in-TEE copy of each remote or
+// cluster table's ciphertext. LocalBackend tables are unaffected: their memory is
+// the adversary's, so it can never serve as a trusted mirror.
 func WithFallback(verifyFailures int) Option {
 	return func(c *config) {
 		if verifyFailures <= 0 {
@@ -311,15 +303,13 @@ func (spec TableSpec) geometry() (core.Geometry, error) {
 
 // tableState bundles everything a query derives results from that
 // re-encryption rotates as a unit: the core table handle (key+version
-// binding), the NDP serving it, the pad cache (valid for exactly one
-// version), and the serving epoch. Queries load one state pointer and
-// work against a consistent snapshot; Reencrypt swaps the pointer
-// atomically, so in-flight queries finish under the state they started
-// with and new queries see the rotated table.
+// binding), the NDP serving it, and the serving epoch. Queries load one
+// state pointer and work against a consistent snapshot; Reencrypt swaps
+// the pointer atomically, so in-flight queries finish under the state they
+// started with and new queries see the rotated table.
 type tableState struct {
-	tab   *core.Table
-	ndp   core.NDP
-	cache *core.PadCache
+	tab *core.Table
+	ndp core.NDP
 	// epoch counts state rotations (starts at 1, bumped by Reencrypt).
 	// Table.Epoch folds in cluster reshard flips on top.
 	epoch uint64
@@ -357,16 +347,12 @@ type Table struct {
 }
 
 func (e *Engine) newTable(tab *core.Table, ndp core.NDP, region string, mirror *Memory) *Table {
-	cache := core.NewPadCache(e.cfg.cacheRows)
-	if e.tel != nil {
-		cache.Instrument(e.tel.cacheHits, e.tel.cacheMisses)
-	}
 	t := &Table{
 		eng:    e,
 		region: region,
 		mirror: mirror,
 	}
-	t.state.Store(&tableState{tab: tab, ndp: ndp, cache: cache, epoch: 1})
+	t.state.Store(&tableState{tab: tab, ndp: ndp, epoch: 1})
 	return t
 }
 
@@ -377,28 +363,6 @@ func (e *Engine) allocRegion(spec TableSpec) (string, uint64, error) {
 	}
 	v, err := e.versions.Allocate(region)
 	return region, v, err
-}
-
-// Encrypt runs the initialization step T0 into in-process untrusted
-// memory.
-//
-// Deprecated: use CreateTable with LocalBackend — Encrypt is a thin
-// wrapper over it, kept for one release:
-//
-//	eng.CreateTable(ctx, secndp.LocalBackend(mem), spec, rows)
-func (e *Engine) Encrypt(mem *Memory, spec TableSpec, rows [][]uint64) (*Table, error) {
-	return e.CreateTable(context.Background(), LocalBackend(mem), spec, rows)
-}
-
-// Provision encrypts locally and ships only ciphertext and tags to a
-// remote NDP server.
-//
-// Deprecated: use CreateTable with RemoteBackend — Provision is a thin
-// wrapper over it, kept for one release:
-//
-//	eng.CreateTable(ctx, secndp.RemoteBackend(client), spec, rows)
-func (e *Engine) Provision(ctx context.Context, client NDPTransport, spec TableSpec, rows [][]uint64) (*Table, error) {
-	return e.CreateTable(ctx, RemoteBackend(client), spec, rows)
 }
 
 // Close releases the table's version-manager slot (the version value
@@ -439,12 +403,11 @@ func (t *Table) Epoch() uint64 {
 // Reencrypt rotates the table to a freshly allocated version — and, with
 // newRows non-nil, to new contents — in place: the untrusted memory is
 // rewritten with ciphertext and tags drawn from the new version's pads,
-// the pad cache is discarded (its pads are version-bound), and the
-// serving epoch bumps so result caches keyed on Epoch invalidate. nil
-// newRows re-encrypts the existing contents, first decrypting and
-// (for tagged tables) verifying every row, so tampering cannot be
-// laundered into a freshly authenticated table; non-nil newRows must
-// match the table's Rows×Cols shape and replaces the contents.
+// and the serving epoch bumps so result caches keyed on Epoch invalidate.
+// nil newRows re-encrypts the existing contents, first decrypting and (for
+// tagged tables) verifying every row, so tampering cannot be laundered
+// into a freshly authenticated table; non-nil newRows must match the
+// table's Rows×Cols shape and replaces the contents.
 //
 // Only local-backend tables support in-place rotation today; remote and
 // cluster tables return an error (online cluster re-encryption is a
@@ -482,24 +445,15 @@ func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) error {
 		t.eng.tel.recordOp("reencrypt", start, err)
 		return err
 	}
-	cache := core.NewPadCache(t.eng.cfg.cacheRows)
-	if t.eng.tel != nil {
-		cache.Instrument(t.eng.tel.cacheHits, t.eng.tel.cacheMisses)
-	}
-	t.state.Store(&tableState{tab: newTab, ndp: st.ndp, cache: cache, epoch: st.epoch + 1})
+	t.state.Store(&tableState{tab: newTab, ndp: st.ndp, epoch: st.epoch + 1})
 	t.eng.tel.recordOp("reencrypt", start, nil)
 	return nil
 }
 
-// CacheStats reports cumulative pad-cache hits and misses (both zero when
-// the engine was built without WithPadCache). The two values are loaded
-// atomically but separately, so under concurrent queries they may be
-// mutually skewed by the lookups in flight between the loads — never
-// torn, and each monotone on its own. For a single consistent read path
-// across every subsystem, attach a registry (WithTelemetry) and read
-// Telemetry().Snapshot(), whose secndp_padcache_{hits,misses}_total
-// series carry the same documented guarantee.
-func (t *Table) CacheStats() (hits, misses uint64) { return t.state.Load().cache.Stats() }
+// CacheStats returns (0, 0).
+//
+// Deprecated: there is no pad cache; pads are regenerated, never stored.
+func (t *Table) CacheStats() (hits, misses uint64) { return 0, 0 }
 
 // Request is one weighted-summation query: result[j] = Σ_k Weights[k] ·
 // P[Idx[k]][j]. With Cols set, the query is element-indexed instead —
@@ -588,8 +542,8 @@ func (t *Table) query(ctx context.Context, req Request, workers int) (Result, er
 		return t.queryElem(ctx, req)
 	}
 	// One state load per query: the whole operation — pads, NDP exchange,
-	// verification — runs against a consistent (table, cache) snapshot
-	// even if Reencrypt swaps the state mid-flight.
+	// verification — runs against a consistent table snapshot even if
+	// Reencrypt swaps the state mid-flight.
 	st := t.state.Load()
 	verify, err := t.resolveVerify(st, req.Unverified)
 	if err != nil {
@@ -600,7 +554,7 @@ func (t *Table) query(ctx context.Context, req Request, workers int) (Result, er
 	trace := span.Trace()
 	qctx, cflag := t.clusterCtx(rctx)
 	var pt core.PhaseTimes
-	opts := core.QueryOptions{Workers: workers, Cache: st.cache, Verify: verify, Phases: &pt}
+	opts := core.QueryOptions{Workers: workers, Verify: verify, Phases: &pt}
 	values, err := st.tab.QueryCtx(qctx, st.ndp, req.Idx, req.Weights, opts)
 	if err == nil {
 		if verify {
@@ -757,8 +711,8 @@ func (t *Table) queryElemFallback(ctx context.Context, st *tableState, req Reque
 // row's OTP pad is generated once and shared across requests, and every
 // joined result gets its own MAC check, so per-request errors are unchanged.
 // Requests that cannot coalesce (element-indexed, or mixed verification
-// settings) run through the per-request worker pool instead, still sharing
-// the table's pad cache; so does a batch the NDP fails as a whole.
+// settings) run through the per-request worker pool instead; so does a
+// batch the NDP fails as a whole.
 //
 // The results align with the requests; the error aggregates every
 // per-request failure (annotated with its index), so
@@ -804,7 +758,7 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 		creqs[i] = core.BatchRequest{Idx: reqs[i].Idx, Weights: reqs[i].Weights}
 	}
 	var stats core.BatchStats
-	opts := core.QueryOptions{Workers: t.eng.cfg.workers, Cache: st.cache, Verify: verify, Stats: &stats}
+	opts := core.QueryOptions{Workers: t.eng.cfg.workers, Verify: verify, Stats: &stats}
 	bres := st.tab.QueryBatchCtx(qctx, st.ndp, creqs, opts)
 
 	out := make([]Result, len(reqs))

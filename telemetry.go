@@ -12,16 +12,16 @@ import (
 // This file is the facade's observability wiring: the re-exported
 // telemetry registry, the WithTelemetry option, the per-query phase
 // timings surfaced on Result, and the span/metric recording that makes
-// one registry snapshot tell the whole story — pad-cache hit ratio,
-// transport retries and breaker state, OTP engine selection, and
-// per-phase query latency histograms. See DESIGN.md §7.
+// one registry snapshot tell the whole story — transport retries and
+// breaker state, OTP engine selection, and per-phase query latency
+// histograms. See DESIGN.md §7.
 
 // Telemetry is the unified metrics and tracing registry: lock-free
 // counters, gauges, and latency histograms with Prometheus/expvar
 // exporters, plus a ring buffer of recent query spans. Serve its Handler
 // (or call WriteProm/Snapshot) to observe a running engine; share one
 // registry between the engine (WithTelemetry), the transport
-// (ReliableNDP.Instrument, done automatically by Provision), and the NDP
+// (ReliableNDP.Instrument, done automatically by CreateTable), and the NDP
 // server (Server.Instrument) for a single coherent snapshot.
 type Telemetry = telemetry.Registry
 
@@ -30,8 +30,8 @@ func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 
 // WithTelemetry attaches a metrics + tracing registry to the engine:
 // every query records per-phase latency histograms and a span in the
-// registry's trace ring, the pad cache mirrors its hit/miss counters, and
-// the OTP generator counts keystream engine selections. nil — the default
+// registry's trace ring, and the OTP generator counts keystream engine
+// selections. nil — the default
 // — disables telemetry entirely; the disabled path is a nil check per
 // record site and adds no measurable cost to Query (benchmark-verified,
 // see BenchmarkQueryParallel / BenchmarkQueryParallelTelemetry).
@@ -52,8 +52,8 @@ type Timing struct {
 	// Total is the query's end-to-end latency inside the facade.
 	Total time.Duration
 	// Pad is the OTP walk: pad regeneration fused with the weighted
-	// accumulate (Algorithm 4's trusted side). On a verified query without
-	// a pad cache the tag pads come out of the same keystream walk.
+	// accumulate (Algorithm 4's trusted side). On a verified query the tag
+	// pads come out of the same keystream walk.
 	Pad time.Duration
 	// NDP is the untrusted half's round trip: ciphertext sums (plus tag
 	// sums when verifying) and, for remote tables, the transport.
@@ -96,9 +96,6 @@ type engineTelemetry struct {
 	provisions  *telemetry.Counter
 	encrypts    *telemetry.Counter
 
-	cacheHits   *telemetry.Counter
-	cacheMisses *telemetry.Counter
-
 	// Batch-coalescing series (DESIGN.md §8): how much the batched query
 	// pipeline amortized across sub-requests.
 	batchPipelined *telemetry.Counter
@@ -133,10 +130,6 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 			"Tables provisioned to a remote NDP."),
 		encrypts: reg.Counter("secndp_encrypts_total",
 			"Tables encrypted into local untrusted memory."),
-		cacheHits: reg.Counter("secndp_padcache_hits_total",
-			"Pad-cache hits across the engine's tables."),
-		cacheMisses: reg.Counter("secndp_padcache_misses_total",
-			"Pad-cache misses across the engine's tables."),
 		batchPipelined: reg.Counter("secndp_batch_pipelined_total",
 			"QueryBatch calls served by the coalesced one-round-trip pipeline."),
 		batchFanout: reg.Counter("secndp_batch_fanout_total",

@@ -27,11 +27,11 @@ func histCount(reg *Telemetry, name string) uint64 {
 
 // TestTelemetryLocalQueries drives an instrumented engine over a local
 // table and checks the registry tells the story: query counters, OTP
-// engine selection, pad-cache hits on the repeat pass, per-phase
-// histograms, and Result.Timing populated without any registry at all.
+// engine selection, per-phase histograms, and Result.Timing populated
+// without any registry at all.
 func TestTelemetryLocalQueries(t *testing.T) {
 	reg := NewTelemetry()
-	eng, err := New(testKey, WithTelemetry(reg), WithPadCache(64), WithParallelism(2))
+	eng, err := New(testKey, WithTelemetry(reg), WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +70,6 @@ func TestTelemetryLocalQueries(t *testing.T) {
 	if got := counterValue(reg, "secndp_encrypts_total"); got != 1 {
 		t.Errorf("secndp_encrypts_total = %d, want 1", got)
 	}
-	if counterValue(reg, "secndp_padcache_hits_total") == 0 {
-		t.Error("repeat queries produced no pad-cache hits")
-	}
-	if counterValue(reg, "secndp_padcache_misses_total") == 0 {
-		t.Error("first query produced no pad-cache misses")
-	}
 	// Some keystream engine must have been selected for the pad runs.
 	engines := counterValue(reg, "secndp_otp_engine_native_total") +
 		counterValue(reg, "secndp_otp_engine_stream_total") +
@@ -112,7 +106,6 @@ func TestTelemetryLocalQueries(t *testing.T) {
 	out := b.String()
 	for _, series := range []string{
 		"secndp_queries_total 3",
-		"secndp_padcache_hits_total",
 		"secndp_query_seconds_bucket",
 		"secndp_phase_pad_seconds_bucket",
 	} {
