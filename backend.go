@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"secndp/internal/cluster"
 	"secndp/internal/core"
@@ -38,8 +37,9 @@ func LocalBackend(mem *Memory) Backend { return localBackend{mem: mem} }
 
 type localBackend struct{ mem *Memory }
 
-func (b localBackend) createTable(ctx context.Context, e *Engine, spec TableSpec, rows [][]uint64) (*Table, error) {
-	start := time.Now()
+func (b localBackend) createTable(ctx context.Context, e *Engine, spec TableSpec, rows [][]uint64) (_ *Table, err error) {
+	_, span := e.tel.startSpan(ctx, "create_table")
+	defer func() { span.EndErr(err, classifyErr(err)) }()
 	if b.mem == nil {
 		return nil, errors.New("secndp: LocalBackend requires a memory space")
 	}
@@ -55,12 +55,13 @@ func (b localBackend) createTable(ctx context.Context, e *Engine, spec TableSpec
 		return nil, err
 	}
 	tab, err := e.scheme.EncryptTable(b.mem, geo, v, rows)
+	if e.tel != nil {
+		e.tel.encrypts.Inc()
+	}
 	if err != nil {
 		e.versions.Release(region)
-		e.tel.recordOp("encrypt", start, err)
 		return nil, err
 	}
-	e.tel.recordOp("encrypt", start, nil)
 	t := e.newTable(tab, &core.HonestNDP{Mem: b.mem}, region, nil)
 	t.local = b.mem
 	return t, nil
@@ -76,8 +77,9 @@ func RemoteBackend(client NDPTransport) Backend { return remoteBackend{client: c
 
 type remoteBackend struct{ client NDPTransport }
 
-func (b remoteBackend) createTable(ctx context.Context, e *Engine, spec TableSpec, rows [][]uint64) (*Table, error) {
-	start := time.Now()
+func (b remoteBackend) createTable(ctx context.Context, e *Engine, spec TableSpec, rows [][]uint64) (_ *Table, err error) {
+	ctx, span := e.tel.startSpan(ctx, "create_table")
+	defer func() { span.EndErr(err, classifyErr(err)) }()
 	if b.client == nil {
 		return nil, errors.New("secndp: RemoteBackend requires a transport")
 	}
@@ -95,16 +97,17 @@ func (b remoteBackend) createTable(ctx context.Context, e *Engine, spec TableSpe
 		return nil, err
 	}
 	tab, staging, err := remote.ProvisionMirrored(ctx, b.client, e.scheme, geo, v, rows)
+	if e.tel != nil {
+		e.tel.provisions.Inc()
+	}
 	if err != nil {
 		e.versions.Release(region)
-		e.tel.recordOp("provision", start, err)
 		return nil, err
 	}
 	var mirror *Memory
 	if e.cfg.fallbackVerifyN > 0 {
 		mirror = staging
 	}
-	e.tel.recordOp("provision", start, nil)
 	return e.newTable(tab, b.client, region, mirror), nil
 }
 
@@ -262,9 +265,12 @@ func (c *Cluster) shardMap(rows int, epoch uint64) (*cluster.Map, int, error) {
 }
 
 func (c *Cluster) createTable(ctx context.Context, e *Engine, spec TableSpec, rows [][]uint64) (*Table, error) {
-	start := time.Now()
+	ctx, span := e.tel.startSpan(ctx, "create_table")
 	tbl, err := c.provision(ctx, e, spec, rows)
-	e.tel.recordOp("provision", start, err)
+	if e.tel != nil {
+		e.tel.provisions.Inc()
+	}
+	span.EndErr(err, classifyErr(err))
 	return tbl, err
 }
 

@@ -24,7 +24,8 @@ func main() {
 	// The engine owns the secret key and the version discipline (§V-A);
 	// neither ever leaves the trusted side. The telemetry registry makes
 	// every query observable: counters, per-phase latency histograms, and
-	// a trace ring (serve reg.Handler() for /metrics — see DESIGN.md §7).
+	// a trace tree per operation (serve reg.Handler() for /metrics and
+	// /debug/traces — see DESIGN.md §7).
 	reg := secndp.NewTelemetry()
 	eng, err := secndp.New([]byte("an AES-128 key!!"),
 		secndp.WithParallelism(4), // shard the OTP pad loop across 4 workers

@@ -202,8 +202,7 @@ func phaseStage(quick bool, reg *telemetry.Registry) (*PhaseReport, error) {
 		BatchDistinctRows: counterVal(snap, "secndp_batch_distinct_rows_total"),
 		BatchWireOps:      counterVal(snap, "secndp_batch_wire_ops_total"),
 	}
-	for p := 0; p < telemetry.NumPhases; p++ {
-		name := telemetry.Phase(p).String()
+	for _, name := range telemetry.PhaseNames {
 		for _, h := range snap.Histograms {
 			if h.Name != "secndp_phase_"+name+"_seconds" || h.Count == 0 {
 				continue

@@ -1,17 +1,18 @@
 package telemetry
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestHammerConcurrentRecordAndExport is the race-detector workout: N
-// goroutines record counters, gauges, histograms, and spans at full speed
-// while M goroutines continuously snapshot, export Prometheus text, and
-// read traces. Run under `go test -race` (CI does); correctness here is
-// only "no race, no panic, and no lost increments on the counter".
+// goroutines record counters, gauges, histograms, and span trees at full
+// speed while M goroutines continuously snapshot, export Prometheus text,
+// and list recent traces. Run under `go test -race` (CI does); correctness
+// here is "no race, no panic, no lost increments on the counter, and a
+// full ring of whole trees".
 func TestHammerConcurrentRecordAndExport(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("hammer_total", "hammered counter")
@@ -38,7 +39,7 @@ func TestHammerConcurrentRecordAndExport(t *testing.T) {
 				}
 				_ = reg.Snapshot()
 				_ = reg.WriteProm(io.Discard)
-				_ = reg.Traces(32)
+				_ = reg.RecentTraces(32)
 				// Late registration while recording is in flight must be
 				// safe too (idempotent constructor under the cold lock).
 				reg.Counter("hammer_total", "").Value()
@@ -56,11 +57,9 @@ func TestHammerConcurrentRecordAndExport(t *testing.T) {
 				g.Set(int64(i - seed))
 				h.ObserveNs(uint64(i%4096) * 100)
 				if i%64 == 0 {
-					reg.RecordSpan(Span{
-						Op:    "hammer",
-						Start: time.Now(),
-						Total: time.Duration(i),
-					})
+					_, root := reg.StartSpan(context.Background(), "hammer")
+					root.Child("pad").End()
+					root.End()
 				}
 			}
 		}(r)
@@ -78,5 +77,14 @@ func TestHammerConcurrentRecordAndExport(t *testing.T) {
 	snap := reg.Snapshot()
 	if len(snap.Counters) == 0 || len(snap.Histograms) == 0 {
 		t.Fatal("snapshot empty after hammer")
+	}
+	recent := reg.RecentTraces(DefaultCompletedTraces)
+	if len(recent) != DefaultCompletedTraces {
+		t.Fatalf("ring holds %d traces after hammer, want %d", len(recent), DefaultCompletedTraces)
+	}
+	for _, s := range recent {
+		if s.Op != "hammer" || s.Spans != 2 {
+			t.Fatalf("hammered trace = %+v, want a hammer root with one child", s)
+		}
 	}
 }

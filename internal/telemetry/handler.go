@@ -14,7 +14,8 @@ import (
 // Handler returns the registry's serving surface:
 //
 //	/metrics           Prometheus text format (one Snapshot per scrape)
-//	/debug/traces      recent query spans as JSON (?n= bounds the count)
+//	/debug/traces      recent completed traces, one summary per root span,
+//	                   newest first (?n= bounds the count)
 //	/debug/trace/{id}  one hierarchical trace tree by hex trace ID
 //	/debug/slow        the flight recorder's pinned anomalous traces
 //	/debug/{name}      live debug sources registered via RegisterDebug
@@ -36,17 +37,17 @@ func (r *Registry) Handler() http.Handler {
 		_ = r.WriteProm(w)
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
-		n := DefaultTraceCapacity
+		n := DefaultCompletedTraces
 		if s := req.URL.Query().Get("n"); s != "" {
 			if v, err := strconv.Atoi(s); err == nil && v > 0 {
 				n = v
 			}
 		}
-		spans := r.Traces(n)
-		if spans == nil {
-			spans = []Span{}
+		recent := r.RecentTraces(n)
+		if recent == nil {
+			recent = []TraceSummary{}
 		}
-		writeJSON(w, spans)
+		writeJSON(w, recent)
 	})
 	mux.HandleFunc("/debug/trace/", func(w http.ResponseWriter, req *http.Request) {
 		idStr := strings.TrimPrefix(req.URL.Path, "/debug/trace/")

@@ -1,13 +1,14 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -27,9 +28,12 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("handler_total", "Handler test counter.").Add(5)
-	reg.RecordSpan(Span{Op: "query", Start: time.Now(), Total: time.Millisecond,
-		Phases: [NumPhases]time.Duration{PhasePad: time.Microsecond}, Verified: true})
-	reg.RecordSpan(Span{Op: "query", Start: time.Now(), Total: 2 * time.Millisecond, Err: "boom"})
+	_, ok := reg.StartSpan(context.Background(), "query")
+	ok.Child("pad").End()
+	ok.SetStatus(true, false)
+	ok.End()
+	_, bad := reg.StartSpan(context.Background(), "query")
+	bad.EndErr(errors.New("boom"), ErrClassTransport)
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -43,24 +47,39 @@ func TestHandlerEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/traces = %d", code)
 	}
-	var spans []map[string]any
-	if err := json.Unmarshal([]byte(body), &spans); err != nil {
+	var traces []map[string]any
+	if err := json.Unmarshal([]byte(body), &traces); err != nil {
 		t.Fatalf("traces not JSON: %v\n%s", err, body)
 	}
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
+	if len(traces) != 2 {
+		t.Fatalf("got %d traces, want 2", len(traces))
 	}
-	// Newest first: the errored span leads.
-	if spans[0]["err"] != "boom" {
-		t.Fatalf("newest span = %v", spans[0])
+	// Newest first: the errored root leads. Every entry names its tree
+	// and carries the root's outcome flags.
+	if traces[0]["trace"] != bad.Trace().String() || traces[0]["err"] != "boom" ||
+		traces[0]["err_class"] != ErrClassTransport || traces[0]["verified"] != false {
+		t.Fatalf("newest trace = %v", traces[0])
 	}
-	if _, ok := spans[1]["phases_ns"].(map[string]any)["pad"]; !ok {
-		t.Fatalf("span phases not rendered by name: %v", spans[1])
+	if traces[1]["trace"] != ok.Trace().String() || traces[1]["op"] != "query" ||
+		traces[1]["verified"] != true || traces[1]["spans"] != float64(2) {
+		t.Fatalf("older trace = %v", traces[1])
+	}
+	// The phase numbers live in the tree, one child per phase.
+	code, body = get(t, srv, "/debug/trace/"+ok.Trace().String())
+	if code != http.StatusOK || !strings.Contains(body, `"op": "pad"`) {
+		t.Fatalf("/debug/trace/{id} = %d:\n%s", code, body)
 	}
 
 	code, body = get(t, srv, "/debug/traces?n=1")
-	if err := json.Unmarshal([]byte(body), &spans); err != nil || len(spans) != 1 {
+	if err := json.Unmarshal([]byte(body), &traces); err != nil || len(traces) != 1 || traces[0]["err"] != "boom" {
 		t.Fatalf("/debug/traces?n=1 (code %d) = %v / %s", code, err, body)
+	}
+	// A bad or non-positive n falls back to the whole ring.
+	for _, q := range []string{"?n=0", "?n=x"} {
+		_, body = get(t, srv, "/debug/traces"+q)
+		if err := json.Unmarshal([]byte(body), &traces); err != nil || len(traces) != 2 {
+			t.Fatalf("/debug/traces%s = %v / %s", q, err, body)
+		}
 	}
 
 	if code, _ := get(t, srv, "/debug/pprof/cmdline"); code != http.StatusOK {

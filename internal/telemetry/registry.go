@@ -1,7 +1,7 @@
 // Package telemetry is the repository's unified observability layer: a
 // dependency-free metrics registry (lock-free counters, gauges, and
-// fixed-bucket latency histograms), a ring buffer of recent per-query
-// spans, and exporters for the Prometheus text format, expvar, and a
+// fixed-bucket latency histograms), hierarchical trace trees (trace.go,
+// store.go), and exporters for the Prometheus text format, expvar, and a
 // net/http serving surface with pprof.
 //
 // The design goal is an allocation-free, lock-free hot path: recording a
@@ -18,7 +18,7 @@
 // moment in its own history and monotone counters never run backwards;
 // ratios derived from one snapshot are accurate to within the in-flight
 // window. Registry.Snapshot is the single consistent read path every
-// exporter (WriteProm, expvar, /metrics, /debug/traces) goes through.
+// exporter (WriteProm, expvar, /metrics) goes through.
 package telemetry
 
 import (
@@ -26,7 +26,7 @@ import (
 	"sync"
 )
 
-// Registry owns a flat namespace of metrics plus the span trace buffer.
+// Registry owns a flat namespace of metrics plus the trace store.
 // Metric constructors are idempotent: asking for an existing name returns
 // the existing metric, so independent subsystems sharing one registry
 // converge on shared series. A nil *Registry is valid everywhere and
@@ -38,7 +38,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	gaugeFns map[string]gaugeFn
 	hists    map[string]*Histogram
-	traces   traceBuffer
 	store    traceStore
 	debugMu  sync.Mutex
 	debug    map[string]func() any
@@ -51,15 +50,13 @@ type gaugeFn struct {
 	fn   func() int64
 }
 
-// NewRegistry returns an empty registry with a trace buffer of
-// DefaultTraceCapacity spans.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]gaugeFn),
 		hists:    make(map[string]*Histogram),
-		traces:   traceBuffer{cap: DefaultTraceCapacity},
 	}
 }
 

@@ -222,7 +222,8 @@ func (r *Registry) TraceTree(id TraceID) (TraceTree, bool) {
 	return cp, true
 }
 
-// TraceSummary is one line of the flight-recorder listing.
+// TraceSummary is one line of the /debug/traces and /debug/slow
+// listings: a tree's root span and its outcome.
 type TraceSummary struct {
 	Trace     string    `json:"trace"`
 	Op        string    `json:"op"`
@@ -230,6 +231,7 @@ type TraceSummary struct {
 	DurNs     int64     `json:"dur_ns"`
 	Spans     int       `json:"spans"`
 	PinReason string    `json:"pin_reason,omitempty"`
+	Verified  bool      `json:"verified"`
 	Degraded  bool      `json:"degraded,omitempty"`
 	Err       string    `json:"err,omitempty"`
 	ErrClass  string    `json:"err_class,omitempty"`
@@ -265,6 +267,7 @@ func summarize(t *TraceTree) TraceSummary {
 	sum.Op = root.Op
 	sum.Start = root.Start
 	sum.DurNs = int64(root.Dur)
+	sum.Verified = root.Verified
 	sum.Degraded = root.Degraded
 	sum.Err = root.Err
 	sum.ErrClass = root.ErrClass

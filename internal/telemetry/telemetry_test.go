@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -107,8 +109,9 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.SumNs() != 0 {
 		t.Fatal("nil metrics must read zero")
 	}
-	reg.RecordSpan(Span{Op: "q"})
-	if got := reg.Traces(10); got != nil {
+	_, s := reg.StartSpan(context.Background(), "q")
+	s.End()
+	if got := reg.RecentTraces(10); got != nil {
 		t.Fatalf("nil registry traces = %v", got)
 	}
 	if s := reg.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
@@ -158,25 +161,28 @@ func TestSnapshotSorted(t *testing.T) {
 	}
 }
 
-// TestTraceRing proves the span ring keeps the newest spans, newest
-// first, and wraps at capacity.
-func TestTraceRing(t *testing.T) {
+// TestRecentTracesRing proves the completed-trace ring keeps the newest
+// trees, newest first, and wraps at capacity.
+func TestRecentTracesRing(t *testing.T) {
 	reg := NewRegistry()
-	for i := 0; i < DefaultTraceCapacity+10; i++ {
-		reg.RecordSpan(Span{Op: "q", Total: time.Duration(i)})
+	var ids []TraceID
+	for i := 0; i < DefaultCompletedTraces+10; i++ {
+		_, s := reg.StartSpan(context.Background(), fmt.Sprintf("op%d", i))
+		s.End()
+		ids = append(ids, s.Trace())
 	}
-	got := reg.Traces(DefaultTraceCapacity * 2)
-	if len(got) != DefaultTraceCapacity {
-		t.Fatalf("ring holds %d spans, want %d", len(got), DefaultTraceCapacity)
+	got := reg.RecentTraces(DefaultCompletedTraces * 2)
+	if len(got) != DefaultCompletedTraces {
+		t.Fatalf("ring holds %d traces, want %d", len(got), DefaultCompletedTraces)
 	}
-	for i, s := range got {
-		want := time.Duration(DefaultTraceCapacity + 10 - 1 - i)
-		if s.Total != want {
-			t.Fatalf("span %d total = %d, want %d (newest first)", i, s.Total, want)
+	for i, sum := range got {
+		want := len(ids) - 1 - i
+		if sum.Trace != ids[want].String() || sum.Op != fmt.Sprintf("op%d", want) {
+			t.Fatalf("trace %d = %+v, want op%d (newest first)", i, sum, want)
 		}
 	}
-	if short := reg.Traces(3); len(short) != 3 || short[0].Total != time.Duration(DefaultTraceCapacity+9) {
-		t.Fatalf("Traces(3) = %+v", short)
+	if short := reg.RecentTraces(3); len(short) != 3 || short[0].Trace != ids[len(ids)-1].String() {
+		t.Fatalf("RecentTraces(3) = %+v", short)
 	}
 }
 
@@ -229,17 +235,5 @@ func TestPromName(t *testing.T) {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestPhaseString(t *testing.T) {
-	want := []string{"pad", "ndp", "tag", "verify", "fallback"}
-	for p := 0; p < NumPhases; p++ {
-		if Phase(p).String() != want[p] {
-			t.Errorf("Phase(%d) = %q, want %q", p, Phase(p), want[p])
-		}
-	}
-	if Phase(200).String() != "unknown" {
-		t.Error("out-of-range phase must stringify as unknown")
 	}
 }

@@ -11,14 +11,15 @@ import (
 	"time"
 )
 
-// This file is the hierarchical trace model layered on top of the flat
-// span ring (span.go): every facade query owns a root span identified by
-// a TraceID, and each subsystem it crosses — the core engine's
-// overlapped phases, the cluster's per-shard sub-ops and replica
-// attempts, the remote server's decode/compute halves — hangs a child
-// span (or a typed event) off it. Completed spans flow into the
-// registry's trace store (store.go), which assembles them into trees
-// retrievable by ID and pins anomalous ones in the flight recorder.
+// This file is the hierarchical trace model, the package's only span
+// record: every facade operation (query, batch, create_table,
+// reencrypt, reshard) owns a root span identified by a TraceID, and
+// each subsystem it crosses — the core engine's overlapped phases, the
+// cluster's per-shard sub-ops and replica attempts, the remote server's
+// decode/compute halves — hangs a child span (or a typed event) off it.
+// Completed spans flow into the registry's trace store (store.go), which
+// assembles them into trees retrievable by ID and pins anomalous ones in
+// the flight recorder.
 //
 // Sampling is always-on and cheap by construction: starting a span is
 // one atomic counter increment plus a splitmix64 mix (no crypto/rand on
@@ -110,25 +111,27 @@ const (
 
 // Error classes: the typed grouping label recorded alongside the
 // flattened error string, so exporters and counters can aggregate
-// failures without string-matching (see Span.ErrClass and
-// TraceSpan.ErrClass).
+// failures without string-matching (see TraceSpan.ErrClass).
 const (
 	// ErrClassVerify: the cryptographic MAC check rejected the NDP's
 	// answer — the paper's integrity failure, never maskable.
 	ErrClassVerify = "verify"
 	// ErrClassTransport: the NDP was unreachable or the wire failed.
 	ErrClassTransport = "transport"
-	// ErrClassDegraded: the operation failed after the engine had
-	// already fallen back (mirror unavailable or fallback exhausted).
-	ErrClassDegraded = "degraded"
 	// ErrClassCanceled: the caller's context ended the operation.
 	ErrClassCanceled = "canceled"
 	// ErrClassInvalid: the request itself was malformed (index range,
 	// geometry, missing tags) — a caller bug, not a system fault.
 	ErrClassInvalid = "invalid"
-	// ErrClassOther: anything not yet classified.
-	ErrClassOther = "other"
 )
+
+// PhaseNames are a query's architectural phases (DESIGN.md §7), in the
+// order of the facade's Timing fields: the OTP engines regenerating data
+// pads, the NDP's ciphertext round trip, the tag-pad regeneration, the
+// decrypt + MAC-compare join, and the TEE-mirror recompute. Each names a
+// child span of the query's root and a secndp_phase_<name>_seconds
+// histogram.
+var PhaseNames = [...]string{"pad", "ndp", "tag", "verify", "fallback"}
 
 // SpanEvent is one typed, timestamped annotation on a span.
 type SpanEvent struct {

@@ -306,9 +306,9 @@ func TestTraceNilSafety(t *testing.T) {
 	s.Event("kind", "detail")
 	s.Eventf("kind", "%d", 1)
 	s.SetStatus(true, false)
-	s.Fail(errors.New("x"), ErrClassOther)
+	s.Fail(errors.New("x"), ErrClassTransport)
 	s.End()
-	s.EndErr(errors.New("x"), ErrClassOther)
+	s.EndErr(errors.New("x"), ErrClassTransport)
 	_, c := s.StartChild(ctx, "child")
 	c.End()
 	s.Child("child2").End()

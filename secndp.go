@@ -416,10 +416,12 @@ func (t *Table) Epoch() uint64 {
 // transiently fail verification (tagged tables reject mixed-version
 // bytes; ErrVerification) — quiesce or retry around rotation. Queries
 // never see a stale-pad decrypt that passes verification.
-func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) error {
+func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	_, span := t.eng.tel.startSpan(ctx, "reencrypt")
+	defer func() { span.EndErr(err, classifyErr(err)) }()
 	t.reencMu.Lock()
 	defer t.reencMu.Unlock()
 	st := t.state.Load()
@@ -429,10 +431,8 @@ func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	start := time.Now()
 	newV, err := t.eng.versions.Bump(t.region)
 	if err != nil {
-		t.eng.tel.recordOp("reencrypt", start, err)
 		return err
 	}
 	var newTab *core.Table
@@ -442,11 +442,9 @@ func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) error {
 		newTab, err = t.eng.scheme.EncryptTable(t.local, st.tab.Geometry(), newV, newRows)
 	}
 	if err != nil {
-		t.eng.tel.recordOp("reencrypt", start, err)
 		return err
 	}
 	t.state.Store(&tableState{tab: newTab, ndp: st.ndp, epoch: st.epoch + 1})
-	t.eng.tel.recordOp("reencrypt", start, nil)
 	return nil
 }
 
@@ -551,49 +549,53 @@ func (t *Table) query(ctx context.Context, req Request, workers int) (Result, er
 	}
 	start := time.Now()
 	rctx, span := t.eng.tel.startSpan(ctx, "query")
-	trace := span.Trace()
 	qctx, cflag := t.clusterCtx(rctx)
 	var pt core.PhaseTimes
+	var fbDur time.Duration
 	opts := core.QueryOptions{Workers: workers, Verify: verify, Phases: &pt}
 	values, err := st.tab.QueryCtx(qctx, st.ndp, req.Idx, req.Weights, opts)
-	if err == nil {
+	degraded := false
+	switch {
+	case err == nil:
 		if verify {
 			t.verifyFails.Store(0)
 		}
-		degraded := cflag.Any()
-		if degraded {
-			t.degraded.Add(1)
-		}
-		res := Result{Values: values, Verified: verify, Degraded: degraded, Timing: timingFrom(pt, 0, time.Since(start)), Trace: traceHex(trace)}
-		span.SetStatus(verify, degraded)
-		span.End()
-		t.eng.tel.recordQuery("query", start, res.Timing, verify, degraded, trace, nil)
-		return res, nil
-	}
-	if !t.shouldFallback(err) {
+		degraded = cflag.Any()
+	case !t.shouldFallback(err):
 		err = t.annotateShardFault(ctx, st, err, req, opts)
-		span.EndErr(err, classifyErr(err))
-		t.eng.tel.recordQuery("query", start, timingFrom(pt, 0, time.Since(start)), false, false, trace, err)
+	default:
+		fspan := span.Child("fallback")
+		fb := time.Now()
+		var ferr error
+		values, ferr = st.tab.LocalWeightedSum(ctx, t.mirror, req.Idx, req.Weights)
+		fbDur = time.Since(fb)
+		if ferr != nil {
+			err = fmt.Errorf("secndp: fallback failed: %w (ndp: %w)", ferr, err)
+			fspan.EndErr(err, classifyErr(err))
+			break
+		}
+		fspan.End()
+		err, verify, degraded = nil, false, true
+	}
+	return t.finishQuery(span, values, verify, degraded, timingFrom(pt, fbDur, time.Since(start)), err)
+}
+
+// finishQuery is a single query's one exit: it ends the root span with
+// the outcome, records that outcome beside it, and builds the Result.
+func (t *Table) finishQuery(span *telemetry.ActiveSpan, values []uint64, verified, degraded bool, tm Timing, err error) (Result, error) {
+	if err != nil {
+		verified, degraded = false, false
+	}
+	if degraded {
+		t.degraded.Add(1)
+	}
+	span.SetStatus(verified, degraded)
+	span.EndErr(err, classifyErr(err))
+	t.eng.tel.recordQuery(tm, verified, degraded, span.Trace(), err)
+	if err != nil {
 		return Result{}, err
 	}
-	fspan := span.Child("fallback")
-	fb := time.Now()
-	values, ferr := st.tab.LocalWeightedSum(ctx, t.mirror, req.Idx, req.Weights)
-	fbDur := time.Since(fb)
-	if ferr != nil {
-		ferr = fmt.Errorf("secndp: fallback failed: %w (ndp: %w)", ferr, err)
-		fspan.EndErr(ferr, classifyErr(ferr))
-		span.EndErr(ferr, classifyErr(ferr))
-		t.eng.tel.recordQuery("query", start, timingFrom(pt, fbDur, time.Since(start)), false, false, trace, ferr)
-		return Result{}, ferr
-	}
-	fspan.End()
-	t.degraded.Add(1)
-	res := Result{Values: values, Degraded: true, Timing: timingFrom(pt, fbDur, time.Since(start)), Trace: traceHex(trace)}
-	span.SetStatus(false, true)
-	span.End()
-	t.eng.tel.recordQuery("query", start, res.Timing, false, true, trace, nil)
-	return res, nil
+	return Result{Values: values, Verified: verified, Degraded: degraded, Timing: tm, Trace: traceHex(span.Trace())}, nil
 }
 
 // traceHex renders a trace ID for Result.Trace: empty when tracing is
@@ -666,44 +668,26 @@ func (t *Table) queryElem(ctx context.Context, req Request) (Result, error) {
 	// failover, not a mirror trip.
 	qctx, cflag := t.clusterCtx(rctx)
 	v, err := st.tab.QueryElemCtx(qctx, st.ndp, req.Idx, req.Cols, req.Weights)
-	if err == nil {
-		degraded := cflag.Any()
-		if degraded {
-			t.degraded.Add(1)
+	var fbDur time.Duration
+	degraded := false
+	switch {
+	case err == nil:
+		degraded = cflag.Any()
+	case t.shouldFallback(err):
+		fspan := span.Child("fallback")
+		fb := time.Now()
+		var ferr error
+		v, ferr = st.tab.LocalWeightedSumElem(ctx, t.mirror, req.Idx, req.Cols, req.Weights)
+		fbDur = time.Since(fb)
+		if ferr != nil {
+			err = fmt.Errorf("secndp: fallback failed: %w (ndp: %w)", ferr, err)
+			fspan.EndErr(err, classifyErr(err))
+			break
 		}
-		res := Result{Values: []uint64{v}, Degraded: degraded, Timing: timingFrom(core.PhaseTimes{}, 0, time.Since(start)), Trace: traceHex(span.Trace())}
-		span.SetStatus(false, degraded)
-		span.End()
-		t.eng.tel.recordQuery("query", start, res.Timing, false, degraded, span.Trace(), nil)
-		return res, nil
+		fspan.End()
+		err, degraded = nil, true
 	}
-	if !t.shouldFallback(err) {
-		span.EndErr(err, classifyErr(err))
-		t.eng.tel.recordQuery("query", start, timingFrom(core.PhaseTimes{}, 0, time.Since(start)), false, false, span.Trace(), err)
-		return Result{}, err
-	}
-	return t.queryElemFallback(ctx, st, req, start, span, err)
-}
-
-func (t *Table) queryElemFallback(ctx context.Context, st *tableState, req Request, start time.Time, span *telemetry.ActiveSpan, cause error) (Result, error) {
-	fspan := span.Child("fallback")
-	fb := time.Now()
-	v, err := st.tab.LocalWeightedSumElem(ctx, t.mirror, req.Idx, req.Cols, req.Weights)
-	fbDur := time.Since(fb)
-	if err != nil {
-		err = fmt.Errorf("secndp: fallback failed: %w (ndp: %w)", err, cause)
-		fspan.EndErr(err, classifyErr(err))
-		span.EndErr(err, classifyErr(err))
-		t.eng.tel.recordQuery("query", start, timingFrom(core.PhaseTimes{}, fbDur, time.Since(start)), false, false, span.Trace(), err)
-		return Result{}, err
-	}
-	fspan.End()
-	t.degraded.Add(1)
-	res := Result{Values: []uint64{v}, Degraded: true, Timing: timingFrom(core.PhaseTimes{}, fbDur, time.Since(start)), Trace: traceHex(span.Trace())}
-	span.SetStatus(false, true)
-	span.End()
-	t.eng.tel.recordQuery("query", start, res.Timing, false, true, span.Trace(), nil)
-	return res, nil
+	return t.finishQuery(span, []uint64{v}, false, degraded, timingFrom(core.PhaseTimes{}, fbDur, time.Since(start)), err)
 }
 
 // QueryBatch runs many requests as one coalesced batch: a single NDP
@@ -763,16 +747,10 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 
 	out := make([]Result, len(reqs))
 	errs := make([]error, len(reqs))
-	var nOK, nErr, nVerified, nDegraded int
-	var firstErr error
 	sawVerifyReject := false
 	for i := range bres {
 		if bres[i].Err == nil {
 			out[i] = Result{Values: bres[i].Res, Verified: verify}
-			nOK++
-			if verify {
-				nVerified++
-			}
 			continue
 		}
 		qerr := bres[i].Err
@@ -780,22 +758,21 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 			sawVerifyReject = true
 		}
 		if t.shouldFallback(qerr) {
+			fspan := span.Child("fallback")
 			fb := time.Now()
 			values, ferr := st.tab.LocalWeightedSum(ctx, t.mirror, reqs[i].Idx, reqs[i].Weights)
+			tm := Timing{Fallback: time.Since(fb)}
+			t.eng.tel.observePhases(tm)
 			if ferr == nil {
+				fspan.End()
 				t.degraded.Add(1)
-				out[i] = Result{Values: values, Degraded: true, Timing: Timing{Fallback: time.Since(fb)}}
-				nOK++
-				nDegraded++
+				out[i] = Result{Values: values, Degraded: true, Timing: tm}
 				continue
 			}
 			qerr = fmt.Errorf("secndp: fallback failed: %w (ndp: %w)", ferr, qerr)
+			fspan.EndErr(qerr, classifyErr(qerr))
 		}
 		errs[i] = fmt.Errorf("request %d: %w", i, qerr)
-		if firstErr == nil {
-			firstErr = errs[i]
-		}
-		nErr++
 	}
 	if verify && !sawVerifyReject {
 		t.verifyFails.Store(0)
@@ -817,7 +794,6 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 				if _, hit := fset[smap.Shard(row)]; hit {
 					out[i].Degraded = true
 					t.degraded.Add(1)
-					nDegraded++
 					break
 				}
 			}
@@ -827,19 +803,23 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 	// trace — the whole batch is one trace tree); the phase anatomy is
 	// batch-level and lives in the registry, not on individual results.
 	total := time.Since(start)
+	verified, degraded := false, false
+	var firstErr error
 	for i := range out {
-		if errs[i] == nil {
-			out[i].Timing.Total = total
-			out[i].Trace = traceHex(span.Trace())
+		if errs[i] != nil {
+			if firstErr == nil {
+				firstErr = errs[i]
+			}
+			continue
 		}
+		out[i].Timing.Total = total
+		out[i].Trace = traceHex(span.Trace())
+		verified = verified || out[i].Verified
+		degraded = degraded || out[i].Degraded
 	}
-	span.SetStatus(nVerified > 0, nDegraded > 0)
-	if firstErr != nil {
-		span.EndErr(firstErr, classifyErr(firstErr))
-	} else {
-		span.End()
-	}
-	t.eng.tel.recordBatch(start, stats, nOK, nErr, nVerified, nDegraded, span.Trace(), firstErr)
+	span.SetStatus(verified, degraded)
+	span.EndErr(firstErr, classifyErr(firstErr))
+	t.eng.tel.recordBatch(total, stats, out, errs, span.Trace())
 	return out, errors.Join(errs...), true
 }
 

@@ -11,14 +11,14 @@ import (
 
 // This file is the facade's observability wiring: the re-exported
 // telemetry registry, the WithTelemetry option, the per-query phase
-// timings surfaced on Result, and the span/metric recording that makes
-// one registry snapshot tell the whole story — transport retries and
+// timings surfaced on Result, and the metric recording that makes one
+// registry snapshot tell the whole story — transport retries and
 // breaker state, OTP engine selection, and per-phase query latency
 // histograms. See DESIGN.md §7.
 
 // Telemetry is the unified metrics and tracing registry: lock-free
 // counters, gauges, and latency histograms with Prometheus/expvar
-// exporters, plus a ring buffer of recent query spans. Serve its Handler
+// exporters, plus a trace tree per facade operation. Serve its Handler
 // (or call WriteProm/Snapshot) to observe a running engine; share one
 // registry between the engine (WithTelemetry), the transport
 // (ReliableNDP.Instrument, done automatically by CreateTable), and the NDP
@@ -29,8 +29,9 @@ type Telemetry = telemetry.Registry
 func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 
 // WithTelemetry attaches a metrics + tracing registry to the engine:
-// every query records per-phase latency histograms and a span in the
-// registry's trace ring, and the OTP generator counts keystream engine
+// every query records per-phase latency histograms, every operation
+// (query, batch, create_table, reencrypt, reshard) records a trace tree
+// under its own root span, and the OTP generator counts keystream engine
 // selections. nil — the default
 // — disables telemetry entirely; the disabled path is a nil check per
 // record site and adds no measurable cost to Query (benchmark-verified,
@@ -88,7 +89,7 @@ type engineTelemetry struct {
 	queries     *telemetry.Counter
 	queryErrors *telemetry.Counter
 	// errsByClass splits queryErrors by failure class (verify, transport,
-	// canceled, invalid, other), keyed by the class string.
+	// canceled, invalid), keyed by the class string.
 	errsByClass map[string]*telemetry.Counter
 	verified    *telemetry.Counter
 	degraded    *telemetry.Counter
@@ -107,7 +108,7 @@ type engineTelemetry struct {
 
 	queryHist *telemetry.Histogram
 	batchHist *telemetry.Histogram
-	phaseHist [telemetry.NumPhases]*telemetry.Histogram
+	phaseHist [len(telemetry.PhaseNames)]*telemetry.Histogram
 }
 
 func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
@@ -147,8 +148,7 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 		batchHist: reg.Histogram("secndp_batch_seconds",
 			"End-to-end pipelined QueryBatch latency (whole batch).", nil),
 	}
-	for p := 0; p < telemetry.NumPhases; p++ {
-		name := telemetry.Phase(p).String()
+	for p, name := range telemetry.PhaseNames {
 		et.phaseHist[p] = reg.Histogram("secndp_phase_"+name+"_seconds",
 			"Per-query elapsed time of the "+name+" phase.", nil)
 	}
@@ -156,7 +156,6 @@ func newEngineTelemetry(reg *telemetry.Registry) *engineTelemetry {
 	for _, class := range []string{
 		telemetry.ErrClassVerify, telemetry.ErrClassTransport,
 		telemetry.ErrClassCanceled, telemetry.ErrClassInvalid,
-		telemetry.ErrClassOther,
 	} {
 		et.errsByClass[class] = reg.Counter("secndp_query_errors_"+class+"_total",
 			"Query failures of class "+class+" (see DESIGN.md §12 for the taxonomy).")
@@ -177,8 +176,6 @@ func classifyErr(err error) string {
 		return telemetry.ErrClassVerify
 	case errors.Is(err, ErrIndexRange) || errors.Is(err, ErrNoTags) || errors.Is(err, ErrBadGeometry):
 		return telemetry.ErrClassInvalid
-	case errors.Is(err, ErrRetriesExhausted) || errors.Is(err, ErrCircuitOpen):
-		return telemetry.ErrClassTransport
 	default:
 		return telemetry.ErrClassTransport
 	}
@@ -208,10 +205,11 @@ func (et *engineTelemetry) instrumentGenerator(scheme *core.Scheme) {
 	)
 }
 
-// recordQuery folds one completed query into the registry: counters
-// (split by error class), the end-to-end and per-phase histograms (with
-// the trace ID as the latency exemplar), and a span in the trace ring.
-func (et *engineTelemetry) recordQuery(op string, start time.Time, tm Timing, verified, degraded bool, trace telemetry.TraceID, err error) {
+// recordQuery folds one completed query into the counters (split by
+// error class) and the end-to-end and per-phase histograms, with the
+// trace ID as the latency exemplar. The caller ends the query's root
+// span beside this call.
+func (et *engineTelemetry) recordQuery(tm Timing, verified, degraded bool, trace telemetry.TraceID, err error) {
 	if et == nil {
 		return
 	}
@@ -229,90 +227,54 @@ func (et *engineTelemetry) recordQuery(op string, start time.Time, tm Timing, ve
 		et.degraded.Inc()
 	}
 	et.queryHist.ObserveTrace(tm.Total, trace)
-	span := telemetry.Span{
-		Op:       op,
-		Start:    start,
-		Total:    tm.Total,
-		Verified: verified,
-		Degraded: degraded,
+	et.observePhases(tm)
+}
+
+// observePhases records each phase tm ran (in telemetry.PhaseNames
+// order) into its secndp_phase_<name>_seconds histogram.
+func (et *engineTelemetry) observePhases(tm Timing) {
+	if et == nil {
+		return
 	}
-	if trace != 0 {
-		span.Trace = trace.String()
-	}
-	if err != nil {
-		span.Err = err.Error()
-		span.ErrClass = classifyErr(err)
-	}
-	phases := [telemetry.NumPhases]time.Duration{
-		telemetry.PhasePad:      tm.Pad,
-		telemetry.PhaseNDP:      tm.NDP,
-		telemetry.PhaseTag:      tm.Tag,
-		telemetry.PhaseVerify:   tm.Verify,
-		telemetry.PhaseFallback: tm.Fallback,
-	}
-	for p, d := range phases {
+	for p, d := range [...]time.Duration{tm.Pad, tm.NDP, tm.Tag, tm.Verify, tm.Fallback} {
 		if d != 0 {
 			et.phaseHist[p].Observe(d)
-			span.Phases[p] = d
 		}
 	}
-	et.reg.RecordSpan(span)
 }
 
 // recordBatch folds one pipelined QueryBatch into the registry: per-result
 // counter bumps (queries, errors, verified, degraded — so the per-query
 // series stay comparable with the fan-out path), the batch latency
-// histogram, the coalescing counters, and one batch-level span (per-sub
-// spans would flood the trace ring at serving batch sizes).
-func (et *engineTelemetry) recordBatch(start time.Time, stats core.BatchStats, nOK, nErr, nVerified, nDegraded int, trace telemetry.TraceID, firstErr error) {
+// histogram, and the coalescing counters. out and errs align with the
+// batch's requests. The caller ends the batch's root span beside this
+// call.
+func (et *engineTelemetry) recordBatch(total time.Duration, stats core.BatchStats, out []Result, errs []error, trace telemetry.TraceID) {
 	if et == nil {
 		return
 	}
-	total := time.Since(start)
 	et.batchPipelined.Inc()
 	et.batchSubs.Add(uint64(stats.Requests))
 	et.batchRowRefs.Add(uint64(stats.RowRefs))
 	et.batchDistinct.Add(uint64(stats.DistinctRows))
 	et.batchWireOps.Add(uint64(stats.WireOps))
-	et.queries.Add(uint64(nOK + nErr))
-	et.queryErrors.Add(uint64(nErr))
-	et.verified.Add(uint64(nVerified))
-	et.degraded.Add(uint64(nDegraded))
+	var nErr, nVerified, nDegraded uint64
+	for i := range out {
+		switch {
+		case errs[i] != nil:
+			nErr++
+		case out[i].Verified:
+			nVerified++
+		}
+		if out[i].Degraded {
+			nDegraded++
+		}
+	}
+	et.queries.Add(uint64(len(out)))
+	et.queryErrors.Add(nErr)
+	et.verified.Add(nVerified)
+	et.degraded.Add(nDegraded)
 	et.batchHist.ObserveTrace(total, trace)
-	span := telemetry.Span{
-		Op:       "query_batch",
-		Start:    start,
-		Total:    total,
-		Verified: nVerified > 0,
-		Degraded: nDegraded > 0,
-	}
-	if trace != 0 {
-		span.Trace = trace.String()
-	}
-	if firstErr != nil {
-		span.Err = firstErr.Error()
-		span.ErrClass = classifyErr(firstErr)
-	}
-	et.reg.RecordSpan(span)
-}
-
-// recordOp folds a non-query operation (provision, encrypt) into the
-// registry as a counter bump plus a single-phase span.
-func (et *engineTelemetry) recordOp(op string, start time.Time, err error) {
-	if et == nil {
-		return
-	}
-	switch op {
-	case "provision":
-		et.provisions.Inc()
-	case "encrypt":
-		et.encrypts.Inc()
-	}
-	span := telemetry.Span{Op: op, Start: start, Total: time.Since(start)}
-	if err != nil {
-		span.Err = err.Error()
-	}
-	et.reg.RecordSpan(span)
 }
 
 // Telemetry returns the registry attached with WithTelemetry, or nil when

@@ -2,9 +2,16 @@ package secndp
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"secndp/internal/telemetry"
 )
 
 func counterValue(reg *Telemetry, name string) uint64 {
@@ -23,6 +30,29 @@ func histCount(reg *Telemetry, name string) uint64 {
 		}
 	}
 	return 0
+}
+
+// rootChildren fetches a completed trace by its hex ID and counts its
+// root's direct children by op.
+func rootChildren(t *testing.T, reg *Telemetry, trace string) map[string]int {
+	t.Helper()
+	id, err := telemetry.ParseTraceID(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt, ok := reg.TraceTree(id)
+	if !ok {
+		t.Fatalf("trace %s not in the store", trace)
+	}
+	tree := tt.Tree()
+	if !tt.Complete || len(tree) != 1 {
+		t.Fatalf("trace %s: complete=%v with %d top-level spans, want one root", trace, tt.Complete, len(tree))
+	}
+	ops := map[string]int{}
+	for _, c := range tree[0].Children {
+		ops[c.Op]++
+	}
+	return ops
 }
 
 // TestTelemetryLocalQueries drives an instrumented engine over a local
@@ -86,16 +116,21 @@ func TestTelemetryLocalQueries(t *testing.T) {
 		}
 	}
 
-	// The trace ring carries the spans, newest first, phases attributed.
-	spans := reg.Traces(10)
-	if len(spans) != 4 { // 1 encrypt + 3 queries
-		t.Fatalf("got %d spans, want 4", len(spans))
+	// The completed-trace ring holds one tree per operation, newest
+	// first, with the query phases as the root's children.
+	recent := reg.RecentTraces(10)
+	roots := map[string]int{}
+	for _, s := range recent {
+		roots[s.Op]++
 	}
-	if spans[0].Op != "query" || !spans[0].Verified {
-		t.Fatalf("newest span = %+v", spans[0])
+	if len(recent) != 4 || roots["create_table"] != 1 || roots["query"] != 3 {
+		t.Fatalf("recent roots = %v, want 1 create_table + 3 query", roots)
 	}
-	if spans[0].Phases[0] == 0 {
-		t.Error("span missing pad phase")
+	if recent[0].Op != "query" || !recent[0].Verified || recent[0].Trace != res.Trace {
+		t.Fatalf("newest trace = %+v, want the last verified query %s", recent[0], res.Trace)
+	}
+	if rootChildren(t, reg, recent[0].Trace)["pad"] == 0 {
+		t.Error("query tree missing its pad phase child")
 	}
 
 	// One Prometheus scrape exposes the whole story.
@@ -153,9 +188,181 @@ func TestTelemetryRemoteDegraded(t *testing.T) {
 	if histCount(reg, "secndp_phase_fallback_seconds") != 1 {
 		t.Error("fallback phase histogram empty")
 	}
-	spans := reg.Traces(1)
-	if len(spans) != 1 || !spans[0].Degraded {
-		t.Fatalf("newest span not degraded: %+v", spans)
+	recent := reg.RecentTraces(1)
+	if len(recent) != 1 || recent[0].Op != "query" || !recent[0].Degraded || recent[0].Trace != res.Trace {
+		t.Fatalf("newest trace not the degraded query: %+v", recent)
+	}
+	if rootChildren(t, reg, res.Trace)["fallback"] != 1 {
+		t.Error("degraded query tree has no fallback child")
+	}
+	pinned := false
+	for _, s := range reg.SlowTraces() {
+		pinned = pinned || (s.Trace == res.Trace && s.PinReason == "degraded")
+	}
+	if !pinned {
+		t.Fatalf("degraded query %s not pinned: %+v", res.Trace, reg.SlowTraces())
+	}
+}
+
+// TestTelemetryBatchFallbackTree kills the server under a coalesced
+// QueryBatch: every request is served from the mirror, and the batch's
+// tree — pinned as degraded — carries the fallback children that
+// explain why.
+func TestTelemetryBatchFallbackTree(t *testing.T) {
+	reg := NewTelemetry()
+	h := newFaultHarness(t, 79, fastTransport(), WithTelemetry(reg), WithFallback(1))
+	h.srv.Close()
+	h.proxy.Close()
+
+	reqs := []Request{
+		{Idx: []int{1, 4}, Weights: []uint64{2, 3}},
+		{Idx: []int{2, 9, 30}, Weights: []uint64{1, 6, 5}},
+	}
+	out, err := h.tab.QueryBatch(context.Background(), reqs)
+	if err != nil {
+		t.Fatalf("outage batch not degraded: %v", err)
+	}
+	for i := range out {
+		want := plainSum(h.rows, reqs[i].Idx, reqs[i].Weights, 32, 0xFFFFFFFF)
+		for j := range want {
+			if out[i].Values[j] != want[j] {
+				t.Fatalf("request %d col %d: %d != %d", i, j, out[i].Values[j], want[j])
+			}
+		}
+		if !out[i].Degraded || out[i].Timing.Fallback <= 0 {
+			t.Fatalf("request %d not mirror-served: %+v", i, out[i])
+		}
+	}
+	if got := histCount(reg, "secndp_phase_fallback_seconds"); got != uint64(len(reqs)) {
+		t.Errorf("fallback phase histogram count = %d, want %d", got, len(reqs))
+	}
+	var pin *telemetry.TraceSummary
+	for _, s := range reg.SlowTraces() {
+		if s.Trace == out[0].Trace {
+			pin = &s
+		}
+	}
+	if pin == nil || pin.Op != "query_batch" || pin.PinReason != "degraded" {
+		t.Fatalf("batch trace %s not pinned as degraded: %+v", out[0].Trace, reg.SlowTraces())
+	}
+	if n := rootChildren(t, reg, out[0].Trace)["fallback"]; n < 1 {
+		t.Fatal("degraded batch tree has no fallback child")
+	}
+}
+
+// TestTelemetryOperationRoots: create_table and reencrypt open a root
+// span whatever their outcome, so a failed or refused operation can be
+// explained from the trace listing alone.
+func TestTelemetryOperationRoots(t *testing.T) {
+	reg := NewTelemetry()
+	eng, err := New(testKey, WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := func(op, class string) telemetry.TraceSummary {
+		t.Helper()
+		recent := reg.RecentTraces(1)
+		if len(recent) != 1 || recent[0].Op != op || recent[0].ErrClass != class {
+			t.Fatalf("newest trace = %+v, want %s root with err_class %q", recent, op, class)
+		}
+		return recent[0]
+	}
+	ctx := context.Background()
+	if _, err := eng.CreateTable(ctx, LocalBackend(NewMemory()), TableSpec{Rows: 4, Cols: 3}, nil); !errors.Is(err, ErrBadGeometry) {
+		t.Fatalf("bad geometry = %v, want ErrBadGeometry", err)
+	}
+	newest("create_table", telemetry.ErrClassInvalid)
+
+	rows := testRows(rand.New(rand.NewSource(9)), 8, 32, 1<<20)
+	tab, err := eng.CreateTable(ctx, LocalBackend(NewMemory()), TableSpec{Rows: 8, Cols: 32}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	newest("create_table", "")
+
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := tab.Reencrypt(canceled, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled Reencrypt = %v", err)
+	}
+	newest("reencrypt", telemetry.ErrClassCanceled)
+	if err := tab.Reencrypt(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	newest("reencrypt", "")
+
+	h := newFaultHarness(t, 80, fastTransport(), WithTelemetry(reg))
+	newest("create_table", "")
+	if err := h.tab.Reencrypt(ctx, nil); err == nil {
+		t.Fatal("Reencrypt on a remote table succeeded")
+	}
+	// The refusal carries no sentinel, so it lands in the default class;
+	// what matters is that the refused call is on record.
+	if s := newest("reencrypt", telemetry.ErrClassTransport); !strings.Contains(s.Err, "local-backend") {
+		t.Fatalf("refused Reencrypt root err = %q", s.Err)
+	}
+}
+
+// TestDebugTracesWalk is CI bench-smoke's tracing walk as a Go test,
+// against a real engine's Handler: take the first trace off
+// /debug/traces, fetch its tree from /debug/trace/{id}, and find a
+// Reencrypt listed as a reencrypt root.
+func TestDebugTracesWalk(t *testing.T) {
+	reg := NewTelemetry()
+	eng, err := New(testKey, WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := testRows(rand.New(rand.NewSource(10)), 16, 32, 1<<20)
+	tab, err := eng.CreateTable(context.Background(), LocalBackend(NewMemory()), TableSpec{Rows: 16, Cols: 32}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	if _, err := tab.Query(context.Background(), Request{Idx: []int{1, 5}, Weights: []uint64{2, 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.Reencrypt(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	getJSON := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d: %s", path, resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("%s: bad JSON: %v\n%s", path, err, body)
+		}
+	}
+
+	var listing []struct {
+		Trace string `json:"trace"`
+		Op    string `json:"op"`
+	}
+	getJSON("/debug/traces?n=64", &listing)
+	if len(listing) == 0 || listing[0].Trace == "" {
+		t.Fatalf("/debug/traces lists no trace: %+v", listing)
+	}
+	var tree struct {
+		Trace string       `json:"trace"`
+		Tree  []*traceNode `json:"tree"`
+	}
+	getJSON("/debug/trace/"+listing[0].Trace, &tree)
+	if tree.Trace != listing[0].Trace || len(tree.Tree) == 0 {
+		t.Fatalf("/debug/trace/%s = %+v", listing[0].Trace, tree)
+	}
+	if listing[0].Op != "reencrypt" || tree.Tree[0].Op != "reencrypt" {
+		t.Fatalf("newest root = %q (tree %q), want the reencrypt", listing[0].Op, tree.Tree[0].Op)
 	}
 }
 
