@@ -3,6 +3,7 @@ package secndp
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -60,26 +61,48 @@ func uniformBatch(rng *rand.Rand, bags, bagRows, rows int) []Request {
 
 // TestBatchClusterAllocBudget: one verified 64×8 batch over 4 shards of a
 // 16 384 × 64 table — the batch_cluster op — counting every allocation in
-// the process, servers included. Before the arena split and in-place
-// decode it read 1 281.
+// the process, servers included, and the bytes they request. Before the
+// arena split and in-place decode it read 1 281 allocations; before packed
+// replies and the servers' per-connection result buffers, 116 allocations
+// and ~438 KB (about 100 and ~288 KB after).
 func TestBatchClusterAllocBudget(t *testing.T) {
-	const rows, budget = 16384, 200
+	const rows, budget, bytesBudget = 16384, 130, 340 << 10
 	tab, _ := newBatchCluster(t, 4, rows, 64, 250)
 	reqs := uniformBatch(rand.New(rand.NewSource(251)), 64, 8, rows)
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(20, func() {
+	batch := func() {
 		out, err := tab.QueryBatch(ctx, reqs)
 		if err != nil || !out[0].Verified {
 			t.Fatalf("batch failed: %v", err)
 		}
-	})
-	t.Logf("%.0f allocs per 64×8 batch", allocs)
+	}
+	allocs := testing.AllocsPerRun(20, batch)
+	bytes := bytesPerRun(20, batch)
+	t.Logf("%.0f allocs, %.0f bytes per 64×8 batch", allocs, bytes)
 	if raceEnabled {
 		return // correctness only: see race_test.go
 	}
 	if allocs > budget {
 		t.Fatalf("%.0f allocs per 64×8 batch over 4 shards, budget %d", allocs, budget)
 	}
+	if bytes > bytesBudget {
+		t.Fatalf("%.0f bytes allocated per 64×8 batch over 4 shards, budget %d", bytes, bytesBudget)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes the
+// whole process allocates per call of f, after one warm-up call, with
+// GOMAXPROCS at 1 as AllocsPerRun sets it.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestBatchClusterConcurrentCallers: 8 goroutines share one 4-shard

@@ -106,3 +106,56 @@ func TestQueryBatchEmpty(t *testing.T) {
 		t.Error("FirstError(nil) != nil")
 	}
 }
+
+// TestWeightedTagSumBatchIntoReuse: one BatchBuffer reused across batches
+// that shrink, grow, flip verification and move their bad sub-requests
+// answers each exactly as fresh storage does — no sum, tag or error of an
+// earlier batch survives into a later one.
+func TestWeightedTagSumBatchIntoReuse(t *testing.T) {
+	s := newTestScheme(t)
+	mem := memory.NewSpace()
+	geo := mkGeometry(memory.TagSep, 32, 32, 32)
+	rng := rand.New(rand.NewSource(53))
+	if _, err := s.EncryptTable(mem, geo, 1, boundedRows(rng, 32, 32, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	ndp := &HonestNDP{Mem: mem}
+	var buf BatchBuffer
+	for trial, n := range []int{12, 3, 20, 1, 20, 7} {
+		reqs := make([]BatchRequest, n)
+		for i := range reqs {
+			pf := rng.Intn(6) // zero rows included: the empty sum
+			reqs[i] = BatchRequest{Idx: make([]int, pf), Weights: make([]uint64, pf)}
+			for k := 0; k < pf; k++ {
+				reqs[i].Idx[k] = rng.Intn(8) // shared rows take the scatter path
+				reqs[i].Weights[k] = 1 + rng.Uint64()%8
+			}
+		}
+		reqs[rng.Intn(n)].Idx = []int{99} // one out-of-range sub-request
+		verify := trial%2 == 0
+		got, err := ndp.WeightedTagSumBatchInto(context.Background(), geo, reqs, verify, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ndp.WeightedTagSumBatch(context.Background(), geo, reqs, verify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("trial %d: %d results for %d sub-requests", trial, len(got), n)
+		}
+		for i := range want {
+			if (got[i].Err == nil) != (want[i].Err == nil) {
+				t.Fatalf("trial %d sub %d: error %v, fresh storage %v", trial, i, got[i].Err, want[i].Err)
+			}
+			if !got[i].Tag.Equal(want[i].Tag) || len(got[i].Sums) != len(want[i].Sums) {
+				t.Fatalf("trial %d sub %d: tag or sums shape differs from fresh storage", trial, i)
+			}
+			for j := range want[i].Sums {
+				if got[i].Sums[j] != want[i].Sums[j] {
+					t.Fatalf("trial %d sub %d col %d: %d, fresh storage %d", trial, i, j, got[i].Sums[j], want[i].Sums[j])
+				}
+			}
+		}
+	}
+}

@@ -221,10 +221,46 @@ type NDPBatchResult struct {
 // WeightedTagSumBatch implements NDP. Distinct rows referenced by
 // several sub-requests are read and unpacked once and scattered into every
 // requester's accumulator — the untrusted half of the cross-request dedup
-// that the trusted side mirrors for pad generation.
+// that the trusted side mirrors for pad generation. It is
+// WeightedTagSumBatchInto over fresh storage, whose ownership passes to
+// the caller with the results.
 func (n *HonestNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
-	out := make([]NDPBatchResult, len(reqs))
-	skip := make([]bool, len(reqs))
+	var buf BatchBuffer
+	return n.WeightedTagSumBatchInto(ctx, geo, reqs, verify, &buf)
+}
+
+// BatchBuffer is caller-owned result storage for
+// HonestNDP.WeightedTagSumBatchInto: the result vector, the per-request
+// skip marks, the slab backing every sub-request's sums and the tag
+// accumulators. Each call grows them to the batch's size and overwrites
+// them, so a long-lived owner (a server connection) answers a steady
+// stream of batches without allocating result storage per batch. The zero
+// value is ready to use.
+type BatchBuffer struct {
+	out  []NDPBatchResult
+	skip []bool
+	slab []uint64
+	tags []field.Acc
+}
+
+// resized returns s at length n with every element zeroed, reallocating
+// only when the capacity is short.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// WeightedTagSumBatchInto is WeightedTagSumBatch writing into buf. The
+// results, and the sums they point at, live in buf and are valid until
+// the next call with the same buf.
+func (n *HonestNDP) WeightedTagSumBatchInto(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool, buf *BatchBuffer) ([]NDPBatchResult, error) {
+	buf.out = resized(buf.out, len(reqs))
+	buf.skip = resized(buf.skip, len(reqs))
+	out, skip := buf.out, buf.skip
 	for i, req := range reqs {
 		if err := checkQuery(geo, req.Idx, req.Weights); err != nil {
 			out[i].Err = err
@@ -235,15 +271,15 @@ func (n *HonestNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs 
 	defer plan.release()
 	r := geo.ringOf()
 	m := geo.Params.M
-	// One zeroed slab backs every sub-request's sum vector (the slab's
-	// ownership passes to the caller with the results).
+	// One zeroed slab backs every sub-request's sum vector.
 	valid := 0
 	for i := range skip {
 		if !skip[i] {
 			valid++
 		}
 	}
-	slab := make([]uint64, valid*m)
+	buf.slab = resized(buf.slab, valid*m)
+	slab := buf.slab
 	next := 0
 	for i := range reqs {
 		if !skip[i] {
@@ -255,7 +291,8 @@ func (n *HonestNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs 
 	defer putU64Scratch(up)
 	var tagAccs []field.Acc
 	if verify {
-		tagAccs = make([]field.Acc, len(reqs))
+		buf.tags = resized(buf.tags, len(reqs))
+		tagAccs = buf.tags
 	}
 	// A row's data and tag resolve in the same pass, so the tag line is in
 	// flight with the data it verifies.

@@ -6,14 +6,16 @@ import (
 	"fmt"
 
 	"secndp/internal/core"
+	"secndp/internal/ring"
 )
 
 // Zero-copy framing for the wire protocol's hot paths. Requests and
 // responses are marshaled into reusable byte frames with
 // binary.AppendUvarint and handed to the transport as one gather write,
 // instead of one bufio call (and its per-call bounds checks) per varint.
-// The wire format is unchanged — these are the same bytes the write*
-// helpers produce; those helpers now delegate here.
+// They produce the same bytes as the write* helpers, which delegate here.
+// The packed batch reply (appendPackedBatchResponse) is the one form
+// with no bufio writer.
 //
 // Frames are owned by their connection: the client's lives under c.mu, the
 // server's under the per-connection serve loop, so neither needs a pool or
@@ -62,12 +64,8 @@ func appendBatchSub(b []byte, idx []int, weights []uint64) []byte {
 
 // appendBatchRequest marshals an opBatch request body in
 // writeBatchRequest's format.
-func appendBatchRequest(b []byte, geo core.Geometry, reqs []core.BatchRequest, verify bool) []byte {
+func appendBatchRequest(b []byte, geo core.Geometry, reqs []core.BatchRequest, flags uint64) []byte {
 	b = appendGeometry(b, geo)
-	var flags uint64
-	if verify {
-		flags |= batchFlagVerify
-	}
 	b = binary.AppendUvarint(b, flags)
 	b = binary.AppendUvarint(b, uint64(len(reqs)))
 	for i := range reqs {
@@ -77,8 +75,32 @@ func appendBatchRequest(b []byte, geo core.Geometry, reqs []core.BatchRequest, v
 }
 
 // appendBatchResponse marshals an opBatch reply payload in
-// writeBatchResponse's format.
+// writeBatchResponse's format: each sum a uvarint.
 func appendBatchResponse(b []byte, res []core.NDPBatchResult, verify bool) []byte {
+	return appendBatchReply(b, res, verify, appendUvarints)
+}
+
+// appendPackedBatchResponse marshals the packed form of an opBatch reply,
+// the answer to a request carrying batchFlagPacked. A successful
+// sub-result is statusOK, the uvarint count, count lanes of rg (we/8
+// little-endian bytes each, the width the ciphertext is stored in) and,
+// when verifying, the 16-byte tag; an error sub-result is framed as in
+// the varint form.
+func appendPackedBatchResponse(b []byte, res []core.NDPBatchResult, verify bool, rg ring.Ring) []byte {
+	return appendBatchReply(b, res, verify, rg.AppendElems)
+}
+
+// appendUvarints appends each value as a uvarint.
+func appendUvarints(b []byte, vs []uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// appendBatchReply is the one batch reply marshaller; sums appends a
+// sub-result's sums in the reply's encoding.
+func appendBatchReply(b []byte, res []core.NDPBatchResult, verify bool, sums func([]byte, []uint64) []byte) []byte {
 	for i := range res {
 		if res[i].Err != nil {
 			b = append(b, statusErr)
@@ -89,9 +111,7 @@ func appendBatchResponse(b []byte, res []core.NDPBatchResult, verify bool) []byt
 		}
 		b = append(b, statusOK)
 		b = binary.AppendUvarint(b, uint64(len(res[i].Sums)))
-		for _, v := range res[i].Sums {
-			b = binary.AppendUvarint(b, v)
-		}
+		b = sums(b, res[i].Sums)
 		if verify {
 			tb := res[i].Tag.Bytes()
 			b = append(b, tb[:]...)
@@ -117,11 +137,12 @@ func growU64s(s []uint64, n int) []uint64 {
 	return s[:n]
 }
 
-// connFrames is one server connection's reusable parse and marshal state:
-// the request vectors and the response frame grow to the connection's
-// high-water mark once and are reused for every subsequent request. The
-// parsed slices are valid until the next read into the same frame; the
-// serve loop finishes each request before reading the next, so nothing
+// connFrames is one server connection's reusable parse, compute and
+// marshal state: the request vectors, the batch results and the response
+// frame grow to the connection's high-water mark once and are reused for
+// every subsequent request. The parsed slices and the batch results are
+// valid until the next request on the connection; the serve loop
+// marshals each reply before reading the next request, so nothing
 // outlives its frame.
 type connFrames struct {
 	idx     []int
@@ -132,6 +153,8 @@ type connFrames struct {
 	subs   []core.BatchRequest
 	subIdx [][]int
 	subW   [][]uint64
+
+	batch core.BatchBuffer // opBatch results (sums slab, tags)
 
 	out []byte // response marshal frame
 
@@ -207,21 +230,21 @@ func (f *connFrames) readBatchSub(r *bufio.Reader, i int) ([]int, []uint64, erro
 // readBatchRequest parses an opBatch request body into the frame's
 // reusable sub-request vectors — the in-place form of the package-level
 // readBatchRequest.
-func (f *connFrames) readBatchRequest(r *bufio.Reader) (core.Geometry, []core.BatchRequest, bool, error) {
+func (f *connFrames) readBatchRequest(r *bufio.Reader) (core.Geometry, []core.BatchRequest, uint64, error) {
 	geo, err := readGeometry(r)
 	if err != nil {
-		return core.Geometry{}, nil, false, err
+		return core.Geometry{}, nil, 0, err
 	}
 	flags, err := readUvarint(r)
 	if err != nil {
-		return core.Geometry{}, nil, false, err
+		return core.Geometry{}, nil, 0, err
 	}
 	count, err := readUvarint(r)
 	if err != nil {
-		return core.Geometry{}, nil, false, err
+		return core.Geometry{}, nil, 0, err
 	}
 	if count > maxBatchSubs {
-		return core.Geometry{}, nil, false, fmt.Errorf("remote: batch of %d sub-requests exceeds limit", count)
+		return core.Geometry{}, nil, 0, fmt.Errorf("remote: batch of %d sub-requests exceeds limit", count)
 	}
 	n := int(count)
 	if cap(f.subs) < n {
@@ -238,9 +261,9 @@ func (f *connFrames) readBatchRequest(r *bufio.Reader) (core.Geometry, []core.Ba
 	for i := 0; i < n; i++ {
 		idx, weights, err := f.readBatchSub(r, i)
 		if err != nil {
-			return core.Geometry{}, nil, false, err
+			return core.Geometry{}, nil, 0, err
 		}
 		f.subs[i] = core.BatchRequest{Idx: idx, Weights: weights}
 	}
-	return geo, f.subs, flags&batchFlagVerify != 0, nil
+	return geo, f.subs, flags, nil
 }

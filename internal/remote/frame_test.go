@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"secndp/internal/core"
+	"secndp/internal/field"
 	"secndp/internal/memory"
 	"secndp/internal/telemetry"
 )
@@ -72,8 +75,8 @@ func TestConnFramesReadBatchMatchesAllocating(t *testing.T) {
 		for i := range reqs {
 			reqs[i].Idx, reqs[i].Weights = randFrameQuery(rng, 1<<16)
 		}
-		verify := rng.Intn(2) == 0
-		wire := appendBatchRequest(nil, geo, reqs, verify)
+		flags := uint64(rng.Intn(4)) // verify and packed, each on or off
+		wire := appendBatchRequest(nil, geo, reqs, flags)
 
 		g1, r1, v1, err := fr.readBatchRequest(bufio.NewReader(bytes.NewReader(wire)))
 		if err != nil {
@@ -117,11 +120,11 @@ func TestAppendWritersMatchBufioWriters(t *testing.T) {
 	reqs := []core.BatchRequest{{Idx: idx, Weights: w}, {Idx: []int{1}, Weights: []uint64{2, 3}}}
 	buf.Reset()
 	bw = bufio.NewWriter(&buf)
-	if err := writeBatchRequest(bw, geo, reqs, true); err != nil {
+	if err := writeBatchRequest(bw, geo, reqs, batchFlagVerify); err != nil {
 		t.Fatal(err)
 	}
 	bw.Flush()
-	got = appendBatchRequest(nil, geo, reqs, true)
+	got = appendBatchRequest(nil, geo, reqs, batchFlagVerify)
 	if !bytes.Equal(got, buf.Bytes()) {
 		t.Error("gathered batch frame differs from bufio-written bytes")
 	}
@@ -141,9 +144,57 @@ func TestAppendWritersMatchBufioWriters(t *testing.T) {
 		"untraced ctx":  {untraced, context.Background()},
 		"legacy server": {&Client{capsKnown: true, caps: capBatch}, traced},
 	} {
-		framed := appendQuery(appendGeometry(append(tc.c.traceFrameLocked(tc.ctx), opWeightedSum), geo), idx, w)
+		framed := appendQuery(appendGeometry(append(traceFrame(t, tc.c, tc.ctx), opWeightedSum), geo), idx, w)
 		if !bytes.Equal(framed, legacyFrame) {
 			t.Errorf("%s: traced framing path altered the golden frame bytes", name)
 		}
+	}
+
+	// opBatch goldens, the bytes written before packed replies existed. A
+	// client whose server lacks capPacked must frame its request to them,
+	// and the varint reply (a new server's answer to an unflagged request)
+	// must match them from both writers.
+	const goldenReq = "0602808004808080041010200400010202010502020301090104"
+	const goldenResp = "000004078080808008ffffffff0fac020102030405060708090a0b0c0d0e0f100103626164"
+	goldenGeo := core.Geometry{
+		Layout: memory.Layout{Placement: memory.TagSep, Base: 0x10000,
+			TagBase: 0x800000, NumRows: 16, RowBytes: 16},
+		Params: core.Params{We: 32, M: 4},
+	}
+	goldenReqs := []core.BatchRequest{{Idx: []int{1, 5}, Weights: []uint64{2, 3}}, {Idx: []int{9}, Weights: []uint64{4}}}
+	tagBytes := make([]byte, 16)
+	for i := range tagBytes {
+		tagBytes[i] = byte(i + 1)
+	}
+	goldenRes := []core.NDPBatchResult{
+		{Sums: []uint64{7, 1 << 31, 0xFFFFFFFF, 300}, Tag: field.FromBytes(tagBytes)},
+		{Err: errors.New("bad")},
+	}
+	for name, caps := range map[string]uint64{"legacy server": capBatch | capTrace, "no probe answer": 0} {
+		legacy := &Client{capsKnown: true, caps: caps}
+		framed := appendBatchRequest([]byte{opBatch}, goldenGeo, goldenReqs, legacy.batchFlagsLocked(goldenGeo, true))
+		if got := hex.EncodeToString(framed); got != goldenReq {
+			t.Errorf("%s: batch request %s, golden %s", name, got, goldenReq)
+		}
+	}
+	modern := &Client{capsKnown: true, caps: serverCaps}
+	if got := modern.batchFlagsLocked(goldenGeo, true); got != batchFlagVerify|batchFlagPacked {
+		t.Errorf("packed-capable server: flags %#x, want verify|packed", got)
+	}
+	if got := modern.batchFlagsLocked(core.Geometry{Params: core.Params{We: 12}}, false); got != 0 {
+		t.Errorf("12-bit geometry: flags %#x, want no packed lanes for a width that is not one", got)
+	}
+	if got := hex.EncodeToString(appendBatchResponse([]byte{statusOK}, goldenRes, true)); got != goldenResp {
+		t.Errorf("varint batch reply %s, golden %s", got, goldenResp)
+	}
+	buf.Reset()
+	bw = bufio.NewWriter(&buf)
+	bw.WriteByte(statusOK)
+	if err := writeBatchResponse(bw, goldenRes, true); err != nil {
+		t.Fatal(err)
+	}
+	bw.Flush()
+	if got := hex.EncodeToString(buf.Bytes()); got != goldenResp {
+		t.Errorf("bufio-written batch reply %s, golden %s", got, goldenResp)
 	}
 }

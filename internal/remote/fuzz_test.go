@@ -8,6 +8,7 @@ import (
 
 	"secndp/internal/core"
 	"secndp/internal/memory"
+	"secndp/internal/ring"
 )
 
 // The wire protocol sits on the trust boundary: the server parses bytes from
@@ -131,7 +132,7 @@ func FuzzServeOne(f *testing.F) {
 		Layout: memory.Layout{Placement: memory.TagSep, Base: 0x10000,
 			TagBase: 0x800000, NumRows: 16, RowBytes: 128},
 		Params: core.Params{We: 32, M: 32},
-	}, []core.BatchRequest{{Idx: []int{1, 5}, Weights: []uint64{2, 3}}, {}}, true)
+	}, []core.BatchRequest{{Idx: []int{1, 5}, Weights: []uint64{2, 3}}, {}}, batchFlagVerify)
 	bw.Flush()
 	f.Add(breq.Bytes())
 	f.Add([]byte{opCaps, opPing})
@@ -149,10 +150,10 @@ func FuzzServeOne(f *testing.F) {
 }
 
 // fuzzBatchRequestBytes serializes an opBatch request body for seeding.
-func fuzzBatchRequestBytes(geo core.Geometry, reqs []core.BatchRequest, verify bool) []byte {
+func fuzzBatchRequestBytes(geo core.Geometry, reqs []core.BatchRequest, flags uint64) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeBatchRequest(w, geo, reqs, verify); err != nil {
+	if err := writeBatchRequest(w, geo, reqs, flags); err != nil {
 		panic(err)
 	}
 	w.Flush()
@@ -174,11 +175,11 @@ func FuzzReadBatchRequest(f *testing.F) {
 	}
 	f.Add(fuzzBatchRequestBytes(geo, []core.BatchRequest{
 		{Idx: []int{1, 5}, Weights: []uint64{2, 3}},
-		{}, // empty sub-request
+		{},                                       // empty sub-request
 		{Idx: []int{9}, Weights: []uint64{4, 7}}, // mismatched lengths must frame
-	}, true))
+	}, batchFlagVerify|batchFlagPacked))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, reqs, verify, err := readBatchRequest(bufio.NewReader(bytes.NewReader(data)))
+		g, reqs, flags, err := readBatchRequest(bufio.NewReader(bytes.NewReader(data)))
 		if err != nil {
 			return
 		}
@@ -190,12 +191,12 @@ func FuzzReadBatchRequest(f *testing.F) {
 				t.Fatalf("sub-request %d exceeds the per-vector limit", i)
 			}
 		}
-		g2, reqs2, verify2, err := readBatchRequest(
-			bufio.NewReader(bytes.NewReader(fuzzBatchRequestBytes(g, reqs, verify))))
+		g2, reqs2, flags2, err := readBatchRequest(
+			bufio.NewReader(bytes.NewReader(fuzzBatchRequestBytes(g, reqs, flags))))
 		if err != nil {
 			t.Fatalf("re-read of serialized batch request failed: %v", err)
 		}
-		if g2 != g || verify2 != verify || len(reqs2) != len(reqs) {
+		if g2 != g || flags2 != flags || len(reqs2) != len(reqs) {
 			t.Fatal("batch request header round trip mismatch")
 		}
 		for i := range reqs {
@@ -217,27 +218,48 @@ func FuzzReadBatchRequest(f *testing.F) {
 }
 
 // FuzzReadBatchResponse feeds arbitrary bytes to the client-side batch
-// reply parser — the path a malicious or fault-corrupted server controls.
+// reply parsers — the path a malicious or fault-corrupted server controls.
+// With packed set the bytes are read as a packed reply whose lane width is
+// taken from lane over {1, 2, 4, 8} bytes, and round-trip through the
+// packed writer.
 func FuzzReadBatchResponse(f *testing.F) {
-	f.Add(uint16(0), uint8(0), false, []byte{})
-	f.Add(uint16(1), uint8(2), false, []byte{statusOK, 0x02, 0x07, 0x09})
-	f.Add(uint16(1), uint8(3), false, []byte{statusOK, 0x02, 0x07, 0x09}) // wrong length: per-sub error
-	f.Add(uint16(1), uint8(2), false, []byte{statusErr, 0x03, 'b', 'a', 'd'})
-	f.Add(uint16(2), uint8(1), true, []byte{statusOK, 0x01, 0x05})
-	f.Add(uint16(1), uint8(1), false, []byte{0x42}) // corrupt sub-status byte
+	f.Add(uint16(0), uint8(0), false, false, uint8(0), []byte{})
+	f.Add(uint16(1), uint8(2), false, false, uint8(0), []byte{statusOK, 0x02, 0x07, 0x09})
+	f.Add(uint16(1), uint8(3), false, false, uint8(0), []byte{statusOK, 0x02, 0x07, 0x09}) // wrong length: per-sub error
+	f.Add(uint16(1), uint8(2), false, false, uint8(0), []byte{statusErr, 0x03, 'b', 'a', 'd'})
+	f.Add(uint16(2), uint8(1), true, false, uint8(0), []byte{statusOK, 0x01, 0x05})
+	f.Add(uint16(1), uint8(1), false, false, uint8(0), []byte{0x42}) // corrupt sub-status byte
+	res := []core.NDPBatchResult{
+		{Sums: []uint64{7, 9, 1 << 40}},
+		{Err: io.ErrUnexpectedEOF},
+	}
 	{
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		writeBatchResponse(w, []core.NDPBatchResult{
-			{Sums: []uint64{7, 9, 1 << 40}},
-			{Err: io.ErrUnexpectedEOF},
-		}, true)
+		writeBatchResponse(w, res, true)
 		w.Flush()
-		f.Add(uint16(2), uint8(3), true, buf.Bytes())
+		f.Add(uint16(2), uint8(3), true, false, uint8(0), buf.Bytes())
 	}
-	f.Fuzz(func(t *testing.T, count uint16, m uint8, verify bool, data []byte) {
+	for lane := uint8(0); lane < 4; lane++ {
+		rg := laneRing(lane)
+		f.Add(uint16(2), uint8(3), true, true, lane, appendPackedBatchResponse(nil, res, true, rg))
+		// A 3-sum sub-result read for 2 columns is drained, and the one
+		// after it still parses.
+		f.Add(uint16(2), uint8(2), false, true, lane, appendPackedBatchResponse(nil,
+			[]core.NDPBatchResult{{Sums: []uint64{1, 2, 3}}, {Sums: []uint64{4, 5}}}, false, rg))
+	}
+	f.Add(uint16(1), uint8(4), false, true, uint8(2), []byte{statusOK, 0x04, 0x01, 0x02}) // truncated lanes
+	f.Fuzz(func(t *testing.T, count uint16, m uint8, verify, packed bool, lane uint8, data []byte) {
 		n := int(count) % (maxBatchSubs + 2) // cover the in-range and over-limit shapes
-		res, err := readBatchResponse(bufio.NewReader(bytes.NewReader(data)), n, int(m), verify)
+		rg := laneRing(lane)
+		read := func(b []byte) ([]core.NDPBatchResult, error) {
+			r := bufio.NewReader(bytes.NewReader(b))
+			if packed {
+				return readPackedBatchResponse(r, n, int(m), verify, rg)
+			}
+			return readBatchResponse(r, n, int(m), verify)
+		}
+		res, err := read(data)
 		if err != nil {
 			return
 		}
@@ -250,13 +272,19 @@ func FuzzReadBatchResponse(f *testing.F) {
 			}
 		}
 		// Whatever parsed must re-serialize and re-parse to the same shape.
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := writeBatchResponse(w, res, verify); err != nil {
-			t.Fatal(err)
+		var wire []byte
+		if packed {
+			wire = appendPackedBatchResponse(nil, res, verify, rg)
+		} else {
+			var buf bytes.Buffer
+			w := bufio.NewWriter(&buf)
+			if err := writeBatchResponse(w, res, verify); err != nil {
+				t.Fatal(err)
+			}
+			w.Flush()
+			wire = buf.Bytes()
 		}
-		w.Flush()
-		res2, err := readBatchResponse(bufio.NewReader(bytes.NewReader(buf.Bytes())), n, int(m), verify)
+		res2, err := read(wire)
 		if err != nil {
 			t.Fatalf("re-read of serialized batch response failed: %v", err)
 		}
@@ -280,4 +308,9 @@ func FuzzReadBatchResponse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// laneRing maps a fuzz byte to a packed lane width of 1, 2, 4 or 8 bytes.
+func laneRing(lane uint8) ring.Ring {
+	return ring.MustNew(8 << (lane % 4))
 }

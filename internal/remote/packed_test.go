@@ -1,0 +1,359 @@
+package remote
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"math/rand"
+	"net"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"secndp/internal/core"
+	"secndp/internal/memory"
+	"secndp/internal/ring"
+)
+
+// Packed batch replies carry each sum as one we-bit ring lane. These tests
+// hold the negotiation to byte-identical framing with legacy peers, the
+// client's chunked lane decode to the read buffer's edges, and the reply
+// to its size advantage at the batch_cluster shape.
+
+// plainBatch is the plaintext answer to a batch over 32-bit rows.
+func plainBatch(rows [][]uint64, reqs []core.BatchRequest, m int) [][]uint64 {
+	out := make([][]uint64, len(reqs))
+	for i, req := range reqs {
+		out[i] = make([]uint64, m)
+		for k, r := range req.Idx {
+			for j := range out[i] {
+				out[i][j] = (out[i][j] + req.Weights[k]*rows[r][j]) & 0xFFFFFFFF
+			}
+		}
+	}
+	return out
+}
+
+func randBatch(rng *rand.Rand, subs, perSub, rows int) []core.BatchRequest {
+	reqs := make([]core.BatchRequest, subs)
+	for i := range reqs {
+		reqs[i] = core.BatchRequest{Idx: make([]int, perSub), Weights: make([]uint64, perSub)}
+		for k := range reqs[i].Idx {
+			reqs[i].Idx[k] = rng.Intn(rows)
+			reqs[i].Weights[k] = 1 + rng.Uint64()%8
+		}
+	}
+	return reqs
+}
+
+// lastBatchFlags parses the flags word out of the client's last request
+// frame, which must be an untraced opBatch.
+func lastBatchFlags(t *testing.T, c *Client) uint64 {
+	t.Helper()
+	if len(c.frame) == 0 || c.frame[0] != opBatch {
+		t.Fatalf("last frame is not an opBatch request")
+	}
+	_, _, flags, err := readBatchRequest(bufio.NewReader(bytes.NewReader(c.frame[1:])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return flags
+}
+
+// TestCapsProbeWireErrorPoisons: a server that answers opCaps with an
+// overlong varint leaves part of that reply on the stream. The batch
+// that triggered the probe must fail with the probe's error without
+// writing its own frame, and the connection must be poisoned.
+func TestCapsProbeWireErrorPoisons(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	received := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			received <- nil
+			return
+		}
+		defer conn.Close()
+		op := make([]byte, 1)
+		if _, err := io.ReadFull(conn, op); err != nil {
+			received <- nil
+			return
+		}
+		// statusOK, then twelve continuation bytes: binary.ReadUvarint
+		// gives up on overflow after ten, leaving two on the stream.
+		conn.Write(append([]byte{statusOK}, bytes.Repeat([]byte{0xFF}, 12)...))
+		rest, _ := io.ReadAll(conn) // everything else the client sends
+		received <- append(op, rest...)
+	}()
+	client, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := testGeometry(memory.TagSep, 8, 32)
+	reqs := []core.BatchRequest{{Idx: []int{1}, Weights: []uint64{1}}}
+	_, err = client.WeightedTagSumBatch(context.Background(), geo, reqs, true)
+	if err == nil {
+		t.Fatal("batch after a corrupt probe reply succeeded")
+	}
+	var se *serverError
+	if errors.As(err, &se) || strings.Contains(err.Error(), "corrupt status") {
+		t.Fatalf("probe failure surfaced as %v, want the probe's own framing error", err)
+	}
+	if client.Usable() {
+		t.Fatal("connection still usable after the probe failed on the wire")
+	}
+	if _, err := client.WeightedTagSumBatch(context.Background(), geo, reqs, true); err == nil ||
+		!strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("second call on the poisoned connection: %v, want a fail-fast", err)
+	}
+	client.Close()
+	if got := <-received; !bytes.Equal(got, []byte{opCaps}) {
+		t.Fatalf("server received % x after the probe, want the probe byte alone", got)
+	}
+}
+
+// TestPackedReplyLargerThanReadBuffer: a verified batch of M = 2048
+// 32-bit columns puts 8 KiB of lanes in each sub-result, twice bufio's
+// 4096-byte read buffer, so the client decodes it in buffer-sized chunks.
+func TestPackedReplyLargerThanReadBuffer(t *testing.T) {
+	_, _, addr := startServer(t)
+	client := dial(t, addr)
+	scheme, err := core.NewScheme(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, m = 8, 2048
+	geo := testGeometry(memory.TagSep, n, m)
+	rng := rand.New(rand.NewSource(301))
+	rows := randRows(rng, n, m, 1<<20)
+	tab, err := Provision(client, scheme, geo, 1, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := randBatch(rng, 3, 4, n)
+	out := tab.QueryBatchCtx(context.Background(), client, reqs, core.QueryOptions{Verify: true})
+	if err := core.FirstError(out); err != nil {
+		t.Fatal(err)
+	}
+	if got := lastBatchFlags(t, client); got != batchFlagVerify|batchFlagPacked {
+		t.Fatalf("request flags %#x, want verify|packed", got)
+	}
+	want := plainBatch(rows, reqs, m)
+	for i := range reqs {
+		for j := range want[i] {
+			if out[i].Res[j] != want[i][j] {
+				t.Fatalf("request %d col %d: %d != %d", i, j, out[i].Res[j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestPackedReplyTruncated: a packed reply that ends inside its lanes is
+// io.ErrUnexpectedEOF, whether parsed directly or read by a client, and
+// the client's connection is poisoned.
+func TestPackedReplyTruncated(t *testing.T) {
+	rg := ring.MustNew(32)
+	const m = 64
+	sums := make([]uint64, m)
+	for j := range sums {
+		sums[j] = uint64(j) * 0x01010101
+	}
+	full := appendPackedBatchResponse(nil, []core.NDPBatchResult{{Sums: sums}}, true, rg)
+	for _, cut := range []int{3, 4, 100, 2 + m*4 - 1} {
+		_, err := readPackedBatchResponse(bufio.NewReader(iotest.HalfReader(bytes.NewReader(full[:cut]))), 1, m, true, rg)
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("reply cut at %d of %d bytes: %v, want io.ErrUnexpectedEOF", cut, len(full), err)
+		}
+	}
+
+	// A server that advertises capPacked, then sends half of a packed
+	// sub-result and hangs up.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	flagsSeen := make(chan uint64, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			flagsSeen <- 0
+			return
+		}
+		defer conn.Close()
+		r := bufio.NewReader(conn)
+		if op, err := r.ReadByte(); err != nil || op != opCaps {
+			flagsSeen <- 0
+			return
+		}
+		conn.Write(appendUvarints([]byte{statusOK}, []uint64{serverCaps}))
+		if op, err := r.ReadByte(); err != nil || op != opBatch {
+			flagsSeen <- 0
+			return
+		}
+		_, _, flags, err := readBatchRequest(r)
+		if err != nil {
+			flagsSeen <- 0
+			return
+		}
+		flagsSeen <- flags
+		conn.Write(append([]byte{statusOK}, full[:2+m*2]...))
+	}()
+	client, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	geo := testGeometry(memory.TagSep, 8, m)
+	_, err = client.WeightedTagSumBatch(context.Background(), geo,
+		[]core.BatchRequest{{Idx: []int{1}, Weights: []uint64{1}}}, true)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated packed reply: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if client.Usable() {
+		t.Fatal("connection still usable after a truncated reply")
+	}
+	if got := <-flagsSeen; got != batchFlagVerify|batchFlagPacked {
+		t.Fatalf("request flags %#x, want verify|packed", got)
+	}
+}
+
+// TestLegacyServerGetsUnflaggedBatch: against a server that never
+// advertised capPacked, a new client sends the pre-packing request frame
+// (no packed bit) and a verified batch round-trips over varint replies.
+func TestLegacyServerGetsUnflaggedBatch(t *testing.T) {
+	srv := NewServer(memory.NewSpace())
+	srv.caps = capBatch | capTrace // set before Listen spawns the accept loop
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client := dial(t, addr)
+	scheme, err := core.NewScheme(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := testGeometry(memory.TagSep, 32, 32)
+	rng := rand.New(rand.NewSource(302))
+	rows := randRows(rng, 32, 32, 1<<20)
+	tab, err := Provision(client, scheme, geo, 1, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		reqs := randBatch(rng, 6, 3, 32)
+		out := tab.QueryBatchCtx(context.Background(), client, reqs, core.QueryOptions{Verify: true})
+		if err := core.FirstError(out); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := lastBatchFlags(t, client); got != batchFlagVerify {
+			t.Fatalf("round %d: request flags %#x to a legacy server, want verify alone", round, got)
+		}
+		want := plainBatch(rows, reqs, 32)
+		for i := range reqs {
+			for j := range want[i] {
+				if out[i].Res[j] != want[i][j] {
+					t.Fatalf("round %d request %d col %d: %d != %d", round, i, j, out[i].Res[j], want[i][j])
+				}
+			}
+		}
+	}
+	if client.caps&capPacked != 0 {
+		t.Fatal("client cached capPacked from a server that never advertised it")
+	}
+}
+
+// TestServerAnswersByRequestFlags: the server's reply to an opBatch frame
+// is exactly the varint marshaller's bytes unless the request carried
+// batchFlagPacked and the server offers capPacked; then it is exactly the
+// packed marshaller's. One connection's frames serve every request, so
+// the reused result buffer is exercised across shapes as well.
+func TestServerAnswersByRequestFlags(t *testing.T) {
+	mem := memory.NewSpace()
+	scheme, err := core.NewScheme(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := testGeometry(memory.TagSep, 32, 16)
+	rng := rand.New(rand.NewSource(303))
+	if _, err := scheme.EncryptTable(mem, geo, 1, randRows(rng, 32, 16, 1<<32)); err != nil {
+		t.Fatal(err)
+	}
+	ndp := &core.HonestNDP{Mem: mem}
+	rg := ring.MustNew(32)
+	fr := &connFrames{}
+	for _, tc := range []struct {
+		name   string
+		caps   uint64
+		flags  uint64
+		packed bool
+	}{
+		{"unflagged", serverCaps, batchFlagVerify, false},
+		{"packed", serverCaps, batchFlagVerify | batchFlagPacked, true},
+		{"packed unverified", serverCaps, batchFlagPacked, true},
+		{"legacy server, packed flag", capBatch | capTrace, batchFlagVerify | batchFlagPacked, false},
+		{"unflagged again", serverCaps, 0, false},
+	} {
+		srv := NewServer(mem)
+		srv.caps = tc.caps
+		reqs := randBatch(rng, 1+rng.Intn(9), 1+rng.Intn(4), 32)
+		reqs[0].Idx = []int{99} // a per-sub error rides in every form
+		verify := tc.flags&batchFlagVerify != 0
+		var out bytes.Buffer
+		w := bufio.NewWriter(&out)
+		frame := appendBatchRequest([]byte{opBatch}, geo, reqs, tc.flags)
+		if err := srv.serveOne(bufio.NewReader(bytes.NewReader(frame)), w, fr); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		w.Flush()
+		res, err := ndp.WeightedTagSumBatch(context.Background(), geo, reqs, verify)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := appendBatchResponse([]byte{statusOK}, res, verify)
+		if tc.packed {
+			want = appendPackedBatchResponse([]byte{statusOK}, res, verify, rg)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("%s: server reply differs from the %s marshaller's bytes", tc.name,
+				map[bool]string{false: "varint", true: "packed"}[tc.packed])
+		}
+	}
+}
+
+// TestPackedReplyWireBytes: at the batch_cluster shape as one shard sees
+// it — about 58 verified sub-requests of two rows each over a 64-column
+// 32-bit table — the packed reply is at most 0.85 × the varint reply. Sums
+// of ciphertext are uniform 32-bit values, most of which take five varint
+// bytes against four lane bytes.
+func TestPackedReplyWireBytes(t *testing.T) {
+	mem := memory.NewSpace()
+	scheme, err := core.NewScheme(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows, m, subs = 1024, 64, 58
+	geo := testGeometry(memory.TagSep, rows, m)
+	rng := rand.New(rand.NewSource(304))
+	if _, err := scheme.EncryptTable(mem, geo, 1, randRows(rng, rows, m, 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	reqs := randBatch(rng, subs, 2, rows)
+	res, err := (&core.HonestNDP{Mem: mem}).WeightedTagSumBatch(context.Background(), geo, reqs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	varint := len(appendBatchResponse([]byte{statusOK}, res, true))
+	packed := len(appendPackedBatchResponse([]byte{statusOK}, res, true, ring.MustNew(32)))
+	t.Logf("%d sub-results × %d columns: varint %d B, packed %d B (%.3f)", subs, m, varint, packed, float64(packed)/float64(varint))
+	if float64(packed) > 0.85*float64(varint) {
+		t.Fatalf("packed reply %d B > 0.85 × varint reply %d B", packed, varint)
+	}
+}

@@ -8,6 +8,14 @@
 //
 // The wire protocol is a minimal length-prefixed binary format (no
 // dependencies): each request is one operation over one table region.
+// Extensions are negotiated per connection through the body-free opCaps
+// probe, and a client uses one only after the server advertised it, so a
+// legacy peer on either side sees byte-identical framing. capTrace lets a
+// request carry a trace-context prefix. capPacked lets an opBatch request
+// ask, with batchFlagPacked, for packed sums: each sum comes back as one
+// we-bit little-endian lane, the width the ciphertext is stored in,
+// instead of a uvarint. The server computes each connection's batches
+// into one reused result buffer.
 package remote
 
 import (
@@ -25,6 +33,7 @@ import (
 	"secndp/internal/field"
 	"secndp/internal/memory"
 	"secndp/internal/otp"
+	"secndp/internal/ring"
 	"secndp/internal/telemetry"
 )
 
@@ -81,17 +90,30 @@ const (
 	// client only ever sends the prefix after the probe showed this bit,
 	// so legacy servers see the byte-identical pre-trace framing.
 	capTrace uint64 = 1 << 1
+	// capPacked: the server answers an opBatch request carrying
+	// batchFlagPacked with packed sums — each sub-result's sums as
+	// we/8-byte little-endian ring lanes instead of uvarints (see
+	// appendPackedBatchResponse). A client only sets the flag after the
+	// probe showed this bit, and a server without it ignores the flag, so
+	// a legacy peer on either side sees the byte-identical varint framing.
+	capPacked uint64 = 1 << 2
 )
 
 // serverCaps is what this server implementation advertises.
-const serverCaps = capBatch | capTrace
+const serverCaps = capBatch | capTrace | capPacked
 
 // traceCtxLen is opTraceCtx's fixed body: 8-byte trace ID + 8-byte
 // parent span ID.
 const traceCtxLen = 16
 
-// batchFlagVerify asks the server to include per-sub-request tag sums.
-const batchFlagVerify uint64 = 1 << 0
+// Bits of an opBatch request's flags word.
+const (
+	// batchFlagVerify asks the server to include per-sub-request tag sums.
+	batchFlagVerify uint64 = 1 << 0
+	// batchFlagPacked asks for packed sums; sent only to a server that
+	// advertised capPacked.
+	batchFlagPacked uint64 = 1 << 1
+)
 
 // maxVectorLen bounds request sizes a server will accept (DoS hygiene).
 const maxVectorLen = 1 << 20
@@ -253,40 +275,41 @@ func readBatchSub(r *bufio.Reader) ([]int, []uint64, error) {
 }
 
 // writeBatchRequest frames an opBatch request body (everything after the
-// op byte): geometry, a flags word, the sub-request count, then each
-// sub-request in writeBatchSub form.
-func writeBatchRequest(w *bufio.Writer, geo core.Geometry, reqs []core.BatchRequest, verify bool) error {
-	_, err := w.Write(appendBatchRequest(nil, geo, reqs, verify))
+// op byte): geometry, a flags word (batchFlag* bits), the sub-request
+// count, then each sub-request in writeBatchSub form.
+func writeBatchRequest(w *bufio.Writer, geo core.Geometry, reqs []core.BatchRequest, flags uint64) error {
+	_, err := w.Write(appendBatchRequest(nil, geo, reqs, flags))
 	return err
 }
 
-// readBatchRequest parses an opBatch request body. Errors are framing
+// readBatchRequest parses an opBatch request body and returns its flags
+// word whole; unknown bits are the caller's to ignore. Errors are framing
 // errors: the caller must drop the connection, not reply.
-func readBatchRequest(r *bufio.Reader) (core.Geometry, []core.BatchRequest, bool, error) {
+func readBatchRequest(r *bufio.Reader) (core.Geometry, []core.BatchRequest, uint64, error) {
 	geo, err := readGeometry(r)
 	if err != nil {
-		return core.Geometry{}, nil, false, err
+		return core.Geometry{}, nil, 0, err
 	}
 	flags, err := readUvarint(r)
 	if err != nil {
-		return core.Geometry{}, nil, false, err
+		return core.Geometry{}, nil, 0, err
 	}
 	count, err := readUvarint(r)
 	if err != nil {
-		return core.Geometry{}, nil, false, err
+		return core.Geometry{}, nil, 0, err
 	}
 	if count > maxBatchSubs {
-		return core.Geometry{}, nil, false, fmt.Errorf("remote: batch of %d sub-requests exceeds limit", count)
+		return core.Geometry{}, nil, 0, fmt.Errorf("remote: batch of %d sub-requests exceeds limit", count)
 	}
 	reqs := make([]core.BatchRequest, count)
 	for i := range reqs {
 		idx, weights, err := readBatchSub(r)
 		if err != nil {
-			return core.Geometry{}, nil, false, err
+			return core.Geometry{}, nil, 0, err
 		}
 		reqs[i] = core.BatchRequest{Idx: idx, Weights: weights}
 	}
-	return geo, reqs, flags&batchFlagVerify != 0, nil
+	return geo, reqs, flags, nil
 }
 
 // writeBatchResponse frames an opBatch reply's payload (after the batch's
@@ -299,13 +322,27 @@ func writeBatchResponse(w *bufio.Writer, res []core.NDPBatchResult, verify bool)
 	return err
 }
 
-// readBatchResponse parses an opBatch reply's payload for a batch of count
-// sub-requests over a geometry of m columns. Per-sub-request server errors
-// land in NDPBatchResult.Err (as *serverError), and so does a sub-result
-// whose length is not m; a non-nil returned error is a transport/framing
-// failure. Every sub-result's sums share one count×m slab sized from the
-// client's own geometry.
+// readBatchResponse parses a varint opBatch reply's payload for a batch of
+// count sub-requests over a geometry of m columns. Per-sub-request server
+// errors land in NDPBatchResult.Err (as *serverError), and so does a
+// sub-result whose length is not m; a non-nil returned error is a
+// transport/framing failure. Every sub-result's sums share one count×m
+// slab sized from the client's own geometry.
 func readBatchResponse(r *bufio.Reader, count, m int, verify bool) ([]core.NDPBatchResult, error) {
+	return readBatchReply(r, count, m, verify, readSums)
+}
+
+// readPackedBatchResponse is readBatchResponse for a packed reply, whose
+// sums are lanes of rg (readLanes).
+func readPackedBatchResponse(r *bufio.Reader, count, m int, verify bool, rg ring.Ring) ([]core.NDPBatchResult, error) {
+	return readBatchReply(r, count, m, verify, func(r *bufio.Reader, dst []uint64) error {
+		return readLanes(r, rg, dst)
+	})
+}
+
+// readBatchReply is the one batch reply parser; sums decodes a
+// sub-result's count-prefixed sums into dst in the reply's encoding.
+func readBatchReply(r *bufio.Reader, count, m int, verify bool, sums func(*bufio.Reader, []uint64) error) ([]core.NDPBatchResult, error) {
 	res := make([]core.NDPBatchResult, count)
 	slab := make([]uint64, count*m)
 	for i := range res {
@@ -328,10 +365,10 @@ func readBatchResponse(r *bufio.Reader, count, m int, verify bool) ([]core.NDPBa
 			}
 			res[i].Err = &serverError{msg: string(msg)}
 		case statusOK:
-			sums := slab[i*m : (i+1)*m : (i+1)*m]
-			switch err := readSums(r, sums); err.(type) {
+			dst := slab[i*m : (i+1)*m : (i+1)*m]
+			switch err := sums(r, dst); err.(type) {
 			case nil:
-				res[i].Sums = sums
+				res[i].Sums = dst
 			case *serverError: // a wrong-length sub-result, already drained
 				res[i].Err = err
 			default:
@@ -666,11 +703,12 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		// frame is fully drained; per-sub-request problems are answered
 		// inside a statusOK reply so they cannot poison their neighbors.
 		decode := span.Child("decode")
-		geo, reqs, verify, err := fr.readBatchRequest(r)
+		geo, reqs, flags, err := fr.readBatchRequest(r)
 		if err != nil {
 			return err
 		}
 		decode.End()
+		verify := flags&batchFlagVerify != 0
 		if err := geo.Validate(); err != nil {
 			return fail(fmt.Sprintf("bad geometry: %v", err))
 		}
@@ -680,15 +718,23 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		if verify && geo.Layout.Placement == memory.TagNone {
 			return fail("geometry has no tag placement")
 		}
+		// The results live in the connection's batch buffer; the reply is
+		// marshalled from them before the next request is read.
 		s.mu.Lock()
 		sum := span.Child("gather_sum")
-		res, err := s.ndp.WeightedTagSumBatch(context.Background(), geo, reqs, verify)
+		res, err := s.ndp.WeightedTagSumBatchInto(context.Background(), geo, reqs, verify, &fr.batch)
 		s.mu.Unlock()
 		sum.End()
 		if err != nil {
 			return fail(fmt.Sprintf("batch failed: %v", err))
 		}
-		fr.out = appendBatchResponse(append(fr.out[:0], statusOK), res, verify)
+		out := append(fr.out[:0], statusOK)
+		if flags&batchFlagPacked != 0 && s.caps&capPacked != 0 {
+			// The geometry validated, so its width is a packable lane.
+			fr.out = appendPackedBatchResponse(out, res, verify, ring.MustNew(geo.Params.We))
+		} else {
+			fr.out = appendBatchResponse(out, res, verify)
+		}
 		_, err = w.Write(fr.out)
 		return err
 
@@ -890,6 +936,50 @@ func readSums(r *bufio.Reader, dst []uint64) error {
 	return &serverError{msg: fmt.Sprintf("answered %d sums for %d columns", n, len(dst))}
 }
 
+// readLanes is readSums for a packed reply: the uvarint count, then count
+// we/8-byte little-endian lanes of rg, decoded with ring.UnpackElemsInto
+// straight from the reader's buffer, one buffer-sized chunk at a time. A
+// count other than len(dst) is drained unread and reported as a
+// *serverError, as in readSums; a reply that ends inside its lanes is
+// io.ErrUnexpectedEOF.
+func readLanes(r *bufio.Reader, rg ring.Ring, dst []uint64) error {
+	n, err := readUvarint(r)
+	if err != nil {
+		return err
+	}
+	if n > maxVectorLen {
+		return fmt.Errorf("remote: oversized response (%d values)", n)
+	}
+	eb := rg.Bytes()
+	if n != uint64(len(dst)) {
+		if _, err := r.Discard(int(n) * eb); err != nil {
+			return unexpectedEOF(err)
+		}
+		return &serverError{msg: fmt.Sprintf("answered %d sums for %d columns", n, len(dst))}
+	}
+	for len(dst) > 0 {
+		// Peeking one lane refills the buffer once it runs dry.
+		if _, err := r.Peek(eb); err != nil {
+			return unexpectedEOF(err)
+		}
+		k := min(len(dst), r.Buffered()/eb)
+		b, _ := r.Peek(k * eb)
+		rg.UnpackElemsInto(dst[:k], b)
+		r.Discard(k * eb)
+		dst = dst[k:]
+	}
+	return nil
+}
+
+// unexpectedEOF maps io.EOF, which a read inside a reply can only mean
+// as a truncation, to io.ErrUnexpectedEOF.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // readSumResponse parses a WeightedSum reply's payload (after the status
 // byte) for a geometry of m columns.
 func readSumResponse(r *bufio.Reader, m int) ([]uint64, error) {
@@ -929,25 +1019,28 @@ func (c *Client) roundTrip(send func() error) error {
 }
 
 // ensureCapsLocked runs the capability probe (opCaps) if no definitive
-// answer is cached yet: the answer is cached per connection, a legacy
+// answer is cached yet: the answer is cached per connection, and a legacy
 // server's statusErr ("unknown op" — the probe frame is a bare op byte
 // precisely so a legacy server rejects it without stream desync) caches
-// "no capabilities", and a transport failure caches nothing (the
-// operation about to be sent will surface it).
+// "no capabilities". A transport or framing failure may leave part of the
+// probe's reply on the stream, so it poisons the connection, as finish
+// does, and is returned: the caller must not write its operation.
 // Caller holds c.mu with the connection armed.
-func (c *Client) ensureCapsLocked() {
+func (c *Client) ensureCapsLocked() error {
 	if c.capsKnown {
-		return
+		return nil
 	}
 	caps, err := c.capsLocked()
 	if err != nil {
 		var se *serverError
-		if errors.As(err, &se) {
-			c.caps, c.capsKnown = 0, true
+		if !errors.As(err, &se) {
+			c.fatal = err
+			return err
 		}
-		return
+		caps = 0
 	}
 	c.caps, c.capsKnown = caps, true
+	return nil
 }
 
 // traceFrameLocked resets the request marshal buffer and, when ctx
@@ -956,22 +1049,25 @@ func (c *Client) ensureCapsLocked() {
 // parent span ID). Untraced calls — and every call to a legacy server —
 // produce a frame starting at the operation byte, byte-identical to the
 // pre-trace protocol. The first traced call on a fresh connection runs
-// the capability probe inline (one extra round trip, then cached).
+// the capability probe inline (one extra round trip, then cached); the
+// error is the probe's (see ensureCapsLocked).
 // Caller holds c.mu with the connection armed.
-func (c *Client) traceFrameLocked(ctx context.Context) []byte {
+func (c *Client) traceFrameLocked(ctx context.Context) ([]byte, error) {
 	f := c.frame[:0]
 	span := telemetry.SpanFromContext(ctx)
 	if span == nil {
-		return f
+		return f, nil
 	}
-	c.ensureCapsLocked()
+	if err := c.ensureCapsLocked(); err != nil {
+		return nil, err
+	}
 	if c.caps&capTrace == 0 {
-		return f
+		return f, nil
 	}
 	f = append(f, opTraceCtx)
 	f = binary.BigEndian.AppendUint64(f, uint64(span.Trace()))
 	f = binary.BigEndian.AppendUint64(f, uint64(span.ID()))
-	return f
+	return f, nil
 }
 
 // sendFrame writes the gathered request frame, flushes, and consumes the
@@ -1010,7 +1106,11 @@ func (c *Client) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []in
 }
 
 func (c *Client) weightedSumLocked(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) ([]uint64, error) {
-	c.frame = appendQuery(appendGeometry(append(c.traceFrameLocked(ctx), opWeightedSum), geo), idx, weights)
+	f, err := c.traceFrameLocked(ctx)
+	if err != nil {
+		return nil, err
+	}
+	c.frame = appendQuery(appendGeometry(append(f, opWeightedSum), geo), idx, weights)
 	if err := c.sendFrame(); err != nil {
 		return nil, err
 	}
@@ -1018,7 +1118,11 @@ func (c *Client) weightedSumLocked(ctx context.Context, geo core.Geometry, idx [
 }
 
 func (c *Client) tagSumLocked(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) (field.Elem, error) {
-	c.frame = appendQuery(appendGeometry(append(c.traceFrameLocked(ctx), opTagSum), geo), idx, weights)
+	f, err := c.traceFrameLocked(ctx)
+	if err != nil {
+		return field.Zero, err
+	}
+	c.frame = appendQuery(appendGeometry(append(f, opTagSum), geo), idx, weights)
 	if err := c.sendFrame(); err != nil {
 		return field.Zero, err
 	}
@@ -1068,15 +1172,45 @@ func (c *Client) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, req
 func (c *Client) batchLocked(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	// A server without opBatch would read the frame's payload as further
 	// ops, so the cached capability probe gates the send.
-	c.ensureCapsLocked()
-	if c.capsKnown && c.caps&capBatch == 0 {
+	if err := c.ensureCapsLocked(); err != nil {
+		return nil, err
+	}
+	if c.caps&capBatch == 0 {
 		return nil, errNoBatchOp
 	}
-	c.frame = appendBatchRequest(append(c.traceFrameLocked(ctx), opBatch), geo, reqs, verify)
+	flags := c.batchFlagsLocked(geo, verify)
+	f, err := c.traceFrameLocked(ctx)
+	if err != nil {
+		return nil, err
+	}
+	c.frame = appendBatchRequest(append(f, opBatch), geo, reqs, flags)
 	if err := c.sendFrame(); err != nil {
 		return nil, err
 	}
+	if flags&batchFlagPacked != 0 {
+		return readPackedBatchResponse(c.r, len(reqs), geo.Params.M, verify, ring.MustNew(geo.Params.We))
+	}
 	return readBatchResponse(c.r, len(reqs), geo.Params.M, verify)
+}
+
+// batchFlagsLocked returns an opBatch request's flags word. Packed sums
+// are asked for only from a server that advertised capPacked, and only
+// for a width that is a lane (one core.Params admits; the server rejects
+// any other geometry before answering), so a legacy server receives the
+// byte-identical varint request. Caller holds c.mu with the capabilities
+// probed.
+func (c *Client) batchFlagsLocked(geo core.Geometry, verify bool) uint64 {
+	var flags uint64
+	if verify {
+		flags |= batchFlagVerify
+	}
+	switch geo.Params.We {
+	case 8, 16, 32, 64:
+		if c.caps&capPacked != 0 {
+			flags |= batchFlagPacked
+		}
+	}
+	return flags
 }
 
 func (c *Client) capsLocked() (uint64, error) {

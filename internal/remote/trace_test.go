@@ -30,11 +30,22 @@ func tracedCtx(t *testing.T) (context.Context, *telemetry.ActiveSpan) {
 	return ctx, span
 }
 
+// traceFrame is traceFrameLocked on a client whose capabilities are
+// already cached, where the probe cannot run and so cannot fail.
+func traceFrame(t *testing.T, c *Client, ctx context.Context) []byte {
+	t.Helper()
+	f, err := c.traceFrameLocked(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestTraceFrameUntracedEmpty(t *testing.T) {
 	// Trace-capable connection, no span on the context: the frame starts
 	// at the operation byte, exactly the legacy protocol.
 	c := &Client{capsKnown: true, caps: serverCaps}
-	if f := c.traceFrameLocked(context.Background()); len(f) != 0 {
+	if f := traceFrame(t, c, context.Background()); len(f) != 0 {
 		t.Fatalf("untraced call produced a %d-byte prefix, want none", len(f))
 	}
 }
@@ -44,7 +55,7 @@ func TestTraceFrameLegacyServerEmpty(t *testing.T) {
 	// client must not send bytes a legacy server cannot parse.
 	ctx, _ := tracedCtx(t)
 	c := &Client{capsKnown: true, caps: capBatch}
-	if f := c.traceFrameLocked(ctx); len(f) != 0 {
+	if f := traceFrame(t, c, ctx); len(f) != 0 {
 		t.Fatalf("traced call to legacy server produced a %d-byte prefix, want none", len(f))
 	}
 }
@@ -54,7 +65,7 @@ func TestTraceFramePrefixLayout(t *testing.T) {
 	// 8-byte parent span ID, nothing else.
 	ctx, span := tracedCtx(t)
 	c := &Client{capsKnown: true, caps: serverCaps}
-	f := c.traceFrameLocked(ctx)
+	f := traceFrame(t, c, ctx)
 	if len(f) != 1+traceCtxLen {
 		t.Fatalf("prefix is %d bytes, want %d", len(f), 1+traceCtxLen)
 	}
@@ -71,7 +82,7 @@ func TestTraceFramePrefixLayout(t *testing.T) {
 	// stripping it restores byte identity.
 	geo := testGeometry(memory.TagSep, 8, 4)
 	idx, w := []int{1, 2}, []uint64{3, 4}
-	c.frame = appendQuery(appendGeometry(append(c.traceFrameLocked(ctx), opWeightedSum), geo), idx, w)
+	c.frame = appendQuery(appendGeometry(append(traceFrame(t, c, ctx), opWeightedSum), geo), idx, w)
 	legacy := appendQuery(appendGeometry([]byte{opWeightedSum}, geo), idx, w)
 	if !bytes.Equal(c.frame[1+traceCtxLen:], legacy) {
 		t.Fatal("traced frame body differs from the legacy frame")

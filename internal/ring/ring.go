@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Ring is the integer ring Z(2^we) for a fixed element width we in bits.
@@ -239,18 +240,47 @@ func (r Ring) WeightedSumExact(weights []uint64, rows [][]uint64) (res []uint64,
 // slices a plaintext block into we-bit strings. Only widths that are
 // multiples of 8 can be packed.
 func (r Ring) PackElems(elems []uint64) []byte {
+	return r.AppendElems(make([]byte, 0, len(elems)*r.Bytes()), elems)
+}
+
+// AppendElems is the append form of PackElems: it appends each element,
+// reduced into the ring, to dst as one we-bit little-endian lane and
+// returns the extended slice. It is the inverse of UnpackElemsInto and
+// allocates only when dst's capacity is short.
+func (r Ring) AppendElems(dst []byte, elems []uint64) []byte {
 	eb := r.Bytes()
 	if uint(eb)*8 != r.we {
-		panic("ring: PackElems requires byte-aligned width")
+		panic("ring: AppendElems requires byte-aligned width")
 	}
-	out := make([]byte, len(elems)*eb)
-	for i, e := range elems {
-		e &= r.mask
-		for b := 0; b < eb; b++ {
-			out[i*eb+b] = byte(e >> (8 * b))
+	n := len(dst)
+	dst = slices.Grow(dst, len(elems)*eb)[:n+len(elems)*eb]
+	out := dst[n:]
+	switch eb {
+	case 1:
+		for i, e := range elems {
+			out[i] = byte(e)
+		}
+	case 2:
+		for i, e := range elems {
+			binary.LittleEndian.PutUint16(out[i*2:], uint16(e))
+		}
+	case 4:
+		for i, e := range elems {
+			binary.LittleEndian.PutUint32(out[i*4:], uint32(e))
+		}
+	case 8:
+		for i, e := range elems {
+			binary.LittleEndian.PutUint64(out[i*8:], e)
+		}
+	default:
+		for i, e := range elems {
+			e &= r.mask
+			for b := 0; b < eb; b++ {
+				out[i*eb+b] = byte(e >> (8 * b))
+			}
 		}
 	}
-	return out
+	return dst
 }
 
 // UnpackElemsInto decodes packed elements into dst without allocating —

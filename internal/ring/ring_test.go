@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -312,6 +313,60 @@ func TestPackLittleEndian(t *testing.T) {
 	for i := range want {
 		if b[i] != want[i] {
 			t.Fatalf("PackElems byte %d = %#x, want %#x", i, b[i], want[i])
+		}
+	}
+}
+
+// packReference is PackElems' original byte loop, kept as the golden its
+// callers (examples/teecompare writes rows with it) depend on.
+func packReference(r Ring, elems []uint64) []byte {
+	eb := r.Bytes()
+	out := make([]byte, len(elems)*eb)
+	for i, e := range elems {
+		e &= r.Mask()
+		for b := 0; b < eb; b++ {
+			out[i*eb+b] = byte(e >> (8 * b))
+		}
+	}
+	return out
+}
+
+// TestAppendElemsRoundTrip: AppendElems lanes appended after a prefix
+// decode back through UnpackElemsInto, whole or split into chunks at any
+// element boundary (the way a reply is decoded out of a read buffer), and
+// PackElems keeps its original bytes — unreduced inputs included.
+func TestAppendElemsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, we := range []uint{8, 16, 32, 64} {
+		r := MustNew(we)
+		eb := r.Bytes()
+		for _, m := range []int{0, 1, 3, 64, 1025} {
+			raw := make([]uint64, m)
+			for i := range raw {
+				raw[i] = rng.Uint64() // unreduced: the encoder must mask
+			}
+			want := packReference(r, raw)
+			if got := r.PackElems(raw); !bytes.Equal(got, want) {
+				t.Fatalf("we=%d m=%d: PackElems bytes changed", we, m)
+			}
+			prefix := []byte{0xA5, 0x5A, 0x01}
+			lanes := r.AppendElems(append([]byte{}, prefix...), raw)
+			if !bytes.Equal(lanes[:len(prefix)], prefix) || !bytes.Equal(lanes[len(prefix):], want) {
+				t.Fatalf("we=%d m=%d: AppendElems disturbed its prefix or differs from PackElems", we, m)
+			}
+			lanes = lanes[len(prefix):]
+			for _, chunk := range []int{1, 7, 64, m + 1} {
+				got := make([]uint64, m)
+				for lo := 0; lo < m; lo += chunk {
+					hi := min(lo+chunk, m)
+					r.UnpackElemsInto(got[lo:hi], lanes[lo*eb:hi*eb])
+				}
+				for i := range raw {
+					if got[i] != r.Reduce(raw[i]) {
+						t.Fatalf("we=%d m=%d chunk=%d: lane %d = %#x, want %#x", we, m, chunk, i, got[i], r.Reduce(raw[i]))
+					}
+				}
+			}
 		}
 	}
 }
