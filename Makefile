@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race serve-check batch-check bench bench-check bench-json loadtest vet inline-check gather-check fuzz examples experiments quick clean
+.PHONY: all build test test-race serve-check batch-check write-check bench bench-check bench-json loadtest vet inline-check gather-check fuzz examples experiments quick clean
 
 all: build vet test
 
@@ -21,7 +21,7 @@ vet: inline-check
 # memory.Layout.RowAddr must stay inlinable. As a call it copies the Layout
 # through the stack, and the copy's store-forward stall waits for the
 # previous row's cache miss: every per-row caller (otpWalk, otpBatch,
-# EncryptTableFrom, DecryptRow, Reencrypt) then runs at memory latency.
+# the table encoder, DecryptRow, Reencrypt) then runs at memory latency.
 inline-check:
 	$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline Layout.RowAddr'
 
@@ -60,6 +60,15 @@ batch-check:
 	$(GO) test -race -count=2 ./internal/cluster/... ./internal/remote/...
 	$(GO) test -run 'TestBatchCluster' -race .
 	$(GO) test -run 'TestBatchClusterAllocBudget' -count=1 .
+
+# The write path's gate: vet, then the encrypt, re-encrypt and sharding
+# tests twice under the race detector (shards of one table encrypting
+# concurrently into one memory, tables created and rotated while queries
+# read), then the sharded-vs-serial differential fuzzer.
+write-check:
+	$(GO) vet ./internal/core ./internal/memory ./internal/otp
+	$(GO) test -race -count=2 -run 'Encrypt|Reencrypt|Shard|WriteView' ./internal/core ./internal/memory .
+	$(GO) test -run xxx -fuzz '^FuzzEncryptTableSharded$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # One parameterized bench entry point: `make bench` prints to stdout;
 # `make bench BENCHOUT=file.txt` also tees the artifact; BENCHFLAGS
@@ -116,6 +125,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzEncryptDecryptRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzVerifyRejectsTamper$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzQueryLinearity$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz '^FuzzEncryptTableSharded$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzShardSplit$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run xxx -fuzz '^FuzzReshardPlan$$' -fuzztime $(FUZZTIME) ./internal/cluster
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"secndp/internal/field"
 	"secndp/internal/memory"
 	"secndp/internal/otp"
 )
@@ -31,36 +32,57 @@ func (t *Table) ReencryptTo(dst *Scheme, mem *memory.Space, newVersion uint64) (
 	if dst == t.scheme && newVersion == t.version {
 		return nil, fmt.Errorf("core: re-encryption under the same key must change the version (still %d)", newVersion)
 	}
-	// Decrypt every row with the old handle, in memory order: one
-	// sequential pad keystream over the whole table, skipping the tag gap
-	// between rows, with the fused add-unpack kernel per row.
-	rows := make([][]uint64, t.geo.Layout.NumRows)
-	gap := int(t.geo.Layout.RowStride()) - t.geo.Params.RowBytes()
-	ks := t.scheme.gen.Keystream(otp.DomainData, t.geo.Layout.Base, t.version)
+	// Decrypt every row with the old handle, in memory order, into one
+	// slab: one sequential pad keystream over the whole table, skipping the
+	// tag gap between rows, with the fused add-unpack kernel per row.
+	geo := t.geo
+	m := geo.Params.M
+	slab := make([]uint64, geo.Layout.NumRows*m)
+	rows := make([][]uint64, geo.Layout.NumRows)
+	ct := make([]byte, geo.Params.RowBytes())
+	gap := int(geo.Layout.RowStride()) - len(ct)
+	ks := t.scheme.gen.Keystream(otp.DomainData, geo.Layout.Base, t.version)
 	for i := range rows {
 		if i > 0 {
 			ks.Skip(gap)
 		}
-		row := make([]uint64, t.geo.Params.M)
-		ks.AddUnpack(row, t.geo.Layout.ReadRow(mem, i), t.geo.Params.We)
-		rows[i] = row
+		rows[i] = slab[i*m : (i+1)*m : (i+1)*m]
+		geo.Layout.ReadRowInto(mem, i, ct)
+		ks.AddUnpack(rows[i], ct, geo.Params.We)
 	}
 	// Verify-capable tables: check each row against its tag before
 	// committing to re-encrypt, so corruption cannot be laundered into a
-	// freshly authenticated table. A single-row "weighted sum" with weight
-	// 1 is exactly the row's MAC check.
-	if t.geo.Layout.Placement != memory.TagNone {
-		ndp := &HonestNDP{Mem: mem}
-		for i := range rows {
-			cTres := ndp.TagSum(t.geo, []int{i}, []uint64{1})
-			ok, err := t.Verify([]int{i}, []uint64{1}, rows[i], cTres)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("%w: row %d failed verification during re-encryption", ErrVerification, i)
+	// freshly authenticated table.
+	if geo.Layout.Placement != memory.TagNone {
+		if err := t.verifyRows(mem, rows); err != nil {
+			return nil, err
+		}
+	}
+	return dst.EncryptTable(mem, geo, newVersion, rows)
+}
+
+// verifyRows checks every row against its stored tag: Algorithm 5 for the
+// one-row sum with weight 1, h_K(P_i) = C_Ti + E_Ti mod q, with the tag
+// pads drawn a batch at a time.
+func (t *Table) verifyRows(mem *memory.Space, rows [][]uint64) error {
+	const batch = 256
+	var addrs [batch]uint64
+	var pads [batch * memory.TagBytes]byte
+	var tag [memory.TagBytes]byte
+	lay := t.geo.Layout
+	for c := 0; c < len(rows); c += batch {
+		cnt := min(batch, len(rows)-c)
+		for k := 0; k < cnt; k++ {
+			addrs[k] = lay.RowAddr(c + k)
+		}
+		t.scheme.gen.TagPads(pads[:cnt*memory.TagBytes], addrs[:cnt], t.version)
+		for k := 0; k < cnt; k++ {
+			lay.ReadTagInto(mem, c+k, tag[:])
+			mac := field.Add(field.FromBytes(tag[:]), field.FromBytes(pads[k*memory.TagBytes:]))
+			if !t.resultChecksum(rows[c+k]).Equal(mac) {
+				return fmt.Errorf("%w: row %d failed verification during re-encryption", ErrVerification, c+k)
 			}
 		}
 	}
-	return dst.EncryptTable(mem, t.geo, newVersion, rows)
+	return nil
 }

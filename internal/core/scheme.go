@@ -15,6 +15,9 @@ import (
 // verification. One Scheme serves any number of tables.
 type Scheme struct {
 	gen *otp.Generator
+	// workers is the number of shards table encryption runs on (see
+	// SetWorkers); <= 0 selects GOMAXPROCS.
+	workers int
 }
 
 // NewScheme builds a Scheme from a 128-bit secret key.
@@ -25,6 +28,12 @@ func NewScheme(key []byte) (*Scheme, error) {
 	}
 	return &Scheme{gen: g}, nil
 }
+
+// SetWorkers fixes how many workers EncryptTable (and with it every
+// re-encryption) shards a table across — the software counterpart of the
+// paper's several OTP engines (§V-C2). n <= 0, the default, selects
+// GOMAXPROCS. Call it before the scheme is shared.
+func (s *Scheme) SetWorkers(n int) { s.workers = n }
 
 // Generator exposes the scheme's OTP generator for instrumentation (the
 // facade attaches engine-selection counters to it). The generator owns
@@ -63,60 +72,29 @@ func (t *Table) checksumPows() []field.Elem {
 // EncryptTable runs the initialization step T0 of Figure 4: Algorithm 1
 // over every row (arithmetic encryption), and — when the geometry carries a
 // tag placement — Algorithms 2 and 3 per row (linear checksum, encrypted
-// into a tag). Ciphertext and tags are written into the untrusted memory.
+// into a tag). Ciphertext and tags are written into the untrusted memory by
+// the sharded encoder (encrypt.go), across the scheme's workers.
 //
-// rows holds n×m canonical ring elements of width geo.Params.We.
+// rows holds n×m canonical ring elements of width geo.Params.We. Every row
+// is checked before any byte is written, so a rejected call leaves memory —
+// possibly a live table being rotated in place — untouched.
 func (s *Scheme) EncryptTable(mem *memory.Space, geo Geometry, version uint64, rows [][]uint64) (*Table, error) {
 	if len(rows) != geo.Layout.NumRows {
 		return nil, fmt.Errorf("core: %d rows supplied for a %d-row layout", len(rows), geo.Layout.NumRows)
 	}
-	return s.EncryptTableFrom(mem, geo, version, func(i int) []uint64 { return rows[i] })
-}
-
-// EncryptTableFrom is the streaming form of EncryptTable: rowFn(i) supplies
-// row i's plaintext on demand, so multi-gigabyte tables can be encrypted
-// without materializing [][]uint64 (the caller may generate, read from
-// disk, or decode each row lazily). Rows are requested in order, once each.
-func (s *Scheme) EncryptTableFrom(mem *memory.Space, geo Geometry, version uint64, rowFn func(i int) []uint64) (*Table, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
 	if version == 0 || version > otp.MaxVersion {
 		return nil, fmt.Errorf("core: version %d out of range [1, %d]", version, otp.MaxVersion)
 	}
-	t := s.openTable(geo, version)
-	m := geo.Params.M
-	we := geo.Params.We
-	rowBytes := geo.Params.RowBytes()
-	// One sequential pad keystream covers the whole table: rows are laid
-	// out at a constant stride, so the stream just skips the tag gap (if
-	// any) between consecutive rows. The CTR setup cost is paid once and
-	// the per-row encrypt is the fused reduce-subtract-pack kernel.
-	gap := int(geo.Layout.RowStride()) - rowBytes
-	ks := s.gen.Keystream(otp.DomainData, geo.Layout.Base, version)
-	ct := make([]byte, rowBytes)
-	for i := 0; i < geo.Layout.NumRows; i++ {
-		row := rowFn(i)
-		if len(row) != m {
-			return nil, fmt.Errorf("core: row %d has %d elements, want %d", i, len(row), m)
-		}
-		if i > 0 {
-			ks.Skip(gap)
-		}
-		addr := geo.Layout.RowAddr(i)
-		// Algorithm 1: c_j = p_j ⊖ e_j, pads drawn per 128-bit chunk.
-		ks.SubPack(ct, row, we)
-		geo.Layout.WriteRow(mem, i, ct)
-
-		if geo.Layout.Placement != memory.TagNone {
-			// Algorithm 2: T_i = h_K(P_i); Algorithm 3: C_Ti = T_i - E_Ti mod q.
-			ti := t.resultChecksum(row)
-			eti := field.FromBytes(padBytes(s.gen.TagPad(addr, version)))
-			cti := field.Sub(ti, eti)
-			b := cti.Bytes()
-			geo.Layout.WriteTag(mem, i, b[:])
+	for i, row := range rows {
+		if len(row) != geo.Params.M {
+			return nil, fmt.Errorf("core: row %d has %d elements, want %d", i, len(row), geo.Params.M)
 		}
 	}
+	t := s.openTable(geo, version)
+	t.encryptRows(mem, rows, s.encryptShards(geo), encryptChunkRows(geo))
 	return t, nil
 }
 

@@ -319,49 +319,18 @@ func TestCiphertextBitBalance(t *testing.T) {
 	}
 }
 
-func TestEncryptTableFromStreaming(t *testing.T) {
-	// The streaming form must produce byte-identical ciphertext to the
-	// materialized form, and never request a row twice.
+// TestEncryptTableBadRow: a short row anywhere in the table is rejected
+// before any byte is written.
+func TestEncryptTableBadRow(t *testing.T) {
 	s := newTestScheme(t)
-	geo := mkGeometry(memory.TagSep, 16, 32, 32)
-	rng := rand.New(rand.NewSource(70))
-	rows := randRows(rng, geo.ringOf(), 16, 32)
-
-	mem1 := memory.NewSpace()
-	if _, err := s.EncryptTable(mem1, geo, 4, rows); err != nil {
-		t.Fatal(err)
+	geo := mkGeometry(memory.TagSep, 1024, 32, 32)
+	rows := randRows(rand.New(rand.NewSource(71)), geo.ringOf(), 1024, 32)
+	rows[700] = rows[700][:7]
+	mem := memory.NewSpace()
+	if _, err := s.EncryptTable(mem, geo, 1, rows); err == nil {
+		t.Fatal("short row accepted")
 	}
-	mem2 := memory.NewSpace()
-	calls := make([]int, 16)
-	_, err := s.EncryptTableFrom(mem2, geo, 4, func(i int) []uint64 {
-		calls[i]++
-		return rows[i]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range calls {
-		if calls[i] != 1 {
-			t.Errorf("row %d requested %d times", i, calls[i])
-		}
-	}
-	span := int(geo.Layout.DataEnd() - geo.Layout.Base)
-	if !bytes.Equal(mem1.Snapshot(geo.Layout.Base, span), mem2.Snapshot(geo.Layout.Base, span)) {
-		t.Error("streaming ciphertext differs from materialized")
-	}
-	if !bytes.Equal(mem1.Snapshot(geo.Layout.TagBase, 16*memory.TagBytes),
-		mem2.Snapshot(geo.Layout.TagBase, 16*memory.TagBytes)) {
-		t.Error("streaming tags differ from materialized")
-	}
-}
-
-func TestEncryptTableFromBadRow(t *testing.T) {
-	s := newTestScheme(t)
-	geo := mkGeometry(memory.TagNone, 2, 32, 32)
-	_, err := s.EncryptTableFrom(memory.NewSpace(), geo, 1, func(i int) []uint64 {
-		return make([]uint64, 7) // wrong length
-	})
-	if err == nil {
-		t.Error("short streamed row accepted")
+	if st := mem.Stats(); st != (memory.Stats{}) {
+		t.Errorf("rejected table wrote to memory: %+v", st)
 	}
 }

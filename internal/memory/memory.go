@@ -18,9 +18,14 @@
 // overlap theirs. Span declines (nil) what a page slice cannot express
 // and counts the bytes it hands out exactly as the copy path would, so
 // the traffic figures do not depend on which path served a read.
+//
+// Writes have the same two shapes: Space.Write/WriteECC lock and count per
+// call, and a WriteView session stores a batch under one lock — the table
+// encoder's path, counted exactly as the per-call writes would be.
 package memory
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -76,7 +81,13 @@ func (s *Space) Write(addr uint64, data []byte) {
 
 func (s *Space) writeRaw(addr uint64, data []byte) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.writeLocked(addr, data)
+	s.mu.Unlock()
+}
+
+// writeLocked is writeRaw's body; callers hold the write lock and account
+// the traffic themselves.
+func (s *Space) writeLocked(addr uint64, data []byte) {
 	for len(data) > 0 {
 		p, off := s.page(addr, true)
 		n := copy(p[off:], data)
@@ -187,6 +198,49 @@ func (v *View) ReadECCInto(dst []byte, dataAddr uint64) {
 	for i := n; i < len(dst); i++ {
 		dst[i] = 0
 	}
+}
+
+// WriteView is View's write-side counterpart: one Lock/Unlock pair and one
+// update of each traffic counter cover a batch of writes. Table encryption
+// builds a chunk of rows and their tags off the lock and stores the chunk
+// in one session, where a Write per row and per tag took the lock, looked
+// up the page and counted the traffic once each. The counters end up
+// byte-identical to the same writes made one by one.
+//
+// The callback must only write through the view — calling any locking
+// Space method from inside would deadlock against the held lock.
+func (s *Space) WriteView(f func(w *WriteView)) {
+	w := WriteView{s: s}
+	s.mu.Lock()
+	f(&w)
+	s.mu.Unlock()
+	if w.bytesWritten != 0 {
+		s.bytesWritten.Add(w.bytesWritten)
+	}
+	if w.eccWrites != 0 {
+		s.eccWrites.Add(w.eccWrites)
+	}
+}
+
+// WriteView is the handle passed to Space.WriteView callbacks. Not safe
+// for concurrent use.
+type WriteView struct {
+	s            *Space
+	bytesWritten uint64
+	eccWrites    uint64
+}
+
+// Write stores data at addr, like Space.Write: one page lookup per page
+// the range touches.
+func (w *WriteView) Write(addr uint64, data []byte) {
+	w.bytesWritten += uint64(len(data))
+	w.s.writeLocked(addr, data)
+}
+
+// WriteECC stores a side-band tag, like Space.WriteECC.
+func (w *WriteView) WriteECC(dataAddr uint64, tag []byte) {
+	w.eccWrites += uint64(len(tag))
+	w.s.ecc[dataAddr] = bytes.Clone(tag)
 }
 
 // WriteECC stores a tag in the side-band ECC region, keyed by the data

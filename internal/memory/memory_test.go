@@ -306,6 +306,49 @@ func TestViewMatchesLockedReads(t *testing.T) {
 	}
 }
 
+// TestWriteViewMatchesWrites: writes made in one WriteView session leave
+// the same bytes, side band and traffic counters as the same writes made
+// one call at a time — across page boundaries, into fresh and written
+// pages — and a side-band tag does not alias the caller's buffer.
+func TestWriteViewMatchesWrites(t *testing.T) {
+	data := make([]byte, 3*PageSize+100)
+	for i := range data {
+		data[i] = byte(i*13 + 5)
+	}
+	tag := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	writes := []struct {
+		addr uint64
+		n    int
+	}{
+		{PageSize - 40, len(data)}, // four pages, starting near a page end
+		{2*PageSize + 7, 300},      // over bytes already written
+		{9 * PageSize, 16},         // a lone fresh page
+	}
+
+	direct, viaView := NewSpace(), NewSpace()
+	for _, w := range writes {
+		direct.Write(w.addr, data[:w.n])
+	}
+	direct.WriteECC(0x40, tag)
+	viaView.WriteView(func(v *WriteView) {
+		for _, w := range writes {
+			v.Write(w.addr, data[:w.n])
+		}
+		v.WriteECC(0x40, tag)
+	})
+	tag[0] = 99
+
+	if d, v := direct.Stats(), viaView.Stats(); d != v {
+		t.Fatalf("WriteView counted %+v, per-call writes %+v", v, d)
+	}
+	if !bytes.Equal(direct.Snapshot(0, 10*PageSize), viaView.Snapshot(0, 10*PageSize)) {
+		t.Fatal("WriteView left different bytes than per-call writes")
+	}
+	if got := viaView.ReadECC(0x40, 16); !bytes.Equal(got, direct.ReadECC(0x40, 16)) {
+		t.Fatalf("side-band tag %v after the caller reused its buffer", got)
+	}
+}
+
 func TestLayoutViewReadsMatch(t *testing.T) {
 	s := NewSpace()
 	l := Layout{Placement: TagSep, Base: 64, TagBase: 4096, NumRows: 4, RowBytes: 32}

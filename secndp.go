@@ -133,8 +133,10 @@ type Option func(*config)
 // applies to batches and to single queries the engine runs overlapped —
 // remote and cluster tables, and local queries whose pad walk reaches the
 // inline threshold (128 KiB of rows); smaller local queries run on the
-// caller's goroutine whatever n is. n <= 0 — the default — selects
-// GOMAXPROCS.
+// caller's goroutine whatever n is. Table encryption uses the same count:
+// CreateTable (on every backend) and Reencrypt split the table into up to
+// n row ranges encrypted side by side, none smaller than 64 KiB. n <= 0 —
+// the default — selects GOMAXPROCS.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.workers = n }
 }
@@ -209,6 +211,7 @@ func New(key []byte, opts ...Option) (*Engine, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	scheme.SetWorkers(cfg.workers)
 	tel := newEngineTelemetry(cfg.telemetry)
 	tel.instrumentGenerator(scheme)
 	return &Engine{
