@@ -54,12 +54,15 @@ serve-check:
 # goroutines, replies decoded in place from the read buffer), and the root
 # tests that pin its allocation budget and its answers under concurrent
 # callers. The budget itself holds only without -race (see race_test.go),
-# so it also runs once plainly.
+# so it also runs once plainly. Last, the seed corpus of the trusted
+# side's oracle: pipelined batches equal the per-request fan-out across
+# the sizes where the pad walk fans out over workers.
 batch-check:
 	$(GO) vet ./internal/cluster ./internal/remote
 	$(GO) test -race -count=2 ./internal/cluster/... ./internal/remote/...
 	$(GO) test -run 'TestBatchCluster' -race .
 	$(GO) test -run 'TestBatchClusterAllocBudget' -count=1 .
+	$(GO) test -run '^FuzzBatchMatchesFanout$$' -count=1 ./internal/core
 
 # The write path's gate: vet, then the encrypt, re-encrypt and sharding
 # tests twice under the race detector (shards of one table encrypting
@@ -126,6 +129,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzVerifyRejectsTamper$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzQueryLinearity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzEncryptTableSharded$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz '^FuzzBatchMatchesFanout$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzShardSplit$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run xxx -fuzz '^FuzzReshardPlan$$' -fuzztime $(FUZZTIME) ./internal/cluster
 

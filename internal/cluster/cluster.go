@@ -589,10 +589,6 @@ func (n *NDP) batchSubs(ctx context.Context, top *topology, geo core.Geometry, r
 		return nil, err
 	}
 	out := make([]core.NDPBatchResult, len(reqs))
-	slab := make([]uint64, len(reqs)*m)
-	for i := range out {
-		out[i].Sums = slab[i*m : (i+1)*m : (i+1)*m]
-	}
 	subs := top.smap.SplitBatch(reqs)
 	results := make([][]core.NDPBatchResult, len(subs))
 	err = n.scatter(ctx, top, "batch", len(subs), func(si int) int { return subs[si].Shard },
@@ -622,10 +618,21 @@ func (n *NDP) batchSubs(ctx context.Context, top *topology, geo core.Geometry, r
 				out[oi] = core.NDPBatchResult{Err: fmt.Errorf("cluster: shard %d returned %d columns, want %d", sub.Shard, len(res[j].Sums), m)}
 				continue
 			}
-			r.AddVec(out[oi].Sums, out[oi].Sums, res[j].Sums)
+			// A shard's partials are ours (core.NDP's contract): the first
+			// becomes the request's accumulator, later ones add into it.
+			if out[oi].Sums == nil {
+				out[oi].Sums = res[j].Sums
+			} else {
+				r.AddVec(out[oi].Sums, out[oi].Sums, res[j].Sums)
+			}
 			if verify {
 				out[oi].Tag = field.Add(out[oi].Tag, res[j].Tag)
 			}
+		}
+	}
+	for i := range out {
+		if out[i].Err == nil && out[i].Sums == nil {
+			out[i].Sums = make([]uint64, m) // no rows on any shard
 		}
 	}
 	return out, nil

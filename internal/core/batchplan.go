@@ -211,11 +211,14 @@ func planBatch(reqs []BatchRequest, skip []bool, numRows int) batchPlan {
 const batchTileRows = 512
 
 // otpBatch computes every sub-request's OTP share vector (and, when
-// verifying, tag-pad field sum) from a deduplicated plan: each distinct
-// row's pad is generated once, into a pooled per-tile arena, and scattered
-// to all requesters. Generation parallelizes across the worker pool tile by
-// tile; the scatter is serial (it is pure multiply-accumulate, orders of
-// magnitude cheaper than the AES generation it follows).
+// verifying, tag-pad field sum) from a deduplicated plan, the OTP PU
+// mirroring the NDP PU (§V-C): each distinct row's pad is generated once,
+// as packed keystream bytes into a pooled per-tile arena, and folded into
+// every requester's accumulator with the kernel the NDP folds ciphertext
+// with (Ring.ScaleAccumBytes). Generation parallelizes across the worker
+// pool tile by tile, each worker range drawing its tag pads with one
+// TagPads call; the fold is serial, since rows of one sub-request share
+// its accumulator.
 // otpBatch additionally returns a release callback that recycles the
 // accumulator arena; the caller must invoke it once every accs[i] has been
 // consumed (and must not touch accs afterwards).
@@ -250,105 +253,70 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 		tagAccs = make([]field.Acc, len(skip))
 	}
 
-	nTile := batchTileRows
-	if len(plan.rows) < nTile {
-		nTile = len(plan.rows)
-	}
-	type padEntry struct {
-		pads []uint64
-		tag  field.Elem
-	}
-	entries := make([]padEntry, nTile)
-	ap, arena := getU64Scratch(nTile * m)
+	rb := t.geo.Params.RowBytes()
+	nTile := min(batchTileRows, len(plan.rows))
+	bp, arena := getByteScratch(nTile * (rb + otp.BlockBytes))
+	defer putByteScratch(bp)
+	pads, tagPads := arena[:nTile*rb], arena[nTile*rb:]
+	ap, addrs := getU64Scratch(nTile)
 	defer putU64Scratch(ap)
-
-	genRange := func(tile, lo, hi int, fused bool) error {
-		bp, buf := getByteScratch(t.geo.Params.RowBytes())
-		defer putByteScratch(bp)
+	genRange := func(tile, lo, hi int) error {
 		for s := lo; s < hi; s++ {
 			if (s-lo)%ctxCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			pr := &plan.rows[tile+s]
-			addr := t.geo.Layout.RowAddr(pr.row)
-			if verify {
-				entries[s].tag = field.FromBytes(padBytes(t.scheme.gen.TagPad(addr, t.version)))
-			}
-			if fused && len(pr.uses) == 1 {
-				// A row only one sub-request references gains nothing from
-				// staging: the fused generate-scale-accumulate kernel runs
-				// straight into that requester's accumulator, skipping the
-				// unpack and the scatter visit. Accumulators are shared
-				// across rows of the same sub-request, so this arm is only
-				// taken on the serial generation path (fused=false under
-				// the worker fan-out, where two workers could hold
-				// single-use rows of one request).
-				u := pr.uses[0]
-				t.scheme.gen.PadScaleAccum(accs[u.req], u.weight, t.geo.Params.We,
-					otp.DomainData, addr, t.version)
-				entries[s].pads = nil
-			} else {
-				dst := arena[s*m : (s+1)*m]
-				t.scheme.gen.PadsInto(buf, otp.DomainData, addr, t.version)
-				t.r.UnpackElemsInto(dst, buf)
-				entries[s].pads = dst
-			}
+			addrs[s] = t.geo.Layout.RowAddr(plan.rows[tile+s].row)
+			t.scheme.gen.PadsInto(pads[s*rb:(s+1)*rb], otp.DomainData, addrs[s], t.version)
+		}
+		if verify {
+			t.scheme.gen.TagPads(tagPads[lo*otp.BlockBytes:hi*otp.BlockBytes], addrs[lo:hi], t.version)
 		}
 		return nil
 	}
 
 	workers := opts.workerCount(len(plan.rows))
 	for tile := 0; tile < len(plan.rows); tile += nTile {
-		cnt := len(plan.rows) - tile
-		if cnt > nTile {
-			cnt = nTile
+		cnt := min(nTile, len(plan.rows)-tile)
+		w := min(workers, cnt)
+		if cnt < 2*ctxCheckStride {
+			w = 1
 		}
-		if workers == 1 || cnt < 2*ctxCheckStride {
-			if err := genRange(tile, 0, cnt, true); err != nil {
+		// The last range runs on this goroutine, so a serial tile spawns
+		// nothing.
+		chunk := (cnt + w - 1) / w
+		errs := make([]error, w)
+		var wg sync.WaitGroup
+		for s := 0; s*chunk < cnt; s++ {
+			lo, hi := s*chunk, min((s+1)*chunk, cnt)
+			if hi == cnt {
+				errs[s] = genRange(tile, lo, hi)
+				break
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[s] = genRange(tile, lo, hi)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
 				release()
 				return nil, nil, nil, err
 			}
-		} else {
-			w := workers
-			if w > cnt {
-				w = cnt
-			}
-			chunk := (cnt + w - 1) / w
-			errs := make([]error, w)
-			var wg sync.WaitGroup
-			for s := 0; s < w; s++ {
-				lo := s * chunk
-				hi := lo + chunk
-				if hi > cnt {
-					hi = cnt
-				}
-				if lo >= hi {
-					break
-				}
-				wg.Add(1)
-				go func(s, lo, hi int) {
-					defer wg.Done()
-					errs[s] = genRange(tile, lo, hi, false)
-				}(s, lo, hi)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					release()
-					return nil, nil, nil, err
-				}
-			}
 		}
 		for s := 0; s < cnt; s++ {
-			pr := &plan.rows[tile+s]
-			for _, u := range pr.uses {
-				if entries[s].pads != nil {
-					t.r.ScaleAccum(accs[u.req], u.weight, entries[s].pads)
-				}
+			pad := pads[s*rb : (s+1)*rb]
+			var tp field.Elem
+			if verify {
+				tp = field.FromBytes(tagPads[s*otp.BlockBytes:])
+			}
+			for _, u := range plan.rows[tile+s].uses {
+				t.r.ScaleAccumBytes(accs[u.req], u.weight, pad)
 				if verify {
-					tagAccs[u.req].AddMulUint64(entries[s].tag, u.weight)
+					tagAccs[u.req].AddMulUint64(tp, u.weight)
 				}
 			}
 		}
@@ -437,11 +405,10 @@ func (t *Table) queryBatchPipelined(ctx context.Context, ndp NDP, reqs []BatchRe
 		opts.Stats.Pipelined = true
 	}
 
-	// Join the halves; collect the verifiable survivors. Every decrypted
-	// result is carved from one slab (the slab's ownership leaves with
-	// the results, so it is not pooled).
+	// Join the halves; collect the verifiable survivors. The NDP's sum
+	// vectors are ours (see NDP.WeightedTagSumBatch), so each decrypted
+	// result overwrites its own.
 	m := t.geo.Params.M
-	resSlab := make([]uint64, len(valid)*m)
 	checked := make([]int, 0, len(valid))
 	combined := make([]field.Elem, 0, len(valid))
 	for vi, i := range validIdx {
@@ -454,9 +421,8 @@ func (t *Table) queryBatchPipelined(ctx context.Context, ndp NDP, reqs []BatchRe
 			out[i].Err = fmt.Errorf("core: ndp returned %d columns, want %d", len(r.Sums), m)
 			continue
 		}
-		res := resSlab[vi*m : (vi+1)*m : (vi+1)*m]
-		t.r.AddVec(res, r.Sums, accs[i])
-		out[i].Res = res
+		t.r.AddVec(r.Sums, r.Sums, accs[i])
+		out[i].Res = r.Sums
 		if opts.Verify {
 			checked = append(checked, i)
 			combined = append(combined, field.Add(r.Tag, tags[i]))

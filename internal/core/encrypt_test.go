@@ -26,7 +26,8 @@ func encryptTableSerial(s *Scheme, mem *memory.Space, geo Geometry, version uint
 		ks.SubPack(ct, row, geo.Params.We)
 		geo.Layout.WriteRow(mem, i, ct)
 		if geo.Layout.Placement != memory.TagNone {
-			eti := field.FromBytes(padBytes(s.gen.TagPad(geo.Layout.RowAddr(i), version)))
+			tp := s.gen.TagPad(geo.Layout.RowAddr(i), version)
+			eti := field.FromBytes(tp[:])
 			b := field.Sub(t.resultChecksum(row), eti).Bytes()
 			geo.Layout.WriteTag(mem, i, b[:])
 		}

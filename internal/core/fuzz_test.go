@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"secndp/internal/memory"
@@ -140,6 +142,104 @@ func FuzzQueryLinearity(f *testing.F) {
 			want := r.Reduce(w1*rows[idx[0]][j] + w2*rows[idx[1]][j])
 			if got[j] != want {
 				t.Fatalf("col %d: %d != %d", j, got[j], want)
+			}
+		}
+	})
+}
+
+// FuzzBatchMatchesFanout is the batch pipeline's equivalence oracle at the
+// sizes where otpBatch fans pad generation out across workers: every
+// distinct row of the table is referenced, by one sub-request or by
+// several, and the distinct-row count ranges across 2×ctxCheckStride (the
+// smallest tile that fans out) and batchTileRows (a second tile). The
+// pipelined results must be byte-identical to the per-request fan-out's
+// and every verification outcome the same, at every worker count and
+// element width. Rows and weights are bounded so an honest sum never
+// wraps, and so verifies; with tamper set one row is corrupted, failing
+// exactly the requests that read it on both paths.
+func FuzzBatchMatchesFanout(f *testing.F) {
+	for _, d := range []uint16{5, 127, 128, 129, 300, 511, 512, 513, 1030} {
+		f.Add(int64(d), d, uint8(d), uint8(d/3), uint8(d/7), d%2 == 1)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, distinct uint16, workerSel, weSel, placeSel uint8, tamper bool) {
+		we := []uint{8, 16, 32, 64}[weSel%4]
+		workers := []int{1, 2, 3, 8}[workerSel%4]
+		pl := []memory.TagPlacement{memory.TagNone, memory.TagSep, memory.TagColoc, memory.TagECC}[placeSel%4]
+		verify := pl != memory.TagNone
+		n := 1 + int(distinct)%(2*batchTileRows+64)
+		rng := rand.New(rand.NewSource(seed))
+
+		// Every row goes to one request; a third of them to one or two
+		// more (shared rows), and a quarter of the uses twice to the same
+		// request.
+		reqs := make([]BatchRequest, 1+rng.Intn(64))
+		for row := 0; row < n; row++ {
+			uses := 1
+			if rng.Intn(3) == 0 {
+				uses += 1 + rng.Intn(2)
+			}
+			for range uses {
+				ri := rng.Intn(len(reqs))
+				for range 1 + rng.Intn(4)/3 {
+					reqs[ri].Idx = append(reqs[ri].Idx, row)
+					reqs[ri].Weights = append(reqs[ri].Weights, 1+uint64(rng.Intn(8)))
+				}
+			}
+		}
+		var maxW uint64 = 1
+		for _, req := range reqs {
+			var sum uint64
+			for _, w := range req.Weights {
+				sum += w
+			}
+			maxW = max(maxW, sum)
+		}
+		bound := uint64(1) << 32
+		if we < 64 {
+			bound = max(1, (uint64(1)<<we)/maxW)
+		}
+
+		s, err := NewScheme([]byte("fuzz-key-16bytes"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		geo := mkGeometry(pl, n, 1024/int(we), we) // two cache lines: room for a Ver-ECC tag
+		mem := memory.NewSpace()
+		tab, err := s.EncryptTable(mem, geo, 1, boundedRows(rng, n, geo.Params.M, bound))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tamper {
+			mem.FlipBit(geo.Layout.RowAddr(rng.Intn(n))+uint64(rng.Intn(geo.Layout.RowBytes)), uint(rng.Intn(8)))
+		}
+		ndp := &HonestNDP{Mem: mem}
+		opts := QueryOptions{Workers: workers, Verify: verify}
+		var stats BatchStats
+		optsP := opts
+		optsP.Stats = &stats
+		pipe := tab.QueryBatchCtx(context.Background(), ndp, reqs, optsP)
+		fan := tab.QueryBatchCtx(context.Background(), plainNDP{ndp}, reqs, opts)
+		if !stats.Pipelined || stats.DistinctRows != n {
+			t.Fatalf("batch of %d distinct rows: %+v", n, stats)
+		}
+		for i := range reqs {
+			pe, fe := pipe[i].Err, fan[i].Err
+			if (pe == nil) != (fe == nil) || (pe != nil && pe.Error() != fe.Error()) {
+				t.Fatalf("request %d: pipelined err %v, fanout err %v", i, pe, fe)
+			}
+			if pe != nil {
+				if !tamper || !errors.Is(pe, ErrVerification) {
+					t.Fatalf("request %d failed on an untampered table: %v", i, pe)
+				}
+				continue
+			}
+			if len(pipe[i].Res) != geo.Params.M || len(fan[i].Res) != geo.Params.M {
+				t.Fatalf("request %d: widths %d and %d, want %d", i, len(pipe[i].Res), len(fan[i].Res), geo.Params.M)
+			}
+			for j := range pipe[i].Res {
+				if pipe[i].Res[j] != fan[i].Res[j] {
+					t.Fatalf("request %d col %d: pipelined %d, fanout %d", i, j, pipe[i].Res[j], fan[i].Res[j])
+				}
 			}
 		}
 	})

@@ -35,7 +35,11 @@ type NDP interface {
 	// WeightedTagSumBatch answers every sub-request as WeightedTagSum
 	// would, in one exchange. A non-nil error means the whole batch failed
 	// (transport trouble, no batch support) and decided nothing; problems
-	// with one sub-request land in its NDPBatchResult.Err instead.
+	// with one sub-request land in its NDPBatchResult.Err instead. Every
+	// answered Sums is fresh, shares storage with no other result, and
+	// passes to the caller, which may overwrite it: the cluster merge and
+	// the core join both accumulate in place. The implementation keeps no
+	// reference to it.
 	WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error)
 }
 
@@ -219,8 +223,8 @@ type NDPBatchResult struct {
 }
 
 // WeightedTagSumBatch implements NDP. Distinct rows referenced by
-// several sub-requests are read and unpacked once and scattered into every
-// requester's accumulator — the untrusted half of the cross-request dedup
+// several sub-requests are read once and folded into every requester's
+// accumulator — the untrusted half of the cross-request dedup
 // that the trusted side mirrors for pad generation. It is
 // WeightedTagSumBatchInto over fresh storage, whose ownership passes to
 // the caller with the results.
@@ -287,8 +291,6 @@ func (n *HonestNDP) WeightedTagSumBatchInto(ctx context.Context, geo Geometry, r
 			next++
 		}
 	}
-	up, row := getU64Scratch(m)
-	defer putU64Scratch(up)
 	var tagAccs []field.Acc
 	if verify {
 		buf.tags = resized(buf.tags, len(reqs))
@@ -304,20 +306,10 @@ func (n *HonestNDP) WeightedTagSumBatchInto(ctx context.Context, geo Geometry, r
 			if verify {
 				ct = field.FromBytes(tag)
 			}
-			if len(pr.uses) == 1 {
-				// Single-use row: fold ciphertext bytes straight into the
-				// requester's accumulator, skipping the unpack pass.
-				u := pr.uses[0]
-				r.ScaleAccumBytes(out[u.req].Sums, u.weight, data)
-				if verify {
-					tagAccs[u.req].AddMulUint64(ct, u.weight)
-				}
-				return
-			}
-			// Shared row: unpack once, scatter into every requester.
-			r.UnpackElemsInto(row, data)
+			// Every requester folds the row straight from its ciphertext
+			// bytes; a shared row is gathered once and folded once per use.
 			for _, u := range pr.uses {
-				r.ScaleAccum(out[u.req].Sums, u.weight, row)
+				r.ScaleAccumBytes(out[u.req].Sums, u.weight, data)
 				if verify {
 					tagAccs[u.req].AddMulUint64(ct, u.weight)
 				}

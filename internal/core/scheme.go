@@ -139,9 +139,6 @@ func (t *Table) resultChecksum(elems []uint64) field.Elem {
 	return checksumRow(t.seeds, elems)
 }
 
-// padBytes adapts a [16]byte OTP block to a byte slice.
-func padBytes(b [otp.BlockBytes]byte) []byte { return b[:] }
-
 // Geometry returns the table's public geometry.
 func (t *Table) Geometry() Geometry { return t.geo }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"secndp/internal/cluster"
 	"secndp/internal/core"
@@ -107,7 +108,49 @@ func contractImpls(t *testing.T, geo core.Geometry, image *memory.Space) []contr
 		{"faultproxy.Gate", gate, true},
 		{"cluster 1x1", contractCluster(t, geo, image, 1, 1), true},
 		{"cluster 2x2", contractCluster(t, geo, image, 2, 2), true},
+		{"cluster 2x1 mirror fill", contractMirrorCluster(t, geo, image), true},
 	}
+}
+
+// downNDP is a replica that fails every call.
+type downNDP struct{}
+
+var errDown = errors.New("replica down")
+
+func (downNDP) WeightedTagSum(context.Context, core.Geometry, []int, []uint64, bool) ([]uint64, field.Elem, error) {
+	return nil, field.Zero, errDown
+}
+
+func (downNDP) WeightedSumElem(context.Context, core.Geometry, []int, []int, []uint64) (uint64, error) {
+	return 0, errDown
+}
+
+func (downNDP) WeightedTagSumBatch(context.Context, core.Geometry, []core.BatchRequest, bool) ([]core.NDPBatchResult, error) {
+	return nil, errDown
+}
+
+// contractMirrorCluster builds a two-shard cluster whose second shard's
+// only replica is down, so every partial of that shard is a mirror fill
+// from the table image.
+func contractMirrorCluster(t *testing.T, geo core.Geometry, image *memory.Space) *cluster.NDP {
+	t.Helper()
+	smap, err := cluster.NewMap(contractRows, 2, cluster.RangeSharding, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := cluster.NewGroup(0, []core.NDP{contractClient(t, geo, image, smap.Runs(0))}, cluster.GroupConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := cluster.NewGroup(1, []core.NDP{downNDP{}}, cluster.GroupConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnd, err := cluster.NewReplicated(smap, []*cluster.ReplicaGroup{up, down}, cluster.Options{Mirror: image})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cnd
 }
 
 // TestNDPContractConformance: for every core.NDP implementation,
@@ -116,7 +159,8 @@ func contractImpls(t *testing.T, geo core.Geometry, image *memory.Space) []contr
 // WeightedSumElem decrypts to the plaintext element sum or is
 // errors.ErrUnsupported; every method returns the context's error under a
 // pre-cancelled context; and an out-of-range row or column through the
-// engine comes back as ErrIndexRange, never as a panic.
+// engine comes back as ErrIndexRange, never as a panic. Batch answers are
+// the caller's (checkBatchOwnership).
 func TestNDPContractConformance(t *testing.T) {
 	scheme, err := core.NewScheme(key)
 	if err != nil {
@@ -198,6 +242,8 @@ func TestNDPContractConformance(t *testing.T) {
 				}
 			}
 
+			checkBatchOwnership(t, nd, geo, idx, w)
+
 			switch v, err := nd.WeightedSumElem(ctx, geo, idx, jdx, w); {
 			case !impl.elem:
 				if !errors.Is(err, errors.ErrUnsupported) {
@@ -237,4 +283,81 @@ func TestNDPContractConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkBatchOwnership holds an NDP to the ownership rule of
+// core.NDP.WeightedTagSumBatch, which the cluster merge and the core join
+// rely on when they accumulate into the answered sums: every sub-result's
+// Sums has m columns and is fresh storage of its own — overwriting it
+// changes no other sub-result and no later answer, and no later answer
+// writes into it — and a sub-request
+// with no rows answers m zeros. The batch repeats a request and an empty
+// request, so an implementation that shares one answer between equal
+// requests, or one zero vector between empty ones, is caught.
+func checkBatchOwnership(t *testing.T, nd core.NDP, geo core.Geometry, idx []int, w []uint64) {
+	t.Helper()
+	ctx := context.Background()
+	m := geo.Params.M
+	reqs := []core.BatchRequest{
+		{Idx: idx, Weights: w},
+		{},
+		{Idx: []int{3, 17}, Weights: []uint64{2, 1}},  // the first shard alone
+		{Idx: []int{40, 63}, Weights: []uint64{7, 5}}, // the second shard alone
+		{Idx: idx, Weights: w},
+		{},
+	}
+	answer := func() []core.NDPBatchResult {
+		out, err := nd.WeightedTagSumBatch(ctx, geo, reqs, true)
+		if err != nil || len(out) != len(reqs) {
+			t.Fatalf("ownership batch: %v, %d results", err, len(out))
+		}
+		for i, r := range out {
+			if r.Err != nil || len(r.Sums) != m {
+				t.Fatalf("ownership batch request %d: %v, %d columns, want %d", i, r.Err, len(r.Sums), m)
+			}
+		}
+		return out
+	}
+	out := answer()
+	for _, i := range []int{1, 5} {
+		if slices.ContainsFunc(out[i].Sums, func(v uint64) bool { return v != 0 }) || !out[i].Tag.Equal(field.Zero) {
+			t.Fatalf("empty request %d answered %v, tag %v", i, out[i].Sums, out[i].Tag)
+		}
+	}
+	for i := range out {
+		for j := i + 1; j < len(out); j++ {
+			if overlaps(out[i].Sums, out[j].Sums) {
+				t.Fatalf("requests %d and %d share backing storage", i, j)
+			}
+		}
+	}
+	want := make([][]uint64, len(out))
+	for i := range out {
+		want[i] = slices.Clone(out[i].Sums)
+	}
+	for i := range out {
+		for c := range out[i].Sums {
+			out[i].Sums[c] = ^uint64(0)
+		}
+		for j := i + 1; j < len(out); j++ {
+			if !slices.Equal(out[j].Sums, want[j]) {
+				t.Fatalf("overwriting request %d changed request %d", i, j)
+			}
+		}
+	}
+	for i, r := range answer() {
+		if !slices.Equal(r.Sums, want[i]) {
+			t.Fatalf("request %d: a later answer changed after the caller overwrote the first", i)
+		}
+		if slices.ContainsFunc(out[i].Sums, func(v uint64) bool { return v != ^uint64(0) }) {
+			t.Fatalf("request %d: a later answer wrote into the first one's storage", i)
+		}
+	}
+}
+
+// overlaps reports whether a's and b's backing arrays, up to capacity,
+// share a word.
+func overlaps(a, b []uint64) bool {
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b))*8 && b0 < a0+uintptr(cap(a))*8
 }

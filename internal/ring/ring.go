@@ -129,10 +129,9 @@ func (r Ring) ScaleAccum(dst []uint64, w uint64, v []uint64) {
 	if len(dst) != len(v) {
 		panic("ring: ScaleAccum length mismatch")
 	}
-	// Unrolled 4-wide with explicit capacity slicing: this loop is the
-	// scatter kernel of the batched pipeline (one visit per (row, user)
-	// pair) as well as the NDP summation step, so shaving the per-element
-	// bounds checks is measurable at batch scale.
+	// Unrolled 4-wide with explicit capacity slicing, which drops the
+	// per-element bounds checks. The query paths fold packed bytes with
+	// ScaleAccumBytes instead; this form serves already-unpacked rows.
 	mask := r.mask
 	i := 0
 	for ; i+4 <= len(v); i += 4 {
