@@ -39,15 +39,18 @@ test-race:
 
 # The serving layer's gate: vet, the package twice under the race
 # detector (the coalescer's drain loop, its invariant hammer, Close with
-# work in flight), and the root package's tests that drive the stack
-# through serve (TestServeChaosReplicaKill). The allocation budgets hold
-# only without -race (see internal/serve/race_test.go), so they also run
-# once plainly.
+# work in flight, the row cache's torn-read hammer), and the root
+# package's tests that drive the stack through serve
+# (TestServeChaosReplicaKill). The allocation budgets hold only without
+# -race (see internal/serve/race_test.go), so they also run once plainly.
+# Last, the row cache and warm-lookup benchmarks run once each, so they
+# keep building and running.
 serve-check:
 	$(GO) vet ./internal/serve
 	$(GO) test -race -count=2 ./internal/serve
 	$(GO) test -run 'Serve' -race .
 	$(GO) test -run 'TestServeAllocBudgets' -count=1 ./internal/serve
+	$(GO) test -run '^$$' -bench 'RowCache|LookupBagsWarm' -benchtime 1x ./internal/serve
 
 # The batch wire path's gate: vet, cluster and remote twice under the race
 # detector (sub-batches sharing one SplitBatch arena across shard

@@ -303,7 +303,7 @@ func serveStage(quick bool, reg *telemetry.Registry) (*ServeReport, error) {
 
 	// Stage 2 — the serving layer at saturation on the same cluster. The
 	// cache is deliberately smaller than the table (a quarter of the
-	// rows): the Zipfian hot set still fits, the tail churns the LRU, and
+	// rows): the Zipfian hot set still fits, the tail churns the cache, and
 	// the measured hit rate reflects skew rather than table size.
 	svc := serve.New(serve.Config{CacheRows: f.spec.RowsPerTable / 4, Registry: reg})
 	for t, tab := range f.tabs {

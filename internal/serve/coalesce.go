@@ -149,10 +149,12 @@ func (co *coalescer) run(batch []*rowFetch, done chan struct{}, reqs []secndp.Re
 		if i < len(res) && res[i].Values != nil {
 			rf.rowEntry = rowEntry{vals: res[i].Values, verified: res[i].Verified, degraded: res[i].Degraded}
 			// Populate the cache before waking waiters so a hot row is
-			// servable the instant its fetch lands. The entry is keyed
-			// under the epoch the fetch was *enqueued* at: if the table
-			// rotated mid-fetch these values are pre-rotation and must
-			// not be visible to post-rotation epochs.
+			// servable the instant its fetch lands. The cache copies the
+			// row into its own slot, so an entry never pins this batch's
+			// result slab. The entry is keyed under the epoch the fetch
+			// was *enqueued* at: if the table rotated mid-fetch these
+			// values are pre-rotation and must not be visible to
+			// post-rotation epochs.
 			co.ts.cache.put(rf.row, rf.epoch, rf.rowEntry)
 		} else {
 			cause := err

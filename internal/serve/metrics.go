@@ -31,8 +31,8 @@ type metrics struct {
 	rowRefs       counter // row references across all bags
 	cacheHits     counter
 	cacheMisses   counter
-	cacheStale    counter // cache entries evicted on epoch mismatch
-	cacheEvicts   counter // cache entries evicted by LRU capacity
+	cacheStale    counter // cache entries dropped when read at a newer epoch
+	cacheEvicts   counter // cache entries a put replaced in a full set
 	joins         counter // row refs that joined an already-pending fetch
 	rowsFetched   counter // distinct rows sent to the NDP
 	batches       counter // coalesced QueryBatch calls issued
@@ -54,8 +54,8 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m.rowRefs.tel = reg.Counter("secndp_serve_row_refs_total", "row references across all bags")
 	m.cacheHits.tel = reg.Counter("secndp_serve_cache_hits_total", "row refs served from the hot-row cache")
 	m.cacheMisses.tel = reg.Counter("secndp_serve_cache_misses_total", "row refs missing the hot-row cache")
-	m.cacheStale.tel = reg.Counter("secndp_serve_cache_stale_total", "cache entries evicted on epoch mismatch")
-	m.cacheEvicts.tel = reg.Counter("secndp_serve_cache_evictions_total", "cache entries evicted by LRU capacity")
+	m.cacheStale.tel = reg.Counter("secndp_serve_cache_stale_total", "cache entries dropped because a lookup read them at a newer table epoch")
+	m.cacheEvicts.tel = reg.Counter("secndp_serve_cache_evictions_total", "cache entries a put replaced in a full 8-way set: one from an older table epoch first, else the CLOCK victim")
 	m.joins.tel = reg.Counter("secndp_serve_coalesce_joins_total", "row refs joining an already-pending fetch")
 	m.rowsFetched.tel = reg.Counter("secndp_serve_rows_fetched_total", "distinct rows fetched from the NDP")
 	m.batches.tel = reg.Counter("secndp_serve_batches_total", "coalesced QueryBatch calls issued")
@@ -141,8 +141,7 @@ func (s *Service) Stats() Stats {
 func (s *Service) debugState() any {
 	st := s.Stats()
 	tables := map[string]any{}
-	s.mu.RLock()
-	for name, ts := range s.tables {
+	for name, ts := range *s.tables.Load() {
 		tables[name] = map[string]any{
 			"rows":        ts.rows,
 			"cols":        ts.cols,
@@ -150,7 +149,6 @@ func (s *Service) debugState() any {
 			"cached_rows": ts.cache.len(),
 		}
 	}
-	s.mu.RUnlock()
 	return map[string]any{
 		"stats":             st,
 		"coalescing_factor": st.CoalescingFactor(),

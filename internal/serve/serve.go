@@ -9,11 +9,14 @@
 //     bounded queue absorbs bursts; beyond both, the lookup is shed
 //     immediately with ErrOverloaded (typed — callers branch with
 //     errors.Is) instead of growing an unbounded queue until collapse.
-//   - A sharded hot-row result cache: decrypted, verified row vectors
-//     keyed by (row, table epoch). DLRM traffic is Zipfian, so a small
-//     cache absorbs most row references; entries are invalidated by
-//     epoch comparison, so a Reencrypt or Reshard (which bump
-//     Table.Epoch) can never serve pre-rotation plaintext.
+//   - A hot-row result cache: decrypted, verified row vectors keyed by
+//     (row, table epoch). DLRM traffic is Zipfian, so a small cache
+//     absorbs most row references; entries are invalidated by epoch
+//     comparison, so a Reencrypt or Reshard (which bump Table.Epoch)
+//     can never serve pre-rotation plaintext. Each table's cache is a
+//     set-associative slot table reserved at AddTable, with rows copied
+//     into storage the cache owns: a read takes no lock (each slot is a
+//     seqlock), a write locks one 8-way set and evicts by CLOCK.
 //   - A per-table coalescer: cache-missing rows from concurrent lookups
 //     merge into one facade QueryBatch by group commit, so the batched
 //     pipeline's cross-request dedup (DESIGN.md §8) amortizes pads and
@@ -80,7 +83,10 @@ type Config struct {
 	// ErrOverloaded. <= 0 selects 4*MaxInflight.
 	MaxQueue int
 	// CacheRows bounds each table's hot-row result cache (decrypted row
-	// vectors). 0 selects 4096; negative disables the cache.
+	// vectors). 0 selects 4096; negative disables the cache. AddTable
+	// reserves the whole cache up front: CacheRows × cols × 8 bytes of
+	// row storage per table (1 MiB at the default and 32 columns), plus
+	// 32 bytes of slot metadata per row.
 	CacheRows int
 	// Registry receives serve-layer telemetry (secndp_serve_* series
 	// and the /debug/serve source). nil disables.
@@ -146,8 +152,10 @@ type Service struct {
 	wg      sync.WaitGroup
 	closed  atomic.Bool
 
-	mu     sync.RWMutex
-	tables map[string]*tableServe
+	// tables maps serving names to tables. Lookups load it without a
+	// lock; AddTable replaces it with an extended copy under mu.
+	mu     sync.Mutex
+	tables atomic.Pointer[map[string]*tableServe]
 }
 
 // tableServe is one table's serving state: the facade handle, its ring
@@ -174,8 +182,8 @@ func New(cfg Config) *Service {
 		met:     newMetrics(cfg.Registry),
 		baseCtx: ctx,
 		cancel:  cancel,
-		tables:  make(map[string]*tableServe),
 	}
+	s.tables.Store(&map[string]*tableServe{})
 	s.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, s.met)
 	if cfg.Registry != nil {
 		cfg.Registry.GaugeFunc("secndp_serve_inflight", "lookups holding an admission slot", s.adm.inflightCount)
@@ -202,33 +210,36 @@ func (s *Service) AddTable(name string, tab *secndp.Table) error {
 		ring:  rg,
 		cols:  geo.Params.M,
 		rows:  geo.Layout.NumRows,
-		cache: newRowCache(s.cfg.CacheRows, s.met),
+		cache: newRowCache(s.cfg.CacheRows, geo.Params.M, s.met),
 	}
 	ts.co = newCoalescer(s, ts)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.tables[name]; dup {
+	old := *s.tables.Load()
+	if _, dup := old[name]; dup {
 		return fmt.Errorf("serve: table %q already registered", name)
 	}
-	s.tables[name] = ts
+	tables := make(map[string]*tableServe, len(old)+1)
+	for n, t := range old {
+		tables[n] = t
+	}
+	tables[name] = ts
+	s.tables.Store(&tables)
 	return nil
 }
 
 // Tables lists the registered serving names.
 func (s *Service) Tables() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.tables))
-	for n := range s.tables {
+	tables := *s.tables.Load()
+	names := make([]string, 0, len(tables))
+	for n := range tables {
 		names = append(names, n)
 	}
 	return names
 }
 
 func (s *Service) table(name string) (*tableServe, error) {
-	s.mu.RLock()
-	ts := s.tables[name]
-	s.mu.RUnlock()
+	ts := (*s.tables.Load())[name]
 	if ts == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, name)
 	}
@@ -357,20 +368,40 @@ func (s *Service) startBag(pb *pendingBag, bag Bag, fetches []*rowFetch, missW [
 	pb.lo = len(fetches)
 	var missBuf [inlineRows]int
 	missRows := missBuf[:0]
+	// A hit is copied out of the cache into scratch and folded from
+	// there; only tables wider than the frame's scratch use the heap.
+	var scratchBuf [64]uint64
+	scratch := scratchBuf[:]
+	if ts.cols > len(scratch) {
+		scratch = make([]uint64, ts.cols)
+	}
+	var stale uint64
 	for k, row := range bag.Idx {
 		w := uint64(1)
 		if bag.Weights != nil {
 			w = bag.Weights[k]
 		}
-		if e, ok := ts.cache.get(row, epoch); ok {
+		e, r := ts.cache.get(row, epoch, scratch)
+		if r == cacheHit {
 			pb.res.CacheHits++
 			pb.fold(w, e)
 			continue
 		}
+		if r == cacheStale {
+			stale++
+		}
 		missRows = append(missRows, row)
 		missW = append(missW, w)
 	}
+	// The cache counters are shared by every core: add once per bag.
+	if pb.res.CacheHits > 0 {
+		s.met.cacheHits.add(uint64(pb.res.CacheHits))
+	}
+	if stale > 0 {
+		s.met.cacheStale.add(stale)
+	}
 	if len(missRows) > 0 {
+		s.met.cacheMisses.add(uint64(len(missRows)))
 		fetches = ts.co.enqueue(fetches, missRows, epoch)
 	}
 	pb.hi = len(fetches)

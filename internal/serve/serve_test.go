@@ -49,7 +49,7 @@ type harness struct {
 	names  []string
 }
 
-func newHarness(t *testing.T, nTables, rows, cols int, seed int64, cfg serve.Config) *harness {
+func newHarness(t testing.TB, nTables, rows, cols int, seed int64, cfg serve.Config) *harness {
 	t.Helper()
 	return newHarnessOn(t, nTables, rows, cols, seed, cfg, func() secndp.Backend {
 		return secndp.LocalBackend(secndp.NewMemory())
@@ -69,7 +69,7 @@ func newGatedHarness(t *testing.T, rows, cols int, seed int64, cfg serve.Config)
 	return h, gate
 }
 
-func newHarnessOn(t *testing.T, nTables, rows, cols int, seed int64, cfg serve.Config, backend func() secndp.Backend) *harness {
+func newHarnessOn(t testing.TB, nTables, rows, cols int, seed int64, cfg serve.Config, backend func() secndp.Backend) *harness {
 	t.Helper()
 	eng, err := secndp.New(testKey)
 	if err != nil {
@@ -589,8 +589,8 @@ func TestServeCacheNeverServesPreRotationRows(t *testing.T) {
 		t.Fatal("post-rotation lookup unverified")
 	}
 	h.check(t, 0, bag, res) // fresh plaintext, not the old rows
-	if st := h.svc.Stats(); st.CacheStale == 0 {
-		t.Error("epoch flip evicted no stale entries")
+	if st := h.svc.Stats(); st.CacheStale != 2 {
+		t.Errorf("epoch flip dropped %d stale entries, want the bag's 2", st.CacheStale)
 	}
 
 	// And the rotated rows re-cache under the new epoch.
@@ -659,6 +659,9 @@ var raceEnabled bool
 // cache off — four drain goroutines, four facade batches of 28
 // allocations each — reads 149 where the window-timer coalescer read 262
 // (warm: 5 against 10), this same test body run at both commits.
+// Missing: the cold lookup again with the cache on, every row a miss
+// that the coalescer then puts, evicting; it is held to the cache-off
+// budget because a put copies into a reserved slot and allocates nothing.
 func TestServeAllocBudgets(t *testing.T) {
 	lookup := func(h *harness) func() {
 		bags := make([]serve.Bag, len(h.names))
@@ -671,6 +674,34 @@ func TestServeAllocBudgets(t *testing.T) {
 			}
 		}
 	}
+	// missing walks each table in steps of 8 rows, so no row repeats
+	// within the 2048/8 calls AllocsPerRun makes.
+	const missRows = 2048
+	missH := newHarness(t, 4, missRows, 16, 13, serve.Config{CacheRows: 32})
+	missing := func() func() {
+		bags := make([]serve.Bag, len(missH.names))
+		for ti, name := range missH.names {
+			bags[ti] = serve.Bag{Table: name, Idx: make([]int, 8)}
+		}
+		next := 0
+		return func() {
+			for _, bag := range bags {
+				for k := range bag.Idx {
+					bag.Idx[k] = (next + k) % missRows
+				}
+			}
+			next += len(bags[0].Idx)
+			res, err := missH.svc.LookupBags(context.Background(), bags)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res {
+				if r.CacheHits != 0 {
+					t.Fatalf("a fresh row hit the cache: %+v", r)
+				}
+			}
+		}
+	}()
 	warm := lookup(newHarness(t, 4, 64, 16, 13, serve.Config{}))
 	warm()
 	if n := testing.AllocsPerRun(200, warm); n > 6 {
@@ -684,6 +715,111 @@ func TestServeAllocBudgets(t *testing.T) {
 	}
 	if n > 180 {
 		t.Errorf("cold 4-bag lookup: %.1f allocations, budget 180", n)
+	}
+	missing()
+	if n := testing.AllocsPerRun(200, missing); n > 180 {
+		t.Errorf("cache-missing 4-bag lookup: %.1f allocations, budget 180 (the cache-off budget)", n)
+	}
+	if st := missH.svc.Stats(); st.CacheEvicts == 0 {
+		t.Error("the missing lookups evicted nothing: puts never reached a full set")
+	}
+}
+
+// TestServeAddTableDuringLookups: registering tables while lookups run
+// races nothing. Lookups on a registered table stay correct; lookups on
+// a table being added see either ErrUnknownTable or a correct result.
+func TestServeAddTableDuringLookups(t *testing.T) {
+	const rows, cols = 32, 8
+	h := newHarness(t, 1, rows, cols, 14, serve.Config{})
+	eng, err := secndp.New(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(15))
+	var late []*secndp.Table
+	var lateNames []string
+	var latePlain [][][]uint64
+	for i := 0; i < 6; i++ {
+		plain := testRows(rng, rows, cols, 1<<20)
+		name := "late" + string(rune('0'+i))
+		tab, err := eng.CreateTable(context.Background(), secndp.LocalBackend(secndp.NewMemory()),
+			secndp.TableSpec{Name: name, Rows: rows, Cols: cols}, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tab.Close)
+		late = append(late, tab)
+		lateNames = append(lateNames, name)
+		latePlain = append(latePlain, plain)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				li := (i + g) % len(late)
+				for _, c := range []struct {
+					plain [][]uint64
+					bag   serve.Bag
+				}{
+					{h.plains[0], serve.Bag{Table: h.names[0], Idx: []int{i % rows, (i + g) % rows}}},
+					{latePlain[li], serve.Bag{Table: lateNames[li], Idx: []int{i % rows}}},
+				} {
+					res, err := h.svc.Lookup(context.Background(), c.bag)
+					if errors.Is(err, serve.ErrUnknownTable) && c.bag.Table != h.names[0] {
+						continue
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if want := plainSum(c.plain, c.bag.Idx, nil, cols, 0xFFFFFFFF); res.Values[0] != want[0] {
+						t.Errorf("table %s: %d != %d", c.bag.Table, res.Values[0], want[0])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	eventually(t, "lookups to run before the first AddTable", func() bool { return h.svc.Stats().Lookups >= 8 })
+	for i, tab := range late {
+		if err := h.svc.AddTable(lateNames[i], tab); err != nil {
+			t.Fatal(err)
+		}
+		_ = h.svc.Tables()
+	}
+	close(stop)
+	wg.Wait()
+	if n := len(h.svc.Tables()); n != 1+len(late) {
+		t.Fatalf("%d tables registered, want %d", n, 1+len(late))
+	}
+}
+
+// BenchmarkLookupBagsWarm times a 4-bag, 32-row lookup served entirely
+// from the row cache: admission, the cache's hit path and the fold.
+func BenchmarkLookupBagsWarm(b *testing.B) {
+	h := newHarness(b, 4, 64, 32, 16, serve.Config{})
+	bags := make([]serve.Bag, len(h.names))
+	for ti, name := range h.names {
+		bags[ti] = serve.Bag{Table: name, Idx: []int{1, 9, 17, 25, 33, 41, 49, 57}}
+	}
+	ctx := context.Background()
+	if _, err := h.svc.LookupBags(ctx, bags); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.svc.LookupBags(ctx, bags); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
