@@ -9,12 +9,15 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# vet also cross-vets the packages that carry amd64 assembly for arm64, so
-# their build-tagged fallbacks (memory/prefetch_other.go,
-# ring/accum_other.go, otp/ctr_fallback.go, and core, which calls through
-# them) cannot stop compiling unnoticed; the standard library
-# cross-compiles offline.
+# vet first fails on any Go file gofmt would rewrite (the benchmark's
+# ignored build directory aside). It also cross-vets the packages that
+# carry amd64 assembly for arm64, so their build-tagged fallbacks
+# (memory/prefetch_other.go, ring/accum_other.go, otp/ctr_fallback.go, and
+# core, which calls through them) cannot stop compiling unnoticed; the
+# standard library cross-compiles offline.
 vet: inline-check
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/memory ./internal/core ./internal/ring ./internal/otp
 
@@ -53,8 +56,9 @@ serve-check:
 	$(GO) test -run '^$$' -bench 'RowCache|LookupBagsWarm' -benchtime 1x ./internal/serve
 
 # The batch wire path's gate: vet, cluster and remote twice under the race
-# detector (sub-batches sharing one SplitBatch arena across shard
-# goroutines, replies decoded in place from the read buffer), and the root
+# detector (sub-batches sharing one SplitBatch arena, every shard's
+# exchange started and finished by the calling goroutine, replies decoded
+# into reused connection buffers and folded into one batch slab), and the root
 # tests that pin its allocation budget and its answers under concurrent
 # callers. The budget itself holds only without -race (see race_test.go),
 # so it also runs once plainly. Last, the seed corpus of the trusted

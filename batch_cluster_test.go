@@ -66,9 +66,12 @@ func uniformBatch(rng *rand.Rand, bags, bagRows, rows int) []Request {
 // replies and the servers' per-connection result buffers, 116 allocations
 // and ~438 KB (about 100 and ~288 KB after); before the cluster merge and
 // the core join kept the NDP's sum vectors and the batch pad walk staged
-// packed bytes, 94 and ~274 KB (94 and ~188 KB after).
+// packed bytes, 94 and ~274 KB (94 and ~188 KB after); before the
+// caller-driven scatter — no goroutine per shard, replies parsed into
+// reused connection buffers and folded into one batch slab — 93 and
+// ~188 KB (59 and ~84 KB after).
 func TestBatchClusterAllocBudget(t *testing.T) {
-	const rows, budget, bytesBudget = 16384, 130, 230 << 10
+	const rows, budget, bytesBudget = 16384, 80, 120 << 10
 	tab, _ := newBatchCluster(t, 4, rows, 64, 250)
 	reqs := uniformBatch(rand.New(rand.NewSource(251)), 64, 8, rows)
 	ctx := context.Background()

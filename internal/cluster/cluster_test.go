@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"secndp/internal/core"
@@ -210,6 +212,78 @@ func TestClusterBatchEquivalence(t *testing.T) {
 				t.Fatalf("request %d: tag %v != %v", i, got[i].Tag, want[i].Tag)
 			}
 		}
+	}
+}
+
+// callerNDP is an in-process replica that records the goroutine each of
+// its batches ran on.
+type callerNDP struct {
+	core.NDP
+	mu  sync.Mutex
+	ids []string
+}
+
+func (c *callerNDP) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
+	c.mu.Lock()
+	c.ids = append(c.ids, goroutineID())
+	c.mu.Unlock()
+	return c.NDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
+}
+
+// goroutineID is the calling goroutine's number, from its stack header.
+func goroutineID() string {
+	b := make([]byte, 64)
+	return strings.Fields(string(b[:runtime.Stack(b, false)]))[1]
+}
+
+// TestBatchScatterOnCaller: a batch over in-process replicas starts no
+// goroutine per shard, traced or not — every shard answers on the
+// caller's goroutine — and a traced batch still opens one span per shard.
+func TestBatchScatterOnCaller(t *testing.T) {
+	fx := buildFixture(t, 4, HashSharding, memory.TagSep)
+	shards := make([]core.NDP, len(fx.shards))
+	recs := make([]*callerNDP, len(fx.shards))
+	for s := range shards {
+		recs[s] = &callerNDP{NDP: fx.shards[s]}
+		shards[s] = recs[s]
+	}
+	cnd, err := New(fx.smap, shards, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]core.BatchRequest, 16)
+	rng := rand.New(rand.NewSource(64))
+	for i := range reqs {
+		reqs[i].Idx, reqs[i].Weights = randQuery(rng, 64, 8)
+	}
+	reg := telemetry.NewRegistry()
+	traced, root := reg.StartSpan(context.Background(), "test_batch")
+	for _, ctx := range []context.Context{context.Background(), traced} {
+		if _, err := cnd.WeightedTagSumBatch(ctx, fx.geo, reqs, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root.End()
+	me := goroutineID()
+	for s, rec := range recs {
+		if len(rec.ids) != 2 {
+			t.Fatalf("shard %d answered %d batches, want 2", s, len(rec.ids))
+		}
+		for _, id := range rec.ids {
+			if id != me {
+				t.Fatalf("shard %d answered on goroutine %s, the caller is %s", s, id, me)
+			}
+		}
+	}
+	tree, _ := reg.TraceTree(root.Trace())
+	shardSpans := 0
+	for _, sp := range tree.Spans {
+		if strings.HasSuffix(sp.Op, "_batch") && sp.Parent == root.ID() {
+			shardSpans++
+		}
+	}
+	if shardSpans != len(recs) {
+		t.Fatalf("%d shard spans in the traced batch, want %d", shardSpans, len(recs))
 	}
 }
 

@@ -160,9 +160,9 @@ func TestSplitBatchOrigins(t *testing.T) {
 		idx     []int
 		weights []uint64
 	}{
-		{[]int{0, 1}, []uint64{1, 2}},    // shard 0 only
-		{[]int{0, 15}, []uint64{3, 4}},   // shards 0 and 3
-		{nil, nil},                       // no rows: appears nowhere
+		{[]int{0, 1}, []uint64{1, 2}},       // shard 0 only
+		{[]int{0, 15}, []uint64{3, 4}},      // shards 0 and 3
+		{nil, nil},                          // no rows: appears nowhere
 		{[]int{4, 5, 6}, []uint64{5, 6, 7}}, // shard 1 only
 	}
 	breqs := make([]core.BatchRequest, len(reqs))

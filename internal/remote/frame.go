@@ -176,23 +176,20 @@ func (f *connFrames) readQuery(r *bufio.Reader) ([]int, []uint64, error) {
 		return nil, nil, fmt.Errorf("remote: query of %d rows exceeds limit", n)
 	}
 	f.idx = growInts(f.idx, int(n))
-	for k := range f.idx {
-		v, err := readUvarint(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		f.idx[k] = int(v)
+	if err := readUvarints(r, f.idx); err != nil {
+		return nil, nil, err
 	}
 	f.weights = growU64s(f.weights, int(n))
-	for k := range f.weights {
-		if f.weights[k], err = readUvarint(r); err != nil {
-			return nil, nil, err
-		}
+	if err := readUvarints(r, f.weights); err != nil {
+		return nil, nil, err
 	}
 	return f.idx, f.weights, nil
 }
 
-// readBatchSub parses one sub-request into slot i's reusable vectors.
+// readBatchSub parses one sub-request into slot i's reusable vectors,
+// decoding the indices and weights in bulk from the read buffer
+// (readUvarints): the bytes consumed and the errors are the package-level
+// readBatchSub's.
 func (f *connFrames) readBatchSub(r *bufio.Reader, i int) ([]int, []uint64, error) {
 	n, err := readUvarint(r)
 	if err != nil {
@@ -203,12 +200,8 @@ func (f *connFrames) readBatchSub(r *bufio.Reader, i int) ([]int, []uint64, erro
 	}
 	f.subIdx[i] = growInts(f.subIdx[i], int(n))
 	idx := f.subIdx[i]
-	for k := range idx {
-		v, err := readUvarint(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		idx[k] = int(v)
+	if err := readUvarints(r, idx); err != nil {
+		return nil, nil, err
 	}
 	m, err := readUvarint(r)
 	if err != nil {
@@ -219,10 +212,8 @@ func (f *connFrames) readBatchSub(r *bufio.Reader, i int) ([]int, []uint64, erro
 	}
 	f.subW[i] = growU64s(f.subW[i], int(m))
 	weights := f.subW[i]
-	for k := range weights {
-		if weights[k], err = readUvarint(r); err != nil {
-			return nil, nil, err
-		}
+	if err := readUvarints(r, weights); err != nil {
+		return nil, nil, err
 	}
 	return idx, weights, nil
 }

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"testing"
+	"testing/iotest"
 
 	"secndp/internal/core"
 	"secndp/internal/memory"
@@ -179,7 +181,26 @@ func FuzzReadBatchRequest(f *testing.F) {
 		{Idx: []int{9}, Weights: []uint64{4, 7}}, // mismatched lengths must frame
 	}, batchFlagVerify|batchFlagPacked))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, reqs, flags, err := readBatchRequest(bufio.NewReader(bytes.NewReader(data)))
+		ref := bufio.NewReader(bytes.NewReader(data))
+		g, reqs, flags, err := readBatchRequest(ref)
+		// The server's in-place parser, through the smallest read buffer
+		// over a reader that returns half of each request, so values
+		// straddle buffer refills: the same answer, the same error and the
+		// same bytes consumed as the reference.
+		fr := &connFrames{}
+		in := bufio.NewReaderSize(iotest.HalfReader(bytes.NewReader(data)), 16)
+		fg, freqs, fflags, ferr := fr.readBatchRequest(in)
+		switch {
+		case (err == nil) != (ferr == nil):
+			t.Fatalf("reference error %v, in-place error %v", err, ferr)
+		case err != nil && err.Error() != ferr.Error():
+			t.Fatalf("reference error %q, in-place error %q", err, ferr)
+		case err == nil && (fg != g || fflags != flags || !batchRequestsEqual(freqs, reqs)):
+			t.Fatal("in-place parse differs from the reference")
+		}
+		if rest, frest := unread(ref), unread(in); rest != frest {
+			t.Fatalf("reference left %d bytes unread, in-place parse %d", rest, frest)
+		}
 		if err != nil {
 			return
 		}
@@ -215,6 +236,26 @@ func FuzzReadBatchRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// batchRequestsEqual reports whether two parsed batches carry the same
+// sub-requests; a nil and an empty vector are the same.
+func batchRequestsEqual(a, b []core.BatchRequest) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i].Idx, b[i].Idx) || !slices.Equal(a[i].Weights, b[i].Weights) {
+			return false
+		}
+	}
+	return true
+}
+
+// unread counts the bytes a parse left in r.
+func unread(r *bufio.Reader) int {
+	rest, _ := io.ReadAll(r)
+	return len(rest)
 }
 
 // FuzzReadBatchResponse feeds arbitrary bytes to the client-side batch

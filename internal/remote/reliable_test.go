@@ -223,3 +223,44 @@ func TestPoolClosed(t *testing.T) {
 		t.Fatalf("closed pool Get: got %v, want ErrPoolClosed", err)
 	}
 }
+
+// TestAttemptContextUnboundedIsCallers: with no per-attempt timeout and no
+// caller deadline, an attempt runs under the caller's own context — no
+// derived context, no registration with the parent — and its cancel is a
+// no-op; a per-attempt timeout or a caller deadline still derives one.
+func TestAttemptContextUnboundedIsCallers(t *testing.T) {
+	type key struct{}
+	ctx := context.WithValue(context.Background(), key{}, 1)
+	p := RetryPolicy{}.withDefaults()
+	actx, cancel := p.attemptContext(ctx, 1)
+	if actx != ctx {
+		t.Fatal("unbounded attempt derived a new context")
+	}
+	cancel()
+	if actx.Err() != nil {
+		t.Fatal("the no-op cancel cancelled the caller's context")
+	}
+
+	dl, stop := context.WithTimeout(ctx, time.Minute)
+	defer stop()
+	for _, c := range []struct {
+		name string
+		p    RetryPolicy
+		ctx  context.Context
+	}{
+		{"per-attempt timeout", RetryPolicy{PerAttemptTimeout: time.Second}.withDefaults(), ctx},
+		{"caller deadline", p, dl},
+	} {
+		actx, cancel := c.p.attemptContext(c.ctx, 1)
+		if actx == c.ctx {
+			t.Errorf("%s: attempt did not derive a bounded context", c.name)
+		}
+		if _, ok := actx.Deadline(); !ok {
+			t.Errorf("%s: attempt context has no deadline", c.name)
+		}
+		cancel()
+		if actx.Err() == nil {
+			t.Errorf("%s: cancel did not end the attempt context", c.name)
+		}
+	}
+}

@@ -89,7 +89,8 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 
 // attemptContext derives one attempt's context from the caller's:
 // PerAttemptTimeout when set, else an even split of the remaining deadline
-// budget over the remaining attempts, else the caller's context unchanged.
+// budget over the remaining attempts, else the caller's context unchanged,
+// with a no-op cancel.
 func (p RetryPolicy) attemptContext(ctx context.Context, attempt int) (context.Context, context.CancelFunc) {
 	if p.PerAttemptTimeout > 0 {
 		return context.WithTimeout(ctx, p.PerAttemptTimeout)
@@ -103,7 +104,7 @@ func (p RetryPolicy) attemptContext(ctx context.Context, attempt int) (context.C
 			return context.WithTimeout(ctx, slice)
 		}
 	}
-	return context.WithCancel(ctx)
+	return ctx, func() {}
 }
 
 // sleepCtx sleeps for d unless the context ends first.
