@@ -12,7 +12,28 @@ import (
 	"testing/iotest"
 
 	"secndp/internal/core"
+	"secndp/internal/ring"
 )
+
+// readBatchResponse parses a varint opBatch reply for a batch of count
+// sub-requests over m columns into fresh storage.
+func readBatchResponse(r *bufio.Reader, count, m int, verify bool) ([]core.NDPBatchResult, error) {
+	res := make([]core.NDPBatchResult, count)
+	if err := readBatchReply(r, res, make([]uint64, count*m), m, verify, false, ring.Ring{}); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// readPackedBatchResponse is readBatchResponse for a packed reply, whose
+// sums are lanes of rg.
+func readPackedBatchResponse(r *bufio.Reader, count, m int, verify bool, rg ring.Ring) ([]core.NDPBatchResult, error) {
+	res := make([]core.NDPBatchResult, count)
+	if err := readBatchReply(r, res, make([]uint64, count*m), m, verify, true, rg); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
 // The client decodes shard replies in place from its read buffer. These
 // tests hold the fast decoder to the byte-at-a-time one it replaced, and
