@@ -41,10 +41,11 @@ test-race:
 	$(GO) test -race ./...
 
 # The serving layer's gate: vet, the package twice under the race
-# detector (the coalescer's drain loop, its invariant hammer, Close with
-# work in flight, the row cache's torn-read hammer), and the root
-# package's tests that drive the stack through serve
-# (TestServeChaosReplicaKill). The allocation budgets hold only without
+# detector (the per-service drain loop, its invariant hammer, Close with
+# work in flight, the row cache's torn-read hammer, a fetch pinned across
+# a Reencrypt publish, the one-exchange-per-shard count and the shared
+# pools' dial guard), and the root package's tests that drive the stack
+# through serve (TestServeChaosReplicaKill). The allocation budgets hold only without
 # -race (see internal/serve/race_test.go), so they also run once plainly.
 # Last, the row cache and warm-lookup benchmarks run once each, so they
 # keep building and running.
@@ -57,17 +58,22 @@ serve-check:
 
 # The batch wire path's gate: vet, cluster and remote twice under the race
 # detector (sub-batches sharing one SplitBatch arena, every shard's
-# exchange started and finished by the calling goroutine, replies decoded
-# into reused connection buffers and folded into one batch slab), and the root
-# tests that pin its allocation budget and its answers under concurrent
-# callers. The budget itself holds only without -race (see race_test.go),
+# exchange started and finished by the calling goroutine, several frames
+# pipelined on one connection and their replies decoded into reused
+# connection buffers and folded into each table's slab), the joint
+# exchange over real sockets (internal/integration's TestBatch*: replies
+# cut mid-frame, hung shards, shared and crossed clients), and the root
+# tests that pin its allocation budget, its answers under concurrent
+# callers and the engine's shared transports. The budget itself holds
+# only without -race (see race_test.go),
 # so it also runs once plainly. Last, the seed corpus of the trusted
 # side's oracle: pipelined batches equal the per-request fan-out across
 # the sizes where the pad walk fans out over workers.
 batch-check:
-	$(GO) vet ./internal/cluster ./internal/remote
+	$(GO) vet ./internal/cluster ./internal/remote ./internal/integration
 	$(GO) test -race -count=2 ./internal/cluster/... ./internal/remote/...
-	$(GO) test -run 'TestBatchCluster' -race .
+	$(GO) test -race -count=2 -run 'TestBatch' ./internal/integration
+	$(GO) test -run 'TestBatchCluster|TestSharedTransport' -race .
 	$(GO) test -run 'TestBatchClusterAllocBudget' -count=1 .
 	$(GO) test -run '^FuzzBatchMatchesFanout$$' -count=1 ./internal/core
 

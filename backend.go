@@ -11,7 +11,6 @@ import (
 	"secndp/internal/core"
 	"secndp/internal/memory"
 	"secndp/internal/remote"
-	"secndp/internal/telemetry"
 )
 
 // This file is the provisioning redesign: one Engine.CreateTable entry
@@ -62,9 +61,7 @@ func (b localBackend) createTable(ctx context.Context, e *Engine, spec TableSpec
 		e.versions.Release(region)
 		return nil, err
 	}
-	t := e.newTable(tab, &core.HonestNDP{Mem: b.mem}, region, nil)
-	t.local = b.mem
-	return t, nil
+	return e.newTable(tab, &core.HonestNDP{Mem: b.mem}, region, nil), nil
 }
 
 // RemoteBackend encrypts locally and ships only ciphertext and tags to
@@ -117,9 +114,11 @@ func (b remoteBackend) createTable(ctx context.Context, e *Engine, spec TableSpe
 // caller. Exactly one of the two must be set; see doc.go for the
 // precedence rules.
 type ShardSpec struct {
-	// Addr is the shard server's address; the backend dials it with
-	// DialReliableNDP and the engine's WithTransport configuration, and
-	// Table.Close closes the connection.
+	// Addr is the shard server's address; the engine dials it with
+	// DialReliableNDP and its WithTransport configuration. Every table of
+	// the engine naming the same address shares that one transport — one
+	// connection pool, one breaker — so their batches can share its
+	// exchanges; the last table using it closes it at Table.Close.
 	Addr string
 	// Transport, when non-nil, is used instead of dialing Addr. The
 	// caller keeps ownership: Table.Close does not close it.
@@ -343,7 +342,7 @@ func (c *Cluster) provision(ctx context.Context, e *Engine, spec TableSpec, rows
 	}
 	if e.tel != nil {
 		cnd.Instrument(e.tel.reg)
-		instrumentReplicaTransports(e.tel.reg, transports, nReplicas)
+		e.bindTransportGauges(transports, nReplicas)
 		// Live inspection surface: /debug/cluster snapshots the serving
 		// topology (epoch, replica health, breaker state, reshard
 		// progress). Last-registered cluster table wins the name, matching
@@ -357,9 +356,11 @@ func (c *Cluster) provision(ctx context.Context, e *Engine, spec TableSpec, rows
 }
 
 // dialShardSpecs resolves a spec list into live transports: caller
-// transports pass through (never owned), addresses are dialed with the
-// engine's transport config (owned — the table closes them). Reliable
-// transports join the engine's registry.
+// transports pass through (never owned), addresses resolve to the
+// engine's shared transport for that address, dialed on first use with
+// the engine's transport config; owned holds one reference per address
+// spec, which the table drops at Close. Reliable transports join the
+// engine's registry.
 func (e *Engine) dialShardSpecs(ctx context.Context, specs []ShardSpec) ([]NDPTransport, []io.Closer, error) {
 	transports := make([]NDPTransport, len(specs))
 	var owned []io.Closer
@@ -372,13 +373,13 @@ func (e *Engine) dialShardSpecs(ctx context.Context, specs []ShardSpec) ([]NDPTr
 		if ss.Transport != nil {
 			transports[i] = ss.Transport
 		} else if ss.Addr != "" {
-			rc, derr := remote.DialReliable(ctx, ss.Addr, e.transportConfig())
+			ref, derr := e.acquireTransport(ctx, ss.Addr)
 			if derr != nil {
 				closeOwned()
 				return nil, nil, fmt.Errorf("secndp: shard %d (%s): %w", i, ss.Addr, derr)
 			}
-			transports[i] = rc
-			owned = append(owned, rc)
+			transports[i] = ref.st.rc
+			owned = append(owned, ref)
 		} else {
 			closeOwned()
 			return nil, nil, fmt.Errorf("secndp: shard %d: ShardSpec needs an Addr or a Transport", i)
@@ -388,6 +389,82 @@ func (e *Engine) dialShardSpecs(ctx context.Context, specs []ShardSpec) ([]NDPTr
 		}
 	}
 	return transports, owned, nil
+}
+
+// sharedTransport is the engine's one reliable transport to a shard
+// address, shared by every table (and reshard layout) naming it. refs
+// is guarded by the engine's sharedMu.
+type sharedTransport struct {
+	addr string
+	rc   *remote.ReliableClient
+	refs int
+}
+
+// transportRef is one holder's reference to a shared transport; Close
+// drops it, once.
+type transportRef struct {
+	e    *Engine
+	st   *sharedTransport
+	once sync.Once
+}
+
+func (r *transportRef) Close() error {
+	r.once.Do(func() { r.e.releaseTransport(r.st) })
+	return nil
+}
+
+// acquireTransport returns a reference to the engine's transport for
+// addr, dialing it (outside the lock) when no table holds one.
+func (e *Engine) acquireTransport(ctx context.Context, addr string) (*transportRef, error) {
+	e.sharedMu.Lock()
+	st := e.shared[addr]
+	if st != nil {
+		st.refs++
+		e.sharedMu.Unlock()
+		return &transportRef{e: e, st: st}, nil
+	}
+	e.sharedMu.Unlock()
+	rc, err := remote.DialReliable(ctx, addr, e.transportConfig())
+	if err != nil {
+		return nil, err
+	}
+	e.sharedMu.Lock()
+	defer e.sharedMu.Unlock()
+	if st = e.shared[addr]; st != nil {
+		// Another table dialed the address meanwhile: use its transport.
+		rc.Close()
+	} else {
+		if e.shared == nil {
+			e.shared = make(map[string]*sharedTransport)
+		}
+		st = &sharedTransport{addr: addr, rc: rc}
+		e.shared[addr] = st
+	}
+	st.refs++
+	return &transportRef{e: e, st: st}, nil
+}
+
+// releaseTransport drops one reference; the last closes the transport
+// and drops the gauges bound to it.
+func (e *Engine) releaseTransport(st *sharedTransport) {
+	e.sharedMu.Lock()
+	st.refs--
+	last := st.refs == 0
+	if last {
+		delete(e.shared, st.addr)
+		for p, rc := range e.gauges {
+			if rc == st.rc {
+				delete(e.gauges, p)
+				for _, g := range transportGauges {
+					e.tel.reg.DropGaugeFunc(p + g.name)
+				}
+			}
+		}
+	}
+	e.sharedMu.Unlock()
+	if last {
+		st.rc.Close()
+	}
 }
 
 // buildReplicaGroups folds a shard-major transport list (R consecutive
@@ -408,13 +485,43 @@ func buildReplicaGroups(transports []NDPTransport, nReplicas int, cfg cluster.Gr
 	return groups, nil
 }
 
-// instrumentReplicaTransports exports each (shard, replica) reliable
-// transport's fault-tolerance counters as callback gauges
-// (secndp_cluster_shard<s>_replica<r>_transport_*), evaluated at
-// snapshot time from the client's own atomics — a flapping replica is
-// visible in /metrics without any hot-path bookkeeping. Re-registering
-// after a reshard re-binds the series to the replacement transports.
-func instrumentReplicaTransports(reg *telemetry.Registry, transports []NDPTransport, nReplicas int) {
+// transportGauges are the per-(shard, replica) transport series, each
+// read from the client's own atomics at snapshot time.
+var transportGauges = []struct {
+	name, help string
+	read       func(remote.TransportStats) int64
+}{
+	{"attempts", "Wire attempts by shard %d replica %d's transport.",
+		func(st remote.TransportStats) int64 { return int64(st.Attempts) }},
+	{"retries", "Retried attempts by shard %d replica %d's transport.",
+		func(st remote.TransportStats) int64 { return int64(st.Retries) }},
+	{"dials", "Pool (re)dials by shard %d replica %d's transport.",
+		func(st remote.TransportStats) int64 { return int64(st.Dials) }},
+	{"breaker_opens", "Circuit-open transitions on shard %d replica %d's transport.",
+		func(st remote.TransportStats) int64 { return int64(st.BreakerOpens) }},
+	{"breaker_state", "Breaker state of shard %d replica %d's transport: 0 closed, 1 half-open, 2 open.",
+		func(st remote.TransportStats) int64 {
+			switch st.BreakerState {
+			case "open":
+				return 2
+			case "half-open":
+				return 1
+			}
+			return 0
+		}},
+}
+
+// bindTransportGauges exports each (shard, replica) reliable transport's
+// fault-tolerance counters as callback gauges
+// (secndp_cluster_shard<s>_replica<r>_transport_*) — a flapping replica
+// is visible in /metrics without any hot-path bookkeeping. A name
+// already bound to the same transport is left alone, so tables sharing
+// the engine's transports register each series once; binding it to
+// another transport (a reshard's layout, a caller's transport) re-binds
+// the series. The last table to drop a shared transport drops its series.
+func (e *Engine) bindTransportGauges(transports []NDPTransport, nReplicas int) {
+	e.sharedMu.Lock()
+	defer e.sharedMu.Unlock()
 	for i, tr := range transports {
 		rc, ok := tr.(*remote.ReliableClient)
 		if !ok {
@@ -422,24 +529,18 @@ func instrumentReplicaTransports(reg *telemetry.Registry, transports []NDPTransp
 		}
 		s, r := i/nReplicas, i%nReplicas
 		p := fmt.Sprintf("secndp_cluster_shard%d_replica%d_transport_", s, r)
-		reg.GaugeFunc(p+"attempts", fmt.Sprintf("Wire attempts by shard %d replica %d's transport.", s, r),
-			func() int64 { return int64(rc.Stats().Attempts) })
-		reg.GaugeFunc(p+"retries", fmt.Sprintf("Retried attempts by shard %d replica %d's transport.", s, r),
-			func() int64 { return int64(rc.Stats().Retries) })
-		reg.GaugeFunc(p+"dials", fmt.Sprintf("Pool (re)dials by shard %d replica %d's transport.", s, r),
-			func() int64 { return int64(rc.Stats().Dials) })
-		reg.GaugeFunc(p+"breaker_opens", fmt.Sprintf("Circuit-open transitions on shard %d replica %d's transport.", s, r),
-			func() int64 { return int64(rc.Stats().BreakerOpens) })
-		reg.GaugeFunc(p+"breaker_state", fmt.Sprintf("Breaker state of shard %d replica %d's transport: 0 closed, 1 half-open, 2 open.", s, r),
-			func() int64 {
-				switch rc.Stats().BreakerState {
-				case "open":
-					return 2
-				case "half-open":
-					return 1
-				}
-				return 0
-			})
+		if e.gauges[p] == rc {
+			continue
+		}
+		if e.gauges == nil {
+			e.gauges = make(map[string]*remote.ReliableClient)
+		}
+		e.gauges[p] = rc
+		for _, g := range transportGauges {
+			read := g.read
+			e.tel.reg.GaugeFunc(p+g.name, fmt.Sprintf(g.help, s, r),
+				func() int64 { return read(rc.Stats()) })
+		}
 	}
 }
 
@@ -490,7 +591,8 @@ func provisionShards(ctx context.Context, geo core.Geometry, staging *memory.Spa
 // servers (only moved rows are shipped); pointing a retained shard at a
 // fresh empty server cannot corrupt results — missing rows fail the
 // aggregated MAC check — but fails queries until re-provisioned. On
-// success the old layout's engine-dialed transports are closed;
+// success the table drops its references to the old layout's
+// engine-dialed transports (a transport no table uses any more closes);
 // caller-owned transports are never closed.
 func (t *Table) Reshard(ctx context.Context, backend *Cluster) error {
 	if t.cnd == nil {
@@ -543,10 +645,11 @@ func (t *Table) Reshard(ctx context.Context, backend *Cluster) error {
 		return err
 	}
 	if t.eng.tel != nil {
-		instrumentReplicaTransports(t.eng.tel.reg, transports, nReplicas)
+		t.eng.bindTransportGauges(transports, nReplicas)
 	}
 	// The old epoch drained inside Reshard: no gather still references
-	// the old groups, so their engine-dialed transports can be retired.
+	// the old groups, so the table's references to their engine-dialed
+	// transports can be dropped.
 	closeAll(t.owned)
 	t.owned = owned
 	return nil

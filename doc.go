@@ -63,9 +63,14 @@
 //
 // Transport precedence for each ShardSpec: a non-nil ShardSpec.Transport
 // is used as-is and stays caller-owned (Table.Close does not close it);
-// otherwise ShardSpec.Addr is dialed with the engine-level TransportConfig
-// set by WithTransport (table-owned — Table.Close closes it); with no
-// WithTransport option, dialing uses the zero-value transport defaults.
+// otherwise ShardSpec.Addr resolves to the engine's one transport for
+// that address, dialed on first use with the engine-level
+// TransportConfig set by WithTransport and shared by every table of the
+// engine naming the address (Table.Close drops the table's reference;
+// the last one closes it); with no WithTransport option, dialing uses
+// the zero-value transport defaults. Tables sharing a shard's transport
+// share its exchanges: secndp.QueryBatches sends all their sub-batches
+// for that shard as pipelined frames on one connection.
 //
 // ReplicaGroups normally pin reads to a preferred replica;
 // ClusterBackend(...).Replicas(R).ReadBalance(p) selects a different read
@@ -77,10 +82,12 @@
 // A Table is safe for concurrent use, but each Query is still one
 // caller's request. For serving many users against shared tables —
 // the DLRM embedding-serving shape — internal/serve layers cross-user
-// batch coalescing (lookups that arrive while a table's batch is on the
-// wire merge into its next QueryBatch, so a hot row is fetched and
-// verified once per batch, not once per user; an idle table fetches at
-// once), a bounded epoch-keyed cache of verified rows that
+// batch coalescing (lookups that arrive while a drain is on the wire
+// merge into the next one, a QueryBatches call over every cluster table
+// at once — or over one table with no exchange to share — so a hot row
+// is fetched and verified once per drain, not once per user; an idle
+// service fetches at once), a bounded epoch-keyed cache of verified
+// rows that
 // Reencrypt and Reshard invalidate by construction, and admission
 // control that sheds overload with a typed error instead of queueing
 // without bound. cmd/secndp-dlrm exposes it over HTTP and

@@ -23,7 +23,8 @@ import (
 // per-shard sub-query in flight at once, and re-adds the partials (ring
 // for data sums, field for tag sums). Single queries scatter one goroutine
 // per shard; a batch is driven by its caller, which writes every shard's
-// request before it reads any reply (batchSubs).
+// request before it reads any reply (StartBatches), and several tables'
+// batches share one exchange per shard transport.
 //
 // Each shard is fronted by a ReplicaGroup of one or more servers
 // provisioned with identical ciphertext+tags; a sub-query fails over
@@ -251,7 +252,8 @@ func subSpan(ctx context.Context, kind string, shard int) (context.Context, *tel
 }
 
 // Flag collects what the cluster had to do behind a call's back: the
-// shards whose partials were served from the TEE mirror. The facade
+// shards whose partials were served from the TEE mirror, and the
+// topology epoch that answered. The facade
 // installs one with WithFlag before a query and reads it afterwards to
 // mark results Degraded; concurrent sub-gathers of one query share it.
 // Replica failovers are deliberately not collected — a failover result
@@ -259,6 +261,7 @@ func subSpan(ctx context.Context, kind string, shard int) (context.Context, *tel
 type Flag struct {
 	mu     sync.Mutex
 	filled map[int]struct{}
+	epoch  uint64
 }
 
 type flagKey struct{}
@@ -297,6 +300,27 @@ func (f *Flag) merge(src *Flag) {
 	for _, s := range src.Filled() {
 		f.note(s)
 	}
+}
+
+// noteEpoch records the topology epoch of a gather that was accepted.
+func (f *Flag) noteEpoch(epoch uint64) {
+	if f == nil {
+		return
+	}
+	f.mu.Lock()
+	f.epoch = max(f.epoch, epoch)
+	f.mu.Unlock()
+}
+
+// Epoch returns the topology epoch the call's accepted gathers ran
+// under — the newest, if several ran — or 0 when none was accepted.
+func (f *Flag) Epoch() uint64 {
+	if f == nil {
+		return 0
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.epoch
 }
 
 // Filled returns the shards whose partials came from the mirror, in
@@ -380,32 +404,57 @@ func (g *epochGate) drain(ctx context.Context, epoch uint64) error {
 // attempt exits the gate before Reshard's drain can complete.
 func (n *NDP) gather(ctx context.Context, run func(ctx context.Context, top *topology) error) error {
 	for {
-		top := n.cur.Load()
-		epoch := top.smap.Epoch()
-		n.gate.enter(epoch)
-		if n.cur.Load() != top {
-			// Flipped between snapshot and gate entry; retry on the new
-			// topology rather than racing the drain.
-			n.gate.exit(epoch)
-			continue
-		}
+		top := n.enter()
 		ictx, flag := WithFlag(ctx)
 		err := run(ictx, top)
-		n.gate.exit(epoch)
-		if n.cur.Load() != top {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			if n.staleRetries != nil {
-				n.staleRetries.Inc()
-			}
-			telemetry.SpanFromContext(ctx).Eventf(telemetry.EventStaleGatherReissue,
-				"topology flipped past epoch %d mid-gather; partials discarded, re-issuing", epoch)
-			continue
+		if n.accept(ctx, top, flag) {
+			return err
 		}
-		flagFrom(ctx).merge(flag)
-		return err
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
+		n.noteStale(ctx, top)
 	}
+}
+
+// enter snapshots the live topology and registers with its epoch's
+// drain gate, retrying when a flip lands between the snapshot and the
+// entry rather than racing the drain.
+func (n *NDP) enter() *topology {
+	for {
+		top := n.cur.Load()
+		n.gate.enter(top.smap.Epoch())
+		if n.cur.Load() == top {
+			return top
+		}
+		n.gate.exit(top.smap.Epoch())
+	}
+}
+
+// accept exits top's drain gate and reports whether the attempt run
+// under it stands: false when the topology flipped meanwhile. An
+// accepted attempt's mirror fills (flag) and its topology epoch are
+// recorded on ctx's flag.
+func (n *NDP) accept(ctx context.Context, top *topology, flag *Flag) bool {
+	epoch := top.smap.Epoch()
+	n.gate.exit(epoch)
+	if n.cur.Load() != top {
+		return false
+	}
+	f := flagFrom(ctx)
+	f.merge(flag)
+	f.noteEpoch(epoch)
+	return true
+}
+
+// noteStale records an attempt discarded because the topology flipped
+// past top while it was in flight.
+func (n *NDP) noteStale(ctx context.Context, top *topology) {
+	if n.staleRetries != nil {
+		n.staleRetries.Inc()
+	}
+	telemetry.SpanFromContext(ctx).Eventf(telemetry.EventStaleGatherReissue,
+		"topology flipped past epoch %d mid-gather; partials discarded, re-issuing", top.smap.Epoch())
 }
 
 // guarded runs fn, converting a panic out of it — a misbehaving replica
@@ -560,135 +609,6 @@ func (n *NDP) WeightedSumElem(ctx context.Context, geo core.Geometry, idx, jdx [
 		return 0, err
 	}
 	return res, nil
-}
-
-// WeightedTagSumBatch implements core.NDP: the batch splits into
-// per-shard sub-batches (each running the shard's own batch-plan dedup),
-// the sub-batches ride one exchange per touched shard — with replica
-// failover per sub-batch — and each original request's answer is the
-// ring/field sum of its per-shard partials. A request whose rows all live
-// on exhausted shards is filled from the mirror like any other partial; a
-// request referencing no rows answers the empty sum (zero). A returned
-// error is batch-level — a shard failed with no mirror to fill from — and
-// the caller's fan-out path re-runs the batch per request.
-func (n *NDP) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
-	var out []core.NDPBatchResult
-	err := n.gather(ctx, func(ctx context.Context, top *topology) error {
-		var gerr error
-		out, gerr = n.batchSubs(ctx, top, geo, reqs, verify)
-		return gerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// shardCall is one shard's part of a batch: its span, its clock and its
-// first attempt. ended is set once its span has ended.
-type shardCall struct {
-	span  *telemetry.ActiveSpan
-	start time.Time
-	a     batchAttempt
-	ended bool
-}
-
-// batchSubs is one batch against top, driven by the calling goroutine
-// with no goroutine per shard. It starts every touched shard's exchange —
-// every pooled request is on the wire before any reply is read, and any
-// other replica answers there and then (startBatch) — then finishes them
-// in turn, folding each reply, once parsed whole, into one zeroed
-// len(reqs)×M slab: ring adds for the sums, field adds for the tags. A
-// shard whose first attempt failed at either end has folded nothing; it
-// goes through scatter like a single query's sub-operation, resuming its
-// group's failover after that attempt, then the mirror fill. A return or
-// a panic before every shard has finished aborts the exchanges still
-// open.
-func (n *NDP) batchSubs(ctx context.Context, top *topology, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
-	m := geo.Params.M
-	r, err := ring.New(geo.Params.We)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.NDPBatchResult, len(reqs))
-	slab := make([]uint64, len(reqs)*m)
-	for i := range out {
-		out[i].Sums = slab[i*m : (i+1)*m : (i+1)*m]
-	}
-	subs := top.smap.SplitBatch(reqs)
-	if len(subs) == 0 {
-		return out, nil
-	}
-	fold := func(si int, res []core.NDPBatchResult) {
-		sub := &subs[si]
-		for j := range res {
-			oi := sub.Origin[j]
-			switch {
-			case out[oi].Err != nil:
-			case res[j].Err != nil:
-				out[oi] = core.NDPBatchResult{Err: fmt.Errorf("cluster: shard %d: %w", sub.Shard, res[j].Err)}
-			case len(res[j].Sums) != m:
-				out[oi] = core.NDPBatchResult{Err: fmt.Errorf("cluster: shard %d returned %d columns, want %d", sub.Shard, len(res[j].Sums), m)}
-			default:
-				r.AddVec(out[oi].Sums, out[oi].Sums, res[j].Sums)
-				if verify {
-					out[oi].Tag = field.Add(out[oi].Tag, res[j].Tag)
-				}
-			}
-		}
-	}
-	calls := make([]shardCall, len(subs))
-	defer func() {
-		for si := range calls {
-			if c := &calls[si]; !c.ended {
-				top.groups[subs[si].Shard].abortBatch(&c.a)
-				c.span.EndErr(errBatchAborted, telemetry.ErrClassTransport)
-			}
-		}
-	}()
-	for si := range subs {
-		c := &calls[si]
-		sctx, span := subSpan(ctx, "batch", subs[si].Shard)
-		c.span, c.start = span, time.Now()
-		c.a = top.groups[subs[si].Shard].startBatch(sctx, geo, subs[si].Reqs, verify)
-	}
-	var failed []int
-	for si := range subs {
-		sub, c := &subs[si], &calls[si]
-		err := top.groups[sub.Shard].finishBatch(&c.a, func(res []core.NDPBatchResult) { fold(si, res) })
-		if err != nil {
-			// The shard's outcome is its failover's, recorded by scatter.
-			c.span.EndErr(err, telemetry.ErrClassTransport)
-			c.ended = true
-			failed = append(failed, si)
-			continue
-		}
-		top.observe(sub.Shard, time.Since(c.start), nil, n.failures)
-		c.span.End()
-		c.ended = true
-	}
-	if len(failed) == 0 {
-		n.noteGather()
-		return out, nil
-	}
-	res := make([][]core.NDPBatchResult, len(failed))
-	err = n.scatter(ctx, top, "batch", len(failed), func(k int) int { return subs[failed[k]].Shard },
-		func(ctx context.Context, k int, nd core.NDP) (err error) {
-			si := failed[k]
-			if g, ok := nd.(*ReplicaGroup); ok {
-				res[k], err = g.batch(ctx, &calls[si].a, geo, subs[si].Reqs, verify)
-			} else {
-				res[k], err = nd.WeightedTagSumBatch(ctx, geo, subs[si].Reqs, verify)
-			}
-			return err
-		})
-	if err != nil {
-		return nil, err
-	}
-	for k, si := range failed {
-		fold(si, res[k])
-	}
-	return out, nil
 }
 
 var _ core.NDP = (*NDP)(nil)

@@ -9,7 +9,6 @@ import (
 
 	"secndp/internal/core"
 	"secndp/internal/field"
-	"secndp/internal/remote"
 	"secndp/internal/ring"
 	"secndp/internal/telemetry"
 )
@@ -320,28 +319,23 @@ func (g *ReplicaGroup) end(r int, aspan *telemetry.ActiveSpan, err error) {
 	g.failure(r)
 }
 
-// batchAttempt is a sub-batch's first attempt — do's first iteration split
-// in two, so a caller can start every shard's attempt before it finishes
-// any: startBatch puts the request on the wire, finishBatch reads and
-// folds the reply. Only a remote.ReliableClient's exchange splits: each
-// StartBatch takes a connection of its own from the pool and waits on no
-// lock, so a caller may hold any number of them. Every other replica —
-// in-process ones, and a bare remote.Client, whose exchange holds its
-// lock from request to reply — answers whole at start, so no attempt
-// holds a lock while the caller starts the next.
+// batchAttempt is a sub-batch's first attempt — do's first iteration
+// split in two, so a caller can start every shard's attempt before it
+// finishes any (see Batches): beginBatch picks the replica and opens the
+// attempt, endBatch closes it with its outcome. Only a
+// remote.ReliableClient's exchange splits on the wire; every other
+// replica answers whole between the two.
 type batchAttempt struct {
 	r    int // the replica; -1 when the context ended before the attempt
 	ctx  context.Context
 	span *telemetry.ActiveSpan
-	call *remote.BatchCall     // a ReliableClient's exchange in flight
-	res  []core.NDPBatchResult // any other replica's answer
 	err  error
 	open bool // begun and not yet ended
 }
 
-// startBatch begins the sub-batch's first attempt on the group's
-// first-choice replica; a failure ends it.
-func (g *ReplicaGroup) startBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) batchAttempt {
+// beginBatch opens a sub-batch's first attempt on the group's
+// first-choice replica.
+func (g *ReplicaGroup) beginBatch(ctx context.Context) batchAttempt {
 	a := batchAttempt{r: -1}
 	if a.err = ctx.Err(); a.err != nil {
 		return a
@@ -349,51 +343,24 @@ func (g *ReplicaGroup) startBatch(ctx context.Context, geo core.Geometry, reqs [
 	var buf [8]int
 	a.r = g.order(buf[:0])[0]
 	a.ctx, a.span = g.begin(ctx, telemetry.SpanFromContext(ctx), a.r)
-	a.err = guarded("shard ndp", func() (err error) {
-		if rc, ok := g.replicas[a.r].(*remote.ReliableClient); ok {
-			a.call, err = rc.StartBatch(a.ctx, geo, reqs, verify)
-			return err
-		}
-		a.res, err = g.answer(a.ctx, g.replicas[a.r], geo, reqs, verify)
-		return err
-	})
-	if a.err != nil {
-		g.end(a.r, a.span, a.err)
-		return a
-	}
 	a.open = true
 	return a
 }
 
-// finishBatch completes a started attempt: a wire reply is read whole
-// before fold sees it, an answer given at start is handed over as it is.
-// A failed attempt reaches no fold. It returns the attempt's error.
-func (g *ReplicaGroup) finishBatch(a *batchAttempt, fold func([]core.NDPBatchResult)) error {
+// endBatch closes an open attempt with its outcome.
+func (g *ReplicaGroup) endBatch(a *batchAttempt, err error) {
 	if !a.open {
-		return a.err
+		return
 	}
-	if call := a.call; call != nil {
-		a.call = nil
-		a.err = call.Finish(fold)
-	} else {
-		fold(a.res)
-		a.res = nil
-	}
-	a.open = false
-	g.end(a.r, a.span, a.err)
-	return a.err
+	a.err, a.open = err, false
+	g.end(a.r, a.span, err)
 }
 
-// abortBatch abandons an attempt that will not be finished: a started
-// exchange is aborted, poisoning its connection, and the attempt ends
+// abortBatch abandons an open attempt that will not be finished: it ends
 // without a verdict on the replica's health.
 func (g *ReplicaGroup) abortBatch(a *batchAttempt) {
 	if !a.open {
 		return
-	}
-	if a.call != nil {
-		a.call.Abort()
-		a.call = nil
 	}
 	a.open = false
 	g.inflight[a.r].Add(-1)

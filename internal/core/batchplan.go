@@ -329,90 +329,106 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 	return accs, tags, release, nil
 }
 
-// queryBatchPipelined serves the whole batch as one coalesced operation:
-// one NDP batch exchange running concurrently with one deduplicated OTP
-// sweep, then the per-request verification. A non-nil error is a
-// batch-level failure (transport trouble) and means nothing was decided —
-// the caller falls back to per-request fan-out. Per-sub-request problems
-// land in the returned BatchResult.Err slots with errors byte-identical
-// to QueryCtx's.
-func (t *Table) queryBatchPipelined(ctx context.Context, ndp NDP, reqs []BatchRequest, opts QueryOptions) ([]BatchResult, error) {
-	out := make([]BatchResult, len(reqs))
+// BatchWalk is one table's pipelined batch split at its NDP call
+// (validate and plan → exchange → join and verify), so a caller can put
+// several tables' exchanges in flight together: PlanBatch validates the
+// batch and collapses it to its distinct rows, Requests is what the NDP
+// must answer, Sweep runs the deduplicated OTP sweep — between the
+// exchange's start and its finish, so the two overlap — and Join joins
+// the answers and verifies each request. Release returns the walk's
+// pooled storage once the results are consumed.
+type BatchWalk struct {
+	t        *Table
+	opts     QueryOptions
+	out      []BatchResult
+	skip     []bool
+	valid    []BatchRequest
+	validIdx []int
+	plan     batchPlan
+
+	accs     [][]uint64
+	tags     []field.Elem
+	release  func()
+	sweepErr error
+}
+
+// PlanBatch is the walk's first stage: every request is checked (a bad
+// one gets its error in the result and is left out of the exchange) and
+// the batch is planned. Per-sub-request errors are byte-identical to
+// QueryCtx's.
+func (t *Table) PlanBatch(reqs []BatchRequest, opts QueryOptions) BatchWalk {
+	w := BatchWalk{t: t, opts: opts, out: make([]BatchResult, len(reqs))}
 	if opts.Verify && t.geo.Layout.Placement == memory.TagNone {
-		for i := range out {
-			out[i].Err = fmt.Errorf("%w; disable verification for Enc-only tables", ErrNoTags)
+		for i := range w.out {
+			w.out[i].Err = fmt.Errorf("%w; disable verification for Enc-only tables", ErrNoTags)
 		}
-		return out, nil
+		return w
 	}
-	skip := make([]bool, len(reqs))
+	w.skip = make([]bool, len(reqs))
 	for i := range reqs {
 		if err := checkQuery(t.geo, reqs[i].Idx, reqs[i].Weights); err != nil {
-			out[i].Err = err
-			skip[i] = true
+			w.out[i].Err = err
+			w.skip[i] = true
 		}
 	}
-	valid := make([]BatchRequest, 0, len(reqs))
-	validIdx := make([]int, 0, len(reqs))
+	w.valid = make([]BatchRequest, 0, len(reqs))
+	w.validIdx = make([]int, 0, len(reqs))
 	for i := range reqs {
-		if !skip[i] {
-			valid = append(valid, reqs[i])
-			validIdx = append(validIdx, i)
+		if !w.skip[i] {
+			w.valid = append(w.valid, reqs[i])
+			w.validIdx = append(w.validIdx, i)
 		}
 	}
-
-	plan := planBatch(reqs, skip, t.geo.Layout.NumRows)
-	defer plan.release()
+	w.plan = planBatch(reqs, w.skip, t.geo.Layout.NumRows)
 	if opts.Stats != nil {
-		opts.Stats.RowRefs = plan.refs
-		opts.Stats.DistinctRows = len(plan.rows)
+		opts.Stats.RowRefs = w.plan.refs
+		opts.Stats.DistinctRows = len(w.plan.rows)
 	}
-	if len(valid) == 0 {
-		return out, nil
-	}
+	return w
+}
 
-	// Ciphertext side: the whole batch in one NDP exchange, in the
-	// background while the OTP sweep runs.
-	type ndpBatchOut struct {
-		res []NDPBatchResult
-		err error
-	}
-	ch := make(chan ndpBatchOut, 1)
-	go func() {
-		var o ndpBatchOut
-		defer func() {
-			if r := recover(); r != nil {
-				o.err = fmt.Errorf("core: ndp failed: %v", r)
-			}
-			ch <- o
-		}()
-		o.res, o.err = ndp.WeightedTagSumBatch(ctx, t.geo, valid, opts.Verify)
-	}()
+// Requests returns the sub-requests the NDP must answer, one per valid
+// request in order; empty when there is nothing to exchange.
+func (w *BatchWalk) Requests() []BatchRequest { return w.valid }
 
-	accs, tags, accRelease, otpErr := t.otpBatch(ctx, plan, skip, opts.Verify, opts)
-	nd := <-ch
-	if otpErr != nil {
-		return nil, otpErr
+// Sweep runs the OTP side of the batch: every distinct row's pad once,
+// scattered into its requesters' accumulators.
+func (w *BatchWalk) Sweep(ctx context.Context) {
+	if len(w.valid) == 0 {
+		return
 	}
-	defer accRelease()
-	if nd.err != nil {
-		return nil, nd.err
-	}
-	if len(nd.res) != len(valid) {
-		return nil, fmt.Errorf("core: ndp answered %d of %d batch sub-requests", len(nd.res), len(valid))
-	}
-	if opts.Stats != nil {
-		opts.Stats.WireOps = 1
-		opts.Stats.Pipelined = true
-	}
+	w.accs, w.tags, w.release, w.sweepErr = w.t.otpBatch(ctx, w.plan, w.skip, w.opts.Verify, w.opts)
+}
 
-	// Join the halves; collect the verifiable survivors. The NDP's sum
-	// vectors are ours (see NDP.WeightedTagSumBatch), so each decrypted
-	// result overwrites its own.
+// Join is the walk's last stage: the NDP's answers (res, one per
+// Requests entry, or the exchange's batch-level error ndpErr) joined
+// with the sweep's shares, then each request's MAC check. A non-nil
+// error is a batch-level failure — the sweep's, the exchange's, or a
+// short answer — and means nothing was decided: the caller falls back
+// to per-request queries. The NDP's sum vectors are the caller's (see
+// NDP.WeightedTagSumBatch), so each decrypted result overwrites its own.
+func (w *BatchWalk) Join(res []NDPBatchResult, ndpErr error) ([]BatchResult, error) {
+	if len(w.valid) == 0 {
+		return w.out, nil
+	}
+	switch {
+	case w.sweepErr != nil:
+		return nil, w.sweepErr
+	case ndpErr != nil:
+		return nil, ndpErr
+	case len(res) != len(w.valid):
+		return nil, fmt.Errorf("core: ndp answered %d of %d batch sub-requests", len(res), len(w.valid))
+	}
+	if w.opts.Stats != nil {
+		w.opts.Stats.WireOps = 1
+		w.opts.Stats.Pipelined = true
+	}
+	t, out := w.t, w.out
 	m := t.geo.Params.M
-	checked := make([]int, 0, len(valid))
-	combined := make([]field.Elem, 0, len(valid))
-	for vi, i := range validIdx {
-		r := nd.res[vi]
+	checked := make([]int, 0, len(w.valid))
+	combined := make([]field.Elem, 0, len(w.valid))
+	for vi, i := range w.validIdx {
+		r := res[vi]
 		if r.Err != nil {
 			out[i].Err = r.Err
 			continue
@@ -421,17 +437,27 @@ func (t *Table) queryBatchPipelined(ctx context.Context, ndp NDP, reqs []BatchRe
 			out[i].Err = fmt.Errorf("core: ndp returned %d columns, want %d", len(r.Sums), m)
 			continue
 		}
-		t.r.AddVec(r.Sums, r.Sums, accs[i])
+		t.r.AddVec(r.Sums, r.Sums, w.accs[i])
 		out[i].Res = r.Sums
-		if opts.Verify {
+		if w.opts.Verify {
 			checked = append(checked, i)
-			combined = append(combined, field.Add(r.Tag, tags[i]))
+			combined = append(combined, field.Add(r.Tag, w.tags[i]))
 		}
 	}
-	if opts.Verify {
+	if w.opts.Verify {
 		t.verifyBatch(out, checked, combined)
 	}
 	return out, nil
+}
+
+// Release returns the plan's and the sweep's pooled storage. The walk is
+// unusable afterwards; the joined results stay valid.
+func (w *BatchWalk) Release() {
+	w.plan.release()
+	if w.release != nil {
+		w.release()
+		w.release = nil
+	}
 }
 
 // verifyBatch runs Algorithm 5's MAC check for every joined sub-request:

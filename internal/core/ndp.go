@@ -213,6 +213,9 @@ func (n *HonestNDP) WeightedSumElem(ctx context.Context, geo Geometry, idx, jdx 
 	return r.Reduce(acc), nil
 }
 
+// Memory returns the untrusted memory the NDP answers from.
+func (n *HonestNDP) Memory() *memory.Space { return n.Mem }
+
 // NDPBatchResult is one sub-request's answer from a batched NDP call.
 // Err is set (and Sums nil) when that sub-request was malformed; other
 // sub-requests in the batch are unaffected.

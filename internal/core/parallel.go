@@ -323,19 +323,48 @@ func (t *Table) QueryBatchCtx(ctx context.Context, ndp NDP, reqs []BatchRequest,
 	if opts.Stats != nil {
 		*opts.Stats = BatchStats{Requests: len(reqs)}
 	}
-	if out, err := t.queryBatchPipelined(ctx, ndp, reqs, opts); err == nil {
+	w := t.PlanBatch(reqs, opts)
+	defer w.Release()
+	var (
+		res []NDPBatchResult
+		err error
+	)
+	if sub := w.Requests(); len(sub) > 0 {
+		// The whole batch in one NDP exchange, in the background while
+		// the OTP sweep runs.
+		ch := make(chan struct{})
+		go func() {
+			defer close(ch)
+			res, err = runBatchNDP(ctx, ndp, t.geo, sub, opts.Verify)
+		}()
+		w.Sweep(ctx)
+		<-ch
+	}
+	out, err := w.Join(res, err)
+	if err == nil {
 		return out
 	}
-	// Batch-level failure: the fan-out path re-runs everything per request.
+	return t.QueryBatchFanout(ctx, ndp, reqs, opts)
+}
+
+// runBatchNDP is one batch exchange, a panic out of the NDP turned into
+// its error.
+func runBatchNDP(ctx context.Context, ndp NDP, geo Geometry, reqs []BatchRequest, verify bool) (res []NDPBatchResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("core: ndp failed: %v", r)
+		}
+	}()
+	return ndp.WeightedTagSumBatch(ctx, geo, reqs, verify)
+}
+
+// QueryBatchFanout is the per-request batch path, where a batch goes
+// after a batch-level failure: a request-level worker pool over
+// independent QueryCtx calls.
+func (t *Table) QueryBatchFanout(ctx context.Context, ndp NDP, reqs []BatchRequest, opts QueryOptions) []BatchResult {
 	if opts.Stats != nil {
 		opts.Stats.Pipelined = false
 	}
-	return t.queryBatchFanout(ctx, ndp, reqs, opts)
-}
-
-// queryBatchFanout is the per-request batch path: a request-level worker
-// pool over independent QueryCtx calls.
-func (t *Table) queryBatchFanout(ctx context.Context, ndp NDP, reqs []BatchRequest, opts QueryOptions) []BatchResult {
 	out := make([]BatchResult, len(reqs))
 	workers := opts.workerCount(len(reqs))
 	per := opts

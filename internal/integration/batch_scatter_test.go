@@ -422,3 +422,108 @@ func TestBatchTracedScatter(t *testing.T) {
 		t.Fatalf("%d server batch spans, want 2", servers)
 	}
 }
+
+// TestBatchPipelinedTruncatedSecondReply is TestBatchTruncatedReplyFoldedOnce
+// for a joint exchange: two tables' batches (two cluster NDPs over the
+// same transports) ride one pipelined exchange per shard, and shard 1's
+// preferred replica cuts its connection inside the reply to the second
+// frame. Only that exchange fails: the first frame's reply, already read
+// whole, is folded once and kept; the second frame — everything of the
+// exchange that was not handed over — fails over to the sibling replica
+// as a unit. Both answers equal the single-NDP oracle, nothing is
+// mirror-filled, and exactly one failover is counted.
+func TestBatchPipelinedTruncatedSecondReply(t *testing.T) {
+	geo, _, image, _ := scatterTable(t)
+	smap, err := cluster.NewMap(scatterRows, 2, cluster.RangeSharding, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqsA := scatterReqs()
+	reqsB := []core.BatchRequest{
+		{Idx: []int{1, 33}, Weights: []uint64{3, 2}},
+		{Idx: []int{60, 2}, Weights: []uint64{1, 9}},
+	}
+	// The proxied connection's response stream: the pool's health-check
+	// ping and the capability probe, then the reply to table A's frame —
+	// the batch status and one packed sub-result per request — then the
+	// reply to table B's, cut halfway into its first sub-result.
+	const handshake, sub = 1 + 2, 1 + 1 + scatterCols*4 + 16
+	replyA := 1 + len(reqsA)*sub
+	proxy := faultproxy.New(scatterServer(t, geo, image, smap.Runs(1), nil),
+		faultproxy.Script{{TruncateAfter: int64(handshake + replyA + 1 + sub/2)}})
+	paddr, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { proxy.Close() })
+
+	reliable := func(addr string) *remote.ReliableClient {
+		rc := remote.NewReliable(addr, fastReliable())
+		t.Cleanup(func() { rc.Close() })
+		return rc
+	}
+	shard0 := reliable(scatterServer(t, geo, image, smap.Runs(0), nil))
+	shard1 := []core.NDP{reliable(paddr), reliable(scatterServer(t, geo, image, smap.Runs(1), nil))}
+	reg := telemetry.NewRegistry()
+	clusterOver := func() *cluster.NDP {
+		g0, err := cluster.NewGroup(0, []core.NDP{shard0}, cluster.GroupConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g1, err := cluster.NewGroup(1, shard1, cluster.GroupConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cnd, err := cluster.NewReplicated(smap, []*cluster.ReplicaGroup{g0, g1}, cluster.Options{Mirror: image})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cnd.Instrument(reg)
+		return cnd
+	}
+
+	ctx := context.Background()
+	ctxA, flagA := cluster.WithFlag(ctx)
+	ctxB, flagB := cluster.WithFlag(ctx)
+	parts := []cluster.BatchPart{
+		{Ctx: ctxA, NDP: clusterOver(), Geo: geo, Reqs: reqsA, Verify: true},
+		{Ctx: ctxB, NDP: clusterOver(), Geo: geo, Reqs: reqsB, Verify: true},
+	}
+	b := cluster.StartBatches(parts)
+	b.Finish()
+	b.Close()
+
+	oracle := &core.HonestNDP{Mem: image}
+	for i, p := range parts {
+		if p.Err != nil {
+			t.Fatalf("table %d: %v", i, p.Err)
+		}
+		want, err := oracle.WeightedTagSumBatch(ctx, geo, p.Reqs, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if !slices.Equal(p.Res[j].Sums, want[j].Sums) || !p.Res[j].Tag.Equal(want[j].Tag) {
+				t.Fatalf("table %d request %d differs from the single-NDP answer: a reply folded twice or not at all", i, j)
+			}
+		}
+	}
+	if flagA.Any() || flagB.Any() {
+		t.Fatalf("mirror fills %v / %v: the sibling replica must serve the cut frame", flagA.Filled(), flagB.Filled())
+	}
+	if n := proxy.Conns(); n != 1 {
+		t.Fatalf("the cut replica saw %d connections, want 1: both tables' frames share its exchange", n)
+	}
+	for name, want := range map[string]uint64{
+		"secndp_cluster_replica_failovers_total": 1,
+		"secndp_cluster_shard_failures_total":    0,
+		"secndp_cluster_mirror_fills_total":      0,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if st := shard0.Stats(); st.Attempts != 1 {
+		t.Errorf("shard 0 took %d attempts for two tables' frames, want 1 exchange", st.Attempts)
+	}
+}

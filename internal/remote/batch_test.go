@@ -294,12 +294,13 @@ func TestBatchCallLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	call, err := c.startBatch(ctx, geo, reqs, true)
+	frames := []BatchFrame{{Ctx: ctx, Geo: geo, Reqs: reqs, Verify: true}}
+	call, err := c.startBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
 	folded := 0
-	if err := call.Finish(func(res []core.NDPBatchResult) {
+	if err := call.Finish(func(_ int, res []core.NDPBatchResult, _ error) {
 		folded = len(res)
 		for i := range res {
 			if !slices.Equal(res[i].Sums, oracle[i].Sums) || !res[i].Tag.Equal(oracle[i].Tag) {
@@ -310,13 +311,13 @@ func TestBatchCallLifecycle(t *testing.T) {
 		t.Fatalf("Finish: %v, fold saw %d results", err, folded)
 	}
 
-	call, err = c.startBatch(ctx, geo, reqs, true)
+	call, err = c.startBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
 	func() {
 		defer func() { recover() }()
-		call.Finish(func([]core.NDPBatchResult) { panic("fold") })
+		call.Finish(func(int, []core.NDPBatchResult, error) { panic("fold") })
 	}()
 	if !c.Usable() {
 		t.Fatal("a fold panic after a whole reply poisoned the connection")
@@ -325,7 +326,7 @@ func TestBatchCallLifecycle(t *testing.T) {
 		t.Fatalf("batch after a fold panic: %v", err)
 	}
 
-	call, err = c.startBatch(ctx, geo, reqs, true)
+	call, err = c.startBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestBatchCallLifecycle(t *testing.T) {
 	}
 
 	rc := dialReliable(t, addr, ReliableConfig{Retry: fastRetry()})
-	call, err = rc.StartBatch(ctx, geo, reqs, true)
+	call, err = rc.StartBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}

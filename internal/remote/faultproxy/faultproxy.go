@@ -40,6 +40,11 @@ type Plan struct {
 	TruncateAfter int64
 	// ResetAfter sends a TCP RST after N response bytes.
 	ResetAfter int64
+	// Segment > 0 forwards both streams in writes of at most Segment
+	// bytes, pausing SegmentDelay before each — a path that splits every
+	// frame, so neither peer may count on one arriving whole.
+	Segment      int
+	SegmentDelay time.Duration
 }
 
 // Schedule assigns a Plan to each accepted connection, identified by its
@@ -231,8 +236,12 @@ func (p *Proxy) handle(client net.Conn, plan Plan) {
 	defer p.untrack(server)
 
 	done := make(chan struct{}, 2)
-	go func() { // request stream: forwarded clean
-		io.Copy(server, client)
+	go func() { // request stream: forwarded clean, segmented if asked
+		if plan.Segment > 0 {
+			copySegmented(server, client, plan)
+		} else {
+			io.Copy(server, client)
+		}
 		done <- struct{}{}
 	}()
 	go func() { // response stream: the plan applies here
@@ -276,7 +285,7 @@ func (p *Proxy) copyResponses(dst, src net.Conn, plan Plan) {
 				dst.Write(chunk[:plan.TruncateAfter-copied])
 				return
 			}
-			if _, werr := dst.Write(chunk); werr != nil {
+			if werr := writeSegmented(dst, chunk, plan); werr != nil {
 				return
 			}
 			copied = end
@@ -285,6 +294,40 @@ func (p *Proxy) copyResponses(dst, src net.Conn, plan Plan) {
 			return
 		}
 	}
+}
+
+// copySegmented forwards src to dst under the plan's segmentation until
+// either side fails.
+func copySegmented(dst, src net.Conn, plan Plan) {
+	buf := make([]byte, 4096)
+	for {
+		n, rerr := src.Read(buf)
+		if n > 0 && writeSegmented(dst, buf[:n], plan) != nil {
+			return
+		}
+		if rerr != nil {
+			return
+		}
+	}
+}
+
+// writeSegmented writes b to dst whole, or in the plan's segments.
+func writeSegmented(dst net.Conn, b []byte, plan Plan) error {
+	if plan.Segment <= 0 {
+		_, err := dst.Write(b)
+		return err
+	}
+	for len(b) > 0 {
+		if plan.SegmentDelay > 0 {
+			time.Sleep(plan.SegmentDelay)
+		}
+		n := min(plan.Segment, len(b))
+		if _, err := dst.Write(b[:n]); err != nil {
+			return err
+		}
+		b = b[n:]
+	}
+	return nil
 }
 
 // reset aborts the connection with a TCP RST instead of a FIN.

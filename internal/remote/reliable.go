@@ -235,9 +235,9 @@ func (rc *ReliableClient) WriteECCContext(ctx context.Context, dataAddr uint64, 
 }
 
 // WeightedTagSumBatch implements core.NDP with retry, reconnect, and
-// breaker protection: each attempt is Client.WeightedTagSumBatch, the
-// same split exchange StartBatch and Finish run, on a pooled connection. Safe to retry: a
-// pure read over ciphertext and tags.
+// breaker protection: each attempt is Client.WeightedTagSumBatch, a
+// one-frame exchange of the kind StartBatches splits, on a pooled
+// connection. Safe to retry: a pure read over ciphertext and tags.
 func (rc *ReliableClient) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	var res []core.NDPBatchResult
 	err := rc.do(ctx, "Batch", func(ctx context.Context, c *Client) error {
@@ -251,13 +251,14 @@ func (rc *ReliableClient) WeightedTagSumBatch(ctx context.Context, geo core.Geom
 	return res, nil
 }
 
-// StartBatch is one attempt of WeightedTagSumBatch split at the wire
-// (see BatchCall): under the breaker it takes a pooled connection, arms it
-// with the first attempt's context and writes and flushes the frame; the
-// call's Finish or Abort settles the connection and the breaker. There is
-// no retry: a caller whose call fails runs WeightedTagSumBatch for the
-// retry loop.
-func (rc *ReliableClient) StartBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) (*BatchCall, error) {
+// StartBatches is one wire attempt for several batches, split at the
+// wire (see BatchCall): under the breaker it takes one pooled connection,
+// arms it with the attempt's context, writes every frame and flushes
+// once — one checkout and one attempt however many frames ride it. The
+// call's Finish or Abort settles the connection and the breaker. There
+// is no retry: a caller whose frames fail runs WeightedTagSumBatch for
+// the retry loop.
+func (rc *ReliableClient) StartBatches(ctx context.Context, frames []BatchFrame) (*BatchCall, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -274,7 +275,7 @@ func (rc *ReliableClient) StartBatch(ctx context.Context, geo core.Geometry, req
 		rc.breaker.Failure()
 		return nil, err
 	}
-	call, err := c.startBatch(actx, geo, reqs, verify)
+	call, err := c.startBatches(actx, frames)
 	if err != nil {
 		rc.settle(c, err)
 		cancel()

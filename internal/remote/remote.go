@@ -531,6 +531,14 @@ func (s *Server) serve(conn net.Conn) {
 		if err := s.serveOne(r, w, fr); err != nil {
 			return
 		}
+		// Flush once nothing more has arrived: the replies to frames a
+		// client pipelined leave in one write. The rule's contract is
+		// that a client writes each frame whole before it awaits any
+		// reply, so a held-back reply never waits on bytes the client
+		// has not sent.
+		if r.Buffered() > 0 {
+			continue
+		}
 		if err := w.Flush(); err != nil {
 			return
 		}
@@ -1053,7 +1061,13 @@ func (c *Client) ensureCapsLocked() error {
 // error is the probe's (see ensureCapsLocked).
 // Caller holds c.mu with the connection armed.
 func (c *Client) traceFrameLocked(ctx context.Context) ([]byte, error) {
-	f := c.frame[:0]
+	return c.appendTraceLocked(c.frame[:0], ctx)
+}
+
+// appendTraceLocked appends ctx's opTraceCtx prefix to f under the same
+// rules as traceFrameLocked: nothing for an untraced ctx or a server
+// without capTrace. Caller holds c.mu with the connection armed.
+func (c *Client) appendTraceLocked(f []byte, ctx context.Context) ([]byte, error) {
 	span := telemetry.SpanFromContext(ctx)
 	if span == nil {
 		return f, nil
@@ -1150,61 +1164,89 @@ func (c *Client) WeightedSumElem(ctx context.Context, _ core.Geometry, _, _ []in
 
 // WeightedTagSumBatch implements core.NDP over the wire: the whole
 // batch's ciphertext sums (and, when verify is set, tag sums) in one
-// round trip, startBatch then the call's finish. Per-sub-request server errors land
+// round trip, a one-frame exchange. Per-sub-request server errors land
 // in the corresponding NDPBatchResult.Err; a non-nil returned error is
 // batch-level (server rejection, transport failure, or a server that
 // advertises no batch op) and decided nothing. The reply is decoded
 // straight into fresh storage, as core.NDP requires: every sub-result's
 // sums share one new count×M slab.
 func (c *Client) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
-	call, err := c.startBatch(ctx, geo, reqs, verify)
+	frame := [1]BatchFrame{{Ctx: ctx, Geo: geo, Reqs: reqs, Verify: verify}}
+	call, err := c.startBatches(ctx, frame[:])
 	if err != nil {
 		return nil, err
 	}
-	res := make([]core.NDPBatchResult, len(reqs))
-	if err := call.finish(res, make([]uint64, len(reqs)*geo.Params.M), nil); err != nil {
+	call.fresh = true
+	var res []core.NDPBatchResult
+	var rerr error
+	if err := call.Finish(func(_ int, r []core.NDPBatchResult, ferr error) { res, rerr = r, ferr }); err != nil {
 		return nil, err
+	}
+	if rerr != nil {
+		return nil, rerr
 	}
 	return res, nil
 }
 
-// BatchCall is one opBatch exchange in flight: WeightedTagSumBatch split
-// at the wire, so one goroutine can put every shard's request on the wire
-// before it reads any reply. ReliableClient.StartBatch takes a pooled
-// connection, arms it and writes and flushes the request; Finish reads the
-// reply into buffers the connection owns, hands it to a fold, and
-// releases the connection. Every started call must be finished or
-// aborted, once. Only pooled exchanges are split for callers: a bare
-// Client's exchange holds the client's lock from start to finish, so a
-// caller holding it while it started another could deadlock against one
-// holding them in the other order.
+// BatchFrame is one opBatch request of a pipelined exchange: a whole
+// batch over one geometry. Ctx supplies the frame's trace span (a traced
+// frame carries its own trace-context prefix); the exchange's context,
+// not the frame's, bounds the call.
+type BatchFrame struct {
+	Ctx    context.Context
+	Geo    core.Geometry
+	Reqs   []core.BatchRequest
+	Verify bool
+}
+
+// BatchCall is one pipelined exchange in flight: one or more opBatch
+// frames written in one flush on one connection, their replies read
+// back in order. Every frame carries its own geometry, so frames of
+// different tables share an exchange with no change to the frame.
+// ReliableClient.StartBatches takes a pooled connection, arms it and
+// writes and flushes every frame; Finish reads each reply into buffers
+// the connection owns, hands it on, and releases the connection. Every
+// started call must be finished or aborted, once. Only pooled exchanges
+// are split for callers: a bare Client's exchange holds the client's
+// lock from start to finish, so a caller holding it while it started
+// another could deadlock against one holding them in the other order.
 type BatchCall struct {
 	c      *Client
 	ctx    context.Context
 	disarm func()
-	n, m   int // sub-requests, columns
-	verify bool
-	packed bool
-	rg     ring.Ring
+	frames []callFrame
+	// fresh decodes each reply into new storage instead of the
+	// connection's buffers (WeightedTagSumBatch's contract).
+	fresh bool
 	// The ReliableClient that lent c, settled on release, and the
 	// attempt context's cancel; nil for a call on a bare Client.
 	rc     *ReliableClient
 	cancel context.CancelFunc
 }
 
+// callFrame is what reading one frame's reply needs.
+type callFrame struct {
+	n, m   int // sub-requests, columns
+	verify bool
+	packed bool
+	rg     ring.Ring
+}
+
 // errAbandoned poisons a connection whose started exchange was aborted:
-// its reply, if any, is still on the stream.
+// its replies, or some of them, are still on the stream.
 var errAbandoned = errors.New("remote: batch exchange abandoned before its reply was read")
 
-// startBatch begins WeightedTagSumBatch's exchange: it locks and arms the
+// startBatches begins a pipelined exchange: it locks and arms the
 // connection (the context's deadline and cancellation cover the call
-// until it finishes), runs the capability probe if none is cached, and writes
-// and flushes the opBatch frame, trace prefix included. On error nothing
-// is held and the connection is poisoned unless the error is the server's
-// (a legacy server without opBatch).
-func (c *Client) startBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) (*BatchCall, error) {
-	if len(reqs) > maxBatchSubs {
-		return nil, fmt.Errorf("remote: batch of %d sub-requests exceeds limit", len(reqs))
+// until it finishes), runs the capability probe if none is cached, and
+// writes every opBatch frame, trace prefixes included, then flushes
+// once. On error nothing is held and the connection is poisoned unless
+// the error is the server's (a legacy server without opBatch).
+func (c *Client) startBatches(ctx context.Context, frames []BatchFrame) (*BatchCall, error) {
+	for i := range frames {
+		if n := len(frames[i].Reqs); n > maxBatchSubs {
+			return nil, fmt.Errorf("remote: batch of %d sub-requests exceeds limit", n)
+		}
 	}
 	c.mu.Lock()
 	disarm, err := c.arm(ctx)
@@ -1212,84 +1254,111 @@ func (c *Client) startBatch(ctx context.Context, geo core.Geometry, reqs []core.
 		c.mu.Unlock()
 		return nil, err
 	}
-	flags, err := c.sendBatchLocked(ctx, geo, reqs, verify)
-	if err != nil {
+	if err := c.sendBatchesLocked(frames); err != nil {
 		err = c.finish(ctx, err)
 		disarm()
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.call = BatchCall{c: c, ctx: ctx, disarm: disarm, n: len(reqs), m: geo.Params.M,
-		verify: verify, packed: flags&batchFlagPacked != 0}
-	if c.call.packed {
-		c.call.rg = ring.MustNew(geo.Params.We)
-	}
+	c.call.c, c.call.ctx, c.call.disarm = c, ctx, disarm
 	return &c.call, nil
 }
 
-// sendBatchLocked writes and flushes an opBatch frame and returns its
-// flags word. Caller holds c.mu with the connection armed.
-func (c *Client) sendBatchLocked(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) (uint64, error) {
+// sendBatchesLocked writes every frame into one buffer, records how to
+// read each reply in c.call.frames, and flushes. Caller holds c.mu with
+// the connection armed.
+func (c *Client) sendBatchesLocked(frames []BatchFrame) error {
 	// A server without opBatch would read the frame's payload as further
 	// ops, so the cached capability probe gates the send.
 	if err := c.ensureCapsLocked(); err != nil {
-		return 0, err
+		return err
 	}
 	if c.caps&capBatch == 0 {
-		return 0, errNoBatchOp
+		return errNoBatchOp
 	}
-	flags := c.batchFlagsLocked(geo, verify)
-	f, err := c.traceFrameLocked(ctx)
-	if err != nil {
-		return 0, err
+	f, cf := c.frame[:0], c.call.frames[:0]
+	for i := range frames {
+		fr := &frames[i]
+		var err error
+		if f, err = c.appendTraceLocked(f, fr.Ctx); err != nil {
+			return err
+		}
+		flags := c.batchFlagsLocked(fr.Geo, fr.Verify)
+		f = appendBatchRequest(append(f, opBatch), fr.Geo, fr.Reqs, flags)
+		cfr := callFrame{n: len(fr.Reqs), m: fr.Geo.Params.M, verify: fr.Verify, packed: flags&batchFlagPacked != 0}
+		if cfr.packed {
+			cfr.rg = ring.MustNew(fr.Geo.Params.We)
+		}
+		cf = append(cf, cfr)
 	}
-	c.frame = appendBatchRequest(append(f, opBatch), geo, reqs, flags)
-	if _, err := c.w.Write(c.frame); err != nil {
-		return 0, err
+	c.frame, c.call.frames = f, cf
+	if _, err := c.w.Write(f); err != nil {
+		return err
 	}
-	return flags, c.w.Flush()
+	return c.w.Flush()
 }
 
-// Finish reads the exchange's reply — the batch status, then every
-// sub-result — into the connection's buffers and, once the whole reply has
-// parsed, hands it to fold; only then is the connection released. fold
-// sees exactly one result per sub-request, valid until it returns: it
-// must copy or fold what it keeps, and it runs with the connection held,
-// so it must not use the Client. A reply that fails to parse reaches no
-// fold, and the error is the exchange's, as WeightedTagSumBatch reports
-// it. If fold panics, the connection is still released: its reply was
-// read whole, so its stream is in sync. The buffers grow to the
-// connection's largest batch and serve every later one.
-func (b *BatchCall) Finish(fold func([]core.NDPBatchResult)) error {
+// Finish reads the exchange's replies in frame order. Each reply — its
+// status, then every sub-result — is parsed whole into the connection's
+// buffers and handed to each with its frame index; a frame the server
+// rejected whole (statusErr, the stream still in sync) is handed over
+// with that error and no results. each sees exactly one result per
+// sub-request, valid until it returns: it must copy or fold what it
+// keeps, and it runs with the connection held, so it must not use the
+// Client. A reply that fails to parse ends the exchange: that frame and
+// every later one reach no each, and the error is returned, as
+// WeightedTagSumBatch reports it. If each panics after the last reply was
+// read, the connection is still released in sync; earlier, it is
+// poisoned, since replies remain on the stream. The buffers grow to the
+// connection's largest frame and serve every later one.
+func (b *BatchCall) Finish(each func(i int, res []core.NDPBatchResult, err error)) error {
 	c := b.c
-	if cap(c.batchRes) < b.n {
-		c.batchRes = make([]core.NDPBatchResult, b.n)
-	}
-	c.batchRes = c.batchRes[:b.n]
-	c.batchSlab = growU64s(c.batchSlab, b.n*b.m)
-	return b.finish(c.batchRes, c.batchSlab, fold)
-}
-
-// finish is Finish reading into res (one entry per sub-request) and slab
-// (len(res)×m) instead; a nil fold is skipped.
-func (b *BatchCall) finish(res []core.NDPBatchResult, slab []uint64, fold func([]core.NDPBatchResult)) error {
-	c := b.c
-	werr := errAbandoned // until the reply has parsed
-	defer func() { b.release(werr) }()
-	err := readStatus(c.r)
-	if err == nil {
-		err = readBatchReply(c.r, res, slab, b.m, b.verify, b.packed, b.rg)
-	}
-	if werr = c.finish(b.ctx, err); werr != nil {
-		return werr
-	}
-	if fold != nil {
-		fold(res)
+	read := 0
+	var werr error
+	defer func() {
+		if werr == nil && read < len(b.frames) {
+			werr = errAbandoned
+		}
+		b.release(werr)
+	}()
+	for i := range b.frames {
+		f := &b.frames[i]
+		res, slab := b.buffers(f.n, f.m)
+		err := readStatus(c.r)
+		var se *serverError
+		if err == nil {
+			err = readBatchReply(c.r, res, slab, f.m, f.verify, f.packed, f.rg)
+		} else if errors.As(err, &se) {
+			read++
+			each(i, nil, err)
+			continue
+		}
+		if err != nil {
+			werr = c.finish(b.ctx, err)
+			return werr
+		}
+		read++
+		each(i, res, nil)
 	}
 	return nil
 }
 
-// Abort abandons a started exchange without reading its reply: the
+// buffers returns the result vector and the n×m sums slab one reply is
+// parsed into.
+func (b *BatchCall) buffers(n, m int) ([]core.NDPBatchResult, []uint64) {
+	if b.fresh {
+		return make([]core.NDPBatchResult, n), make([]uint64, n*m)
+	}
+	c := b.c
+	if cap(c.batchRes) < n {
+		c.batchRes = make([]core.NDPBatchResult, n)
+	}
+	c.batchRes = c.batchRes[:n]
+	c.batchSlab = growU64s(c.batchSlab, n*m)
+	return c.batchRes, c.batchSlab
+}
+
+// Abort abandons a started exchange without reading its replies: the
 // connection is poisoned and closed, and the call released.
 func (b *BatchCall) Abort() { b.release(errAbandoned) }
 
@@ -1305,7 +1374,7 @@ func (b *BatchCall) release(err error) {
 		c.conn.Close()
 	}
 	b.disarm()
-	*b = BatchCall{}
+	*b = BatchCall{frames: b.frames[:0]}
 	c.mu.Unlock()
 	if rc != nil {
 		rc.settle(c, err)

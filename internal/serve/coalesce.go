@@ -10,65 +10,86 @@ import (
 	"secndp"
 )
 
-// coalescer merges concurrent users' cache-missing row fetches for one
-// table into facade QueryBatch calls by group commit: an idle table
-// fetches at once, and rows that arrive while a batch is on the wire
-// form the next batch, which leaves the moment the first returns. Batch
-// size follows load — 1 when idle, large at saturation — with no clock.
+// coalescer merges concurrent users' cache-missing row fetches, for the
+// tables it drains, into joint facade calls (secndp.QueryBatches) by
+// group commit: an idle coalescer fetches at once, and rows that arrive
+// while a drain is on the wire — for any of its tables — form the next
+// drain, which leaves the moment the first returns. A drain carries each
+// table's rows as that table's batch, and QueryBatches sends every
+// table's sub-batch for one shard in one exchange, so a multi-table
+// lookup costs one exchange per shard, not one per table and shard.
+// Drain size follows load — 1 row when idle, large at saturation — with
+// no clock.
 //
-// Invariant: queued non-empty ⇒ exactly one drain goroutine is alive
+// A Service drains every table that can share exchanges
+// (secndp.Table.SharesExchanges: cluster tables) through one coalescer,
+// and gives any other table — in-process, or one server — a coalescer of
+// its own: its batch has no exchange to share, and one drain loop over
+// several such tables makes every user wait on all of them, which cost
+// serve_rotate's closed loop about a quarter of its lookups per second.
+//
+// Invariant: rows queued ⇒ exactly one drain goroutine is alive
 // (running, under mu). Every waiter is therefore woken without a timer
 // and without a flush on Close.
 //
-// A row requested while an identical (row, epoch) fetch is pending —
-// queued or already on the wire — joins it instead of fetching again:
-// this is the cross-user coalescing the per-request path cannot do. The
-// coalescing factor (row references entering the coalescer per row
-// actually fetched) is the layer's headline metric.
+// A row requested while an identical (table, row, epoch) fetch is
+// pending — queued or already on the wire — joins it instead of fetching
+// again: this is the cross-user coalescing the per-request path cannot
+// do. The coalescing factor (row references entering the coalescer per
+// row actually fetched) is the layer's headline metric.
 type coalescer struct {
 	svc *Service
-	ts  *tableServe
 
-	mu      sync.Mutex
-	pending map[int]*rowFetch
-	queued  []*rowFetch   // the forming batch
-	done    chan struct{} // the forming batch's channel; nil while queued is empty
-	running bool          // a drain goroutine is alive
+	mu    sync.Mutex
+	dirty []*tableServe // tables with rows in the forming drain, in first-row order
+	done  chan struct{} // the forming drain's channel; nil while nothing is queued
+	// running reports that a drain goroutine is alive.
+	running bool
 
-	// reqs is the drain goroutine's request framing, reused from batch to
-	// batch: running admits one drain goroutine at a time and mu orders
-	// one's exit before the next one's start.
-	reqs []secndp.Request
+	// scratch is the drain goroutine's, reused from drain to drain:
+	// running admits one drain goroutine at a time and mu orders one's
+	// exit before the next one's start.
+	scratch drainScratch
 }
 
-// rowFetch is one distinct (row, epoch) fetch. done is its batch's
-// channel, shared by every row of the batch; the fetching goroutine fills
-// the result — the row as it goes into the cache, or err — before closing
-// it (the close publishes them).
+// drainScratch is one drain's working set: the tables it fetches for,
+// each table's fetches, and the facade framing of both.
+type drainScratch struct {
+	tabs    []*tableServe
+	fetches [][]*rowFetch
+	batches []secndp.TableBatch
+	reqs    []secndp.Request
+}
+
+// rowFetch is one distinct (table, row, epoch) fetch. done is its
+// drain's channel, shared by every row of the drain; the fetching
+// goroutine fills the result — the row as it goes into the cache and the
+// epoch that answered it, or err — before closing it (the close
+// publishes them).
 type rowFetch struct {
 	row   int
 	idx   [1]int // row again, as the Idx of its unit-weight request
-	epoch uint64
+	epoch uint64 // the epoch the fetch was enqueued under
 	done  chan struct{}
 
 	rowEntry
-	err error
+	answered uint64 // the serving epoch of the state that answered
+	err      error
 }
 
-func newCoalescer(svc *Service, ts *tableServe) *coalescer {
-	return &coalescer{svc: svc, ts: ts, pending: make(map[int]*rowFetch)}
-}
+func newCoalescer(svc *Service) *coalescer { return &coalescer{svc: svc} }
 
-// enqueue registers fetches for rows under one epoch and appends one
-// rowFetch per input row to dst (duplicates within rows share a fetch).
-// It never blocks on the NDP — batches run on the drain goroutine — so a
-// multi-bag request can enqueue against every table before awaiting any.
-func (co *coalescer) enqueue(dst []*rowFetch, rows []int, epoch uint64) []*rowFetch {
+// enqueue registers fetches for rows of ts under one epoch and appends
+// one rowFetch per input row to dst (duplicates within rows share a
+// fetch). It never blocks on the NDP — drains run on the drain goroutine
+// — so a multi-bag request can enqueue against every table before
+// awaiting any.
+func (co *coalescer) enqueue(ts *tableServe, dst []*rowFetch, rows []int, epoch uint64) []*rowFetch {
 	co.mu.Lock()
 	for _, row := range rows {
-		if rf := co.pending[row]; rf != nil && rf.epoch == epoch {
+		if rf := ts.pending[row]; rf != nil && rf.epoch == epoch {
 			// Join the pending fetch — queued or already in flight; same
-			// epoch means its result is exactly this request's row.
+			// epoch means it was asked for exactly this request's row.
 			co.svc.met.joins.inc()
 			dst = append(dst, rf)
 			continue
@@ -77,23 +98,28 @@ func (co *coalescer) enqueue(dst []*rowFetch, rows []int, epoch uint64) []*rowFe
 			co.done = make(chan struct{})
 		}
 		rf := &rowFetch{row: row, idx: [1]int{row}, epoch: epoch, done: co.done}
-		co.pending[row] = rf
-		co.queued = append(co.queued, rf)
+		ts.pending[row] = rf
+		if len(ts.queued) == 0 {
+			co.dirty = append(co.dirty, ts)
+		}
+		ts.queued = append(ts.queued, rf)
 		dst = append(dst, rf)
-		if len(co.queued) >= co.svc.cfg.MaxBatch {
-			// Size trigger: a full batch leaves on its own goroutine rather
-			// than queue behind the one on the wire, which also bounds how
-			// far one-in-flight-per-table can throttle a slow NDP.
+		if len(ts.queued) >= co.svc.cfg.MaxBatch {
+			// Size trigger: a drain with a full table batch leaves on its
+			// own goroutine rather than queue behind the one on the wire,
+			// which also bounds how far one drain in flight can throttle a
+			// slow NDP.
 			co.svc.met.sizeFlushes.inc()
-			batch, done := co.takeLocked()
+			sc := new(drainScratch)
+			done := co.takeLocked(sc)
 			co.svc.wg.Add(1)
 			go func() {
 				defer co.svc.wg.Done()
-				co.run(batch, done, nil)
+				co.run(sc, done)
 			}()
 		}
 	}
-	if len(co.queued) > 0 && !co.running {
+	if len(co.dirty) > 0 && !co.running {
 		co.running = true
 		co.svc.wg.Add(1)
 		go co.drain()
@@ -102,85 +128,114 @@ func (co *coalescer) enqueue(dst []*rowFetch, rows []int, epoch uint64) []*rowFe
 	return dst
 }
 
-// takeLocked detaches the forming batch.
-func (co *coalescer) takeLocked() ([]*rowFetch, chan struct{}) {
-	batch, done := co.queued, co.done
-	co.queued, co.done = nil, nil
-	return batch, done
+// takeLocked detaches the forming drain into sc and returns its channel.
+func (co *coalescer) takeLocked(sc *drainScratch) chan struct{} {
+	sc.tabs = append(sc.tabs[:0], co.dirty...)
+	sc.fetches = sc.fetches[:0]
+	for _, ts := range co.dirty {
+		sc.fetches = append(sc.fetches, ts.queued)
+		ts.queued = nil
+	}
+	clear(co.dirty)
+	co.dirty = co.dirty[:0]
+	done := co.done
+	co.done = nil
+	return done
 }
 
-// drain runs the table's batches one after another until none is queued.
-// The yield is load-bearing: a freshly spawned goroutine sits in its
-// spawner's runnext slot and would otherwise take its batch before any
-// other already-runnable lookup has enqueued. Yielding sends it to the
-// back of the run queue, so the batch is every lookup runnable right now;
-// on an idle process it costs one scheduler pass.
+// drain runs the coalescer's drains one after another until none is
+// queued. The yield is load-bearing: a freshly spawned goroutine sits in
+// its spawner's runnext slot and would otherwise take its drain before
+// any other already-runnable lookup has enqueued. Yielding sends it to
+// the back of the run queue, so the drain is every lookup runnable right
+// now; on an idle process it costs one scheduler pass.
 func (co *coalescer) drain() {
 	defer co.svc.wg.Done()
 	for {
 		runtime.Gosched()
 		co.mu.Lock()
-		batch, done := co.takeLocked()
-		if len(batch) == 0 {
+		if len(co.dirty) == 0 {
 			co.running = false
 			co.mu.Unlock()
 			return
 		}
+		done := co.takeLocked(&co.scratch)
 		co.mu.Unlock()
 		co.svc.met.windowFlushes.inc()
-		co.reqs = co.run(batch, done, co.reqs[:0])
+		co.run(&co.scratch, done)
 	}
 }
 
-// run executes one batch: every distinct row fetched as a unit-weight
-// single-row request, so the facade's batched pipeline generates each
-// row's pads once. Runs under the service context — one waiter's
-// cancellation never aborts a batch other users share. reqs is framing
-// scratch, returned for reuse.
-func (co *coalescer) run(batch []*rowFetch, done chan struct{}, reqs []secndp.Request) []secndp.Request {
+// run executes one drain as one QueryBatches call: each table's distinct
+// rows fetched as unit-weight single-row requests, so the facade's
+// batched pipeline generates each row's pads once, and the tables'
+// exchanges to one shard share one connection. Runs under the service
+// context — one waiter's cancellation never aborts a drain other users
+// share.
+func (co *coalescer) run(sc *drainScratch, done chan struct{}) {
 	start := time.Now()
 	co.svc.met.batches.inc()
-	co.svc.met.rowsFetched.add(uint64(len(batch)))
-	for _, rf := range batch {
-		reqs = append(reqs, secndp.Request{Idx: rf.idx[:], Weights: unitWeight})
-	}
-	res, err := co.ts.tab.QueryBatch(co.svc.baseCtx, reqs)
-	for i, rf := range batch {
-		if i < len(res) && res[i].Values != nil {
-			rf.rowEntry = rowEntry{vals: res[i].Values, verified: res[i].Verified, degraded: res[i].Degraded}
-			// Populate the cache before waking waiters so a hot row is
-			// servable the instant its fetch lands. The cache copies the
-			// row into its own slot, so an entry never pins this batch's
-			// result slab. The entry is keyed under the epoch the fetch
-			// was *enqueued* at: if the table rotated mid-fetch these
-			// values are pre-rotation and must not be visible to
-			// post-rotation epochs.
-			co.ts.cache.put(rf.row, rf.epoch, rf.rowEntry)
-		} else {
-			cause := err
-			if cause == nil {
-				cause = errors.New("serve: batch result missing")
-			}
-			rf.err = fmt.Errorf("serve: fetch row %d: %w", rf.row, cause)
+	reqs := sc.reqs[:0]
+	for _, batch := range sc.fetches {
+		for _, rf := range batch {
+			reqs = append(reqs, secndp.Request{Idx: rf.idx[:], Weights: unitWeight})
 		}
+	}
+	co.svc.met.rowsFetched.add(uint64(len(reqs)))
+	batches, off := sc.batches[:0], 0
+	for i, ts := range sc.tabs {
+		n := len(sc.fetches[i])
+		batches = append(batches, secndp.TableBatch{Table: ts.tab, Reqs: reqs[off : off+n : off+n]})
+		off += n
+	}
+	secndp.QueryBatches(co.svc.baseCtx, batches)
+	for i, ts := range sc.tabs {
+		b := &batches[i]
+		for j, rf := range sc.fetches[i] {
+			if j < len(b.Results) && b.Results[j].Values != nil {
+				res := &b.Results[j]
+				rf.rowEntry = rowEntry{vals: res.Values, verified: res.Verified, degraded: res.Degraded}
+				rf.answered = res.Epoch
+				// Populate the cache before waking waiters so a hot row is
+				// servable the instant its fetch lands. The cache copies the
+				// row into its own slot, so an entry never pins this drain's
+				// result slab. The entry is keyed under the epoch that
+				// answered it, which a Reencrypt racing the fetch makes newer
+				// than the one the fetch was enqueued under.
+				ts.cache.put(rf.row, res.Epoch, rf.rowEntry)
+			} else {
+				cause := b.Err
+				if cause == nil {
+					cause = errors.New("serve: batch result missing")
+				}
+				rf.err = fmt.Errorf("serve: fetch row %d: %w", rf.row, cause)
+			}
+		}
+		*b = secndp.TableBatch{}
 	}
 	close(done)
 	co.svc.met.observeBatch(time.Since(start))
 	// Retire the completed fetches from pending — unless a newer fetch
 	// for the same row (different epoch) already replaced them — and
-	// leave the emptied slice for the next forming batch.
+	// leave each emptied slice for its table's next forming batch.
 	co.mu.Lock()
-	for i, rf := range batch {
-		if co.pending[rf.row] == rf {
-			delete(co.pending, rf.row)
+	for i, ts := range sc.tabs {
+		batch := sc.fetches[i]
+		for k, rf := range batch {
+			if ts.pending[rf.row] == rf {
+				delete(ts.pending, rf.row)
+			}
+			batch[k] = nil
 		}
-		batch[i] = nil
-	}
-	if cap(co.queued) == 0 {
-		co.queued = batch[:0]
+		if cap(ts.queued) == 0 {
+			ts.queued = batch[:0]
+		}
+		sc.fetches[i] = nil
 	}
 	co.mu.Unlock()
-	return reqs
+	clear(sc.tabs)
+	clear(reqs)
+	sc.reqs, sc.batches = reqs[:0], batches[:0]
 }
 
 // unitWeight is every coalesced request's weight vector; never written.

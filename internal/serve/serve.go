@@ -10,25 +10,35 @@
 //     immediately with ErrOverloaded (typed — callers branch with
 //     errors.Is) instead of growing an unbounded queue until collapse.
 //   - A hot-row result cache: decrypted, verified row vectors keyed by
-//     (row, table epoch). DLRM traffic is Zipfian, so a small cache
-//     absorbs most row references; entries are invalidated by epoch
-//     comparison, so a Reencrypt or Reshard (which bump Table.Epoch)
-//     can never serve pre-rotation plaintext. Each table's cache is a
+//     (row, table epoch) — the epoch of the table state that answered
+//     the fetch (secndp.Result.Epoch). DLRM traffic is Zipfian, so a
+//     small cache absorbs most row references; entries are invalidated
+//     by epoch comparison, so a Reencrypt or Reshard (which bump
+//     Table.Epoch) can never serve pre-rotation plaintext, and a bag
+//     never folds rows of two epochs: one whose fetched rows answered
+//     at another epoch than its cache hits is fetched again whole. Each
+//     table's cache is a
 //     set-associative slot table reserved at AddTable, with rows copied
 //     into storage the cache owns: a read takes no lock (each slot is a
 //     seqlock), a write locks one 8-way set and evicts by CLOCK.
-//   - A per-table coalescer: cache-missing rows from concurrent lookups
-//     merge into one facade QueryBatch by group commit, so the batched
-//     pipeline's cross-request dedup (DESIGN.md §8) amortizes pads and
-//     exchanges across users, not just within one caller. An idle table
-//     fetches at once; rows that arrive while a batch is on the wire
-//     form the next batch, which leaves when the first returns (or on
-//     its own goroutine once it holds MaxBatch rows).
+//   - Cross-user coalescing by group commit: cache-missing rows from
+//     concurrent lookups merge into one drain, which goes to the facade
+//     as one secndp.QueryBatches call with a batch per table. The batched
+//     pipeline's cross-request dedup (DESIGN.md §8) amortizes pads
+//     across users, not just within one caller. Every table that can
+//     share NDP exchanges (a cluster table) drains through the service's
+//     one shared coalescer, so the tables' sub-batches for one shard
+//     ride one exchange; a table with no exchange to share (in-process,
+//     or one server) drains through a coalescer of its own. An idle
+//     coalescer fetches at once; rows that arrive while a drain is on
+//     the wire form the next drain, which leaves when the first returns
+//     (or on its own goroutine once one table's share holds MaxBatch
+//     rows).
 //
-// The coalescer's invariant is that a table with queued rows has exactly
-// one drain goroutine alive, looping yield → take everything queued →
-// fetch → wake. There is no window and no timer: the package reads the
-// clock only to time its metrics. The yield (runtime.Gosched) before
+// A coalescer's invariant is that while it has queued rows exactly one
+// drain goroutine is alive for it, looping yield → take everything
+// queued → fetch → wake. There is no window and no timer: the package
+// reads the clock only to time its metrics. The yield (runtime.Gosched) before
 // each take is what makes "backlog" mean every lookup runnable right
 // now — without it a fresh drain goroutine runs straight out of its
 // spawner's runnext slot with a batch of one (serve_rotate, same loop
@@ -71,9 +81,10 @@ var (
 // Config tunes a Service. The zero value selects the documented
 // defaults.
 type Config struct {
-	// MaxBatch sends a table's forming batch off on its own goroutine as
-	// soon as it holds this many distinct rows, without waiting for the
-	// batch on the wire to return. <= 0 selects 256.
+	// MaxBatch sends a coalescer's forming drain off on its own goroutine
+	// as soon as one table's share of it holds this many distinct rows,
+	// without waiting for the drain on the wire to return. <= 0 selects
+	// 256.
 	MaxBatch int
 	// MaxInflight bounds the lookups admitted concurrently. <= 0
 	// selects 256.
@@ -143,10 +154,14 @@ type Service struct {
 	cfg Config
 	adm *admission
 	met *metrics
+	// shared drains every table whose batches can share NDP exchanges
+	// (secndp.Table.SharesExchanges); any other table has a coalescer of
+	// its own.
+	shared *coalescer
 
-	// baseCtx outlives any single lookup: coalesced batches run under it
-	// so one user's cancellation cannot abort a batch other users are
-	// waiting on. Close cancels it.
+	// baseCtx outlives any single lookup: drains run under it so one
+	// user's cancellation cannot abort a drain other users are waiting
+	// on. Close cancels it.
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
@@ -159,7 +174,10 @@ type Service struct {
 }
 
 // tableServe is one table's serving state: the facade handle, its ring
-// for TEE-side bag assembly, the hot-row cache, and the coalescer.
+// for TEE-side bag assembly, the hot-row cache, its coalescer and its
+// share of that coalescer's state — the fetches pending for it and the
+// rows it has queued in the forming drain, both guarded by the
+// coalescer's mu.
 type tableServe struct {
 	name string
 	tab  *secndp.Table
@@ -167,8 +185,10 @@ type tableServe struct {
 	cols int
 	rows int
 
-	cache *rowCache
-	co    *coalescer
+	co      *coalescer
+	cache   *rowCache
+	pending map[int]*rowFetch
+	queued  []*rowFetch
 }
 
 // New builds a Service. Call Close when done: it flushes pending
@@ -185,6 +205,7 @@ func New(cfg Config) *Service {
 	}
 	s.tables.Store(&map[string]*tableServe{})
 	s.adm = newAdmission(cfg.MaxInflight, cfg.MaxQueue, s.met)
+	s.shared = newCoalescer(s)
 	if cfg.Registry != nil {
 		cfg.Registry.GaugeFunc("secndp_serve_inflight", "lookups holding an admission slot", s.adm.inflightCount)
 		cfg.Registry.GaugeFunc("secndp_serve_queue_depth", "lookups waiting for an admission slot", s.adm.queueDepth)
@@ -205,14 +226,18 @@ func (s *Service) AddTable(name string, tab *secndp.Table) error {
 		return fmt.Errorf("serve: AddTable(%q): %w", name, err)
 	}
 	ts := &tableServe{
-		name:  name,
-		tab:   tab,
-		ring:  rg,
-		cols:  geo.Params.M,
-		rows:  geo.Layout.NumRows,
-		cache: newRowCache(s.cfg.CacheRows, geo.Params.M, s.met),
+		name:    name,
+		tab:     tab,
+		ring:    rg,
+		cols:    geo.Params.M,
+		rows:    geo.Layout.NumRows,
+		co:      s.shared,
+		cache:   newRowCache(s.cfg.CacheRows, geo.Params.M, s.met),
+		pending: make(map[int]*rowFetch),
 	}
-	ts.co = newCoalescer(s, ts)
+	if !tab.SharesExchanges() {
+		ts.co = newCoalescer(s)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := *s.tables.Load()
@@ -258,11 +283,11 @@ func (s *Service) Lookup(ctx context.Context, bag Bag) (BagResult, error) {
 
 // LookupBags serves one user request of several bags (typically one per
 // sparse feature/table) under a single admission slot. All bags' row
-// misses are enqueued into their tables' coalescers before any result is
-// awaited, so a multi-table request's fetches overlap instead of running
-// serially. Results align with bags; the first failure aborts the request
-// (a canceled ctx abandons only this caller's wait — batches other users
-// share complete regardless).
+// misses are enqueued before any result is awaited, so a multi-table
+// request's fetches ride one drain (or, on tables with no exchange to
+// share, run side by side) instead of running serially. Results align with bags; the first failure aborts the
+// request (a canceled ctx abandons only this caller's wait — drains other
+// users share complete regardless).
 func (s *Service) LookupBags(ctx context.Context, bags []Bag) ([]BagResult, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -304,11 +329,18 @@ func (s *Service) LookupBags(ctx context.Context, bags []Bag) ([]BagResult, erro
 			return nil, fmt.Errorf("bag %d: %w", i, err)
 		}
 	}
-	// Phase 2: await the fetches and assemble.
+	// Phase 2: await the fetches and assemble. A bag whose rows answered
+	// at two epochs — a rotation published while its fetch was queued —
+	// starts over whole at the new epoch.
 	out := make([]BagResult, len(bags))
 	for i := range pend {
 		pb := &pend[i]
 		res, err := pb.wait(ctx, fetches[pb.lo:pb.hi], missW[pb.lo:pb.hi])
+		for err == errMixedEpochs {
+			if fetches, missW, err = s.startBag(pb, bags[i], fetches, missW); err == nil {
+				res, err = pb.wait(ctx, fetches[pb.lo:pb.hi], missW[pb.lo:pb.hi])
+			}
+		}
 		if err != nil {
 			s.met.lookupErrors.inc()
 			return nil, fmt.Errorf("bag %d: %w", i, err)
@@ -328,9 +360,11 @@ const (
 )
 
 // pendingBag is a bag mid-assembly: cache hits already folded into
-// res.Values, misses enqueued as rowFetches awaiting their batch.
+// res.Values, misses enqueued as rowFetches awaiting their drain.
 type pendingBag struct {
 	ts *tableServe
+	// epoch is the table epoch the bag's cache hits were read at.
+	epoch uint64
 	// res.Values is the accumulator: integer sums mod 2^64 until wait
 	// reduces them in the ring.
 	res BagResult
@@ -358,14 +392,12 @@ func (s *Service) startBag(pb *pendingBag, bag Bag, fetches []*rowFetch, missW [
 		}
 	}
 	s.met.rowRefs.add(uint64(len(bag.Idx)))
-	// The epoch is sampled before any cache read or fetch enqueue: a
-	// rotation between sampling and fetch completion keys the fetched
-	// rows under the old epoch, so post-rotation lookups (which sample
-	// the new epoch) can never hit them.
+	// The epoch is sampled before any cache read or fetch enqueue: hits
+	// are read at exactly this epoch, and a fetch a rotation overtakes
+	// answers at a newer one, which wait detects.
 	epoch := ts.tab.Epoch()
-	pb.ts = ts
-	pb.res = BagResult{Values: make([]uint64, ts.cols), Verified: true}
-	pb.lo = len(fetches)
+	*pb = pendingBag{ts: ts, epoch: epoch, lo: len(fetches),
+		res: BagResult{Values: make([]uint64, ts.cols), Verified: true}}
 	var missBuf [inlineRows]int
 	missRows := missBuf[:0]
 	// A hit is copied out of the cache into scratch and folded from
@@ -402,7 +434,7 @@ func (s *Service) startBag(pb *pendingBag, bag Bag, fetches []*rowFetch, missW [
 	}
 	if len(missRows) > 0 {
 		s.met.cacheMisses.add(uint64(len(missRows)))
-		fetches = ts.co.enqueue(fetches, missRows, epoch)
+		fetches = ts.co.enqueue(ts, fetches, missRows, epoch)
 	}
 	pb.hi = len(fetches)
 	return fetches, missW, nil
@@ -425,13 +457,19 @@ func (pb *pendingBag) fold(w uint64, e rowEntry) {
 	pb.over = over
 }
 
+// errMixedEpochs reports a bag whose rows answered at two table epochs;
+// LookupBags fetches it again whole.
+var errMixedEpochs = errors.New("serve: bag rows answered at two epochs")
+
 // wait blocks until every one of the bag's fetches lands (or ctx is
 // done), folds the fetched rows in at their weights, and reduces in the
-// ring.
+// ring. Every row must have answered at one epoch — the cache hits'
+// when there were any — or the bag fails with errMixedEpochs.
 func (pb *pendingBag) wait(ctx context.Context, fetches []*rowFetch, missW []uint64) (BagResult, error) {
-	// Rows of one batch share its done channel: wait once per batch.
+	// Rows of one drain share its done channel: wait once per drain.
 	var landed chan struct{}
-	for i, rf := range fetches {
+	epoch, fixed := pb.epoch, pb.res.CacheHits > 0
+	for _, rf := range fetches {
 		if rf.done != landed {
 			select {
 			case <-rf.done:
@@ -443,6 +481,14 @@ func (pb *pendingBag) wait(ctx context.Context, fetches []*rowFetch, missW []uin
 		if rf.err != nil {
 			return BagResult{}, fmt.Errorf("table %q row %d: %w", pb.ts.name, rf.row, rf.err)
 		}
+		if !fixed {
+			epoch, fixed = rf.answered, true
+		}
+		if rf.answered != epoch {
+			return BagResult{}, errMixedEpochs
+		}
+	}
+	for i, rf := range fetches {
 		pb.fold(missW[i], rf.rowEntry)
 	}
 	// Wrapping uint64 accumulation then one mask per column is exactly
@@ -467,7 +513,7 @@ func (pb *pendingBag) wait(ctx context.Context, fetches []*rowFetch, missW []uin
 	return pb.res, nil
 }
 
-// Close shuts the service down: new lookups fail with ErrClosed, batches
+// Close shuts the service down: new lookups fail with ErrClosed, drains
 // on the wire or still queued fail fast on the canceled service context,
 // and Close blocks until every coalescer goroutine exits. No flush is
 // needed: queued rows always have a live drain goroutine (the

@@ -113,6 +113,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	r.gaugeFns[name] = gaugeFn{help: help, fn: fn}
 }
 
+// DropGaugeFunc removes a callback gauge, so a retired source stops
+// being exported. An unknown name or a nil registry is a no-op.
+func (r *Registry) DropGaugeFunc(name string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.gaugeFns, name)
+}
+
 // Histogram returns the named histogram, creating it with the given
 // bucket upper bounds (nanoseconds, ascending; nil selects
 // DefaultDurationBucketsNs). The bounds of an existing histogram win. A

@@ -199,6 +199,14 @@ type Engine struct {
 	// engine runs without WithTelemetry (every record site is then one
 	// nil check).
 	tel *engineTelemetry
+
+	// shared holds the transports the engine dialed for shard addresses,
+	// one per address, reference-counted by the tables using them;
+	// gauges maps each bound per-(shard, replica) transport series prefix
+	// to the transport it reports. Both are guarded by sharedMu.
+	sharedMu sync.Mutex
+	shared   map[string]*sharedTransport
+	gauges   map[string]*remote.ReliableClient
 }
 
 // New builds an Engine from a 128-bit secret key.
@@ -328,9 +336,6 @@ type Table struct {
 	// reencMu serializes Reencrypt; queries stay lock-free.
 	reencMu sync.Mutex
 
-	// local, set for LocalBackend tables, is the untrusted memory the
-	// table lives in: the memory Reencrypt rewrites in place.
-	local *Memory
 	// mirror, when non-nil, is the TEE-held ciphertext image enabling
 	// local fallback recomputation (WithFallback + a remote or cluster
 	// backend).
@@ -339,8 +344,9 @@ type Table struct {
 	// retyped so the facade can plumb the mirror-fill flag and run
 	// shard fault localization.
 	cnd *cluster.NDP
-	// owned holds transports the backend dialed for this table; Close
-	// closes them. Caller-supplied transports are never here.
+	// owned holds the table's references to transports the engine
+	// dialed for it; Close drops them, and the last reference to a
+	// transport closes it. Caller-supplied transports are never here.
 	owned []io.Closer
 	// verifyFails counts consecutive verification rejections; crossing
 	// the engine's threshold routes queries to the fallback path.
@@ -369,9 +375,11 @@ func (e *Engine) allocRegion(spec TableSpec) (string, uint64, error) {
 }
 
 // Close releases the table's version-manager slot (the version value
-// itself is never reissued) and closes any shard connections the
-// cluster backend dialed on the table's behalf (transports supplied by
-// the caller stay open). The handle must not be used afterwards.
+// itself is never reissued) and its references to the shard transports
+// the engine dialed for it: a transport closes with the last table using
+// it, so the engine's other tables on the same shard addresses keep
+// serving. Transports supplied by the caller stay open. The handle must
+// not be used afterwards.
 func (t *Table) Close() {
 	t.eng.versions.Release(t.region)
 	for _, c := range t.owned {
@@ -386,6 +394,13 @@ func (t *Table) Geometry() core.Geometry { return t.state.Load().tab.Geometry() 
 // Version returns the version the table is currently encrypted under
 // (bumped by Reencrypt).
 func (t *Table) Version() uint64 { return t.state.Load().tab.Version() }
+
+// SharesExchanges reports whether the table's batches can share NDP
+// exchanges with other tables' in one QueryBatches call: true for a
+// cluster table, whose sub-batches ride its shards' transports (shared
+// by every table of the engine naming the same addresses); false for an
+// in-process or single-server table, whose batch runs on its own.
+func (t *Table) SharesExchanges() bool { return t.cnd != nil }
 
 // Epoch returns the table's serving epoch: an opaque generation counter
 // (starting at 1) that changes whenever results derived from the table
@@ -412,9 +427,12 @@ func (t *Table) Epoch() uint64 {
 // into a freshly authenticated table; non-nil newRows must match the
 // table's Rows×Cols shape and replaces the contents.
 //
-// Only local-backend tables support in-place rotation today; remote and
-// cluster tables return an error (online cluster re-encryption is a
-// ROADMAP item). The rewrite happens in place in untrusted memory before
+// Only tables whose NDP serves from an in-process memory support
+// in-place rotation today — local-backend tables, and remote-backend
+// tables over an in-process transport such as the test suite's
+// faultproxy.Gate; remote and cluster tables over the wire return an
+// error (online cluster re-encryption is a ROADMAP item). The rewrite
+// happens in place in untrusted memory before
 // the new state is published, so queries racing the rewrite window may
 // transiently fail verification (tagged tables reject mixed-version
 // bytes; ErrVerification) — quiesce or retry around rotation. Queries
@@ -428,9 +446,11 @@ func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) (err error) {
 	t.reencMu.Lock()
 	defer t.reencMu.Unlock()
 	st := t.state.Load()
-	if t.local == nil {
+	local, ok := st.ndp.(inProcessNDP)
+	if !ok {
 		return errors.New("secndp: Reencrypt requires a local-backend table (online remote/cluster rotation is not yet supported)")
 	}
+	mem := local.Memory()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -440,9 +460,9 @@ func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) (err error) {
 	}
 	var newTab *core.Table
 	if newRows == nil {
-		newTab, err = st.tab.Reencrypt(t.local, newV)
+		newTab, err = st.tab.Reencrypt(mem, newV)
 	} else {
-		newTab, err = t.eng.scheme.EncryptTable(t.local, st.tab.Geometry(), newV, newRows)
+		newTab, err = t.eng.scheme.EncryptTable(mem, st.tab.Geometry(), newV, newRows)
 	}
 	if err != nil {
 		return err
@@ -450,6 +470,11 @@ func (t *Table) Reencrypt(ctx context.Context, newRows [][]uint64) (err error) {
 	t.state.Store(&tableState{tab: newTab, ndp: st.ndp, epoch: st.epoch + 1})
 	return nil
 }
+
+// inProcessNDP is an NDP answering from an untrusted memory in this
+// process — LocalBackend's, or an in-process transport wrapping one —
+// the memory Reencrypt rewrites in place.
+type inProcessNDP interface{ Memory() *Memory }
 
 // CacheStats returns (0, 0).
 //
@@ -490,6 +515,12 @@ type Result struct {
 	// Verified may still be true, because the aggregated MAC check ran
 	// over the filled gather and passed.
 	Degraded bool
+	// Epoch is the serving epoch (see Table.Epoch) of the table state —
+	// and, on a cluster, the topology — that computed this result. A
+	// serving layer keys what it derives from the result by it: a row
+	// fetched across a Reencrypt carries the new epoch, not the one the
+	// caller saw when it asked.
+	Epoch uint64
 	// Timing is the query's per-phase anatomy (always populated; no
 	// telemetry registry required). The concurrent phases overlap, so they
 	// do not sum to Timing.Total.
@@ -580,12 +611,12 @@ func (t *Table) query(ctx context.Context, req Request, workers int) (Result, er
 		fspan.End()
 		err, verify, degraded = nil, false, true
 	}
-	return t.finishQuery(span, values, verify, degraded, timingFrom(pt, fbDur, time.Since(start)), err)
+	return t.finishQuery(span, values, verify, degraded, t.answerEpoch(st, cflag), timingFrom(pt, fbDur, time.Since(start)), err)
 }
 
 // finishQuery is a single query's one exit: it ends the root span with
 // the outcome, records that outcome beside it, and builds the Result.
-func (t *Table) finishQuery(span *telemetry.ActiveSpan, values []uint64, verified, degraded bool, tm Timing, err error) (Result, error) {
+func (t *Table) finishQuery(span *telemetry.ActiveSpan, values []uint64, verified, degraded bool, epoch uint64, tm Timing, err error) (Result, error) {
 	if err != nil {
 		verified, degraded = false, false
 	}
@@ -598,7 +629,7 @@ func (t *Table) finishQuery(span *telemetry.ActiveSpan, values []uint64, verifie
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Values: values, Verified: verified, Degraded: degraded, Timing: tm, Trace: traceHex(span.Trace())}, nil
+	return Result{Values: values, Verified: verified, Degraded: degraded, Epoch: epoch, Timing: tm, Trace: traceHex(span.Trace())}, nil
 }
 
 // traceHex renders a trace ID for Result.Trace: empty when tracing is
@@ -690,7 +721,7 @@ func (t *Table) queryElem(ctx context.Context, req Request) (Result, error) {
 		fspan.End()
 		err, degraded = nil, true
 	}
-	return t.finishQuery(span, []uint64{v}, false, degraded, timingFrom(core.PhaseTimes{}, fbDur, time.Since(start)), err)
+	return t.finishQuery(span, []uint64{v}, false, degraded, t.answerEpoch(st, cflag), timingFrom(core.PhaseTimes{}, fbDur, time.Since(start)), err)
 }
 
 // QueryBatch runs many requests as one coalesced batch: a single NDP
@@ -699,61 +730,219 @@ func (t *Table) queryElem(ctx context.Context, req Request) (Result, error) {
 // joined result gets its own MAC check, so per-request errors are unchanged.
 // Requests that cannot coalesce (element-indexed, or mixed verification
 // settings) run through the per-request worker pool instead; so does a
-// batch the NDP fails as a whole.
+// batch the NDP fails as a whole. It is QueryBatches' one-table case.
 //
 // The results align with the requests; the error aggregates every
 // per-request failure (annotated with its index), so
 // errors.Is(err, ErrVerification) detects a rejected result anywhere in
 // the batch.
 func (t *Table) QueryBatch(ctx context.Context, reqs []Request) ([]Result, error) {
-	if len(reqs) == 0 {
-		return []Result{}, nil
-	}
-	if t.eng.tel != nil {
-		t.eng.tel.batches.Inc()
-	}
-	if res, err, ok := t.queryBatchCoalesced(ctx, reqs); ok {
-		return res, err
-	}
-	if t.eng.tel != nil {
-		t.eng.tel.batchFanout.Inc()
-	}
-	return t.queryBatchPool(ctx, reqs)
+	b := [1]TableBatch{{Table: t, Reqs: reqs}}
+	QueryBatches(ctx, b[:])
+	return b[0].Results, b[0].Err
 }
 
-// queryBatchCoalesced routes a uniform batch through the core pipeline.
-// ok = false means the batch cannot coalesce (its shape) and the caller
-// should fan out.
-func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Result, error, bool) {
+// TableBatch is one table's share of a QueryBatches call: its requests
+// going in and, once the call returns, its results and error exactly as
+// Table.QueryBatch returns them.
+type TableBatch struct {
+	Table   *Table
+	Reqs    []Request
+	Results []Result
+	Err     error
+}
+
+// QueryBatches runs several tables' batches as one joint batch. Each
+// table's batch is validated and planned on its own. Cluster tables then
+// put every NDP exchange in flight before any is awaited — sub-batches
+// for one shard transport (tables of one Engine naming the same shard
+// address share it) ride one pipelined exchange on one pooled connection
+// — and run their OTP sweeps while the exchanges are on the wire. Any
+// other table runs its batch beside them, as Table.QueryBatch alone
+// would. Each table's answers are joined and verified as
+// Table.QueryBatch's are, with the same fallbacks; a table whose exchange
+// failed as a whole re-runs per request without touching the others. The
+// tables may belong to different engines; none may be nil.
+func QueryBatches(ctx context.Context, batches []TableBatch) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sc := jointPool.Get().(*jointScratch)
+	defer sc.release()
+	js := sc.batches(len(batches))
+	parts := sc.parts[:0]
+	defer func() { sc.parts = parts }()
+	for i := range batches {
+		b, j := &batches[i], &js[i]
+		j.part = -1
+		if len(b.Reqs) == 0 {
+			b.Results, b.Err = []Result{}, nil
+			continue
+		}
+		if tel := b.Table.eng.tel; tel != nil {
+			tel.batches.Inc()
+		}
+		if j.mode = j.plan(ctx, b); j.mode == batchJoint {
+			if sub := j.walk.Requests(); len(sub) > 0 {
+				j.part = len(parts)
+				parts = append(parts, cluster.BatchPart{Ctx: j.qctx, NDP: j.t.cnd,
+					Geo: j.st.tab.Geometry(), Reqs: sub, Verify: j.opts.Verify})
+			}
+		}
+	}
+	var ex *cluster.Batches
+	if len(parts) > 0 {
+		ex = cluster.StartBatches(parts)
+		defer ex.Close()
+	}
+	// The other tables' batches run whole, then the cluster tables' OTP
+	// sweeps, all while the joint exchange is on the wire: one after
+	// another on this goroutine, since the hand-offs of running them side
+	// by side cost more than they save at the sizes a drain reaches.
+	for i := range js {
+		if j := &js[i]; j.mode == batchSolo {
+			j.bres = j.st.tab.QueryBatchCtx(j.qctx, j.st.ndp, j.creqs, j.opts)
+		}
+	}
+	for i := range js {
+		if j := &js[i]; j.mode == batchJoint {
+			j.walk.Sweep(j.qctx)
+		}
+	}
+	if ex != nil {
+		ex.Finish()
+	}
+	for i := range batches {
+		b, j := &batches[i], &js[i]
+		switch j.mode {
+		case batchJoint:
+			var res []core.NDPBatchResult
+			var err error
+			if j.part >= 0 {
+				res, err = parts[j.part].Res, parts[j.part].Err
+			}
+			if j.bres, err = j.walk.Join(res, err); err != nil {
+				j.bres = j.st.tab.QueryBatchFanout(j.qctx, j.st.ndp, j.creqs, j.opts)
+			}
+			j.walk.Release()
+			fallthrough
+		case batchSolo:
+			b.Results, b.Err = j.finish(ctx, b.Reqs)
+		case batchPool:
+			if tel := b.Table.eng.tel; tel != nil {
+				tel.batchFanout.Inc()
+			}
+			b.Results, b.Err = b.Table.queryBatchPool(ctx, b.Reqs)
+		}
+	}
+}
+
+// jointScratch is QueryBatches' working set — one jointBatch per table
+// and the cluster parts — pooled from call to call.
+type jointScratch struct {
+	js    []jointBatch
+	parts []cluster.BatchPart
+}
+
+var jointPool = sync.Pool{New: func() any { return new(jointScratch) }}
+
+// batches returns n zeroed jointBatch slots.
+func (sc *jointScratch) batches(n int) []jointBatch {
+	if cap(sc.js) < n {
+		sc.js = make([]jointBatch, n)
+	}
+	return sc.js[:n]
+}
+
+// release clears what the call left in the scratch and pools it.
+func (sc *jointScratch) release() {
+	clear(sc.js[:cap(sc.js)])
+	clear(sc.parts[:cap(sc.parts)])
+	sc.parts = sc.parts[:0]
+	jointPool.Put(sc)
+}
+
+// How QueryBatches runs one table's batch.
+const (
+	// batchNone: an empty batch, answered empty.
+	batchNone = iota
+	// batchPool: the batch cannot coalesce (element-indexed or mixed
+	// verification requests, or a policy error the per-request pool
+	// reports per request); Table.queryBatchPool serves it.
+	batchPool
+	// batchJoint: a cluster table's coalesced batch, its walk split
+	// around the joint exchange.
+	batchJoint
+	// batchSolo: any other table's coalesced batch, run whole by
+	// core.Table.QueryBatchCtx beside the joint exchange — an in-process
+	// or single-server NDP has no exchange to share.
+	batchSolo
+)
+
+// jointBatch is one table's batch inside QueryBatches, between its plan
+// and its results.
+type jointBatch struct {
+	mode  int
+	part  int // a joint batch's index among the call's parts; -1: none
+	t     *Table
+	st    *tableState
+	start time.Time
+	span  *telemetry.ActiveSpan
+	qctx  context.Context
+	cflag *cluster.Flag
+	creqs []core.BatchRequest
+	stats core.BatchStats
+	opts  core.QueryOptions
+	walk  core.BatchWalk
+	bres  []core.BatchResult
+}
+
+// plan picks the batch's mode and, for a coalescing batch, opens its
+// root span and frames its core requests; a joint batch is planned too.
+func (j *jointBatch) plan(ctx context.Context, b *TableBatch) int {
+	t, reqs := b.Table, b.Reqs
 	st := t.state.Load()
 	unverified := reqs[0].Unverified
 	for i := range reqs {
 		if reqs[i].Cols != nil || reqs[i].Unverified != unverified {
-			return nil, nil, false
+			return batchPool
 		}
 	}
 	verify, err := t.resolveVerify(st, unverified)
 	if err != nil {
-		return nil, nil, false // fan-out reports the policy error per request
+		return batchPool
 	}
-
-	start := time.Now()
-	rctx, span := t.eng.tel.startSpan(ctx, "query_batch")
-	qctx, cflag := t.clusterCtx(rctx)
-	creqs := make([]core.BatchRequest, len(reqs))
+	j.t, j.st = t, st
+	j.start = time.Now()
+	var rctx context.Context
+	rctx, j.span = t.eng.tel.startSpan(ctx, "query_batch")
+	j.qctx, j.cflag = t.clusterCtx(rctx)
+	j.creqs = make([]core.BatchRequest, len(reqs))
 	for i := range reqs {
-		creqs[i] = core.BatchRequest{Idx: reqs[i].Idx, Weights: reqs[i].Weights}
+		j.creqs[i] = core.BatchRequest{Idx: reqs[i].Idx, Weights: reqs[i].Weights}
 	}
-	var stats core.BatchStats
-	opts := core.QueryOptions{Workers: t.eng.cfg.workers, Verify: verify, Stats: &stats}
-	bres := st.tab.QueryBatchCtx(qctx, st.ndp, creqs, opts)
+	j.stats = core.BatchStats{Requests: len(reqs)}
+	j.opts = core.QueryOptions{Workers: t.eng.cfg.workers, Verify: verify, Stats: &j.stats}
+	if t.cnd == nil {
+		return batchSolo
+	}
+	j.walk = st.tab.PlanBatch(j.creqs, j.opts)
+	return batchJoint
+}
 
+// finish turns the core results into the facade's: mirror fallback for
+// the requests that qualify, Degraded marks for requests touching a
+// mirror-filled shard, the answering epoch, the root span and the
+// batch's telemetry.
+func (j *jointBatch) finish(ctx context.Context, reqs []Request) ([]Result, error) {
+	t, st, span, verify, bres := j.t, j.st, j.span, j.opts.Verify, j.bres
+	epoch := t.answerEpoch(st, j.cflag)
 	out := make([]Result, len(reqs))
 	errs := make([]error, len(reqs))
 	sawVerifyReject := false
 	for i := range bres {
 		if bres[i].Err == nil {
-			out[i] = Result{Values: bres[i].Res, Verified: verify}
+			out[i] = Result{Values: bres[i].Res, Verified: verify, Epoch: epoch}
 			continue
 		}
 		qerr := bres[i].Err
@@ -769,7 +958,7 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 			if ferr == nil {
 				fspan.End()
 				t.degraded.Add(1)
-				out[i] = Result{Values: values, Degraded: true, Timing: tm}
+				out[i] = Result{Values: values, Degraded: true, Timing: tm, Epoch: epoch}
 				continue
 			}
 			qerr = fmt.Errorf("secndp: fallback failed: %w (ndp: %w)", ferr, qerr)
@@ -783,7 +972,7 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 	// On a cluster backend, mirror fills for failed shards leave the batch
 	// answers correct (and verified) but partially TEE-computed: mark every
 	// successful request that touches a filled shard Degraded.
-	if filled := cflag.Filled(); len(filled) > 0 {
+	if filled := j.cflag.Filled(); len(filled) > 0 {
 		fset := make(map[int]struct{}, len(filled))
 		for _, s := range filled {
 			fset[s] = struct{}{}
@@ -805,7 +994,7 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 	// Every coalesced result shares the batch's wall-clock total (and its
 	// trace — the whole batch is one trace tree); the phase anatomy is
 	// batch-level and lives in the registry, not on individual results.
-	total := time.Since(start)
+	total := time.Since(j.start)
 	verified, degraded := false, false
 	var firstErr error
 	for i := range out {
@@ -822,8 +1011,23 @@ func (t *Table) queryBatchCoalesced(ctx context.Context, reqs []Request) ([]Resu
 	}
 	span.SetStatus(verified, degraded)
 	span.EndErr(firstErr, classifyErr(firstErr))
-	t.eng.tel.recordBatch(total, stats, out, errs, span.Trace())
-	return out, errors.Join(errs...), true
+	t.eng.tel.recordBatch(total, j.stats, out, errs, span.Trace())
+	return out, errors.Join(errs...)
+}
+
+// answerEpoch is the serving epoch of an answer computed under st: its
+// rotation count plus, on a cluster, the flips of the topology whose
+// gather was accepted (cflag) — or, when none was, the live one.
+func (t *Table) answerEpoch(st *tableState, cflag *cluster.Flag) uint64 {
+	e := st.epoch
+	if t.cnd != nil {
+		topo := cflag.Epoch()
+		if topo == 0 {
+			topo = t.cnd.Epoch()
+		}
+		e += topo - 1
+	}
+	return e
 }
 
 // queryBatchPool is the per-request batch path: a request-level worker
