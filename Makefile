@@ -41,20 +41,24 @@ test-race:
 	$(GO) test -race ./...
 
 # The serving layer's gate: vet, the package twice under the race
-# detector (the per-service drain loop, its invariant hammer, Close with
-# work in flight, the row cache's torn-read hammer, a fetch pinned across
-# a Reencrypt publish, the one-exchange-per-shard count and the shared
-# pools' dial guard), and the root package's tests that drive the stack
-# through serve (TestServeChaosReplicaKill). The allocation budgets hold only without
+# detector (caller-run drains and their hand-off, the invariant hammer,
+# a canceled lookup running a drain, Close with work in flight, the row
+# cache's torn-read hammer, a fetch pinned across a Reencrypt publish,
+# the one-exchange-per-shard count and the shared pools' dial guard), and
+# the root package's tests that drive the stack through serve
+# (TestServeChaosReplicaKill). The allocation budgets hold only without
 # -race (see internal/serve/race_test.go), so they also run once plainly.
-# Last, the row cache and warm-lookup benchmarks run once each, so they
-# keep building and running.
+# Then the row cache and warm-lookup benchmarks run once each, so they
+# keep building and running. Last, the repository benchmark's serve
+# workloads — both serve stacks, traced and untraced — run in smoke form
+# against the plaintext oracle.
 serve-check:
 	$(GO) vet ./internal/serve
 	$(GO) test -race -count=2 ./internal/serve
 	$(GO) test -run 'Serve' -race .
 	$(GO) test -run 'TestServeAllocBudgets' -count=1 ./internal/serve
 	$(GO) test -run '^$$' -bench 'RowCache|LookupBagsWarm' -benchtime 1x ./internal/serve
+	cd benchmark && $(GO) test -run 'TestSmoke/serve_' .
 
 # The batch wire path's gate: vet, cluster and remote twice under the race
 # detector (sub-batches sharing one SplitBatch arena, every shard's
@@ -63,10 +67,10 @@ serve-check:
 # connection buffers and folded into each table's slab), the joint
 # exchange over real sockets (internal/integration's TestBatch*: replies
 # cut mid-frame, hung shards, shared and crossed clients), and the root
-# tests that pin its allocation budget, its answers under concurrent
-# callers and the engine's shared transports. The budget itself holds
-# only without -race (see race_test.go),
-# so it also runs once plainly. Last, the seed corpus of the trusted
+# tests that pin its allocation budgets (the cluster batch's, and a local
+# batch's), its answers under concurrent callers and the engine's shared
+# transports. The budgets themselves hold only without -race (see
+# race_test.go), so they also run once plainly. Last, the seed corpus of the trusted
 # side's oracle: pipelined batches equal the per-request fan-out across
 # the sizes where the pad walk fans out over workers.
 batch-check:
@@ -74,7 +78,7 @@ batch-check:
 	$(GO) test -race -count=2 ./internal/cluster/... ./internal/remote/...
 	$(GO) test -race -count=2 -run 'TestBatch' ./internal/integration
 	$(GO) test -run 'TestBatchCluster|TestSharedTransport' -race .
-	$(GO) test -run 'TestBatchClusterAllocBudget' -count=1 .
+	$(GO) test -run 'TestBatchClusterAllocBudget|TestBatchLocalAllocBudget' -count=1 .
 	$(GO) test -run '^FuzzBatchMatchesFanout$$' -count=1 ./internal/core
 
 # The write path's gate: vet, then the encrypt, re-encrypt and sharding

@@ -69,9 +69,11 @@ func uniformBatch(rng *rand.Rand, bags, bagRows, rows int) []Request {
 // packed bytes, 94 and ~274 KB (94 and ~188 KB after); before the
 // caller-driven scatter — no goroutine per shard, replies parsed into
 // reused connection buffers and folded into one batch slab — 93 and
-// ~188 KB (59 and ~84 KB after).
+// ~188 KB (59 and ~84 KB after); before the batch walk and the facade
+// took their per-request scratch from pools, 58 and ~84 KB (42 and
+// ~69 KB after).
 func TestBatchClusterAllocBudget(t *testing.T) {
-	const rows, budget, bytesBudget = 16384, 80, 120 << 10
+	const rows, budget, bytesBudget = 16384, 46, 120 << 10
 	tab, _ := newBatchCluster(t, 4, rows, 64, 250)
 	reqs := uniformBatch(rand.New(rand.NewSource(251)), 64, 8, rows)
 	ctx := context.Background()
@@ -92,6 +94,52 @@ func TestBatchClusterAllocBudget(t *testing.T) {
 	}
 	if bytes > bytesBudget {
 		t.Fatalf("%.0f bytes allocated per 64×8 batch over 4 shards, budget %d", bytes, bytesBudget)
+	}
+}
+
+// TestBatchLocalAllocBudget: a verified LocalBackend QueryBatch of 8
+// unit requests — the shape of a serving drain — heap-allocates only
+// what it returns and its exchange's hand-off: the results, the NDP's
+// result vector and sums slab, the core results and the exchange
+// goroutine. Every per-request working slice of the walk, the NDP and
+// the facade is pooled. It read 27 allocations before that.
+func TestBatchLocalAllocBudget(t *testing.T) {
+	const rows, cols, budget = 64, 16, 10
+	eng, err := New(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(253))
+	data := make([][]uint64, rows)
+	for i := range data {
+		data[i] = make([]uint64, cols)
+		for j := range data[i] {
+			data[i][j] = rng.Uint64() % (1 << 20)
+		}
+	}
+	tab, err := eng.CreateTable(context.Background(), LocalBackend(NewMemory()), TableSpec{Rows: rows, Cols: cols}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tab.Close)
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		reqs[i] = Request{Idx: []int{3 + 7*i}, Weights: []uint64{1}}
+	}
+	ctx := context.Background()
+	batch := func() {
+		out, err := tab.QueryBatch(ctx, reqs)
+		if err != nil || !out[7].Verified || out[7].Values[0] != data[52][0] {
+			t.Fatalf("batch failed: %v", err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, batch)
+	t.Logf("%.1f allocs per 8-request local batch", allocs)
+	if raceEnabled {
+		return // correctness only: see race_test.go
+	}
+	if allocs > budget {
+		t.Fatalf("%.1f allocs per 8-request local batch, budget %d", allocs, budget)
 	}
 }
 

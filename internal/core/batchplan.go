@@ -218,12 +218,11 @@ const batchTileRows = 512
 // with (Ring.ScaleAccumBytes). Generation parallelizes across the worker
 // pool tile by tile, each worker range drawing its tag pads with one
 // TagPads call; the fold is serial, since rows of one sub-request share
-// its accumulator.
-// otpBatch additionally returns a release callback that recycles the
-// accumulator arena; the caller must invoke it once every accs[i] has been
-// consumed (and must not touch accs afterwards).
-func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verify bool, opts QueryOptions) ([][]uint64, []field.Elem, func(), error) {
+// its accumulator. The shares land in ws (accs, and tags when verifying),
+// whose accumulator arena stays checked out until ws is released.
+func (t *Table) otpBatch(ctx context.Context, plan batchPlan, ws *walkScratch, verify bool, opts QueryOptions) error {
 	m := t.geo.Params.M
+	skip := ws.skip
 	valid := 0
 	for i := range skip {
 		if !skip[i] {
@@ -232,9 +231,10 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 	}
 	// All accumulators live in one pooled zeroed arena: one grab per
 	// batch instead of one allocation per sub-request.
-	accTok, accArena := getU64Zeroed(valid * m)
-	release := func() { putU64Scratch(accTok) }
-	accs := make([][]uint64, len(skip))
+	var accArena []uint64
+	ws.accTok, accArena = getU64Zeroed(valid * m)
+	ws.accs = resized(ws.accs, len(skip))
+	accs := ws.accs
 	next := 0
 	for i := range skip {
 		if !skip[i] {
@@ -242,39 +242,28 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 			next++
 		}
 	}
-	tags := make([]field.Elem, len(skip))
+	ws.tags = resized(ws.tags, len(skip))
 	if len(plan.rows) == 0 {
-		return accs, tags, release, nil
+		return nil
 	}
 	// Per-request tag-pad sums accumulate unreduced; one fold per request
 	// at the end instead of one per (row, user) visit.
 	var tagAccs []field.Acc
 	if verify {
-		tagAccs = make([]field.Acc, len(skip))
+		ws.tagAccs = resized(ws.tagAccs, len(skip))
+		tagAccs = ws.tagAccs
 	}
 
 	rb := t.geo.Params.RowBytes()
 	nTile := min(batchTileRows, len(plan.rows))
 	bp, arena := getByteScratch(nTile * (rb + otp.BlockBytes))
 	defer putByteScratch(bp)
-	pads, tagPads := arena[:nTile*rb], arena[nTile*rb:]
 	ap, addrs := getU64Scratch(nTile)
 	defer putU64Scratch(ap)
-	genRange := func(tile, lo, hi int) error {
-		for s := lo; s < hi; s++ {
-			if (s-lo)%ctxCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			addrs[s] = t.geo.Layout.RowAddr(plan.rows[tile+s].row)
-			t.scheme.gen.PadsInto(pads[s*rb:(s+1)*rb], otp.DomainData, addrs[s], t.version)
-		}
-		if verify {
-			t.scheme.gen.TagPads(tagPads[lo*otp.BlockBytes:hi*otp.BlockBytes], addrs[lo:hi], t.version)
-		}
-		return nil
-	}
+	g := &ws.gen
+	*g = padGen{ctx: ctx, t: t, rows: plan.rows, addrs: addrs, rb: rb, verify: verify,
+		pads: arena[:nTile*rb], tagPads: arena[nTile*rb:]}
+	defer func() { *g = padGen{} }()
 
 	workers := opts.workerCount(len(plan.rows))
 	for tile := 0; tile < len(plan.rows); tile += nTile {
@@ -286,32 +275,33 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 		// The last range runs on this goroutine, so a serial tile spawns
 		// nothing.
 		chunk := (cnt + w - 1) / w
-		errs := make([]error, w)
-		var wg sync.WaitGroup
+		ws.errs = resized(ws.errs, w)
+		errs := ws.errs
 		for s := 0; s*chunk < cnt; s++ {
 			lo, hi := s*chunk, min((s+1)*chunk, cnt)
 			if hi == cnt {
-				errs[s] = genRange(tile, lo, hi)
+				errs[s] = g.run(tile, lo, hi)
 				break
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[s] = genRange(tile, lo, hi)
-			}()
+			g.wg.Add(1)
+			// The loop variables go in as arguments: captured, they would
+			// move to the heap on every iteration, spawning or not.
+			go func(s, tile, lo, hi int) {
+				defer g.wg.Done()
+				errs[s] = g.run(tile, lo, hi)
+			}(s, tile, lo, hi)
 		}
-		wg.Wait()
+		g.wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				release()
-				return nil, nil, nil, err
+				return err
 			}
 		}
 		for s := 0; s < cnt; s++ {
-			pad := pads[s*rb : (s+1)*rb]
+			pad := g.pads[s*rb : (s+1)*rb]
 			var tp field.Elem
 			if verify {
-				tp = field.FromBytes(tagPads[s*otp.BlockBytes:])
+				tp = field.FromBytes(g.tagPads[s*otp.BlockBytes:])
 			}
 			for _, u := range plan.rows[tile+s].uses {
 				t.r.ScaleAccumBytes(accs[u.req], u.weight, pad)
@@ -322,11 +312,44 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 		}
 	}
 	if verify {
-		for i := range tags {
-			tags[i] = tagAccs[i].Sum()
+		for i := range ws.tags {
+			ws.tags[i] = tagAccs[i].Sum()
 		}
 	}
-	return accs, tags, release, nil
+	return nil
+}
+
+// padGen is one pad sweep's tile state, shared by the goroutines that
+// generate a tile's ranges. It lives in the walk's pooled scratch, so a
+// serial sweep allocates nothing for it.
+type padGen struct {
+	ctx           context.Context
+	t             *Table
+	rows          []plannedRow
+	addrs         []uint64
+	pads, tagPads []byte
+	rb            int
+	verify        bool
+	wg            sync.WaitGroup
+}
+
+// run generates the pads (and tag pads) of rows [tile+lo, tile+hi) into
+// the tile's slots [lo, hi).
+func (g *padGen) run(tile, lo, hi int) error {
+	t, rb := g.t, g.rb
+	for s := lo; s < hi; s++ {
+		if (s-lo)%ctxCheckStride == 0 {
+			if err := g.ctx.Err(); err != nil {
+				return err
+			}
+		}
+		g.addrs[s] = t.geo.Layout.RowAddr(g.rows[tile+s].row)
+		t.scheme.gen.PadsInto(g.pads[s*rb:(s+1)*rb], otp.DomainData, g.addrs[s], t.version)
+	}
+	if g.verify {
+		t.scheme.gen.TagPads(g.tagPads[lo*otp.BlockBytes:hi*otp.BlockBytes], g.addrs[lo:hi], t.version)
+	}
+	return nil
 }
 
 // BatchWalk is one table's pipelined batch split at its NDP call
@@ -336,20 +359,54 @@ func (t *Table) otpBatch(ctx context.Context, plan batchPlan, skip []bool, verif
 // must answer, Sweep runs the deduplicated OTP sweep — between the
 // exchange's start and its finish, so the two overlap — and Join joins
 // the answers and verifies each request. Release returns the walk's
-// pooled storage once the results are consumed.
+// pooled storage once the results are consumed: every per-request slice
+// the walk works in is pooled, so a walk heap-allocates only the
+// results it returns.
 type BatchWalk struct {
 	t        *Table
 	opts     QueryOptions
 	out      []BatchResult
+	plan     batchPlan
+	s        *walkScratch
+	sweepErr error
+}
+
+// walkScratch is a BatchWalk's pooled per-request working set: the
+// skip marks and the valid requests of the plan stage, the sweep's
+// shares, tag accumulators and worker errors, and the join's list of
+// requests to verify with their combined tags. Each use regrows a slice
+// to the batch's size, so a steady stream of batches allocates none of
+// it.
+type walkScratch struct {
 	skip     []bool
 	valid    []BatchRequest
 	validIdx []int
-	plan     batchPlan
 
-	accs     [][]uint64
-	tags     []field.Elem
-	release  func()
-	sweepErr error
+	accs    [][]uint64
+	accTok  *[]uint64 // the pooled arena accs point into
+	tags    []field.Elem
+	tagAccs []field.Acc
+	errs    []error
+	gen     padGen
+
+	checked  []int
+	combined []field.Elem
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walkScratch) }}
+
+// release drops what the walk's slices reference — the caller's
+// requests, the accumulator arena — and pools the scratch.
+func (s *walkScratch) release() {
+	if s.accTok != nil {
+		putU64Scratch(s.accTok)
+		s.accTok = nil
+	}
+	clear(s.valid)
+	clear(s.accs)
+	clear(s.errs)
+	s.valid, s.accs, s.errs = s.valid[:0], s.accs[:0], s.errs[:0]
+	walkPool.Put(s)
 }
 
 // PlanBatch is the walk's first stage: every request is checked (a bad
@@ -364,22 +421,20 @@ func (t *Table) PlanBatch(reqs []BatchRequest, opts QueryOptions) BatchWalk {
 		}
 		return w
 	}
-	w.skip = make([]bool, len(reqs))
+	s := walkPool.Get().(*walkScratch)
+	w.s = s
+	s.skip = resized(s.skip, len(reqs))
+	s.valid, s.validIdx = s.valid[:0], s.validIdx[:0]
 	for i := range reqs {
 		if err := checkQuery(t.geo, reqs[i].Idx, reqs[i].Weights); err != nil {
 			w.out[i].Err = err
-			w.skip[i] = true
+			s.skip[i] = true
+			continue
 		}
+		s.valid = append(s.valid, reqs[i])
+		s.validIdx = append(s.validIdx, i)
 	}
-	w.valid = make([]BatchRequest, 0, len(reqs))
-	w.validIdx = make([]int, 0, len(reqs))
-	for i := range reqs {
-		if !w.skip[i] {
-			w.valid = append(w.valid, reqs[i])
-			w.validIdx = append(w.validIdx, i)
-		}
-	}
-	w.plan = planBatch(reqs, w.skip, t.geo.Layout.NumRows)
+	w.plan = planBatch(reqs, s.skip, t.geo.Layout.NumRows)
 	if opts.Stats != nil {
 		opts.Stats.RowRefs = w.plan.refs
 		opts.Stats.DistinctRows = len(w.plan.rows)
@@ -388,16 +443,22 @@ func (t *Table) PlanBatch(reqs []BatchRequest, opts QueryOptions) BatchWalk {
 }
 
 // Requests returns the sub-requests the NDP must answer, one per valid
-// request in order; empty when there is nothing to exchange.
-func (w *BatchWalk) Requests() []BatchRequest { return w.valid }
+// request in order; empty when there is nothing to exchange. The slice
+// is the walk's: valid until Release.
+func (w *BatchWalk) Requests() []BatchRequest {
+	if w.s == nil {
+		return nil
+	}
+	return w.s.valid
+}
 
 // Sweep runs the OTP side of the batch: every distinct row's pad once,
 // scattered into its requesters' accumulators.
 func (w *BatchWalk) Sweep(ctx context.Context) {
-	if len(w.valid) == 0 {
+	if len(w.Requests()) == 0 {
 		return
 	}
-	w.accs, w.tags, w.release, w.sweepErr = w.t.otpBatch(ctx, w.plan, w.skip, w.opts.Verify, w.opts)
+	w.sweepErr = w.t.otpBatch(ctx, w.plan, w.s, w.opts.Verify, w.opts)
 }
 
 // Join is the walk's last stage: the NDP's answers (res, one per
@@ -408,7 +469,8 @@ func (w *BatchWalk) Sweep(ctx context.Context) {
 // to per-request queries. The NDP's sum vectors are the caller's (see
 // NDP.WeightedTagSumBatch), so each decrypted result overwrites its own.
 func (w *BatchWalk) Join(res []NDPBatchResult, ndpErr error) ([]BatchResult, error) {
-	if len(w.valid) == 0 {
+	valid := w.Requests()
+	if len(valid) == 0 {
 		return w.out, nil
 	}
 	switch {
@@ -416,18 +478,17 @@ func (w *BatchWalk) Join(res []NDPBatchResult, ndpErr error) ([]BatchResult, err
 		return nil, w.sweepErr
 	case ndpErr != nil:
 		return nil, ndpErr
-	case len(res) != len(w.valid):
-		return nil, fmt.Errorf("core: ndp answered %d of %d batch sub-requests", len(res), len(w.valid))
+	case len(res) != len(valid):
+		return nil, fmt.Errorf("core: ndp answered %d of %d batch sub-requests", len(res), len(valid))
 	}
 	if w.opts.Stats != nil {
 		w.opts.Stats.WireOps = 1
 		w.opts.Stats.Pipelined = true
 	}
-	t, out := w.t, w.out
+	t, out, s := w.t, w.out, w.s
 	m := t.geo.Params.M
-	checked := make([]int, 0, len(w.valid))
-	combined := make([]field.Elem, 0, len(w.valid))
-	for vi, i := range w.validIdx {
+	checked, combined := s.checked[:0], s.combined[:0]
+	for vi, i := range s.validIdx {
 		r := res[vi]
 		if r.Err != nil {
 			out[i].Err = r.Err
@@ -437,13 +498,14 @@ func (w *BatchWalk) Join(res []NDPBatchResult, ndpErr error) ([]BatchResult, err
 			out[i].Err = fmt.Errorf("core: ndp returned %d columns, want %d", len(r.Sums), m)
 			continue
 		}
-		t.r.AddVec(r.Sums, r.Sums, w.accs[i])
+		t.r.AddVec(r.Sums, r.Sums, s.accs[i])
 		out[i].Res = r.Sums
 		if w.opts.Verify {
 			checked = append(checked, i)
-			combined = append(combined, field.Add(r.Tag, w.tags[i]))
+			combined = append(combined, field.Add(r.Tag, s.tags[i]))
 		}
 	}
+	s.checked, s.combined = checked, combined
 	if w.opts.Verify {
 		t.verifyBatch(out, checked, combined)
 	}
@@ -454,9 +516,9 @@ func (w *BatchWalk) Join(res []NDPBatchResult, ndpErr error) ([]BatchResult, err
 // unusable afterwards; the joined results stay valid.
 func (w *BatchWalk) Release() {
 	w.plan.release()
-	if w.release != nil {
-		w.release()
-		w.release = nil
+	if w.s != nil {
+		w.s.release()
+		w.s = nil
 	}
 }
 

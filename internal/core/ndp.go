@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"secndp/internal/field"
 	"secndp/internal/memory"
@@ -232,9 +233,18 @@ type NDPBatchResult struct {
 // WeightedTagSumBatchInto over fresh storage, whose ownership passes to
 // the caller with the results.
 func (n *HonestNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
-	var buf BatchBuffer
-	return n.WeightedTagSumBatchInto(ctx, geo, reqs, verify, &buf)
+	// Only the results and their sums slab are the caller's; the skip
+	// marks and tag accumulators come from a pool and go back to it.
+	sc := ndpScratch.Get().(*BatchBuffer)
+	buf := BatchBuffer{skip: sc.skip, tags: sc.tags}
+	res, err := n.WeightedTagSumBatchInto(ctx, geo, reqs, verify, &buf)
+	sc.skip, sc.tags = buf.skip, buf.tags
+	ndpScratch.Put(sc)
+	return res, err
 }
+
+// ndpScratch pools WeightedTagSumBatch's per-call working storage.
+var ndpScratch = sync.Pool{New: func() any { return new(BatchBuffer) }}
 
 // BatchBuffer is caller-owned result storage for
 // HonestNDP.WeightedTagSumBatchInto: the result vector, the per-request

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -109,10 +108,9 @@ func exchangeHarness(t *testing.T, cfg serve.Config) (*harness, *secndp.Telemetr
 // TestServeOneExchangePerShard: one lookup missing on every table, on
 // both shards, costs one pooled checkout — one wire attempt carrying all
 // four tables' frames — per shard: 2, where a table-by-table fetch takes
-// 8. The service runs on one P here so the lookup queues all four bags
-// before the drain goroutine takes them.
+// 8. The lookup queues all four bags before it runs the drain it
+// claimed, so the drain carries every table's rows.
 func TestServeOneExchangePerShard(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	h, reg := exchangeHarness(t, serve.Config{CacheRows: -1})
 	attempts := reg.Counter("secndp_transport_attempts_total", "")
 	bags := make([]serve.Bag, len(h.names))

@@ -36,8 +36,9 @@ type metrics struct {
 	joins         counter // row refs that joined an already-pending fetch
 	rowsFetched   counter // distinct rows sent to the NDP
 	batches       counter // coalesced QueryBatch calls issued
-	windowFlushes counter // batches taken by the drain loop (the name predates it)
+	windowFlushes counter // batches taken by a drainer (the name predates drainers)
 	sizeFlushes   counter // batches detached at MaxBatch
+	handoffs      counter // claimed drains whose backlog went to a drain goroutine
 
 	lookupHist *telemetry.Histogram // nil-safe
 	batchHist  *telemetry.Histogram
@@ -59,8 +60,9 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	m.joins.tel = reg.Counter("secndp_serve_coalesce_joins_total", "row refs joining an already-pending fetch")
 	m.rowsFetched.tel = reg.Counter("secndp_serve_rows_fetched_total", "distinct rows fetched from the NDP")
 	m.batches.tel = reg.Counter("secndp_serve_batches_total", "coalesced QueryBatch calls issued")
-	m.windowFlushes.tel = reg.Counter("secndp_serve_flush_window_total", "batches taken by the drain loop (idle flush or backlog behind a batch on the wire)")
+	m.windowFlushes.tel = reg.Counter("secndp_serve_flush_window_total", "batches taken by a drainer (idle flush by the lookup, or backlog behind a batch on the wire)")
 	m.sizeFlushes.tel = reg.Counter("secndp_serve_flush_size_total", "batches flushed by size trigger")
+	m.handoffs.tel = reg.Counter("secndp_serve_drain_handoffs_total", "drains a lookup ran whose backlog it then handed to a drain goroutine")
 	m.lookupHist = reg.Histogram("secndp_serve_lookup_seconds", "end-to-end lookup latency", nil)
 	m.batchHist = reg.Histogram("secndp_serve_batch_seconds", "coalesced batch NDP latency", nil)
 	return m
@@ -82,15 +84,20 @@ type Stats struct {
 	CoalesceJoins uint64
 	RowsFetched   uint64
 	Batches       uint64
-	// WindowFlushes counts batches taken by the coalescer's drain loop —
-	// at once on an idle table, or as the backlog behind a batch on the
-	// wire. There is no window any more; the name stays because the
-	// repository benchmark reads it.
+	// WindowFlushes counts batches taken by a drainer — a lookup at
+	// once on an idle coalescer, or a drain goroutine as the backlog
+	// behind a batch on the wire. There is no window any more; the name
+	// stays because the repository benchmark reads it.
 	WindowFlushes uint64
 	// SizeFlushes counts batches detached because they reached MaxBatch.
 	SizeFlushes uint64
-	Inflight    int64
-	QueueDepth  int64
+	// Handoffs counts drains handed to a goroutine: a lookup runs the
+	// drain it opened on an idle coalescer, and rows that queued while it
+	// ran go to a drain goroutine, once per such drain. A lone lookup on
+	// an idle service reads 0.
+	Handoffs   uint64
+	Inflight   int64
+	QueueDepth int64
 }
 
 // CoalescingFactor is the number of row references satisfied per row
@@ -131,6 +138,7 @@ func (s *Service) Stats() Stats {
 		Batches:       m.batches.value(),
 		WindowFlushes: m.windowFlushes.value(),
 		SizeFlushes:   m.sizeFlushes.value(),
+		Handoffs:      m.handoffs.value(),
 		Inflight:      s.adm.inflightCount(),
 		QueueDepth:    s.adm.queueDepth(),
 	}

@@ -36,14 +36,21 @@
 //     rows).
 //
 // A coalescer's invariant is that while it has queued rows exactly one
-// drain goroutine is alive for it, looping yield → take everything
-// queued → fetch → wake. There is no window and no timer: the package
-// reads the clock only to time its metrics. The yield (runtime.Gosched) before
-// each take is what makes "backlog" mean every lookup runnable right
-// now — without it a fresh drain goroutine runs straight out of its
-// spawner's runnext slot with a batch of one (serve_rotate, same loop
-// with / without the yield, two runs each: allocs_per_op 38 / 59,
-// ops_per_s 50-53 k / 44-45 k, op_p50_us 237-244 / 233).
+// drainer is alive for it, running yield → take everything queued →
+// fetch → wake. The drainer is first the lookup that found the
+// coalescer idle: it runs that drain on its own goroutine once all its
+// bags are enqueued, and hands rows that queued meanwhile, once, to a
+// drain goroutine that loops until nothing is queued (Stats.Handoffs).
+// A lookup on an idle service thus fetches with no goroutine hand-off
+// of its own, and one whose context is canceled while it runs a drain
+// returns when that drain does — other users' rows ride it. There is no
+// window and no timer: the package reads the clock only to time its
+// metrics. The yield (runtime.Gosched) before each take is what makes
+// "backlog" mean every lookup runnable right now — without it a drainer
+// takes its drain before the other runnable lookups have enqueued, a
+// batch of one (serve_rotate, the drain-goroutine loop with / without
+// the yield, two runs each: allocs_per_op 38 / 59, ops_per_s 50-53 k /
+// 44-45 k, op_p50_us 237-244 / 233).
 //
 // The quantitative story: per-request fan-out pays one NDP exchange and
 // one MAC verification per bag; the serving layer pays ~hit-rate nothing
@@ -191,9 +198,8 @@ type tableServe struct {
 	queued  []*rowFetch
 }
 
-// New builds a Service. Call Close when done: it flushes pending
-// batches, cancels in-flight NDP work, and waits for the flush
-// goroutines.
+// New builds a Service. Call Close when done: it cancels in-flight NDP
+// work and waits for the drainers.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -282,12 +288,14 @@ func (s *Service) Lookup(ctx context.Context, bag Bag) (BagResult, error) {
 }
 
 // LookupBags serves one user request of several bags (typically one per
-// sparse feature/table) under a single admission slot. All bags' row
-// misses are enqueued before any result is awaited, so a multi-table
-// request's fetches ride one drain (or, on tables with no exchange to
-// share, run side by side) instead of running serially. Results align with bags; the first failure aborts the
-// request (a canceled ctx abandons only this caller's wait — drains other
-// users share complete regardless).
+// sparse feature/table) under a single admission slot. Every bag is
+// checked before any row is read or fetched. All bags' row misses are
+// enqueued before any result is awaited, so a multi-table request's
+// fetches ride one drain instead of running serially; a drain the lookup
+// finds idle it runs itself. Results align with bags; the first failure
+// aborts the request. A canceled ctx abandons the caller's wait, but not
+// a drain the caller is running: other users' rows ride it, so the
+// lookup returns ctx's error once that drain returns.
 func (s *Service) LookupBags(ctx context.Context, bags []Bag) ([]BagResult, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -307,39 +315,56 @@ func (s *Service) LookupBags(ctx context.Context, bags []Bag) ([]BagResult, erro
 	}
 	defer s.adm.release()
 
-	// Phase 1: per bag, fold cache hits into the accumulator and enqueue
-	// the misses. No waiting yet — enqueue everything first so all
-	// tables' fetches run concurrently. The lookup's bookkeeping — its
-	// bags, and one flat list of every bag's missing rows — lives in this
-	// frame up to the inline sizes and grows on the heap beyond them.
+	// Phase 1: check every bag before touching a cache or a coalescer, so
+	// a bad bag leaves no fetch queued for nobody and no claimed drain
+	// unrun. The lookup's bookkeeping — its bags, one flat list of every
+	// bag's missing rows, and the drains it claims — lives in this frame
+	// up to the inline sizes and grows on the heap beyond them.
 	var (
 		pendBuf  [inlineBags]pendingBag
 		fetchBuf [inlineBags * inlineRows]*rowFetch
 		missWBuf [inlineBags * inlineRows]uint64
+		claimBuf [inlineBags]*coalescer
 	)
-	pend, fetches, missW := pendBuf[:], fetchBuf[:0], missWBuf[:0]
+	pend, fetches, missW, claims := pendBuf[:], fetchBuf[:0], missWBuf[:0], claimBuf[:0]
 	if len(bags) > len(pend) {
 		pend = make([]pendingBag, len(bags))
 	}
 	pend = pend[:len(bags)]
 	for i, bag := range bags {
-		var err error
-		if fetches, missW, err = s.startBag(&pend[i], bag, fetches, missW); err != nil {
+		ts, err := s.checkBag(bag)
+		if err != nil {
 			s.met.lookupErrors.inc()
 			return nil, fmt.Errorf("bag %d: %w", i, err)
 		}
+		pend[i].ts = ts
 	}
-	// Phase 2: await the fetches and assemble. A bag whose rows answered
+	// Phase 2: per bag, fold cache hits into the accumulator and enqueue
+	// the misses. No waiting yet — enqueue everything first so all
+	// tables' fetches ride one drain or run side by side — then run the
+	// drains this lookup found idle and claimed.
+	for i, bag := range bags {
+		fetches, missW, claims = s.startBag(&pend[i], pend[i].ts, bag, fetches, missW, claims)
+	}
+	if len(claims) > 0 {
+		runClaims(claims)
+		if err := ctx.Err(); err != nil {
+			s.met.lookupErrors.inc()
+			return nil, err
+		}
+	}
+	// Phase 3: await the fetches and assemble. A bag whose rows answered
 	// at two epochs — a rotation published while its fetch was queued —
-	// starts over whole at the new epoch.
+	// starts over whole at the new epoch, running any drain it claims
+	// before it waits again.
 	out := make([]BagResult, len(bags))
 	for i := range pend {
 		pb := &pend[i]
 		res, err := pb.wait(ctx, fetches[pb.lo:pb.hi], missW[pb.lo:pb.hi])
 		for err == errMixedEpochs {
-			if fetches, missW, err = s.startBag(pb, bags[i], fetches, missW); err == nil {
-				res, err = pb.wait(ctx, fetches[pb.lo:pb.hi], missW[pb.lo:pb.hi])
-			}
+			fetches, missW, claims = s.startBag(pb, pb.ts, bags[i], fetches, missW, claims[:0])
+			runClaims(claims)
+			res, err = pb.wait(ctx, fetches[pb.lo:pb.hi], missW[pb.lo:pb.hi])
 		}
 		if err != nil {
 			s.met.lookupErrors.inc()
@@ -375,22 +400,35 @@ type pendingBag struct {
 	lo, hi int
 }
 
-// startBag validates the bag, folds cache hits, and enqueues misses into
-// the table's coalescer, appending them (and their weights) to the
-// lookup's lists.
-func (s *Service) startBag(pb *pendingBag, bag Bag, fetches []*rowFetch, missW []uint64) ([]*rowFetch, []uint64, error) {
+// checkBag resolves the bag's table and checks its weights and rows.
+func (s *Service) checkBag(bag Bag) (*tableServe, error) {
 	ts, err := s.table(bag.Table)
 	if err != nil {
-		return fetches, missW, err
+		return nil, err
 	}
 	if bag.Weights != nil && len(bag.Weights) != len(bag.Idx) {
-		return fetches, missW, fmt.Errorf("serve: table %q: %d weights for %d indices", bag.Table, len(bag.Weights), len(bag.Idx))
+		return nil, fmt.Errorf("serve: table %q: %d weights for %d indices", bag.Table, len(bag.Weights), len(bag.Idx))
 	}
 	for _, row := range bag.Idx {
 		if row < 0 || row >= ts.rows {
-			return fetches, missW, fmt.Errorf("serve: table %q: row %d out of range [0,%d)", bag.Table, row, ts.rows)
+			return nil, fmt.Errorf("serve: table %q: row %d out of range [0,%d)", bag.Table, row, ts.rows)
 		}
 	}
+	return ts, nil
+}
+
+// runClaims runs, on the calling lookup's goroutine, each drain the
+// lookup claimed.
+func runClaims(claims []*coalescer) {
+	for _, co := range claims {
+		co.runClaimed()
+	}
+}
+
+// startBag folds a checked bag's cache hits and enqueues its misses into
+// ts's coalescer, appending them (and their weights) to the lookup's
+// lists, and the coalescer to claims if the lookup claimed its drain.
+func (s *Service) startBag(pb *pendingBag, ts *tableServe, bag Bag, fetches []*rowFetch, missW []uint64, claims []*coalescer) ([]*rowFetch, []uint64, []*coalescer) {
 	s.met.rowRefs.add(uint64(len(bag.Idx)))
 	// The epoch is sampled before any cache read or fetch enqueue: hits
 	// are read at exactly this epoch, and a fetch a rotation overtakes
@@ -434,10 +472,13 @@ func (s *Service) startBag(pb *pendingBag, bag Bag, fetches []*rowFetch, missW [
 	}
 	if len(missRows) > 0 {
 		s.met.cacheMisses.add(uint64(len(missRows)))
-		fetches = ts.co.enqueue(ts, fetches, missRows, epoch)
+		var claimed bool
+		if fetches, claimed = ts.co.enqueue(ts, fetches, missRows, epoch); claimed {
+			claims = append(claims, ts.co)
+		}
 	}
 	pb.hi = len(fetches)
-	return fetches, missW, nil
+	return fetches, missW, claims
 }
 
 // fold adds w times one row into the accumulator as integers mod 2^64,
@@ -515,9 +556,10 @@ func (pb *pendingBag) wait(ctx context.Context, fetches []*rowFetch, missW []uin
 
 // Close shuts the service down: new lookups fail with ErrClosed, drains
 // on the wire or still queued fail fast on the canceled service context,
-// and Close blocks until every coalescer goroutine exits. No flush is
-// needed: queued rows always have a live drain goroutine (the
-// coalescer's invariant), so every waiter is woken.
+// and Close blocks until every drainer — a drain goroutine, or a lookup
+// running a drain it claimed — is done. No flush is needed: queued rows
+// always have a live drainer (the coalescer's invariant), so every
+// waiter is woken.
 func (s *Service) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -772,6 +773,12 @@ func QueryBatches(ctx context.Context, batches []TableBatch) {
 	js := sc.batches(len(batches))
 	parts := sc.parts[:0]
 	defer func() { sc.parts = parts }()
+	nreqs := 0
+	for i := range batches {
+		nreqs += len(batches[i].Reqs)
+	}
+	creqs := slices.Grow(sc.creqs[:0], nreqs)
+	defer func() { sc.creqs = creqs }()
 	for i := range batches {
 		b, j := &batches[i], &js[i]
 		j.part = -1
@@ -782,7 +789,7 @@ func QueryBatches(ctx context.Context, batches []TableBatch) {
 		if tel := b.Table.eng.tel; tel != nil {
 			tel.batches.Inc()
 		}
-		if j.mode = j.plan(ctx, b); j.mode == batchJoint {
+		if j.mode, creqs = j.plan(ctx, b, creqs); j.mode == batchJoint {
 			if sub := j.walk.Requests(); len(sub) > 0 {
 				j.part = len(parts)
 				parts = append(parts, cluster.BatchPart{Ctx: j.qctx, NDP: j.t.cnd,
@@ -827,7 +834,7 @@ func QueryBatches(ctx context.Context, batches []TableBatch) {
 			j.walk.Release()
 			fallthrough
 		case batchSolo:
-			b.Results, b.Err = j.finish(ctx, b.Reqs)
+			b.Results, b.Err = j.finish(ctx, b.Reqs, sc)
 		case batchPool:
 			if tel := b.Table.eng.tel; tel != nil {
 				tel.batchFanout.Inc()
@@ -837,11 +844,15 @@ func QueryBatches(ctx context.Context, batches []TableBatch) {
 	}
 }
 
-// jointScratch is QueryBatches' working set — one jointBatch per table
-// and the cluster parts — pooled from call to call.
+// jointScratch is QueryBatches' working set — one jointBatch per table,
+// the cluster parts, every table's core requests in one arena, and the
+// per-request errors each table's finish collects — pooled from call to
+// call, so a call allocates only the results it returns.
 type jointScratch struct {
 	js    []jointBatch
 	parts []cluster.BatchPart
+	creqs []core.BatchRequest
+	errs  []error
 }
 
 var jointPool = sync.Pool{New: func() any { return new(jointScratch) }}
@@ -858,7 +869,9 @@ func (sc *jointScratch) batches(n int) []jointBatch {
 func (sc *jointScratch) release() {
 	clear(sc.js[:cap(sc.js)])
 	clear(sc.parts[:cap(sc.parts)])
-	sc.parts = sc.parts[:0]
+	clear(sc.creqs[:cap(sc.creqs)])
+	clear(sc.errs[:cap(sc.errs)])
+	sc.parts, sc.creqs = sc.parts[:0], sc.creqs[:0]
 	jointPool.Put(sc)
 }
 
@@ -898,47 +911,51 @@ type jointBatch struct {
 }
 
 // plan picks the batch's mode and, for a coalescing batch, opens its
-// root span and frames its core requests; a joint batch is planned too.
-func (j *jointBatch) plan(ctx context.Context, b *TableBatch) int {
+// root span and frames its core requests, appended to arena; a joint
+// batch is planned too.
+func (j *jointBatch) plan(ctx context.Context, b *TableBatch, arena []core.BatchRequest) (int, []core.BatchRequest) {
 	t, reqs := b.Table, b.Reqs
 	st := t.state.Load()
 	unverified := reqs[0].Unverified
 	for i := range reqs {
 		if reqs[i].Cols != nil || reqs[i].Unverified != unverified {
-			return batchPool
+			return batchPool, arena
 		}
 	}
 	verify, err := t.resolveVerify(st, unverified)
 	if err != nil {
-		return batchPool
+		return batchPool, arena
 	}
 	j.t, j.st = t, st
 	j.start = time.Now()
 	var rctx context.Context
 	rctx, j.span = t.eng.tel.startSpan(ctx, "query_batch")
 	j.qctx, j.cflag = t.clusterCtx(rctx)
-	j.creqs = make([]core.BatchRequest, len(reqs))
+	off := len(arena)
 	for i := range reqs {
-		j.creqs[i] = core.BatchRequest{Idx: reqs[i].Idx, Weights: reqs[i].Weights}
+		arena = append(arena, core.BatchRequest{Idx: reqs[i].Idx, Weights: reqs[i].Weights})
 	}
+	j.creqs = arena[off:len(arena):len(arena)]
 	j.stats = core.BatchStats{Requests: len(reqs)}
 	j.opts = core.QueryOptions{Workers: t.eng.cfg.workers, Verify: verify, Stats: &j.stats}
 	if t.cnd == nil {
-		return batchSolo
+		return batchSolo, arena
 	}
 	j.walk = st.tab.PlanBatch(j.creqs, j.opts)
-	return batchJoint
+	return batchJoint, arena
 }
 
 // finish turns the core results into the facade's: mirror fallback for
 // the requests that qualify, Degraded marks for requests touching a
 // mirror-filled shard, the answering epoch, the root span and the
 // batch's telemetry.
-func (j *jointBatch) finish(ctx context.Context, reqs []Request) ([]Result, error) {
+func (j *jointBatch) finish(ctx context.Context, reqs []Request, sc *jointScratch) ([]Result, error) {
 	t, st, span, verify, bres := j.t, j.st, j.span, j.opts.Verify, j.bres
 	epoch := t.answerEpoch(st, j.cflag)
 	out := make([]Result, len(reqs))
-	errs := make([]error, len(reqs))
+	sc.errs = slices.Grow(sc.errs[:0], len(reqs))[:len(reqs)]
+	errs := sc.errs
+	clear(errs)
 	sawVerifyReject := false
 	for i := range bres {
 		if bres[i].Err == nil {
