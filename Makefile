@@ -71,15 +71,15 @@ serve-check:
 # batch's), its answers under concurrent callers and the engine's shared
 # transports. The budgets themselves hold only without -race (see
 # race_test.go), so they also run once plainly. Last, the seed corpus of the trusted
-# side's oracle: pipelined batches equal the per-request fan-out across
-# the sizes where the pad walk fans out over workers.
+# side's oracle: pipelined batches equal per-request QueryCtx over the
+# in-process NDP across the sizes where the pad walk fans out over workers.
 batch-check:
 	$(GO) vet ./internal/cluster ./internal/remote ./internal/integration
 	$(GO) test -race -count=2 ./internal/cluster/... ./internal/remote/...
 	$(GO) test -race -count=2 -run 'TestBatch' ./internal/integration
 	$(GO) test -run 'TestBatchCluster|TestSharedTransport' -race .
 	$(GO) test -run 'TestBatchClusterAllocBudget|TestBatchLocalAllocBudget' -count=1 .
-	$(GO) test -run '^FuzzBatchMatchesFanout$$' -count=1 ./internal/core
+	$(GO) test -run '^FuzzBatchMatchesQueryCtx$$' -count=1 ./internal/core
 
 # The write path's gate: vet, then the encrypt, re-encrypt and sharding
 # tests twice under the race detector (shards of one table encrypting
@@ -146,7 +146,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzVerifyRejectsTamper$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzQueryLinearity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzEncryptTableSharded$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run xxx -fuzz '^FuzzBatchMatchesFanout$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz '^FuzzBatchMatchesQueryCtx$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzShardSplit$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run xxx -fuzz '^FuzzReshardPlan$$' -fuzztime $(FUZZTIME) ./internal/cluster
 

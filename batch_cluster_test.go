@@ -71,11 +71,14 @@ func uniformBatch(rng *rand.Rand, bags, bagRows, rows int) []Request {
 // reused connection buffers and folded into one batch slab — 93 and
 // ~188 KB (59 and ~84 KB after); before the batch walk and the facade
 // took their per-request scratch from pools, 58 and ~84 KB (42 and
-// ~69 KB after).
+// ~69 KB after). A single verified 80-row Table.Query on the same
+// fixture read 66 allocations while it made two round trips per shard
+// from a goroutine per shard, and 44 as a batch of one.
 func TestBatchClusterAllocBudget(t *testing.T) {
-	const rows, budget, bytesBudget = 16384, 46, 120 << 10
+	const rows, budget, bytesBudget, queryBudget = 16384, 46, 120 << 10, 48
 	tab, _ := newBatchCluster(t, 4, rows, 64, 250)
-	reqs := uniformBatch(rand.New(rand.NewSource(251)), 64, 8, rows)
+	rng := rand.New(rand.NewSource(251))
+	reqs := uniformBatch(rng, 64, 8, rows)
 	ctx := context.Background()
 	batch := func() {
 		out, err := tab.QueryBatch(ctx, reqs)
@@ -86,6 +89,13 @@ func TestBatchClusterAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, batch)
 	bytes := bytesPerRun(20, batch)
 	t.Logf("%.0f allocs, %.0f bytes per 64×8 batch", allocs, bytes)
+	req := uniformBatch(rng, 1, 80, rows)[0]
+	qallocs := testing.AllocsPerRun(20, func() {
+		if res, err := tab.Query(ctx, req); err != nil || !res.Verified {
+			t.Fatalf("query failed: %v", err)
+		}
+	})
+	t.Logf("%.0f allocs per verified 80-row query", qallocs)
 	if raceEnabled {
 		return // correctness only: see race_test.go
 	}
@@ -94,6 +104,9 @@ func TestBatchClusterAllocBudget(t *testing.T) {
 	}
 	if bytes > bytesBudget {
 		t.Fatalf("%.0f bytes allocated per 64×8 batch over 4 shards, budget %d", bytes, bytesBudget)
+	}
+	if qallocs > queryBudget {
+		t.Fatalf("%.0f allocs per verified 80-row query over 4 shards, budget %d", qallocs, queryBudget)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // exactly one opBatch exchange — no per-request weighted-sum or tag-sum
 // round trips — with the server's own per-opcode counters as witness,
 // and the engine's coalescing metrics telling the same story from the
-// trusted side.
+// trusted side. A single verified Table.Query then costs one more opBatch
+// exchange and nothing else.
 func TestQueryBatchRemoteOneRoundTrip(t *testing.T) {
 	reg := NewTelemetry()
 	mem := NewMemory()
@@ -93,6 +94,27 @@ func TestQueryBatchRemoteOneRoundTrip(t *testing.T) {
 	// The per-query series must stay comparable with the fan-out path.
 	if got := counterValue(reg, "secndp_queries_verified_total"); got != n {
 		t.Fatalf("verified counter = %d, want %d", got, n)
+	}
+
+	// A single verified query is a batch of one on the wire: one more
+	// opBatch exchange and still no per-query op.
+	res, err := tab.Query(context.Background(), reqs[0])
+	if err != nil || !res.Verified {
+		t.Fatalf("single query: verified=%v err=%v", res.Verified, err)
+	}
+	want := plainSum(rows, reqs[0].Idx, reqs[0].Weights, 32, 0xFFFFFFFF)
+	for j := range want {
+		if res.Values[j] != want[j] {
+			t.Fatalf("single query col %d: %d != %d", j, res.Values[j], want[j])
+		}
+	}
+	if got := counterValue(reg, "secndp_server_ops_batch_total"); got != 2 {
+		t.Fatalf("server served %d batch ops after one QueryBatch and one Query, want exactly 2", got)
+	}
+	ws := counterValue(reg, "secndp_server_ops_weighted_sum_total")
+	ts := counterValue(reg, "secndp_server_ops_tag_sum_total")
+	if ws != 0 || ts != 0 {
+		t.Fatalf("single query sent %d weighted-sum and %d tag-sum ops, want none", ws, ts)
 	}
 }
 

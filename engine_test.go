@@ -85,29 +85,34 @@ func TestQueryAllocationBudget(t *testing.T) {
 	}
 }
 
-// tagForgingNDP forges the tag half of WeightedTagSum and
+// tagForgingNDP forges the tag half of every batch answer and
 // sumCorruptingNDP corrupts its sum half; each inherits everything else
 // from the HonestNDP it embeds.
 type tagForgingNDP struct{ core.HonestNDP }
 
-func (f *tagForgingNDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
-	res, tag, err := f.HonestNDP.WeightedTagSum(ctx, geo, idx, w, verify)
-	return res, field.Add(tag, field.One), err
+func (f *tagForgingNDP) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
+	res, err := f.HonestNDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
+	for i := range res {
+		res[i].Tag = field.Add(res[i].Tag, field.One)
+	}
+	return res, err
 }
 
 type sumCorruptingNDP struct{ core.HonestNDP }
 
-func (c *sumCorruptingNDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
-	res, tag, err := c.HonestNDP.WeightedTagSum(ctx, geo, idx, w, verify)
-	if err == nil {
-		res[0] ^= 1
+func (c *sumCorruptingNDP) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
+	res, err := c.HonestNDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
+	for i := range res {
+		if res[i].Err == nil {
+			res[i].Sums[0] ^= 1
+		}
 	}
-	return res, tag, err
+	return res, err
 }
 
 // TestQueryReachesOverridingLocalNDP: a verified Table.Query on
 // LocalBackend asks its NDP through the core.NDP contract, so an NDP that
-// embeds HonestNDP and overrides WeightedTagSum is asked through that
+// embeds HonestNDP and overrides WeightedTagSumBatch is asked through that
 // override, and a forged tag or a corrupted sum is rejected.
 func TestQueryReachesOverridingLocalNDP(t *testing.T) {
 	eng, err := New(testKey)

@@ -92,23 +92,28 @@ func (e *env) query() error {
 	return err
 }
 
-// corruptedNDP flips the low bit of the first result column.
+// corruptedNDP flips the low bit of each answer's first result column.
 type corruptedNDP struct{ core.HonestNDP }
 
-func (c *corruptedNDP) WeightedTagSum(ctx context.Context, g core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
-	res, tag, err := c.HonestNDP.WeightedTagSum(ctx, g, idx, w, verify)
-	if err == nil {
-		res[0] ^= 1
+func (c *corruptedNDP) WeightedTagSumBatch(ctx context.Context, g core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
+	res, err := c.HonestNDP.WeightedTagSumBatch(ctx, g, reqs, verify)
+	for i := range res {
+		if res[i].Err == nil {
+			res[i].Sums[0] ^= 1
+		}
 	}
-	return res, tag, err
+	return res, err
 }
 
-// forgingNDP perturbs the returned tag share.
+// forgingNDP perturbs each answer's tag share.
 type forgingNDP struct{ core.HonestNDP }
 
-func (f *forgingNDP) WeightedTagSum(ctx context.Context, g core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
-	res, tag, err := f.HonestNDP.WeightedTagSum(ctx, g, idx, w, verify)
-	return res, field.Add(tag, field.One), err
+func (f *forgingNDP) WeightedTagSumBatch(ctx context.Context, g core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
+	res, err := f.HonestNDP.WeightedTagSumBatch(ctx, g, reqs, verify)
+	for i := range res {
+		res[i].Tag = field.Add(res[i].Tag, field.One)
+	}
+	return res, err
 }
 
 func main() {

@@ -286,7 +286,7 @@ func (cp *clusterPart) fold(p *BatchPart, si int, res []core.NDPBatchResult) {
 // Finish reads every exchange's replies in order, folding each whole
 // reply into its part; a frame whose reply fails — and every later frame
 // of its exchange — has folded nothing and resumes its group's failover,
-// then the mirror fill, like a failed single-query shard. It then
+// then the mirror fill. It then
 // settles every part: the drain gate is released, a part whose topology
 // flipped meanwhile is re-issued whole, and the rest record their fills
 // and topology epoch on their context's flag.
@@ -428,8 +428,8 @@ func (b *Batches) abort() {
 // request whose rows all live on exhausted shards is filled from the
 // mirror like any other partial; a request referencing no rows answers
 // the empty sum (zero). A returned error is batch-level — a shard failed
-// with no mirror to fill from — and the caller's fan-out path re-runs the
-// batch per request.
+// with no mirror to fill from — and decides nothing: the core walk puts it
+// on every request of the batch.
 func (n *NDP) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	parts := [1]BatchPart{{Ctx: ctx, NDP: n, Geo: geo, Reqs: reqs, Verify: verify}}
 	b := StartBatches(parts[:])

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"secndp/internal/core"
-	"secndp/internal/field"
 	"secndp/internal/memory"
 	"secndp/internal/ring"
 	"secndp/internal/telemetry"
@@ -19,12 +18,13 @@ import (
 // shards: it implements core.NDP, so the whole trusted-side machinery — the concurrent
 // query engine, the batched pipeline's pad dedup, the aggregated
 // verification — runs over a cluster exactly as it runs over one
-// server. Each call splits its index list by the shard map, has every
-// per-shard sub-query in flight at once, and re-adds the partials (ring
-// for data sums, field for tag sums). Single queries scatter one goroutine
-// per shard; a batch is driven by its caller, which writes every shard's
-// request before it reads any reply (StartBatches), and several tables'
-// batches share one exchange per shard transport.
+// server. Each call splits its requests by the shard map, has every
+// per-shard sub-batch in flight at once, and re-adds the partials (ring
+// for data sums, field for tag sums). A batch — a single query is a batch
+// of one — is driven by its caller, which writes every shard's request
+// before it reads any reply (StartBatches), and several tables' batches
+// share one exchange per shard transport. Element queries scatter one
+// goroutine per shard.
 //
 // Each shard is fronted by a ReplicaGroup of one or more servers
 // provisioned with identical ciphertext+tags; a sub-query fails over
@@ -468,8 +468,8 @@ func guarded(what string, fn func() error) (err error) {
 	return fn()
 }
 
-// scatter is the scatter-gather step of the single-query operations, and
-// of a batch's shards whose first attempt failed: it issues count
+// scatter is the scatter-gather step of the element query, and of a
+// batch's shards whose first attempt failed: it issues count
 // sub-operations concurrently, one goroutine each, op(ctx, si, g)
 // running sub-operation si against its shard's (shardOf(si)) replica group
 // g, which fails over across the shard's replicas. Only a sub-operation
@@ -524,45 +524,6 @@ func (n *NDP) noteFill(ctx context.Context, shard int) {
 	if n.fills != nil {
 		n.fills.Inc()
 	}
-}
-
-// WeightedTagSum implements core.NDP by scatter-gathering the query across
-// the owning shards — data and tag partials in one exchange per shard —
-// and re-adding the partials: ring additions for the sums, field
-// additions for the tags.
-func (n *NDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
-	r, err := ring.New(geo.Params.We)
-	if err != nil {
-		return nil, field.Zero, err
-	}
-	var acc []uint64
-	var tag field.Elem
-	err = n.gather(ctx, func(ctx context.Context, top *topology) error {
-		subs := top.smap.Split(idx, weights)
-		sums := make([][]uint64, len(subs))
-		tags := make([]field.Elem, len(subs))
-		err := n.scatter(ctx, top, "sum", len(subs), func(si int) int { return subs[si].Shard },
-			func(ctx context.Context, si int, nd core.NDP) (err error) {
-				sums[si], tags[si], err = nd.WeightedTagSum(ctx, geo, subs[si].Idx, subs[si].Weights, verify)
-				return err
-			})
-		if err != nil {
-			return err
-		}
-		acc, tag = make([]uint64, geo.Params.M), field.Zero
-		for si, p := range sums {
-			if len(p) != geo.Params.M {
-				return fmt.Errorf("cluster: shard %d returned %d columns, want %d", subs[si].Shard, len(p), geo.Params.M)
-			}
-			r.AddVec(acc, acc, p)
-			tag = field.Add(tag, tags[si])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, field.Zero, err
-	}
-	return acc, tag, nil
 }
 
 // WeightedSumElem implements core.NDP: the element-indexed scalar Σ_k

@@ -103,6 +103,19 @@ func buildFixture(t *testing.T, numShards int, strat Strategy, placement memory.
 	return &fixture{geo: geo, tab: tab, rows: rows, staging: staging, smap: smap, shards: shards}
 }
 
+// sumOne is one whole-row query over n, a batch of one: its sums and tag,
+// or the batch's or the request's error.
+func sumOne(ctx context.Context, n core.NDP, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	res, err := n.WeightedTagSumBatch(ctx, geo, []core.BatchRequest{{Idx: idx, Weights: w}}, verify)
+	if err != nil {
+		return nil, field.Zero, err
+	}
+	if res[0].Err != nil {
+		return nil, field.Zero, res[0].Err
+	}
+	return res[0].Sums, res[0].Tag, nil
+}
+
 func randQuery(rng *rand.Rand, n, k int) ([]int, []uint64) {
 	idx := make([]int, k)
 	weights := make([]uint64, k)
@@ -131,7 +144,7 @@ func TestClusterEquivalence(t *testing.T) {
 			for q := 0; q < 10; q++ {
 				idx, weights := randQuery(rng, 64, 1+rng.Intn(20))
 
-				got, _, err := cnd.WeightedTagSum(ctx, fx.geo, idx, weights, false)
+				got, _, err := sumOne(ctx, cnd, fx.geo, idx, weights, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,7 +155,7 @@ func TestClusterEquivalence(t *testing.T) {
 					}
 				}
 
-				_, gotTag, err := cnd.WeightedTagSum(ctx, fx.geo, idx, weights, true)
+				_, gotTag, err := sumOne(ctx, cnd, fx.geo, idx, weights, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,9 +305,6 @@ type failNDP struct{}
 
 var errFailNDP = errors.New("failNDP: down")
 
-func (failNDP) WeightedTagSum(context.Context, core.Geometry, []int, []uint64, bool) ([]uint64, field.Elem, error) {
-	return nil, field.Zero, errFailNDP
-}
 func (failNDP) WeightedSumElem(context.Context, core.Geometry, []int, []int, []uint64) (uint64, error) {
 	return 0, errFailNDP
 }
@@ -347,7 +357,7 @@ func TestMirrorFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = bare.WeightedTagSum(context.Background(), fx.geo, idx, weights, false)
+	_, _, err = sumOne(context.Background(), bare, fx.geo, idx, weights, false)
 	if err == nil || !strings.Contains(err.Error(), "shard 2") {
 		t.Fatalf("mirrorless gather: %v", err)
 	}
@@ -441,7 +451,7 @@ func TestClusterTelemetry(t *testing.T) {
 	}
 	cnd.Instrument(reg)
 	idx, weights := []int{0, 63}, []uint64{1, 1}
-	if _, _, err := cnd.WeightedTagSum(context.Background(), fx.geo, idx, weights, false); err != nil {
+	if _, _, err := sumOne(context.Background(), cnd, fx.geo, idx, weights, false); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

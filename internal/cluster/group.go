@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"secndp/internal/core"
-	"secndp/internal/field"
 	"secndp/internal/ring"
 	"secndp/internal/telemetry"
 )
@@ -396,22 +395,6 @@ func (g *ReplicaGroup) answer(ctx context.Context, rep core.NDP, geo core.Geomet
 		return nil, fmt.Errorf("cluster: shard %d answered %d of %d sub-requests", g.shard, len(res), len(reqs))
 	}
 	return res, err
-}
-
-// WeightedTagSum implements core.NDP: the shard's weighted sum (and, with
-// verify, tag sum) with failover.
-func (g *ReplicaGroup) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
-	var res []uint64
-	var tag field.Elem
-	err := g.do(ctx, func(ctx context.Context, rep core.NDP) error {
-		var err error
-		res, tag, err = rep.WeightedTagSum(ctx, geo, idx, weights, verify)
-		return err
-	})
-	if err != nil {
-		return nil, field.Zero, err
-	}
-	return res, tag, nil
 }
 
 // WeightedTagSumBatch implements core.NDP: a sub-batch with failover.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"secndp/internal/core"
-	"secndp/internal/field"
 	"secndp/internal/memory"
 	"secndp/internal/telemetry"
 )
@@ -24,13 +23,6 @@ type flakyNDP struct {
 }
 
 var errReplicaDead = errors.New("replica dead")
-
-func (f *flakyNDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
-	if f.dead.Load() {
-		return nil, field.Zero, errReplicaDead
-	}
-	return f.inner.WeightedTagSum(ctx, geo, idx, w, verify)
-}
 
 func (f *flakyNDP) WeightedSumElem(ctx context.Context, geo core.Geometry, idx, jdx []int, w []uint64) (uint64, error) {
 	if f.dead.Load() {
@@ -232,7 +224,7 @@ func TestGroupFailoverEquivalence(t *testing.T) {
 			reps[round-1].dead.Store(true)
 		}
 		idx, w := randQuery(rng, 64, 6)
-		sum, _, err := g.WeightedTagSum(ctx, fx.geo, idx, w, false)
+		sum, _, err := sumOne(ctx, g, fx.geo, idx, w, false)
 		if err != nil {
 			t.Fatalf("round %d: Sum: %v", round, err)
 		}
@@ -242,7 +234,7 @@ func TestGroupFailoverEquivalence(t *testing.T) {
 				t.Fatalf("round %d: Sum[%d] = %d, want %d", round, j, sum[j], want[j])
 			}
 		}
-		_, tag, err := g.WeightedTagSum(ctx, fx.geo, idx, w, true)
+		_, tag, err := sumOne(ctx, g, fx.geo, idx, w, true)
 		if err != nil {
 			t.Fatalf("round %d: Tag: %v", round, err)
 		}
@@ -263,7 +255,7 @@ func TestGroupFailoverEquivalence(t *testing.T) {
 	}
 	// All three dead: total failure surfaces as an error.
 	reps[2].dead.Store(true)
-	if _, _, err := g.WeightedTagSum(ctx, fx.geo, []int{0}, []uint64{1}, false); err == nil {
+	if _, _, err := sumOne(ctx, g, fx.geo, []int{0}, []uint64{1}, false); err == nil {
 		t.Fatal("Sum succeeded with every replica dead")
 	}
 }
@@ -286,7 +278,7 @@ func TestGroupTelemetry(t *testing.T) {
 	g.instrument(reg, "shard0_", failovers)
 
 	reps[0].dead.Store(true)
-	if _, _, err := g.WeightedTagSum(context.Background(), fx.geo, []int{1}, []uint64{1}, false); err != nil {
+	if _, _, err := sumOne(context.Background(), g, fx.geo, []int{1}, []uint64{1}, false); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -344,7 +336,7 @@ func TestReplicatedEquivalence(t *testing.T) {
 		}
 		idx, w := randQuery(rng, 64, 9)
 		ictx, flag := WithFlag(ctx)
-		sum, _, err := cnd.WeightedTagSum(ictx, fx.geo, idx, w, false)
+		sum, _, err := sumOne(ictx, cnd, fx.geo, idx, w, false)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -354,7 +346,7 @@ func TestReplicatedEquivalence(t *testing.T) {
 				t.Fatalf("round %d: col %d: %d != %d", round, j, sum[j], want[j])
 			}
 		}
-		_, tag, err := cnd.WeightedTagSum(ictx, fx.geo, idx, w, true)
+		_, tag, err := sumOne(ictx, cnd, fx.geo, idx, w, true)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}

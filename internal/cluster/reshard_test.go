@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"secndp/internal/core"
-	"secndp/internal/field"
 	"secndp/internal/memory"
 )
 
@@ -215,7 +214,7 @@ func assertClusterOracle(t *testing.T, fx *fixture, cnd *NDP, seed int64) {
 	ctx := context.Background()
 	for q := 0; q < 4; q++ {
 		idx, w := randQuery(rng, 64, 7)
-		sum, _, err := cnd.WeightedTagSum(ctx, fx.geo, idx, w, false)
+		sum, _, err := sumOne(ctx, cnd, fx.geo, idx, w, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +224,7 @@ func assertClusterOracle(t *testing.T, fx *fixture, cnd *NDP, seed int64) {
 				t.Fatalf("col %d: %d != %d", j, sum[j], want[j])
 			}
 		}
-		_, tag, err := cnd.WeightedTagSum(ctx, fx.geo, idx, w, true)
+		_, tag, err := sumOne(ctx, cnd, fx.geo, idx, w, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,7 +350,7 @@ func TestReshardStaleGatherReissue(t *testing.T) {
 	}
 	done := make(chan res, 1)
 	go func() {
-		s, _, err := cnd.WeightedTagSum(context.Background(), fx.geo, idx, w, false)
+		s, _, err := sumOne(context.Background(), cnd, fx.geo, idx, w, false)
 		done <- res{s, err}
 	}()
 	<-held
@@ -387,13 +386,13 @@ func TestReshardStaleGatherReissue(t *testing.T) {
 	}
 }
 
-// gatedNDP delays the first weighted-sum call via gate, then delegates.
+// gatedNDP delays the first batch call via gate, then delegates.
 type gatedNDP struct {
 	core.NDP
 	gate func()
 }
 
-func (g *gatedNDP) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+func (g *gatedNDP) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	g.gate()
-	return g.NDP.WeightedTagSum(ctx, geo, idx, w, verify)
+	return g.NDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
 }

@@ -37,12 +37,12 @@ type BatchStats struct {
 	// DistinctRows counts rows after cross-request dedup; the pad dedup
 	// hit ratio is 1 − DistinctRows/RowRefs.
 	DistinctRows int
-	// WireOps is the number of NDP exchanges used (1 on the pipelined
-	// path; the fan-out path leaves it 0 — its per-request calls are
-	// counted by the transport, not here).
+	// WireOps is the number of NDP exchanges that answered (1, or 0 when
+	// the exchange failed as a whole).
 	WireOps int
 	// Pipelined reports whether the coalesced pipeline served the batch
-	// (false: per-request fan-out, e.g. the NDP lacks batch support).
+	// (false: the exchange failed as a whole, e.g. the NDP lacks batch
+	// support, and every request carries its error).
 	Pipelined bool
 }
 
@@ -463,23 +463,28 @@ func (w *BatchWalk) Sweep(ctx context.Context) {
 
 // Join is the walk's last stage: the NDP's answers (res, one per
 // Requests entry, or the exchange's batch-level error ndpErr) joined
-// with the sweep's shares, then each request's MAC check. A non-nil
-// error is a batch-level failure — the sweep's, the exchange's, or a
-// short answer — and means nothing was decided: the caller falls back
-// to per-request queries. The NDP's sum vectors are the caller's (see
-// NDP.WeightedTagSumBatch), so each decrypted result overwrites its own.
-func (w *BatchWalk) Join(res []NDPBatchResult, ndpErr error) ([]BatchResult, error) {
+// with the sweep's shares, then each request's MAC check. A batch-level
+// failure — the sweep's, the exchange's, or a short answer — decides
+// nothing and becomes every planned request's error. The NDP's sum
+// vectors are the caller's (see NDP.WeightedTagSumBatch), so each
+// decrypted result overwrites its own.
+func (w *BatchWalk) Join(res []NDPBatchResult, ndpErr error) []BatchResult {
 	valid := w.Requests()
 	if len(valid) == 0 {
-		return w.out, nil
+		return w.out
 	}
-	switch {
-	case w.sweepErr != nil:
-		return nil, w.sweepErr
-	case ndpErr != nil:
-		return nil, ndpErr
-	case len(res) != len(valid):
-		return nil, fmt.Errorf("core: ndp answered %d of %d batch sub-requests", len(res), len(valid))
+	err := w.sweepErr
+	if err == nil {
+		err = ndpErr
+	}
+	if err == nil && len(res) != len(valid) {
+		err = fmt.Errorf("core: ndp answered %d of %d batch sub-requests", len(res), len(valid))
+	}
+	if err != nil {
+		for _, i := range w.s.validIdx {
+			w.out[i].Err = err
+		}
+		return w.out
 	}
 	if w.opts.Stats != nil {
 		w.opts.Stats.WireOps = 1
@@ -509,7 +514,7 @@ func (w *BatchWalk) Join(res []NDPBatchResult, ndpErr error) ([]BatchResult, err
 	if w.opts.Verify {
 		t.verifyBatch(out, checked, combined)
 	}
-	return out, nil
+	return out
 }
 
 // Release returns the plan's and the sweep's pooled storage. The walk is

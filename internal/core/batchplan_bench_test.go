@@ -60,15 +60,18 @@ func BenchmarkQueryBatchPipelined(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryBatchFanout is the batch's per-request baseline: the same
+// requests as one QueryCtx call each.
 func BenchmarkQueryBatchFanout(b *testing.B) {
 	tab, ndp, reqs := benchBatch(b, 4096)
 	opts := QueryOptions{Verify: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := tab.QueryBatchCtx(context.Background(), plainNDP{ndp}, reqs, opts)
-		if err := FirstError(out); err != nil {
-			b.Fatal(err)
+		for _, req := range reqs {
+			if _, err := tab.QueryCtx(context.Background(), ndp, req.Idx, req.Weights, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

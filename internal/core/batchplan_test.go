@@ -11,14 +11,6 @@ import (
 	"secndp/internal/memory"
 )
 
-// plainNDP fails the batch entry point of an NDP so tests can force the
-// fan-out path.
-type plainNDP struct{ NDP }
-
-func (plainNDP) WeightedTagSumBatch(context.Context, Geometry, []BatchRequest, bool) ([]NDPBatchResult, error) {
-	return nil, errors.ErrUnsupported
-}
-
 func TestPlanBatchDedupAndCoalesce(t *testing.T) {
 	reqs := []BatchRequest{
 		{Idx: []int{3, 7, 3}, Weights: []uint64{2, 5, 9}}, // 3 repeats within the request
@@ -68,12 +60,22 @@ func TestPlanBatchCarrySplits(t *testing.T) {
 	}
 }
 
-// TestBatchPipelinedMatchesFanout is the equivalence oracle: a
+// queryEach is the batch walk's reference: each request run on its own
+// through QueryCtx over the in-process NDP, which never takes the walk.
+func queryEach(tab *Table, ndp *HonestNDP, reqs []BatchRequest, opts QueryOptions) []BatchResult {
+	out := make([]BatchResult, len(reqs))
+	for i, req := range reqs {
+		out[i].Res, out[i].Err = tab.QueryCtx(context.Background(), ndp, req.Idx, req.Weights, opts)
+	}
+	return out
+}
+
+// TestBatchPipelinedMatchesQueryCtx is the equivalence oracle: a
 // duplicate-heavy batch (plus empty and malformed sub-requests) must
 // produce byte-identical results and errors through the coalesced pipeline
-// and the per-request fan-out — unverified, and verified under every tag
+// and per-request QueryCtx — unverified, and verified under every tag
 // placement.
-func TestBatchPipelinedMatchesFanout(t *testing.T) {
+func TestBatchPipelinedMatchesQueryCtx(t *testing.T) {
 	for _, pl := range []memory.TagPlacement{memory.TagNone, memory.TagSep, memory.TagColoc, memory.TagECC} {
 		verify := pl != memory.TagNone
 		s := newTestScheme(t)
@@ -107,7 +109,7 @@ func TestBatchPipelinedMatchesFanout(t *testing.T) {
 		optsP := opts
 		optsP.Stats = &stats
 		pipe := tab.QueryBatchCtx(context.Background(), ndp, reqs, optsP)
-		fan := tab.QueryBatchCtx(context.Background(), plainNDP{ndp}, reqs, opts)
+		fan := queryEach(tab, ndp, reqs, opts)
 		if !stats.Pipelined || stats.WireOps != 1 {
 			t.Fatalf("%v: batch did not pipeline: %+v", pl, stats)
 		}
@@ -117,7 +119,7 @@ func TestBatchPipelinedMatchesFanout(t *testing.T) {
 		for i := range reqs {
 			pe, fe := pipe[i].Err, fan[i].Err
 			if (pe == nil) != (fe == nil) {
-				t.Fatalf("%v request %d: pipelined err %v, fanout err %v", pl, i, pe, fe)
+				t.Fatalf("%v request %d: pipelined err %v, QueryCtx err %v", pl, i, pe, fe)
 			}
 			if pe != nil {
 				if pe.Error() != fe.Error() {
@@ -200,9 +202,19 @@ func TestBatchVerifyIsolatesFailures(t *testing.T) {
 	}
 }
 
-// TestBatchFanoutWhenNoBatchSupport: an NDP whose batch op fails must
-// still be served, with stats reporting the fan-out path.
-func TestBatchFanoutWhenNoBatchSupport(t *testing.T) {
+// noBatchNDP fails every exchange as a whole, as a server without the
+// batch op does.
+type noBatchNDP struct{ NDP }
+
+func (noBatchNDP) WeightedTagSumBatch(context.Context, Geometry, []BatchRequest, bool) ([]NDPBatchResult, error) {
+	return nil, errors.ErrUnsupported
+}
+
+// TestBatchErrorOnEveryRequest: an exchange that fails as a whole decides
+// nothing, so every well-formed request carries its error, a malformed
+// one keeps its own, and the stats report no pipelined exchange. A single
+// query over that NDP returns the same error.
+func TestBatchErrorOnEveryRequest(t *testing.T) {
 	s := newTestScheme(t)
 	mem := memory.NewSpace()
 	geo := mkGeometry(memory.TagSep, 8, 32, 32)
@@ -210,24 +222,25 @@ func TestBatchFanoutWhenNoBatchSupport(t *testing.T) {
 	tab, _ := s.EncryptTable(mem, geo, 1, rows)
 	reqs := []BatchRequest{
 		{Idx: []int{0, 1}, Weights: []uint64{1, 1}},
+		{Idx: []int{9}, Weights: []uint64{1}},
 		{Idx: []int{2, 0}, Weights: []uint64{3, 2}},
 	}
+	ndp := noBatchNDP{&HonestNDP{Mem: mem}}
 	var stats BatchStats
-	out := tab.QueryBatchCtx(context.Background(), plainNDP{&HonestNDP{Mem: mem}}, reqs,
-		QueryOptions{Verify: true, Stats: &stats})
-	if err := FirstError(out); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Pipelined {
-		t.Fatal("stats claim pipelined for an NDP without batch support")
-	}
-	for i := range reqs {
-		want := plainWeightedSum(geo, rows, reqs[i].Idx, reqs[i].Weights)
-		for j := range want {
-			if out[i].Res[j] != want[j] {
-				t.Fatalf("request %d col %d mismatch", i, j)
-			}
+	out := tab.QueryBatchCtx(context.Background(), ndp, reqs, QueryOptions{Verify: true, Stats: &stats})
+	for _, i := range []int{0, 2} {
+		if !errors.Is(out[i].Err, errors.ErrUnsupported) || out[i].Res != nil {
+			t.Fatalf("request %d: got %v, %v; want the exchange's error", i, out[i].Res, out[i].Err)
 		}
+	}
+	if !errors.Is(out[1].Err, ErrIndexRange) {
+		t.Fatalf("malformed request: got %v, want its own ErrIndexRange", out[1].Err)
+	}
+	if stats.Pipelined || stats.WireOps != 0 {
+		t.Fatalf("stats claim an exchange answered: %+v", stats)
+	}
+	if _, err := tab.QueryCtx(context.Background(), ndp, reqs[0].Idx, reqs[0].Weights, QueryOptions{Verify: true}); !errors.Is(err, errors.ErrUnsupported) {
+		t.Fatalf("single query: got %v, want the exchange's error", err)
 	}
 }
 

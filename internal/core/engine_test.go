@@ -13,7 +13,7 @@ import (
 )
 
 // This file holds the engine's test-only serial reference and the tests
-// that pin QueryCtx's two shapes (inline, overlapped) to it.
+// that pin QueryCtx's three shapes (inline, overlapped, batch walk) to it.
 
 // referencePadSum is Algorithm 4 lines 8–14 one row at a time: each row's
 // pad vector materialized by padRow and folded with plain ring arithmetic.
@@ -42,11 +42,11 @@ func referenceTagPadSum(tab *Table, idx []int, w []uint64) field.Elem {
 // the engine against: Algorithms 4 and 5 built from per-row padRow, per-row
 // Generator.TagPad and checksumRowNaive. It shares no kernel with otpWalk,
 // tagDot or resultChecksum.
-func referenceQuery(tab *Table, ndp NDP, idx []int, w []uint64, verify bool) ([]uint64, error) {
+func referenceQuery(tab *Table, ndp *HonestNDP, idx []int, w []uint64, verify bool) ([]uint64, error) {
 	if err := tab.checkQuery(idx, w); err != nil {
 		return nil, err
 	}
-	cres, ctag, err := ndp.WeightedTagSum(context.Background(), tab.geo, idx, w, verify)
+	cres, ctag, err := ndp.weightedTagSum(context.Background(), tab.geo, idx, w, verify)
 	if err != nil {
 		return nil, err
 	}
@@ -72,24 +72,59 @@ func queryUnverified(tab *Table, ndp NDP, idx []int, w []uint64) ([]uint64, erro
 }
 
 // transportNDP dresses an in-process NDP as something other than
-// *HonestNDP — a transport, to the planner — which always runs overlapped.
+// *HonestNDP — a transport, to the planner — which always runs the batch
+// walk.
 type transportNDP struct{ NDP }
 
-// shapes dresses an in-process NDP so the planner runs each of QueryCtx's
-// two shapes on the small queries these tests issue: as it is (inline, for
-// a *HonestNDP) and as a transport (overlapped).
-var shapes = []struct {
-	name  string
-	dress func(NDP) NDP
-}{
-	{"inline", func(n NDP) NDP { return n }},
-	{"overlapped", func(n NDP) NDP { return transportNDP{n} }},
+// shape is one of QueryCtx's shapes, forced on the small queries these
+// tests issue: dress wraps the NDP, and stretch lengthens the query.
+type shape struct {
+	name    string
+	dress   func(NDP) NDP
+	stretch bool
+}
+
+// shapes runs a *HonestNDP inline as it is, overlapped once the query is
+// stretched past inlinePadBytes, and through the batch walk dressed as a
+// transport. A double that is not *HonestNDP runs the walk in every shape.
+var shapes = []shape{
+	{"inline", func(n NDP) NDP { return n }, false},
+	{"overlapped", func(n NDP) NDP { return n }, true},
+	{"walk", func(n NDP) NDP { return transportNDP{n} }, false},
+}
+
+// args returns the query the shape runs: as given, or for a stretching
+// shape padded with zero-weight references to its own rows until the pad
+// walk covers inlinePadBytes. Zero weights leave every sum, tag sum and
+// so the result unchanged.
+func (s shape) args(tab *Table, idx []int, w []uint64) ([]int, []uint64) {
+	n := (inlinePadBytes + tab.geo.Params.RowBytes() - 1) / tab.geo.Params.RowBytes()
+	if !s.stretch || len(idx) == 0 || len(idx) >= n {
+		return idx, w
+	}
+	sidx, sw := slices.Clone(idx), append(slices.Clone(w), make([]uint64, n-len(w))...)
+	for len(sidx) < n {
+		sidx = append(sidx, idx[len(sidx)%len(idx)])
+	}
+	return sidx, sw
+}
+
+// query runs QueryCtx over ndp in the shape; only a *HonestNDP's query is
+// stretched.
+func (s shape) query(ctx context.Context, tab *Table, ndp NDP, idx []int, w []uint64, opts QueryOptions) ([]uint64, error) {
+	if _, inProcess := ndp.(*HonestNDP); inProcess {
+		idx, w = s.args(tab, idx, w)
+		if s.stretch && len(idx) > 0 && !tab.overlapped(len(idx)) {
+			panic("shape: stretched query still runs inline")
+		}
+	}
+	return tab.QueryCtx(ctx, s.dress(ndp), idx, w, opts)
 }
 
 // TestPlannerBoundaryEquivalence: for row counts straddling inlinePadBytes
 // (512 rows of 256 B) and the ctxCheckStride chunking, every tag placement,
-// one worker and four, in-process and transport NDP, QueryCtx equals
-// referenceQuery byte for byte, verified and unverified.
+// one worker and four, every shape, QueryCtx equals referenceQuery byte for
+// byte, verified and unverified.
 func TestPlannerBoundaryEquivalence(t *testing.T) {
 	placements := map[string]memory.TagPlacement{
 		"none": memory.TagNone, "coloc": memory.TagColoc, "sep": memory.TagSep, "ecc": memory.TagECC,
@@ -114,7 +149,7 @@ func TestPlannerBoundaryEquivalence(t *testing.T) {
 					idx[k] = rng.Intn(300)
 					w[k] = 1 + rng.Uint64()%4
 				}
-				if got, want := tab.overlapped(honest, n), n >= 512; got != want {
+				if got, want := tab.overlapped(n), n >= 512; got != want {
 					t.Fatalf("%d rows: planner overlapped=%v, want %v", n, got, want)
 				}
 				for _, verify := range []bool{false, true} {
@@ -126,15 +161,14 @@ func TestPlannerBoundaryEquivalence(t *testing.T) {
 						t.Fatalf("%d rows verify=%v: reference: %v", n, verify, err)
 					}
 					for _, shape := range shapes {
-						ndp := shape.dress(honest)
 						for _, workers := range []int{1, 4} {
-							got, err := tab.QueryCtx(context.Background(), ndp, idx, w,
+							got, err := shape.query(context.Background(), tab, honest, idx, w,
 								QueryOptions{Workers: workers, Verify: verify})
 							if err != nil {
-								t.Fatalf("%d rows verify=%v %T workers=%d: %v", n, verify, ndp, workers, err)
+								t.Fatalf("%d rows verify=%v %s workers=%d: %v", n, verify, shape.name, workers, err)
 							}
 							if !slices.Equal(got, want) {
-								t.Fatalf("%d rows verify=%v %T workers=%d: engine diverges from reference", n, verify, ndp, workers)
+								t.Fatalf("%d rows verify=%v %s workers=%d: engine diverges from reference", n, verify, shape.name, workers)
 							}
 						}
 					}
@@ -151,16 +185,20 @@ type replayNDP struct {
 	idx []int
 }
 
-func (r *replayNDP) WeightedTagSum(ctx context.Context, geo Geometry, _ []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
-	return r.HonestNDP.WeightedTagSum(ctx, geo, r.idx, w, verify)
+func (r *replayNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
+	replayed := make([]BatchRequest, len(reqs))
+	for i := range reqs {
+		replayed[i] = BatchRequest{Idx: r.idx, Weights: reqs[i].Weights}
+	}
+	return r.HonestNDP.WeightedTagSumBatch(ctx, geo, replayed, verify)
 }
 
-// TestMaliciousNDPRejectedOnBothShapes: corrupting, forging and replaying
-// NDP doubles get ErrVerification in either dress, and the honest NDP
-// passes in both shapes. A double is never *HonestNDP, so the planner runs
-// it overlapped either way; the inline shape meets malicious memory under
-// the honest NDP in TestGatherSeesTamper.
-func TestMaliciousNDPRejectedOnBothShapes(t *testing.T) {
+// TestMaliciousNDPRejectedOnEveryShape: corrupting, forging and replaying
+// NDP doubles get ErrVerification in every dress, and the honest NDP
+// passes in every shape. A double is never *HonestNDP, so the planner runs
+// it through the batch walk either way; the in-process shapes meet
+// malicious memory under the honest NDP in TestGatherSeesTamper.
+func TestMaliciousNDPRejectedOnEveryShape(t *testing.T) {
 	tab, honest, _ := hotpathTable(t, memory.TagSep, 64, 32, 32, 81)
 	idx := []int{3, 9, 27, 9}
 	w := []uint64{2, 1, 5, 3}
@@ -174,7 +212,7 @@ func TestMaliciousNDPRejectedOnBothShapes(t *testing.T) {
 	for name, ndp := range doubles {
 		for _, shape := range shapes {
 			for _, workers := range []int{1, 4} {
-				_, err := tab.QueryCtx(context.Background(), shape.dress(ndp), idx, w, QueryOptions{Workers: workers, Verify: true})
+				_, err := shape.query(context.Background(), tab, ndp, idx, w, QueryOptions{Workers: workers, Verify: true})
 				if name == "honest" {
 					if err != nil {
 						t.Errorf("honest NDP, %s, workers=%d: rejected: %v", shape.name, workers, err)
@@ -188,24 +226,25 @@ func TestMaliciousNDPRejectedOnBothShapes(t *testing.T) {
 }
 
 // cancellingNDP is a slow NDP whose caller gives up mid-exchange: it
-// cancels the query's context from inside WeightedTagSum, then answers.
+// cancels the query's context from inside WeightedTagSumBatch, then
+// answers.
 type cancellingNDP struct {
 	HonestNDP
 	cancel context.CancelFunc
 }
 
-func (c *cancellingNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+func (c *cancellingNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
 	c.cancel()
-	return c.HonestNDP.WeightedTagSum(ctx, geo, idx, w, verify)
+	return c.HonestNDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
 }
 
-// TestQueryCtxCancellationBothShapes: a context cancelled before the call,
-// and one cancelled from inside the NDP, come back as ctx.Err() from both
-// shapes, and the one cancelled before the call reads no row: the inline
-// verified gather checks the context before its first row.
+// TestQueryCtxCancellationEveryShape: a context cancelled before the call,
+// and one cancelled from inside the NDP, come back as ctx.Err() from every
+// shape, and the one cancelled before the call reads no row: every gather
+// checks the context before its first row.
 // (TestQueryVerifiedSteadyStateAllocs checks the abandoned queries return
 // their pooled scratch.)
-func TestQueryCtxCancellationBothShapes(t *testing.T) {
+func TestQueryCtxCancellationEveryShape(t *testing.T) {
 	tab, honest, _ := hotpathTable(t, memory.TagSep, 256, 64, 32, 82)
 	rng := rand.New(rand.NewSource(83))
 	idx := make([]int, 128)
@@ -220,7 +259,7 @@ func TestQueryCtxCancellationBothShapes(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			honest.Mem.ResetStats()
-			if _, err := tab.QueryCtx(ctx, shape.dress(honest), idx, w, opts); !errors.Is(err, context.Canceled) {
+			if _, err := shape.query(ctx, tab, honest, idx, w, opts); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s, workers=%d, pre-cancelled context: got %v", shape.name, workers, err)
 			}
 			if st := honest.Mem.Stats(); st.BytesRead != 0 {
@@ -228,7 +267,7 @@ func TestQueryCtxCancellationBothShapes(t *testing.T) {
 			}
 			ctx, cancel = context.WithCancel(context.Background())
 			slow := &cancellingNDP{HonestNDP: *honest, cancel: cancel}
-			if _, err := tab.QueryCtx(ctx, shape.dress(slow), idx, w, opts); !errors.Is(err, context.Canceled) {
+			if _, err := shape.query(ctx, tab, slow, idx, w, opts); !errors.Is(err, context.Canceled) {
 				t.Errorf("%s, workers=%d, context cancelled inside the NDP: got %v", shape.name, workers, err)
 			}
 		}

@@ -147,17 +147,17 @@ func FuzzQueryLinearity(f *testing.F) {
 	})
 }
 
-// FuzzBatchMatchesFanout is the batch pipeline's equivalence oracle at the
+// FuzzBatchMatchesQueryCtx is the batch pipeline's equivalence oracle at the
 // sizes where otpBatch fans pad generation out across workers: every
 // distinct row of the table is referenced, by one sub-request or by
 // several, and the distinct-row count ranges across 2×ctxCheckStride (the
 // smallest tile that fans out) and batchTileRows (a second tile). The
-// pipelined results must be byte-identical to the per-request fan-out's
-// and every verification outcome the same, at every worker count and
-// element width. Rows and weights are bounded so an honest sum never
-// wraps, and so verifies; with tamper set one row is corrupted, failing
-// exactly the requests that read it on both paths.
-func FuzzBatchMatchesFanout(f *testing.F) {
+// pipelined results must be byte-identical to per-request QueryCtx's over
+// the in-process NDP and every verification outcome the same, at every
+// worker count and element width. Rows and weights are bounded so an
+// honest sum never wraps, and so verifies; with tamper set one row is
+// corrupted, failing exactly the requests that read it on both paths.
+func FuzzBatchMatchesQueryCtx(f *testing.F) {
 	for _, d := range []uint16{5, 127, 128, 129, 300, 511, 512, 513, 1030} {
 		f.Add(int64(d), d, uint8(d), uint8(d/3), uint8(d/7), d%2 == 1)
 	}
@@ -218,14 +218,14 @@ func FuzzBatchMatchesFanout(f *testing.F) {
 		optsP := opts
 		optsP.Stats = &stats
 		pipe := tab.QueryBatchCtx(context.Background(), ndp, reqs, optsP)
-		fan := tab.QueryBatchCtx(context.Background(), plainNDP{ndp}, reqs, opts)
+		fan := queryEach(tab, ndp, reqs, opts)
 		if !stats.Pipelined || stats.DistinctRows != n {
 			t.Fatalf("batch of %d distinct rows: %+v", n, stats)
 		}
 		for i := range reqs {
 			pe, fe := pipe[i].Err, fan[i].Err
 			if (pe == nil) != (fe == nil) || (pe != nil && pe.Error() != fe.Error()) {
-				t.Fatalf("request %d: pipelined err %v, fanout err %v", i, pe, fe)
+				t.Fatalf("request %d: pipelined err %v, QueryCtx err %v", i, pe, fe)
 			}
 			if pe != nil {
 				if !tamper || !errors.Is(pe, ErrVerification) {
@@ -238,7 +238,7 @@ func FuzzBatchMatchesFanout(f *testing.F) {
 			}
 			for j := range pipe[i].Res {
 				if pipe[i].Res[j] != fan[i].Res[j] {
-					t.Fatalf("request %d col %d: pipelined %d, fanout %d", i, j, pipe[i].Res[j], fan[i].Res[j])
+					t.Fatalf("request %d col %d: pipelined %d, QueryCtx %d", i, j, pipe[i].Res[j], fan[i].Res[j])
 				}
 			}
 		}

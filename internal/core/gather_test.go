@@ -118,7 +118,7 @@ func TestGatherMatchesCopyPath(t *testing.T) {
 							if got, want := honest.TagSum(g, idx, w), ref.TagSum(g, idx, w); !got.Equal(want) {
 								t.Fatalf("%d of %d rows: TagSum diverges from the copy path", n, g.Layout.NumRows)
 							}
-							sums, tag, err := honest.WeightedTagSum(context.Background(), g, idx, w, true)
+							sums, tag, err := honest.weightedTagSum(context.Background(), g, idx, w, true)
 							if err != nil || !slices.Equal(sums, ref.WeightedSum(g, idx, w)) || !tag.Equal(ref.TagSum(g, idx, w)) {
 								t.Fatalf("%d of %d rows: WeightedTagSum diverges from the copy path (%v)", n, g.Layout.NumRows, err)
 							}
@@ -328,30 +328,27 @@ func shifted(idx []int, by int) []int {
 	return out
 }
 
-func (s shiftNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
-	return s.HonestNDP.WeightedTagSum(ctx, geo, shifted(idx, geo.Layout.NumRows), w, verify)
-}
-
 func (s shiftNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
 	reqs = slices.Clone(reqs)
 	reqs[0].Idx = shifted(reqs[0].Idx, geo.Layout.NumRows)
 	return s.HonestNDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
 }
 
-// batchPanicNDP answers a batch through shiftNDP's single-query gather, so
-// the gather's panic crosses the batch entry point; the per-request
-// fan-out the engine then falls back to meets the same panic in runNDP.
-type batchPanicNDP struct{ shiftNDP }
+// batchPanicNDP answers a batch through the one-request gather with its
+// first request's row shifted out of the table, so the gather's panic
+// crosses the batch entry point unchecked.
+type batchPanicNDP struct{ *HonestNDP }
 
 func (p batchPanicNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
-	p.WeightedTagSum(ctx, geo, reqs[0].Idx, reqs[0].Weights, verify)
+	p.weightedTagSum(ctx, geo, shifted(reqs[0].Idx, geo.Layout.NumRows), reqs[0].Weights, verify)
 	return nil, nil
 }
 
 // TestGatherRowOutOfRange: an index past the table inside the NDP is the
 // layout's panic, with its text, out of the gather; the single query and
-// the batch recover it into an error; and the batch NDP itself turns it
-// into that sub-request's error while answering the rest.
+// the batch recover it into an error naming the range; and the batch NDP
+// itself turns a shifted request into that sub-request's error while
+// answering the rest.
 func TestGatherRowOutOfRange(t *testing.T) {
 	tab, honest, _ := hotpathTable(t, memory.TagSep, 64, 64, 32, 93)
 	rng := rand.New(rand.NewSource(94))
@@ -362,7 +359,7 @@ func TestGatherRowOutOfRange(t *testing.T) {
 	for name, call := range map[string]func(){
 		"WeightedSum":     func() { honest.WeightedSum(tab.geo, shifted(idx, 64), w) },
 		"TagSum":          func() { honest.TagSum(tab.geo, shifted(idx, 64), w) },
-		"WeightedTagSum":  func() { honest.WeightedTagSum(ctx, tab.geo, shifted(idx, 64), w, true) },
+		"weightedTagSum":  func() { honest.weightedTagSum(ctx, tab.geo, shifted(idx, 64), w, true) },
 		"WeightedSumElem": func() { honest.WeightedSumElem(ctx, tab.geo, shifted(idx, 64), cols, w) },
 		"negative":        func() { honest.WeightedSum(tab.geo, shifted(idx, -100), w) },
 	} {
@@ -377,8 +374,11 @@ func TestGatherRowOutOfRange(t *testing.T) {
 	}
 
 	opts := QueryOptions{Verify: true}
-	if _, err := tab.QueryCtx(context.Background(), shiftNDP{honest}, idx, w, opts); err == nil || !strings.Contains(err.Error(), text) {
+	if _, err := tab.QueryCtx(context.Background(), batchPanicNDP{honest}, idx, w, opts); err == nil || !strings.Contains(err.Error(), text) {
 		t.Errorf("single query: got %v, want an error naming the range", err)
+	}
+	if _, err := tab.QueryCtx(context.Background(), shiftNDP{honest}, idx, w, opts); !errors.Is(err, ErrIndexRange) {
+		t.Errorf("single query, shifted request: got %v, want ErrIndexRange", err)
 	}
 	reqs := []BatchRequest{{Idx: idx, Weights: w}, {Idx: []int{1, 2}, Weights: []uint64{1, 1}}}
 	out := tab.QueryBatchCtx(context.Background(), shiftNDP{honest}, reqs, opts)
@@ -388,7 +388,7 @@ func TestGatherRowOutOfRange(t *testing.T) {
 	if out[1].Err != nil {
 		t.Errorf("batch, good sub-request: %v", out[1].Err)
 	}
-	for i, r := range tab.QueryBatchCtx(context.Background(), batchPanicNDP{shiftNDP{honest}}, reqs, opts) {
+	for i, r := range tab.QueryBatchCtx(context.Background(), batchPanicNDP{honest}, reqs, opts) {
 		if r.Err == nil || !strings.Contains(r.Err.Error(), text) {
 			t.Errorf("batch over a panicking NDP, request %d: got %v, want an error naming the range", i, r.Err)
 		}

@@ -88,7 +88,7 @@ func TestQueryVerifiedMatchesQueryPlusVerify(t *testing.T) {
 }
 
 // TestQueryVerifiedConcurrentHammer runs many verified queries through the
-// one engine at once — both shapes — and checks every result against the
+// one engine at once — every shape — and checks every result against the
 // serial reference computed up front. Under -race this proves the pooled
 // scratch is never aliased across concurrent queries.
 func TestQueryVerifiedConcurrentHammer(t *testing.T) {
@@ -122,13 +122,13 @@ func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Goroutines alternate shapes, so inline and overlapped queries
-			// contend for the same pools.
-			engine := shapes[g%2].dress(ndp)
+			// Goroutines take turns at the shapes, so inline, overlapped
+			// and walked queries contend for the same pools.
+			shape := shapes[g%len(shapes)]
 			opts := QueryOptions{Workers: 2, Verify: true}
 			for it := 0; it < iters; it++ {
 				qq := &qs[(g*iters+it)%queries]
-				got, err := tab.QueryCtx(context.Background(), engine, qq.idx, qq.w, opts)
+				got, err := shape.query(context.Background(), tab, ndp, qq.idx, qq.w, opts)
 				if err != nil {
 					errCh <- err
 					return
@@ -170,6 +170,7 @@ func TestQueryVerifiedSteadyStateAllocs(t *testing.T) {
 	opts := QueryOptions{Workers: 1, Verify: true}
 	for _, shape := range shapes {
 		engine := shape.dress(ndp)
+		idx, w := shape.args(tab, idx, w)
 		// Warm the pools.
 		for i := 0; i < 4; i++ {
 			if _, err := tab.QueryCtx(context.Background(), engine, idx, w, opts); err != nil {

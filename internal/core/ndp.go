@@ -24,24 +24,23 @@ import (
 // check every answer's shape and verify its MAC, and tests substitute
 // malicious implementations by overriding the method they attack.
 type NDP interface {
-	// WeightedTagSum returns C_res[j] = Σ_k weights[k] · C[idx[k]][j] mod
-	// 2^we for all columns j — the SLS / pooling operation over ciphertext
-	// — and, when verify is set, the NDP's half of Algorithm 5, C_Tres =
-	// Σ_k weights[k] · C_T[idx[k]] mod q (field.Zero otherwise). verify
-	// must not be set for geometries without tag placement.
-	WeightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error)
+	// WeightedTagSumBatch answers every sub-request req in one exchange:
+	// C_res[j] = Σ_k req.Weights[k] · C[req.Idx[k]][j] mod 2^we for all
+	// columns j — the SLS / pooling operation over ciphertext — and, when
+	// verify is set, the NDP's half of Algorithm 5, C_Tres = Σ_k
+	// req.Weights[k] · C_T[req.Idx[k]] mod q (field.Zero otherwise).
+	// verify must not be set for geometries without tag placement. A
+	// single query is a batch of one. A non-nil error means the whole
+	// batch failed (transport trouble, no batch support) and decided
+	// nothing; problems with one sub-request land in its
+	// NDPBatchResult.Err instead. Every answered Sums is fresh, shares
+	// storage with no other result, and passes to the caller, which may
+	// overwrite it: the cluster merge and the core join both accumulate in
+	// place. The implementation keeps no reference to it.
+	WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error)
 	// WeightedSumElem returns the scalar Σ_k weights[k] · C[idx[k]][jdx[k]]
 	// mod 2^we — Algorithm 4's element-indexed form.
 	WeightedSumElem(ctx context.Context, geo Geometry, idx, jdx []int, weights []uint64) (uint64, error)
-	// WeightedTagSumBatch answers every sub-request as WeightedTagSum
-	// would, in one exchange. A non-nil error means the whole batch failed
-	// (transport trouble, no batch support) and decided nothing; problems
-	// with one sub-request land in its NDPBatchResult.Err instead. Every
-	// answered Sums is fresh, shares storage with no other result, and
-	// passes to the caller, which may overwrite it: the cluster merge and
-	// the core join both accumulate in place. The implementation keeps no
-	// reference to it.
-	WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error)
 }
 
 // HonestNDP is the faithful NDP implementation operating on an untrusted
@@ -154,11 +153,12 @@ func (n *HonestNDP) gather(ctx context.Context, geo Geometry, count, dataLen int
 	return err
 }
 
-// WeightedTagSum implements NDP in one walk: each row folds into the
+// weightedTagSum is one request's WeightedTagSumBatch in one walk, the
+// NDP half of QueryCtx's in-process shapes: each row folds into the
 // accumulator straight from its ciphertext bytes — no unpack pass, no
-// element scratch — and, with verify, its tag resolves beside its data, as
-// in WeightedTagSumBatch. The only error is ctx's.
-func (n *HonestNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
+// element scratch — and, with verify, its tag resolves beside its data.
+// The only error is ctx's.
+func (n *HonestNDP) weightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
 	r := geo.ringOf()
 	acc := make([]uint64, geo.Params.M)
 	var tagAcc field.Acc
@@ -176,13 +176,13 @@ func (n *HonestNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int,
 	return acc, tagAcc.Sum(), nil
 }
 
-// WeightedSum is WeightedTagSum's data half without a context.
+// WeightedSum is weightedTagSum's data half without a context.
 func (n *HonestNDP) WeightedSum(geo Geometry, idx []int, weights []uint64) []uint64 {
-	acc, _, _ := n.WeightedTagSum(context.Background(), geo, idx, weights, false)
+	acc, _, _ := n.weightedTagSum(context.Background(), geo, idx, weights, false)
 	return acc
 }
 
-// TagSum is WeightedTagSum's tag half without a context, C_Tres = Σ_k
+// TagSum is weightedTagSum's tag half without a context, C_Tres = Σ_k
 // weights[k] · C_T[idx[k]] mod q: a walk over the tags alone, which is what
 // re-encryption's per-row MAC check needs.
 func (n *HonestNDP) TagSum(geo Geometry, idx []int, weights []uint64) field.Elem {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,28 +14,32 @@ import (
 	"secndp/internal/telemetry"
 )
 
-// This file is the query engine: the one function body, QueryCtx, that
-// joins an NDP answer with an OTP share and checks the MAC, plus the plan
-// that picks its shape. The stages are always the same — NDP exchange, OTP
-// walk, tag dot, join — and a query runs them either inline on the
-// caller's goroutine or overlapped, the software counterpart of the paper's
-// OTP engines running ahead of the NDP response (§V-C2): the exchange in
-// the background while the walk is sharded across a worker pool.
+// This file is the query engine: QueryCtx, which joins an NDP answer with
+// an OTP share and checks the MAC, and QueryBatchCtx, the batch walk. The
+// stages are always the same — NDP exchange, OTP walk, tag dot, join. A
+// query over the in-process HonestNDP runs them either inline on the
+// caller's goroutine or overlapped, the software counterpart of the
+// paper's OTP engines running ahead of the NDP response (§V-C2): the
+// exchange in the background while the walk is sharded across a worker
+// pool. A query over any other NDP is a batch of one, so a transport has
+// one whole-row operation, WeightedTagSumBatch.
 
 // QueryOptions tunes one query or batch through the engine. The zero value
 // selects GOMAXPROCS workers and no verification.
 type QueryOptions struct {
-	// Workers is the OTP-side parallelism: the shards of an overlapped
-	// query's pad walk (an inline query runs one) and the goroutines of a
-	// batch. <= 0 selects GOMAXPROCS.
+	// Workers is the OTP-side parallelism: the shards of an in-process
+	// overlapped query's pad walk (an inline query runs one) and the pad
+	// generators of a batch walk, which also serves every query over an
+	// NDP other than HonestNDP. <= 0 selects GOMAXPROCS.
 	Workers int
 	// Verify runs Algorithm 5 (encrypted-MAC check) after Algorithm 4.
 	Verify bool
-	// Phases, when non-nil, receives the query's per-phase wall-clock
-	// breakdown. An inline query runs its phases back to back; on an
-	// overlapped one the NDP round trip runs concurrently with the pad
-	// walk and the tag dot, so there the phases do not sum to the query's
-	// total latency.
+	// Phases, when non-nil, receives the query's (or batch's) per-phase
+	// wall-clock breakdown. An inline query runs its phases back to back;
+	// on an overlapped one or a batch walk the NDP round trip runs
+	// concurrently with the pad walk, so there the phases do not sum to
+	// the total latency. A batch walk draws its tag pads in the pad sweep,
+	// so its Tag stays zero.
 	Phases *PhaseTimes
 	// Stats, when non-nil, receives batch-coalescing counters from
 	// QueryBatchCtx (ignored by single-query entry points).
@@ -69,10 +74,10 @@ func (o QueryOptions) workerCount(items int) int {
 // cancellation checks.
 const ctxCheckStride = 64
 
-// inlinePadBytes is the planner's one constant: a query whose pad walk
-// covers fewer bytes than this (len(idx)·RowBytes) runs inline when its NDP
-// is in-process. Sized on a 2-vCPU box with one caller on a 65 536 × 256 B
-// TagSep table, verified, inline vs overlapped:
+// inlinePadBytes is the planner's one constant: a query over the
+// in-process NDP whose pad walk covers fewer bytes than this
+// (len(idx)·RowBytes) runs inline. Sized on a 2-vCPU box with one caller
+// on a 65 536 × 256 B TagSep table, verified, inline vs overlapped:
 //
 //	   80 rows ( 20 KiB)    32 µs vs   46 µs
 //	  256 rows ( 64 KiB)    97 µs vs  106 µs
@@ -85,16 +90,11 @@ const ctxCheckStride = 64
 // always wins, so the constant sits at the top of that range.
 const inlinePadBytes = 128 << 10
 
-// overlapped is the plan step: it reports whether a query over n rows runs
-// the overlapped shape — NDP exchange in the background, pad walk sharded —
-// rather than inline. Only the in-process HonestNDP runs inline, and only
-// while the walk is too short to pay for the hand-offs; every other NDP —
-// a transport (remote.Client, ReliableClient, cluster.NDP) or a wrapper —
-// overlaps, so the pad walk hides behind its round trip.
-func (t *Table) overlapped(ndp NDP, n int) bool {
-	if _, inProcess := ndp.(*HonestNDP); !inProcess {
-		return true
-	}
+// overlapped is the plan step of a query over the in-process NDP: it
+// reports whether a query over n rows runs the overlapped shape — NDP
+// exchange in the background, pad walk sharded — rather than inline,
+// which it does once the walk is long enough to pay for the hand-offs.
+func (t *Table) overlapped(n int) bool {
 	return n*t.geo.Params.RowBytes() >= inlinePadBytes
 }
 
@@ -199,11 +199,10 @@ type ndpOutputs struct {
 	dur   time.Duration // round-trip elapsed; set only when phases are recorded
 }
 
-// runNDP executes the ciphertext-side half of a query under its "ndp"
-// child span (whose context threads down into the cluster and wire layers,
-// so their spans nest under it), converting a panic out of the NDP into an
+// runNDP executes the ciphertext-side half of an in-process query under
+// its "ndp" child span, converting a panic out of the gather into an
 // error.
-func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uint64, verify, timed bool) (out ndpOutputs) {
+func runNDP(ctx context.Context, ndp *HonestNDP, geo Geometry, idx []int, weights []uint64, verify, timed bool) (out ndpOutputs) {
 	ctx, span := telemetry.SpanFromContext(ctx).StartChild(ctx, "ndp")
 	ph := startPhase(span, timed)
 	defer func() {
@@ -212,7 +211,7 @@ func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uin
 		}
 		out.dur = ph.end(out.err, telemetry.ErrClassTransport)
 	}()
-	out.cres, out.cTres, out.err = ndp.WeightedTagSum(ctx, geo, idx, weights, verify)
+	out.cres, out.cTres, out.err = ndp.weightedTagSum(ctx, geo, idx, weights, verify)
 	return
 }
 
@@ -220,15 +219,16 @@ func runNDP(ctx context.Context, ndp NDP, geo Geometry, idx []int, weights []uin
 // NDP — the NDP computes over ciphertext while the processor computes over
 // its OTP shares, and the two shares are added — and, with opts.Verify,
 // the encrypted-MAC check of Algorithm 5 on the joined result; a rejected
-// result returns ErrVerification. It is the only place the two halves
-// meet: every single-query entry point, the batch fan-out and the
+// result returns ErrVerification. Every single-query entry point and the
 // cluster's fault localization land here.
 //
-// The shape is planned per call (see overlapped): a small query against an
-// in-process NDP runs NDP call, OTP walk, tag dot and join back to back on
-// the caller's goroutine; a transport or a long walk puts the NDP exchange
-// in the background and shards the walk over opts.Workers. Both shapes
-// compute bit-identical results.
+// The shape is planned per call. Over the in-process HonestNDP a small
+// query runs NDP call, OTP walk, tag dot and join back to back on the
+// caller's goroutine, and a long one (see overlapped) puts the NDP walk in
+// the background and shards the OTP walk over opts.Workers. Any other NDP
+// — a transport or a wrapper — runs the query as a batch of one
+// (QueryBatchCtx), its one exchange in the background while the pad sweep
+// runs. Every shape computes bit-identical results.
 func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint64, opts QueryOptions) ([]uint64, error) {
 	if err := t.checkQuery(idx, weights); err != nil {
 		return nil, err
@@ -238,6 +238,13 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	honest, inProcess := ndp.(*HonestNDP)
+	if !inProcess {
+		req := [1]BatchRequest{{Idx: idx, Weights: weights}}
+		opts.Stats = nil
+		r := t.QueryBatchCtx(ctx, ndp, req[:], opts)[0]
+		return r.Res, r.Err
 	}
 	// Architectural-phase child spans when the context carries a trace; a
 	// nil span (the common untraced path) makes every span call a no-op.
@@ -251,11 +258,11 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 	shards := 1
 	var nd ndpOutputs
 	var ndpCh chan ndpOutputs
-	if t.overlapped(ndp, len(idx)) {
+	if t.overlapped(len(idx)) {
 		shards = opts.workerCount(len(idx))
 		ndpCh = make(chan ndpOutputs, 1)
-		go func() { ndpCh <- runNDP(ctx, ndp, t.geo, idx, weights, opts.Verify, timed) }()
-	} else if nd = runNDP(ctx, ndp, t.geo, idx, weights, opts.Verify, timed); nd.err != nil {
+		go func() { ndpCh <- runNDP(ctx, honest, t.geo, idx, weights, opts.Verify, timed) }()
+	} else if nd = runNDP(ctx, honest, t.geo, idx, weights, opts.Verify, timed); nd.err != nil {
 		times.NDP = nd.dur
 		return nil, nd.err
 	}
@@ -304,15 +311,16 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 	return res, nil
 }
 
-// QueryBatchCtx runs many queries as one coalesced batch: one NDP exchange
-// for every sub-request's ciphertext and tag sums, each distinct row's OTP
-// pad generated once and scattered to all requesters, then each joined
-// result's own MAC check. Per-request
-// results and errors are byte-identical to running QueryCtx per request.
+// QueryBatchCtx runs many queries as one coalesced batch walk: one NDP
+// exchange for every sub-request's ciphertext and tag sums, each distinct
+// row's OTP pad generated once and scattered to all requesters, then each
+// joined result's own MAC check. Per-request results and errors are
+// byte-identical to running QueryCtx per request over HonestNDP. The walk
+// records the ndp, pad and verify phases as QueryCtx does: child spans of
+// ctx's span, and opts.Phases when set.
 //
-// A batch-level NDP error — transport trouble, or an NDP that cannot batch
-// — falls back to the request-level worker pool. Cancellation marks the
-// remaining requests with ctx.Err().
+// A batch-level failure — the exchange's, or a cancelled sweep — becomes
+// every planned request's error.
 func (t *Table) QueryBatchCtx(ctx context.Context, ndp NDP, reqs []BatchRequest, opts QueryOptions) []BatchResult {
 	if len(reqs) == 0 {
 		return make([]BatchResult, 0)
@@ -322,6 +330,12 @@ func (t *Table) QueryBatchCtx(ctx context.Context, ndp NDP, reqs []BatchRequest,
 	}
 	if opts.Stats != nil {
 		*opts.Stats = BatchStats{Requests: len(reqs)}
+	}
+	span := telemetry.SpanFromContext(ctx)
+	timed := opts.Phases != nil
+	var times PhaseTimes
+	if timed {
+		defer func() { *opts.Phases = times }()
 	}
 	w := t.PlanBatch(reqs, opts)
 	defer w.Release()
@@ -335,20 +349,33 @@ func (t *Table) QueryBatchCtx(ctx context.Context, ndp NDP, reqs []BatchRequest,
 		// keeps the hand-off: run inline, the exchange and the sweep would
 		// take turns on one core, and a lone caller — a serving drain —
 		// loses the overlap (inlining it read −5 % CPU per lookup but +4 %
-		// verify_overhead_x on serve_rotate over four pairs, 2 vCPUs).
+		// verify_overhead_x on serve_rotate over four pairs, 2 vCPUs). The
+		// exchange runs under the "ndp" span's context, so the cluster's
+		// and the wire's spans nest under it. That phase ends here, when
+		// the answer is seen, and not on the exchange goroutine: ending it
+		// there read +23 % CPU per lookup on serve_rotate (six pairs), the
+		// exchange goroutines' stacks growing far more often.
 		x := exchangePool.Get().(*batchExchange)
-		go x.run(ctx, ndp, t.geo, sub, opts.Verify)
+		xctx, xspan := span.StartChild(ctx, "ndp")
+		xph := startPhase(xspan, timed)
+		go x.run(xctx, ndp, t.geo, sub, opts.Verify)
+		ph := startPhase(span.Child("pad"), timed)
 		w.Sweep(ctx)
+		times.Pad = ph.end(w.sweepErr, telemetry.ErrClassCanceled)
 		<-x.done
 		res, err = x.res, x.err
 		x.res, x.err = nil, nil
 		exchangePool.Put(x)
+		times.NDP = xph.end(err, telemetry.ErrClassTransport)
 	}
-	out, err := w.Join(res, err)
-	if err == nil {
-		return out
+	ph := startPhase(span.Child("verify"), timed)
+	out := w.Join(res, err)
+	var verr error
+	if span != nil && slices.ContainsFunc(out, func(r BatchResult) bool { return r.Err == ErrVerification }) {
+		verr = ErrVerification
 	}
-	return t.QueryBatchFanout(ctx, ndp, reqs, opts)
+	times.Verify = ph.end(verr, telemetry.ErrClassVerify)
+	return out
 }
 
 // batchExchange is QueryBatchCtx's background NDP exchange: its answer
@@ -377,38 +404,4 @@ func runBatchNDP(ctx context.Context, ndp NDP, geo Geometry, reqs []BatchRequest
 		}
 	}()
 	return ndp.WeightedTagSumBatch(ctx, geo, reqs, verify)
-}
-
-// QueryBatchFanout is the per-request batch path, where a batch goes
-// after a batch-level failure: a request-level worker pool over
-// independent QueryCtx calls.
-func (t *Table) QueryBatchFanout(ctx context.Context, ndp NDP, reqs []BatchRequest, opts QueryOptions) []BatchResult {
-	if opts.Stats != nil {
-		opts.Stats.Pipelined = false
-	}
-	out := make([]BatchResult, len(reqs))
-	workers := opts.workerCount(len(reqs))
-	per := opts
-	per.Workers = 1
-	// A shared PhaseTimes across concurrent requests would race; batch
-	// phase breakdowns belong to the per-request spans of the caller.
-	per.Phases = nil
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res, err := t.QueryCtx(ctx, ndp, reqs[i].Idx, reqs[i].Weights, per)
-				out[i] = BatchResult{Res: res, Err: err}
-			}
-		}()
-	}
-	for i := range reqs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"secndp/internal/field"
 	"secndp/internal/memory"
 )
 
@@ -156,7 +155,7 @@ func TestQueryCtxCancelled(t *testing.T) {
 // panickyNDP simulates an NDP crashing mid-query.
 type panickyNDP struct{ HonestNDP }
 
-func (p *panickyNDP) WeightedTagSum(context.Context, Geometry, []int, []uint64, bool) ([]uint64, field.Elem, error) {
+func (p *panickyNDP) WeightedTagSumBatch(context.Context, Geometry, []BatchRequest, bool) ([]NDPBatchResult, error) {
 	panic("transport lost")
 }
 
@@ -176,8 +175,12 @@ func TestQueryCtxRecoversNDPPanic(t *testing.T) {
 // oobNDP returns a result vector of the wrong width.
 type oobNDP struct{ HonestNDP }
 
-func (o *oobNDP) WeightedTagSum(context.Context, Geometry, []int, []uint64, bool) ([]uint64, field.Elem, error) {
-	return make([]uint64, 3), field.Zero, nil
+func (o *oobNDP) WeightedTagSumBatch(_ context.Context, _ Geometry, reqs []BatchRequest, _ bool) ([]NDPBatchResult, error) {
+	res := make([]NDPBatchResult, len(reqs))
+	for i := range res {
+		res[i].Sums = make([]uint64, 3)
+	}
+	return res, nil
 }
 
 func TestQueryCtxRejectsWrongWidthResult(t *testing.T) {

@@ -312,18 +312,23 @@ type maliciousNDP struct {
 	flipTag    bool
 }
 
-func (m *maliciousNDP) WeightedTagSum(ctx context.Context, geo Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
-	res, tag, err := m.HonestNDP.WeightedTagSum(ctx, geo, idx, weights, verify)
+func (m *maliciousNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
+	res, err := m.HonestNDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
 	if err != nil {
-		return nil, field.Zero, err
+		return nil, err
 	}
-	if m.flipResult {
-		res[0] ^= 1
+	for i := range res {
+		if res[i].Err != nil {
+			continue
+		}
+		if m.flipResult {
+			res[i].Sums[0] ^= 1
+		}
+		if m.flipTag {
+			res[i].Tag = field.Add(res[i].Tag, field.One)
+		}
 	}
-	if m.flipTag {
-		tag = field.Add(tag, field.One)
-	}
-	return res, tag, nil
+	return res, nil
 }
 
 func TestVerifyRejectsMaliciousNDPResult(t *testing.T) {

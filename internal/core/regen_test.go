@@ -163,8 +163,8 @@ func TestQueryBatchCtxSharedHotRows(t *testing.T) {
 }
 
 // TestStaleHandleAfterReencryptFailsVerification: a handle on the dead
-// version pairs its pads with the new ciphertext. Through both query
-// shapes, one worker and four, and through the batch pipeline, the MAC
+// version pairs its pads with the new ciphertext. Through every query
+// shape, one worker and four, and through the batch pipeline, the MAC
 // check rejects it; the new handle reproduces the pre-rotation result.
 func TestStaleHandleAfterReencryptFailsVerification(t *testing.T) {
 	s := newTestScheme(t)
@@ -189,13 +189,12 @@ func TestStaleHandleAfterReencryptFailsVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shape := range shapes {
-		ndp := shape.dress(honest)
 		for _, workers := range []int{1, 4} {
 			opts := QueryOptions{Workers: workers, Verify: true}
-			if _, err := stale.QueryCtx(context.Background(), ndp, idx, w, opts); !errors.Is(err, ErrVerification) {
+			if _, err := shape.query(context.Background(), stale, honest, idx, w, opts); !errors.Is(err, ErrVerification) {
 				t.Fatalf("%s workers=%d: stale handle err = %v, want ErrVerification", shape.name, workers, err)
 			}
-			got, err := fresh.QueryCtx(context.Background(), ndp, idx, w, opts)
+			got, err := shape.query(context.Background(), fresh, honest, idx, w, opts)
 			if err != nil {
 				t.Fatalf("%s workers=%d: fresh handle: %v", shape.name, workers, err)
 			}

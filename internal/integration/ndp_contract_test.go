@@ -117,10 +117,6 @@ type downNDP struct{}
 
 var errDown = errors.New("replica down")
 
-func (downNDP) WeightedTagSum(context.Context, core.Geometry, []int, []uint64, bool) ([]uint64, field.Elem, error) {
-	return nil, field.Zero, errDown
-}
-
 func (downNDP) WeightedSumElem(context.Context, core.Geometry, []int, []int, []uint64) (uint64, error) {
 	return 0, errDown
 }
@@ -153,9 +149,9 @@ func contractMirrorCluster(t *testing.T, geo core.Geometry, image *memory.Space)
 	return cnd
 }
 
-// TestNDPContractConformance: for every core.NDP implementation,
-// WeightedTagSum equals a one-request WeightedTagSumBatch, which decrypts
-// to the plaintext sum and whose tag verifies (verify on and off);
+// TestNDPContractConformance: for every core.NDP implementation, a
+// one-request WeightedTagSumBatch decrypts to the plaintext sum and its
+// tag verifies (verify on; verify off answers no tag);
 // WeightedSumElem decrypts to the plaintext element sum or is
 // errors.ErrUnsupported; every method returns the context's error under a
 // pre-cancelled context; and an out-of-range row or column through the
@@ -214,23 +210,17 @@ func TestNDPContractConformance(t *testing.T) {
 		t.Run(impl.name, func(t *testing.T) {
 			nd := impl.nd
 			for _, verify := range []bool{false, true} {
-				sums, tag, err := nd.WeightedTagSum(ctx, geo, idx, w, verify)
-				if err != nil {
-					t.Fatalf("verify=%v: WeightedTagSum: %v", verify, err)
-				}
 				batch, err := nd.WeightedTagSumBatch(ctx, geo, []core.BatchRequest{{Idx: idx, Weights: w}}, verify)
 				if err != nil || len(batch) != 1 || batch[0].Err != nil {
 					t.Fatalf("verify=%v: WeightedTagSumBatch: %v %+v", verify, err, batch)
 				}
-				if !slices.Equal(sums, batch[0].Sums) || !tag.Equal(batch[0].Tag) {
-					t.Fatalf("verify=%v: WeightedTagSum and a one-request batch disagree", verify)
-				}
+				sums, tag := batch[0].Sums, batch[0].Tag
 				if res := tab.Decrypt(sums, eres); !slices.Equal(res, want) {
 					t.Fatalf("verify=%v: decrypted sums diverge from the plaintext", verify)
 				}
 				if !verify {
 					if !tag.Equal(field.Zero) {
-						t.Fatal("unverified WeightedTagSum returned a tag")
+						t.Fatal("unverified WeightedTagSumBatch returned a tag")
 					}
 					continue
 				}
@@ -255,9 +245,6 @@ func TestNDPContractConformance(t *testing.T) {
 				t.Errorf("WeightedSumElem decrypts to %d, want %d", (v+eElem)&0xFFFFFFFF, wantElem)
 			}
 
-			if _, _, err := nd.WeightedTagSum(cancelled, geo, idx, w, true); !errors.Is(err, context.Canceled) {
-				t.Errorf("WeightedTagSum under a cancelled context: %v", err)
-			}
 			if _, err := nd.WeightedSumElem(cancelled, geo, idx, jdx, w); !errors.Is(err, context.Canceled) {
 				t.Errorf("WeightedSumElem under a cancelled context: %v", err)
 			}

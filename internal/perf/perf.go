@@ -10,7 +10,6 @@ package perf
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -64,17 +63,6 @@ func (r Report) WriteJSON(w io.Writer) error {
 }
 
 const benchKey = "0123456789abcdef"
-
-// batchBlindNDP fails an NDP's batch entry point, forcing QueryBatchCtx
-// onto the per-request fan-out — the baseline the coalesced pipeline is
-// measured against.
-type batchBlindNDP struct{ core.NDP }
-
-var errBatchBlind = fmt.Errorf("perf: batch hidden: %w", errors.ErrUnsupported)
-
-func (batchBlindNDP) WeightedTagSumBatch(context.Context, core.Geometry, []core.BatchRequest, bool) ([]core.NDPBatchResult, error) {
-	return nil, errBatchBlind
-}
 
 // suite builds the benchmark list over a shared fixture. Table geometry
 // matches the repository's reference workload: 32-bit elements, 64
@@ -327,13 +315,14 @@ func suite(quick bool) ([]func() (string, testing.BenchmarkResult), error) {
 			}
 		}),
 		bench("core/query_batch_perreq_baseline", batchBytes, func(b *testing.B) {
-			// The same dedup-heavy batch through a batch-blind NDP: one
-			// round trip and one verification per request. The coalesced
+			// The same dedup-heavy batch as one QueryCtx call per request:
+			// one NDP walk and one verification each. The coalesced
 			// pipeline's speedup is this measurement over query_batch_verified.
 			for i := 0; i < b.N; i++ {
-				out := tab.QueryBatchCtx(context.Background(), batchBlindNDP{ndp}, batchShared, batchOpts)
-				if err := core.FirstError(out); err != nil {
-					b.Fatal(err)
+				for _, req := range batchShared {
+					if _, err := tab.QueryCtx(context.Background(), ndp, req.Idx, req.Weights, batchOpts); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		}),

@@ -46,7 +46,7 @@ func TestDeadlineOnHungServer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = client.WeightedTagSum(ctx, geo, []int{0}, []uint64{1}, false)
+	_, _, err = sumOne(ctx, client, geo, []int{0}, []uint64{1}, false)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hung server: got %v, want DeadlineExceeded", err)
 	}
@@ -55,7 +55,7 @@ func TestDeadlineOnHungServer(t *testing.T) {
 	}
 	// The connection is poisoned (stream desynced): later calls fail fast
 	// instead of writing onto a broken stream.
-	if _, _, err := client.WeightedTagSum(context.Background(), geo, []int{0}, []uint64{1}, false); err == nil {
+	if _, _, err := sumOne(context.Background(), client, geo, []int{0}, []uint64{1}, false); err == nil {
 		t.Error("poisoned client accepted a follow-up call")
 	}
 }
@@ -73,7 +73,7 @@ func TestCancelDuringCall(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	if _, _, err := client.WeightedTagSum(ctx, geo, []int{0}, []uint64{1}, false); !errors.Is(err, context.Canceled) {
+	if _, _, err := sumOne(ctx, client, geo, []int{0}, []uint64{1}, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled call: got %v, want Canceled", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestSetCallTimeout(t *testing.T) {
 	client.SetCallTimeout(50 * time.Millisecond)
 	geo := testGeometry(memory.TagNone, 4, 32)
 	start := time.Now()
-	_, _, err = client.WeightedTagSum(context.Background(), geo, []int{0}, []uint64{1}, false)
+	_, _, err = sumOne(context.Background(), client, geo, []int{0}, []uint64{1}, false)
 	if err == nil {
 		t.Fatal("hung server call returned without error")
 	}
@@ -101,12 +101,12 @@ func TestServerRejectsTagSumWithoutTags(t *testing.T) {
 	_, _, addr := startServer(t)
 	client := dial(t, addr)
 	geo := testGeometry(memory.TagNone, 4, 32)
-	_, _, err := client.WeightedTagSum(context.Background(), geo, []int{0}, []uint64{1}, true)
+	_, _, err := sumOne(context.Background(), client, geo, []int{0}, []uint64{1}, true)
 	if err == nil {
-		t.Fatal("TagSum on tag-less geometry accepted")
+		t.Fatal("tag sum on tag-less geometry accepted")
 	}
 	// A server-reported rejection keeps the stream usable.
-	if _, _, err := client.WeightedTagSum(context.Background(), testGeometry(memory.TagSep, 4, 32), []int{0}, []uint64{1}, false); err != nil {
+	if _, _, err := sumOne(context.Background(), client, testGeometry(memory.TagSep, 4, 32), []int{0}, []uint64{1}, false); err != nil {
 		t.Errorf("connection unusable after server-side rejection: %v", err)
 	}
 }
@@ -116,11 +116,11 @@ func TestServerRejectsInvalidGeometry(t *testing.T) {
 	client := dial(t, addr)
 	bad := testGeometry(memory.TagSep, 4, 32)
 	bad.Layout.RowBytes = 100 // not a multiple of the 16-byte cipher block
-	if _, _, err := client.WeightedTagSum(context.Background(), bad, []int{0}, []uint64{1}, false); err == nil {
+	if _, _, err := sumOne(context.Background(), client, bad, []int{0}, []uint64{1}, false); err == nil {
 		t.Fatal("invalid geometry accepted by server")
 	}
 	// Server survives and keeps serving valid requests on the same stream.
-	if _, _, err := client.WeightedTagSum(context.Background(), testGeometry(memory.TagSep, 4, 32), []int{0}, []uint64{1}, false); err != nil {
+	if _, _, err := sumOne(context.Background(), client, testGeometry(memory.TagSep, 4, 32), []int{0}, []uint64{1}, false); err != nil {
 		t.Errorf("server unusable after rejecting bad geometry: %v", err)
 	}
 }

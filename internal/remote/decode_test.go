@@ -25,6 +25,16 @@ func readBatchResponse(r *bufio.Reader, count, m int, verify bool) ([]core.NDPBa
 	return res, nil
 }
 
+// readSumResponse parses a legacy opWeightedSum reply's payload (after
+// the status byte) for a geometry of m columns.
+func readSumResponse(r *bufio.Reader, m int) ([]uint64, error) {
+	res := make([]uint64, m)
+	if err := readSums(r, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // readPackedBatchResponse is readBatchResponse for a packed reply, whose
 // sums are lanes of rg.
 func readPackedBatchResponse(r *bufio.Reader, count, m int, verify bool, rg ring.Ring) ([]core.NDPBatchResult, error) {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"secndp/internal/core"
-	"secndp/internal/field"
 	"secndp/internal/memory"
 	"secndp/internal/telemetry"
 )
@@ -185,22 +184,6 @@ func (rc *ReliableClient) do(ctx context.Context, op string, fn func(context.Con
 		}
 	}
 	return fmt.Errorf("remote: %s: %w after %d attempts: %w", op, ErrRetriesExhausted, rc.retry.MaxAttempts, last)
-}
-
-// WeightedTagSum implements core.NDP with retry, reconnect, and breaker
-// protection. Safe to retry: a pure read over ciphertext and tags.
-func (rc *ReliableClient) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
-	var res []uint64
-	var tag field.Elem
-	err := rc.do(ctx, "WeightedTagSum", func(ctx context.Context, c *Client) error {
-		var err error
-		res, tag, err = c.WeightedTagSum(ctx, geo, idx, weights, verify)
-		return err
-	})
-	if err != nil {
-		return nil, field.Zero, err
-	}
-	return res, tag, nil
 }
 
 // WeightedSumElem implements core.NDP: the wire protocol has no element op

@@ -154,9 +154,9 @@ func TestReliableServerRejectionNotRetried(t *testing.T) {
 	rc := dialReliable(t, addr, ReliableConfig{Retry: fastRetry()})
 	geo := testGeometry(memory.TagNone, 4, 32)
 	before := rc.Stats().Attempts
-	// TagSum on a tag-less geometry: a semantic statusErr rejection.
-	if _, _, err := rc.WeightedTagSum(context.Background(), geo, []int{0}, []uint64{1}, true); err == nil {
-		t.Fatal("tag-less TagSum accepted")
+	// A tag sum on a tag-less geometry: a semantic statusErr rejection.
+	if _, _, err := sumOne(context.Background(), rc, geo, []int{0}, []uint64{1}, true); err == nil {
+		t.Fatal("tag-less tag sum accepted")
 	}
 	if got := rc.Stats().Attempts - before; got != 1 {
 		t.Errorf("semantic rejection consumed %d attempts, want 1", got)

@@ -37,7 +37,9 @@ import (
 	"secndp/internal/telemetry"
 )
 
-// Op codes of the wire protocol.
+// Op codes of the wire protocol. A client sends every whole-row query as
+// opBatch; the server still answers the single-query opWeightedSum and
+// opTagSum for legacy clients.
 const (
 	opWeightedSum byte = 1
 	opTagSum      byte = 2
@@ -595,7 +597,8 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 	}
 	switch op {
 	case opWeightedSum, opTagSum:
-		// Drain the full request first, then validate: statusErr replies to
+		// The single-query ops, kept for legacy clients. Drain the full
+		// request first, then validate: statusErr replies to
 		// a half-read request would leave the stream out of sync. Transport
 		// and framing errors (including oversized queries, whose payload is
 		// not worth draining) drop the connection instead.
@@ -988,19 +991,9 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// readSumResponse parses a WeightedSum reply's payload (after the status
-// byte) for a geometry of m columns.
-func readSumResponse(r *bufio.Reader, m int) ([]uint64, error) {
-	res := make([]uint64, m)
-	if err := readSums(r, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// readTagResponse parses a TagSum reply's payload: one 16-byte field
-// element, decoded in place from the reader's buffer. A short read fails
-// as io.ReadFull would: io.EOF with no bytes, io.ErrUnexpectedEOF with some.
+// readTagResponse parses a tag sum: one 16-byte field element, decoded in
+// place from the reader's buffer. A short read fails as io.ReadFull
+// would: io.EOF with no bytes, io.ErrUnexpectedEOF with some.
 func readTagResponse(r *bufio.Reader) (field.Elem, error) {
 	const n = 16
 	b, err := r.Peek(n)
@@ -1051,22 +1044,14 @@ func (c *Client) ensureCapsLocked() error {
 	return nil
 }
 
-// traceFrameLocked resets the request marshal buffer and, when ctx
-// carries an active trace span AND the server has advertised capTrace,
-// seeds it with the opTraceCtx prefix (op byte + big-endian trace ID +
-// parent span ID). Untraced calls — and every call to a legacy server —
-// produce a frame starting at the operation byte, byte-identical to the
-// pre-trace protocol. The first traced call on a fresh connection runs
-// the capability probe inline (one extra round trip, then cached); the
-// error is the probe's (see ensureCapsLocked).
-// Caller holds c.mu with the connection armed.
-func (c *Client) traceFrameLocked(ctx context.Context) ([]byte, error) {
-	return c.appendTraceLocked(c.frame[:0], ctx)
-}
-
-// appendTraceLocked appends ctx's opTraceCtx prefix to f under the same
-// rules as traceFrameLocked: nothing for an untraced ctx or a server
-// without capTrace. Caller holds c.mu with the connection armed.
+// appendTraceLocked appends ctx's opTraceCtx prefix to f (op byte +
+// big-endian trace ID + parent span ID) when ctx carries an active trace
+// span AND the server has advertised capTrace. Untraced calls — and every
+// call to a legacy server — append nothing, so the frame starts at the
+// operation byte, byte-identical to the pre-trace protocol. The first
+// traced call on a fresh connection runs the capability probe inline (one
+// extra round trip, then cached); the error is the probe's (see
+// ensureCapsLocked). Caller holds c.mu with the connection armed.
 func (c *Client) appendTraceLocked(f []byte, ctx context.Context) ([]byte, error) {
 	span := telemetry.SpanFromContext(ctx)
 	if span == nil {
@@ -1082,65 +1067,6 @@ func (c *Client) appendTraceLocked(f []byte, ctx context.Context) ([]byte, error
 	f = binary.BigEndian.AppendUint64(f, uint64(span.Trace()))
 	f = binary.BigEndian.AppendUint64(f, uint64(span.ID()))
 	return f, nil
-}
-
-// sendFrame writes the gathered request frame, flushes, and consumes the
-// response status — the zero-copy counterpart of roundTrip. Caller holds
-// c.mu and has marshaled the request into c.frame.
-func (c *Client) sendFrame() error {
-	if _, err := c.w.Write(c.frame); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	return readStatus(c.r)
-}
-
-// WeightedTagSum implements core.NDP over the wire: the opWeightedSum
-// exchange and, with verify, the opTagSum exchange after it, under one
-// armed deadline.
-func (c *Client) WeightedTagSum(ctx context.Context, geo core.Geometry, idx []int, weights []uint64, verify bool) ([]uint64, field.Elem, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	done, err := c.arm(ctx)
-	if err != nil {
-		return nil, field.Zero, err
-	}
-	defer done()
-	res, err := c.weightedSumLocked(ctx, geo, idx, weights)
-	tag := field.Zero
-	if err == nil && verify {
-		tag, err = c.tagSumLocked(ctx, geo, idx, weights)
-	}
-	if err = c.finish(ctx, err); err != nil {
-		return nil, field.Zero, err
-	}
-	return res, tag, nil
-}
-
-func (c *Client) weightedSumLocked(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) ([]uint64, error) {
-	f, err := c.traceFrameLocked(ctx)
-	if err != nil {
-		return nil, err
-	}
-	c.frame = appendQuery(appendGeometry(append(f, opWeightedSum), geo), idx, weights)
-	if err := c.sendFrame(); err != nil {
-		return nil, err
-	}
-	return readSumResponse(c.r, geo.Params.M)
-}
-
-func (c *Client) tagSumLocked(ctx context.Context, geo core.Geometry, idx []int, weights []uint64) (field.Elem, error) {
-	f, err := c.traceFrameLocked(ctx)
-	if err != nil {
-		return field.Zero, err
-	}
-	c.frame = appendQuery(appendGeometry(append(f, opTagSum), geo), idx, weights)
-	if err := c.sendFrame(); err != nil {
-		return field.Zero, err
-	}
-	return readTagResponse(c.r)
 }
 
 // The operations a connection cannot carry. errNoElemOp is WeightedSumElem's

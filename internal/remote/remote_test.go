@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"secndp/internal/core"
+	"secndp/internal/field"
 	"secndp/internal/memory"
 )
 
@@ -33,6 +34,20 @@ func dial(t *testing.T, addr string) *Client {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// sumOne is one whole-row query over n, sent as what every query is on the
+// wire, a batch of one: its sums and tag, or the batch's or the request's
+// error.
+func sumOne(ctx context.Context, n core.NDP, geo core.Geometry, idx []int, w []uint64, verify bool) ([]uint64, field.Elem, error) {
+	res, err := n.WeightedTagSumBatch(ctx, geo, []core.BatchRequest{{Idx: idx, Weights: w}}, verify)
+	if err != nil {
+		return nil, field.Zero, err
+	}
+	if res[0].Err != nil {
+		return nil, field.Zero, res[0].Err
+	}
+	return res[0].Sums, res[0].Tag, nil
 }
 
 func testGeometry(placement memory.TagPlacement, n, m int) core.Geometry {
@@ -201,7 +216,7 @@ func TestRemoteServerRejectsBadQueries(t *testing.T) {
 	client := dial(t, addr)
 	geo := testGeometry(memory.TagNone, 4, 32)
 	var se *serverError
-	if res, _, err := client.WeightedTagSum(context.Background(), geo, []int{99}, []uint64{1}, false); !errors.As(err, &se) || res != nil {
+	if res, _, err := sumOne(context.Background(), client, geo, []int{99}, []uint64{1}, false); !errors.As(err, &se) || res != nil {
 		t.Fatalf("out-of-range remote query returned %v, %v; want a server error", res, err)
 	}
 	// A server-reported rejection keeps the stream usable.

@@ -30,11 +30,12 @@ func tracedCtx(t *testing.T) (context.Context, *telemetry.ActiveSpan) {
 	return ctx, span
 }
 
-// traceFrame is traceFrameLocked on a client whose capabilities are
-// already cached, where the probe cannot run and so cannot fail.
+// traceFrame is appendTraceLocked into an empty frame on a client whose
+// capabilities are already cached, where the probe cannot run and so
+// cannot fail.
 func traceFrame(t *testing.T, c *Client, ctx context.Context) []byte {
 	t.Helper()
-	f, err := c.traceFrameLocked(ctx)
+	f, err := c.appendTraceLocked(nil, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +79,14 @@ func TestTraceFramePrefixLayout(t *testing.T) {
 	if got := telemetry.SpanID(binary.BigEndian.Uint64(f[9:17])); got != span.ID() {
 		t.Fatalf("prefix parent span %s, want %s", got, span.ID())
 	}
-	// The prefixed frame is the legacy frame with the prefix prepended:
+	// The prefixed frame is the untraced frame with the prefix prepended:
 	// stripping it restores byte identity.
 	geo := testGeometry(memory.TagSep, 8, 4)
-	idx, w := []int{1, 2}, []uint64{3, 4}
-	c.frame = appendQuery(appendGeometry(append(traceFrame(t, c, ctx), opWeightedSum), geo), idx, w)
-	legacy := appendQuery(appendGeometry([]byte{opWeightedSum}, geo), idx, w)
-	if !bytes.Equal(c.frame[1+traceCtxLen:], legacy) {
-		t.Fatal("traced frame body differs from the legacy frame")
+	reqs := []core.BatchRequest{{Idx: []int{1, 2}, Weights: []uint64{3, 4}}}
+	traced := appendBatchRequest(append(traceFrame(t, c, ctx), opBatch), geo, reqs, batchFlagVerify)
+	plain := appendBatchRequest([]byte{opBatch}, geo, reqs, batchFlagVerify)
+	if !bytes.Equal(traced[1+traceCtxLen:], plain) {
+		t.Fatal("traced frame body differs from the untraced frame")
 	}
 }
 
@@ -136,7 +137,9 @@ func TestTraceMixedLegacyServerQueryVerifies(t *testing.T) {
 
 func TestTraceServerRecordsRemoteSpans(t *testing.T) {
 	// Full propagation: the server's registry receives child spans for
-	// the client's trace, stitched under the client's span IDs.
+	// the client's trace, stitched under the client's span IDs. A single
+	// query rides the batch op, so the server span is server_batch, a
+	// child of the client's "ndp" phase span.
 	srv := NewServer(memory.NewSpace())
 	serverReg := telemetry.NewRegistry()
 	srv.Instrument(serverReg) // before Listen, per its contract
@@ -159,11 +162,25 @@ func TestTraceServerRecordsRemoteSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, span := tracedCtx(t)
+	reg := telemetry.NewRegistry()
+	ctx, span := reg.StartSpan(context.Background(), "test")
 	if _, err := tab.QueryCtx(ctx, client, []int{1, 3}, []uint64{2, 2}, core.QueryOptions{Verify: true}); err != nil {
 		t.Fatal(err)
 	}
 	span.End()
+	ctree, ok := reg.TraceTree(span.Trace())
+	if !ok {
+		t.Fatal("client registry holds no tree for its own trace")
+	}
+	var ndpSpan telemetry.SpanID
+	for _, s := range ctree.Spans {
+		if s.Op == "ndp" && s.Parent == span.ID() {
+			ndpSpan = s.ID
+		}
+	}
+	if ndpSpan == 0 {
+		t.Fatal("client trace has no ndp phase span under the root")
+	}
 
 	// The server finishes its spans after the reply is on the wire; poll
 	// briefly for the tree to land in its registry.
@@ -180,11 +197,10 @@ func TestTraceServerRecordsRemoteSpans(t *testing.T) {
 				}
 				switch s.Op {
 				case "server_weighted_sum", "server_tag_sum":
-					// The wire parent is the client's "ndp" phase span (a
-					// child of our root), so it must be set but is not the
-					// root's own ID.
-					if s.Parent == 0 {
-						t.Fatalf("span %q has no parent link", s.Op)
+					t.Fatalf("a single query reached the server as the legacy op %q", s.Op)
+				case "server_batch":
+					if s.Parent != ndpSpan {
+						t.Fatalf("server_batch parent %s, want the client's ndp span %s", s.Parent, ndpSpan)
 					}
 					haveSum = true
 				case "decode":

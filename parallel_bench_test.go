@@ -76,13 +76,51 @@ func BenchmarkQueryCtxParallel8(b *testing.B) {
 	}
 }
 
-// BenchmarkFacadeQuery exercises the public entry point end to end.
+// BenchmarkFacadeQuery exercises the public entry point end to end: one
+// verified 80-row query on a 1 024 × 32 LocalBackend table.
 func BenchmarkFacadeQuery(b *testing.B) {
+	benchFacadeQuery(b, func(*testing.B) Backend { return LocalBackend(NewMemory()) })
+}
+
+// BenchmarkFacadeQueryRemote is BenchmarkFacadeQuery over one loopback
+// server.
+func BenchmarkFacadeQueryRemote(b *testing.B) {
+	benchFacadeQuery(b, func(b *testing.B) Backend {
+		client, err := DialNDP(context.Background(), benchServer(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { client.Close() })
+		return RemoteBackend(client)
+	})
+}
+
+// BenchmarkFacadeQueryCluster is BenchmarkFacadeQuery over two loopback
+// shards.
+func BenchmarkFacadeQueryCluster(b *testing.B) {
+	benchFacadeQuery(b, func(b *testing.B) Backend {
+		return ClusterBackend(ShardSpec{Addr: benchServer(b)}, ShardSpec{Addr: benchServer(b)})
+	})
+}
+
+// benchServer starts a loopback NDP server for the benchmark's lifetime.
+func benchServer(b *testing.B) string {
+	srv := NewServer(NewMemory())
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	return addr
+}
+
+// benchFacadeQuery runs one verified 80-row Table.Query per op on a
+// 1 024 × 32 table over the backend mk returns.
+func benchFacadeQuery(b *testing.B, mk func(*testing.B) Backend) {
 	eng, err := New(benchKey, WithParallelism(8))
 	if err != nil {
 		b.Fatal(err)
 	}
-	mem := NewMemory()
 	rng := rand.New(rand.NewSource(45))
 	rows := make([][]uint64, 1024)
 	for i := range rows {
@@ -91,10 +129,11 @@ func BenchmarkFacadeQuery(b *testing.B) {
 			rows[i][j] = rng.Uint64() % (1 << 16)
 		}
 	}
-	tab, err := eng.CreateTable(context.Background(), LocalBackend(mem), TableSpec{Rows: 1024, Cols: 32}, rows)
+	tab, err := eng.CreateTable(context.Background(), mk(b), TableSpec{Rows: 1024, Cols: 32}, rows)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer tab.Close()
 	idx := make([]int, 80)
 	w := make([]uint64, 80)
 	for k := range idx {
@@ -103,10 +142,11 @@ func BenchmarkFacadeQuery(b *testing.B) {
 	}
 	req := Request{Idx: idx, Weights: w}
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tab.Query(ctx, req); err != nil {
-			b.Fatal(err)
+		if res, err := tab.Query(ctx, req); err != nil || !res.Verified {
+			b.Fatalf("query: verified=%v err=%v", res.Verified, err)
 		}
 	}
 }

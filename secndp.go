@@ -730,8 +730,10 @@ func (t *Table) queryElem(ctx context.Context, req Request) (Result, error) {
 // row's OTP pad is generated once and shared across requests, and every
 // joined result gets its own MAC check, so per-request errors are unchanged.
 // Requests that cannot coalesce (element-indexed, or mixed verification
-// settings) run through the per-request worker pool instead; so does a
-// batch the NDP fails as a whole. It is QueryBatches' one-table case.
+// settings) run through the per-request worker pool instead. A batch the
+// NDP fails as a whole fails each of its requests, which the TEE mirror
+// (WithFallback) then serves one by one. It is QueryBatches' one-table
+// case.
 //
 // The results align with the requests; the error aggregates every
 // per-request failure (annotated with its index), so
@@ -762,8 +764,8 @@ type TableBatch struct {
 // other table runs its batch beside them, as Table.QueryBatch alone
 // would. Each table's answers are joined and verified as
 // Table.QueryBatch's are, with the same fallbacks; a table whose exchange
-// failed as a whole re-runs per request without touching the others. The
-// tables may belong to different engines; none may be nil.
+// failed as a whole fails its own requests without touching the others.
+// The tables may belong to different engines; none may be nil.
 func QueryBatches(ctx context.Context, batches []TableBatch) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -828,9 +830,7 @@ func QueryBatches(ctx context.Context, batches []TableBatch) {
 			if j.part >= 0 {
 				res, err = parts[j.part].Res, parts[j.part].Err
 			}
-			if j.bres, err = j.walk.Join(res, err); err != nil {
-				j.bres = j.st.tab.QueryBatchFanout(j.qctx, j.st.ndp, j.creqs, j.opts)
-			}
+			j.bres = j.walk.Join(res, err)
 			j.walk.Release()
 			fallthrough
 		case batchSolo:

@@ -59,7 +59,9 @@ type Timing struct {
 	// NDP is the untrusted half's round trip: ciphertext sums (plus tag
 	// sums when verifying) and, for remote tables, the transport.
 	NDP time.Duration
-	// Tag is the tag-pad field dot (Algorithm 5's trusted side).
+	// Tag is the tag-pad field dot (Algorithm 5's trusted side). Zero on
+	// remote and cluster tables, whose queries run as a batch of one and
+	// fold the tag pads into the Pad sweep.
 	Tag time.Duration
 	// Verify is the join: share addition (decrypt), checksum recompute,
 	// and the encrypted-MAC compare.
