@@ -70,16 +70,21 @@ serve-check:
 # tests that pin its allocation budgets (the cluster batch's, and a local
 # batch's), its answers under concurrent callers and the engine's shared
 # transports. The budgets themselves hold only without -race (see
-# race_test.go), so they also run once plainly. Last, the seed corpus of the trusted
-# side's oracle: pipelined batches equal per-request QueryCtx over the
-# in-process NDP across the sizes where the pad walk fans out over workers.
+# race_test.go), so they also run once plainly. Last, the trusted side: the
+# seed corpus of its oracle (pipelined batches equal per-request QueryCtx
+# over the in-process NDP across the sizes where the pad walk fans out over
+# workers), both shapes of the in-process batch walk around the planner's
+# threshold (TestBatchPlannerBoundaryEquivalence: inline exchange below it,
+# overlapped at and above it), and one iteration each of the Local unit-row
+# batch benchmarks, the shape of a serving drain.
 batch-check:
 	$(GO) vet ./internal/cluster ./internal/remote ./internal/integration
 	$(GO) test -race -count=2 ./internal/cluster/... ./internal/remote/...
 	$(GO) test -race -count=2 -run 'TestBatch' ./internal/integration
 	$(GO) test -run 'TestBatchCluster|TestSharedTransport' -race .
 	$(GO) test -run 'TestBatchClusterAllocBudget|TestBatchLocalAllocBudget' -count=1 .
-	$(GO) test -run '^FuzzBatchMatchesQueryCtx$$' -count=1 ./internal/core
+	$(GO) test -run '^FuzzBatchMatchesQueryCtx$$|^TestBatchPlannerBoundaryEquivalence$$' -count=1 ./internal/core
+	$(GO) test -run '^$$' -bench 'FacadeQueryBatchUnitLocal' -benchtime 1x .
 
 # The write path's gate: vet, then the encrypt, re-encrypt and sharding
 # tests twice under the race detector (shards of one table encrypting

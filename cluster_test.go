@@ -382,3 +382,45 @@ func assertCounter(t *testing.T, reg *Telemetry, name string, min uint64) {
 	}
 	t.Fatalf("counter %s not in snapshot", name)
 }
+
+// TestClusterBatchDeadShardFailsOnlyItsRequests: no WithFallback, one of
+// two single-replica shards closed. A batch request whose rows all live
+// on the live shard still answers exactly and Verified; one with a row on
+// the dead shard fails with the transport's error, naming the shard, and
+// is not Verified.
+func TestClusterBatchDeadShardFailsOnlyItsRequests(t *testing.T) {
+	h := newClusterHarness(t, 2, 160, nil)
+	h.srvs[1].Close() // shard 1: rows 32..63 under range sharding
+	reqs := []Request{
+		{Idx: []int{1, 17, 30}, Weights: []uint64{1, 2, 3}}, // shard 0 only
+		{Idx: []int{5, 40}, Weights: []uint64{4, 5}},        // shards 0 and 1
+		{Idx: []int{33}, Weights: []uint64{6}},              // shard 1 only
+		{Idx: []int{31, 0}, Weights: []uint64{7, 8}},        // shard 0 only
+	}
+	out, err := h.tab.QueryBatch(context.Background(), reqs)
+	if err == nil {
+		t.Fatal("batch through a dead, mirrorless shard succeeded")
+	}
+	for _, i := range []int{0, 3} {
+		if !out[i].Verified || out[i].Degraded {
+			t.Fatalf("request %d on the live shard: Verified=%v Degraded=%v (batch error: %v)", i, out[i].Verified, out[i].Degraded, err)
+		}
+		h.checkValues(t, out[i], reqs[i].Idx, reqs[i].Weights)
+	}
+	for _, i := range []int{1, 2} {
+		if out[i].Verified || out[i].Values != nil {
+			t.Fatalf("request %d on the dead shard: Verified=%v Values=%v", i, out[i].Verified, out[i].Values)
+		}
+	}
+	if !errors.Is(err, ErrRetriesExhausted) && !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("batch error is not the transport's: %v", err)
+	}
+	for _, frag := range []string{"request 1", "request 2", "shard 1"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("batch error lacks %q: %v", frag, err)
+		}
+	}
+	if strings.Contains(err.Error(), "request 0") || strings.Contains(err.Error(), "request 3") {
+		t.Errorf("batch error names a request on the live shard: %v", err)
+	}
+}

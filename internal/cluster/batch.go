@@ -343,6 +343,9 @@ func (b *Batches) finishCluster(i int) {
 		n.noteGather()
 	} else {
 		res := make([][]core.NDPBatchResult, len(failed))
+		// errs[k]: nil once shard k answered (a mirror fill counts);
+		// otherwise its replicas' error, which a failed fill keeps.
+		errs := make([]error, len(failed))
 		err := n.scatter(cp.ctx, top, "batch", len(failed), func(k int) int { return cp.subs[failed[k]].Shard },
 			func(ctx context.Context, k int, nd core.NDP) (err error) {
 				si := failed[k]
@@ -351,13 +354,26 @@ func (b *Batches) finishCluster(i int) {
 				} else {
 					res[k], err = nd.WeightedTagSumBatch(ctx, p.Geo, cp.subs[si].Reqs, p.Verify)
 				}
+				if err == nil || errs[k] == nil {
+					errs[k] = err
+				}
 				return err
 			})
-		if err != nil {
+		if err != nil && ctxEnded(cp.ctx) {
 			p.Err = err
 		} else {
+			// A shard left failed — no mirror, or its fill failed — fails
+			// only the requests with a row on it, with its replica group's
+			// error (which names the shard); the others keep their folded
+			// answers.
 			for k, si := range failed {
-				cp.fold(p, si, res[k])
+				if errs[k] == nil {
+					cp.fold(p, si, res[k])
+					continue
+				}
+				for _, oi := range cp.subs[si].Origin {
+					p.Res[oi] = core.NDPBatchResult{Err: errs[k]}
+				}
 			}
 		}
 	}
@@ -374,6 +390,17 @@ func (b *Batches) finishCluster(i int) {
 	if p.Err != nil {
 		p.Res = nil
 	}
+}
+
+// ctxEnded reports whether ctx has ended: done, or past its deadline. A
+// transport's socket deadline mirrors the context's and can fire a beat
+// before ctx.Err() flips, failing a shard with the deadline's error.
+func ctxEnded(ctx context.Context) bool {
+	if ctx.Err() != nil {
+		return true
+	}
+	dl, ok := ctx.Deadline()
+	return ok && !time.Now().Before(dl)
 }
 
 // Close ends the exchange's life: it abandons whatever a panic left
@@ -427,9 +454,11 @@ func (b *Batches) abort() {
 // request's answer is the ring/field sum of its per-shard partials. A
 // request whose rows all live on exhausted shards is filled from the
 // mirror like any other partial; a request referencing no rows answers
-// the empty sum (zero). A returned error is batch-level — a shard failed
-// with no mirror to fill from — and decides nothing: the core walk puts it
-// on every request of the batch.
+// the empty sum (zero). A shard that fails with no mirror to fill from
+// fails only the requests with a row on it, each with the shard's error.
+// A returned error is batch-level — a bad geometry, or the context
+// ended — and decides nothing: the core walk puts it on every request of
+// the batch.
 func (n *NDP) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	parts := [1]BatchPart{{Ctx: ctx, NDP: n, Geo: geo, Reqs: reqs, Verify: verify}}
 	b := StartBatches(parts[:])

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -364,7 +365,8 @@ func TestMirrorFill(t *testing.T) {
 }
 
 // TestMirrorFillBatch kills one shard mid-batch and checks the filled
-// batch equals the single-NDP batch, with the flag set.
+// batch equals the single-NDP batch, with the flag set; without a mirror,
+// only the requests with a row on the dead shard fail.
 func TestMirrorFillBatch(t *testing.T) {
 	fx := buildFixture(t, 4, RangeSharding, memory.TagSep)
 	fx.shards[1] = failNDP{}
@@ -401,10 +403,24 @@ func TestMirrorFillBatch(t *testing.T) {
 		t.Fatalf("filled shards: %v, want [1]", filled)
 	}
 
-	// Batch-level failure without a mirror.
+	// Without a mirror the dead shard fails only the requests with a row
+	// on it, each with the shard's error; the others keep their answers.
 	bare, _ := New(fx.smap, fx.shards, Options{})
-	if _, err := bare.WeightedTagSumBatch(context.Background(), fx.geo, reqs, true); err == nil {
-		t.Fatal("mirrorless batch gather succeeded with a dead shard")
+	reqs = append(reqs, core.BatchRequest{Idx: []int{0, 40, 63}, Weights: []uint64{1, 2, 3}})
+	if want, err = single.WeightedTagSumBatch(context.Background(), fx.geo, reqs, true); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = bare.WeightedTagSumBatch(context.Background(), fx.geo, reqs, true); err != nil {
+		t.Fatalf("mirrorless batch gather failed as a whole: %v", err)
+	}
+	for i := range reqs {
+		dead := slices.ContainsFunc(reqs[i].Idx, func(row int) bool { return fx.smap.Shard(row) == 1 })
+		if dead && !errors.Is(got[i].Err, errFailNDP) {
+			t.Fatalf("request %d reads the dead shard: got %v", i, got[i].Err)
+		}
+		if !dead && (got[i].Err != nil || !slices.Equal(got[i].Sums, want[i].Sums) || got[i].Tag != want[i].Tag) {
+			t.Fatalf("request %d avoids the dead shard: err %v, or its answer differs", i, got[i].Err)
+		}
 	}
 }
 

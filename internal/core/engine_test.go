@@ -10,6 +10,7 @@ import (
 
 	"secndp/internal/field"
 	"secndp/internal/memory"
+	"secndp/internal/telemetry"
 )
 
 // This file holds the engine's test-only serial reference and the tests
@@ -175,6 +176,178 @@ func TestPlannerBoundaryEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// boundaryBatch is a Local batch of 8 requests over exactly the given
+// distinct rows, dealt out in order, each request repeating its first row
+// and borrowing its predecessor's last: in-request and cross-request
+// duplicates that leave the distinct count unchanged.
+func boundaryBatch(rng *rand.Rand, rows []int) []BatchRequest {
+	const n = 8
+	reqs := make([]BatchRequest, n)
+	chunk := (len(rows) + n - 1) / n
+	for r := range reqs {
+		idx := slices.Clone(rows[r*chunk : min((r+1)*chunk, len(rows))])
+		idx = append(idx, idx[0])
+		if r > 0 {
+			idx = append(idx, rows[r*chunk-1])
+		}
+		w := make([]uint64, len(idx))
+		for k := range w {
+			w[k] = 1 + rng.Uint64()%4
+		}
+		reqs[r] = BatchRequest{Idx: idx, Weights: w}
+	}
+	return reqs
+}
+
+// TestBatchPlannerBoundaryEquivalence: QueryBatchCtx over the in-process
+// NDP plans its shape on the batch's distinct rows, as QueryCtx plans on
+// its rows — inline below inlinePadBytes (512 rows of 256 B), overlapped
+// from there — and both shapes equal per-request referenceQuery byte for
+// byte for every tag placement, verified and unverified, one worker and
+// four. The inputs straddle the threshold (511, 512, 513 distinct rows),
+// and 2 048 references over 300 rows run inline although as one query
+// they would overlap. On both shapes a tampered row fails exactly the
+// requests that read it, a context cancelled beforehand fails every
+// request with ctx.Err(), and a traced walk records its ndp, pad and
+// verify spans and phases: on the inline shape the exchange ends before
+// the sweep starts, on the overlapped one it ends after the sweep does.
+func TestBatchPlannerBoundaryEquivalence(t *testing.T) {
+	const numRows = 600
+	placements := map[string]memory.TagPlacement{
+		"none": memory.TagNone, "coloc": memory.TagColoc, "sep": memory.TagSep, "ecc": memory.TagECC,
+	}
+	for name, pl := range placements {
+		t.Run(name, func(t *testing.T) {
+			// 64 columns of 32 bits: 256 B rows; small elements and
+			// weights keep every sum under 2^32.
+			s := newTestScheme(t)
+			mem := memory.NewSpace()
+			geo := mkGeometry(pl, numRows, 64, 32)
+			rng := rand.New(rand.NewSource(90))
+			tab, err := s.EncryptTable(mem, geo, 1, boundedRows(rng, numRows, 64, 1<<8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest := &HonestNDP{Mem: mem}
+			inputs := map[string][]BatchRequest{}
+			for _, n := range []int{511, 512, 513} {
+				inputs[fmt.Sprintf("%d distinct", n)] = boundaryBatch(rng, rng.Perm(numRows)[:n])
+			}
+			refs := make([]int, 2048)
+			for k := range refs {
+				refs[k] = rng.Intn(300)
+			}
+			wide := boundaryBatch(rng, refs)
+			inputs["2048 refs"] = wide
+			for in, reqs := range inputs {
+				distinct := map[int]bool{}
+				for _, r := range reqs {
+					for _, i := range r.Idx {
+						distinct[i] = true
+					}
+				}
+				overlap := len(distinct) >= 512
+				if got := tab.overlapped(len(distinct)); got != overlap {
+					t.Fatalf("%s: planner overlapped=%v, want %v", in, got, overlap)
+				}
+				for _, verify := range []bool{false, true} {
+					if verify && pl == memory.TagNone {
+						continue
+					}
+					want := make([][]uint64, len(reqs))
+					for r := range reqs {
+						if want[r], err = referenceQuery(tab, honest, reqs[r].Idx, reqs[r].Weights, verify); err != nil {
+							t.Fatalf("%s verify=%v: reference %d: %v", in, verify, r, err)
+						}
+					}
+					for _, workers := range []int{1, 4} {
+						var stats BatchStats
+						opts := QueryOptions{Workers: workers, Verify: verify, Stats: &stats}
+						for r, res := range tab.QueryBatchCtx(context.Background(), honest, reqs, opts) {
+							if res.Err != nil || !slices.Equal(res.Res, want[r]) {
+								t.Fatalf("%s verify=%v workers=%d: request %d diverges from reference (err %v)", in, verify, workers, r, res.Err)
+							}
+						}
+						if stats.DistinctRows != len(distinct) {
+							t.Fatalf("%s: planned %d distinct rows, want %d", in, stats.DistinctRows, len(distinct))
+						}
+					}
+				}
+				if pl == memory.TagNone {
+					continue
+				}
+				opts := QueryOptions{Verify: true}
+				checkBatchShapeSpans(t, tab, honest, reqs, overlap, in)
+
+				// Tamper with a row of request 3 that no other request reads.
+				row := reqs[3].Idx[1]
+				mem.FlipBit(geo.Layout.RowAddr(row), 2)
+				for r, res := range tab.QueryBatchCtx(context.Background(), honest, reqs, opts) {
+					reads := slices.Contains(reqs[r].Idx, row)
+					if reads && !errors.Is(res.Err, ErrVerification) {
+						t.Fatalf("%s: request %d reads tampered row %d: got %v, want ErrVerification", in, r, row, res.Err)
+					}
+					if !reads && res.Err != nil {
+						t.Fatalf("%s: request %d does not read tampered row %d: %v", in, r, row, res.Err)
+					}
+				}
+				mem.FlipBit(geo.Layout.RowAddr(row), 2)
+
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				for r, res := range tab.QueryBatchCtx(ctx, honest, reqs, opts) {
+					if !errors.Is(res.Err, context.Canceled) || res.Res != nil {
+						t.Fatalf("%s: request %d under a cancelled context: got %v", in, r, res.Err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkBatchShapeSpans runs one traced, timed, verified batch and checks
+// it recorded the ndp, pad and verify spans and the NDP and Pad phases,
+// in the order of the planned shape: the exchange ends before the sweep
+// starts when inline, and after the sweep ends when overlapped.
+func checkBatchShapeSpans(t *testing.T, tab *Table, ndp NDP, reqs []BatchRequest, overlap bool, in string) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	ctx, root := reg.StartSpan(context.Background(), "query_batch")
+	var ph PhaseTimes
+	for r, res := range tab.QueryBatchCtx(ctx, ndp, reqs, QueryOptions{Verify: true, Phases: &ph}) {
+		if res.Err != nil {
+			t.Fatalf("%s: traced request %d: %v", in, r, res.Err)
+		}
+	}
+	root.End()
+	tree, ok := reg.TraceTree(root.Trace())
+	if !ok {
+		t.Fatalf("%s: trace not recorded", in)
+	}
+	spans := map[string]telemetry.TraceSpan{}
+	for _, sp := range tree.Spans {
+		if sp.Parent == root.ID() {
+			spans[sp.Op] = sp
+		}
+	}
+	for _, op := range []string{"ndp", "pad", "verify"} {
+		if _, ok := spans[op]; !ok {
+			t.Fatalf("%s: no %s span under the root (overlapped=%v)", in, op, overlap)
+		}
+	}
+	if ph.NDP <= 0 || ph.Pad <= 0 {
+		t.Fatalf("%s: phases NDP=%v Pad=%v, want both set", in, ph.NDP, ph.Pad)
+	}
+	nd, pad := spans["ndp"], spans["pad"]
+	ndpEnd, padEnd := nd.Start.Add(nd.Dur), pad.Start.Add(pad.Dur)
+	if inline := !ndpEnd.After(pad.Start); !overlap && !inline {
+		t.Fatalf("%s: inline shape, but the exchange ended after the sweep began", in)
+	}
+	if overlap && ndpEnd.Before(padEnd) {
+		t.Fatalf("%s: overlapped shape, but the exchange ended before the sweep", in)
 	}
 }
 

@@ -16,13 +16,14 @@ import (
 
 // This file is the query engine: QueryCtx, which joins an NDP answer with
 // an OTP share and checks the MAC, and QueryBatchCtx, the batch walk. The
-// stages are always the same — NDP exchange, OTP walk, tag dot, join. A
-// query over the in-process HonestNDP runs them either inline on the
-// caller's goroutine or overlapped, the software counterpart of the
-// paper's OTP engines running ahead of the NDP response (§V-C2): the
-// exchange in the background while the walk is sharded across a worker
-// pool. A query over any other NDP is a batch of one, so a transport has
-// one whole-row operation, WeightedTagSumBatch.
+// stages are always the same — NDP exchange, OTP walk, tag dot, join. Both
+// engines run them either inline on the caller's goroutine or overlapped,
+// the software counterpart of the paper's OTP engines running ahead of the
+// NDP response (§V-C2): the exchange in the background while the walk runs
+// (sharded across a worker pool). One planner, overlapped, picks the shape;
+// only a short walk over the in-process HonestNDP runs inline. A query
+// over any other NDP is a batch of one, so a transport has one whole-row
+// operation, WeightedTagSumBatch.
 
 // QueryOptions tunes one query or batch through the engine. The zero value
 // selects GOMAXPROCS workers and no verification.
@@ -36,10 +37,10 @@ type QueryOptions struct {
 	Verify bool
 	// Phases, when non-nil, receives the query's (or batch's) per-phase
 	// wall-clock breakdown. An inline query runs its phases back to back;
-	// on an overlapped one or a batch walk the NDP round trip runs
-	// concurrently with the pad walk, so there the phases do not sum to
-	// the total latency. A batch walk draws its tag pads in the pad sweep,
-	// so its Tag stays zero.
+	// on an overlapped one the NDP round trip runs concurrently with the
+	// pad walk, so there the phases do not sum to the total latency. A
+	// batch walk draws its tag pads in the pad sweep, so its Tag stays
+	// zero.
 	Phases *PhaseTimes
 	// Stats, when non-nil, receives batch-coalescing counters from
 	// QueryBatchCtx (ignored by single-query entry points).
@@ -74,9 +75,9 @@ func (o QueryOptions) workerCount(items int) int {
 // cancellation checks.
 const ctxCheckStride = 64
 
-// inlinePadBytes is the planner's one constant: a query over the
-// in-process NDP whose pad walk covers fewer bytes than this
-// (len(idx)·RowBytes) runs inline. Sized on a 2-vCPU box with one caller
+// inlinePadBytes is the planner's one constant: a query or batch walk over
+// the in-process NDP whose pad walk covers fewer bytes than this (rows
+// walked · RowBytes) runs inline. Sized on a 2-vCPU box with one caller
 // on a 65 536 × 256 B TagSep table, verified, inline vs overlapped:
 //
 //	   80 rows ( 20 KiB)    32 µs vs   46 µs
@@ -90,10 +91,11 @@ const ctxCheckStride = 64
 // always wins, so the constant sits at the top of that range.
 const inlinePadBytes = 128 << 10
 
-// overlapped is the plan step of a query over the in-process NDP: it
-// reports whether a query over n rows runs the overlapped shape — NDP
-// exchange in the background, pad walk sharded — rather than inline,
-// which it does once the walk is long enough to pay for the hand-offs.
+// overlapped is the planner of both engines over the in-process NDP: it
+// reports whether a pad walk over n rows — len(idx) for QueryCtx, the
+// plan's distinct rows for a batch walk — runs the overlapped shape (NDP
+// exchange in the background, pad walk sharded) rather than inline, which
+// it does once the walk is long enough to pay for the hand-offs.
 func (t *Table) overlapped(n int) bool {
 	return n*t.geo.Params.RowBytes() >= inlinePadBytes
 }
@@ -315,9 +317,12 @@ func (t *Table) QueryCtx(ctx context.Context, ndp NDP, idx []int, weights []uint
 // exchange for every sub-request's ciphertext and tag sums, each distinct
 // row's OTP pad generated once and scattered to all requesters, then each
 // joined result's own MAC check. Per-request results and errors are
-// byte-identical to running QueryCtx per request over HonestNDP. The walk
-// records the ndp, pad and verify phases as QueryCtx does: child spans of
-// ctx's span, and opts.Phases when set.
+// byte-identical to running QueryCtx per request over HonestNDP. Its shape
+// is planned as QueryCtx's is (see overlapped): over HonestNDP a batch of
+// few distinct rows runs the exchange, then the sweep, on the caller's
+// goroutine; any other batch overlaps the two. The walk records the ndp,
+// pad and verify phases as QueryCtx does: child spans of ctx's span, and
+// opts.Phases when set.
 //
 // A batch-level failure — the exchange's, or a cancelled sweep — becomes
 // every planned request's error.
@@ -344,29 +349,44 @@ func (t *Table) QueryBatchCtx(ctx context.Context, ndp NDP, reqs []BatchRequest,
 		err error
 	)
 	if sub := w.Requests(); len(sub) > 0 {
-		// The whole batch in one NDP exchange, on a goroutine of its own
-		// while the OTP sweep runs on this one. Even an in-process NDP
-		// keeps the hand-off: run inline, the exchange and the sweep would
-		// take turns on one core, and a lone caller — a serving drain —
-		// loses the overlap (inlining it read −5 % CPU per lookup but +4 %
-		// verify_overhead_x on serve_rotate over four pairs, 2 vCPUs). The
-		// exchange runs under the "ndp" span's context, so the cluster's
-		// and the wire's spans nest under it. That phase ends here, when
-		// the answer is seen, and not on the exchange goroutine: ending it
-		// there read +23 % CPU per lookup on serve_rotate (six pairs), the
-		// exchange goroutines' stacks growing far more often.
-		x := exchangePool.Get().(*batchExchange)
+		// The whole batch is one NDP exchange, planned as QueryCtx plans
+		// its walk: over the in-process HonestNDP, while the plan's
+		// distinct rows stay under inlinePadBytes, the exchange runs on
+		// this goroutine and the OTP sweep after it — a goroutine's start,
+		// wake-up and stack growth cost more than the overlap saves on a
+		// walk that short (a verified Local batch of 8 unit requests read
+		// 10.6–12.4 µs with the hand-off, 7.5–9.4 µs without, 2 vCPUs).
+		// The sweep still spreads a tile over the workers once it reaches
+		// 128 rows (otpBatch). Every other batch hands the exchange to a
+		// goroutine of its own while the sweep runs on this one. The
+		// exchange runs under the "ndp" span's context, so the
+		// cluster's and the wire's spans nest under it. A handed-off
+		// exchange's phase ends here, when the answer is seen, and not on
+		// its goroutine: ending it there read +23 % CPU per lookup on
+		// serve_rotate (six pairs), the exchange goroutines' stacks growing
+		// far more often.
 		xctx, xspan := span.StartChild(ctx, "ndp")
 		xph := startPhase(xspan, timed)
-		go x.run(xctx, ndp, t.geo, sub, opts.Verify)
-		ph := startPhase(span.Child("pad"), timed)
-		w.Sweep(ctx)
-		times.Pad = ph.end(w.sweepErr, telemetry.ErrClassCanceled)
-		<-x.done
-		res, err = x.res, x.err
-		x.res, x.err = nil, nil
-		exchangePool.Put(x)
-		times.NDP = xph.end(err, telemetry.ErrClassTransport)
+		var x *batchExchange
+		if _, inProcess := ndp.(*HonestNDP); inProcess && !t.overlapped(len(w.plan.rows)) {
+			res, err = runBatchNDP(xctx, ndp, t.geo, sub, opts.Verify)
+			times.NDP = xph.end(err, telemetry.ErrClassTransport)
+		} else {
+			x = exchangePool.Get().(*batchExchange)
+			go x.run(xctx, ndp, t.geo, sub, opts.Verify)
+		}
+		if err == nil {
+			ph := startPhase(span.Child("pad"), timed)
+			w.Sweep(ctx)
+			times.Pad = ph.end(w.sweepErr, telemetry.ErrClassCanceled)
+		}
+		if x != nil {
+			<-x.done
+			res, err = x.res, x.err
+			x.res, x.err = nil, nil
+			exchangePool.Put(x)
+			times.NDP = xph.end(err, telemetry.ErrClassTransport)
+		}
 	}
 	ph := startPhase(span.Child("verify"), timed)
 	out := w.Join(res, err)

@@ -151,6 +151,51 @@ func benchFacadeQuery(b *testing.B, mk func(*testing.B) Backend) {
 	}
 }
 
+// BenchmarkFacadeQueryBatchUnitLocal runs one verified QueryBatch of 8
+// unit-row requests per op on a 16 384 × 32 LocalBackend TagsSeparate
+// table: the shape of a serving drain and of serve_rotate's protection op,
+// short enough that the batch walk runs its exchange on the caller.
+func BenchmarkFacadeQueryBatchUnitLocal(b *testing.B) { benchFacadeQueryBatchUnit(b, false) }
+
+// BenchmarkFacadeQueryBatchUnitLocalUnverified is the same batch without
+// the MAC check.
+func BenchmarkFacadeQueryBatchUnitLocalUnverified(b *testing.B) { benchFacadeQueryBatchUnit(b, true) }
+
+func benchFacadeQueryBatchUnit(b *testing.B, unverified bool) {
+	const rows, cols = 16384, 32
+	eng, err := New(benchKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(47))
+	data := make([][]uint64, rows)
+	for i := range data {
+		data[i] = make([]uint64, cols)
+		for j := range data[i] {
+			data[i][j] = rng.Uint64() % (1 << 16)
+		}
+	}
+	tab, err := eng.CreateTable(context.Background(), LocalBackend(NewMemory()),
+		TableSpec{Rows: rows, Cols: cols, ElemBits: 32, Tags: TagsSeparate}, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tab.Close()
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		reqs[i] = Request{Idx: []int{rng.Intn(rows)}, Weights: []uint64{1}, Unverified: unverified}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := tab.QueryBatch(ctx, reqs)
+		if err != nil || out[0].Verified == unverified {
+			b.Fatalf("batch: verified=%v err=%v", out[0].Verified, err)
+		}
+	}
+}
+
 // benchQueryParallel is the telemetry acceptance fixture: the public
 // Query on an 8-worker engine over the reference batch, with or without
 // a registry attached. The contract is that the instrumented run stays

@@ -255,7 +255,9 @@ func (et *engineTelemetry) recordBatch(total time.Duration, stats core.BatchStat
 	if et == nil {
 		return
 	}
-	et.batchPipelined.Inc()
+	if stats.Pipelined {
+		et.batchPipelined.Inc()
+	}
 	et.batchSubs.Add(uint64(stats.Requests))
 	et.batchRowRefs.Add(uint64(stats.RowRefs))
 	et.batchDistinct.Add(uint64(stats.DistinctRows))

@@ -421,3 +421,39 @@ func TestTelemetryBatchSharedRegistry(t *testing.T) {
 		t.Errorf("secndp_queries_total = %d, want 8", got)
 	}
 }
+
+// TestTelemetryFailedBatchNotPipelined: a batch whose NDP exchange fails
+// as a whole (here: its context is cancelled before the call) answered
+// nothing through the pipeline, so it counts as a batch but not as a
+// pipelined one, and secndp_batch_pipelined_total keeps equal to
+// secndp_batch_wire_ops_total.
+func TestTelemetryFailedBatchNotPipelined(t *testing.T) {
+	reg := NewTelemetry()
+	eng, err := New(testKey, WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	rows := testRows(rng, 32, 32, 1<<20)
+	tab, err := eng.CreateTable(context.Background(), LocalBackend(NewMemory()), TableSpec{Rows: 32, Cols: 32}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	reqs := []Request{{Idx: []int{1, 2}, Weights: []uint64{1, 2}}, {Idx: []int{3}, Weights: []uint64{1}}}
+	if _, err := tab.QueryBatch(context.Background(), reqs); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tab.QueryBatch(ctx, reqs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch under a cancelled context: got %v, want context.Canceled", err)
+	}
+	if got := counterValue(reg, "secndp_batches_total"); got != 2 {
+		t.Errorf("secndp_batches_total = %d, want 2", got)
+	}
+	pipelined := counterValue(reg, "secndp_batch_pipelined_total")
+	if wire := counterValue(reg, "secndp_batch_wire_ops_total"); pipelined != 1 || wire != 1 {
+		t.Errorf("secndp_batch_pipelined_total = %d, secndp_batch_wire_ops_total = %d, want 1 and 1", pipelined, wire)
+	}
+}
