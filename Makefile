@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race serve-check batch-check write-check bench bench-check bench-json loadtest vet inline-check gather-check fuzz examples experiments quick clean
+.PHONY: all build test test-race serve-check batch-check write-check bench bench-check gates loadtest vet inline-check fuzz examples experiments quick artifacts clean
 
 all: build vet test
 
@@ -27,12 +27,6 @@ vet: inline-check
 # the table encoder, DecryptRow, Reencrypt) then runs at memory latency.
 inline-check:
 	$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline Layout.RowAddr'
-
-# The NDP gather must overlap its cache misses: rows that miss the cache
-# may cost at most 3x rows that hit it (internal/perf/gather_test.go holds
-# the bound and the readings behind it).
-gather-check:
-	$(GO) test -run 'TestGatherColdOverWarm' -count=1 -v ./internal/perf
 
 test:
 	$(GO) test ./...
@@ -112,11 +106,14 @@ endif
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Machine-readable benchmark snapshot for regression tracking: runs the
-# internal/perf suite and writes BENCH_<date>.json (committed snapshots
-# document each optimization PR's before/after).
-bench-json:
-	$(GO) run ./cmd/secndp-bench -perf -o BENCH_$$(date +%F).json
+# The performance gates (gates_test.go, the one file that holds them):
+# every timing and ratio bound, each a TestGate* over testing.Benchmark
+# — the verified query's latency and allocations, tracing and disabled
+# telemetry overhead, facade over core, cluster shards and replicas, the
+# NDP gather's cold/warm ratio and the serving layer under load. About
+# 20 s; -race and -short skip them.
+gates:
+	$(GO) test -run '^TestGate' -count=1 -v .
 
 # Closed-loop serving load test: start secndp-dlrm on an in-process
 # 2-shard cluster, drive it with secndp-loadgen, and tear down.

@@ -16,6 +16,9 @@ import (
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
+// RaceEnabled reports raceEnabled to the external test package.
+func RaceEnabled() bool { return raceEnabled }
+
 // newBatchCluster provisions a rows×cols 32-bit Ver-sep table over
 // numShards loopback servers with the engine's default transport, as the
 // benchmark does.

@@ -6,124 +6,34 @@
 //	secndp-bench                 # all experiments, full scale
 //	secndp-bench -exp table3     # just Table III
 //	secndp-bench -quick -exp fig7
+//	secndp-bench -exp table3 -format csv
 //	secndp-bench -list
-//	secndp-bench -perf -o BENCH_2026-01-01.json   # regression microbenchmarks
-//	secndp-bench -perf -quick -telemetry :9090 -hold 60s   # live /metrics while (and after) running
-//	secndp-bench -compare BENCH_old.json BENCH_new.json   # per-benchmark deltas
-//	secndp-bench -compare -fail-on 20 old.json new.json   # gate serve-layer ratio regressions
+//
+// The runtime's performance gates are Go tests (gates_test.go at the
+// repository root, `make gates`); the repository benchmark is benchmark/.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"secndp/internal/experiments"
-	"secndp/internal/perf"
-	"secndp/internal/telemetry"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (see -list); empty = all")
-		quick   = flag.Bool("quick", false, "reduced workload sizes for a fast run")
-		seed    = flag.Int64("seed", 1, "trace and page-mapping seed")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		format  = flag.String("format", "text", "output format: text | csv")
-		perfRun = flag.Bool("perf", false, "run the benchmark-regression suite and emit JSON")
-		compare = flag.Bool("compare", false, "compare two -perf JSON reports (args: old.json new.json)")
-		failOn  = flag.Float64("fail-on", 0, "with -compare: exit non-zero if a machine-independent serve ratio regressed more than this percent")
-		outPath = flag.String("o", "", "output file for -perf JSON (default stdout)")
-		teleAdr = flag.String("telemetry", "", "serve /metrics, /debug/traces, and pprof on this address (e.g. :9090) while running")
-		hold    = flag.Duration("hold", 0, "keep the telemetry server up this long after the run (with -telemetry)")
+		exp    = flag.String("exp", "", "experiment id (see -list); empty = all")
+		quick  = flag.Bool("quick", false, "reduced workload sizes for a fast run")
+		seed   = flag.Int64("seed", 1, "trace and page-mapping seed")
+		list   = flag.Bool("list", false, "list experiment ids and exit")
+		format = flag.String("format", "text", "output format: text | csv")
 	)
 	flag.Parse()
 	if *format != "text" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "secndp-bench: unknown format %q\n", *format)
 		os.Exit(2)
 	}
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "secndp-bench: -compare needs exactly two report paths (old.json new.json)")
-			os.Exit(2)
-		}
-		oldRep, err := perf.ReadReport(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "secndp-bench:", err)
-			os.Exit(1)
-		}
-		newRep, err := perf.ReadReport(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "secndp-bench:", err)
-			os.Exit(1)
-		}
-		if err := perf.WriteComparison(os.Stdout, oldRep, newRep); err != nil {
-			fmt.Fprintln(os.Stderr, "secndp-bench:", err)
-			os.Exit(1)
-		}
-		if *failOn > 0 {
-			if viols := perf.ServeRegressions(oldRep, newRep, *failOn); len(viols) > 0 {
-				for _, v := range viols {
-					fmt.Fprintln(os.Stderr, "secndp-bench: FAIL:", v)
-				}
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	// The registry outlives the run: the perf suite records into it and
-	// -hold keeps the scrape endpoint up after the work finishes, with
-	// secndp_bench_done marking completion for scripted scrapers (CI).
-	var reg *telemetry.Registry
-	if *teleAdr != "" {
-		reg = telemetry.NewRegistry()
-		reg.PublishExpvar("secndp")
-		bound, closeFn, err := reg.Serve(*teleAdr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "secndp-bench:", err)
-			os.Exit(1)
-		}
-		defer closeFn()
-		fmt.Fprintf(os.Stderr, "secndp-bench: telemetry on http://%s/metrics\n", bound)
-	}
-	done := func() {
-		if reg == nil {
-			return
-		}
-		reg.Gauge("secndp_bench_done", "1 once the requested bench work has finished.").Set(1)
-		if *hold > 0 {
-			fmt.Fprintf(os.Stderr, "secndp-bench: holding telemetry open for %s\n", *hold)
-			time.Sleep(*hold)
-		}
-	}
-
-	if *perfRun {
-		rep, err := perf.Run(*quick, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "secndp-bench:", err)
-			os.Exit(1)
-		}
-		out := os.Stdout
-		if *outPath != "" {
-			f, err := os.Create(*outPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "secndp-bench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := rep.WriteJSON(out); err != nil {
-			fmt.Fprintln(os.Stderr, "secndp-bench:", err)
-			os.Exit(1)
-		}
-		done()
-		return
-	}
-
 	if *list {
 		for _, e := range experiments.Registry() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Description)
@@ -137,7 +47,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "secndp-bench:", err)
 			os.Exit(1)
 		}
-		done()
 		return
 	}
 	e, err := experiments.Find(*exp)
@@ -155,9 +64,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "secndp-bench:", err)
 			os.Exit(1)
 		}
-		done()
 		return
 	}
 	fmt.Println(res.Format())
-	done()
 }

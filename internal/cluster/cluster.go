@@ -59,7 +59,7 @@ type NDP struct {
 	reshardTotal atomic.Int64
 	reshardDone  atomic.Int64
 
-	mirror *core.HonestNDP // nil: exhausted shards are fatal for the call
+	mirror core.NDP // HonestNDP over Options.Mirror; nil: exhausted shards are fatal for the call
 	// source is the TEE-held ciphertext image rows are re-shipped from
 	// during a reshard; nil disables Reshard.
 	source *memory.Space
@@ -475,8 +475,10 @@ func guarded(what string, fn func() error) (err error) {
 // g, which fails over across the shard's replicas. Only a sub-operation
 // whose every replica refused is recomputed as op(ctx, si, mirror) from
 // the TEE mirror when one is attached, noting the fill on the context
-// flag; without a mirror an exhausted shard fails the gather. kind names
-// the per-shard child spans.
+// flag; without a mirror an exhausted shard fails the gather. Every
+// exhausted shard is offered to the mirror, and a failed fill's error —
+// the first, if several fail — is returned once all have been. kind
+// names the per-shard child spans.
 func (n *NDP) scatter(ctx context.Context, top *topology, kind string, count int, shardOf func(si int) int,
 	op func(ctx context.Context, si int, nd core.NDP) error) error {
 	if count == 0 {
@@ -498,6 +500,7 @@ func (n *NDP) scatter(ctx context.Context, top *topology, kind string, count int
 	}
 	wg.Wait()
 	n.noteGather()
+	var first error
 	for si, err := range errs {
 		if err == nil {
 			continue
@@ -510,11 +513,14 @@ func (n *NDP) scatter(ctx context.Context, top *topology, kind string, count int
 			return fmt.Errorf("cluster: shard %d: %w", s, err)
 		}
 		if ferr := guarded("mirror fill", func() error { return op(ctx, si, n.mirror) }); ferr != nil {
-			return fmt.Errorf("cluster: shard %d: %w (mirror fill failed: %v)", s, err, ferr)
+			if first == nil {
+				first = fmt.Errorf("cluster: shard %d: %w (mirror fill failed: %v)", s, err, ferr)
+			}
+			continue
 		}
 		n.noteFill(ctx, s)
 	}
-	return nil
+	return first
 }
 
 func (n *NDP) noteFill(ctx context.Context, shard int) {

@@ -424,6 +424,65 @@ func TestMirrorFillBatch(t *testing.T) {
 	}
 }
 
+// shardlessMirror is a mirror that cannot fill shard: it fails every
+// sub-batch naming one of its rows.
+type shardlessMirror struct {
+	core.NDP
+	smap  *Map
+	shard int
+}
+
+func (m shardlessMirror) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
+	for _, req := range reqs {
+		if slices.ContainsFunc(req.Idx, func(row int) bool { return m.smap.Shard(row) == m.shard }) {
+			return nil, errors.New("shardlessMirror: fill refused")
+		}
+	}
+	return m.NDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
+}
+
+// TestMirrorFillEveryFailedShard kills both shards and refuses the mirror
+// fill of the first: the second is still offered to the mirror, so its
+// requests come back filled and exact, and only the requests with a row
+// on shard 0 fail, with shard 0's error.
+func TestMirrorFillEveryFailedShard(t *testing.T) {
+	fx := buildFixture(t, 2, RangeSharding, memory.TagSep) // rows 0–31 on shard 0
+	fx.shards[0], fx.shards[1] = failNDP{}, failNDP{}
+	cnd, err := New(fx.smap, fx.shards, Options{Mirror: fx.staging})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnd.mirror = shardlessMirror{NDP: cnd.mirror, smap: fx.smap, shard: 0}
+	reqs := []core.BatchRequest{
+		{Idx: []int{40, 33, 63}, Weights: []uint64{1, 2, 3}},
+		{Idx: []int{5, 40}, Weights: []uint64{4, 5}},
+		{Idx: []int{50}, Weights: []uint64{6}},
+		{Idx: []int{7}, Weights: []uint64{7}},
+	}
+	ctx, flag := WithFlag(context.Background())
+	got, err := cnd.WeightedTagSumBatch(ctx, fx.geo, reqs, true)
+	if err != nil {
+		t.Fatalf("batch failed as a whole: %v", err)
+	}
+	want, err := (&core.HonestNDP{Mem: fx.staging}).WeightedTagSumBatch(context.Background(), fx.geo, reqs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		if got[i].Err != nil || !slices.Equal(got[i].Sums, want[i].Sums) || got[i].Tag != want[i].Tag {
+			t.Fatalf("request %d on shard 1 alone: err %v, or its filled answer differs", i, got[i].Err)
+		}
+	}
+	for _, i := range []int{1, 3} {
+		if !errors.Is(got[i].Err, errFailNDP) {
+			t.Fatalf("request %d reads shard 0: got %v, want the shard's error", i, got[i].Err)
+		}
+	}
+	if filled := flag.Filled(); !slices.Equal(filled, []int{1}) {
+		t.Fatalf("filled shards: %v, want [1]", filled)
+	}
+}
+
 // TestLocateFault corrupts one shard's memory and checks the bisection
 // pins the verification failure on exactly that shard.
 func TestLocateFault(t *testing.T) {

@@ -55,7 +55,7 @@
 // The quantitative story: per-request fan-out pays one NDP exchange and
 // one MAC verification per bag; the serving layer pays ~hit-rate nothing
 // for cached rows and one exchange per coalesced batch for the rest. The
-// perf harness (internal/perf, serve stage) measures the resulting
+// root package's TestGateServeLoad (gates_test.go) measures the resulting
 // saturation-QPS multiple.
 package serve
 

@@ -335,7 +335,7 @@ func TestReencryptDetectsTamper(t *testing.T) {
 }
 
 func TestReencryptUnsupportedBackends(t *testing.T) {
-	specs, _ := reshardTestServers(t, 2)
+	specs, _ := testServers(t, 2)
 	eng, err := New(testKey, WithTransport(fastTransport()))
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestReencryptUnsupportedBackends(t *testing.T) {
 // caches — the serving layer keys its hot-row cache on Epoch, so a
 // Reshard must advance it exactly like a Reencrypt does.
 func TestReshardBumpsEpoch(t *testing.T) {
-	specs, _ := reshardTestServers(t, 4)
+	specs, _ := testServers(t, 4)
 	eng, err := New(testKey, WithTransport(fastTransport()))
 	if err != nil {
 		t.Fatal(err)

@@ -221,8 +221,9 @@ func TestReplicaExhaustionFallsBackToMirror(t *testing.T) {
 	}
 }
 
-// reshardTestServers stands up n plain servers and returns their specs.
-func reshardTestServers(t *testing.T, n int) ([]ShardSpec, []*Memory) {
+// testServers stands up n plain loopback servers and returns their specs
+// and memories.
+func testServers(t *testing.T, n int) ([]ShardSpec, []*Memory) {
 	t.Helper()
 	specs := make([]ShardSpec, n)
 	mems := make([]*Memory, n)
@@ -245,7 +246,7 @@ func reshardTestServers(t *testing.T, n int) ([]ShardSpec, []*Memory) {
 // at every point, never unverified, never failed. Retained shard
 // indices keep their servers, per the documented contract.
 func TestReshardOracle(t *testing.T) {
-	specs, _ := reshardTestServers(t, 4)
+	specs, _ := testServers(t, 4)
 	eng, err := New(testKey, WithTransport(fastTransport()), WithTelemetry(NewTelemetry()))
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +358,7 @@ func TestReshardOracle(t *testing.T) {
 // shard layout is unchanged so nothing moves, and the new siblings are
 // reached only after a failure of the retained preferred replica.
 func TestReshardToReplicated(t *testing.T) {
-	specs, _ := reshardTestServers(t, 2)
+	specs, _ := testServers(t, 2)
 	eng, err := New(testKey, WithTransport(fastTransport()))
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +377,7 @@ func TestReshardToReplicated(t *testing.T) {
 	// sibling per shard. Hash strategy unchanged (range), so no rows
 	// move; the siblings start empty, which is fine while the preferred
 	// (retained) replicas serve.
-	sib, _ := reshardTestServers(t, 2)
+	sib, _ := testServers(t, 2)
 	replicated := []ShardSpec{specs[0], sib[0], specs[1], sib[1]}
 	if err := h.tab.Reshard(context.Background(), ClusterBackend(replicated...).Replicas(2)); err != nil {
 		t.Fatal(err)
@@ -395,7 +396,7 @@ func TestReshardToReplicated(t *testing.T) {
 // TestReshardValidation: misshapen reshard targets are rejected before
 // anything ships or flips.
 func TestReshardValidation(t *testing.T) {
-	specs, _ := reshardTestServers(t, 2)
+	specs, _ := testServers(t, 2)
 	eng, err := New(testKey, WithTransport(fastTransport()))
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +464,7 @@ func utoa(v uint64) string {
 // to a sticky one, verified and undegraded, on both query paths.
 func TestReplicaReadBalanceEquivalence(t *testing.T) {
 	for _, policy := range []ReplicaBalance{ReplicaRoundRobin, ReplicaLeastInflight} {
-		specs, _ := reshardTestServers(t, 4)
+		specs, _ := testServers(t, 4)
 		eng, err := New(testKey, WithTransport(fastTransport()))
 		if err != nil {
 			t.Fatal(err)

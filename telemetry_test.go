@@ -55,6 +55,24 @@ func rootChildren(t *testing.T, reg *Telemetry, trace string) map[string]int {
 	return ops
 }
 
+// getJSON fetches url, which must answer 200, and decodes its JSON body
+// into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s = %d: %s", url, resp.StatusCode, body)
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		t.Fatalf("%s: bad JSON: %v\n%s", url, err, body)
+	}
+}
+
 // TestTelemetryLocalQueries drives an instrumented engine over a local
 // table and checks the registry tells the story: query counters, OTP
 // engine selection, per-phase histograms, and Result.Timing populated
@@ -151,11 +169,16 @@ func TestTelemetryLocalQueries(t *testing.T) {
 }
 
 // TestTelemetryRemoteDegraded runs the instrumented engine against a real
-// loopback server, kills it, and checks the transport counters, the
-// degradation counter, and the fallback phase all land in one registry.
+// loopback server, beside a local table and a healthy 2-shard cluster on
+// the same registry, kills the server, and checks the transport counters,
+// the degradation counter, every query phase, the batch pipeline's
+// counters, the operator's /metrics series and the /debug/slow and
+// /debug/cluster views all land in one registry.
 func TestTelemetryRemoteDegraded(t *testing.T) {
 	reg := NewTelemetry()
 	h := newFaultHarness(t, 77, fastTransport(), WithTelemetry(reg), WithFallback(1))
+	h.srv.Instrument(reg)
+	ctx := context.Background()
 
 	if _, err := h.checkQuery(t, []int{1, 4}, []uint64{2, 3}); err != nil {
 		t.Fatal(err)
@@ -165,6 +188,39 @@ func TestTelemetryRemoteDegraded(t *testing.T) {
 	}
 	if counterValue(reg, "secndp_transport_attempts_total") == 0 {
 		t.Error("transport attempts not mirrored onto the registry")
+	}
+	local, err := h.eng.CreateTable(ctx, LocalBackend(NewMemory()), TableSpec{Rows: 32, Cols: 32}, h.rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	if _, err := local.Query(ctx, Request{Idx: []int{3, 8}, Weights: []uint64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	// A duplicate-heavy batch on each table: 8 requests × 4 refs over 8
+	// hot rows, one pipelined exchange each.
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		reqs[i] = Request{Idx: []int{i, (i + 1) % 8, (i + 3) % 8, 7}, Weights: []uint64{1, 2, 3, 4}}
+	}
+	for _, tab := range []*Table{local, h.tab} {
+		if _, err := tab.QueryBatch(ctx, reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipelined, wire := counterValue(reg, "secndp_batch_pipelined_total"), counterValue(reg, "secndp_batch_wire_ops_total")
+	distinct, refs := counterValue(reg, "secndp_batch_distinct_rows_total"), counterValue(reg, "secndp_batch_rowrefs_total")
+	if pipelined < 2 || wire != pipelined || !(0 < distinct && distinct < refs) {
+		t.Errorf("batch counters: pipelined %d, wire ops %d, distinct rows %d of %d refs", pipelined, wire, distinct, refs)
+	}
+	shards, _ := testServers(t, 2)
+	clustered, err := h.eng.CreateTable(ctx, ClusterBackend(shards...), TableSpec{Rows: 32, Cols: 32}, h.rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clustered.Close()
+	if _, err := clustered.Query(ctx, Request{Idx: []int{2, 30}, Weights: []uint64{5, 6}}); err != nil {
+		t.Fatal(err)
 	}
 
 	h.srv.Close()
@@ -188,6 +244,11 @@ func TestTelemetryRemoteDegraded(t *testing.T) {
 	if histCount(reg, "secndp_phase_fallback_seconds") != 1 {
 		t.Error("fallback phase histogram empty")
 	}
+	for _, phase := range telemetry.PhaseNames {
+		if histCount(reg, "secndp_phase_"+phase+"_seconds") == 0 {
+			t.Errorf("phase histogram %s empty", phase)
+		}
+	}
 	recent := reg.RecentTraces(1)
 	if len(recent) != 1 || recent[0].Op != "query" || !recent[0].Degraded || recent[0].Trace != res.Trace {
 		t.Fatalf("newest trace not the degraded query: %+v", recent)
@@ -195,12 +256,47 @@ func TestTelemetryRemoteDegraded(t *testing.T) {
 	if rootChildren(t, reg, res.Trace)["fallback"] != 1 {
 		t.Error("degraded query tree has no fallback child")
 	}
+
+	var prom strings.Builder
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"secndp_queries_total", "secndp_queries_degraded_total",
+		"secndp_transport_attempts_total", "secndp_breaker_state", "secndp_otp_engine",
+		"secndp_phase_pad_seconds_bucket", "secndp_phase_fallback_seconds_bucket", "secndp_query_seconds_bucket",
+		"secndp_batch_pipelined_total", "secndp_batch_distinct_rows_total", "secndp_batch_wire_ops_total",
+		"secndp_server_ops_batch_total", "secndp_server_op_weighted_sum_seconds_bucket",
+		"secndp_query_errors_transport_total"} {
+		if !strings.Contains(prom.String(), series) {
+			t.Errorf("/metrics missing %s", series)
+		}
+	}
+	srv := httptest.NewServer(reg.Handler())
+	defer srv.Close()
+	var slow struct {
+		Pinned []telemetry.TraceSummary `json:"pinned"`
+	}
+	getJSON(t, srv.URL+"/debug/slow", &slow)
 	pinned := false
-	for _, s := range reg.SlowTraces() {
+	for _, s := range slow.Pinned {
 		pinned = pinned || (s.Trace == res.Trace && s.PinReason == "degraded")
 	}
 	if !pinned {
-		t.Fatalf("degraded query %s not pinned: %+v", res.Trace, reg.SlowTraces())
+		t.Fatalf("degraded query %s not pinned on /debug/slow: %+v", res.Trace, slow.Pinned)
+	}
+	var cl struct {
+		NumShards int `json:"num_shards"`
+		Shards    []struct{ Replicas []struct{ Healthy bool } }
+	}
+	getJSON(t, srv.URL+"/debug/cluster", &cl)
+	healthy := cl.NumShards == 2 && len(cl.Shards) == 2
+	for _, sh := range cl.Shards {
+		for _, r := range sh.Replicas {
+			healthy = healthy && r.Healthy
+		}
+	}
+	if !healthy {
+		t.Fatalf("/debug/cluster: %+v, want 2 shards, every replica healthy", cl)
 	}
 }
 
@@ -304,7 +400,7 @@ func TestTelemetryOperationRoots(t *testing.T) {
 	}
 }
 
-// TestDebugTracesWalk is CI bench-smoke's tracing walk as a Go test,
+// TestDebugTracesWalk walks the tracing surface as an operator would,
 // against a real engine's Handler: take the first trace off
 // /debug/traces, fetch its tree from /debug/trace/{id}, and find a
 // Reencrypt listed as a reencrypt root.
@@ -329,27 +425,12 @@ func TestDebugTracesWalk(t *testing.T) {
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
-	getJSON := func(path string, v any) {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s = %d: %s", path, resp.StatusCode, body)
-		}
-		if err := json.Unmarshal(body, v); err != nil {
-			t.Fatalf("%s: bad JSON: %v\n%s", path, err, body)
-		}
-	}
 
 	var listing []struct {
 		Trace string `json:"trace"`
 		Op    string `json:"op"`
 	}
-	getJSON("/debug/traces?n=64", &listing)
+	getJSON(t, srv.URL+"/debug/traces?n=64", &listing)
 	if len(listing) == 0 || listing[0].Trace == "" {
 		t.Fatalf("/debug/traces lists no trace: %+v", listing)
 	}
@@ -357,7 +438,7 @@ func TestDebugTracesWalk(t *testing.T) {
 		Trace string       `json:"trace"`
 		Tree  []*traceNode `json:"tree"`
 	}
-	getJSON("/debug/trace/"+listing[0].Trace, &tree)
+	getJSON(t, srv.URL+"/debug/trace/"+listing[0].Trace, &tree)
 	if tree.Trace != listing[0].Trace || len(tree.Tree) == 0 {
 		t.Fatalf("/debug/trace/%s = %+v", listing[0].Trace, tree)
 	}
