@@ -74,11 +74,15 @@ func uniformBatch(rng *rand.Rand, bags, bagRows, rows int) []Request {
 // reused connection buffers and folded into one batch slab — 93 and
 // ~188 KB (59 and ~84 KB after); before the batch walk and the facade
 // took their per-request scratch from pools, 58 and ~84 KB (42 and
-// ~69 KB after). A single verified 80-row Table.Query on the same
-// fixture read 66 allocations while it made two round trips per shard
-// from a goroutine per shard, and 44 as a batch of one.
+// ~69 KB after); before the fill flags and the query's exchange part
+// came from pools and a wire call stopped allocating its cancellation
+// guard for a context that cannot end, 42 (14 after). A single verified
+// 80-row Table.Query on the same fixture read 66 allocations while it
+// made two round trips per shard from a goroutine per shard, 44 as a
+// batch of one with its exchange on a goroutine, and 14 split at the
+// wire on the caller's goroutine.
 func TestBatchClusterAllocBudget(t *testing.T) {
-	const rows, budget, bytesBudget, queryBudget = 16384, 46, 120 << 10, 48
+	const rows, budget, bytesBudget, queryBudget = 16384, 18, 120 << 10, 18
 	tab, _ := newBatchCluster(t, 4, rows, 64, 250)
 	rng := rand.New(rand.NewSource(251))
 	reqs := uniformBatch(rng, 64, 8, rows)

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"secndp/internal/cluster"
 	"secndp/internal/core"
 	"secndp/internal/dram"
 	"secndp/internal/experiments"
@@ -452,8 +453,12 @@ func BenchmarkRemoteQuery(b *testing.B) {
 			rows[i][j] = uint64(i + j)
 		}
 	}
-	tab, err := remote.Provision(client, scheme, geo, 1, rows)
+	staging := memory.NewSpace()
+	tab, err := scheme.EncryptTable(staging, geo, 1, rows)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if err := cluster.ShipRun(context.Background(), geo, staging, 0, len(rows), client); err != nil {
 		b.Fatal(err)
 	}
 	idx := []int{1, 2, 3, 4, 5, 6, 7, 8}

@@ -30,11 +30,13 @@
 //   - LocalBackend(mem) — ciphertext in an in-process untrusted memory,
 //     queries served by an in-process NDP over it. The paper's
 //     single-memory-system shape; fastest for tests and experiments.
-//   - RemoteBackend(client) — encrypt locally, ship only ciphertext and
-//     tags to one remote NDP server over the wire protocol.
 //   - ClusterBackend(shards...) — shard the table's rows across several
 //     NDP servers and scatter-gather queries over them, with one
 //     aggregated verification covering each whole gather (see below).
+//   - RemoteBackend(client) — encrypt locally, ship only ciphertext and
+//     tags to one remote NDP server over the wire protocol: the one-shard
+//     ClusterBackend over the caller's transport, so it queries, batches,
+//     fails over and degrades exactly as a cluster does.
 //
 // # Clusters
 //

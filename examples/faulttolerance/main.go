@@ -122,7 +122,9 @@ func main() {
 	fmt.Printf("server dead: query served from the TEE ciphertext mirror (degraded=%v, verified=%v)\n",
 		res.Degraded, res.Verified)
 	// The per-phase timing shows where the latency went: the NDP phase ate
-	// the retries, then the fallback recompute served the result.
+	// the retries and the mirror fill of the table's one shard, which the
+	// MAC check then ran over (fallback stays zero: that phase is the
+	// whole-query recompute after repeated verification failures).
 	fmt.Printf("  timing: total=%v ndp=%v fallback=%v\n",
 		res.Timing.Total, res.Timing.NDP, res.Timing.Fallback)
 	fmt.Printf("degraded queries on this table: %d\n", table.DegradedCount())

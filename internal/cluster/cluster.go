@@ -268,8 +268,34 @@ type flagKey struct{}
 
 // WithFlag derives a context carrying a fresh fill flag.
 func WithFlag(ctx context.Context) (context.Context, *Flag) {
-	f := &Flag{}
-	return context.WithValue(ctx, flagKey{}, f), f
+	c := &FlagContext{Context: ctx}
+	return c, &c.Flag
+}
+
+// FlagContext is a context carrying a fill flag, flag included: WithFlag's
+// result as one value, for a caller that keeps it in storage of its own —
+// a pooled scratch — rather than allocating one per call. Reset readies
+// it; it must not be reset or reused while a call under it runs.
+type FlagContext struct {
+	context.Context
+	Flag Flag
+}
+
+// Reset derives the context afresh from parent, with an empty flag.
+func (c *FlagContext) Reset(parent context.Context) {
+	c.Context = parent
+	c.Flag.mu.Lock()
+	clear(c.Flag.filled)
+	c.Flag.epoch = 0
+	c.Flag.mu.Unlock()
+}
+
+// Value implements context.Context: the flag, or parent's values.
+func (c *FlagContext) Value(key any) any {
+	if key == (flagKey{}) {
+		return &c.Flag
+	}
+	return c.Context.Value(key)
 }
 
 func flagFrom(ctx context.Context) *Flag {

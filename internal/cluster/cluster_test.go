@@ -183,10 +183,15 @@ func TestClusterEquivalence(t *testing.T) {
 }
 
 // TestClusterBatchEquivalence checks the batched scatter-gather against
-// the single-NDP batch pipeline, including tags.
+// the single-NDP batch pipeline, including tags — on one shard both with
+// every request naming a row (the batch is the shard's sub-batch) and
+// with an empty one (it is split).
 func TestClusterBatchEquivalence(t *testing.T) {
-	for _, numShards := range []int{2, 4} {
-		fx := buildFixture(t, numShards, HashSharding, memory.TagSep)
+	for _, tc := range []struct {
+		shards int
+		empty  bool
+	}{{1, false}, {1, true}, {2, true}, {4, true}} {
+		fx := buildFixture(t, tc.shards, HashSharding, memory.TagSep)
 		cnd, err := New(fx.smap, fx.shards, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -197,7 +202,9 @@ func TestClusterBatchEquivalence(t *testing.T) {
 		for i := range reqs {
 			reqs[i].Idx, reqs[i].Weights = randQuery(rng, 64, 1+rng.Intn(12))
 		}
-		reqs = append(reqs, core.BatchRequest{}) // empty request → zero sums
+		if tc.empty {
+			reqs = append(reqs, core.BatchRequest{}) // empty request → zero sums
+		}
 		ctx := context.Background()
 		got, err := cnd.WeightedTagSumBatch(ctx, fx.geo, reqs, true)
 		if err != nil {

@@ -321,9 +321,9 @@ func (g *ReplicaGroup) end(r int, aspan *telemetry.ActiveSpan, err error) {
 // batchAttempt is a sub-batch's first attempt — do's first iteration
 // split in two, so a caller can start every shard's attempt before it
 // finishes any (see Batches): beginBatch picks the replica and opens the
-// attempt, endBatch closes it with its outcome. Only a
-// remote.ReliableClient's exchange splits on the wire; every other
-// replica answers whole between the two.
+// attempt, endBatch closes it with its outcome. A remote transport's
+// exchange splits on the wire; an in-process replica answers whole
+// between the two.
 type batchAttempt struct {
 	r    int // the replica; -1 when the context ended before the attempt
 	ctx  context.Context

@@ -453,12 +453,14 @@ func (w *BatchWalk) Requests() []BatchRequest {
 }
 
 // Sweep runs the OTP side of the batch: every distinct row's pad once,
-// scattered into its requesters' accumulators.
-func (w *BatchWalk) Sweep(ctx context.Context) {
+// scattered into its requesters' accumulators. Its error — the context
+// ended mid-sweep — is also Join's.
+func (w *BatchWalk) Sweep(ctx context.Context) error {
 	if len(w.Requests()) == 0 {
-		return
+		return nil
 	}
 	w.sweepErr = w.t.otpBatch(ctx, w.plan, w.s, w.opts.Verify, w.opts)
+	return w.sweepErr
 }
 
 // Join is the walk's last stage: the NDP's answers (res, one per

@@ -44,8 +44,8 @@ func (t *Table) LocalWeightedSum(ctx context.Context, mirror *memory.Space, idx 
 
 // LocalWeightedSumElem is the element-indexed form of LocalWeightedSum:
 // the scalar Σ_k weights[k]·P[idx[k]][jdx[k]], computed by decrypting each
-// touched row from the mirror. It also serves element queries on remote
-// tables, whose wire protocol has no element op.
+// touched row from the mirror: the fallback of an element query whose NDP
+// failed.
 func (t *Table) LocalWeightedSumElem(ctx context.Context, mirror *memory.Space, idx, jdx []int, weights []uint64) (uint64, error) {
 	if mirror == nil {
 		return 0, ErrNoMirror

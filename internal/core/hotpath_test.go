@@ -147,12 +147,16 @@ func TestQueryVerifiedConcurrentHammer(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // TestQueryVerifiedSteadyStateAllocs is the pool leak check: once the
 // scratch pools are warm, a verified query must stay within the CI gate's
 // allocation budget (the NDP's sum vector, the result vector, and pool
 // bookkeeping — far under the 100-alloc gate), and a query abandoned to
 // cancellation, on either shape, must hand its scratch back: a leaked
-// buffer shows up as the pool allocating a fresh one on every call.
+// buffer shows up as the pool allocating a fresh one on every call. Under
+// -race only the counts are skipped.
 func TestQueryVerifiedSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation perturbs allocation counts")
@@ -182,14 +186,18 @@ func TestQueryVerifiedSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 16 {
-			t.Errorf("%s: steady-state verified query allocates %.1f/op, want <= 16 (pool leak?)", shape.name, allocs)
-		}
 		abandoned := testing.AllocsPerRun(50, func() {
 			if _, err := tab.QueryCtx(cancelled, engine, idx, w, opts); !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled query: %v", err)
 			}
 		})
+		if raceEnabled {
+			// Every query above ran and was checked; only the counts are off.
+			continue
+		}
+		if allocs > 16 {
+			t.Errorf("%s: steady-state verified query allocates %.1f/op, want <= 16 (pool leak?)", shape.name, allocs)
+		}
 		if abandoned > allocs {
 			t.Errorf("%s: cancelled query allocates %.1f/op against %.1f/op when it completes (scratch not returned?)", shape.name, abandoned, allocs)
 		}

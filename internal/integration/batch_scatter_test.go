@@ -21,8 +21,9 @@ import (
 
 // The cluster's batch path starts every shard's exchange from the calling
 // goroutine, then reads the replies one by one and folds each, once
-// parsed whole, into one slab. Pooled (ReliableClient) exchanges split at
-// the wire; a bare client answers whole at start. These tests drive it
+// parsed whole, into one slab. Remote exchanges — a bare client's on its
+// one connection, a ReliableClient's on a pooled one — split at the wire.
+// These tests drive it
 // over real connections where a reply can fail half-read, hang, or share
 // its client with another shard's or another caller's.
 
@@ -253,10 +254,10 @@ func TestBatchDeadlinePoisonsOpenExchange(t *testing.T) {
 	}
 }
 
-// TestBatchSharedBareClient: one bare client serves both shards. It
-// carries one exchange at a time, and each shard's answers whole when it
-// starts, so the batch neither deadlocks nor differs from a single NDP
-// holding every row.
+// TestBatchSharedBareClient: one bare client serves both shards. Both
+// shards' frames ride its one exchange, so the batch neither deadlocks
+// on the client it already holds nor differs from a single NDP holding
+// every row.
 func TestBatchSharedBareClient(t *testing.T) {
 	geo, _, image, _ := scatterTable(t)
 	smap, err := cluster.NewMap(scatterRows, 2, cluster.RangeSharding, 1)
@@ -302,9 +303,10 @@ func TestBatchSharedBareClient(t *testing.T) {
 // TestBatchCrossedBareReplicas: two servers hold every row, and both
 // shards' groups front the same two bare clients A and B, in opposite
 // orders, round-robin. Two callers batching at once are handed crossed
-// replica orders — one asks A then B, the other B then A. A bare client
-// answers whole when its shard's exchange starts, so no caller holds one
-// client's lock while it waits for the other's: every batch returns, equal
+// replica orders — one asks A then B, the other B then A. A started
+// exchange holds its bare client until it finishes, and every caller
+// starts its clients' exchanges in Client.LockOrder, so no caller holds
+// one client while it waits for the other's: every batch returns, equal
 // to a single NDP's answer.
 func TestBatchCrossedBareReplicas(t *testing.T) {
 	geo, _, image, _ := scatterTable(t)

@@ -39,7 +39,7 @@ func opCount(reg *telemetry.Registry, name string) uint64 {
 // opBatch exchange — and zero per-query weighted-sum/tag-sum ops — as
 // counted by the server's own per-opcode telemetry.
 func TestRemoteBatchOneRoundTrip(t *testing.T) {
-	reg, _, addr := startInstrumentedServer(t)
+	reg, mem, addr := startInstrumentedServer(t)
 	client := dial(t, addr)
 	scheme, err := core.NewScheme(key)
 	if err != nil {
@@ -48,7 +48,7 @@ func TestRemoteBatchOneRoundTrip(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 32, 32)
 	rng := rand.New(rand.NewSource(71))
 	rows := randRows(rng, 32, 32, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +96,13 @@ func TestRemoteBatchOneRoundTrip(t *testing.T) {
 // per-sub server errors inside a successful batch reply, siblings are
 // unaffected, and the connection stays in sync afterwards.
 func TestRemoteBatchPerSubErrors(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	client := dial(t, addr)
 	scheme, _ := core.NewScheme(key)
 	geo := testGeometry(memory.TagSep, 16, 32)
 	rng := rand.New(rand.NewSource(72))
 	rows := randRows(rng, 16, 32, 1<<20)
-	if _, err := Provision(client, scheme, geo, 1, rows); err != nil {
+	if _, err := scheme.EncryptTable(mem, geo, 1, rows); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []core.BatchRequest{
@@ -146,13 +146,13 @@ func TestRemoteBatchPerSubErrors(t *testing.T) {
 // sums is a batch-level rejection — one statusErr, no partial answers —
 // and the connection survives it.
 func TestRemoteBatchVerifyWithoutTags(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	client := dial(t, addr)
 	scheme, _ := core.NewScheme(key)
 	geo := testGeometry(memory.TagNone, 8, 32)
 	rng := rand.New(rand.NewSource(73))
 	rows := randRows(rng, 8, 32, 1<<20)
-	if _, err := Provision(client, scheme, geo, 1, rows); err != nil {
+	if _, err := scheme.EncryptTable(mem, geo, 1, rows); err != nil {
 		t.Fatal(err)
 	}
 	reqs := []core.BatchRequest{{Idx: []int{0}, Weights: []uint64{1}}}
@@ -190,7 +190,7 @@ func TestRemoteBatchOversized(t *testing.T) {
 // transport: capability probe, coalesced batch, and the cached probe
 // result on a second batch.
 func TestReliableBatchEndToEnd(t *testing.T) {
-	reg, _, addr := startInstrumentedServer(t)
+	reg, mem, addr := startInstrumentedServer(t)
 	rc, err := DialReliable(context.Background(), addr, ReliableConfig{
 		Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond,
 			MaxDelay: 4 * time.Millisecond},
@@ -203,7 +203,7 @@ func TestReliableBatchEndToEnd(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 16, 32)
 	rng := rand.New(rand.NewSource(74))
 	rows := randRows(rng, 16, 32, 1<<20)
-	tab, err := Provision(rc, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRemoteBatchTamperDetected(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 16, 32)
 	rng := rand.New(rand.NewSource(75))
 	rows := randRows(rng, 16, 32, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestRemoteBatchTamperDetected(t *testing.T) {
 // settles the breaker like a failed attempt, which one failure leaves
 // closed.
 func TestBatchCallLifecycle(t *testing.T) {
-	_, _, addr := startInstrumentedServer(t)
+	_, mem, addr := startInstrumentedServer(t)
 	scheme, err := core.NewScheme(key)
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestBatchCallLifecycle(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 16, 8)
 	rows := randRows(rand.New(rand.NewSource(72)), 16, 8, 1<<20)
 	c := dial(t, addr)
-	if _, err := Provision(c, scheme, geo, 1, rows); err != nil {
+	if _, err := scheme.EncryptTable(mem, geo, 1, rows); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -295,7 +295,7 @@ func TestBatchCallLifecycle(t *testing.T) {
 	}
 
 	frames := []BatchFrame{{Ctx: ctx, Geo: geo, Reqs: reqs, Verify: true}}
-	call, err := c.startBatches(ctx, frames)
+	call, err := c.StartBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestBatchCallLifecycle(t *testing.T) {
 		t.Fatalf("Finish: %v, fold saw %d results", err, folded)
 	}
 
-	call, err = c.startBatches(ctx, frames)
+	call, err = c.StartBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestBatchCallLifecycle(t *testing.T) {
 		t.Fatalf("batch after a fold panic: %v", err)
 	}
 
-	call, err = c.startBatches(ctx, frames)
+	call, err = c.StartBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}

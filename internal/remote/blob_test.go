@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"secndp/internal/core"
 	"secndp/internal/memory"
 	"secndp/internal/telemetry"
 )
@@ -46,36 +45,6 @@ func TestWriteBlobSplitsOversizeBlobs(t *testing.T) {
 		}
 		if !bytes.Equal(mem.Snapshot(0x10000, tc.size), data) {
 			t.Errorf("%d-byte blob did not land intact", tc.size)
-		}
-	}
-}
-
-// TestProvisionMirroredOverOneMiB: a table whose data span exceeds the
-// frame limit provisions over the wire and answers a verified query.
-func TestProvisionMirroredOverOneMiB(t *testing.T) {
-	_, _, addr := startServer(t)
-	client := dial(t, addr)
-	scheme, _ := core.NewScheme(key)
-	geo := testGeometry(memory.TagSep, 5000, 64) // 5000 × 256 B = 1.22 MiB
-	geo.Layout.TagBase = 0x8000000
-	rows := randRows(rand.New(rand.NewSource(9)), 5000, 64, 1<<16)
-	tab, _, err := ProvisionMirrored(context.Background(), client, scheme, geo, 1, rows)
-	if err != nil {
-		t.Fatalf("provisioning a %d-byte span: %v", 5000*256, err)
-	}
-	idx := []int{0, 4095, 4096, 4999}
-	w := []uint64{1, 2, 3, 4}
-	got, err := tab.QueryVerified(client, idx, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range got {
-		var want uint64
-		for k, i := range idx {
-			want += w[k] * rows[i][j]
-		}
-		if got[j] != want&0xFFFFFFFF {
-			t.Fatalf("col %d: %d != %d", j, got[j], want)
 		}
 	}
 }

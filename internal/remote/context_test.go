@@ -125,19 +125,6 @@ func TestServerRejectsInvalidGeometry(t *testing.T) {
 	}
 }
 
-func TestProvisionContextCancelled(t *testing.T) {
-	_, _, addr := startServer(t)
-	client := dial(t, addr)
-	scheme, _ := core.NewScheme(key)
-	geo := testGeometry(memory.TagSep, 8, 32)
-	rows := randRows(rand.New(rand.NewSource(7)), 8, 32, 1<<20)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ProvisionContext(ctx, client, scheme, geo, 1, rows); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled provision: got %v, want Canceled", err)
-	}
-}
-
 // The remote client satisfies core.NDP, so the concurrent engine
 // drives it end to end: honest queries verify, tampered memory is caught.
 func TestQueryCtxOverRemote(t *testing.T) {
@@ -147,7 +134,7 @@ func TestQueryCtxOverRemote(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 16, 32)
 	rng := rand.New(rand.NewSource(8))
 	rows := randRows(rng, 16, 32, 1<<20)
-	tab, err := ProvisionContext(context.Background(), client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

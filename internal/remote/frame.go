@@ -47,9 +47,10 @@ func appendQuery(b []byte, idx []int, weights []uint64) []byte {
 	return b
 }
 
-// appendBatchSub marshals one batch sub-request in writeBatchSub's format
-// (independent index and weight counts, so length mismatches survive
-// framing).
+// appendBatchSub marshals one batch sub-request. Unlike appendQuery it
+// carries the index and weight counts separately: a malformed
+// sub-request (mismatched lengths) must survive framing so the server
+// can answer it with a per-sub error instead of desyncing the stream.
 func appendBatchSub(b []byte, idx []int, weights []uint64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(idx)))
 	for _, i := range idx {

@@ -20,7 +20,7 @@ import (
 // joined with the processor's shares, decrypts to the plaintext and
 // verifies.
 func TestLegacySingleOpsAnswerSumsThatVerify(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	client := dial(t, addr)
 	scheme, err := core.NewScheme(key)
 	if err != nil {
@@ -28,7 +28,7 @@ func TestLegacySingleOpsAnswerSumsThatVerify(t *testing.T) {
 	}
 	geo := testGeometry(memory.TagSep, 16, 8)
 	rows := randRows(rand.New(rand.NewSource(9)), 16, 8, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func TestCapsProbeWireErrorPoisons(t *testing.T) {
 // 32-bit columns puts 8 KiB of lanes in each sub-result, twice bufio's
 // 4096-byte read buffer, so the client decodes it in buffer-sized chunks.
 func TestPackedReplyLargerThanReadBuffer(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	client := dial(t, addr)
 	scheme, err := core.NewScheme(key)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestPackedReplyLargerThanReadBuffer(t *testing.T) {
 	geo := testGeometry(memory.TagSep, n, m)
 	rng := rand.New(rand.NewSource(301))
 	rows := randRows(rng, n, m, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,8 @@ func TestPackedReplyTruncated(t *testing.T) {
 // advertised capPacked, a new client sends the pre-packing request frame
 // (no packed bit) and a verified batch round-trips over varint replies.
 func TestLegacyServerGetsUnflaggedBatch(t *testing.T) {
-	srv := NewServer(memory.NewSpace())
+	mem := memory.NewSpace()
+	srv := NewServer(mem)
 	srv.caps = capBatch | capTrace // set before Listen spawns the accept loop
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -243,7 +244,7 @@ func TestLegacyServerGetsUnflaggedBatch(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 32, 32)
 	rng := rand.New(rand.NewSource(302))
 	rows := randRows(rng, 32, 32, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,14 +33,15 @@ func (c *countingConn) Write(b []byte) (int, error) {
 }
 
 // pipelineServer serves one accepted connection at a time on a fresh
-// listener, each wrapped in a countingConn handed to conns.
-func pipelineServer(t *testing.T) (addr string, conns <-chan *countingConn) {
+// listener, each wrapped in a countingConn handed to conns, from mem.
+func pipelineServer(t *testing.T) (mem *memory.Space, addr string, conns <-chan *countingConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(memory.NewSpace())
+	mem = memory.NewSpace()
+	srv := NewServer(mem)
 	ch := make(chan *countingConn, 4)
 	done := make(chan struct{})
 	go func() {
@@ -62,19 +63,20 @@ func pipelineServer(t *testing.T) (addr string, conns <-chan *countingConn) {
 		ln.Close()
 		<-done
 	})
-	return ln.Addr().String(), ch
+	return mem, ln.Addr().String(), ch
 }
 
-// pipelineFixture provisions a table over c and returns its geometry and
-// two different batches with their one-frame answers as the oracle.
-func pipelineFixture(t *testing.T, c Transport) (core.Geometry, [2][]core.BatchRequest, [2][]core.NDPBatchResult) {
+// pipelineFixture encrypts a table into the server memory mem and
+// returns its geometry and two different batches with their one-frame
+// answers over c as the oracle.
+func pipelineFixture(t *testing.T, mem *memory.Space, c Transport) (core.Geometry, [2][]core.BatchRequest, [2][]core.NDPBatchResult) {
 	t.Helper()
 	scheme, err := core.NewScheme(key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	geo := testGeometry(memory.TagSep, 16, 8)
-	if _, err := ProvisionContext(context.Background(), c, scheme, geo, 1, randRows(rand.New(rand.NewSource(81)), 16, 8, 1<<20)); err != nil {
+	if _, err := scheme.EncryptTable(mem, geo, 1, randRows(rand.New(rand.NewSource(81)), 16, 8, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	batches := [2][]core.BatchRequest{
@@ -106,17 +108,17 @@ func sameResults(res, want []core.NDPBatchResult) bool {
 // TestPipelinedRepliesOneWrite: two frames written in one flush get two
 // replies, in frame order, which the server sends in one write.
 func TestPipelinedRepliesOneWrite(t *testing.T) {
-	addr, conns := pipelineServer(t)
+	mem, addr, conns := pipelineServer(t)
 	c := dial(t, addr)
 	sc := <-conns
-	geo, batches, oracle := pipelineFixture(t, c)
+	geo, batches, oracle := pipelineFixture(t, mem, c)
 	ctx := context.Background()
 	frames := []BatchFrame{
 		{Ctx: ctx, Geo: geo, Reqs: batches[0], Verify: true},
 		{Ctx: ctx, Geo: geo, Reqs: batches[1], Verify: true},
 	}
 	before := sc.writes.Load()
-	call, err := c.startBatches(ctx, frames)
+	call, err := c.StartBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +144,9 @@ func TestPipelinedRepliesOneWrite(t *testing.T) {
 // with its error, the frame after it is answered, and the connection
 // stays usable for the next exchange.
 func TestPipelinedStatusErrKeepsSync(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	c := dial(t, addr)
-	geo, batches, oracle := pipelineFixture(t, c)
+	geo, batches, oracle := pipelineFixture(t, mem, c)
 	ctx := context.Background()
 	bad := geo
 	bad.Layout.Placement = memory.TagNone
@@ -152,7 +154,7 @@ func TestPipelinedStatusErrKeepsSync(t *testing.T) {
 		{Ctx: ctx, Geo: bad, Reqs: batches[0], Verify: true},
 		{Ctx: ctx, Geo: geo, Reqs: batches[1], Verify: true},
 	}
-	call, err := c.startBatches(ctx, frames)
+	call, err := c.StartBatches(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,30 +187,30 @@ func TestPipelinedStatusErrKeepsSync(t *testing.T) {
 // TestPipelinedPackedAndVarint: one exchange whose first frame asks for
 // packed sums and whose second asks for the varint form reads both.
 func TestPipelinedPackedAndVarint(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	c := dial(t, addr)
-	geo, batches, oracle := pipelineFixture(t, c)
+	geo, batches, oracle := pipelineFixture(t, mem, c)
 	ctx := context.Background()
 
 	// Frame the exchange by hand: sendBatchesLocked asks every lane-width
 	// frame for packed sums once the server offers them.
 	c.mu.Lock()
-	disarm, err := c.arm(ctx)
-	if err != nil {
+	if err := c.arm(ctx); err != nil {
 		c.mu.Unlock()
 		t.Fatal(err)
 	}
 	f := appendBatchRequest([]byte{opBatch}, geo, batches[0], batchFlagVerify|batchFlagPacked)
 	f = appendBatchRequest(append(f, opBatch), geo, batches[1], batchFlagVerify)
-	if _, err := c.w.Write(f); err == nil {
+	_, err := c.w.Write(f)
+	if err == nil {
 		err = c.w.Flush()
 	}
 	if err != nil {
-		disarm()
+		c.disarm()
 		c.mu.Unlock()
 		t.Fatal(err)
 	}
-	c.call.c, c.call.ctx, c.call.disarm = c, ctx, disarm
+	c.call.c, c.call.ctx = c, ctx
 	c.call.frames = append(c.call.frames[:0],
 		callFrame{n: len(batches[0]), m: geo.Params.M, verify: true, packed: true, rg: ring.MustNew(geo.Params.We)},
 		callFrame{n: len(batches[1]), m: geo.Params.M, verify: true})
@@ -230,7 +232,7 @@ func TestPipelinedPackedAndVarint(t *testing.T) {
 // completes through a proxy that forwards both streams a byte at a time
 // with a pause before every byte, so no frame and no reply arrives whole.
 func TestPipelinedThroughFaultProxy(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	proxy := faultproxy.New(addr, faultproxy.Script{{Segment: 1, SegmentDelay: 20 * time.Microsecond}})
 	paddr, err := proxy.Listen("127.0.0.1:0")
 	if err != nil {
@@ -238,7 +240,7 @@ func TestPipelinedThroughFaultProxy(t *testing.T) {
 	}
 	t.Cleanup(func() { proxy.Close() })
 	rc := dialReliable(t, paddr, ReliableConfig{Retry: fastRetry()})
-	geo, batches, oracle := pipelineFixture(t, rc)
+	geo, batches, oracle := pipelineFixture(t, mem, rc)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	frames := []BatchFrame{

@@ -119,8 +119,7 @@ func (rc *ReliableClient) attempt(ctx context.Context, fn func(context.Context, 
 // failures, an abandoned exchange among them, poison and close it and
 // count as breaker failures, as a cancelled attempt does.
 func (rc *ReliableClient) settle(c *Client, err error) {
-	var se *serverError
-	if err == nil || errors.As(err, &se) {
+	if err == nil || isServerError(err) {
 		rc.breaker.Success()
 		rc.pool.Put(c)
 		return
@@ -166,8 +165,7 @@ func (rc *ReliableClient) do(ctx context.Context, op string, fn func(context.Con
 		if err == nil {
 			return nil
 		}
-		var se *serverError
-		if errors.As(err, &se) {
+		if isServerError(err) {
 			return err // semantic rejection: retrying is pointless
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -258,7 +256,7 @@ func (rc *ReliableClient) StartBatches(ctx context.Context, frames []BatchFrame)
 		rc.breaker.Failure()
 		return nil, err
 	}
-	call, err := c.startBatches(actx, frames)
+	call, err := c.StartBatches(actx, frames)
 	if err != nil {
 		rc.settle(c, err)
 		cancel()

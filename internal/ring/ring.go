@@ -57,20 +57,6 @@ func (r Ring) Bytes() int { return int(r.we+7) / 8 }
 // Mask returns the bit mask 2^we - 1.
 func (r Ring) Mask() uint64 { return r.mask }
 
-// Order returns the number of elements in the ring as a float64 (2^we).
-// Exact for we < 53; used only for statistics and reporting.
-func (r Ring) Order() float64 {
-	return float64(1) * pow2(r.we)
-}
-
-func pow2(n uint) float64 {
-	v := 1.0
-	for i := uint(0); i < n; i++ {
-		v *= 2
-	}
-	return v
-}
-
 // Reduce maps an arbitrary uint64 into the canonical representative in
 // [0, 2^we).
 func (r Ring) Reduce(a uint64) uint64 { return a & r.mask }

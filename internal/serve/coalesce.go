@@ -33,9 +33,8 @@ import (
 // went 131 → 108 µs (medians of sixteen 24 s pairs, 2 vCPUs).
 //
 // A Service drains every table that can share exchanges
-// (secndp.Table.SharesExchanges: cluster tables) through one coalescer,
-// and gives any other table — in-process, or one server — a coalescer of
-// its own: its batch has no exchange to share, and one drain loop over
+// (secndp.Table.SharesExchanges: every off-process table) through one
+// coalescer, and gives a LocalBackend table a coalescer of its own: its batch has no exchange to share, and one drain loop over
 // several such tables makes every user wait on all of them, which cost
 // serve_rotate's closed loop about a quarter of its lookups per second
 // (still so with caller-run drains: 63.5 k → 46.5 k, three pairs).

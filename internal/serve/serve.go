@@ -26,10 +26,11 @@
 //     as one secndp.QueryBatches call with a batch per table. The batched
 //     pipeline's cross-request dedup (DESIGN.md §8) amortizes pads
 //     across users, not just within one caller. Every table that can
-//     share NDP exchanges (a cluster table) drains through the service's
-//     one shared coalescer, so the tables' sub-batches for one shard
-//     ride one exchange; a table with no exchange to share (in-process,
-//     or one server) drains through a coalescer of its own. An idle
+//     share NDP exchanges (every off-process table: a cluster, or a
+//     remote table's one shard) drains through the service's one shared
+//     coalescer, so the tables' sub-batches for one shard ride one
+//     exchange; a LocalBackend table, with no exchange to share, drains
+//     through a coalescer of its own. An idle
 //     coalescer fetches at once; rows that arrive while a drain is on
 //     the wire form the next drain, which leaves when the first returns
 //     (or on its own goroutine once one table's share holds MaxBatch
