@@ -912,6 +912,54 @@ func BenchmarkLookupBagsWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkLookupBagsRemoteCold runs 4-bag, 32-row lookups from eight
+// closed-loop callers with the row cache off, over four remote tables,
+// each on its own loopback server behind its own bare client: every row
+// is an NDP fetch, and the four tables' drains share the service's one
+// coalescer.
+func BenchmarkLookupBagsRemoteCold(b *testing.B) {
+	h := newHarnessOn(b, 4, 1024, 32, 17, serve.Config{CacheRows: -1}, func() secndp.Backend {
+		srv := secndp.NewServer(secndp.NewMemory())
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { srv.Close() })
+		c, err := secndp.DialNDP(context.Background(), addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		return secndp.RemoteBackend(c)
+	})
+	var seed sync.Mutex
+	next := int64(0)
+	b.SetParallelism(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		seed.Lock()
+		next++
+		rng := rand.New(rand.NewSource(next))
+		seed.Unlock()
+		bags := make([]serve.Bag, len(h.names))
+		for ti, name := range h.names {
+			bags[ti] = serve.Bag{Table: name, Idx: make([]int, 8)}
+		}
+		for pb.Next() {
+			for ti := range bags {
+				for k := range bags[ti].Idx {
+					bags[ti].Idx[k] = rng.Intn(1024)
+				}
+			}
+			if _, err := h.svc.LookupBags(context.Background(), bags); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 // TestServeOverflowedBagIsNotVerified is ROADMAP 1a's reproduction: an
 // 8x16 32-bit table whose elements are all 2^31, bag {0,1} at unit
 // weights. The sum is exactly 2^32: Table.Query rejects it, and

@@ -3,6 +3,7 @@ package secndp
 import (
 	"context"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"secndp/internal/core"
@@ -92,6 +93,45 @@ func BenchmarkFacadeQueryRemote(b *testing.B) {
 		}
 		b.Cleanup(func() { client.Close() })
 		return RemoteBackend(client)
+	})
+}
+
+// BenchmarkFacadeQueryRemoteParallel is BenchmarkFacadeQueryRemote from
+// four callers at once on the one table and its one bare client, each
+// query on its own random rows.
+func BenchmarkFacadeQueryRemoteParallel(b *testing.B) {
+	eng, err := New(benchKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	client, err := DialNDP(context.Background(), benchServer(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	rng := rand.New(rand.NewSource(45))
+	rows := testRows(rng, 1024, 32, 1<<16)
+	tab, err := eng.CreateTable(context.Background(), RemoteBackend(client), TableSpec{Rows: 1024, Cols: 32}, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tab.Close()
+	var seed atomic.Int64
+	b.SetParallelism(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(seed.Add(1)))
+		req := Request{Idx: make([]int, 80), Weights: make([]uint64, 80)}
+		for pb.Next() {
+			for k := range req.Idx {
+				req.Idx[k], req.Weights[k] = rng.Intn(1024), 1+uint64(rng.Intn(4))
+			}
+			if res, err := tab.Query(context.Background(), req); err != nil || !res.Verified {
+				b.Errorf("query: verified=%v err=%v", res.Verified, err)
+				return
+			}
+		}
 	})
 }
 
