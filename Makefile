@@ -25,8 +25,11 @@ vet: inline-check
 # through the stack, and the copy's store-forward stall waits for the
 # previous row's cache miss: every per-row caller (otpWalk, otpBatch,
 # the table encoder, DecryptRow, Reencrypt) then runs at memory latency.
+# Space.page, the page-directory lookup, must stay inlinable into
+# View.Span, which the gather calls for every row and tag.
 inline-check:
 	$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline Layout.RowAddr'
+	$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline (\*Space).page$$'
 
 test:
 	$(GO) test ./...
@@ -87,7 +90,8 @@ batch-check:
 # The write path's gate: vet, then the encrypt, re-encrypt and sharding
 # tests twice under the race detector (shards of one table encrypting
 # concurrently into one memory, tables created and rotated while queries
-# read), then the sharded-vs-serial differential fuzzer.
+# read, the page directory growing while views resolve rows), then the
+# sharded-vs-serial differential fuzzer.
 write-check:
 	$(GO) vet ./internal/core ./internal/memory ./internal/otp
 	$(GO) test -race -count=2 -run 'Encrypt|Reencrypt|Shard|WriteView' ./internal/core ./internal/memory .
@@ -139,6 +143,7 @@ loadtest:
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzSpanMatchesReadInto$$' -fuzztime $(FUZZTIME) ./internal/memory
+	$(GO) test -run xxx -fuzz '^FuzzSpaceMatchesModel$$' -fuzztime $(FUZZTIME) ./internal/memory
 	$(GO) test -run xxx -fuzz '^FuzzDotUint64$$' -fuzztime $(FUZZTIME) ./internal/field
 	$(GO) test -run xxx -fuzz '^FuzzScaleAccum$$' -fuzztime $(FUZZTIME) ./internal/field
 	$(GO) test -run xxx -fuzz '^FuzzScaleAccumBytes$$' -fuzztime $(FUZZTIME) ./internal/ring

@@ -41,8 +41,8 @@ const (
 	replicatedOverUnreplicatedMax = 1.10
 	// Round-robin reads win on tail latency under skew, not throughput.
 	balancedOverStickyMax = 1.25
-	// Twice the 1.1–1.7 the prefetching gather reads on 2 vCPUs (the
-	// one-miss-at-a-time gather read 3.0–3.2).
+	// About twice the 1.0–1.6 the prefetching gather reads on 2 vCPUs
+	// (the one-miss-at-a-time gather read 3.0–3.2).
 	gatherColdOverWarmMax = 3.0
 	// Coalescing plus the row cache at least double per-request fan-out,
 	// coalescing merges across users, Zipfian hot rows hit the cache (0.1

@@ -6,7 +6,12 @@
 //
 // The space is sparse (page-granular allocation) so multi-gigabyte
 // embedding-table address ranges can be modeled without resident memory,
-// and it counts traffic for the energy model.
+// and it counts traffic for the energy model. Pages are found through a
+// dense two-level directory over the paper's 38-bit physical address
+// space — a slice of 1 MiB regions, each an array of page pointers — so
+// the gather resolves a row with two indexed loads and no hash; a page
+// and its region cost at most two pages of allocation however far apart
+// the writes land. Addresses above the 38-bit space fall back to a map.
 //
 // There are two ways to read it. Space.Read/ReadInto (and View.ReadInto
 // under a held read lock) copy, cross page boundaries and return zeros for
@@ -39,9 +44,16 @@ const PageSize = 1 << 12
 // is not usable; call NewSpace. Safe for concurrent use: concurrent reads
 // proceed in parallel (multiple NDP PUs / batch queries), writes serialize.
 type Space struct {
-	mu    sync.RWMutex
-	pages map[uint64][]byte
-	ecc   map[uint64][]byte // side-band tag storage keyed by data address
+	mu sync.RWMutex
+	// dir is the page directory of the dense address range: dir[a>>20] is
+	// the 1 MiB region holding address a (nil until a page of it is
+	// written). The slice grows, doubling, past the highest region
+	// written. A lookup is two indexed loads; see page.
+	dir []*region
+	// far holds the pages at or above denseLimit, keyed by page base. No
+	// table places a row or tag there.
+	far map[uint64]*[PageSize]byte
+	ecc map[uint64][]byte // side-band tag storage keyed by data address
 
 	bytesRead, bytesWritten atomic.Uint64
 	eccReads, eccWrites     atomic.Uint64
@@ -58,19 +70,70 @@ type Stats struct {
 // NewSpace returns an empty untrusted memory.
 func NewSpace() *Space {
 	return &Space{
-		pages: make(map[uint64][]byte),
-		ecc:   make(map[uint64][]byte),
+		far: make(map[uint64]*[PageSize]byte),
+		ecc: make(map[uint64][]byte),
 	}
 }
 
-func (s *Space) page(addr uint64, alloc bool) ([]byte, uint64) {
-	base := addr &^ (PageSize - 1)
-	p, ok := s.pages[base]
-	if !ok && alloc {
-		p = make([]byte, PageSize)
-		s.pages[base] = p
+const (
+	pageShift   = 12
+	regionShift = 20 // a region is 1 MiB: 256 pages
+	regionPages = 1 << (regionShift - pageShift)
+	// denseLimit is where the directory ends: the paper's w_A = 38-bit
+	// physical address space, otp.MaxAddr+1. Every address a table
+	// stores a row or tag at is below it.
+	denseLimit = 1 << 38
+)
+
+// A region is one directory entry: a pointer per page, nil where no page
+// is written. It is 2 KiB, which the allocator rounds to 2 304 B with the
+// header it gives a pointer array over 512 B, so a write into a fresh
+// region allocates less than two pages, over any spread of addresses. (A
+// 2 MiB region of 512 slots is 4 KiB and rounds to 4 864 B: a page and a
+// region would then cost more than two pages.) The top-level slice adds
+// 8 bytes per 1 MiB up to at most twice the highest region written
+// (2 MiB for the whole 38-bit space).
+type region [regionPages]*[PageSize]byte
+
+// page returns the page holding addr, nil if it was never written. The
+// hot path of every gather (View.Span); it must stay small enough to
+// inline (make inline-check).
+func (s *Space) page(addr uint64) *[PageSize]byte {
+	if i := addr >> regionShift; i < uint64(len(s.dir)) {
+		if r := s.dir[i]; r != nil {
+			return r[addr>>pageShift&(regionPages-1)]
+		}
+		return nil
 	}
-	return p, addr - base
+	return s.far[addr&^(PageSize-1)]
+}
+
+// allocPage returns the page holding addr, allocating it (and its
+// directory entry) if it was never written. Callers hold the write lock.
+func (s *Space) allocPage(addr uint64) *[PageSize]byte {
+	if p := s.page(addr); p != nil {
+		return p
+	}
+	p := new([PageSize]byte)
+	if addr >= denseLimit {
+		s.far[addr&^(PageSize-1)] = p
+		return p
+	}
+	i := addr >> regionShift
+	if i >= uint64(len(s.dir)) {
+		// Double, so that the directories a space outgrows, one region at
+		// a time, sum to less than the one it keeps.
+		dir := make([]*region, min(max(i+1, 2*uint64(len(s.dir))), denseLimit>>regionShift))
+		copy(dir, s.dir)
+		s.dir = dir
+	}
+	r := s.dir[i]
+	if r == nil {
+		r = new(region)
+		s.dir[i] = r
+	}
+	r[addr>>pageShift&(regionPages-1)] = p
+	return p
 }
 
 // Write stores data at addr, allocating pages as needed.
@@ -89,8 +152,7 @@ func (s *Space) writeRaw(addr uint64, data []byte) {
 // the traffic themselves.
 func (s *Space) writeLocked(addr uint64, data []byte) {
 	for len(data) > 0 {
-		p, off := s.page(addr, true)
-		n := copy(p[off:], data)
+		n := copy(s.allocPage(addr)[addr&(PageSize-1):], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -115,14 +177,12 @@ func (s *Space) ReadInto(dst []byte, addr uint64) {
 // account the traffic themselves.
 func (s *Space) readIntoLocked(dst []byte, addr uint64) {
 	for len(dst) > 0 {
-		p, off := s.page(addr, false)
+		off := addr & (PageSize - 1)
 		var n int
-		if p == nil {
+		if p := s.page(addr); p == nil {
 			// Unallocated page reads as zeros.
 			n = min(len(dst), PageSize-int(off))
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		} else {
 			n = copy(dst, p[off:])
 		}
@@ -181,7 +241,7 @@ func (v *View) Span(addr uint64, n int) []byte {
 	if n <= 0 || off+uint64(n) > PageSize {
 		return nil
 	}
-	p := v.s.pages[addr-off]
+	p := v.s.page(addr)
 	if p == nil {
 		return nil
 	}
@@ -301,8 +361,7 @@ func (s *Space) FlipBit(addr uint64, bit uint) {
 		panic(fmt.Sprintf("memory: bit index %d out of range", bit))
 	}
 	s.mu.Lock()
-	p, off := s.page(addr, true)
-	p[off] ^= 1 << bit
+	s.allocPage(addr)[addr&(PageSize-1)] ^= 1 << bit
 	s.mu.Unlock()
 }
 

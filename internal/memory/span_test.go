@@ -3,6 +3,7 @@ package memory
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -102,6 +103,18 @@ func TestPrefetchLinesTouchesNothing(t *testing.T) {
 	}
 }
 
+// spanWindowAddr places a 16-bit fuzz address: its top three bits pick
+// one of the edges FuzzSpaceMatchesModel also draws around, its low 13 an
+// offset in the 8 KiB window centred on that edge. The first window
+// starts at 0, so an address below 0x2000 is itself.
+func spanWindowAddr(a uint16) uint64 {
+	base := edges[a>>13]
+	if base != 0 {
+		base -= PageSize
+	}
+	return base + uint64(a&0x1FFF)
+}
+
 // FuzzSpanMatchesReadInto: after arbitrary writes, for arbitrary (addr, n)
 // Span is either nil or byte-equal to ReadInto, and the read is counted as
 // n bytes whichever path served it — the invariant that lets the NDP
@@ -110,20 +123,25 @@ func FuzzSpanMatchesReadInto(f *testing.F) {
 	f.Add([]byte{0, 0, 16, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint16(0), uint16(16))
 	f.Add([]byte{0xF8, 0x0F, 16, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint16(0x0FF0), uint16(272))
 	f.Add([]byte{}, uint16(4096), uint16(64))
+	// Across the first region edge, and across the end of the dense range.
+	f.Add([]byte{0xF8, 0x4F, 16, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint16(0x4FF8), uint16(8))
+	f.Add([]byte{0xF0, 0xAF, 32, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+		17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32}, uint16(0xB000), uint16(16))
 	f.Fuzz(func(t *testing.T, writes []byte, addr16, n16 uint16) {
-		// writes is a list of records: address (2 bytes), length (2
-		// bytes, capped), then that many payload bytes. The 64 KiB
-		// address space keeps written and unwritten pages both likely.
+		// writes is a list of records: address (2 bytes, placed by
+		// spanWindowAddr), length (2 bytes, capped), then that many
+		// payload bytes. Eight 8 KiB windows keep written and unwritten
+		// pages both likely, around page, region and directory edges.
 		s := NewSpace()
 		for len(writes) >= 4 {
-			a := uint64(binary.LittleEndian.Uint16(writes))
+			a := spanWindowAddr(binary.LittleEndian.Uint16(writes))
 			l := int(binary.LittleEndian.Uint16(writes[2:])) % 600
 			writes = writes[4:]
 			l = min(l, len(writes))
 			s.Write(a, writes[:l])
 			writes = writes[l:]
 		}
-		addr, n := uint64(addr16), int(n16)%(PageSize+64)
+		addr, n := spanWindowAddr(addr16), int(n16)%(PageSize+64)
 		s.ResetStats()
 		want := make([]byte, n)
 		s.View(func(v *View) {
@@ -141,4 +159,42 @@ func FuzzSpanMatchesReadInto(f *testing.F) {
 			t.Fatalf("BytesRead = %d after two reads of %d bytes", got, n)
 		}
 	})
+}
+
+// BenchmarkViewSpan is the sls_local gather's page lookups: per op one
+// View resolving 80 random 256-byte rows of a 16 MiB Ver-sep table and
+// their tags as spans, the bytes left untouched.
+func BenchmarkViewSpan(b *testing.B) {
+	const rows, rowBytes, bag = 65536, 256, 80
+	l := Layout{Placement: TagSep, Base: 0x1000, NumRows: rows, RowBytes: rowBytes}
+	l.TagBase = l.DataEnd()
+	s := NewSpace()
+	chunk := make([]byte, 1<<20)
+	for i := range chunk {
+		chunk[i] = byte(i)
+	}
+	for a := l.Base; a < l.TagBase+rows*TagBytes; a += uint64(len(chunk)) {
+		s.Write(a, chunk)
+	}
+	rng := rand.New(rand.NewSource(1))
+	bags := make([][bag]int, 256)
+	for i := range bags {
+		for j := range bags[i] {
+			bags[i][j] = rng.Intn(rows)
+		}
+	}
+	var resolved int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := &bags[i%len(bags)]
+		s.View(func(v *View) {
+			for _, r := range idx {
+				resolved += len(v.Span(l.RowAddr(r), rowBytes)) + len(v.Span(l.TagAddr(r), TagBytes))
+			}
+		})
+	}
+	if resolved != b.N*bag*(rowBytes+TagBytes) {
+		b.Fatalf("resolved %d bytes, want %d", resolved, b.N*bag*(rowBytes+TagBytes))
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"secndp/internal/memory"
+	"secndp/internal/otp"
 	"secndp/internal/telemetry"
 )
 
@@ -84,5 +85,28 @@ func TestServerDrainsBlobBeforeRejectingAddress(t *testing.T) {
 	}
 	if err := client.PingContext(context.Background()); err != nil {
 		t.Errorf("stream out of sync after a rejected blob: %v", err)
+	}
+}
+
+// TestServerRejectsBlobRunningPastAddressSpace: a blob that starts inside
+// the physical address space and runs past otp.MaxAddr is refused whole,
+// after its payload is drained, so the connection stays usable and no
+// byte of it lands on either side of the limit.
+func TestServerRejectsBlobRunningPastAddressSpace(t *testing.T) {
+	_, mem, addr := startServer(t)
+	client := dial(t, addr)
+	payload := bytes.Repeat([]byte{0xAB}, 64)
+	if err := client.WriteBlobContext(context.Background(), otp.MaxAddr-15, payload); !isServerError(err) {
+		t.Fatalf("blob over the top of the address space: err %v, want a server error", err)
+	}
+	if err := client.PingContext(context.Background()); err != nil {
+		t.Errorf("stream out of sync after a rejected blob: %v", err)
+	}
+	if got := mem.Snapshot(otp.MaxAddr-15, len(payload)); !bytes.Equal(got, make([]byte, len(payload))) {
+		t.Errorf("rejected blob left bytes in memory: %x", got)
+	}
+	// The last 16 bytes of the space are still writable.
+	if err := client.WriteBlobContext(context.Background(), otp.MaxAddr-15, payload[:16]); err != nil {
+		t.Errorf("blob ending at the top of the address space: %v", err)
 	}
 }

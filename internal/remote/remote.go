@@ -670,6 +670,9 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		if addr > otp.MaxAddr {
 			return fail(fmt.Sprintf("address %#x beyond the physical address space", addr))
 		}
+		if n > otp.MaxAddr-addr+1 {
+			return fail(fmt.Sprintf("blob of %d bytes at %#x runs beyond the physical address space", n, addr))
+		}
 		s.mu.Lock()
 		s.mem.Write(addr, buf)
 		s.mu.Unlock()
