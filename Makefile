@@ -23,8 +23,9 @@ vet: inline-check
 
 # memory.Layout.RowAddr must stay inlinable. As a call it copies the Layout
 # through the stack, and the copy's store-forward stall waits for the
-# previous row's cache miss: every per-row caller (otpWalk, otpBatch,
-# the table encoder, DecryptRow, Reencrypt) then runs at memory latency.
+# previous row's cache miss: every per-row caller (the sweep's padGen and
+# its one-request arm otpWalk, the table encoder, DecryptRow, Reencrypt)
+# then runs at memory latency.
 # Space.page, the page-directory lookup, must stay inlinable into
 # View.Span, which the gather calls for every row and tag.
 inline-check:
@@ -71,10 +72,10 @@ serve-check:
 # 2-shard one handing its exchange off), and a rotated remote table's
 # mirror answering the rotated sums. The budgets themselves hold only
 # without -race (see race_test.go), so they also run once plainly. Last,
-# the trusted side: the seed corpus of its oracle (pipelined batches equal
-# per-request QueryCtx over the in-process NDP across the sizes where the
-# pad walk fans out over workers), both shapes of the in-process batch
-# walk around the planner's threshold
+# the trusted side: the seed corpus of its oracle (pipelined batches, and
+# single requests walked without a plan, equal per-request referenceQuery
+# across the sizes where the pad sweep fans out over workers), both shapes
+# of the in-process batch walk around the planner's threshold
 # (TestBatchPlannerBoundaryEquivalence: inline exchange below it,
 # overlapped at and above it), and one iteration each of the Local
 # unit-row batch benchmarks, the shape of a serving drain.
@@ -84,7 +85,7 @@ batch-check:
 	$(GO) test -race -count=2 -run 'TestBatch' ./internal/integration
 	$(GO) test -run 'TestBatchCluster|TestSharedTransport|TestRemoteTable|TestQueryStartsNoGoroutine|TestReencryptRewritesMirror' -race .
 	$(GO) test -run 'TestBatchClusterAllocBudget|TestBatchLocalAllocBudget' -count=1 .
-	$(GO) test -run '^FuzzBatchMatchesQueryCtx$$|^TestBatchPlannerBoundaryEquivalence$$' -count=1 ./internal/core
+	$(GO) test -run '^FuzzBatchMatchesReference$$|^TestBatchPlannerBoundaryEquivalence$$' -count=1 ./internal/core
 	$(GO) test -run '^$$' -bench 'FacadeQueryBatchUnitLocal' -benchtime 1x .
 
 # The write path's gate: vet, then the encrypt, re-encrypt and sharding
@@ -157,7 +158,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzVerifyRejectsTamper$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzQueryLinearity$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzEncryptTableSharded$$' -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -run xxx -fuzz '^FuzzBatchMatchesQueryCtx$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run xxx -fuzz '^FuzzBatchMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzShardSplit$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run xxx -fuzz '^FuzzReshardPlan$$' -fuzztime $(FUZZTIME) ./internal/cluster
 

@@ -119,13 +119,15 @@ func TestBatchClusterAllocBudget(t *testing.T) {
 
 // TestBatchLocalAllocBudget: a verified LocalBackend QueryBatch of 8
 // unit requests — the shape of a serving drain — heap-allocates only
-// what it returns: the results, the NDP's result vector and sums slab
-// and the core results. Every per-request working slice of the walk, the
-// NDP and the facade is pooled, and a walk this short runs its exchange
-// on the caller. It read 27 allocations before the pooling, and 6 while
-// the exchange still ran on a goroutine of its own.
+// what it returns: the results, the NDP's sums slab and the core
+// results. Every per-request working slice of the walk, the NDP and the
+// facade is pooled, and a walk this short runs its exchange on the
+// caller, the in-process NDP answering into the walk's own buffer. It
+// read 27 allocations before the pooling, 6 while the exchange still ran
+// on a goroutine of its own, and 5 while the NDP's result vector was
+// allocated per exchange.
 func TestBatchLocalAllocBudget(t *testing.T) {
-	const rows, cols, budget = 64, 16, 5
+	const rows, cols, budget = 64, 16, 4
 	eng, err := New(testKey)
 	if err != nil {
 		t.Fatal(err)

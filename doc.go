@@ -10,10 +10,11 @@
 // through a pluggable Backend and returns a Table handle; Table.Query runs
 // the weighted-sum protocol through the one query engine — NDP ciphertext
 // sums, OTP share regeneration and tag-pad dot, joined and MAC-checked.
-// A small query against an in-process NDP runs inline on the caller's
-// goroutine; a remote or cluster table, or a pad walk of 128 KiB or more,
-// overlaps the NDP exchange with a pad walk sharded across a worker pool
-// (the software analogue of the paper's multiple OTP engines, §V-C2):
+// A query is a batch of one. A small query against an in-process NDP runs
+// its exchange and then its pad walk on the caller's goroutine; a remote
+// or cluster table overlaps the NDP exchange with the pad walk, and a pad
+// walk of 128 KiB or more is planned and spread across a worker pool (the
+// software analogue of the paper's multiple OTP engines, §V-C2):
 //
 //	eng, _ := secndp.New(key, secndp.WithParallelism(8))
 //	mem := secndp.NewMemory()

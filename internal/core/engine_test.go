@@ -14,7 +14,9 @@ import (
 )
 
 // This file holds the engine's test-only serial reference and the tests
-// that pin QueryCtx's three shapes (inline, overlapped, batch walk) to it.
+// that pin the engine's three shapes to it: a short query over HonestNDP
+// (back to back, one-request arm), a long one (planned, overlapped) and a
+// query over any other NDP (the exchange in flight during the sweep).
 
 // referencePadSum is Algorithm 4 lines 8–14 one row at a time: each row's
 // pad vector materialized by padRow and folded with plain ring arithmetic.
@@ -40,26 +42,22 @@ func referenceTagPadSum(tab *Table, idx []int, w []uint64) field.Elem {
 }
 
 // referenceQuery is the serial reference every equivalence test compares
-// the engine against: Algorithms 4 and 5 built from per-row padRow, per-row
-// Generator.TagPad and checksumRowNaive. It shares no kernel with otpWalk,
-// tagDot or resultChecksum.
+// the engine against: Algorithms 4 and 5 built from copyNDP's copying
+// reads of ndp's memory, per-row padRow, per-row Generator.TagPad and
+// checksumRowNaive. It shares no kernel with the gather, otpWalk,
+// otpBatch, tagDot or resultChecksum.
 func referenceQuery(tab *Table, ndp *HonestNDP, idx []int, w []uint64, verify bool) ([]uint64, error) {
 	if err := tab.checkQuery(idx, w); err != nil {
 		return nil, err
 	}
-	cres, ctag, err := ndp.weightedTagSum(context.Background(), tab.geo, idx, w, verify)
-	if err != nil {
-		return nil, err
-	}
-	if len(cres) != tab.geo.Params.M {
-		return nil, fmt.Errorf("reference: ndp returned %d columns", len(cres))
-	}
+	ref := copyNDP{ndp.Mem}
+	cres := ref.WeightedSum(tab.geo, idx, w)
 	res := referencePadSum(tab, idx, w)
 	for j := range res {
 		res[j] = tab.r.Reduce(res[j] + cres[j])
 	}
 	if verify {
-		mac := field.Add(ctag, referenceTagPadSum(tab, idx, w))
+		mac := field.Add(ref.TagSum(tab.geo, idx, w), referenceTagPadSum(tab, idx, w))
 		if !checksumRowNaive(tab.seeds, res).Equal(mac) {
 			return nil, ErrVerification
 		}
@@ -73,21 +71,25 @@ func queryUnverified(tab *Table, ndp NDP, idx []int, w []uint64) ([]uint64, erro
 }
 
 // transportNDP dresses an in-process NDP as something other than
-// *HonestNDP — a transport, to the planner — which always runs the batch
-// walk.
+// *HonestNDP — a transport, to the planner — whose exchange always runs on
+// a goroutine during the sweep.
 type transportNDP struct{ NDP }
 
-// shape is one of QueryCtx's shapes, forced on the small queries these
-// tests issue: dress wraps the NDP, and stretch lengthens the query.
+// shape is one of the engine's shapes for a single query, forced on the
+// small queries these tests issue: dress wraps the NDP, and stretch
+// lengthens the query.
 type shape struct {
 	name    string
 	dress   func(NDP) NDP
 	stretch bool
 }
 
-// shapes runs a *HonestNDP inline as it is, overlapped once the query is
-// stretched past inlinePadBytes, and through the batch walk dressed as a
-// transport. A double that is not *HonestNDP runs the walk in every shape.
+// shapes runs a *HonestNDP as it is (a short query: no plan on either
+// side, the exchange then the sweep on the caller), stretched past
+// inlinePadBytes (a long one: planned, its sweep spread over the workers)
+// and dressed as a transport (the exchange on a goroutine during the
+// sweep). A double that is not *HonestNDP runs the transport shape in
+// every shape.
 var shapes = []shape{
 	{"inline", func(n NDP) NDP { return n }, false},
 	{"overlapped", func(n NDP) NDP { return n }, true},

@@ -118,8 +118,11 @@ func TestGatherMatchesCopyPath(t *testing.T) {
 							if got, want := honest.TagSum(g, idx, w), ref.TagSum(g, idx, w); !got.Equal(want) {
 								t.Fatalf("%d of %d rows: TagSum diverges from the copy path", n, g.Layout.NumRows)
 							}
-							sums, tag, err := honest.weightedTagSum(context.Background(), g, idx, w, true)
-							if err != nil || !slices.Equal(sums, ref.WeightedSum(g, idx, w)) || !tag.Equal(ref.TagSum(g, idx, w)) {
+							res, err := honest.WeightedTagSumBatch(context.Background(), g, []BatchRequest{{Idx: idx, Weights: w}}, true)
+							if err == nil {
+								err = res[0].Err
+							}
+							if err != nil || !slices.Equal(res[0].Sums, ref.WeightedSum(g, idx, w)) || !res[0].Tag.Equal(ref.TagSum(g, idx, w)) {
 								t.Fatalf("%d of %d rows: WeightedTagSum diverges from the copy path (%v)", n, g.Layout.NumRows, err)
 							}
 						}
@@ -334,13 +337,13 @@ func (s shiftNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []
 	return s.HonestNDP.WeightedTagSumBatch(ctx, geo, reqs, verify)
 }
 
-// batchPanicNDP answers a batch through the one-request gather with its
-// first request's row shifted out of the table, so the gather's panic
-// crosses the batch entry point unchecked.
+// batchPanicNDP answers a batch through the unchecked one-request gather
+// (WeightedSum) with its first request's row shifted out of the table, so
+// the gather's panic crosses the batch entry point unchecked.
 type batchPanicNDP struct{ *HonestNDP }
 
 func (p batchPanicNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, reqs []BatchRequest, verify bool) ([]NDPBatchResult, error) {
-	p.weightedTagSum(ctx, geo, shifted(reqs[0].Idx, geo.Layout.NumRows), reqs[0].Weights, verify)
+	p.WeightedSum(geo, shifted(reqs[0].Idx, geo.Layout.NumRows), reqs[0].Weights)
 	return nil, nil
 }
 
@@ -359,7 +362,7 @@ func TestGatherRowOutOfRange(t *testing.T) {
 	for name, call := range map[string]func(){
 		"WeightedSum":     func() { honest.WeightedSum(tab.geo, shifted(idx, 64), w) },
 		"TagSum":          func() { honest.TagSum(tab.geo, shifted(idx, 64), w) },
-		"weightedTagSum":  func() { honest.weightedTagSum(ctx, tab.geo, shifted(idx, 64), w, true) },
+		"gatherOne":       func() { honest.gatherOne(ctx, tab.geo, shifted(idx, 64), w, make([]uint64, 64), true) },
 		"WeightedSumElem": func() { honest.WeightedSumElem(ctx, tab.geo, shifted(idx, 64), cols, w) },
 		"negative":        func() { honest.WeightedSum(tab.geo, shifted(idx, -100), w) },
 	} {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"secndp/internal/field"
 	"secndp/internal/memory"
 )
 
@@ -51,6 +52,33 @@ func TestParallelOTPWeightedSumMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOTPHalfRejectsOutOfRangeRow: the OTP-half entry points check their
+// rows as a query does, on one worker and on four: a row past the table
+// or below zero is ErrIndexRange, and a length mismatch an error, never a
+// panic on the caller or on a pad generator's goroutine.
+func TestOTPHalfRejectsOutOfRangeRow(t *testing.T) {
+	tab, _, _ := hotpathTable(t, memory.TagSep, 64, 32, 32, 35)
+	w := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, bad := range []int{99, 64, -1} {
+		idx := []int{0, 1, 2, 3, bad, 5, 6, 7}
+		for _, workers := range []int{1, 4} {
+			opts := QueryOptions{Workers: workers}
+			if _, err := tab.OTPWeightedSumCtx(context.Background(), idx, w, opts); !errors.Is(err, ErrIndexRange) {
+				t.Errorf("row %d, workers=%d: OTPWeightedSumCtx got %v, want ErrIndexRange", bad, workers, err)
+			}
+			if _, err := tab.TagPadSumCtx(context.Background(), idx, w, opts); !errors.Is(err, ErrIndexRange) {
+				t.Errorf("row %d, workers=%d: TagPadSumCtx got %v, want ErrIndexRange", bad, workers, err)
+			}
+		}
+		if _, err := tab.Verify(idx, w, make([]uint64, 32), field.Zero); !errors.Is(err, ErrIndexRange) {
+			t.Errorf("row %d: Verify got %v, want ErrIndexRange", bad, err)
+		}
+	}
+	if _, err := tab.OTPWeightedSumCtx(context.Background(), []int{1, 2}, w, QueryOptions{Workers: 4}); err == nil {
+		t.Error("OTPWeightedSumCtx accepted 2 indices against 8 weights")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // padRow regenerates the OTP share of row i — the processor's arithmetic
 // share of the secret, recomputed from (key, address, version) with zero
 // memory traffic. This is what makes SecNDP cheaper than classic MPC: the
-// TEE's share never needs to be stored or fetched. The engine's otpWalk
+// TEE's share never needs to be stored or fetched. The engine's sweep
 // never materializes this vector; padRow is the one-row-at-a-time form the
 // test oracles compare it against.
 func (t *Table) padRow(i int) []uint64 {
@@ -25,23 +25,24 @@ func (t *Table) padRow(i int) []uint64 {
 	return t.r.UnpackElems(raw)
 }
 
-// otpWalk is the one OTP routine every query shape runs — the OTP PU
-// mirroring the NDP's operation on the processor's shares. Over idx[lo:hi]
-// it accumulates weights[k]·pad(idx[k]) mod 2^we into acc (Algorithm 4
-// lines 8–14; acc == nil skips the data share) and stages row k's tag pad
-// E_T[idx[k]] at tagPads[16k:] (Algorithm 5 line 12; tagPads == nil skips
-// the tags), in ctxCheckStride-row chunks with a cancellation check
-// between them. A verified walk is the fused kernel — data pads and tag
-// pads out of one keystream pass — and an unverified one the
-// generate-scale-accumulate kernel; neither materializes a pad vector.
-func (t *Table) otpWalk(ctx context.Context, idx []int, weights []uint64, lo, hi int, acc []uint64, tagPads []byte) error {
+// otpWalk is the sweep's one-request arm (otpBatch) and the tag half of
+// TagPadSumCtx — the OTP PU mirroring the NDP's operation on the
+// processor's shares over a lone request's indices as given, with no
+// dedup plan. It accumulates weights[k]·pad(idx[k]) mod 2^we into acc
+// (Algorithm 4 lines 8–14; acc == nil skips the data share) and stages
+// row k's tag pad E_T[idx[k]] at tagPads[16k:] (Algorithm 5 line 12;
+// tagPads == nil skips the tags), in ctxCheckStride-row chunks with a
+// cancellation check between them. A verified walk is the fused kernel —
+// data pads and tag pads out of one keystream pass — and an unverified one
+// the generate-scale-accumulate kernel; neither materializes a pad vector.
+func (t *Table) otpWalk(ctx context.Context, idx []int, weights []uint64, acc []uint64, tagPads []byte) error {
 	gen, we := t.scheme.gen, t.geo.Params.We
 	var addrBuf [ctxCheckStride]uint64
-	for k := lo; k < hi; k += ctxCheckStride {
+	for k := 0; k < len(idx); k += ctxCheckStride {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := min(k+ctxCheckStride, hi)
+		end := min(k+ctxCheckStride, len(idx))
 		addrs := addrBuf[:end-k]
 		for j := range addrs {
 			addrs[j] = t.geo.Layout.RowAddr(idx[k+j])
@@ -139,8 +140,8 @@ func (t *Table) DecryptRow(mem *memory.Space, i int) []uint64 {
 	return res
 }
 
-// QueryVerified runs Algorithm 4 followed by Algorithm 5 on the caller's
-// goroutine: QueryCtx with one worker, verification on, no cancellation.
+// QueryVerified runs Algorithm 4 followed by Algorithm 5: QueryCtx with
+// one worker, verification on, no cancellation.
 func (t *Table) QueryVerified(ndp NDP, idx []int, weights []uint64) ([]uint64, error) {
 	return t.QueryCtx(context.Background(), ndp, idx, weights, QueryOptions{Workers: 1, Verify: true})
 }
@@ -150,16 +151,16 @@ func (t *Table) checkQuery(idx []int, weights []uint64) error {
 }
 
 // checkQuery validates one (idx, weights) query against a geometry. It is
-// shared by QueryCtx, the batch planner (which must reject malformed
-// sub-requests with errors byte-identical to QueryCtx's), and HonestNDP's
-// batched entry point.
+// shared by the batch planner (so by every query), the OTP-half entry
+// points, and HonestNDP's batched entry point.
 func checkQuery(geo Geometry, idx []int, weights []uint64) error {
 	if len(idx) != len(weights) {
 		return fmt.Errorf("core: %d indices vs %d weights", len(idx), len(weights))
 	}
+	n := uint(geo.Layout.NumRows)
 	for _, i := range idx {
-		if i < 0 || i >= geo.Layout.NumRows {
-			return fmt.Errorf("%w: row %d not in [0,%d)", ErrIndexRange, i, geo.Layout.NumRows)
+		if uint(i) >= n {
+			return fmt.Errorf("%w: row %d not in [0,%d)", ErrIndexRange, i, n)
 		}
 	}
 	return nil

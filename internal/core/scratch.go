@@ -24,30 +24,6 @@ func getByteScratch(n int) (*[]byte, []byte) {
 
 func putByteScratch(p *[]byte) { byteScratch.Put(p) }
 
-var u64Scratch = sync.Pool{New: func() any { s := make([]uint64, 0, 64); return &s }}
-
-// getU64Scratch returns a pooled uint64 slice of length n (contents
-// undefined) and the pool token to return via putU64Scratch.
-func getU64Scratch(n int) (*[]uint64, []uint64) {
-	p := u64Scratch.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
-	}
-	return p, (*p)[:n]
-}
-
-// getU64Zeroed is getU64Scratch with the returned slice cleared — for
-// pooled accumulators.
-func getU64Zeroed(n int) (*[]uint64, []uint64) {
-	p, s := getU64Scratch(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return p, s
-}
-
-func putU64Scratch(p *[]uint64) { u64Scratch.Put(p) }
-
 // slotScratch pools the batch planner's dense row→slot table. Invariant:
 // every pooled table is all −1 over its full length; planBatch resets the
 // entries it touched before returning a table to the pool.

@@ -54,9 +54,9 @@ func BenchmarkOTPWeightedSumParallel4(b *testing.B) { benchOTPWeightedSum(b, 4) 
 func BenchmarkOTPWeightedSumParallel8(b *testing.B) { benchOTPWeightedSum(b, 8) }
 
 // BenchmarkQueryCtxParallel8 runs the whole verified protocol with eight
-// workers — overlapped (NDP in the background, pad walk sharded) when the
-// fixture's walk reaches the planner's inline threshold; compare against
-// BenchmarkQueryVerified, the same engine with one worker.
+// workers: the fixture's walk reaches the planner's threshold, so the
+// query is planned and its pad sweep spread over the workers; compare
+// against BenchmarkQueryVerified, the same engine with one worker.
 func BenchmarkQueryCtxParallel8(b *testing.B) {
 	_, mem, tab, _ := benchTable(b, memory.TagSep, benchParRows, benchParCols, 32)
 	ndp := &core.HonestNDP{Mem: mem}

@@ -131,10 +131,9 @@ type Option func(*config)
 
 // WithParallelism fixes the worker count of the OTP-side pad generator
 // (the software analogue of the paper's multiple OTP engines, §V-C2). It
-// applies to batches, to remote and cluster queries' pad sweeps, and to
-// local queries whose pad walk reaches the inline threshold (128 KiB of
-// rows); smaller local queries run on the caller's goroutine whatever n
-// is. Table encryption uses the same count:
+// applies to batches and to queries whose pad walk reaches 128 KiB of
+// rows; a shorter query walks its pads on the caller's goroutine whatever
+// n is. Table encryption uses the same count:
 // CreateTable (on every backend) and Reencrypt split the table into up to
 // n row ranges encrypted side by side, none smaller than 64 KiB. n <= 0 —
 // the default — selects GOMAXPROCS.

@@ -42,11 +42,12 @@ func WithTelemetry(reg *Telemetry) Option {
 
 // Timing is one query's anatomy: the wall-clock total plus each
 // architectural phase's own elapsed time. A small query on a local table
-// runs inline — NDP, then Pad, then Tag, then Verify, back to back — so
-// its phases sum to just under Total. A remote or cluster table, or a
-// long pad walk, overlaps NDP with Pad and Tag (the paper's OTP engines
-// run ahead of the NDP, §V-C2), and there the phases deliberately do not
-// sum to Total. Phases that did not run are zero; Fallback is non-zero
+// runs its phases back to back — NDP, then Pad, then Tag, then Verify —
+// so they sum to just under Total. A remote or cluster table, or a long
+// pad walk, overlaps NDP with Pad (the paper's OTP engines run ahead of
+// the NDP, §V-C2), and there the phases deliberately do not sum to Total.
+// A long walk is planned, and its sweep sums its tag pads inside Pad, so
+// its Tag is zero. Phases that did not run are zero; Fallback is non-zero
 // exactly when the result was recomputed from the TEE mirror. Timing is
 // always populated — no registry needed.
 type Timing struct {
