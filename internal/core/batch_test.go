@@ -107,6 +107,57 @@ func TestQueryBatchEmpty(t *testing.T) {
 	}
 }
 
+// TestQueryBatchEmptyRequestsVerify: a verified batch whose valid
+// requests are all empty — two of them, planned to no row, or one with
+// coalescing counters, on the one-request arm — answers each with the
+// zero sum, which verifies, also on a walk scratch an earlier non-empty
+// batch left its tags in.
+func TestQueryBatchEmptyRequestsVerify(t *testing.T) {
+	s := newTestScheme(t)
+	mem := memory.NewSpace()
+	geo := mkGeometry(memory.TagSep, 16, 32, 32)
+	tab, err := s.EncryptTable(mem, geo, 1, boundedRows(rand.New(rand.NewSource(54)), 16, 32, 1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndp := &HonestNDP{Mem: mem}
+	full := []BatchRequest{
+		{Idx: []int{1, 2, 3}, Weights: []uint64{2, 3, 4}},
+		{Idx: []int{3, 5}, Weights: []uint64{5, 6}},
+	}
+	for trial := 0; trial < 8; trial++ {
+		opts := QueryOptions{Workers: 1, Verify: true}
+		if err := FirstError(tab.QueryBatchCtx(context.Background(), ndp, full, opts)); err != nil {
+			t.Fatal(err)
+		}
+		var stats BatchStats
+		counted := opts
+		counted.Stats = &stats
+		for name, run := range map[string]func() []BatchResult{
+			"two empty": func() []BatchResult {
+				return tab.QueryBatchCtx(context.Background(), ndp, []BatchRequest{{}, {}}, opts)
+			},
+			"one empty, counted": func() []BatchResult {
+				return tab.QueryBatchCtx(context.Background(), ndp, []BatchRequest{{}}, counted)
+			},
+		} {
+			for i, r := range run() {
+				if r.Err != nil {
+					t.Fatalf("trial %d, %s: request %d: %v", trial, name, i, r.Err)
+				}
+				if len(r.Res) != geo.Params.M {
+					t.Fatalf("trial %d, %s: request %d: %d columns", trial, name, i, len(r.Res))
+				}
+				for j, v := range r.Res {
+					if v != 0 {
+						t.Fatalf("trial %d, %s: request %d col %d = %d, want 0", trial, name, i, j, v)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWeightedTagSumBatchIntoReuse: one BatchBuffer reused across batches
 // that shrink, grow, flip verification and move their bad sub-requests
 // answers each exactly as fresh storage does — no sum, tag or error of an
