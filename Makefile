@@ -28,9 +28,15 @@ vet: inline-check
 # then runs at memory latency.
 # Space.page, the page-directory lookup, must stay inlinable into
 # View.Span, which the gather calls for every row and tag.
+# otp's putCounter, which writes each gathered tag counter as two 8-byte
+# stores, must stay inlinable too: as a call, every TagPads and
+# PadTagScaleAccum row pays one, and counterBlock's block goes back
+# through a stack copy whose 16-byte reload of two 8-byte stores stalls
+# on store forwarding — the stall the register counters removed.
 inline-check:
 	$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline Layout.RowAddr'
 	$(GO) build -gcflags=-m ./internal/memory 2>&1 | grep -q 'can inline (\*Space).page$$'
+	$(GO) build -gcflags=-m ./internal/otp 2>&1 | grep -q 'can inline putCounter$$'
 
 test:
 	$(GO) test ./...
@@ -148,6 +154,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzDotUint64$$' -fuzztime $(FUZZTIME) ./internal/field
 	$(GO) test -run xxx -fuzz '^FuzzScaleAccum$$' -fuzztime $(FUZZTIME) ./internal/field
 	$(GO) test -run xxx -fuzz '^FuzzScaleAccumBytes$$' -fuzztime $(FUZZTIME) ./internal/ring
+	$(GO) test -run xxx -fuzz '^FuzzKeystreamArms$$' -fuzztime $(FUZZTIME) ./internal/otp
 	$(GO) test -run xxx -fuzz '^FuzzReadGeometry$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz '^FuzzReadQuery$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz '^FuzzClientResponse$$' -fuzztime $(FUZZTIME) ./internal/remote

@@ -76,13 +76,15 @@ func uniformBatch(rng *rand.Rand, bags, bagRows, rows int) []Request {
 // took their per-request scratch from pools, 58 and ~84 KB (42 and
 // ~69 KB after); before the fill flags and the query's exchange part
 // came from pools and a wire call stopped allocating its cancellation
-// guard for a context that cannot end, 42 (14 after). A single verified
-// 80-row Table.Query on the same fixture read 66 allocations while it
-// made two round trips per shard from a goroutine per shard, 44 as a
-// batch of one with its exchange on a goroutine, and 14 split at the
-// wire on the caller's goroutine.
+// guard for a context that cannot end, 42 (14 after); before each
+// server's gather kept its memory view on the stack, 14 (10 after). A
+// single verified 80-row Table.Query on the same fixture read 66
+// allocations while it made two round trips per shard from a goroutine
+// per shard, 44 as a batch of one with its exchange on a goroutine, 14
+// split at the wire on the caller's goroutine, and 12 once the servers'
+// views stayed on the stack.
 func TestBatchClusterAllocBudget(t *testing.T) {
-	const rows, budget, bytesBudget, queryBudget = 16384, 18, 120 << 10, 18
+	const rows, budget, bytesBudget, queryBudget = 16384, 10, 120 << 10, 12
 	tab, _ := newBatchCluster(t, 4, rows, 64, 250)
 	rng := rand.New(rand.NewSource(251))
 	reqs := uniformBatch(rng, 64, 8, rows)
@@ -124,10 +126,10 @@ func TestBatchClusterAllocBudget(t *testing.T) {
 // facade is pooled, and a walk this short runs its exchange on the
 // caller, the in-process NDP answering into the walk's own buffer. It
 // read 27 allocations before the pooling, 6 while the exchange still ran
-// on a goroutine of its own, and 5 while the NDP's result vector was
-// allocated per exchange.
+// on a goroutine of its own, 5 while the NDP's result vector was
+// allocated per exchange, and 4 while the NDP's memory view was.
 func TestBatchLocalAllocBudget(t *testing.T) {
-	const rows, cols, budget = 64, 16, 4
+	const rows, cols, budget = 64, 16, 3
 	eng, err := New(testKey)
 	if err != nil {
 		t.Fatal(err)

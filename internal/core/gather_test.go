@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"secndp/internal/field"
 	"secndp/internal/memory"
@@ -351,7 +352,8 @@ func (p batchPanicNDP) WeightedTagSumBatch(ctx context.Context, geo Geometry, re
 // layout's panic, with its text, out of the gather; the single query and
 // the batch recover it into an error naming the range; and the batch NDP
 // itself turns a shifted request into that sub-request's error while
-// answering the rest.
+// answering the rest. Every panic leaves the gather through its deferred
+// View.Close, so the memory's read lock is free afterwards.
 func TestGatherRowOutOfRange(t *testing.T) {
 	tab, honest, _ := hotpathTable(t, memory.TagSep, 64, 64, 32, 93)
 	rng := rand.New(rand.NewSource(94))
@@ -395,6 +397,19 @@ func TestGatherRowOutOfRange(t *testing.T) {
 		if r.Err == nil || !strings.Contains(r.Err.Error(), text) {
 			t.Errorf("batch over a panicking NDP, request %d: got %v, want an error naming the range", i, r.Err)
 		}
+	}
+
+	wrote := make(chan struct{})
+	go func() {
+		addr := tab.geo.Layout.RowAddr(0)
+		honest.Mem.FlipBit(addr, 0)
+		honest.Mem.FlipBit(addr, 0)
+		close(wrote)
+	}()
+	select {
+	case <-wrote:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a write still blocks: a panicking gather kept the memory's read lock")
 	}
 }
 

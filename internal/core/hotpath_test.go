@@ -152,9 +152,10 @@ var raceEnabled bool
 
 // TestQueryVerifiedSteadyStateAllocs is the pool leak check: once the
 // scratch pools are warm, a verified query — a batch of one — allocates
-// two objects when short and in process: its sums slab (which becomes the
-// result) and its gather's memory view. In every other shape it also
-// allocates the NDP's result slice and the exchange goroutine's start. A
+// one object when short and in process: its sums slab, which becomes the
+// result (the gather's memory view stays on its stack). In every other
+// shape it also allocates the NDP's result slice and the exchange
+// goroutine's start. A
 // query abandoned to cancellation must hand its scratch back: a leaked
 // buffer shows up as the pool allocating a fresh one on every call. Under
 // -race only the counts are skipped.
@@ -192,13 +193,14 @@ func TestQueryVerifiedSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("cancelled query: %v", err)
 			}
 		})
+		t.Logf("%s: %.1f allocs/op, %.1f when cancelled", shape.name, allocs, abandoned)
 		if raceEnabled {
 			// Every query above ran and was checked; only the counts are off.
 			continue
 		}
-		budget := 4.0
+		budget := 3.0
 		if shape.name == "inline" {
-			budget = 2
+			budget = 1
 		}
 		if allocs > budget {
 			t.Errorf("%s: steady-state verified query allocates %.1f/op, want <= %.0f (pool leak?)", shape.name, allocs, budget)

@@ -81,7 +81,8 @@ const gatherAhead = 8
 // inlined: the copy's store-forward stall waits for the previous row's
 // miss and serialises the walk (see memory.Layout.RowAddr). An
 // out-of-range row panics with RowAddr's own value, which the batch
-// pipeline and the cluster's replica and mirror calls recover.
+// pipeline and the cluster's replica and mirror calls recover; the
+// deferred Close releases the view's read lock on the way out.
 func (n *HonestNDP) gather(ctx context.Context, geo Geometry, count, dataLen int, tags bool,
 	at func(k int) (row int, off uint64), fold func(k int, data, tag []byte)) error {
 	lay := geo.Layout
@@ -105,52 +106,51 @@ func (n *HonestNDP) gather(ctx context.Context, geo Geometry, count, dataLen int
 	bp, scratch := getByteScratch(dataLen + memory.TagBytes)
 	defer putByteScratch(bp)
 	rowBuf, tagBuf := scratch[:dataLen], scratch[dataLen:]
-	var err error
-	n.Mem.View(func(v *memory.View) {
-		var data, tag [gatherAhead][]byte
-		var dataAddr, tagAddr [gatherAhead]uint64
-		for lo := 0; lo < count; lo += gatherAhead {
-			if lo%ctxCheckStride == 0 {
-				if err = ctx.Err(); err != nil {
-					return
-				}
-			}
-			g := min(gatherAhead, count-lo)
-			for j := 0; j < g; j++ {
-				row, off := at(lo + j)
-				if uint(row) >= uint(numRows) {
-					lay.RowAddr(row) // panics
-				}
-				if dataLen > 0 {
-					dataAddr[j] = base + uint64(row)*stride + off
-					data[j] = v.Span(dataAddr[j], dataLen)
-				}
-				if tags {
-					tagAddr[j] = tagBase + uint64(row)*tagStride
-					if !ecc {
-						tag[j] = v.Span(tagAddr[j], memory.TagBytes)
-					}
-				}
-			}
-			for j := 0; j < g; j++ {
-				d, t := data[j], tag[j]
-				if d == nil && dataLen > 0 {
-					v.ReadInto(rowBuf, dataAddr[j])
-					d = rowBuf
-				}
-				if t == nil && tags {
-					if ecc {
-						v.ReadECCInto(tagBuf, tagAddr[j])
-					} else {
-						v.ReadInto(tagBuf, tagAddr[j])
-					}
-					t = tagBuf
-				}
-				fold(lo+j, d, t)
+	v := n.Mem.OpenView()
+	defer v.Close()
+	var data, tag [gatherAhead][]byte
+	var dataAddr, tagAddr [gatherAhead]uint64
+	for lo := 0; lo < count; lo += gatherAhead {
+		if lo%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
-	})
-	return err
+		g := min(gatherAhead, count-lo)
+		for j := 0; j < g; j++ {
+			row, off := at(lo + j)
+			if uint(row) >= uint(numRows) {
+				lay.RowAddr(row) // panics
+			}
+			if dataLen > 0 {
+				dataAddr[j] = base + uint64(row)*stride + off
+				data[j] = v.Span(dataAddr[j], dataLen)
+			}
+			if tags {
+				tagAddr[j] = tagBase + uint64(row)*tagStride
+				if !ecc {
+					tag[j] = v.Span(tagAddr[j], memory.TagBytes)
+				}
+			}
+		}
+		for j := 0; j < g; j++ {
+			d, t := data[j], tag[j]
+			if d == nil && dataLen > 0 {
+				v.ReadInto(rowBuf, dataAddr[j])
+				d = rowBuf
+			}
+			if t == nil && tags {
+				if ecc {
+					v.ReadECCInto(tagBuf, tagAddr[j])
+				} else {
+					v.ReadInto(tagBuf, tagAddr[j])
+				}
+				t = tagBuf
+			}
+			fold(lo+j, d, t)
+		}
+	}
+	return nil
 }
 
 // gatherOne is the one-request arm of WeightedTagSumBatchInto: one walk

@@ -129,22 +129,22 @@ func FuzzSpaceMatchesModel(f *testing.F) {
 			case 7:
 				// Spans of n bytes at addr and at the next two offsets a
 				// seed apart, in one view.
-				s.View(func(v *View) {
-					for k := uint64(0); k < 3; k++ {
-						a := addr + k*uint64(seed)
-						sp := v.Span(a, n)
-						if want := m.spans(a, n); (sp != nil) != want {
-							t.Fatalf("step %d: Span(%#x, %d) resolved=%v, want %v", step, a, n, sp != nil, want)
-						}
-						if sp == nil {
-							continue
-						}
-						m.stats.BytesRead += uint64(n)
-						if len(sp) != n || cap(sp) != n || !bytes.Equal(sp, m.read(a, n)) {
-							t.Fatalf("step %d: Span(%#x, %d) differs from the model", step, a, n)
-						}
+				v := s.OpenView()
+				for k := uint64(0); k < 3; k++ {
+					a := addr + k*uint64(seed)
+					sp := v.Span(a, n)
+					if want := m.spans(a, n); (sp != nil) != want {
+						t.Fatalf("step %d: Span(%#x, %d) resolved=%v, want %v", step, a, n, sp != nil, want)
 					}
-				})
+					if sp == nil {
+						continue
+					}
+					m.stats.BytesRead += uint64(n)
+					if len(sp) != n || cap(sp) != n || !bytes.Equal(sp, m.read(a, n)) {
+						t.Fatalf("step %d: Span(%#x, %d) differs from the model", step, a, n)
+					}
+				}
+				v.Close()
 			}
 			if got := s.Stats(); got != m.stats {
 				t.Fatalf("step %d (op %d at %#x, %d bytes): stats %+v, want %+v", step, op, addr, n, got, m.stats)
@@ -190,23 +190,23 @@ func TestWriteViewGrowsDirectoryBesideReaders(t *testing.T) {
 					return
 				default:
 				}
-				s.View(func(v *View) {
-					for k := 0; k < 16; k++ {
-						row := (iter*16 + k*31 + r) % rows
-						sp := v.Span(uint64(row*rowBytes), rowBytes)
-						if !bytes.Equal(sp, stable[row*rowBytes:][:rowBytes]) {
-							t.Errorf("reader %d: row %d changed under it", r, row)
-						}
+				v := s.OpenView()
+				for k := 0; k < 16; k++ {
+					row := (iter*16 + k*31 + r) % rows
+					sp := v.Span(uint64(row*rowBytes), rowBytes)
+					if !bytes.Equal(sp, stable[row*rowBytes:][:rowBytes]) {
+						t.Errorf("reader %d: row %d changed under it", r, row)
 					}
-					if v.Span(hot+64, 64) == nil {
-						t.Errorf("reader %d: the tampered page vanished", r)
+				}
+				if v.Span(hot+64, 64) == nil {
+					t.Errorf("reader %d: the tampered page vanished", r)
+				}
+				for i, a := range fresh {
+					if sp := v.Span(a, PageSize); sp != nil && !bytes.Equal(sp, page(i)) {
+						t.Errorf("reader %d: fresh page %#x seen half written", r, a)
 					}
-					for i, a := range fresh {
-						if sp := v.Span(a, PageSize); sp != nil && !bytes.Equal(sp, page(i)) {
-							t.Errorf("reader %d: fresh page %#x seen half written", r, a)
-						}
-					}
-				})
+				}
+				v.Close()
 				if t.Failed() {
 					return
 				}

@@ -287,12 +287,12 @@ func TestViewMatchesLockedReads(t *testing.T) {
 	base := s.Stats()
 
 	var viaView, viaViewECC []byte
-	s.View(func(v *View) {
-		viaView = make([]byte, 12)
-		v.ReadInto(viaView, 98)
-		viaViewECC = make([]byte, 4)
-		v.ReadECCInto(viaViewECC, 100)
-	})
+	v := s.OpenView()
+	viaView = make([]byte, 12)
+	v.ReadInto(viaView, 98)
+	viaViewECC = make([]byte, 4)
+	v.ReadECCInto(viaViewECC, 100)
+	v.Close()
 	if !bytes.Equal(viaView, direct) {
 		t.Fatalf("View.ReadInto = %v, Space.Read = %v", viaView, direct)
 	}
@@ -369,13 +369,13 @@ func TestLayoutViewReadsMatch(t *testing.T) {
 	// and agree with the locked copying reads.
 	gotRows := make([][]byte, 4)
 	gotTags := make([][]byte, 4)
-	s.View(func(v *View) {
-		for i := 0; i < 4; i++ {
-			// A span dies with the view: copy it out.
-			gotRows[i] = bytes.Clone(v.Span(l.RowAddr(i), l.RowBytes))
-			gotTags[i] = bytes.Clone(v.Span(l.TagAddr(i), TagBytes))
-		}
-	})
+	v := s.OpenView()
+	for i := 0; i < 4; i++ {
+		// A span dies with the view: copy it out.
+		gotRows[i] = bytes.Clone(v.Span(l.RowAddr(i), l.RowBytes))
+		gotTags[i] = bytes.Clone(v.Span(l.TagAddr(i), TagBytes))
+	}
+	v.Close()
 	for i := 0; i < 4; i++ {
 		if gotRows[i] == nil || !bytes.Equal(gotRows[i], l.ReadRow(s, i)) {
 			t.Fatalf("row %d: view span %v diverges from locked read", i, gotRows[i])

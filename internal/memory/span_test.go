@@ -39,25 +39,25 @@ func TestSpanResolvesOrDeclines(t *testing.T) {
 		{"negative", PageSize, -1, false},
 	}
 	var counted uint64
-	s.View(func(v *View) {
-		for _, c := range cases {
-			got := v.Span(c.addr, c.n)
-			if (got != nil) != c.want {
-				t.Errorf("%s: Span(%d, %d) resolved=%v, want %v", c.name, c.addr, c.n, got != nil, c.want)
-				continue
-			}
-			if got == nil {
-				continue
-			}
-			counted += uint64(c.n)
-			if len(got) != c.n || cap(got) != c.n {
-				t.Errorf("%s: len %d cap %d, want both %d (a span must not reach past its range)", c.name, len(got), cap(got), c.n)
-			}
-			if want := data[c.addr-PageSize:][:c.n]; !bytes.Equal(got, want) {
-				t.Errorf("%s: span bytes differ from what was written", c.name)
-			}
+	v := s.OpenView()
+	for _, c := range cases {
+		got := v.Span(c.addr, c.n)
+		if (got != nil) != c.want {
+			t.Errorf("%s: Span(%d, %d) resolved=%v, want %v", c.name, c.addr, c.n, got != nil, c.want)
+			continue
 		}
-	})
+		if got == nil {
+			continue
+		}
+		counted += uint64(c.n)
+		if len(got) != c.n || cap(got) != c.n {
+			t.Errorf("%s: len %d cap %d, want both %d (a span must not reach past its range)", c.name, len(got), cap(got), c.n)
+		}
+		if want := data[c.addr-PageSize:][:c.n]; !bytes.Equal(got, want) {
+			t.Errorf("%s: span bytes differ from what was written", c.name)
+		}
+	}
+	v.Close()
 	if got := s.Stats().BytesRead; got != counted {
 		t.Errorf("BytesRead = %d, want %d (resolved spans only)", got, counted)
 	}
@@ -69,18 +69,19 @@ func TestSpanResolvesOrDeclines(t *testing.T) {
 func TestSpanIsZeroCopy(t *testing.T) {
 	s := NewSpace()
 	s.Write(64, []byte{1, 2, 3, 4})
-	var first *byte
-	s.View(func(v *View) { first = &v.Span(64, 4)[0] })
+	v := s.OpenView()
+	first := &v.Span(64, 4)[0]
+	v.Close()
 	s.FlipBit(64, 0)
-	s.View(func(v *View) {
-		sp := v.Span(64, 4)
-		if &sp[0] != first {
-			t.Error("two spans of one address are different memory")
-		}
-		if sp[0] != 0 {
-			t.Errorf("span shows %d after the flip, want 0", sp[0])
-		}
-	})
+	v = s.OpenView()
+	sp := v.Span(64, 4)
+	if &sp[0] != first {
+		t.Error("two spans of one address are different memory")
+	}
+	if sp[0] != 0 {
+		t.Errorf("span shows %d after the flip, want 0", sp[0])
+	}
+	v.Close()
 }
 
 // TestPrefetchLinesTouchesNothing: the prefetch kernel (or its no-op twin)
@@ -144,17 +145,17 @@ func FuzzSpanMatchesReadInto(f *testing.F) {
 		addr, n := spanWindowAddr(addr16), int(n16)%(PageSize+64)
 		s.ResetStats()
 		want := make([]byte, n)
-		s.View(func(v *View) {
-			v.ReadInto(want, addr)
-			if sp := v.Span(addr, n); sp != nil {
-				if !bytes.Equal(sp, want) {
-					t.Fatalf("Span(%d, %d) differs from ReadInto", addr, n)
-				}
-			} else {
-				// What the gather does when Span declines.
-				v.ReadInto(make([]byte, n), addr)
+		v := s.OpenView()
+		v.ReadInto(want, addr)
+		if sp := v.Span(addr, n); sp != nil {
+			if !bytes.Equal(sp, want) {
+				t.Fatalf("Span(%d, %d) differs from ReadInto", addr, n)
 			}
-		})
+		} else {
+			// What the gather does when Span declines.
+			v.ReadInto(make([]byte, n), addr)
+		}
+		v.Close()
 		if got := s.Stats().BytesRead; got != 2*uint64(n) {
 			t.Fatalf("BytesRead = %d after two reads of %d bytes", got, n)
 		}
@@ -188,11 +189,11 @@ func BenchmarkViewSpan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := &bags[i%len(bags)]
-		s.View(func(v *View) {
-			for _, r := range idx {
-				resolved += len(v.Span(l.RowAddr(r), rowBytes)) + len(v.Span(l.TagAddr(r), TagBytes))
-			}
-		})
+		v := s.OpenView()
+		for _, r := range idx {
+			resolved += len(v.Span(l.RowAddr(r), rowBytes)) + len(v.Span(l.TagAddr(r), TagBytes))
+		}
+		v.Close()
 	}
 	if resolved != b.N*bag*(rowBytes+TagBytes) {
 		b.Fatalf("resolved %d bytes, want %d", resolved, b.N*bag*(rowBytes+TagBytes))

@@ -9,15 +9,30 @@ import "encoding/binary"
 // pad generation (one short run per table row, at an unpredictable
 // address) cannot. This file gives the Generator a setup-free keystream
 // primitive for that case: the AES-128 key schedule is expanded once at
-// NewGenerator, and ctrKeystream (ctr_amd64.s) fills a destination with
-// keystream blocks using eight-way interleaved AES-NI rounds, no
-// allocation, no state.
+// NewGenerator, and ctrKeystream fills a destination with keystream
+// blocks, no allocation, no state. The counter arrives as two register
+// words (counterWords), never as a block in memory.
 //
-// The fast path is an implementation of exactly the same function as the
-// stdlib CTR stream (verified bit-for-bit by TestNativeCTRMatchesStdlib):
-// block i of dst is E(K, iv+i) with the counter incremented as a 128-bit
-// big-endian integer. On other architectures, or on amd64 without AES-NI,
-// hasNativeCTR stays false and callers use the stdlib path.
+// Two arms run it, chosen once from CPUID:
+//
+//   - VAES (vaes_amd64.s): 256-bit VEX VAESENC, two blocks per Y register,
+//     16 blocks per iteration, counter blocks built in Y registers by one
+//     add and one byte shuffle per pair. Needs AVX2, VAES and the YMM
+//     state saved by the OS (supportsVAES).
+//   - AES-NI (ctr_amd64.s): eight-way interleaved AESENC, counter blocks
+//     built from two general registers. Every AES-NI CPU runs it.
+//
+// Both are implementations of exactly the same function as the stdlib CTR
+// stream (verified bit-for-bit by TestNativeCTRMatchesStdlib and
+// FuzzKeystreamArms): block i of dst is E(K, iv+i) with the counter
+// incremented as a 128-bit big-endian integer. On other architectures, or
+// on amd64 without AES-NI, Generator.native stays false and callers use
+// the stdlib path.
+
+// useVAES selects the VAES arm of ctrKeystream and encryptBlocks; the
+// assembly entry points read it on every call. Tests flip it to run both
+// arms.
+var useVAES = supportsVAES()
 
 // roundKeyBytes holds the expanded AES-128 encryption schedule as the 11
 // round keys' raw bytes, the layout AESENC consumes directly.
@@ -78,10 +93,4 @@ func expandKey128(key []byte, rk *roundKeyBytes) {
 	for i, word := range w {
 		binary.BigEndian.PutUint32(rk[4*i:], word)
 	}
-}
-
-// nativeKeystream fills dst (a multiple of 16 bytes) with the CTR
-// keystream starting at iv. Callers must have checked g.native.
-func (g *Generator) nativeKeystream(dst []byte, iv *[BlockBytes]byte) {
-	ctrKeystream(&g.rk[0], &iv[0], &dst[0], len(dst)/BlockBytes)
 }

@@ -2,14 +2,16 @@
 
 #include "textflag.h"
 
-// AES-128-CTR keystream with eight-way interleaved AES-NI rounds.
+// AES-128-CTR keystream and ECB with eight-way interleaved AES-NI rounds:
+// the arm every AES-NI CPU can run. Each entry point first jumps to its
+// 256-bit VAES twin (vaes_amd64.s) when useVAES is set.
 //
 // Register use:
 //   AX  expanded round keys (11 × 16 bytes)
 //   DI  destination
 //   CX  blocks remaining
-//   R8  counter-block bytes 0..7 in memory order (domain ‖ version) — fixed
-//   R9  block counter (bytes 8..15 byte-swapped to an integer)
+//   R8  counter-block bytes 0..7 in memory order (hi byte-swapped) — fixed
+//   R9  block counter (the chunk index ctr; bytes 8..15 big endian)
 //   DX  scratch for the byte-swapped counter
 //   X0-X7  state blocks
 //   X8  current round key
@@ -36,16 +38,19 @@
 	AESENC X8, X6;      \
 	AESENC X8, X7
 
-// func ctrKeystream(rk *byte, iv *byte, dst *byte, nblocks int)
-TEXT ·ctrKeystream(SB), NOSPLIT, $0-32
-	MOVQ rk+0(FP), AX
-	MOVQ iv+8(FP), BX
-	MOVQ dst+16(FP), DI
-	MOVQ nblocks+24(FP), CX
+// func ctrKeystream(rk *byte, hi, ctr uint64, dst *byte, nblocks int)
+TEXT ·ctrKeystream(SB), NOSPLIT, $0-40
+	CMPB ·useVAES(SB), $0
+	JEQ  aesni
+	JMP  ·ctrKeystreamVAES(SB)
 
-	MOVQ   0(BX), R8
-	MOVQ   8(BX), R9
-	BSWAPQ R9
+aesni:
+	MOVQ   rk+0(FP), AX
+	MOVQ   hi+8(FP), R8
+	BSWAPQ R8
+	MOVQ   ctr+16(FP), R9
+	MOVQ   dst+24(FP), DI
+	MOVQ   nblocks+32(FP), CX
 
 loop8:
 	CMPQ CX, $8
@@ -143,13 +148,23 @@ tailloop:
 done:
 	RET
 
-// func cpuidFeatECX() uint64
-TEXT ·cpuidFeatECX(SB), NOSPLIT, $0-8
-	MOVL  $1, AX
-	XORL  CX, CX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	MOVL  CX, CX
-	MOVQ  CX, ret+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32 — the low word of XCR0. Call only when CPUID
+// reports OSXSAVE.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
 	RET
 
 // func encryptBlocks(rk *byte, src *byte, dst *byte, nblocks int)
@@ -161,6 +176,11 @@ TEXT ·cpuidFeatECX(SB), NOSPLIT, $0-8
 // src and gets all of them encrypted in one eight-way interleaved walk.
 // dst may alias src exactly (in-place encryption).
 TEXT ·encryptBlocks(SB), NOSPLIT, $0-32
+	CMPB ·useVAES(SB), $0
+	JEQ  eaesni
+	JMP  ·encryptBlocksVAES(SB)
+
+eaesni:
 	MOVQ rk+0(FP), AX
 	MOVQ src+8(FP), SI
 	MOVQ dst+16(FP), DI

@@ -70,7 +70,7 @@ func TestPadsIntoRejectsOutOfRangeRun(t *testing.T) {
 
 func TestXORPadsRoundTrip(t *testing.T) {
 	g := mustGen(t)
-	for _, n := range []int{16, 64, 128, 512} {
+	for _, n := range []int{16, 64, 128, 512, 272, 1040} {
 		plain := make([]byte, n)
 		for i := range plain {
 			plain[i] = byte(i*7 + 3)

@@ -6,9 +6,10 @@ import "secndp/internal/ring"
 // row, both the row's data pads (Algorithm 4's OTP share) and its tag pad
 // (Algorithm 5's E_{T_i}) — previously two passes: a CTR keystream run per
 // row plus one serialized single-block encryption per tag. The kernels
-// here gather every counter block a span of rows needs — data chunks and
-// tag counters together — into one scratch buffer and push them through
-// encryptBlocks, the eight-way AES-NI walk, in a single pass. On hardware
+// here write each row's tag counter block straight into the caller's tag
+// buffer — two 8-byte stores, from the same counter words as the row's
+// data run — and push the whole gather through encryptBlocks (16-way VAES
+// or eight-way AES-NI) in a single pass. On hardware
 // without the native path they fall back to the existing PadsInto/Block
 // engines, so behavior is identical everywhere (pinned by
 // fusedtag_test.go against the public single-row primitives).
@@ -36,18 +37,18 @@ func (g *Generator) TagPads(dst []byte, rowAddrs []uint64, version uint64) {
 	}
 	g.cNative.Inc()
 	for r, addr := range rowAddrs {
-		in := counterBlock(DomainTag, addr, version)
-		copy(dst[r*BlockBytes:], in[:])
+		hi, ctr := counterWords(DomainTag, addr, version)
+		putCounter(dst[r*BlockBytes:], hi, ctr)
 	}
 	encryptBlocks(&g.rk[0], &dst[0], &dst[0], len(rowAddrs))
 }
 
 // PadTagScaleAccum is the verifier's fused OTP half: for every row r it
 // accumulates acc[j] += weights[r]·pad_j(addrs[r]) mod 2^we (the data-pad
-// share) and writes the row's tag pad into tagPads[16r:16r+16]. Data
-// chunks and tag counters are gathered tile-by-tile into one buffer and
-// encrypted in a single eight-way walk per tile — tag pads and data pads
-// for the same address span come out of one keystream pass.
+// share) and writes the row's tag pad into tagPads[16r:16r+16]. Each
+// row's data pads are one keystream run and its tag counter is staged in
+// tagPads as the walk passes; one ECB walk then encrypts every staged tag
+// counter in place.
 //
 // len(acc)·we/8 must be a multiple of the block size (whole-chunk rows,
 // as with PadScaleAccum); len(tagPads) must be 16·len(addrs) and
@@ -83,16 +84,17 @@ func (g *Generator) PadTagScaleAccum(acc []uint64, we uint, weights, addrs []uin
 		return
 	}
 	g.cNative.Inc()
-	// Data pads ride the CTR assembly (counters built in registers, which
-	// beats staging them through memory); each row's tag counter is
-	// gathered into the caller's tagPads buffer as the walk passes, then
-	// the whole gather is encrypted in place by one eight-way ECB run.
+	// One range check and one pair of counter words per row serve both
+	// its data run (in registers) and its tag counter (two stores into
+	// tagPads). DomainData's domain bits are zero, so OR-ing in
+	// DomainTag's turns the data hi word into the tag's.
 	p, ks := getScratch(rowBytes)
 	for k, addr := range addrs {
-		g.PadsInto(ks, DomainData, addr, version)
+		checkPadRange(addr, rowBytes)
+		hi, ctr := counterWords(DomainData, addr, version)
+		ctrKeystream(&g.rk[0], hi, ctr, &ks[0], rowBytes/BlockBytes)
 		r.ScaleAccumBytes(acc, weights[k], ks)
-		tin := counterBlock(DomainTag, addr, version)
-		copy(tagPads[k*BlockBytes:], tin[:])
+		putCounter(tagPads[k*BlockBytes:], hi|uint64(DomainTag)<<62, ctr)
 	}
 	putScratch(p)
 	encryptBlocks(&g.rk[0], &tagPads[0], &tagPads[0], len(addrs))

@@ -8,7 +8,8 @@ import (
 
 // The fused tag+pad kernels must be bit-identical to the public
 // single-row primitives (TagPad, PadScaleAccum) on every engine: the
-// native eight-way encryptBlocks walk and the cipher.Block fallback.
+// native encryptBlocks walk (on the AES arm TestMain selected) and the
+// cipher.Block fallback.
 
 func testGenerator(t testing.TB) *Generator {
 	t.Helper()

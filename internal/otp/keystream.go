@@ -9,18 +9,19 @@ import (
 
 // This file is the multi-block keystream engine. The counter-block layout
 // (see counterBlock) makes the pads of consecutive chunks an exact AES-CTR
-// keystream, so runs of blocks are produced by cipher.NewCTR — which on
-// amd64/arm64 dispatches to the standard library's pipelined multi-block
-// AES assembly — instead of one serialized Encrypt call per block.
+// keystream, so a run of blocks is one CTR keystream instead of one
+// serialized Encrypt call per block.
 //
 // Two access patterns are served:
 //
-//   - Random access (PadsInto, the fused kernels in fused.go): one stream
-//     per call. Small runs fall back to single-block encryption, which
-//     beats the fixed CTR setup cost below ctrMinBytes.
+//   - Random access (PadsInto, XORPads, the fused kernels in fused.go and
+//     fusedtag.go): one run per call. A native generator runs every such
+//     run, whatever its length, through ctrKeystream (aesctr.go), which
+//     has no setup. Elsewhere, runs shorter than ctrMinBytes use
+//     single-block encryption and longer ones a cipher.NewCTR stream.
 //   - Sequential scans (Keystream): table-order walks — encryption,
-//     re-encryption, full-table decryption — reuse one stream across every
-//     row, making the steady state allocation-free.
+//     re-encryption, full-table decryption — reuse one stdlib stream
+//     across every row, making the steady state allocation-free.
 
 // ctrMinBytes is the crossover below which per-block encryption beats
 // cipher.NewCTR: the CTR path pays a fixed setup cost (key-schedule copy
@@ -28,12 +29,9 @@ import (
 // matters on hardware without the native keystream.
 const ctrMinBytes = 8 * BlockBytes
 
-// nativeMaxBytes is the crossover above which cipher.NewCTR overtakes the
-// native keystream even with its setup cost: the stdlib assembly has higher
-// peak throughput, while the native path has zero setup. Row-sized runs —
-// the random-access hot path — sit far below this. Measured crossover on
-// AES-NI hardware is ≈2 KiB.
-const nativeMaxBytes = 2048
+// xorStepBytes is XORPads' keystream step on a native generator: a stack
+// buffer of one VAES iteration, filled and XORed in turn.
+const xorStepBytes = 16 * BlockBytes
 
 // zeroBytes is a shared all-zero source buffer: XORing the keystream into
 // zeros yields the raw keystream. Read-only; safe for concurrent use.
@@ -61,12 +59,17 @@ func getScratch(n int) (*[]byte, []byte) {
 func putScratch(p *[]byte) { scratchPool.Put(p) }
 
 // checkPadRange validates a pad run [addr, addr+n) once, up front, so the
-// per-block loop and the CTR stream run unchecked. n must be positive.
+// per-block loop and the CTR stream run unchecked. n must be positive. The
+// panic is outlined so the check inlines into every pad-run entry point.
 func checkPadRange(addr uint64, n int) {
-	last := addr + uint64(n) - BlockBytes
-	if last < addr || last > MaxAddr {
-		panic(fmt.Sprintf("otp: pad run [%#x, %#x) exceeds the %d-bit physical address space", addr, addr+uint64(n), 38))
+	if last := addr + uint64(n) - BlockBytes; last < addr || last > MaxAddr {
+		padRangePanic(addr, n)
 	}
+}
+
+//go:noinline
+func padRangePanic(addr uint64, n int) {
+	panic(fmt.Sprintf("otp: pad run [%#x, %#x) exceeds the %d-bit physical address space", addr, addr+uint64(n), 38))
 }
 
 // Pads writes n consecutive OTP blocks into a 16·n byte slice: block i
@@ -80,7 +83,7 @@ func (g *Generator) Pads(d Domain, addr, version uint64, n int) []byte {
 
 // PadsInto fills dst (whose length must be a multiple of 16) with
 // consecutive OTP blocks starting at addr. The address range is validated
-// once up front; long runs stream through hardware-pipelined AES-CTR.
+// once up front; the run is one pipelined CTR keystream.
 func (g *Generator) PadsInto(dst []byte, d Domain, addr, version uint64) {
 	if len(dst)%BlockBytes != 0 {
 		panic("otp: PadsInto destination not a multiple of the block size")
@@ -89,15 +92,15 @@ func (g *Generator) PadsInto(dst []byte, d Domain, addr, version uint64) {
 		return
 	}
 	checkPadRange(addr, len(dst))
-	if g.native && len(dst) <= nativeMaxBytes {
+	if g.native {
 		g.cNative.Inc()
-		iv := counterBlock(d, addr, version)
-		g.nativeKeystream(dst, &iv)
+		hi, ctr := counterWords(d, addr, version)
+		ctrKeystream(&g.rk[0], hi, ctr, &dst[0], len(dst)/BlockBytes)
 		return
 	}
+	in := counterBlock(d, addr, version)
 	if len(dst) < ctrMinBytes {
 		g.cBlock.Inc()
-		in := counterBlock(d, addr, version)
 		idx := addr >> 4
 		for i := 0; i < len(dst); i += BlockBytes {
 			putCounterIndex(&in, idx+uint64(i/BlockBytes))
@@ -106,8 +109,7 @@ func (g *Generator) PadsInto(dst []byte, d Domain, addr, version uint64) {
 		return
 	}
 	g.cStream.Inc()
-	iv := counterBlock(d, addr, version)
-	s := cipher.NewCTR(g.block, iv[:])
+	s := cipher.NewCTR(g.block, in[:])
 	for off := 0; off < len(dst); off += len(zeroBytes) {
 		end := off + len(zeroBytes)
 		if end > len(dst) {
@@ -146,36 +148,32 @@ func (g *Generator) XORPads(dst, src []byte, d Domain, addr, version uint64) {
 		return
 	}
 	checkPadRange(addr, len(src))
+	if g.native {
+		g.cNative.Inc()
+		hi, ctr := counterWords(d, addr, version)
+		var ks [xorStepBytes]byte
+		for off := 0; off < len(src); off += xorStepBytes {
+			n := min(xorStepBytes, len(src)-off)
+			ctrKeystream(&g.rk[0], hi, ctr, &ks[0], n/BlockBytes)
+			subtle.XORBytes(dst[off:off+n], src[off:off+n], ks[:n])
+			ctr += xorStepBytes / BlockBytes
+		}
+		return
+	}
+	in := counterBlock(d, addr, version)
 	if len(src) <= ctrMinBytes {
+		g.cBlock.Inc()
 		var ks [ctrMinBytes]byte
-		if g.native {
-			g.cNative.Inc()
-			iv := counterBlock(d, addr, version)
-			g.nativeKeystream(ks[:len(src)], &iv)
-		} else {
-			g.cBlock.Inc()
-			in := counterBlock(d, addr, version)
-			idx := addr >> 4
-			for i := 0; i < len(src); i += BlockBytes {
-				putCounterIndex(&in, idx+uint64(i/BlockBytes))
-				g.block.Encrypt(ks[i:i+BlockBytes], in[:])
-			}
+		idx := addr >> 4
+		for i := 0; i < len(src); i += BlockBytes {
+			putCounterIndex(&in, idx+uint64(i/BlockBytes))
+			g.block.Encrypt(ks[i:i+BlockBytes], in[:])
 		}
 		subtle.XORBytes(dst, src, ks[:len(src)])
 		return
 	}
-	if g.native && len(src) <= nativeMaxBytes {
-		g.cNative.Inc()
-		iv := counterBlock(d, addr, version)
-		p, ks := getScratch(len(src))
-		g.nativeKeystream(ks, &iv)
-		subtle.XORBytes(dst, src, ks)
-		putScratch(p)
-		return
-	}
 	g.cStream.Inc()
-	iv := counterBlock(d, addr, version)
-	cipher.NewCTR(g.block, iv[:]).XORKeyStream(dst, src)
+	cipher.NewCTR(g.block, in[:]).XORKeyStream(dst, src)
 }
 
 // Keystream is a sequential pad stream positioned at an address: each
@@ -186,9 +184,10 @@ func (g *Generator) XORPads(dst, src []byte, d Domain, addr, version uint64) {
 //
 // A Keystream is not safe for concurrent use.
 //
-// Keystream always rides the stdlib CTR stream rather than the native
-// keystream: a persistent stream has zero per-row setup, which beats the
-// native path's per-call counter construction on sequential scans.
+// Keystream always rides the stdlib CTR stream, whose setup it pays once
+// per scan. On a native generator ctrKeystream is faster per byte at every
+// run length (DESIGN.md "Keystream engine"), so a scan could ride it too;
+// it does not yet.
 type Keystream struct {
 	g       *Generator
 	s       cipher.Stream

@@ -12,9 +12,12 @@
 //
 // The counter block is laid out so that the pads of consecutive 16-byte
 // chunks form an exact AES-CTR keystream (the chunk index occupies the
-// low-order counter bytes). Multi-block pad runs therefore go through the
-// standard library's hardware-pipelined CTR implementation instead of one
-// serialized single-block encryption per chunk — see keystream.go.
+// low-order counter bytes). Multi-block pad runs therefore go through a
+// pipelined CTR keystream instead of one serialized single-block
+// encryption per chunk: on amd64 the package's own assembly, a 16-way
+// 256-bit VAES kernel where the CPU has it and an eight-way AES-NI kernel
+// otherwise, with the counter built in registers (aesctr.go); elsewhere
+// the standard library's CTR stream (keystream.go).
 package otp
 
 import (
@@ -61,16 +64,16 @@ const MaxVersion = uint64(1)<<56 - 1
 // keystream (aesctr.go) is stateless by construction.
 type Generator struct {
 	block cipher.Block
-	// rk is the expanded AES-128 schedule for the native CTR fast path;
-	// valid only when native is true (AES-NI present on amd64).
+	// rk is the expanded AES-128 schedule for the native keystream (both
+	// arms); valid only when native is true (AES-NI present on amd64).
 	rk     roundKeyBytes
 	native bool
 
 	// Engine-selection counters (nil-safe no-ops when uninstrumented):
 	// which keystream engine served each multi-block pad run — the native
-	// 8-way AES-NI assembly, the stdlib CTR stream, or the per-block
-	// cipher.Block fallback. One count per PadsInto/XORPads call plus one
-	// per Keystream opened.
+	// assembly (VAES or AES-NI arm), the stdlib CTR stream, or the per-block
+	// cipher.Block fallback. One count per PadsInto, XORPads, TagPads or
+	// native PadTagScaleAccum call plus one per Keystream opened.
 	cNative *telemetry.Counter
 	cStream *telemetry.Counter
 	cBlock  *telemetry.Counter
@@ -119,39 +122,60 @@ func NewGenerator(key []byte) (*Generator, error) {
 // step. The index is 34 bits, so stepping through the whole 38-bit address
 // space never carries into the version bytes.
 //
-// Bytes 0..7 are one big-endian word, D<<62 | (addr&0xF)<<56 | v, so the
-// block is two 64-bit stores; both range checks share one outlined cold
-// call, so the panic formatting stays out of this body.
+// Bytes 0..7 are one big-endian word, hi = D<<62 | (addr&0xF)<<56 | v,
+// and bytes 8..15 another, ctr = addr>>4 (counterWords). The native
+// keystream takes the two words in registers; where a block must sit in
+// memory (gathered tag counters, the stdlib fallback) putCounter writes
+// it as two 8-byte stores.
 func counterBlock(d Domain, addr, version uint64) [BlockBytes]byte {
-	if addr > MaxAddr || version > MaxVersion {
-		counterRangePanic(addr, version)
-	}
 	var in [BlockBytes]byte
-	binary.BigEndian.PutUint64(in[0:8], uint64(d)<<62|(addr&0xF)<<56|version)
-	binary.BigEndian.PutUint64(in[8:16], addr>>4)
+	hi, ctr := counterWords(d, addr, version)
+	putCounter(in[:], hi, ctr)
 	return in
 }
 
-// counterRangePanic reports the counter-block input that is out of range.
-//
-//go:noinline
-func counterRangePanic(addr, version uint64) {
-	if addr > MaxAddr {
-		panic(fmt.Sprintf("otp: address %#x exceeds the %d-bit physical address space", addr, 38))
+// counterWords returns the two big-endian words of counterBlock(d, addr,
+// version). Both range checks are one test, and the panic value formats
+// its message only when printed, so this body inlines.
+func counterWords(d Domain, addr, version uint64) (hi, ctr uint64) {
+	if addr>>38|version>>56 != 0 {
+		panic(counterRangeError{addr, version})
 	}
-	panic(fmt.Sprintf("otp: version %#x exceeds %d bits", version, 56))
+	return uint64(d)<<62 | (addr&0xF)<<56 | version, addr >> 4
+}
+
+// putCounter writes a counter block's two words to b[0:16] with two
+// 8-byte stores. It must inline (make inline-check): as a call, its
+// caller's words go through the stack, and reading a 16-byte block back
+// from two 8-byte stores stalls on store forwarding.
+func putCounter(b []byte, hi, ctr uint64) {
+	_ = b[15]
+	binary.BigEndian.PutUint64(b, hi)
+	binary.BigEndian.PutUint64(b[8:], ctr)
+}
+
+// counterRangeError is counterWords' panic value: the counter-block input
+// that is out of range.
+type counterRangeError struct{ addr, version uint64 }
+
+func (e counterRangeError) Error() string {
+	if e.addr > MaxAddr {
+		return fmt.Sprintf("otp: address %#x exceeds the %d-bit physical address space", e.addr, 38)
+	}
+	return fmt.Sprintf("otp: version %#x exceeds %d bits", e.version, 56)
 }
 
 // Block returns the 128-bit OTP block E(K, D‖addr‖v). addr is the starting
 // physical byte address of the wc-bit chunk the pad covers.
 func (g *Generator) Block(d Domain, addr, version uint64) [BlockBytes]byte {
-	in := counterBlock(d, addr, version)
 	var out [BlockBytes]byte
 	if g.native {
-		// A one-block keystream is exactly E(K, in), without the heap
-		// escapes the cipher.Block interface call forces.
-		g.nativeKeystream(out[:], &in)
+		// A one-block keystream is exactly E(K, counter block), without
+		// the heap escapes the cipher.Block interface call forces.
+		hi, ctr := counterWords(d, addr, version)
+		ctrKeystream(&g.rk[0], hi, ctr, &out[0], 1)
 	} else {
+		in := counterBlock(d, addr, version)
 		g.blockEncrypt(&out, &in)
 	}
 	return out

@@ -200,7 +200,7 @@ func (et *engineTelemetry) instrumentGenerator(scheme *core.Scheme) {
 	}
 	scheme.Generator().Instrument(
 		et.reg.Counter("secndp_otp_engine_native_total",
-			"Pad runs served by the native AES-NI CTR assembly."),
+			"Pad runs served by the native AES CTR assembly (VAES or AES-NI arm)."),
 		et.reg.Counter("secndp_otp_engine_stream_total",
 			"Pad runs served by the stdlib AES-CTR stream."),
 		et.reg.Counter("secndp_otp_engine_perblock_total",
