@@ -146,17 +146,33 @@ loadtest:
 	STATUS=$$?; kill $$DLRM_PID; exit $$STATUS
 
 # Fuzz the wire-protocol parsers and the arithmetic kernels briefly (go
-# fuzzing accepts exactly one target per invocation).
+# fuzzing accepts exactly one target per invocation). This is the one
+# fuzz list: CI's fuzz job runs `make fuzz FUZZTIME=10s`.
 FUZZTIME ?= 5s
 fuzz:
+# The zero-copy read the NDP gather runs on: a span is the bytes
+# ReadInto would copy, counted the same, or nil.
 	$(GO) test -run xxx -fuzz '^FuzzSpanMatchesReadInto$$' -fuzztime $(FUZZTIME) ./internal/memory
+# The whole untrusted memory — writes, tamper primitives, reads, spans
+# and the four traffic counters — against a byte-map model, around page,
+# region and page-directory edges.
 	$(GO) test -run xxx -fuzz '^FuzzSpaceMatchesModel$$' -fuzztime $(FUZZTIME) ./internal/memory
+# Differential fuzzers over the vectorized GF(2^127-1) kernels: the
+# assembly, unrolled-generic, and scalar-reference paths must agree limb
+# for limb on every input.
 	$(GO) test -run xxx -fuzz '^FuzzDotUint64$$' -fuzztime $(FUZZTIME) ./internal/field
 	$(GO) test -run xxx -fuzz '^FuzzScaleAccum$$' -fuzztime $(FUZZTIME) ./internal/field
+# The ring multiply-accumulate both query halves run (NDP over
+# ciphertext, OTP walk over pads): the AVX2 kernel against the Go loop.
 	$(GO) test -run xxx -fuzz '^FuzzScaleAccumBytes$$' -fuzztime $(FUZZTIME) ./internal/ring
+# The AES-CTR keystream both query halves' pads come from: the VAES arm
+# against the AES-NI arm against cipher.NewCTR, and the ECB walk over
+# gathered counters against crypto/aes.
 	$(GO) test -run xxx -fuzz '^FuzzKeystreamArms$$' -fuzztime $(FUZZTIME) ./internal/otp
+# Both trust-boundary parsers of the one wire form: the server's request
+# loop and batch parser (against the allocating reference), the client's
+# status, lane and batch-reply parsers.
 	$(GO) test -run xxx -fuzz '^FuzzReadGeometry$$' -fuzztime $(FUZZTIME) ./internal/remote
-	$(GO) test -run xxx -fuzz '^FuzzReadQuery$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz '^FuzzClientResponse$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz '^FuzzServeOne$$' -fuzztime $(FUZZTIME) ./internal/remote
 	$(GO) test -run xxx -fuzz '^FuzzReadBatchRequest$$' -fuzztime $(FUZZTIME) ./internal/remote
@@ -164,7 +180,11 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzEncryptDecryptRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzVerifyRejectsTamper$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzQueryLinearity$$' -fuzztime $(FUZZTIME) ./internal/core
+# Table encryption split over workers against the serial per-row
+# reference: image, tags, ECC side band and traffic counters.
 	$(GO) test -run xxx -fuzz '^FuzzEncryptTableSharded$$' -fuzztime $(FUZZTIME) ./internal/core
+# The batch walk, and a single request walked without a plan, against
+# the test-only serial reference (copying NDP reads, per-row pads).
 	$(GO) test -run xxx -fuzz '^FuzzBatchMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz '^FuzzShardSplit$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run xxx -fuzz '^FuzzReshardPlan$$' -fuzztime $(FUZZTIME) ./internal/cluster

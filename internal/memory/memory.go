@@ -268,34 +268,41 @@ func (v *View) ReadECCInto(dst []byte, dataAddr uint64) {
 	}
 }
 
-// WriteView is OpenView's write-side counterpart: one Lock/Unlock pair and one
-// update of each traffic counter cover a batch of writes. Table encryption
-// builds a chunk of rows and their tags off the lock and stores the chunk
-// in one session, where a Write per row and per tag took the lock, looked
-// up the page and counted the traffic once each. The counters end up
-// byte-identical to the same writes made one by one.
+// OpenWriteView is OpenView's write-side counterpart: one Lock/Unlock pair
+// and one update of each traffic counter cover a batch of writes. Table
+// encryption builds a chunk of rows and their tags off the lock and stores
+// the chunk in one session, where a Write per row and per tag took the
+// lock, looked up the page and counted the traffic once each. The
+// counters end up byte-identical to the same writes made one by one.
 //
-// The callback must only write through the view — calling any locking
-// Space method from inside would deadlock against the held lock.
-func (s *Space) WriteView(f func(w *WriteView)) {
-	w := WriteView{s: s}
+// Like a View, the session lives in the caller's frame. Close it exactly
+// once, on every path — defer w.Close(), so a writer that panics releases
+// the lock instead of blocking every later reader; until then only write
+// through it — calling any locking Space method would deadlock against
+// the held lock.
+func (s *Space) OpenWriteView() WriteView {
 	s.mu.Lock()
-	f(&w)
-	s.mu.Unlock()
-	if w.bytesWritten != 0 {
-		s.bytesWritten.Add(w.bytesWritten)
-	}
-	if w.eccWrites != 0 {
-		s.eccWrites.Add(w.eccWrites)
-	}
+	return WriteView{s: s}
 }
 
-// WriteView is the handle passed to Space.WriteView callbacks. Not safe
+// WriteView is a write session opened by Space.OpenWriteView. Not safe
 // for concurrent use.
 type WriteView struct {
 	s            *Space
 	bytesWritten uint64
 	eccWrites    uint64
+}
+
+// Close releases the session's write lock and adds the traffic it counted
+// to the space's counters.
+func (w *WriteView) Close() {
+	w.s.mu.Unlock()
+	if w.bytesWritten != 0 {
+		w.s.bytesWritten.Add(w.bytesWritten)
+	}
+	if w.eccWrites != 0 {
+		w.s.eccWrites.Add(w.eccWrites)
+	}
 }
 
 // Write stores data at addr, like Space.Write: one page lookup per page

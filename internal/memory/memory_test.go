@@ -3,6 +3,7 @@ package memory
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -306,6 +307,40 @@ func TestViewMatchesLockedReads(t *testing.T) {
 	}
 }
 
+// TestWriteViewPanicReleasesLock: a writer that panics inside its write
+// session, deferring Close as the session asks, releases the write lock:
+// a reader opening a view afterwards, and a plain Read, complete.
+func TestWriteViewPanicReleasesLock(t *testing.T) {
+	s := NewSpace()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the writer did not panic")
+			}
+		}()
+		w := s.OpenWriteView()
+		defer w.Close()
+		w.Write(0x1000, []byte{1, 2, 3})
+		panic("writer fails mid-session")
+	}()
+	done := make(chan []byte, 1)
+	go func() {
+		v := s.OpenView()
+		got := make([]byte, 3)
+		v.ReadInto(got, 0x1000)
+		v.Close()
+		done <- s.Read(0x1000, 3)
+	}()
+	select {
+	case got := <-done:
+		if !bytes.Equal(got, []byte{1, 2, 3}) {
+			t.Fatalf("read %v after the panicking session, want its write", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("readers still blocked 10 s after the writer panicked")
+	}
+}
+
 // TestWriteViewMatchesWrites: writes made in one WriteView session leave
 // the same bytes, side band and traffic counters as the same writes made
 // one call at a time — across page boundaries, into fresh and written
@@ -330,12 +365,12 @@ func TestWriteViewMatchesWrites(t *testing.T) {
 		direct.Write(w.addr, data[:w.n])
 	}
 	direct.WriteECC(0x40, tag)
-	viaView.WriteView(func(v *WriteView) {
-		for _, w := range writes {
-			v.Write(w.addr, data[:w.n])
-		}
-		v.WriteECC(0x40, tag)
-	})
+	v := viaView.OpenWriteView()
+	for _, w := range writes {
+		v.Write(w.addr, data[:w.n])
+	}
+	v.WriteECC(0x40, tag)
+	v.Close()
 	tag[0] = 99
 
 	if d, v := direct.Stats(), viaView.Stats(); d != v {

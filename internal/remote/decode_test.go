@@ -15,31 +15,12 @@ import (
 	"secndp/internal/ring"
 )
 
-// readBatchResponse parses a varint opBatch reply for a batch of count
-// sub-requests over m columns into fresh storage.
-func readBatchResponse(r *bufio.Reader, count, m int, verify bool) ([]core.NDPBatchResult, error) {
-	res := make([]core.NDPBatchResult, count)
-	if err := readBatchReply(r, res, make([]uint64, count*m), m, verify, false, ring.Ring{}); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// readSumResponse parses a legacy opWeightedSum reply's payload (after
-// the status byte) for a geometry of m columns.
-func readSumResponse(r *bufio.Reader, m int) ([]uint64, error) {
-	res := make([]uint64, m)
-	if err := readSums(r, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// readPackedBatchResponse is readBatchResponse for a packed reply, whose
-// sums are lanes of rg.
+// readPackedBatchResponse parses an opBatch reply's payload for a batch of
+// count sub-requests over m columns, whose sums are lanes of rg, into
+// fresh storage.
 func readPackedBatchResponse(r *bufio.Reader, count, m int, verify bool, rg ring.Ring) ([]core.NDPBatchResult, error) {
 	res := make([]core.NDPBatchResult, count)
-	if err := readBatchReply(r, res, make([]uint64, count*m), m, verify, true, rg); err != nil {
+	if err := readBatchReply(r, res, make([]uint64, count*m), m, verify, rg); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -116,33 +97,19 @@ func TestReadUvarintsMatchesReadUvarint(t *testing.T) {
 // allocates by the geometry it sent, not by the count it was told.
 func TestReplyCountCannotSizeClientBuffers(t *testing.T) {
 	reply := binary.AppendUvarint([]byte{statusOK}, maxVectorLen-1)
-	for name, read := range map[string]func(r *bufio.Reader) error{
-		"batch": func(r *bufio.Reader) error {
-			_, err := readBatchResponse(r, 4, 32, true)
-			return err
-		},
-		"single": func(r *bufio.Reader) error {
-			if _, err := r.ReadByte(); err != nil {
-				return err
-			}
-			_, err := readSumResponse(r, 32)
-			return err
-		},
-	} {
-		r := bufio.NewReader(bytes.NewReader(reply))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := read(r)
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%s: truncated reply parsed", name)
-		}
-		if _, ok := err.(*serverError); ok {
-			t.Fatalf("%s: truncation surfaced as a server error (%v), want transport", name, err)
-		}
-		if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
-			t.Fatalf("%s: allocated %d bytes for a reply the geometry bounds at 32 sums", name, d)
-		}
+	r := bufio.NewReader(bytes.NewReader(reply))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readPackedBatchResponse(r, 4, 32, true, ring.MustNew(32))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated reply parsed")
+	}
+	if _, ok := err.(*serverError); ok {
+		t.Fatalf("truncation surfaced as a server error (%v), want transport", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Fatalf("allocated %d bytes for a reply the geometry bounds at 32 sums", d)
 	}
 }
 
@@ -150,12 +117,13 @@ func TestReplyCountCannotSizeClientBuffers(t *testing.T) {
 // the geometry's M becomes that sub-request's error; it is drained, so
 // the next sub-result still parses.
 func TestWrongLengthSubResultStaysInSync(t *testing.T) {
-	wire := appendBatchResponse(nil, []core.NDPBatchResult{
+	rg := ring.MustNew(32)
+	wire := appendPackedBatchResponse(nil, []core.NDPBatchResult{
 		{Sums: []uint64{1, 2, 3}},
 		{Sums: []uint64{4, 5}},
 		{Sums: []uint64{6, 7}},
-	}, true)
-	res, err := readBatchResponse(bufio.NewReader(bytes.NewReader(wire)), 3, 2, true)
+	}, true, rg)
+	res, err := readPackedBatchResponse(bufio.NewReader(bytes.NewReader(wire)), 3, 2, true, rg)
 	if err != nil {
 		t.Fatal(err)
 	}

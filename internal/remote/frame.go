@@ -11,11 +11,9 @@ import (
 
 // Zero-copy framing for the wire protocol's hot paths. Requests and
 // responses are marshaled into reusable byte frames with
-// binary.AppendUvarint and handed to the transport as one gather write,
-// instead of one bufio call (and its per-call bounds checks) per varint.
-// They produce the same bytes as the write* helpers, which delegate here.
-// The packed batch reply (appendPackedBatchResponse) is the one form
-// with no bufio writer.
+// binary.AppendUvarint and ring lanes and handed to the transport as one
+// gather write, instead of one bufio call (and its per-call bounds
+// checks) per value.
 //
 // Frames are owned by their connection: the client's lives under c.mu, the
 // server's under the per-connection serve loop, so neither needs a pool or
@@ -23,7 +21,8 @@ import (
 // with no per-request allocation once the frames have grown to the
 // workload's high-water mark.
 
-// appendGeometry marshals a geometry in writeGeometry's format.
+// appendGeometry marshals a geometry: eight uvarints, readGeometry's
+// order.
 func appendGeometry(b []byte, g core.Geometry) []byte {
 	for _, v := range []uint64{
 		uint64(g.Layout.Placement), g.Layout.Base, g.Layout.TagBase,
@@ -35,22 +34,10 @@ func appendGeometry(b []byte, g core.Geometry) []byte {
 	return b
 }
 
-// appendQuery marshals an (idx, weights) query in writeQuery's format.
-func appendQuery(b []byte, idx []int, weights []uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(idx)))
-	for _, i := range idx {
-		b = binary.AppendUvarint(b, uint64(i))
-	}
-	for _, wt := range weights {
-		b = binary.AppendUvarint(b, wt)
-	}
-	return b
-}
-
-// appendBatchSub marshals one batch sub-request. Unlike appendQuery it
-// carries the index and weight counts separately: a malformed
-// sub-request (mismatched lengths) must survive framing so the server
-// can answer it with a per-sub error instead of desyncing the stream.
+// appendBatchSub marshals one batch sub-request. It carries the index and
+// weight counts separately: a malformed sub-request (mismatched lengths)
+// must survive framing so the server can answer it with a per-sub error
+// instead of desyncing the stream.
 func appendBatchSub(b []byte, idx []int, weights []uint64) []byte {
 	b = binary.AppendUvarint(b, uint64(len(idx)))
 	for _, i := range idx {
@@ -63,8 +50,9 @@ func appendBatchSub(b []byte, idx []int, weights []uint64) []byte {
 	return b
 }
 
-// appendBatchRequest marshals an opBatch request body in
-// writeBatchRequest's format.
+// appendBatchRequest marshals an opBatch request body (everything after
+// the op byte): geometry, a flags word (batchFlag* bits), the sub-request
+// count, then each sub-request in appendBatchSub's form.
 func appendBatchRequest(b []byte, geo core.Geometry, reqs []core.BatchRequest, flags uint64) []byte {
 	b = appendGeometry(b, geo)
 	b = binary.AppendUvarint(b, flags)
@@ -75,33 +63,15 @@ func appendBatchRequest(b []byte, geo core.Geometry, reqs []core.BatchRequest, f
 	return b
 }
 
-// appendBatchResponse marshals an opBatch reply payload in
-// writeBatchResponse's format: each sum a uvarint.
-func appendBatchResponse(b []byte, res []core.NDPBatchResult, verify bool) []byte {
-	return appendBatchReply(b, res, verify, appendUvarints)
-}
-
-// appendPackedBatchResponse marshals the packed form of an opBatch reply,
-// the answer to a request carrying batchFlagPacked. A successful
-// sub-result is statusOK, the uvarint count, count lanes of rg (we/8
-// little-endian bytes each, the width the ciphertext is stored in) and,
-// when verifying, the 16-byte tag; an error sub-result is framed as in
-// the varint form.
+// appendPackedBatchResponse marshals an opBatch reply's payload (after
+// the batch's own statusOK): one status byte per sub-request, then either
+// its sums — the uvarint count and count lanes of rg, we/8 little-endian
+// bytes each, the width the ciphertext is stored in — and, when
+// verifying, its 16-byte tag, or its error message. Per-sub-request
+// errors ride inside an overall-OK reply — only batch-level problems use
+// the outer statusErr, so one bad sub-request cannot mask the rest of the
+// batch.
 func appendPackedBatchResponse(b []byte, res []core.NDPBatchResult, verify bool, rg ring.Ring) []byte {
-	return appendBatchReply(b, res, verify, rg.AppendElems)
-}
-
-// appendUvarints appends each value as a uvarint.
-func appendUvarints(b []byte, vs []uint64) []byte {
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
-}
-
-// appendBatchReply is the one batch reply marshaller; sums appends a
-// sub-result's sums in the reply's encoding.
-func appendBatchReply(b []byte, res []core.NDPBatchResult, verify bool, sums func([]byte, []uint64) []byte) []byte {
 	for i := range res {
 		if res[i].Err != nil {
 			b = append(b, statusErr)
@@ -112,7 +82,7 @@ func appendBatchReply(b []byte, res []core.NDPBatchResult, verify bool, sums fun
 		}
 		b = append(b, statusOK)
 		b = binary.AppendUvarint(b, uint64(len(res[i].Sums)))
-		b = sums(b, res[i].Sums)
+		b = rg.AppendElems(b, res[i].Sums)
 		if verify {
 			tb := res[i].Tag.Bytes()
 			b = append(b, tb[:]...)
@@ -139,16 +109,13 @@ func growU64s(s []uint64, n int) []uint64 {
 }
 
 // connFrames is one server connection's reusable parse, compute and
-// marshal state: the request vectors, the batch results and the response
-// frame grow to the connection's high-water mark once and are reused for
-// every subsequent request. The parsed slices and the batch results are
+// marshal state: the sub-request vectors, the batch results and the
+// response frame grow to the connection's high-water mark once and are
+// reused for every subsequent request. The parsed slices and the batch results are
 // valid until the next request on the connection; the serve loop
 // marshals each reply before reading the next request, so nothing
 // outlives its frame.
 type connFrames struct {
-	idx     []int
-	weights []uint64
-
 	// Batch sub-request backing. subs is resliced per batch; each
 	// sub-request's idx/weights reuse the parallel capacity arrays.
 	subs   []core.BatchRequest
@@ -164,27 +131,6 @@ type connFrames struct {
 	traceID      uint64
 	parentSpan   uint64
 	tracePending bool
-}
-
-// readQuery parses a (count, idx..., weights...) query into the frame's
-// reusable vectors — the in-place form of the package-level readQuery.
-func (f *connFrames) readQuery(r *bufio.Reader) ([]int, []uint64, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxVectorLen {
-		return nil, nil, fmt.Errorf("remote: query of %d rows exceeds limit", n)
-	}
-	f.idx = growInts(f.idx, int(n))
-	if err := readUvarints(r, f.idx); err != nil {
-		return nil, nil, err
-	}
-	f.weights = growU64s(f.weights, int(n))
-	if err := readUvarints(r, f.weights); err != nil {
-		return nil, nil, err
-	}
-	return f.idx, f.weights, nil
 }
 
 // readBatchSub parses one sub-request into slot i's reusable vectors,

@@ -6,20 +6,23 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"secndp/internal/core"
 	"secndp/internal/field"
 	"secndp/internal/memory"
+	"secndp/internal/ring"
 	"secndp/internal/telemetry"
 )
 
-// The zero-copy frames must produce byte-identical wire traffic to the
-// original per-varint writers, and the reusable server-side parser must
-// decode exactly what the allocating one does — including across reuse,
-// where a previous (larger) request's leftovers sit in the frame.
+// The frames on the wire must stay byte-identical to the golden bytes,
+// and the reusable server-side parser must decode exactly what the
+// allocating one does — including across reuse, where a previous
+// (larger) request's leftovers sit in the frame.
 
 func frameGeo(n int) core.Geometry {
 	return core.Geometry{
@@ -38,30 +41,6 @@ func randFrameQuery(rng *rand.Rand, rows int) ([]int, []uint64) {
 		w[k] = rng.Uint64()
 	}
 	return idx, w
-}
-
-// TestConnFramesReadQueryMatchesAllocating replays a stream of queries of
-// varying sizes through one reused connFrames and checks each decode
-// against the allocating parser on the same bytes.
-func TestConnFramesReadQueryMatchesAllocating(t *testing.T) {
-	rng := rand.New(rand.NewSource(80))
-	fr := &connFrames{}
-	for trial := 0; trial < 50; trial++ {
-		idx, w := randFrameQuery(rng, 1<<20)
-		wire := appendQuery(nil, idx, w)
-
-		gi, gw, err := fr.readQuery(bufio.NewReader(bytes.NewReader(wire)))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		ri, rw, err := readQuery(bufio.NewReader(bytes.NewReader(wire)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gi, ri) || !reflect.DeepEqual(gw, rw) {
-			t.Fatalf("trial %d: frame decode diverged from allocating decode", trial)
-		}
-	}
 }
 
 // TestConnFramesReadBatchMatchesAllocating does the same for whole batch
@@ -95,106 +74,67 @@ func TestConnFramesReadBatchMatchesAllocating(t *testing.T) {
 	}
 }
 
-// TestAppendWritersMatchBufioWriters pins the gather marshalers to the
-// bufio writers bit for bit (the writers now delegate, so this guards the
-// delegation as well as the formats).
-func TestAppendWritersMatchBufioWriters(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	geo := frameGeo(512)
-	idx, w := randFrameQuery(rng, 512)
-
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeGeometry(bw, geo); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeQuery(bw, idx, w); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	got := appendQuery(appendGeometry(nil, geo), idx, w)
-	if !bytes.Equal(got, buf.Bytes()) {
-		t.Error("gathered query frame differs from bufio-written bytes")
-	}
-
-	reqs := []core.BatchRequest{{Idx: idx, Weights: w}, {Idx: []int{1}, Weights: []uint64{2, 3}}}
-	buf.Reset()
-	bw = bufio.NewWriter(&buf)
-	if err := writeBatchRequest(bw, geo, reqs, batchFlagVerify); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	got = appendBatchRequest(nil, geo, reqs, batchFlagVerify)
-	if !bytes.Equal(got, buf.Bytes()) {
-		t.Error("gathered batch frame differs from bufio-written bytes")
-	}
-
-	// The trace-context prefix must be the identity on these goldens
-	// whenever either side does not opt in: an untraced context on a
-	// trace-capable connection, and a traced context against a server
-	// that never advertised capTrace.
-	legacyFrame := appendQuery(appendGeometry([]byte{opWeightedSum}, geo), idx, w)
-	untraced := &Client{capsKnown: true, caps: serverCaps}
-	reg := telemetry.NewRegistry()
-	traced, _ := reg.StartSpan(context.Background(), "golden")
-	for name, tc := range map[string]struct {
-		c   *Client
-		ctx context.Context
-	}{
-		"untraced ctx":  {untraced, context.Background()},
-		"legacy server": {&Client{capsKnown: true, caps: capBatch}, traced},
-	} {
-		framed := appendQuery(appendGeometry(append(traceFrame(t, tc.c, tc.ctx), opWeightedSum), geo), idx, w)
-		if !bytes.Equal(framed, legacyFrame) {
-			t.Errorf("%s: traced framing path altered the golden frame bytes", name)
-		}
-	}
-
-	// opBatch goldens, the bytes written before packed replies existed. A
-	// client whose server lacks capPacked must frame its request to them,
-	// and the varint reply (a new server's answer to an unflagged request)
-	// must match them from both writers.
-	const goldenReq = "0602808004808080041010200400010202010502020301090104"
-	const goldenResp = "000004078080808008ffffffff0fac020102030405060708090a0b0c0d0e0f100103626164"
+// TestWireGoldens pins the one wire form to the bytes the previous
+// release's peers write and read: the opBatch request frame a client
+// writes, bare and behind a trace-context prefix, and one packed reply,
+// which the client reads back. A change to any of them breaks
+// interoperation with deployed peers in one direction or the other.
+func TestWireGoldens(t *testing.T) {
+	const goldenReq = "0602808004808080041010200400030202010502020301090104"
+	const goldenResp = "0000040700000000000080ffffffff2c0100000102030405060708090a0b0c0d0e0f100103626164"
 	goldenGeo := core.Geometry{
 		Layout: memory.Layout{Placement: memory.TagSep, Base: 0x10000,
 			TagBase: 0x800000, NumRows: 16, RowBytes: 16},
 		Params: core.Params{We: 32, M: 4},
 	}
 	goldenReqs := []core.BatchRequest{{Idx: []int{1, 5}, Weights: []uint64{2, 3}}, {Idx: []int{9}, Weights: []uint64{4}}}
-	tagBytes := make([]byte, 16)
-	for i := range tagBytes {
-		tagBytes[i] = byte(i + 1)
+	traced, span := telemetry.NewRegistry().StartSpan(context.Background(), "golden")
+	for name, tc := range map[string]struct {
+		ctx  context.Context
+		want string
+	}{
+		"untraced": {context.Background(), goldenReq},
+		"traced":   {traced, fmt.Sprintf("%02x%016x%016x", opTraceCtx, uint64(span.Trace()), uint64(span.ID())) + goldenReq},
+	} {
+		t.Run(name+" request", func(t *testing.T) {
+			var buf bytes.Buffer
+			c := &Client{probed: true, w: bufio.NewWriter(&buf)}
+			if err := c.sendBatchesLocked([]BatchFrame{{Ctx: tc.ctx, Geo: goldenGeo, Reqs: goldenReqs, Verify: true}}); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(buf.Bytes()); got != tc.want {
+				t.Errorf("batch request %s, golden %s", got, tc.want)
+			}
+		})
 	}
-	goldenRes := []core.NDPBatchResult{
-		{Sums: []uint64{7, 1 << 31, 0xFFFFFFFF, 300}, Tag: field.FromBytes(tagBytes)},
-		{Err: errors.New("bad")},
-	}
-	for name, caps := range map[string]uint64{"legacy server": capBatch | capTrace, "no probe answer": 0} {
-		legacy := &Client{capsKnown: true, caps: caps}
-		framed := appendBatchRequest([]byte{opBatch}, goldenGeo, goldenReqs, legacy.batchFlagsLocked(goldenGeo, true))
-		if got := hex.EncodeToString(framed); got != goldenReq {
-			t.Errorf("%s: batch request %s, golden %s", name, got, goldenReq)
+
+	t.Run("packed reply", func(t *testing.T) {
+		tagBytes := make([]byte, 16)
+		for i := range tagBytes {
+			tagBytes[i] = byte(i + 1)
 		}
-	}
-	modern := &Client{capsKnown: true, caps: serverCaps}
-	if got := modern.batchFlagsLocked(goldenGeo, true); got != batchFlagVerify|batchFlagPacked {
-		t.Errorf("packed-capable server: flags %#x, want verify|packed", got)
-	}
-	if got := modern.batchFlagsLocked(core.Geometry{Params: core.Params{We: 12}}, false); got != 0 {
-		t.Errorf("12-bit geometry: flags %#x, want no packed lanes for a width that is not one", got)
-	}
-	if got := hex.EncodeToString(appendBatchResponse([]byte{statusOK}, goldenRes, true)); got != goldenResp {
-		t.Errorf("varint batch reply %s, golden %s", got, goldenResp)
-	}
-	buf.Reset()
-	bw = bufio.NewWriter(&buf)
-	bw.WriteByte(statusOK)
-	if err := writeBatchResponse(bw, goldenRes, true); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	if got := hex.EncodeToString(buf.Bytes()); got != goldenResp {
-		t.Errorf("bufio-written batch reply %s, golden %s", got, goldenResp)
-	}
+		goldenRes := []core.NDPBatchResult{
+			{Sums: []uint64{7, 1 << 31, 0xFFFFFFFF, 300}, Tag: field.FromBytes(tagBytes)},
+			{Err: errors.New("bad")},
+		}
+		rg := ring.MustNew(32)
+		if got := hex.EncodeToString(appendPackedBatchResponse([]byte{statusOK}, goldenRes, true, rg)); got != goldenResp {
+			t.Errorf("batch reply %s, golden %s", got, goldenResp)
+		}
+		wire, _ := hex.DecodeString(goldenResp)
+		r := bufio.NewReader(bytes.NewReader(wire))
+		if err := readStatus(r); err != nil {
+			t.Fatal(err)
+		}
+		res, err := readPackedBatchResponse(r, len(goldenRes), goldenGeo.Params.M, true, rg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res[0].Sums, goldenRes[0].Sums) || !res[0].Tag.Equal(goldenRes[0].Tag) || res[0].Err != nil {
+			t.Errorf("golden reply's first sub-result read as %+v", res[0])
+		}
+		if se, ok := res[1].Err.(*serverError); !ok || se.msg != "bad" {
+			t.Errorf("golden reply's second sub-result read as %+v, want the server's error \"bad\"", res[1])
+		}
+	})
 }

@@ -19,20 +19,10 @@ import (
 // arbitrary input — parsers return errors, they never panic — plus
 // round-trip consistency for anything that does parse.
 
-func fuzzGeometryBytes(g core.Geometry) []byte {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeGeometry(w, g); err != nil {
-		panic(err)
-	}
-	w.Flush()
-	return buf.Bytes()
-}
-
 func FuzzReadGeometry(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80}) // truncated uvarint
-	f.Add(fuzzGeometryBytes(core.Geometry{
+	f.Add(appendGeometry(nil, core.Geometry{
 		Layout: memory.Layout{Placement: memory.TagSep, Base: 0x10000,
 			TagBase: 0x800000, NumRows: 16, RowBytes: 128},
 		Params: core.Params{We: 32, M: 32},
@@ -43,7 +33,7 @@ func FuzzReadGeometry(f *testing.F) {
 			return
 		}
 		// Whatever parsed must survive a write/read round trip unchanged.
-		g2, err := readGeometry(bufio.NewReader(bytes.NewReader(fuzzGeometryBytes(g))))
+		g2, err := readGeometry(bufio.NewReader(bytes.NewReader(appendGeometry(nil, g))))
 		if err != nil {
 			t.Fatalf("re-read of serialized geometry failed: %v", err)
 		}
@@ -53,46 +43,9 @@ func FuzzReadGeometry(f *testing.F) {
 	})
 }
 
-func FuzzReadQuery(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x02, 0x01, 0x02, 0x03})                                     // truncated weights
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // n > maxVectorLen
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	writeQuery(w, []int{1, 5, 9}, []uint64{2, 3, 4})
-	w.Flush()
-	f.Add(buf.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, weights, err := readQuery(bufio.NewReader(bytes.NewReader(data)))
-		if err != nil {
-			return
-		}
-		if len(idx) != len(weights) {
-			t.Fatalf("parsed query with %d indices but %d weights", len(idx), len(weights))
-		}
-		if len(idx) > maxVectorLen {
-			t.Fatalf("parsed query of %d rows exceeds the advertised limit", len(idx))
-		}
-		var rt bytes.Buffer
-		rw := bufio.NewWriter(&rt)
-		if err := writeQuery(rw, idx, weights); err != nil {
-			t.Fatal(err)
-		}
-		rw.Flush()
-		idx2, weights2, err := readQuery(bufio.NewReader(bytes.NewReader(rt.Bytes())))
-		if err != nil {
-			t.Fatalf("re-read of serialized query failed: %v", err)
-		}
-		for k := range idx {
-			if idx2[k] != idx[k] || weights2[k] != weights[k] {
-				t.Fatal("query round trip mismatch")
-			}
-		}
-	})
-}
-
 // FuzzClientResponse feeds arbitrary bytes to the client-side response
-// parsers — the path a malicious or fault-corrupted server controls.
+// parsers — the path a malicious or fault-corrupted server controls: a
+// status, then the remaining bytes read as two 8-bit lanes and as a tag.
 func FuzzClientResponse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{statusOK, 0x02, 0x07, 0x09})
@@ -103,8 +56,7 @@ func FuzzClientResponse(f *testing.F) {
 		if err := readStatus(r); err != nil {
 			return
 		}
-		// Exercise both response shapes over the remaining bytes.
-		readSumResponse(bufio.NewReader(bytes.NewReader(data[1:])), 2)
+		readLanes(bufio.NewReader(bytes.NewReader(data[1:])), ring.MustNew(8), make([]uint64, 2))
 		readTagResponse(bufio.NewReader(bytes.NewReader(data[1:])))
 	})
 }
@@ -116,27 +68,17 @@ func FuzzServeOne(f *testing.F) {
 	f.Add([]byte{opPing})
 	f.Add([]byte{opWriteBlob, 0x10, 0x02, 0xAB, 0xCD, opPing})
 	f.Add([]byte{0x99}) // unknown op
-	var req bytes.Buffer
-	w := bufio.NewWriter(&req)
-	w.WriteByte(opWeightedSum)
-	writeGeometry(w, core.Geometry{
+	// A retired single-query frame as the previous protocol's clients
+	// wrote it: opcode 1, the geometry (TagSep, rows 16 × 128 bytes,
+	// we 32, m 32), then the query (rows 1 and 5, weights 2 and 3). The
+	// server answers the op byte as unknown and reads the body as ops.
+	f.Add([]byte{0x01, 0x02, 0x80, 0x80, 0x04, 0x80, 0x80, 0x80, 0x04, 0x10, 0x80, 0x01,
+		0x20, 0x20, 0x00, 0x02, 0x01, 0x05, 0x02, 0x03})
+	f.Add(appendBatchRequest([]byte{opBatch}, core.Geometry{
 		Layout: memory.Layout{Placement: memory.TagSep, Base: 0x10000,
 			TagBase: 0x800000, NumRows: 16, RowBytes: 128},
 		Params: core.Params{We: 32, M: 32},
-	})
-	writeQuery(w, []int{1, 5}, []uint64{2, 3})
-	w.Flush()
-	f.Add(req.Bytes())
-	var breq bytes.Buffer
-	bw := bufio.NewWriter(&breq)
-	bw.WriteByte(opBatch)
-	writeBatchRequest(bw, core.Geometry{
-		Layout: memory.Layout{Placement: memory.TagSep, Base: 0x10000,
-			TagBase: 0x800000, NumRows: 16, RowBytes: 128},
-		Params: core.Params{We: 32, M: 32},
-	}, []core.BatchRequest{{Idx: []int{1, 5}, Weights: []uint64{2, 3}}, {}}, batchFlagVerify)
-	bw.Flush()
-	f.Add(breq.Bytes())
+	}, []core.BatchRequest{{Idx: []int{1, 5}, Weights: []uint64{2, 3}}, {}}, batchFlagVerify))
 	f.Add([]byte{opCaps, opPing})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := NewServer(memory.NewSpace())
@@ -149,17 +91,6 @@ func FuzzServeOne(f *testing.F) {
 			}
 		}
 	})
-}
-
-// fuzzBatchRequestBytes serializes an opBatch request body for seeding.
-func fuzzBatchRequestBytes(geo core.Geometry, reqs []core.BatchRequest, flags uint64) []byte {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeBatchRequest(w, geo, reqs, flags); err != nil {
-		panic(err)
-	}
-	w.Flush()
-	return buf.Bytes()
 }
 
 // FuzzReadBatchRequest hammers the server-side batch parser — the largest
@@ -175,7 +106,7 @@ func FuzzReadBatchRequest(f *testing.F) {
 			TagBase: 0x800000, NumRows: 16, RowBytes: 128},
 		Params: core.Params{We: 32, M: 32},
 	}
-	f.Add(fuzzBatchRequestBytes(geo, []core.BatchRequest{
+	f.Add(appendBatchRequest(nil, geo, []core.BatchRequest{
 		{Idx: []int{1, 5}, Weights: []uint64{2, 3}},
 		{},                                       // empty sub-request
 		{Idx: []int{9}, Weights: []uint64{4, 7}}, // mismatched lengths must frame
@@ -213,7 +144,7 @@ func FuzzReadBatchRequest(f *testing.F) {
 			}
 		}
 		g2, reqs2, flags2, err := readBatchRequest(
-			bufio.NewReader(bytes.NewReader(fuzzBatchRequestBytes(g, reqs, flags))))
+			bufio.NewReader(bytes.NewReader(appendBatchRequest(nil, g, reqs, flags))))
 		if err != nil {
 			t.Fatalf("re-read of serialized batch request failed: %v", err)
 		}
@@ -259,46 +190,37 @@ func unread(r *bufio.Reader) int {
 }
 
 // FuzzReadBatchResponse feeds arbitrary bytes to the client-side batch
-// reply parsers — the path a malicious or fault-corrupted server controls.
-// With packed set the bytes are read as a packed reply whose lane width is
-// taken from lane over {1, 2, 4, 8} bytes, and round-trip through the
-// packed writer.
+// reply parser — the path a malicious or fault-corrupted server controls.
+// The bytes are read as a reply whose lane width is taken from lane over
+// {1, 2, 4, 8} bytes, and whatever parses round-trips through the
+// server's marshaller.
 func FuzzReadBatchResponse(f *testing.F) {
-	f.Add(uint16(0), uint8(0), false, false, uint8(0), []byte{})
-	f.Add(uint16(1), uint8(2), false, false, uint8(0), []byte{statusOK, 0x02, 0x07, 0x09})
-	f.Add(uint16(1), uint8(3), false, false, uint8(0), []byte{statusOK, 0x02, 0x07, 0x09}) // wrong length: per-sub error
-	f.Add(uint16(1), uint8(2), false, false, uint8(0), []byte{statusErr, 0x03, 'b', 'a', 'd'})
-	f.Add(uint16(2), uint8(1), true, false, uint8(0), []byte{statusOK, 0x01, 0x05})
-	f.Add(uint16(1), uint8(1), false, false, uint8(0), []byte{0x42}) // corrupt sub-status byte
+	f.Add(uint16(0), uint8(0), false, uint8(0), []byte{})
+	f.Add(uint16(1), uint8(2), false, uint8(0), []byte{statusOK, 0x02, 0x07, 0x09})
+	f.Add(uint16(1), uint8(3), false, uint8(0), []byte{statusOK, 0x02, 0x07, 0x09}) // wrong length: per-sub error
+	f.Add(uint16(1), uint8(2), false, uint8(0), []byte{statusErr, 0x03, 'b', 'a', 'd'})
+	f.Add(uint16(2), uint8(1), true, uint8(0), []byte{statusOK, 0x01, 0x05})
+	f.Add(uint16(1), uint8(1), false, uint8(0), []byte{0x42}) // corrupt sub-status byte
 	res := []core.NDPBatchResult{
 		{Sums: []uint64{7, 9, 1 << 40}},
 		{Err: io.ErrUnexpectedEOF},
 	}
-	{
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		writeBatchResponse(w, res, true)
-		w.Flush()
-		f.Add(uint16(2), uint8(3), true, false, uint8(0), buf.Bytes())
-	}
 	for lane := uint8(0); lane < 4; lane++ {
 		rg := laneRing(lane)
-		f.Add(uint16(2), uint8(3), true, true, lane, appendPackedBatchResponse(nil, res, true, rg))
+		f.Add(uint16(2), uint8(3), true, lane, appendPackedBatchResponse(nil, res, true, rg))
 		// A 3-sum sub-result read for 2 columns is drained, and the one
 		// after it still parses.
-		f.Add(uint16(2), uint8(2), false, true, lane, appendPackedBatchResponse(nil,
+		f.Add(uint16(2), uint8(2), false, lane, appendPackedBatchResponse(nil,
 			[]core.NDPBatchResult{{Sums: []uint64{1, 2, 3}}, {Sums: []uint64{4, 5}}}, false, rg))
 	}
-	f.Add(uint16(1), uint8(4), false, true, uint8(2), []byte{statusOK, 0x04, 0x01, 0x02}) // truncated lanes
-	f.Fuzz(func(t *testing.T, count uint16, m uint8, verify, packed bool, lane uint8, data []byte) {
+	f.Add(uint16(1), uint8(4), false, uint8(2), []byte{statusOK, 0x04, 0x01, 0x02}) // truncated lanes
+	// A reply one sub-result short of the batch it answers.
+	f.Add(uint16(3), uint8(3), true, uint8(2), appendPackedBatchResponse(nil, res, true, laneRing(2)))
+	f.Fuzz(func(t *testing.T, count uint16, m uint8, verify bool, lane uint8, data []byte) {
 		n := int(count) % (maxBatchSubs + 2) // cover the in-range and over-limit shapes
 		rg := laneRing(lane)
 		read := func(b []byte) ([]core.NDPBatchResult, error) {
-			r := bufio.NewReader(bytes.NewReader(b))
-			if packed {
-				return readPackedBatchResponse(r, n, int(m), verify, rg)
-			}
-			return readBatchResponse(r, n, int(m), verify)
+			return readPackedBatchResponse(bufio.NewReader(bytes.NewReader(b)), n, int(m), verify, rg)
 		}
 		res, err := read(data)
 		if err != nil {
@@ -313,19 +235,7 @@ func FuzzReadBatchResponse(f *testing.F) {
 			}
 		}
 		// Whatever parsed must re-serialize and re-parse to the same shape.
-		var wire []byte
-		if packed {
-			wire = appendPackedBatchResponse(nil, res, verify, rg)
-		} else {
-			var buf bytes.Buffer
-			w := bufio.NewWriter(&buf)
-			if err := writeBatchResponse(w, res, verify); err != nil {
-				t.Fatal(err)
-			}
-			w.Flush()
-			wire = buf.Bytes()
-		}
-		res2, err := read(wire)
+		res2, err := read(appendPackedBatchResponse(nil, res, verify, rg))
 		if err != nil {
 			t.Fatalf("re-read of serialized batch response failed: %v", err)
 		}

@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"secndp/internal/core"
 	"secndp/internal/memory"
@@ -18,9 +21,9 @@ import (
 )
 
 // Packed batch replies carry each sum as one we-bit ring lane. These tests
-// hold the negotiation to byte-identical framing with legacy peers, the
-// client's chunked lane decode to the read buffer's edges, and the reply
-// to its size advantage at the batch_cluster shape.
+// hold the client's protocol check to refusing every server that does not
+// speak the packed protocol, the client's chunked lane decode to the read
+// buffer's edges, and the server to one reply form at one known size.
 
 // plainBatch is the plaintext answer to a batch over 32-bit rows.
 func plainBatch(rows [][]uint64, reqs []core.BatchRequest, m int) [][]uint64 {
@@ -192,7 +195,7 @@ func TestPackedReplyTruncated(t *testing.T) {
 			flagsSeen <- 0
 			return
 		}
-		conn.Write(appendUvarints([]byte{statusOK}, []uint64{serverCaps}))
+		conn.Write(binary.AppendUvarint([]byte{statusOK}, serverCaps))
 		if op, err := r.ReadByte(); err != nil || op != opBatch {
 			flagsSeen <- 0
 			return
@@ -224,59 +227,122 @@ func TestPackedReplyTruncated(t *testing.T) {
 	}
 }
 
-// TestLegacyServerGetsUnflaggedBatch: against a server that never
-// advertised capPacked, a new client sends the pre-packing request frame
-// (no packed bit) and a verified batch round-trips over varint replies.
-func TestLegacyServerGetsUnflaggedBatch(t *testing.T) {
-	mem := memory.NewSpace()
-	srv := NewServer(mem)
-	srv.caps = capBatch | capTrace // set before Listen spawns the accept loop
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	client := dial(t, addr)
-	scheme, err := core.NewScheme(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geo := testGeometry(memory.TagSep, 32, 32)
-	rng := rand.New(rand.NewSource(302))
-	rows := randRows(rng, 32, 32, 1<<20)
-	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		reqs := randBatch(rng, 6, 3, 32)
-		out := tab.QueryBatchCtx(context.Background(), client, reqs, core.QueryOptions{Verify: true})
-		if err := core.FirstError(out); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if got := lastBatchFlags(t, client); got != batchFlagVerify {
-			t.Fatalf("round %d: request flags %#x to a legacy server, want verify alone", round, got)
-		}
-		want := plainBatch(rows, reqs, 32)
-		for i := range reqs {
-			for j := range want[i] {
-				if out[i].Res[j] != want[i][j] {
-					t.Fatalf("round %d request %d col %d: %d != %d", round, i, j, out[i].Res[j], want[i][j])
+// TestProtocolCheckRefusesOldServers: a scripted server answers the
+// opCaps probe as a server that predates the packed protocol does —
+// statusErr "unknown op", or a word lacking one of the three bits. The
+// first batch fails with ErrProtocol, which wraps errors.ErrUnsupported,
+// without writing a byte after the probe; the connection stays usable,
+// and a second batch fails the same way without a second probe.
+func TestProtocolCheckRefusesOldServers(t *testing.T) {
+	for name, answer := range map[string][]byte{
+		"statusErr":  append([]byte{statusErr, 10}, "unknown op"...),
+		"no packed":  binary.AppendUvarint([]byte{statusOK}, capBatch|capTrace),
+		"no trace":   binary.AppendUvarint([]byte{statusOK}, capBatch|capPacked),
+		"batch only": binary.AppendUvarint([]byte{statusOK}, capBatch),
+		"no batch":   binary.AppendUvarint([]byte{statusOK}, capTrace|capPacked),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			received := make(chan []byte, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					received <- nil
+					return
+				}
+				defer conn.Close()
+				op := make([]byte, 1)
+				if _, err := io.ReadFull(conn, op); err != nil {
+					received <- nil
+					return
+				}
+				conn.Write(answer)
+				rest, _ := io.ReadAll(conn) // everything else the client sends
+				received <- append(op, rest...)
+			}()
+			client, err := Dial(ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			geo := testGeometry(memory.TagSep, 8, 32)
+			reqs := []core.BatchRequest{{Idx: []int{1}, Weights: []uint64{1}}}
+			for call := 1; call <= 2; call++ {
+				// A client that sent its batch would wait on a reply the fake
+				// never writes; the deadline turns that into a failure.
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				_, err := client.WeightedTagSumBatch(ctx, geo, reqs, true)
+				cancel()
+				if !errors.Is(err, ErrProtocol) || !errors.Is(err, errors.ErrUnsupported) {
+					t.Fatalf("call %d: %v, want ErrProtocol wrapping errors.ErrUnsupported", call, err)
+				}
+				if !client.Usable() {
+					t.Fatalf("call %d: the protocol check poisoned the connection", call)
 				}
 			}
-		}
-	}
-	if client.caps&capPacked != 0 {
-		t.Fatal("client cached capPacked from a server that never advertised it")
+			client.Close()
+			if got := <-received; !bytes.Equal(got, []byte{opCaps}) {
+				t.Fatalf("server received % x, want the one probe byte alone", got)
+			}
+		})
 	}
 }
 
-// TestServerAnswersByRequestFlags: the server's reply to an opBatch frame
-// is exactly the varint marshaller's bytes unless the request carried
-// batchFlagPacked and the server offers capPacked; then it is exactly the
-// packed marshaller's. One connection's frames serve every request, so
-// the reused result buffer is exercised across shapes as well.
-func TestServerAnswersByRequestFlags(t *testing.T) {
+// TestProtocolErrorDrawsNoRetry: through a ReliableClient, ErrProtocol is
+// the server's answer, not a transport failure: one attempt, no retry,
+// and the breaker stays closed.
+func TestProtocolErrorDrawsNoRetry(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r := bufio.NewReader(conn)
+				for {
+					op, err := r.ReadByte()
+					if err != nil {
+						return
+					}
+					switch op {
+					case opPing: // the pool's dial health check
+						conn.Write([]byte{statusOK})
+					default:
+						conn.Write(binary.AppendUvarint([]byte{statusOK}, capBatch))
+					}
+				}
+			}()
+		}
+	}()
+	rc := dialReliable(t, ln.Addr().String(), ReliableConfig{Retry: fastRetry()})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = rc.WeightedTagSumBatch(ctx, testGeometry(memory.TagSep, 8, 32),
+		[]core.BatchRequest{{Idx: []int{1}, Weights: []uint64{1}}}, true)
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("batch against a batch-only server: %v, want ErrProtocol", err)
+	}
+	if st := rc.Stats(); st.Attempts != 1 || st.Retries != 0 || st.BreakerState != "closed" {
+		t.Fatalf("stats %+v, want one attempt, no retry, a closed breaker", st)
+	}
+}
+
+// TestServerAnswersPackedWhateverFlags: the server's reply to an opBatch
+// frame is exactly the packed marshaller's bytes whether or not the
+// request carries batchFlagPacked. One connection's frames serve every
+// request, so the reused result buffer is exercised across shapes as
+// well.
+func TestServerAnswersPackedWhateverFlags(t *testing.T) {
 	mem := memory.NewSpace()
 	scheme, err := core.NewScheme(key)
 	if err != nil {
@@ -289,51 +355,34 @@ func TestServerAnswersByRequestFlags(t *testing.T) {
 	}
 	ndp := &core.HonestNDP{Mem: mem}
 	rg := ring.MustNew(32)
+	srv := NewServer(mem)
 	fr := &connFrames{}
-	for _, tc := range []struct {
-		name   string
-		caps   uint64
-		flags  uint64
-		packed bool
-	}{
-		{"unflagged", serverCaps, batchFlagVerify, false},
-		{"packed", serverCaps, batchFlagVerify | batchFlagPacked, true},
-		{"packed unverified", serverCaps, batchFlagPacked, true},
-		{"legacy server, packed flag", capBatch | capTrace, batchFlagVerify | batchFlagPacked, false},
-		{"unflagged again", serverCaps, 0, false},
-	} {
-		srv := NewServer(mem)
-		srv.caps = tc.caps
+	for _, flags := range []uint64{batchFlagVerify | batchFlagPacked, batchFlagPacked, batchFlagVerify, 0, batchFlagVerify | batchFlagPacked} {
 		reqs := randBatch(rng, 1+rng.Intn(9), 1+rng.Intn(4), 32)
-		reqs[0].Idx = []int{99} // a per-sub error rides in every form
-		verify := tc.flags&batchFlagVerify != 0
+		reqs[0].Idx = []int{99} // a per-sub error rides in the reply
+		verify := flags&batchFlagVerify != 0
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)
-		frame := appendBatchRequest([]byte{opBatch}, geo, reqs, tc.flags)
+		frame := appendBatchRequest([]byte{opBatch}, geo, reqs, flags)
 		if err := srv.serveOne(bufio.NewReader(bytes.NewReader(frame)), w, fr); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("flags %#x: %v", flags, err)
 		}
 		w.Flush()
 		res, err := ndp.WeightedTagSumBatch(context.Background(), geo, reqs, verify)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := appendBatchResponse([]byte{statusOK}, res, verify)
-		if tc.packed {
-			want = appendPackedBatchResponse([]byte{statusOK}, res, verify, rg)
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Fatalf("%s: server reply differs from the %s marshaller's bytes", tc.name,
-				map[bool]string{false: "varint", true: "packed"}[tc.packed])
+		if want := appendPackedBatchResponse([]byte{statusOK}, res, verify, rg); !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("flags %#x: server reply differs from the packed marshaller's bytes", flags)
 		}
 	}
 }
 
 // TestPackedReplyWireBytes: at the batch_cluster shape as one shard sees
-// it — about 58 verified sub-requests of two rows each over a 64-column
-// 32-bit table — the packed reply is at most 0.85 × the varint reply. Sums
-// of ciphertext are uniform 32-bit values, most of which take five varint
-// bytes against four lane bytes.
+// it — 58 verified sub-requests of two rows each over a 64-column 32-bit
+// table — the reply is exactly its status byte plus, per sub-result, a
+// status byte, a one-byte count, 64 four-byte lanes and the 16-byte tag:
+// no sum costs more than the width it is stored in.
 func TestPackedReplyWireBytes(t *testing.T) {
 	mem := memory.NewSpace()
 	scheme, err := core.NewScheme(key)
@@ -351,10 +400,38 @@ func TestPackedReplyWireBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	varint := len(appendBatchResponse([]byte{statusOK}, res, true))
-	packed := len(appendPackedBatchResponse([]byte{statusOK}, res, true, ring.MustNew(32)))
-	t.Logf("%d sub-results × %d columns: varint %d B, packed %d B (%.3f)", subs, m, varint, packed, float64(packed)/float64(varint))
-	if float64(packed) > 0.85*float64(varint) {
-		t.Fatalf("packed reply %d B > 0.85 × varint reply %d B", packed, varint)
+	got := len(appendPackedBatchResponse([]byte{statusOK}, res, true, ring.MustNew(32)))
+	if want := 1 + subs*(1+1+m*4+16); got != want {
+		t.Fatalf("%d sub-results × %d columns: reply %d B, want %d", subs, m, got, want)
+	}
+}
+
+// TestRetiredOpsAnsweredAsUnknown: opcodes 1 and 2, the retired
+// single-query ops, get the reply any unknown op gets, and the
+// connection goes on serving the ops after them.
+func TestRetiredOpsAnsweredAsUnknown(t *testing.T) {
+	_, _, addr := startServer(t)
+	for _, op := range []byte{1, 2} {
+		t.Run(fmt.Sprintf("op %d", op), func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Write([]byte{op, opPing}); err != nil {
+				t.Fatal(err)
+			}
+			msg := fmt.Sprintf("unknown op %d", op)
+			want := append(binary.AppendUvarint([]byte{statusErr}, uint64(len(msg))), msg...)
+			want = append(want, statusOK)
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(conn, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("server answered % x, want % x", got, want)
+			}
+		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"secndp/internal/core"
 	"secndp/internal/memory"
 	"secndp/internal/remote/faultproxy"
-	"secndp/internal/ring"
 )
 
 // A pipelined exchange writes several opBatch frames in one flush on one
@@ -181,50 +180,6 @@ func TestPipelinedStatusErrKeepsSync(t *testing.T) {
 	res, err := c.WeightedTagSumBatch(ctx, geo, batches[0], true)
 	if err != nil || !sameResults(res, oracle[0]) {
 		t.Fatalf("next exchange on the connection: %v", err)
-	}
-}
-
-// TestPipelinedPackedAndVarint: one exchange whose first frame asks for
-// packed sums and whose second asks for the varint form reads both.
-func TestPipelinedPackedAndVarint(t *testing.T) {
-	_, mem, addr := startServer(t)
-	c := dial(t, addr)
-	geo, batches, oracle := pipelineFixture(t, mem, c)
-	ctx := context.Background()
-
-	// Frame the exchange by hand: sendBatchesLocked asks every lane-width
-	// frame for packed sums once the server offers them.
-	c.mu.Lock()
-	if err := c.arm(ctx); err != nil {
-		c.mu.Unlock()
-		t.Fatal(err)
-	}
-	f := appendBatchRequest([]byte{opBatch}, geo, batches[0], batchFlagVerify|batchFlagPacked)
-	f = appendBatchRequest(append(f, opBatch), geo, batches[1], batchFlagVerify)
-	_, err := c.w.Write(f)
-	if err == nil {
-		err = c.w.Flush()
-	}
-	if err != nil {
-		c.disarm()
-		c.mu.Unlock()
-		t.Fatal(err)
-	}
-	c.call.c, c.call.ctx = c, ctx
-	c.call.frames = append(c.call.frames[:0],
-		callFrame{n: len(batches[0]), m: geo.Params.M, verify: true, packed: true, rg: ring.MustNew(geo.Params.We)},
-		callFrame{n: len(batches[1]), m: geo.Params.M, verify: true})
-	got := 0
-	if err := c.call.Finish(func(i int, res []core.NDPBatchResult, ferr error) {
-		if ferr != nil || !sameResults(res, oracle[i]) {
-			t.Errorf("frame %d (packed %v): %v", i, i == 0, ferr)
-		}
-		got++
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != 2 || !c.Usable() {
-		t.Fatalf("%d frames read, connection usable %v", got, c.Usable())
 	}
 }
 

@@ -7,15 +7,15 @@
 // everything that returns is verified by the processor-side scheme.
 //
 // The wire protocol is a minimal length-prefixed binary format (no
-// dependencies): each request is one operation over one table region.
-// Extensions are negotiated per connection through the body-free opCaps
-// probe, and a client uses one only after the server advertised it, so a
-// legacy peer on either side sees byte-identical framing. capTrace lets a
-// request carry a trace-context prefix. capPacked lets an opBatch request
-// ask, with batchFlagPacked, for packed sums: each sum comes back as one
-// we-bit little-endian lane, the width the ciphertext is stored in,
-// instead of a uvarint. The server computes each connection's batches
-// into one reused result buffer.
+// dependencies) with one query form: opBatch, a whole batch over one table
+// region, optionally preceded by an opTraceCtx prefix, answered with
+// packed sums — each sum one we-bit little-endian lane, the width the
+// ciphertext is stored in. Beside it sit the provisioning writes, opPing
+// and the body-free opCaps probe. The probe's word, capBatch|capTrace|
+// capPacked, is the protocol's identity: a client checks it once per
+// connection, before its first batch, and refuses a server that answers
+// anything else with ErrProtocol. The server computes each connection's
+// batches into one reused result buffer.
 package remote
 
 import (
@@ -38,27 +38,21 @@ import (
 	"secndp/internal/telemetry"
 )
 
-// Op codes of the wire protocol. A client sends every whole-row query as
-// opBatch; the server still answers the single-query opWeightedSum and
-// opTagSum for legacy clients.
+// Op codes of the wire protocol. Codes 1 and 2, the retired single-query
+// ops, stay reserved and are never reused: a server answers them as any
+// unknown op.
 const (
-	opWeightedSum byte = 1
-	opTagSum      byte = 2
-	opWriteBlob   byte = 3 // provisioning path: load ciphertext into memory
-	opWriteECC    byte = 4 // provisioning path: side-band tags
-	opPing        byte = 5 // no-op round trip: pool health checks, breaker probes
-	opBatch       byte = 6 // whole []BatchRequest in one round trip
-	opCaps        byte = 7 // capability probe; MUST stay body-free (see below)
-	opTraceCtx    byte = 8 // 16-byte trace context prefix; reply-free (see below)
+	opWriteBlob byte = 3 // provisioning path: load ciphertext into memory
+	opWriteECC  byte = 4 // provisioning path: side-band tags
+	opPing      byte = 5 // no-op round trip: pool health checks, breaker probes
+	opBatch     byte = 6 // whole []BatchRequest in one round trip
+	opCaps      byte = 7 // protocol check; MUST stay body-free (see below)
+	opTraceCtx  byte = 8 // 16-byte trace context prefix; reply-free (see below)
 )
 
 // opName returns an opcode's short series/span name.
 func opName(op byte) string {
 	switch op {
-	case opWeightedSum:
-		return "weighted_sum"
-	case opTagSum:
-		return "tag_sum"
 	case opWriteBlob:
 		return "write_blob"
 	case opWriteECC:
@@ -82,27 +76,22 @@ const (
 )
 
 // Capability bits answered by opCaps. The probe request is the op byte
-// alone — a legacy server reads exactly one byte before replying
-// statusErr "unknown op", so a body-free probe is the only shape that
-// leaves a legacy stream in sync.
+// alone — a server that predates it reads exactly one byte before
+// replying statusErr "unknown op", so a body-free probe is the only shape
+// that leaves such a stream in sync.
 const (
-	capBatch uint64 = 1 << 0
-	// capTrace: the server accepts an opTraceCtx prefix (op byte + 16
-	// bytes: big-endian trace ID then parent span ID, no reply) ahead of
-	// a request and stitches its server-side spans under that parent. A
-	// client only ever sends the prefix after the probe showed this bit,
-	// so legacy servers see the byte-identical pre-trace framing.
+	capBatch uint64 = 1 << 0 // opBatch
+	// capTrace: an opTraceCtx prefix (op byte + 16 bytes: big-endian
+	// trace ID then parent span ID, no reply) ahead of a request stitches
+	// the server's spans under that parent.
 	capTrace uint64 = 1 << 1
-	// capPacked: the server answers an opBatch request carrying
-	// batchFlagPacked with packed sums — each sub-result's sums as
-	// we/8-byte little-endian ring lanes instead of uvarints (see
-	// appendPackedBatchResponse). A client only sets the flag after the
-	// probe showed this bit, and a server without it ignores the flag, so
-	// a legacy peer on either side sees the byte-identical varint framing.
+	// capPacked: opBatch sums come back as we/8-byte little-endian ring
+	// lanes (see appendPackedBatchResponse).
 	capPacked uint64 = 1 << 2
 )
 
-// serverCaps is what this server implementation advertises.
+// serverCaps is the protocol's identity: the word this server answers
+// opCaps with, and the bits a client requires of every server.
 const serverCaps = capBatch | capTrace | capPacked
 
 // traceCtxLen is opTraceCtx's fixed body: 8-byte trace ID + 8-byte
@@ -113,8 +102,8 @@ const traceCtxLen = 16
 const (
 	// batchFlagVerify asks the server to include per-sub-request tag sums.
 	batchFlagVerify uint64 = 1 << 0
-	// batchFlagPacked asks for packed sums; sent only to a server that
-	// advertised capPacked.
+	// batchFlagPacked asks for packed sums. Every client sets it and every
+	// server answers packed whatever its value.
 	batchFlagPacked uint64 = 1 << 1
 )
 
@@ -173,11 +162,6 @@ func readUvarints[T int | uint64](r *bufio.Reader, dst []T) error {
 	return nil
 }
 
-func writeGeometry(w *bufio.Writer, g core.Geometry) error {
-	_, err := w.Write(appendGeometry(nil, g))
-	return err
-}
-
 func readGeometry(r *bufio.Reader) (core.Geometry, error) {
 	var vals [8]uint64
 	for i := range vals {
@@ -203,37 +187,6 @@ func readGeometry(r *bufio.Reader) (core.Geometry, error) {
 	// the whole request has been drained, or the statusErr reply leaves the
 	// stream out of sync.
 	return g, nil
-}
-
-func writeQuery(w *bufio.Writer, idx []int, weights []uint64) error {
-	_, err := w.Write(appendQuery(nil, idx, weights))
-	return err
-}
-
-func readQuery(r *bufio.Reader) ([]int, []uint64, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxVectorLen {
-		return nil, nil, fmt.Errorf("remote: query of %d rows exceeds limit", n)
-	}
-	idx := make([]int, n)
-	for k := range idx {
-		v, err := readUvarint(r)
-		if err != nil {
-			return nil, nil, err
-		}
-		idx[k] = int(v)
-	}
-	weights := make([]uint64, n)
-	for k := range weights {
-		weights[k], err = readUvarint(r)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return idx, weights, nil
 }
 
 func readBatchSub(r *bufio.Reader) ([]int, []uint64, error) {
@@ -269,17 +222,11 @@ func readBatchSub(r *bufio.Reader) ([]int, []uint64, error) {
 	return idx, weights, nil
 }
 
-// writeBatchRequest frames an opBatch request body (everything after the
-// op byte): geometry, a flags word (batchFlag* bits), the sub-request
-// count, then each sub-request in appendBatchSub's form.
-func writeBatchRequest(w *bufio.Writer, geo core.Geometry, reqs []core.BatchRequest, flags uint64) error {
-	_, err := w.Write(appendBatchRequest(nil, geo, reqs, flags))
-	return err
-}
-
-// readBatchRequest parses an opBatch request body and returns its flags
-// word whole; unknown bits are the caller's to ignore. Errors are framing
-// errors: the caller must drop the connection, not reply.
+// readBatchRequest parses an opBatch request body (appendBatchRequest's
+// form) and returns its flags word whole; unknown bits are the caller's
+// to ignore. Errors are framing errors: the caller must drop the
+// connection, not reply. It is the reference the server's in-place
+// connFrames.readBatchRequest is fuzzed against.
 func readBatchRequest(r *bufio.Reader) (core.Geometry, []core.BatchRequest, uint64, error) {
 	geo, err := readGeometry(r)
 	if err != nil {
@@ -307,25 +254,15 @@ func readBatchRequest(r *bufio.Reader) (core.Geometry, []core.BatchRequest, uint
 	return geo, reqs, flags, nil
 }
 
-// writeBatchResponse frames an opBatch reply's payload (after the batch's
-// own statusOK): one status byte per sub-request, then either its sums
-// (+ tag when verifying) or its error message. Per-sub-request errors ride
-// inside an overall-OK reply — only batch-level problems use the outer
-// statusErr, so one bad sub-request cannot mask the rest of the batch.
-func writeBatchResponse(w *bufio.Writer, res []core.NDPBatchResult, verify bool) error {
-	_, err := w.Write(appendBatchResponse(nil, res, verify))
-	return err
-}
-
-// readBatchReply is the one opBatch reply parser. It overwrites every
-// entry of res, one per sub-request; a sub-result's sums land in its
-// m-column row of slab (len(res)×m, sized from the client's own
-// geometry), as lanes of rg when packed and as uvarints otherwise.
-// Per-sub-request server errors land in NDPBatchResult.Err (as
-// *serverError), and so does a sub-result whose length is not m; a
-// returned error is a transport/framing failure, and res then holds a
-// partial parse.
-func readBatchReply(r *bufio.Reader, res []core.NDPBatchResult, slab []uint64, m int, verify, packed bool, rg ring.Ring) error {
+// readBatchReply is the one opBatch reply parser (the payload after the
+// batch's own statusOK; see appendPackedBatchResponse). It overwrites
+// every entry of res, one per sub-request; a sub-result's sums land in
+// its m-column row of slab (len(res)×m, sized from the client's own
+// geometry) as lanes of rg. Per-sub-request server errors land in
+// NDPBatchResult.Err (as *serverError), and so does a sub-result whose
+// length is not m; a returned error is a transport/framing failure, and
+// res then holds a partial parse.
+func readBatchReply(r *bufio.Reader, res []core.NDPBatchResult, slab []uint64, m int, verify bool, rg ring.Ring) error {
 	for i := range res {
 		res[i] = core.NDPBatchResult{}
 		status, err := r.ReadByte()
@@ -348,12 +285,7 @@ func readBatchReply(r *bufio.Reader, res []core.NDPBatchResult, slab []uint64, m
 			res[i].Err = &serverError{msg: string(msg)}
 		case statusOK:
 			dst := slab[i*m : (i+1)*m : (i+1)*m]
-			if packed {
-				err = readLanes(r, rg, dst)
-			} else {
-				err = readSums(r, dst)
-			}
-			switch err.(type) {
+			switch err := readLanes(r, rg, dst); err.(type) {
 			case nil:
 				res[i].Sums = dst
 			case *serverError: // a wrong-length sub-result, already drained
@@ -397,10 +329,6 @@ type Server struct {
 	mOps       [opTraceCtx + 1]*telemetry.Counter
 	mOpSeconds [opTraceCtx + 1]*telemetry.Histogram
 	mRejects   *telemetry.Counter
-
-	// caps is what opCaps advertises; NewServer sets serverCaps. Tests
-	// clear bits to impersonate older servers.
-	caps uint64
 }
 
 // Instrument mirrors the server's request counters onto a telemetry
@@ -419,7 +347,7 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 		"Connections accepted by the NDP server.")
 	s.mRejects = reg.Counter("secndp_server_rejects_total",
 		"Requests the NDP server rejected with a semantic error.")
-	for op := opWeightedSum; op <= opTraceCtx; op++ {
+	for op := opWriteBlob; op <= opTraceCtx; op++ {
 		name := opName(op)
 		s.mOps[op] = reg.Counter("secndp_server_ops_"+name+"_total",
 			"NDP server "+name+" operations served.")
@@ -433,7 +361,7 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 
 // NewServer wraps an untrusted memory space.
 func NewServer(mem *memory.Space) *Server {
-	return &Server{mem: mem, ndp: &core.HonestNDP{Mem: mem}, conns: make(map[net.Conn]struct{}), caps: serverCaps}
+	return &Server{mem: mem, ndp: &core.HonestNDP{Mem: mem}, conns: make(map[net.Conn]struct{})}
 }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
@@ -549,8 +477,7 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 	}
 	if op == opTraceCtx {
 		// Reply-free trace-context prefix: remember the caller's trace and
-		// parent span for the next operation on this connection. Only sent
-		// by clients that saw capTrace, so there is no desync risk.
+		// parent span for the next operation on this connection.
 		var b [traceCtxLen]byte
 		if _, err := io.ReadFull(r, b[:]); err != nil {
 			return err
@@ -588,65 +515,6 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		return err
 	}
 	switch op {
-	case opWeightedSum, opTagSum:
-		// The single-query ops, kept for legacy clients. Drain the full
-		// request first, then validate: statusErr replies to
-		// a half-read request would leave the stream out of sync. Transport
-		// and framing errors (including oversized queries, whose payload is
-		// not worth draining) drop the connection instead.
-		decode := span.Child("decode")
-		geo, err := readGeometry(r)
-		if err != nil {
-			return err
-		}
-		idx, weights, err := fr.readQuery(r)
-		if err != nil {
-			return err
-		}
-		decode.End()
-		// The geometry is validated with core.Geometry.Validate before any
-		// memory is touched, rather than relied on to trip bounds checks
-		// (or panics) downstream.
-		if err := geo.Validate(); err != nil {
-			return fail(fmt.Sprintf("bad geometry: %v", err))
-		}
-		// Validate bounds shape, not size: cap the row footprint so a
-		// hostile geometry cannot drive gigabyte per-row allocations.
-		if geo.Layout.RowBytes > maxVectorLen {
-			return fail(fmt.Sprintf("row size %d exceeds limit", geo.Layout.RowBytes))
-		}
-		if op == opTagSum && geo.Layout.Placement == memory.TagNone {
-			return fail("geometry has no tag placement")
-		}
-		for _, i := range idx {
-			if i < 0 || i >= geo.Layout.NumRows {
-				return fail(fmt.Sprintf("row %d out of range", i))
-			}
-		}
-		s.mu.Lock()
-		if op == opWeightedSum {
-			sum := span.Child("gather_sum")
-			res := s.ndp.WeightedSum(geo, idx, weights)
-			s.mu.Unlock()
-			sum.End()
-			out := append(fr.out[:0], statusOK)
-			out = binary.AppendUvarint(out, uint64(len(res)))
-			for _, v := range res {
-				out = binary.AppendUvarint(out, v)
-			}
-			fr.out = out
-			_, err = w.Write(out)
-			return err
-		}
-		sum := span.Child("gather_sum")
-		tag := s.ndp.TagSum(geo, idx, weights)
-		s.mu.Unlock()
-		sum.End()
-		b := tag.Bytes()
-		fr.out = append(append(fr.out[:0], statusOK), b[:]...)
-		_, err = w.Write(fr.out)
-		return err
-
 	case opWriteBlob:
 		addr, err := readUvarint(r)
 		if err != nil {
@@ -696,11 +564,13 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		return w.WriteByte(statusOK)
 
 	case opBatch:
-		// Same drain-then-validate discipline as the single-query ops, at
-		// batch granularity: framing errors drop the connection; semantic
-		// problems with the batch as a whole get one statusErr after the
-		// frame is fully drained; per-sub-request problems are answered
-		// inside a statusOK reply so they cannot poison their neighbors.
+		// Drain, then validate: framing errors (an oversized vector among
+		// them, whose payload is not worth draining) drop the connection;
+		// semantic problems with the batch as a whole get one statusErr
+		// after the frame is fully drained, since a reply to a half-read
+		// request would leave the stream out of sync; per-sub-request
+		// problems are answered inside a statusOK reply so they cannot
+		// poison their neighbors.
 		decode := span.Child("decode")
 		geo, reqs, flags, err := fr.readBatchRequest(r)
 		if err != nil {
@@ -708,6 +578,10 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		}
 		decode.End()
 		verify := flags&batchFlagVerify != 0
+		// The geometry is validated before any memory is touched, rather
+		// than relied on to trip bounds checks downstream, and its row
+		// footprint capped so a hostile one cannot drive gigabyte per-row
+		// allocations.
 		if err := geo.Validate(); err != nil {
 			return fail(fmt.Sprintf("bad geometry: %v", err))
 		}
@@ -727,13 +601,8 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		if err != nil {
 			return fail(fmt.Sprintf("batch failed: %v", err))
 		}
-		out := append(fr.out[:0], statusOK)
-		if flags&batchFlagPacked != 0 && s.caps&capPacked != 0 {
-			// The geometry validated, so its width is a packable lane.
-			fr.out = appendPackedBatchResponse(out, res, verify, ring.MustNew(geo.Params.We))
-		} else {
-			fr.out = appendBatchResponse(out, res, verify)
-		}
+		// The geometry validated, so its width is a packable lane.
+		fr.out = appendPackedBatchResponse(append(fr.out[:0], statusOK), res, verify, ring.MustNew(geo.Params.We))
 		_, err = w.Write(fr.out)
 		return err
 
@@ -744,7 +613,7 @@ func (s *Server) serveOne(r *bufio.Reader, w *bufio.Writer, fr *connFrames) erro
 		if err := w.WriteByte(statusOK); err != nil {
 			return err
 		}
-		return writeUvarint(w, s.caps)
+		return writeUvarint(w, serverCaps)
 
 	default:
 		return fail(fmt.Sprintf("unknown op %d", op))
@@ -785,10 +654,11 @@ type Client struct {
 	// varint). Guarded by mu like the rest of the connection state.
 	frame []byte
 
-	// Capability probe result, cached once a definitive answer arrives
-	// (the server either answered opCaps or rejected it as unknown).
-	capsKnown bool
-	caps      uint64
+	// The protocol check's outcome, cached once the server answered the
+	// opCaps probe: proto is nil for a server that speaks this protocol,
+	// ErrProtocol for one that does not.
+	probed bool
+	proto  error
 
 	// The batch exchange in flight (valid while it holds mu) and the
 	// buffers BatchCall.Finish parses its reply into: they grow to the
@@ -852,10 +722,11 @@ type serverError struct{ msg string }
 
 func (e *serverError) Error() string { return "remote: server error: " + e.msg }
 
-// isServerError reports whether err is, or wraps, a *serverError.
+// isServerError reports whether err is, or wraps, the server's answer
+// rather than a transport failure: a *serverError, or ErrProtocol.
 func isServerError(err error) bool {
 	var se *serverError
-	return errors.As(err, &se)
+	return errors.As(err, &se) || errors.Is(err, ErrProtocol)
 }
 
 // arm applies the context's deadline to the connection until disarm
@@ -945,37 +816,16 @@ func readStatus(r *bufio.Reader) error {
 	return &serverError{msg: string(msg)}
 }
 
-// readSums parses a length-prefixed vector of ring elements into dst,
-// whose length is the geometry's column count M: the client sizes its
-// buffers from the geometry it sent, never from a count the server sent.
-// A reply of any other length is drained value by value — nothing is
-// allocated and the stream stays in sync — and reported as a
-// *serverError; a malformed, truncated or oversized one is a transport
-// error.
-func readSums(r *bufio.Reader, dst []uint64) error {
-	n, err := readUvarint(r)
-	if err != nil {
-		return err
-	}
-	if n > maxVectorLen {
-		return fmt.Errorf("remote: oversized response (%d values)", n)
-	}
-	if n == uint64(len(dst)) {
-		return readUvarints(r, dst)
-	}
-	for k := uint64(0); k < n; k++ {
-		if _, err := readUvarint(r); err != nil {
-			return err
-		}
-	}
-	return &serverError{msg: fmt.Sprintf("answered %d sums for %d columns", n, len(dst))}
-}
-
-// readLanes is readSums for a packed reply: the uvarint count, then count
-// we/8-byte little-endian lanes of rg, decoded with ring.UnpackElemsInto
-// straight from the reader's buffer, one buffer-sized chunk at a time. A
-// count other than len(dst) is drained unread and reported as a
-// *serverError, as in readSums; a reply that ends inside its lanes is
+// readLanes parses one sub-result's sums into dst, whose length is the
+// geometry's column count M: the client sizes its buffers from the
+// geometry it sent, never from a count the server sent. The uvarint count
+// is followed by count we/8-byte little-endian lanes of rg, decoded with
+// ring.UnpackElemsInto straight from the reader's buffer, one
+// buffer-sized chunk at a time. A count other than len(dst) is drained
+// unread — nothing is allocated and the stream stays in sync — and
+// reported as a *serverError; an oversized count, or sums for a width
+// that is no lane (which a server rejects before answering), is a
+// framing error, and a reply that ends inside its lanes is
 // io.ErrUnexpectedEOF.
 func readLanes(r *bufio.Reader, rg ring.Ring, dst []uint64) error {
 	n, err := readUvarint(r)
@@ -986,6 +836,9 @@ func readLanes(r *bufio.Reader, rg ring.Ring, dst []uint64) error {
 		return fmt.Errorf("remote: oversized response (%d values)", n)
 	}
 	eb := rg.Bytes()
+	if eb == 0 || uint(eb)*8 != rg.Width() {
+		return fmt.Errorf("remote: sums answered for a %d-bit geometry", rg.Width())
+	}
 	if n != uint64(len(dst)) {
 		if _, err := r.Discard(int(n) * eb); err != nil {
 			return unexpectedEOF(err)
@@ -1043,64 +896,51 @@ func (c *Client) roundTrip(send func() error) error {
 	return readStatus(c.r)
 }
 
-// ensureCapsLocked runs the capability probe (opCaps) if no definitive
-// answer is cached yet: the answer is cached per connection, and a legacy
-// server's statusErr ("unknown op" — the probe frame is a bare op byte
-// precisely so a legacy server rejects it without stream desync) caches
-// "no capabilities". A transport or framing failure may leave part of the
-// probe's reply on the stream, so it poisons the connection, as finish
-// does, and is returned: the caller must not write its operation.
-// Caller holds c.mu with the connection armed.
-func (c *Client) ensureCapsLocked() error {
-	if c.capsKnown {
-		return nil
-	}
-	caps, err := c.capsLocked()
-	if err != nil {
-		if !isServerError(err) {
+// ErrProtocol answers every batch on a connection whose server does not
+// speak this package's protocol: it answered the opCaps probe with
+// statusErr, or with a word lacking one of capBatch, capTrace and
+// capPacked. Nothing but the probe was sent, so it neither poisons the
+// connection nor draws a retry. It wraps errors.ErrUnsupported.
+var ErrProtocol = fmt.Errorf("remote: server does not speak the packed batch protocol: %w", errors.ErrUnsupported)
+
+// checkProtocolLocked runs the opCaps probe once per connection and
+// caches its outcome: nil, or ErrProtocol for every later call too. A
+// transport or framing failure may leave part of the probe's reply on
+// the stream, so it poisons the connection, as finish does, and is
+// returned: the caller must not write its operation. Caller holds c.mu
+// with the connection armed.
+func (c *Client) checkProtocolLocked() error {
+	if !c.probed {
+		caps, err := c.capsLocked()
+		if err != nil && !isServerError(err) {
 			c.fatal = err
 			return err
 		}
-		caps = 0
+		if err != nil || caps&serverCaps != serverCaps {
+			c.proto = ErrProtocol
+		}
+		c.probed = true
 	}
-	c.caps, c.capsKnown = caps, true
-	return nil
+	return c.proto
 }
 
-// appendTraceLocked appends ctx's opTraceCtx prefix to f (op byte +
+// appendTrace appends ctx's opTraceCtx prefix to f (op byte +
 // big-endian trace ID + parent span ID) when ctx carries an active trace
-// span AND the server has advertised capTrace. Untraced calls — and every
-// call to a legacy server — append nothing, so the frame starts at the
-// operation byte, byte-identical to the pre-trace protocol. The first
-// traced call on a fresh connection runs the capability probe inline (one
-// extra round trip, then cached); the error is the probe's (see
-// ensureCapsLocked). Caller holds c.mu with the connection armed.
-func (c *Client) appendTraceLocked(f []byte, ctx context.Context) ([]byte, error) {
+// span; an untraced call appends nothing.
+func appendTrace(f []byte, ctx context.Context) []byte {
 	span := telemetry.SpanFromContext(ctx)
 	if span == nil {
-		return f, nil
-	}
-	if err := c.ensureCapsLocked(); err != nil {
-		return nil, err
-	}
-	if c.caps&capTrace == 0 {
-		return f, nil
+		return f
 	}
 	f = append(f, opTraceCtx)
 	f = binary.BigEndian.AppendUint64(f, uint64(span.Trace()))
-	f = binary.BigEndian.AppendUint64(f, uint64(span.ID()))
-	return f, nil
+	return binary.BigEndian.AppendUint64(f, uint64(span.ID()))
 }
 
-// The operations a connection cannot carry. errNoElemOp is WeightedSumElem's
-// answer: element-granular queries are served by the cluster's whole-row
-// fetches or the TEE mirror instead. errNoBatchOp answers a batch to a
-// server that advertises no opBatch; nothing was sent, so it is a
-// serverError, which neither poisons the connection nor draws a retry.
-var (
-	errNoElemOp  = fmt.Errorf("remote: no element op on the wire: %w", errors.ErrUnsupported)
-	errNoBatchOp = fmt.Errorf("%w (%w)", &serverError{msg: "no batch op"}, errors.ErrUnsupported)
-)
+// errNoElemOp is WeightedSumElem's answer: the wire has no element op, so
+// element-granular queries are served by the cluster's whole-row fetches
+// or the TEE mirror instead.
+var errNoElemOp = fmt.Errorf("remote: no element op on the wire: %w", errors.ErrUnsupported)
 
 // WeightedSumElem implements core.NDP: the wire protocol has no element
 // op, so it returns an error wrapping errors.ErrUnsupported.
@@ -1115,10 +955,9 @@ func (c *Client) WeightedSumElem(ctx context.Context, _ core.Geometry, _, _ []in
 // batch's ciphertext sums (and, when verify is set, tag sums) in one
 // round trip, a one-frame exchange. Per-sub-request server errors land
 // in the corresponding NDPBatchResult.Err; a non-nil returned error is
-// batch-level (server rejection, transport failure, or a server that
-// advertises no batch op) and decided nothing. The reply is decoded
-// straight into fresh storage, as core.NDP requires: every sub-result's
-// sums share one new count×M slab.
+// batch-level (server rejection, transport failure, or ErrProtocol) and
+// decided nothing. The reply is decoded straight into fresh storage, as
+// core.NDP requires: every sub-result's sums share one new count×M slab.
 func (c *Client) WeightedTagSumBatch(ctx context.Context, geo core.Geometry, reqs []core.BatchRequest, verify bool) ([]core.NDPBatchResult, error) {
 	frame := [1]BatchFrame{{Ctx: ctx, Geo: geo, Reqs: reqs, Verify: verify}}
 	call, err := c.StartBatches(ctx, frame[:])
@@ -1176,7 +1015,6 @@ type BatchCall struct {
 type callFrame struct {
 	n, m   int // sub-requests, columns
 	verify bool
-	packed bool
 	rg     ring.Ring
 }
 
@@ -1186,11 +1024,11 @@ var errAbandoned = errors.New("remote: batch exchange abandoned before its reply
 
 // StartBatches begins a pipelined exchange: it locks and arms the
 // connection (the context's deadline and cancellation cover the call
-// until it finishes), runs the capability probe if none is cached, and
-// writes every opBatch frame, trace prefixes included, then flushes
-// once. The client stays locked until the call's Finish or Abort. On
-// error nothing is held and the connection is poisoned unless the error
-// is the server's (a legacy server without opBatch).
+// until it finishes), checks the server's protocol on the connection's
+// first exchange, and writes every opBatch frame, trace prefixes
+// included, then flushes once. The client stays locked until the call's
+// Finish or Abort. On error nothing is held and the connection is
+// poisoned unless the error is the server's (ErrProtocol).
 func (c *Client) StartBatches(ctx context.Context, frames []BatchFrame) (*BatchCall, error) {
 	for i := range frames {
 		if n := len(frames[i].Reqs); n > maxBatchSubs {
@@ -1216,28 +1054,23 @@ func (c *Client) StartBatches(ctx context.Context, frames []BatchFrame) (*BatchC
 // read each reply in c.call.frames, and flushes. Caller holds c.mu with
 // the connection armed.
 func (c *Client) sendBatchesLocked(frames []BatchFrame) error {
-	// A server without opBatch would read the frame's payload as further
-	// ops, so the cached capability probe gates the send.
-	if err := c.ensureCapsLocked(); err != nil {
+	// A server that predates this protocol would read the frame's payload
+	// as further ops, so the cached protocol check gates the send.
+	if err := c.checkProtocolLocked(); err != nil {
 		return err
-	}
-	if c.caps&capBatch == 0 {
-		return errNoBatchOp
 	}
 	f, cf := c.frame[:0], c.call.frames[:0]
 	for i := range frames {
 		fr := &frames[i]
-		var err error
-		if f, err = c.appendTraceLocked(f, fr.Ctx); err != nil {
-			return err
+		flags := batchFlagPacked
+		if fr.Verify {
+			flags |= batchFlagVerify
 		}
-		flags := c.batchFlagsLocked(fr.Geo, fr.Verify)
-		f = appendBatchRequest(append(f, opBatch), fr.Geo, fr.Reqs, flags)
-		cfr := callFrame{n: len(fr.Reqs), m: fr.Geo.Params.M, verify: fr.Verify, packed: flags&batchFlagPacked != 0}
-		if cfr.packed {
-			cfr.rg = ring.MustNew(fr.Geo.Params.We)
-		}
-		cf = append(cf, cfr)
+		f = appendBatchRequest(append(appendTrace(f, fr.Ctx), opBatch), fr.Geo, fr.Reqs, flags)
+		// A width out of ring range leaves rg zero, which readLanes
+		// refuses; the server rejects such a geometry whole anyway.
+		rg, _ := ring.New(fr.Geo.Params.We)
+		cf = append(cf, callFrame{n: len(fr.Reqs), m: fr.Geo.Params.M, verify: fr.Verify, rg: rg})
 	}
 	c.frame, c.call.frames = f, cf
 	if _, err := c.w.Write(f); err != nil {
@@ -1274,7 +1107,7 @@ func (b *BatchCall) Finish(each func(i int, res []core.NDPBatchResult, err error
 		res, slab := b.buffers(f.n, f.m)
 		err := readStatus(c.r)
 		if err == nil {
-			err = readBatchReply(c.r, res, slab, f.m, f.verify, f.packed, f.rg)
+			err = readBatchReply(c.r, res, slab, f.m, f.verify, f.rg)
 		} else if isServerError(err) {
 			read++
 			each(i, nil, err)
@@ -1329,26 +1162,7 @@ func (b *BatchCall) release(err error) {
 	}
 }
 
-// batchFlagsLocked returns an opBatch request's flags word. Packed sums
-// are asked for only from a server that advertised capPacked, and only
-// for a width that is a lane (one core.Params admits; the server rejects
-// any other geometry before answering), so a legacy server receives the
-// byte-identical varint request. Caller holds c.mu with the capabilities
-// probed.
-func (c *Client) batchFlagsLocked(geo core.Geometry, verify bool) uint64 {
-	var flags uint64
-	if verify {
-		flags |= batchFlagVerify
-	}
-	switch geo.Params.We {
-	case 8, 16, 32, 64:
-		if c.caps&capPacked != 0 {
-			flags |= batchFlagPacked
-		}
-	}
-	return flags
-}
-
+// capsLocked is one opCaps exchange: the server's capability word.
 func (c *Client) capsLocked() (uint64, error) {
 	if err := c.roundTrip(func() error { return c.w.WriteByte(opCaps) }); err != nil {
 		return 0, err

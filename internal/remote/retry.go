@@ -13,10 +13,10 @@ import (
 var ErrRetriesExhausted = errors.New("remote: retries exhausted")
 
 // RetryPolicy governs re-execution of failed transport calls. Every wire
-// operation is idempotent — WeightedSum, TagSum, and Ping are pure reads,
-// and the provisioning writes store identical bytes at identical addresses
-// — so retrying after an ambiguous failure (a timeout whose request may or
-// may not have executed) is always safe.
+// operation is idempotent — opBatch and Ping are pure reads, and the
+// provisioning writes store identical bytes at identical addresses — so
+// retrying after an ambiguous failure (a timeout whose request may or may
+// not have executed) is always safe.
 //
 // Server-reported rejections (statusErr) are semantic, not transport,
 // failures: a retry would be answered identically, so they are returned

@@ -15,9 +15,8 @@ import (
 )
 
 // Wire-level trace propagation: the opTraceCtx prefix must appear
-// exactly when both sides opt in — an active span on the context AND a
-// server advertising capTrace — and every other combination must
-// produce frames byte-identical to the pre-trace protocol.
+// exactly when the context carries an active span, and a traced frame
+// must be the untraced frame with the prefix prepended.
 
 // tracedCtx returns a context carrying a live root span.
 func tracedCtx(t *testing.T) (context.Context, *telemetry.ActiveSpan) {
@@ -30,43 +29,18 @@ func tracedCtx(t *testing.T) (context.Context, *telemetry.ActiveSpan) {
 	return ctx, span
 }
 
-// traceFrame is appendTraceLocked into an empty frame on a client whose
-// capabilities are already cached, where the probe cannot run and so
-// cannot fail.
-func traceFrame(t *testing.T, c *Client, ctx context.Context) []byte {
-	t.Helper()
-	f, err := c.appendTraceLocked(nil, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 func TestTraceFrameUntracedEmpty(t *testing.T) {
-	// Trace-capable connection, no span on the context: the frame starts
-	// at the operation byte, exactly the legacy protocol.
-	c := &Client{capsKnown: true, caps: serverCaps}
-	if f := traceFrame(t, c, context.Background()); len(f) != 0 {
+	// No span on the context: the frame starts at the operation byte.
+	if f := appendTrace(nil, context.Background()); len(f) != 0 {
 		t.Fatalf("untraced call produced a %d-byte prefix, want none", len(f))
 	}
 }
 
-func TestTraceFrameLegacyServerEmpty(t *testing.T) {
-	// Active span but a server that never advertised capTrace: the
-	// client must not send bytes a legacy server cannot parse.
-	ctx, _ := tracedCtx(t)
-	c := &Client{capsKnown: true, caps: capBatch}
-	if f := traceFrame(t, c, ctx); len(f) != 0 {
-		t.Fatalf("traced call to legacy server produced a %d-byte prefix, want none", len(f))
-	}
-}
-
 func TestTraceFramePrefixLayout(t *testing.T) {
-	// Both sides opt in: opTraceCtx + 8-byte big-endian trace ID +
-	// 8-byte parent span ID, nothing else.
+	// opTraceCtx + 8-byte big-endian trace ID + 8-byte parent span ID,
+	// nothing else.
 	ctx, span := tracedCtx(t)
-	c := &Client{capsKnown: true, caps: serverCaps}
-	f := traceFrame(t, c, ctx)
+	f := appendTrace(nil, ctx)
 	if len(f) != 1+traceCtxLen {
 		t.Fatalf("prefix is %d bytes, want %d", len(f), 1+traceCtxLen)
 	}
@@ -83,56 +57,10 @@ func TestTraceFramePrefixLayout(t *testing.T) {
 	// stripping it restores byte identity.
 	geo := testGeometry(memory.TagSep, 8, 4)
 	reqs := []core.BatchRequest{{Idx: []int{1, 2}, Weights: []uint64{3, 4}}}
-	traced := appendBatchRequest(append(traceFrame(t, c, ctx), opBatch), geo, reqs, batchFlagVerify)
+	traced := appendBatchRequest(append(appendTrace(nil, ctx), opBatch), geo, reqs, batchFlagVerify)
 	plain := appendBatchRequest([]byte{opBatch}, geo, reqs, batchFlagVerify)
 	if !bytes.Equal(traced[1+traceCtxLen:], plain) {
 		t.Fatal("traced frame body differs from the untraced frame")
-	}
-}
-
-func TestTraceMixedLegacyServerQueryVerifies(t *testing.T) {
-	// A tracing client against a legacy server: the capability probe
-	// comes back without capTrace, the frames stay legacy, and the
-	// verified query still round-trips.
-	// Impersonate a pre-trace server: caps must be set before Listen
-	// spawns the accept loop.
-	mem := memory.NewSpace()
-	srv := NewServer(mem)
-	srv.caps = capBatch
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	client := dial(t, addr)
-
-	scheme, err := core.NewScheme(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	geo := testGeometry(memory.TagSep, 16, 8)
-	rng := rand.New(rand.NewSource(7))
-	rows := randRows(rng, 16, 8, 1<<20)
-	tab, err := scheme.EncryptTable(mem, geo, 1, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, span := tracedCtx(t)
-	idx, w := []int{2, 7, 11}, []uint64{5, 6, 7}
-	got, err := tab.QueryCtx(ctx, client, idx, w, core.QueryOptions{Verify: true})
-	span.End()
-	if err != nil {
-		t.Fatalf("traced query against legacy server failed: %v", err)
-	}
-	for j := 0; j < 8; j++ {
-		want := (5*rows[2][j] + 6*rows[7][j] + 7*rows[11][j]) & 0xFFFFFFFF
-		if got[j] != want {
-			t.Fatalf("col %d: %d != %d", j, got[j], want)
-		}
-	}
-	if c := client.caps & capTrace; c != 0 {
-		t.Fatal("client cached capTrace from a server that never advertised it")
 	}
 }
 
@@ -198,8 +126,6 @@ func TestTraceServerRecordsRemoteSpans(t *testing.T) {
 					t.Fatalf("server-side span %q not marked remote", s.Op)
 				}
 				switch s.Op {
-				case "server_weighted_sum", "server_tag_sum":
-					t.Fatalf("a single query reached the server as the legacy op %q", s.Op)
 				case "server_batch":
 					if s.Parent != ndpSpan {
 						t.Fatalf("server_batch parent %s, want the client's ndp span %s", s.Parent, ndpSpan)

@@ -297,7 +297,7 @@ func TestTelemetryRemoteDegraded(t *testing.T) {
 		"secndp_transport_attempts_total", "secndp_breaker_state", "secndp_otp_engine",
 		"secndp_phase_pad_seconds_bucket", "secndp_phase_fallback_seconds_bucket", "secndp_query_seconds_bucket",
 		"secndp_batch_pipelined_total", "secndp_batch_distinct_rows_total", "secndp_batch_wire_ops_total",
-		"secndp_server_ops_batch_total", "secndp_server_op_weighted_sum_seconds_bucket",
+		"secndp_server_ops_batch_total", "secndp_server_op_batch_seconds_bucket",
 		"secndp_query_errors_transport_total"} {
 		if !strings.Contains(prom.String(), series) {
 			t.Errorf("/metrics missing %s", series)
